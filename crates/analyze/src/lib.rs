@@ -69,7 +69,7 @@ pub struct FileContext {
     /// R2 skipped: `crates/bench` (the only crate allowed to look at the
     /// host clock) or test-only code.
     pub clock_exempt: bool,
-    /// R3 skipped: one of the two sanctioned concurrency sites.
+    /// R3 skipped: one of the [`SANCTIONED_CONCURRENCY`] files.
     pub concurrency_sanctioned: bool,
     /// Whole file is test/bench/example code (R2/R3/R4 exempt).
     pub test_file: bool,
@@ -96,7 +96,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 /// are the sanctioned home for counters and span timers, policed by R7
 /// everywhere else.
 pub const SANCTIONED_CONCURRENCY: &[&str] = &[
-    "crates/memctrl/src/sharded.rs",
     "crates/bench/src/runner.rs",
     "crates/obs/src/lib.rs",
     "crates/fleet/src/scheduler.rs",
@@ -277,11 +276,12 @@ mod tests {
 
         let runner = classify("crates/bench/src/runner.rs");
         assert!(runner.concurrency_sanctioned);
-        let sharded = classify("crates/memctrl/src/sharded.rs");
-        assert!(sharded.concurrency_sanctioned);
+        // Other memctrl files are not sanctioned.
+        let ctrl = classify("crates/memctrl/src/controller.rs");
+        assert!(!ctrl.concurrency_sanctioned);
 
         // The fleet epoch scheduler: deterministic (its output is the
-        // population report) AND concurrency-sanctioned, like sharded.
+        // population report) AND concurrency-sanctioned.
         let fleet_sched = classify("crates/fleet/src/scheduler.rs");
         assert!(fleet_sched.deterministic && fleet_sched.concurrency_sanctioned);
         assert!(!fleet_sched.clock_exempt);

@@ -43,9 +43,8 @@ const ITER_METHODS: &[&str] = &[
 const NARROW_TARGETS: &[&str] = &["u8", "u16", "u32", "i8", "i16", "i32"];
 
 /// Identifier fragments that mark a value as address-carrying for R4.
-/// `slot` (a bank-view storage index), `lane` (a RowClone lane's
-/// `(bank, row)` tuple) and `shard` (a bank-derived shard index) joined
-/// with the bucketed batch paths: all three are remapped bank
+/// `slot` (a storage index), `lane` (a RowClone lane's `(bank, row)`
+/// tuple) and `shard` (a bank-derived partition index) name remapped bank
 /// coordinates, so narrowing them silently corrupts routing exactly like
 /// narrowing a raw bank index.
 const ADDR_FRAGMENTS: &[&str] = &[
@@ -392,7 +391,7 @@ impl Checker<'_> {
     }
 
     /// R3: ad-hoc concurrency outside the sanctioned sites
-    /// (`memctrl::sharded` worker pool, `bench::runner`, the `obs` sinks).
+    /// (`bench::runner`, `fleet::scheduler`, the `obs` sinks).
     fn rule_concurrency(&mut self) {
         if self.ctx.concurrency_sanctioned {
             return;
@@ -430,9 +429,9 @@ impl Checker<'_> {
                 "concurrency",
                 line,
                 format!(
-                    "`{what}` outside the sanctioned concurrency sites (memctrl::sharded worker \
-                     pool, bench::runner, fleet::scheduler, the obs sinks); route new \
-                     parallelism through the proven pools and telemetry through impact_obs"
+                    "`{what}` outside the sanctioned concurrency sites (bench::runner, \
+                     fleet::scheduler, the obs sinks); route new parallelism through the \
+                     proven schedulers and telemetry through impact_obs"
                 ),
             );
         }
@@ -553,8 +552,8 @@ impl Checker<'_> {
     /// R3 police *deterministic* code; this rule covers the exempt
     /// remainder so the exemptions cannot widen silently: a clock-exempt
     /// crate (e.g. `analyze`) still may not read wall clocks, and a
-    /// concurrency-sanctioned file (the sharded worker pool) still may
-    /// not grow its own atomics. Counters and span timers belong in
+    /// concurrency-sanctioned file (the fleet scheduler) still may not
+    /// grow its own atomics. Counters and span timers belong in
     /// `impact_obs`, where `Instant::now` and `Atomic*` live behind the
     /// determinism contract documented there.
     fn rule_metrics_placement(&mut self) {
@@ -757,10 +756,9 @@ mod tests {
         assert_eq!(d[0].rule, "lossy-cast");
     }
 
-    /// The bucketed-batch coordinate vocabulary (bank-view slots, RowClone
-    /// lanes, shard indices) counts as address-carrying: the scatter paths
-    /// narrow indices to `u32`, and an unjustified narrowing there is a
-    /// routing bug.
+    /// The remapped-coordinate vocabulary (storage slots, RowClone lanes,
+    /// shard indices) counts as address-carrying: an unjustified
+    /// narrowing of any of them is a routing bug.
     #[test]
     fn lossy_cast_covers_bucketing_coordinates() {
         let ctx = FileContext {
@@ -851,10 +849,10 @@ mod tests {
 
     #[test]
     fn metrics_placement_flags_atomics_in_sanctioned_files() {
-        // The sharded pool is concurrency-sanctioned (R3 is silent), but
-        // growing new atomic state there must route through impact_obs.
+        // The fleet scheduler is concurrency-sanctioned (R3 is silent),
+        // but growing new atomic state there must route through impact_obs.
         let ctx = FileContext {
-            rel_path: "crates/memctrl/src/sharded.rs".to_string(),
+            rel_path: "crates/fleet/src/scheduler.rs".to_string(),
             concurrency_sanctioned: true,
             ..det_ctx()
         };

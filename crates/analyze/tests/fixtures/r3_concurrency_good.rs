@@ -1,11 +1,11 @@
 //! R3 clean: deterministic code stays single-threaded; parallelism is
-//! expressed through the sanctioned pool APIs, and test code may thread.
-use impact_memctrl::ShardedController;
+//! expressed through the sanctioned scheduler APIs, and test code may thread.
+use impact_fleet::{FleetConfig, FleetService};
 
-fn parallel_backend(cfg: &impact_core::config::SystemConfig) -> ShardedController {
-    // Routing through the proven worker pool is the sanctioned way to go
-    // parallel — no raw threads or shared-state primitives here.
-    ShardedController::from_config_parallel(cfg, 8, 4)
+fn parallel_population(seed: u64) -> FleetService {
+    // Handing sessions to the fleet's epoch scheduler is the sanctioned way
+    // to go parallel — no raw threads or shared-state primitives here.
+    FleetService::new(FleetConfig::quick(seed).with_workers(4))
 }
 
 #[cfg(test)]

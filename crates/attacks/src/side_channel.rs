@@ -518,10 +518,10 @@ mod tests {
         );
     }
 
-    /// The attack runs identically on the sharded backend.
+    /// The attack runs identically behind the tracing proxy.
     #[test]
-    fn runs_identically_on_sharded_backend() {
-        use impact_sim::ShardedSystem;
+    fn runs_identically_on_traced_backend() {
+        use impact_sim::TracedSystem;
         let cfg = || SystemConfig::paper_table2_noiseless().with_total_banks(1024);
         let attack = || {
             SideChannelAttack::new(SideChannelConfig {
@@ -531,13 +531,13 @@ mod tests {
         };
         let mut mono_sys = System::new(cfg());
         let mono = attack().run(&mut mono_sys).unwrap();
-        let mut sh_sys = ShardedSystem::sharded(cfg(), 8);
-        let sharded = attack().run(&mut sh_sys).unwrap();
-        assert_eq!(mono.score.true_positives, sharded.score.true_positives);
-        assert_eq!(mono.score.false_positives, sharded.score.false_positives);
-        assert_eq!(mono.score.false_negatives, sharded.score.false_negatives);
-        assert_eq!(mono.elapsed, sharded.elapsed);
-        assert_eq!(mono_sys.dram_totals(), sh_sys.dram_totals());
+        let mut tr_sys = TracedSystem::traced(cfg());
+        let traced = attack().run(&mut tr_sys).unwrap();
+        assert_eq!(mono.score.true_positives, traced.score.true_positives);
+        assert_eq!(mono.score.false_positives, traced.score.false_positives);
+        assert_eq!(mono.score.false_negatives, traced.score.false_negatives);
+        assert_eq!(mono.elapsed, traced.elapsed);
+        assert_eq!(mono_sys.dram_totals(), tr_sys.dram_totals());
     }
 }
 

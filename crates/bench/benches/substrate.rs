@@ -66,35 +66,15 @@ fn bench_cache(c: &mut Criterion) {
     });
 }
 
-/// The end-to-end init sweep the pool exists for: `pim_open_burst` over
-/// one row per bank of a 4096-bank device, through the whole engine
-/// (translation, TLB, burst eligibility), on the monolithic system vs
-/// `sharded:8` with 4 pool workers.
+/// The end-to-end init sweep: `pim_open_burst` over one row per bank of
+/// a 4096-bank device, through the whole engine (translation, TLB, burst
+/// eligibility).
 fn bench_side_channel_init(c: &mut Criterion) {
-    use impact_sim::ShardedSystem;
     let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(4096);
     c.bench_function("attacks/side_channel_init_mono", |b| {
         b.iter_batched(
             || {
                 let mut sys = System::new(cfg.clone());
-                let a = sys.spawn_agent();
-                let vas: Vec<_> = (0..4096)
-                    .map(|bank| {
-                        let va = sys.alloc_row_in_bank(a, bank).expect("alloc");
-                        sys.warm_tlb(a, va, 2);
-                        va
-                    })
-                    .collect();
-                (sys, a, vas)
-            },
-            |(mut sys, a, vas)| sys.pim_open_burst(a, &vas).expect("burst").len(),
-            BatchSize::SmallInput,
-        );
-    });
-    c.bench_function("attacks/side_channel_init_parallel", |b| {
-        b.iter_batched(
-            || {
-                let mut sys = ShardedSystem::sharded_parallel(cfg.clone(), 8, 4);
                 let a = sys.spawn_agent();
                 let vas: Vec<_> = (0..4096)
                     .map(|bank| {
@@ -232,7 +212,7 @@ criterion_group!(
     // The memctrl/system hot-path inventory lives in the library so the
     // `bench_record` binary can run (and record) exactly the same benches.
     impact_bench::hotpath::register_memctrl_batch,
-    impact_bench::hotpath::register_sharded_parallel,
+    impact_bench::hotpath::register_mono_batch,
     bench_side_channel_init,
     bench_pnm_transmit,
     impact_bench::hotpath::register_system,

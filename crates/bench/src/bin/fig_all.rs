@@ -6,12 +6,9 @@
 //! fig_all fig9 fig11            # run selected experiments
 //! fig_all --csv fig2            # CSV output instead of text
 //! fig_all --jobs 4              # shard experiments over 4 worker threads
-//! fig_all --backend sharded:4   # run on a sharded memory backend
-//! fig_all --backend sharded:8:4 # ... with 4 pool workers servicing shards
-//! fig_all --backend traced      # ... or behind a tracing proxy
+//! fig_all --backend traced      # run behind a tracing proxy
 //! fig_all --record-trace f.trace  # capture a replayable trace file
 //! fig_all --trace f.trace       # run a captured trace as an experiment
-//! fig_all --fork-sweeps         # serve sweep points from engine forks
 //! fig_all --metrics m.json      # dump the obs telemetry snapshot
 //! ```
 //!
@@ -26,12 +23,6 @@
 //! `--trace PATH` loads a previously captured trace and appends it to the
 //! suite as the `trace` experiment (a prefix-replay sweep whose series is
 //! bit-identical on every backend).
-//!
-//! `--fork-sweeps` warms each forkable experiment's init phase once and
-//! serves the sweep points from copy-on-write forks of the warmed engine
-//! (see the README's "Snapshots and forking" section). Output is
-//! bit-identical to a run without the flag — CI diffs the two byte for
-//! byte.
 //!
 //! `--metrics PATH` enables the wall-clock span timers and writes the
 //! process-wide [`impact_obs`] telemetry snapshot (canonical JSON) to
@@ -70,8 +61,7 @@ const ALL: [&str; 13] = [
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: fig_all [--quick] [--csv] [--fork-sweeps] [--jobs N|auto] \
-         [--backend mono|sharded[:N[:T]]|traced] \
+        "usage: fig_all [--quick] [--csv] [--jobs N|auto] [--backend mono|traced] \
          [--record-trace PATH] [--trace PATH] [--metrics PATH] [EXPERIMENT...]"
     );
     eprintln!("experiments: {}", ALL.join(", "));
@@ -92,7 +82,6 @@ fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let csv = args.iter().any(|a| a == "--csv");
-    let fork_sweeps = args.iter().any(|a| a == "--fork-sweeps");
 
     let flag_value = |flag: &str| -> Option<String> {
         args.iter()
@@ -141,7 +130,7 @@ fn main() {
             continue;
         }
         if a.starts_with("--") {
-            if a != "--quick" && a != "--csv" && a != "--fork-sweeps" {
+            if a != "--quick" && a != "--csv" {
                 usage_exit(&format!("unknown flag {a:?}"));
             }
             continue;
@@ -186,13 +175,12 @@ fn main() {
         // A lone --trace runs just the captured-trace experiment.
         Vec::new()
     } else if selected.is_empty() {
-        experiments::suite_with(quick, backend, fork_sweeps)
+        experiments::suite(quick, backend)
     } else {
-        let mut pool: Vec<Option<ExperimentJob>> =
-            experiments::suite_with(quick, backend, fork_sweeps)
-                .into_iter()
-                .map(Some)
-                .collect();
+        let mut pool: Vec<Option<ExperimentJob>> = experiments::suite(quick, backend)
+            .into_iter()
+            .map(Some)
+            .collect();
         selected
             .iter()
             .map(|id| {
@@ -201,7 +189,7 @@ fn main() {
                     .and_then(Option::take)
                     .unwrap_or_else(|| {
                         // Duplicate selection: build a fresh instance.
-                        experiments::suite_with(quick, backend, fork_sweeps)
+                        experiments::suite(quick, backend)
                             .into_iter()
                             .find(|j| j.id() == *id)
                             .expect("validated against ALL")

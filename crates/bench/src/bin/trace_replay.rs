@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! trace_replay record --out run.trace [--scenario mix|pnm|bfs]
-//!                     [--backend mono|sharded[:N[:T]]|traced] [--quick] [--seed N]
-//! trace_replay replay run.trace [--backend mono|sharded[:N[:T]]|traced]
-//!                     [--metrics m.json]
+//!                     [--backend mono|traced] [--quick] [--seed N]
+//! trace_replay replay run.trace [--backend mono|traced] [--metrics m.json]
 //! trace_replay diff   a.trace b.trace
 //! trace_replay stats  run.trace
 //! trace_replay slice  run.trace --out window.trace --start N --count N
@@ -44,9 +43,8 @@ fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: trace_replay record --out FILE [--scenario mix|pnm|bfs] \
-         [--backend mono|sharded[:N[:T]]|traced] [--quick] [--seed N]\n\
-         \x20      trace_replay replay FILE [--backend mono|sharded[:N[:T]]|traced] \
-         [--metrics FILE]\n\
+         [--backend mono|traced] [--quick] [--seed N]\n\
+         \x20      trace_replay replay FILE [--backend mono|traced] [--metrics FILE]\n\
          \x20      trace_replay diff A B\n\
          \x20      trace_replay stats FILE\n\
          \x20      trace_replay slice FILE --out FILE --start N --count N\n\
@@ -201,9 +199,7 @@ fn main() -> ExitCode {
                 let json = impact_obs::snapshot().to_json();
                 std::fs::write(path, json)
                     .unwrap_or_else(|e| usage_exit(&format!("cannot write {path}: {e}")));
-                let (par, seq) = v.pool_batches;
                 println!("  metrics: wrote telemetry snapshot to {path}");
-                println!("  metrics: pool batches parallel={par} fallback={seq}");
             }
             if v.matches() {
                 println!("  verdict: bit-identical to the recorded run");

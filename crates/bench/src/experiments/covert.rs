@@ -70,18 +70,6 @@ pub fn fig9(message_bits: usize) -> Figure {
 /// [`fig9`] on an explicit memory backend.
 #[must_use]
 pub fn fig9_on(backend: BackendKind, message_bits: usize) -> Figure {
-    fig9_with(backend, message_bits, false)
-}
-
-/// [`fig9_on`] with an explicit fork-sweep mode: when `fork_sweeps` is
-/// set, the IMPACT-PnM/PuM points run channel setup (allocation, bank
-/// mapping, warm-up) on a parent engine and transmit on a copy-on-write
-/// fork of it — the init-once/transmit-from-fork split, with bit-identical
-/// figure output. The DRAMA/DMA baselines are not PiM channels and run
-/// unforked.
-#[must_use]
-pub fn fig9_with(backend: BackendKind, message_bits: usize, fork_sweeps: bool) -> Figure {
-    use impact_core::snapshot::Snapshot;
     let sizes_mb = [1u64, 2, 4, 8, 16, 32, 64, 128];
     let message = SimRng::seed(0xF19).bits(message_bits);
 
@@ -113,20 +101,12 @@ pub fn fig9_with(backend: BackendKind, message_bits: usize, fork_sweeps: bool) -
 
         let mut sys = backend.system(cfg.clone());
         let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = if fork_sweeps {
-            pnm.transmit(&mut sys.fork(), &message).expect("transmit")
-        } else {
-            pnm.transmit(&mut sys, &message).expect("transmit")
-        };
+        let r = pnm.transmit(&mut sys, &message).expect("transmit");
         series[3].1.push((x, r.goodput_mbps(cfg.clock)));
 
         let mut sys = backend.system(cfg.clone());
         let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = if fork_sweeps {
-            pum.transmit(&mut sys.fork(), &message).expect("transmit")
-        } else {
-            pum.transmit(&mut sys, &message).expect("transmit")
-        };
+        let r = pum.transmit(&mut sys, &message).expect("transmit");
         series[4].1.push((x, r.goodput_mbps(cfg.clock)));
     }
 

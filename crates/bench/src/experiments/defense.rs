@@ -6,7 +6,7 @@ use impact_core::config::SystemConfig;
 use impact_core::rng::SimRng;
 use impact_core::stats::geometric_mean;
 use impact_memctrl::{ActConfig, Defense};
-use impact_sim::{AgentId, BackendKind, DynSystem};
+use impact_sim::BackendKind;
 use impact_workloads::graph::Graph;
 use impact_workloads::{kernels, replay, Trace};
 
@@ -76,31 +76,6 @@ pub struct DefenseOverheadSweep<'a> {
     pub backend: BackendKind,
 }
 
-impl DefenseOverheadSweep<'_> {
-    /// The sweep's point-independent prefix: system construction, defense
-    /// installation and agent spawning. Always spawns exactly one agent,
-    /// so the replay agent is `AgentId(0)` on any fork.
-    fn warm(&self) -> DynSystem {
-        let mut sys = self.backend.system(fig12_system());
-        if let Some(d) = &self.defense {
-            sys.set_defense(d.clone());
-        }
-        sys.spawn_agent();
-        sys
-    }
-
-    /// Replays workload `i` on a warmed engine and normalizes the cycles.
-    fn replay_point(&self, sys: &mut DynSystem, i: usize) -> f64 {
-        let r = replay(sys, AgentId(0), &self.workloads[i].1).expect("replay");
-        let cycles = r.cycles.as_f64();
-        if self.baseline.is_empty() {
-            cycles
-        } else {
-            cycles / self.baseline[i]
-        }
-    }
-}
-
 impl Scenario for DefenseOverheadSweep<'_> {
     fn name(&self) -> String {
         self.defense
@@ -117,16 +92,19 @@ impl Scenario for DefenseOverheadSweep<'_> {
     }
 
     fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
-        let mut sys = self.warm();
-        self.replay_point(&mut sys, x as usize)
-    }
-
-    fn warm_prefix(&self) -> Option<DynSystem> {
-        Some(self.warm())
-    }
-
-    fn eval_forked(&self, mut sys: DynSystem, x: f64, _rng: &mut SimRng) -> f64 {
-        self.replay_point(&mut sys, x as usize)
+        let i = x as usize;
+        let mut sys = self.backend.system(fig12_system());
+        if let Some(d) = &self.defense {
+            sys.set_defense(d.clone());
+        }
+        let agent = sys.spawn_agent();
+        let r = replay(&mut sys, agent, &self.workloads[i].1).expect("replay");
+        let cycles = r.cycles.as_f64();
+        if self.baseline.is_empty() {
+            cycles
+        } else {
+            cycles / self.baseline[i]
+        }
     }
 }
 
@@ -142,17 +120,8 @@ pub fn fig12(quick: bool) -> Figure {
 /// [`fig12`] on an explicit memory backend.
 #[must_use]
 pub fn fig12_on(backend: BackendKind, quick: bool) -> Figure {
-    fig12_with(backend, quick, false)
-}
-
-/// [`fig12_on`] with an explicit fork-sweep mode: when `fork_sweeps` is
-/// set, each sweep worker warms one prefix engine (system + defense +
-/// agent) and serves every workload point from a copy-on-write fork of
-/// it. Bit-identical to the unforked run by the [`Scenario`] contract.
-#[must_use]
-pub fn fig12_with(backend: BackendKind, quick: bool, fork_sweeps: bool) -> Figure {
     let workloads = fig12_workloads(quick);
-    let runner = SweepRunner::auto().with_forked(fork_sweeps);
+    let runner = SweepRunner::auto();
 
     // Baseline execution times, swept in parallel like every other curve.
     let baseline: Vec<f64> = runner
@@ -226,25 +195,6 @@ mod tests {
         let serial = SweepRunner::serial().run(&sweep);
         let parallel = SweepRunner::new(4).run(&sweep);
         assert!(series_bits_eq(&serial, &parallel));
-    }
-
-    #[test]
-    fn defense_sweep_forked_matches_scratch() {
-        let workloads = fig12_workloads(true);
-        let sweep = DefenseOverheadSweep {
-            workloads: &workloads,
-            defense: Some(Defense::Ctd),
-            baseline: &[],
-            backend: BackendKind::Mono,
-        };
-        let scratch = SweepRunner::serial().run(&sweep);
-        for threads in [1, 4] {
-            let forked = SweepRunner::new(threads).with_forked(true).run(&sweep);
-            assert!(
-                series_bits_eq(&scratch, &forked),
-                "forked fig12 sweep diverged at {threads} threads"
-            );
-        }
     }
 
     #[test]

@@ -9,10 +9,10 @@ mod sweeps;
 mod tables;
 
 pub use ablation::{ablations, ablations_on};
-pub use covert::{fig10, fig10_on, fig8, fig8_on, fig9, fig9_on, fig9_with};
-pub use defense::{fig12, fig12_on, fig12_with, fig12_workloads, DefenseOverheadSweep};
+pub use covert::{fig10, fig10_on, fig8, fig8_on, fig9, fig9_on};
+pub use defense::{fig12, fig12_on, fig12_workloads, DefenseOverheadSweep};
 pub use future::{future_banks, future_banks_on, rfm_filtering, rfm_filtering_on};
-pub use side::{fig11, fig11_on, fig11_with};
+pub use side::{fig11, fig11_on};
 pub use sweeps::{delta, delta_on, fig2, fig3, LlcAxis, LlcCurve, LlcSweep};
 pub use tables::{table1, table2};
 
@@ -28,16 +28,6 @@ use crate::Figure;
 /// `quick` shrinks message/workload sizes for CI-speed runs.
 #[must_use]
 pub fn suite(quick: bool, backend: BackendKind) -> Vec<ExperimentJob> {
-    suite_with(quick, backend, false)
-}
-
-/// [`suite`] with an explicit fork-sweep mode (`fig_all --fork-sweeps`):
-/// the experiments with a warmable init phase — fig9's PnM/PuM channels,
-/// fig11's side-channel init sweep, fig12's defense sweeps — run their
-/// measured phases on copy-on-write forks of a warmed engine. Figure
-/// output is bit-identical to the unforked suite.
-#[must_use]
-pub fn suite_with(quick: bool, backend: BackendKind, fork_sweeps: bool) -> Vec<ExperimentJob> {
     let bits = if quick { 512 } else { 2048 };
     let reads = if quick { 40 } else { 120 };
     vec![
@@ -47,10 +37,10 @@ pub fn suite_with(quick: bool, backend: BackendKind, fork_sweeps: bool) -> Vec<E
         ExperimentJob::new("fig2", fig2),
         ExperimentJob::new("fig3", fig3),
         ExperimentJob::new("fig8", move || fig8_on(backend)),
-        ExperimentJob::new("fig9", move || fig9_with(backend, bits, fork_sweeps)),
+        ExperimentJob::new("fig9", move || fig9_on(backend, bits)),
         ExperimentJob::new("fig10", move || fig10_on(backend)),
-        ExperimentJob::new("fig11", move || fig11_with(backend, reads, fork_sweeps)),
-        ExperimentJob::new("fig12", move || fig12_with(backend, quick, fork_sweeps)),
+        ExperimentJob::new("fig11", move || fig11_on(backend, reads)),
+        ExperimentJob::new("fig12", move || fig12_on(backend, quick)),
         ExperimentJob::new("ablations", move || ablations_on(backend, quick)),
         ExperimentJob::new("future_banks", move || future_banks_on(backend, bits)),
         ExperimentJob::new("rfm", move || rfm_filtering_on(backend, bits)),

@@ -16,17 +16,6 @@ pub fn fig11(reads: usize) -> Figure {
 /// [`fig11`] on an explicit memory backend.
 #[must_use]
 pub fn fig11_on(backend: BackendKind, reads: usize) -> Figure {
-    fig11_with(backend, reads, false)
-}
-
-/// [`fig11_on`] with an explicit fork-sweep mode. Each bank count uses a
-/// different system configuration, so there is no cross-point prefix to
-/// share; instead, fork mode runs the attack's initialization sweep on a
-/// parent engine and measures on a copy-on-write fork — exercising the
-/// same init-once/fork-cheap split the paper's sweeps amortize, with
-/// bit-identical figure output.
-#[must_use]
-pub fn fig11_with(backend: BackendKind, reads: usize, fork_sweeps: bool) -> Figure {
     let banks = [1024u32, 2048, 4096, 8192];
     let mut tput = Vec::new();
     let mut err = Vec::new();
@@ -38,18 +27,8 @@ pub fn fig11_with(backend: BackendKind, reads: usize, fork_sweeps: bool) -> Figu
             reads,
             ..SideChannelConfig::default()
         });
-        let (r, clock) = if fork_sweeps {
-            use impact_core::snapshot::Snapshot;
-            let init = attack.init(&mut sys).expect("side channel init");
-            let mut fork = sys.fork();
-            let r = attack
-                .measure(&mut fork, &init)
-                .expect("side channel measure");
-            (r, fork.config().clock)
-        } else {
-            let r = attack.run(&mut sys).expect("side channel run");
-            (r, sys.config().clock)
-        };
+        let r = attack.run(&mut sys).expect("side channel run");
+        let clock = sys.config().clock;
         tput.push((f64::from(b), r.throughput_mbps(clock)));
         err.push((f64::from(b), r.error_rate() * 100.0));
         miss.push((f64::from(b), r.miss_rate() * 100.0));

@@ -2,8 +2,8 @@
 //! whose trajectory is recorded in the committed `BENCH_hotpath.json`.
 //!
 //! These are the benches that measure the simulator's innermost loops —
-//! `MemoryController::service_batch`, the sharded dispatch paths, and the
-//! `System` front door — i.e. the ones every perf PR moves. They are
+//! `MemoryController::service_batch` at several batch shapes and the
+//! `System` front door — i.e. the ones every perf change moves. They are
 //! defined here, in the library, so two harnesses can share them:
 //!
 //! * `benches/substrate.rs` registers them alongside the wider substrate
@@ -19,10 +19,10 @@
 use criterion::{black_box, Criterion};
 use impact_attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact_core::config::SystemConfig;
-use impact_core::engine::{MemRequest, MemoryBackend};
+use impact_core::engine::MemRequest;
 use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
-use impact_memctrl::{MemoryController, ShardedController};
+use impact_memctrl::MemoryController;
 use impact_sim::System;
 
 /// The batched request path vs per-request servicing: the baseline perf
@@ -59,30 +59,13 @@ pub fn register_memctrl_batch(c: &mut Criterion) {
                 .sum::<u64>()
         });
     });
-    // The sharded controller over the same 64-request batch — compare
-    // against `memctrl/service_batch_64` (same stream, monolithic
-    // controller) for the sharding overhead/benefit.
-    c.bench_function("memctrl/sharded_vs_mono_64", |b| {
-        let mut sc = ShardedController::from_config(&cfg, 4);
-        let probe = MemoryController::from_config(&cfg);
-        let reqs = make_reqs(&probe);
-        b.iter(|| {
-            MemoryBackend::service_batch(&mut sc, &reqs)
-                .expect("batch")
-                .iter()
-                .map(|r| r.latency.0)
-                .sum::<u64>()
-        });
-    });
 }
 
-/// Parallel shard servicing vs the sequential sharded path vs the
-/// monolithic controller, at init-sweep batch sizes (one request per
-/// bank, the side-channel initialization shape). The 64-request point
-/// sits below the adaptive threshold, so `sharded:8:4` falls back to the
-/// sequential path there by design — routing overhead is the whole cost;
-/// the 1024/8192-request points are where the pool is expected to pay.
-pub fn register_sharded_parallel(c: &mut Criterion) {
+/// The batch path at init-sweep shapes (requests spread round-robin over
+/// the banks, the side-channel initialization shape): 64 requests over 16
+/// banks revisit each bank four times, while the 1024- and 8192-request
+/// batches at 1024 and 8192 banks touch each bank once.
+pub fn register_mono_batch(c: &mut Criterion) {
     for (banks, size) in [(16u32, 64usize), (1024, 1024), (8192, 8192)] {
         let cfg = if banks == 16 {
             SystemConfig::paper_table2()
@@ -98,20 +81,15 @@ pub fn register_sharded_parallel(c: &mut Criterion) {
                 MemRequest::load(addr, Cycles(i as u64 * 400), 0)
             })
             .collect();
-        let sum = |resps: Vec<impact_core::engine::MemResponse>| {
-            resps.iter().map(|r| r.latency.0).sum::<u64>()
-        };
         c.bench_function(&format!("memctrl/mono_batch_{size}"), |b| {
             let mut mc = MemoryController::from_config(&cfg);
-            b.iter(|| sum(mc.service_batch(&reqs).expect("batch")));
-        });
-        c.bench_function(&format!("memctrl/sharded_seq_batch_{size}"), |b| {
-            let mut sc = ShardedController::from_config(&cfg, 8);
-            b.iter(|| sum(MemoryBackend::service_batch(&mut sc, &reqs).expect("batch")));
-        });
-        c.bench_function(&format!("memctrl/sharded_parallel_vs_mono_{size}"), |b| {
-            let mut sc = ShardedController::from_config_parallel(&cfg, 8, 4);
-            b.iter(|| sum(MemoryBackend::service_batch(&mut sc, &reqs).expect("batch")));
+            b.iter(|| {
+                mc.service_batch(&reqs)
+                    .expect("batch")
+                    .iter()
+                    .map(|r| r.latency.0)
+                    .sum::<u64>()
+            });
         });
     }
 }
@@ -195,7 +173,7 @@ pub fn register_snapshot_fork(c: &mut Criterion) {
 /// `BENCH_hotpath.json` lists it.
 pub fn register_all(c: &mut Criterion) {
     register_memctrl_batch(c);
-    register_sharded_parallel(c);
+    register_mono_batch(c);
     register_system(c);
     register_snapshot_fork(c);
 }

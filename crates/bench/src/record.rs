@@ -1,6 +1,5 @@
-//! The line-oriented JSON format shared by the committed benchmark
-//! records (`BENCH_hotpath.json` via `bench_record`, `BENCH_scaling.json`
-//! via `bench_scaling`).
+//! The line-oriented JSON format of the committed benchmark record
+//! (`BENCH_hotpath.json`, written by `bench_record`).
 //!
 //! A record file keeps one run per line under `"runs"`, oldest first;
 //! each run maps a bench key to an integer value. Re-recording a label

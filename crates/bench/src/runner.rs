@@ -52,8 +52,6 @@ use std::sync::mpsc;
 use std::thread;
 
 use impact_core::rng::SimRng;
-use impact_core::snapshot::Snapshot;
-use impact_sim::DynSystem;
 
 use crate::{Figure, Series};
 
@@ -78,27 +76,6 @@ pub trait Scenario: Sync {
     /// Evaluates one sweep point.
     fn eval(&self, x: f64, rng: &mut SimRng) -> f64;
 
-    /// Builds the warmed common-prefix engine for fork-based sweeping —
-    /// the part of [`Scenario::eval`] that is identical for every sweep
-    /// point (system construction, defense installation, attack
-    /// initialization). Scenarios without an exploitable prefix return
-    /// `None` (the default) and fork mode falls back to [`Scenario::eval`].
-    ///
-    /// Must be pure: the runner may warm one prefix per worker thread, and
-    /// every warmed engine must be bit-identical.
-    fn warm_prefix(&self) -> Option<DynSystem> {
-        None
-    }
-
-    /// Evaluates one sweep point on `sys`, a fork of the warmed prefix.
-    /// Must produce bit-identical results to [`Scenario::eval`] — the
-    /// `--fork-sweeps` byte-identity contract relies on it. The default
-    /// ignores the fork and delegates to `eval`; override it together
-    /// with [`Scenario::warm_prefix`].
-    fn eval_forked(&self, _sys: DynSystem, x: f64, rng: &mut SimRng) -> f64 {
-        self.eval(x, rng)
-    }
-
     /// Runs the scenario serially (the reference path).
     fn run(&self) -> Series
     where
@@ -117,7 +94,6 @@ fn point_rng(seed: u64, index: usize) -> SimRng {
 #[derive(Debug, Clone, Copy)]
 pub struct SweepRunner {
     threads: usize,
-    forked: bool,
 }
 
 impl SweepRunner {
@@ -126,7 +102,6 @@ impl SweepRunner {
     pub fn new(threads: usize) -> SweepRunner {
         SweepRunner {
             threads: threads.max(1),
-            forked: false,
         }
     }
 
@@ -148,56 +123,19 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Enables or disables warm-prefix fork mode. When enabled, each worker
-    /// warms the scenario's common prefix once ([`Scenario::warm_prefix`])
-    /// and evaluates every claimed point on a copy-on-write fork of it via
-    /// [`Scenario::eval_forked`]. Scenarios that declare no prefix run
-    /// unchanged.
-    #[must_use]
-    pub fn with_forked(mut self, forked: bool) -> SweepRunner {
-        self.forked = forked;
-        self
-    }
-
-    /// Whether this runner evaluates points on forks of a warmed prefix.
-    #[must_use]
-    pub fn forked(&self) -> bool {
-        self.forked
-    }
-
     /// Runs every sweep point and assembles the [`Series`].
     ///
     /// Points are claimed from a shared counter, evaluated with their own
     /// derived RNG, and reassembled in index order — the output is
-    /// bit-identical for every thread count. In fork mode (see
-    /// [`SweepRunner::with_forked`]) each worker lazily warms one prefix
-    /// engine and serves its points from forks; because the prefix is pure
-    /// and forks are bit-faithful, the output is additionally identical to
-    /// the unforked run.
+    /// bit-identical for every thread count.
     pub fn run<S: Scenario + ?Sized>(&self, scenario: &S) -> Series {
         let xs = scenario.xs();
         let seed = scenario.seed();
-        let forked = self.forked;
-        // Per-worker state: (warm attempted, warmed prefix engine). The
-        // prefix is only built once a worker actually claims a point.
-        let eval_point = |slot: &mut (bool, Option<DynSystem>), i: usize, x: f64| -> f64 {
-            let mut rng = point_rng(seed, i);
-            if forked {
-                if !slot.0 {
-                    slot.0 = true;
-                    slot.1 = scenario.warm_prefix();
-                }
-                if let Some(parent) = slot.1.as_ref() {
-                    return scenario.eval_forked(parent.fork(), x, &mut rng);
-                }
-            }
-            scenario.eval(x, &mut rng)
-        };
+        let eval_point = |i: usize, x: f64| scenario.eval(x, &mut point_rng(seed, i));
         let ys = if self.threads == 1 || xs.len() <= 1 {
-            let mut slot = (false, None);
             xs.iter()
                 .enumerate()
-                .map(|(i, &x)| eval_point(&mut slot, i, x))
+                .map(|(i, &x)| eval_point(i, x))
                 .collect()
         } else {
             let workers = self.threads.min(xs.len());
@@ -207,11 +145,10 @@ impl SweepRunner {
                     .map(|_| {
                         scope.spawn(|| {
                             let mut local = Vec::new();
-                            let mut slot = (false, None);
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
                                 let Some(&x) = xs.get(i) else { break };
-                                local.push((i, eval_point(&mut slot, i, x)));
+                                local.push((i, eval_point(i, x)));
                             }
                             local
                         })
@@ -467,79 +404,6 @@ mod tests {
             }
             total as f64
         }
-    }
-
-    /// A scenario with a declared warm prefix: `eval` runs warm + probe
-    /// from scratch, while `warm_prefix`/`eval_forked` split the same work
-    /// at the warm boundary, so fork mode must be bit-identical.
-    struct ForkableProbes;
-
-    impl ForkableProbes {
-        fn warm() -> DynSystem {
-            let mut sys =
-                impact_sim::BackendKind::Mono.system(SystemConfig::paper_table2_noiseless());
-            let agent = sys.spawn_agent();
-            for bank in 0..8usize {
-                let va = sys.alloc_row_in_bank(agent, bank).expect("alloc");
-                sys.load(agent, va).expect("load");
-            }
-            sys
-        }
-
-        fn probe(sys: &mut DynSystem, x: f64, rng: &mut SimRng) -> f64 {
-            let agent = impact_sim::AgentId(0);
-            let mut total = 0u64;
-            for _ in 0..(x as u64 * 4) {
-                let bank = rng.below(16) as usize;
-                let va = sys.alloc_row_in_bank(agent, bank).expect("alloc");
-                total += sys.load(agent, va).expect("load").latency.0;
-            }
-            total as f64
-        }
-    }
-
-    impl Scenario for ForkableProbes {
-        fn name(&self) -> String {
-            "forkable probes".into()
-        }
-        fn seed(&self) -> u64 {
-            0xF0
-        }
-        fn xs(&self) -> Vec<f64> {
-            (1..=6).map(f64::from).collect()
-        }
-        fn eval(&self, x: f64, rng: &mut SimRng) -> f64 {
-            let mut sys = ForkableProbes::warm();
-            ForkableProbes::probe(&mut sys, x, rng)
-        }
-        fn warm_prefix(&self) -> Option<DynSystem> {
-            Some(ForkableProbes::warm())
-        }
-        fn eval_forked(&self, mut sys: DynSystem, x: f64, rng: &mut SimRng) -> f64 {
-            ForkableProbes::probe(&mut sys, x, rng)
-        }
-    }
-
-    #[test]
-    fn fork_mode_matches_scratch_at_any_thread_count() {
-        let scratch = SweepRunner::serial().run(&ForkableProbes);
-        for threads in [1, 2, 8] {
-            let forked = SweepRunner::new(threads)
-                .with_forked(true)
-                .run(&ForkableProbes);
-            assert!(
-                series_bits_eq(&scratch, &forked),
-                "fork mode diverged at {threads} threads"
-            );
-        }
-    }
-
-    #[test]
-    fn fork_mode_without_prefix_falls_back_to_eval() {
-        let plain = SweepRunner::serial().run(&RandomProbes);
-        let forked = SweepRunner::new(4).with_forked(true).run(&RandomProbes);
-        assert!(series_bits_eq(&plain, &forked));
-        assert!(SweepRunner::serial().with_forked(true).forked());
     }
 
     #[test]

@@ -215,11 +215,11 @@ pub struct ReplayVerification {
     /// Final DRAM state digest of the replaying backend — equal across
     /// any two backends that replayed the same file.
     pub state_digest: u64,
-    /// Pool-scheduling telemetry of the replaying backend —
+    /// Pool-scheduling telemetry of the replaying backend,
     /// `(parallel_batches, sequential_fallbacks)` from
-    /// [`ControllerBackend::scheduling_counts`], `(0, 0)` on non-pooled
-    /// backends. Diagnostic only: backend-dependent by design, so it is
-    /// not part of [`ReplayVerification::matches`].
+    /// [`ControllerBackend::scheduling_counts`]: always `(0, 0)`, since no
+    /// backend dispatches to a worker pool. Diagnostic only, so it is not
+    /// part of [`ReplayVerification::matches`].
     ///
     /// [`ControllerBackend::scheduling_counts`]:
     /// impact_memctrl::ControllerBackend::scheduling_counts
@@ -708,14 +708,7 @@ mod tests {
         let (bytes, outcome) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
         assert!(outcome.summary.responses > 0);
         let mut state_digests = Vec::new();
-        for kind in [
-            BackendKind::Mono,
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-            BackendKind::Traced,
-        ] {
+        for kind in [BackendKind::Mono, BackendKind::Traced] {
             let v = replay_file(&bytes[..], kind).unwrap();
             assert!(v.matches(), "{} diverged: {v:?}", kind.label());
             state_digests.push(v.state_digest);
@@ -728,16 +721,10 @@ mod tests {
     #[test]
     fn captures_are_backend_invariant_byte_for_byte() {
         let (mono, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
-        let (sharded, _) = quick_capture(
-            CaptureKind::Mix,
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-        );
-        assert_eq!(mono, sharded, "recorded bytes differ across backends");
+        let (traced, _) = quick_capture(CaptureKind::Mix, BackendKind::Traced);
+        assert_eq!(mono, traced, "recorded bytes differ across backends");
         assert!(matches!(
-            diff_readers(&mono[..], &sharded[..]).unwrap(),
+            diff_readers(&mono[..], &traced[..]).unwrap(),
             DiffOutcome::Identical { .. }
         ));
     }
@@ -747,14 +734,7 @@ mod tests {
         for kind in [CaptureKind::Pnm, CaptureKind::Bfs] {
             let (bytes, outcome) = quick_capture(kind, BackendKind::Mono);
             assert!(outcome.summary.responses > 0, "{} empty", kind.name());
-            let v = replay_file(
-                &bytes[..],
-                BackendKind::Sharded {
-                    shards: 2,
-                    workers: 1,
-                },
-            )
-            .unwrap();
+            let v = replay_file(&bytes[..], BackendKind::Traced).unwrap();
             assert!(v.matches(), "{} diverged", kind.name());
         }
     }
@@ -783,14 +763,7 @@ mod tests {
         // is a first-class replay artifact on any backend.
         assert_eq!(merged.summary, outcome.summary);
         assert_eq!(merged.state_digest, outcome.state_digest);
-        let v = replay_file(
-            &sink.take()[..],
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-        )
-        .unwrap();
+        let v = replay_file(&sink.take()[..], BackendKind::Traced).unwrap();
         assert!(v.matches(), "merged trace diverged: {v:?}");
 
         // Fewer than two inputs is a usage error, not a silent copy.
@@ -817,13 +790,7 @@ mod tests {
         assert_eq!(reread.summary, sliced.summary);
 
         // Footer-valid: a fresh replay verifies it on multiple backends.
-        for kind in [
-            BackendKind::Mono,
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-        ] {
+        for kind in [BackendKind::Mono, BackendKind::Traced] {
             let v = replay_file(&bytes[..], kind).unwrap();
             assert!(v.matches(), "slice diverged on {}", kind.label());
         }
@@ -918,20 +885,13 @@ mod tests {
             .run();
         assert_eq!(mono.points.len(), 4);
         assert!(mono.points.iter().all(|&(_, y)| y > 0.0));
-        for kind in [
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-            BackendKind::Traced,
-        ] {
-            let other = TraceScenario::new(captured.clone(), kind).unwrap().run();
-            assert!(
-                crate::runner::series_bits_eq(&mono, &other),
-                "{} diverged",
-                kind.label()
-            );
-        }
+        let traced = TraceScenario::new(captured.clone(), BackendKind::Traced)
+            .unwrap()
+            .run();
+        assert!(
+            crate::runner::series_bits_eq(&mono, &traced),
+            "traced diverged"
+        );
         // And the figure wrapper carries the mix note.
         let scenario = TraceScenario::new(captured, BackendKind::Mono).unwrap();
         let fig = trace_figure(&scenario, mono);

@@ -3,8 +3,8 @@
 //!
 //! The whole-system simulator core is generic over a `MemoryBackend`: the
 //! default backend is `impact_memctrl::MemoryController`, but anything that
-//! can classify and time requests — a sharded controller, a remote-memory
-//! model, a trace recorder — can slot in underneath without touching the
+//! can classify and time requests — a remote-memory model, a trace
+//! recorder — can slot in underneath without touching the
 //! TLB/cache/clock layers above. All simulator memory traffic (demand
 //! loads/stores, memory-side PiM operations, masked RowClones, injected
 //! noise) is expressed as [`MemRequest`]s.
@@ -154,12 +154,11 @@ pub struct MemResponse {
 ///
 /// Every counter describes *observable* behavior — what the backend did
 /// to requests — so the derived [`PartialEq`] compares all of them and
-/// the trace footer persists all of them. Scheduling diagnostics (which
-/// execution path serviced a batch, pool utilization, etc.) are
-/// deliberately **not** part of this struct: they legitimately differ
-/// between a parallel and a sequential run of the very same traffic and
-/// live in the `impact-obs` telemetry registry (plus per-controller
-/// counters such as `ShardedController::scheduling_counts`) instead.
+/// the trace footer persists all of them. Telemetry (which servicing
+/// tier ran a batch, wall-clock spans, etc.) is deliberately **not** part
+/// of this struct: it describes how the host executed the traffic, not
+/// what the backend did to it, and lives in the `impact-obs` registry
+/// instead.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct BackendStats {
     /// Demand accesses served.
@@ -176,9 +175,8 @@ pub struct BackendStats {
 
 impl BackendStats {
     /// Accumulates `other` into `self`, counter by counter. This is how
-    /// composite backends (e.g. a sharded controller) fold per-component
-    /// statistics into one view, and how experiments aggregate stats
-    /// across systems without summing fields by hand.
+    /// experiments aggregate stats across systems without summing fields
+    /// by hand.
     pub fn merge(&mut self, other: &BackendStats) {
         // Exhaustive destructuring: adding a counter without merging it
         // becomes a compile error instead of silently dropped stats.

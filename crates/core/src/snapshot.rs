@@ -13,8 +13,8 @@
 //!
 //! Snapshots capture *observable* state only — everything that feeds
 //! responses, [`crate::engine::BackendStats`], DRAM totals, or the
-//! `dram_state_digest`. Live resources (worker-pool threads, trace
-//! spill sinks) and non-observable scratch buffers are deliberately
+//! `dram_state_digest`. Live resources (trace spill sinks) and
+//! non-observable scratch buffers are deliberately
 //! excluded: a restored or forked instance re-creates them lazily, and
 //! equivalence tests pin that a fork is bit-identical to a from-scratch
 //! run. The fork path must never leak into deterministic outputs.
@@ -72,8 +72,8 @@ pub trait Snapshot {
     ///
     /// The fork must behave bit-identically to a from-scratch instance
     /// driven through the parent's history; mutations on either side
-    /// are invisible to the other. Live resources are not duplicated —
-    /// a fork re-creates worker pools and the like on demand.
+    /// are invisible to the other. Live resources such as trace spill
+    /// sinks are not duplicated.
     fn fork(&self) -> Self
     where
         Self: Sized;

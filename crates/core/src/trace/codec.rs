@@ -346,9 +346,8 @@ impl<W: Write> TraceWriter<W> {
             .map_err(|e| io_err(&e))?;
         // Exhaustive destructuring keeps the footer in lock-step with the
         // struct: every observable counter enters the on-disk format.
-        // (Scheduling diagnostics live in the obs registry, outside
-        // BackendStats, precisely so byte-identical traffic produces
-        // byte-identical files across worker-pool configurations.)
+        // (Telemetry lives in the obs registry, outside BackendStats, so
+        // it can never change a footer byte.)
         let BackendStats {
             accesses,
             rowclones,

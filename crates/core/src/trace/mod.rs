@@ -1,8 +1,8 @@
 //! A recording proxy backend: wraps any [`MemoryBackend`] and keeps a
 //! replayable log of everything that reached it.
 //!
-//! [`TracingBackend`] is the second face of the backend seam: where a
-//! sharded controller changes *how* requests are served, the tracing proxy
+//! [`TracingBackend`] is the second face of the backend seam: where the
+//! controller decides *how* requests are served, the tracing proxy
 //! changes *nothing* — it forwards every call to the inner backend
 //! verbatim and appends a [`TraceEvent`] to its log. Replaying the log
 //! into a fresh backend of the same configuration ([`replay`]) reproduces

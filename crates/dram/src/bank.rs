@@ -3,9 +3,8 @@
 //! Two representations share one implementation:
 //!
 //! * [`BankCursor`] — the bank state as a flat, `Copy`, sentinel-encoded
-//!   record. This is what the hot batch paths hold in registers while a
-//!   per-bank loop services a bucket of requests, and it carries the only
-//!   implementation of the access/RowClone/digest state machine.
+//!   record that a RowClone loads, updates and stores back; it carries
+//!   the only implementation of the access/RowClone/digest state machine.
 //! * [`Bank`] — an `Option`-typed view over a cursor, kept as the public
 //!   accessor API (`raw_open_row() -> Option<u64>` etc.) and as the unit
 //!   under test for the bank-level properties.

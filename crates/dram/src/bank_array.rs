@@ -3,13 +3,12 @@
 //! The device used to hold a `Vec<Bank>` — an array of structs. Every
 //! field of every bank now lives in its own parallel flat array instead
 //! (each statistics counter included), so the batch hot paths touch
-//! exactly the cache lines they need: a bank-bucketed servicing loop
-//! loads one [`BankCursor`] into registers, services the whole bucket
-//! against it, and stores it back once, while a one-request-per-bank
-//! sweep uses [`BankArray::access`], which reads only the fields the
-//! access consults and dirties only the arrays the access changes (a
-//! warm row-buffer hit writes `busy_until`, `last_use` and the hit
-//! counter — nothing else).
+//! exactly the cache lines they need: demand accesses use
+//! [`BankArray::access`], which reads only the fields the access consults
+//! and dirties only the arrays the access changes (a warm row-buffer hit
+//! writes `busy_until`, `last_use` and the hit counter — nothing else),
+//! while a RowClone loads one [`BankCursor`], runs the copy against it
+//! and stores it back.
 //!
 //! The [`Bank`]-shaped accessor API survives as by-value views
 //! ([`BankArray::bank_state`]), and [`BankCursor::fold_state`] keeps the

@@ -4,7 +4,7 @@ use impact_core::config::{DramGeometry, SystemConfig};
 use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 
-use crate::bank::{AccessOutcome, Bank, BankCursor, BankStats, RowBufferKind};
+use crate::bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
 use crate::bank_array::BankArray;
 use crate::policy::RowPolicy;
 use crate::timing::ResolvedTiming;
@@ -35,14 +35,6 @@ pub struct DramDevice {
     timing: ResolvedTiming,
     policy: RowPolicy,
     banks: BankArray,
-    /// Bank-index view `(stride, offset)`: the device stores exactly the
-    /// global flat banks `b` with `b % stride == offset`, compactly at
-    /// slot `(b - offset) / stride`. `(1, 0)` is the identity view of a
-    /// monolithic device. Sharded backends use strided views so each
-    /// shard's bank state is dense in memory instead of diluted across
-    /// the whole global index range — every public method still speaks
-    /// global bank indices.
-    view: (usize, usize),
 }
 
 /// Actor id used when none is supplied.
@@ -58,7 +50,6 @@ impl DramDevice {
             timing,
             policy,
             banks,
-            view: (1, 0),
         }
     }
 
@@ -71,40 +62,6 @@ impl DramDevice {
             ResolvedTiming::resolve(&cfg.dram_timing, cfg.clock),
             RowPolicy::open_page(),
         )
-    }
-
-    /// Creates a device that stores only the banks `b` with
-    /// `b % stride == offset` (a bank-sharded backend's slice), packed
-    /// densely. All methods keep taking *global* flat bank indices; the
-    /// caller must only ever address owned banks (debug-asserted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero or `offset >= stride`.
-    #[must_use]
-    pub fn from_config_bank_view(cfg: &SystemConfig, stride: usize, offset: usize) -> DramDevice {
-        assert!(stride > 0 && offset < stride, "invalid bank view");
-        let total = cfg.dram_geometry.total_banks() as usize;
-        let owned = (total + stride - 1 - offset) / stride;
-        DramDevice {
-            geometry: cfg.dram_geometry,
-            timing: ResolvedTiming::resolve(&cfg.dram_timing, cfg.clock),
-            policy: RowPolicy::open_page(),
-            banks: BankArray::new(owned),
-            view: (stride, offset),
-        }
-    }
-
-    /// Storage slot of global flat bank index `bank` under the view.
-    #[inline]
-    fn slot(&self, bank: usize) -> usize {
-        let (stride, offset) = self.view;
-        if stride == 1 {
-            bank
-        } else {
-            debug_assert_eq!(bank % stride, offset, "bank {bank} not owned by this view");
-            (bank - offset) / stride
-        }
     }
 
     /// Device geometry.
@@ -130,18 +87,10 @@ impl DramDevice {
         self.policy = policy;
     }
 
-    /// Number of banks in the device's *global* geometry (a strided view
-    /// still reports the full device width; see
-    /// [`DramDevice::from_config_bank_view`]).
+    /// Number of banks.
     #[must_use]
     pub fn num_banks(&self) -> usize {
-        if self.view.0 == 1 {
-            self.banks.len()
-        } else {
-            // The view owns only its slice; the global width comes from
-            // the geometry.
-            self.geometry.total_banks() as usize
-        }
+        self.banks.len()
     }
 
     /// By-value snapshot of a bank in the `Option`-typed accessor shape.
@@ -153,36 +102,13 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[must_use]
     pub fn bank(&self, bank: usize) -> Bank {
-        self.banks.bank_state(self.slot(bank))
+        self.banks.bank_state(bank)
     }
 
     /// The structure-of-arrays bank storage (read side).
     #[must_use]
     pub fn banks(&self) -> &BankArray {
         &self.banks
-    }
-
-    /// Loads one bank's state into a register-friendly cursor. Pair with
-    /// [`DramDevice::store_cursor`] in bank-bucketed servicing loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[inline]
-    #[must_use]
-    pub fn cursor(&self, bank: usize) -> BankCursor {
-        self.banks.load(self.slot(bank))
-    }
-
-    /// Stores a cursor back; the inverse of [`DramDevice::cursor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[inline]
-    pub fn store_cursor(&mut self, bank: usize, cur: BankCursor) {
-        let slot = self.slot(bank);
-        self.banks.store(slot, cur);
     }
 
     /// Folds one bank's state into a running FNV-1a digest accumulator.
@@ -192,7 +118,7 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[must_use]
     pub fn fold_bank_state(&self, bank: usize, hash: u64) -> u64 {
-        self.banks.fold_state(self.slot(bank), hash)
+        self.banks.fold_state(bank, hash)
     }
 
     /// Serves a read/write access (anonymous actor).
@@ -207,17 +133,14 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[inline]
     pub fn access_as(&mut self, bank: usize, row: u64, now: Cycles, actor: u32) -> AccessOutcome {
-        let slot = self.slot(bank);
         self.banks
-            .access(slot, row, now, actor, &self.timing, self.policy)
+            .access(bank, row, now, actor, &self.timing, self.policy)
     }
 
     /// Classifies an access without serving it.
     #[must_use]
     pub fn classify(&self, bank: usize, row: u64, now: Cycles) -> RowBufferKind {
-        self.banks
-            .load(self.slot(bank))
-            .classify(row, now, self.policy)
+        self.banks.load(bank).classify(row, now, self.policy)
     }
 
     /// Serves a RowClone FPM copy inside one bank, attributed to `actor`.
@@ -237,9 +160,8 @@ impl DramDevice {
         let timing = self.timing;
         let rows_per_subarray = self.geometry.rows_per_subarray;
         let lines = self.geometry.row_bytes / 64;
-        let slot = self.slot(bank);
         self.banks.rowclone(
-            slot,
+            bank,
             src_row,
             dst_row,
             now,
@@ -287,7 +209,7 @@ impl DramDevice {
 
 /// Captured [`DramDevice`] state: the mutable parts only (bank array
 /// shared copy-on-write, plus the row policy defenses may switch).
-/// Geometry, timing and the bank view are construction-time constants.
+/// Geometry and timing are construction-time constants.
 #[derive(Debug, Clone)]
 pub struct DramSnap {
     policy: RowPolicy,

@@ -4,8 +4,7 @@
 //! Determinism contract: one epoch advances every session by the same
 //! step budget, and the advanced sessions are returned in exactly the
 //! order they were submitted — never completion order. Sessions are
-//! moved by value through channels (the same ownership discipline as the
-//! `memctrl::sharded` worker pool), so no session state is ever shared
+//! moved by value through channels, so no session state is ever shared
 //! between threads; each result is a pure function of (session state,
 //! budget), making the scheduler's output invariant in the worker count.
 //!
@@ -13,8 +12,7 @@
 //! session's advance runs under `catch_unwind`, outcomes are collected
 //! for the whole epoch, and the first panic payload (by submission
 //! order) is re-thrown — never a generic channel-closed panic that would
-//! mask what actually went wrong (the failure mode the sharded pool's
-//! reap path exists for).
+//! mask what actually went wrong.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;

@@ -1,9 +1,9 @@
 //! [`MemoryBackend`] implementation for [`MemoryController`] — the default
 //! engine behind the whole-system simulator — plus the
 //! [`ControllerBackend`] extension trait every controller-flavored backend
-//! (monolithic, sharded, tracing-wrapped) implements so the layers above
-//! can install defenses and read DRAM statistics without knowing which
-//! backend is underneath.
+//! (the controller, a tracing proxy around it, a boxed backend) implements
+//! so the layers above can install defenses and read DRAM statistics
+//! without knowing which backend is underneath.
 
 use impact_core::addr::PhysAddr;
 use impact_core::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
@@ -15,7 +15,6 @@ use impact_dram::{BankStats, RowPolicy};
 
 use crate::controller::{CtrlSnap, MemoryController, PeriodicBlock};
 use crate::defense::Defense;
-use crate::sharded::{ShardedController, ShardedSnap};
 
 /// Type-erased backend snapshot: the object-safe currency of
 /// [`ControllerBackend::state_snapshot`] /
@@ -27,8 +26,6 @@ use crate::sharded::{ShardedController, ShardedSnap};
 pub enum BackendSnap {
     /// Snapshot of a monolithic [`MemoryController`].
     Mono(CtrlSnap),
-    /// Snapshot of a [`ShardedController`].
-    Sharded(ShardedSnap),
     /// Snapshot of a [`TracingBackend`] around any controller backend.
     Traced(Box<TraceSnap<BackendSnap>>),
 }
@@ -100,9 +97,9 @@ impl MemoryBackend for MemoryController {
 /// installation, periodic blocking, row-policy ablations and DRAM-level
 /// statistics. The simulation engine exposes these hooks generically for
 /// any `Engine<B: ControllerBackend>`, which is what lets experiments run
-/// unchanged on the monolithic controller, the sharded controller, or a
-/// tracing proxy around either (`Box<dyn ControllerBackend>` also
-/// implements the trait, for runtime backend selection).
+/// unchanged on the monolithic controller or a tracing proxy around it
+/// (`Box<dyn ControllerBackend>` also implements the trait, for runtime
+/// backend selection).
 pub trait ControllerBackend: MemoryBackend {
     /// Installs a timing defense on every underlying controller.
     fn set_defense(&mut self, defense: Defense);
@@ -141,14 +138,10 @@ pub trait ControllerBackend: MemoryBackend {
     /// fresh box, sharing bulk state with `self` until either side writes.
     fn fork_boxed(&self) -> Box<dyn ControllerBackend>;
 
-    /// Scheduling diagnostics `(parallel_batches, sequential_fallbacks)`:
-    /// how many batches this backend dispatched to a worker pool vs.
-    /// serviced sequentially despite one. `(0, 0)` for backends without a
-    /// pool. These are telemetry, not observable state: they never enter
-    /// [`BackendStats`], snapshots, or trace footers, and forks start
-    /// from zero. (The process-wide equivalents live in the `impact-obs`
-    /// registry; this per-controller view exists so tests can assert
-    /// exact counts without cross-test interference.)
+    /// Scheduling diagnostics `(parallel_batches, sequential_fallbacks)`.
+    /// Always `(0, 0)`: no backend dispatches batches to a worker pool.
+    /// Like all telemetry it never enters [`BackendStats`], snapshots or
+    /// trace footers.
     fn scheduling_counts(&self) -> (u64, u64) {
         (0, 0)
     }
@@ -199,57 +192,6 @@ impl ControllerBackend for MemoryController {
     }
 }
 
-impl ControllerBackend for ShardedController {
-    fn set_defense(&mut self, defense: Defense) {
-        ShardedController::set_defense(self, defense);
-    }
-
-    fn set_periodic_block(&mut self, blocking: Option<PeriodicBlock>) {
-        ShardedController::set_periodic_block(self, blocking);
-    }
-
-    fn set_row_policy(&mut self, policy: RowPolicy) {
-        ShardedController::set_row_policy(self, policy);
-    }
-
-    fn dram_totals(&self) -> BankStats {
-        ShardedController::dram_totals(self)
-    }
-
-    fn dram_bank_stats(&self, bank: usize) -> BankStats {
-        *self.sub_for_bank(bank).dram().bank(bank).stats()
-    }
-
-    fn dram_state_digest(&self) -> u64 {
-        // Fold in *flat-bank* order, not per-shard order, so the digest is
-        // comparable with the monolithic controller's.
-        let mut hash = impact_core::hash::FNV_OFFSET;
-        for bank in 0..MemoryBackend::num_banks(self) {
-            hash = self.sub_for_bank(bank).dram().fold_bank_state(bank, hash);
-        }
-        hash
-    }
-
-    fn state_snapshot(&self) -> BackendSnap {
-        BackendSnap::Sharded(self.snapshot())
-    }
-
-    fn state_restore(&mut self, snap: &BackendSnap) {
-        match snap {
-            BackendSnap::Sharded(s) => self.restore(s),
-            _ => panic!("backend snapshot kind mismatch: expected Sharded"),
-        }
-    }
-
-    fn fork_boxed(&self) -> Box<dyn ControllerBackend> {
-        Box::new(Snapshot::fork(self))
-    }
-
-    fn scheduling_counts(&self) -> (u64, u64) {
-        ShardedController::scheduling_counts(self)
-    }
-}
-
 impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
     fn set_defense(&mut self, defense: Defense) {
         self.inner_mut().set_defense(defense);
@@ -295,10 +237,6 @@ impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
         // identical to the original.
         Box::new(self.fork_with(self.inner().fork_boxed()))
     }
-
-    fn scheduling_counts(&self) -> (u64, u64) {
-        self.inner().scheduling_counts()
-    }
 }
 
 impl<B: ControllerBackend + ?Sized> ControllerBackend for Box<B> {
@@ -336,10 +274,6 @@ impl<B: ControllerBackend + ?Sized> ControllerBackend for Box<B> {
 
     fn fork_boxed(&self) -> Box<dyn ControllerBackend> {
         (**self).fork_boxed()
-    }
-
-    fn scheduling_counts(&self) -> (u64, u64) {
-        (**self).scheduling_counts()
     }
 }
 
@@ -507,22 +441,18 @@ mod tests {
     fn dram_state_digest_is_backend_invariant() {
         let cfg = SystemConfig::paper_table2();
         let mut mono = MemoryController::from_config(&cfg);
-        let mut sharded = crate::ShardedController::from_config(&cfg, 4);
         let mut traced =
             impact_core::trace::TracingBackend::new(MemoryController::from_config(&cfg));
         let fresh = mono.dram_state_digest();
-        assert_eq!(fresh, sharded.dram_state_digest());
         assert_eq!(fresh, traced.dram_state_digest());
 
         let reqs = stream(&mono);
         for r in &reqs {
             mono.service(r).unwrap();
-            MemoryBackend::service(&mut sharded, r).unwrap();
             MemoryBackend::service(&mut traced, r).unwrap();
         }
         let after = mono.dram_state_digest();
         assert_ne!(after, fresh, "traffic must move the digest");
-        assert_eq!(after, sharded.dram_state_digest());
         assert_eq!(after, traced.dram_state_digest());
         // Boxed backends forward the digest.
         let boxed: Box<dyn ControllerBackend> = Box::new(mono);

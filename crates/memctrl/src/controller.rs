@@ -98,13 +98,13 @@ pub struct RowCloneOutcome {
     pub completed_at: Cycles,
 }
 
-/// Batches shorter than this are served by the plain serial loop: the
-/// counting-sort setup (gather, locate, bucket) only pays for itself once
-/// a batch revisits banks.
-const BUCKET_MIN: usize = 16;
+/// Scalar segments shorter than this are served by the serial lean loop;
+/// longer ones amortize the batch setup (one `locate_batch` pass plus the
+/// side-effect-free pre-validation) over the run.
+const LOCATE_MIN: usize = 16;
 
 /// Latency-padding policy of a batch, hoisted out of the per-request loop
-/// so the tight per-bank loops match on a register instead of re-reading
+/// so the located loop matches on a register instead of re-reading
 /// `self.defense` (and re-deriving the ACT epoch length) per access.
 #[derive(Clone, Copy)]
 enum Pad {
@@ -116,50 +116,22 @@ enum Pad {
     Act { cfg: ActConfig, epoch_len: u64 },
 }
 
-/// Per-batch servicing parameters, hoisted once so the batch loops never
-/// re-read controller configuration per request.
+/// Per-batch servicing parameters, hoisted once so the located loop never
+/// re-reads controller configuration per request.
 #[derive(Clone, Copy)]
-pub(crate) struct BatchEnv {
+struct BatchEnv {
     overhead: Cycles,
     blocking: Option<PeriodicBlock>,
     worst: Cycles,
     pad: Pad,
 }
 
-/// Reusable counting-sort scratch: bank counts stay allocated (and zeroed)
-/// between batches so bucketing never re-allocates on the hot path.
-#[derive(Debug, Default)]
-struct SortScratch {
-    /// Per-bank request count, then bucket write cursor; restored to all
-    /// zeros after every batch (only touched banks are dirtied).
-    counts: Vec<u32>,
-    /// Request indices grouped by bank, original order within each bank.
-    order: Vec<u32>,
-    /// Banks hit by the current batch, in first-appearance order.
-    touched: Vec<u32>,
-}
-
-/// Per-controller batch scratch buffers (addresses, locations, sort state).
+/// Per-controller batch scratch buffers (addresses and their locations),
+/// kept allocated between batches.
 #[derive(Debug, Default)]
 struct BatchScratch {
     addrs: Vec<PhysAddr>,
     locs: Vec<(u32, u64)>,
-    /// Identity index list (`0..n`) for whole-batch scatter calls.
-    ident: Vec<u32>,
-    sort: SortScratch,
-}
-
-/// A placeholder [`MemResponse`] used to pre-size scatter output buffers;
-/// every slot is overwritten before the buffer is observed.
-pub(crate) fn empty_response() -> MemResponse {
-    MemResponse {
-        bank: 0,
-        row: 0,
-        kind: RowBufferKind::Hit,
-        latency: Cycles::ZERO,
-        completed_at: Cycles::ZERO,
-        per_bank: Vec::new(),
-    }
 }
 
 /// The memory controller: address mapping + DRAM device + defenses.
@@ -255,29 +227,6 @@ impl MemoryController {
     #[must_use]
     pub fn from_config(cfg: &SystemConfig) -> MemoryController {
         let dram = DramDevice::from_config(cfg);
-        let mapping = Box::new(RowInterleaved::new(cfg.dram_geometry));
-        MemoryController::new(
-            dram,
-            mapping,
-            Cycles(cfg.memctrl_overhead_cycles),
-            cfg.clock,
-        )
-    }
-
-    /// [`MemoryController::from_config`] over a strided bank view
-    /// ([`DramDevice::from_config_bank_view`]): the controller stores only
-    /// the banks `b` with `b % stride == offset`, packed densely, while
-    /// every API keeps speaking global flat bank indices. This is how the
-    /// sharded backend keeps each shard's bank state as cache-dense as the
-    /// monolithic controller's; the caller must route only owned banks
-    /// here.
-    #[must_use]
-    pub fn from_config_bank_view(
-        cfg: &SystemConfig,
-        stride: usize,
-        offset: usize,
-    ) -> MemoryController {
-        let dram = DramDevice::from_config_bank_view(cfg, stride, offset);
         let mapping = Box::new(RowInterleaved::new(cfg.dram_geometry));
         MemoryController::new(
             dram,
@@ -415,22 +364,22 @@ impl MemoryController {
     /// `out` is cleared first and then filled with one response per
     /// request, in request order.
     ///
-    /// Scalar runs of the batch take a counting-sort bucketed path: one
-    /// pass locates every address ([`AddressMapping::locate_batch`] — a
-    /// single virtual call), request indices are radix-bucketed by flat
-    /// bank, and a tight per-bank loop classifies hit/miss/conflict with
-    /// the bank's state held in registers ([`impact_dram::BankCursor`]),
-    /// scattering responses back to their original positions. Bank
-    /// processing order is unobservable: banks are timed independently,
-    /// and the stats counters are order-independent sums.
+    /// RowClones are served one at a time; each run of scalar requests
+    /// between them picks a tier by length. Runs shorter than 16 requests
+    /// take the serial lean loop. Longer runs locate every address in one
+    /// pass ([`AddressMapping::locate_batch`] — a single virtual call) and
+    /// are then served in request order against the live bank state, with
+    /// the defense environment hoisted out of the loop and the stats
+    /// deltas applied once per run.
     ///
     /// # Errors
     ///
     /// Fails on the first failing request, exactly as the serial path
-    /// would: bucketing pre-validates the run (capacity + MPR partition —
-    /// both pure), and a run containing any failure is replayed through
-    /// the serial path instead so state and error surface at the same
-    /// request. On error, `out` holds the responses completed so far.
+    /// would: a located run is pre-validated first (capacity + MPR
+    /// partition — both pure), and a run containing any failure is
+    /// replayed through the serial path instead so state and error
+    /// surface at the same request. On error, `out` holds the responses
+    /// completed so far.
     pub fn service_batch_into(
         &mut self,
         reqs: &[MemRequest],
@@ -464,7 +413,7 @@ impl MemoryController {
         reqs: &[MemRequest],
         out: &mut Vec<MemResponse>,
     ) -> Result<()> {
-        if reqs.len() < BUCKET_MIN {
+        if reqs.len() < LOCATE_MIN {
             impact_obs::registry().ctrl_serial_segments.incr();
             // Hoisted once per run: the lean path is valid exactly when
             // `take_block_delay` would always return zero and
@@ -491,7 +440,7 @@ impl MemoryController {
         self.mapping.locate_batch(&scratch.addrs, &mut scratch.locs);
 
         // Pre-validate the whole run. Both checks are pure functions of
-        // the request, so passing here guarantees the bucketed path hits
+        // the request, so passing here guarantees the located loop hits
         // no error; any failure sends the run down the serial path, which
         // reproduces the exact serial mutation/error order. Capacity is a
         // single comparison (the gather above tracked the run's maximum
@@ -514,246 +463,14 @@ impl MemoryController {
             return Ok(());
         }
 
-        if reqs.len() <= self.dram.num_banks() {
-            // Sparse by construction (cannot average two requests per
-            // bank): serve in order, appending directly — no index list,
-            // no placeholder resize, no scatter.
-            impact_obs::registry().ctrl_sparse_segments.incr();
-            self.service_located_append(reqs, &scratch.locs, out);
-            self.scratch = scratch;
-            return Ok(());
-        }
-
-        scratch.ident.clear();
-        // analyze::allow(lossy-cast): run length asserted to fit u32 in
-        // service_scatter before any index is used
-        scratch.ident.extend((0..reqs.len()).map(|i| i as u32));
-        let base = out.len();
-        out.resize(base + reqs.len(), empty_response());
-        self.service_scatter(
-            reqs,
-            &scratch.locs,
-            &scratch.ident,
-            &mut scratch.sort,
-            &mut out[base..],
-        );
+        impact_obs::registry().ctrl_sparse_segments.incr();
+        self.service_located_append(reqs, &scratch.locs, out);
         self.scratch = scratch;
         Ok(())
     }
 
-    /// Serves the pre-located, pre-validated scalar requests selected by
-    /// `indices`, writing the response for request `i` into `out[i]`.
-    /// This is the bucketed hot core shared by the monolithic batch path
-    /// and the sharded controller (whose shards each service an index
-    /// subset of one batch against a shared `locs` table).
-    ///
-    /// A counting pass buckets the selected requests by flat bank, then
-    /// the batch shape picks the servicing loop:
-    ///
-    /// * **dense** (banks revisited): tight per-bank loops with the bank's
-    ///   state held in registers ([`impact_dram::BankCursor`]), responses
-    ///   scattered back to request positions;
-    /// * **sparse** (mostly singleton buckets, e.g. one-request-per-bank
-    ///   init sweeps): a serial located loop in request order — bucketing
-    ///   would add work without ever reusing a cursor.
-    ///
-    /// Both loops are bit-identical to serial [`MemoryController::service`]
-    /// calls: per-bank state only depends on same-bank requests (served in
-    /// request order either way) and the stats counters are
-    /// order-independent sums.
-    ///
-    /// Preconditions (debug-asserted): `locs[i]` is `mapping.locate` of
-    /// `reqs[i]`, every indexed address is within capacity, no indexed
-    /// request is a RowClone, no MPR partition check can fail, and
-    /// `out[i]` exists for every index.
-    fn service_scatter(
-        &mut self,
-        reqs: &[MemRequest],
-        locs: &[(u32, u64)],
-        indices: &[u32],
-        sort: &mut SortScratch,
-        out: &mut [MemResponse],
-    ) {
-        debug_assert_eq!(reqs.len(), locs.len());
-        debug_assert!(indices.iter().all(|&i| {
-            let i = i as usize;
-            i < reqs.len()
-                && i < out.len()
-                && !matches!(reqs[i].kind, ReqKind::RowClone { .. })
-                && self.check_capacity(reqs[i].addr).is_ok()
-        }));
-        let m = indices.len();
-        if m == 0 {
-            return;
-        }
-        assert!(
-            u32::try_from(reqs.len()).is_ok(),
-            "batch of {} requests exceeds u32 bucket indexing",
-            reqs.len()
-        );
-
-        let env = self.batch_env();
-        let mut blocked = 0u64;
-        let mut padded = 0u64;
-
-        // A batch that cannot average two requests per bank is sparse by
-        // construction — the one-request-per-bank init sweeps land here —
-        // and skips the counting machinery outright.
-        let num_banks = self.dram.num_banks();
-        let mut sparse = m <= num_banks;
-        if !sparse {
-            // Counting pass. `counts` is zeroed on entry (every exit path
-            // re-zeros the touched slots), so only the banks this batch
-            // actually hits cost anything.
-            if sort.counts.len() < num_banks {
-                sort.counts.resize(num_banks, 0);
-            }
-            sort.touched.clear();
-            for &i in indices {
-                let bank = locs[i as usize].0;
-                let b = bank as usize;
-                if sort.counts[b] == 0 {
-                    sort.touched.push(bank);
-                }
-                sort.counts[b] += 1;
-            }
-            // Mostly-singleton buckets: bucketing would add work without
-            // ever reusing a cursor. Fall through to the sparse loop.
-            sparse = sort.touched.len() * 2 > m;
-            if sparse {
-                for &bank in &sort.touched {
-                    sort.counts[bank as usize] = 0;
-                }
-            }
-        }
-
-        if sparse {
-            impact_obs::registry().ctrl_sparse_segments.incr();
-            // Serve serially in request order; per-bank state round-trips
-            // through the arrays per request (dirtying only the fields an
-            // access changes), with no order/prefix/scatter passes.
-            for &oi in indices {
-                let i = oi as usize;
-                let (bank, row) = locs[i];
-                out[i] = self.serve_located(
-                    &reqs[i],
-                    bank as usize,
-                    row,
-                    env,
-                    &mut blocked,
-                    &mut padded,
-                );
-            }
-        } else {
-            impact_obs::registry().ctrl_dense_segments.incr();
-            // Dense: counts become bucket start cursors (buckets laid out
-            // in first-appearance order), then the stable scatter advances
-            // them to bucket ends.
-            let timing = *self.dram.timing();
-            let policy = self.dram.policy();
-            let BatchEnv {
-                overhead,
-                blocking,
-                worst,
-                pad,
-            } = env;
-            sort.order.clear();
-            sort.order.resize(m, 0);
-            let mut cum = 0u32;
-            for &bank in &sort.touched {
-                let b = bank as usize;
-                let c = sort.counts[b];
-                sort.counts[b] = cum;
-                cum += c;
-            }
-            for &i in indices {
-                let b = locs[i as usize].0 as usize;
-                sort.order[sort.counts[b] as usize] = i;
-                sort.counts[b] += 1;
-            }
-
-            let act = matches!(pad, Pad::Act { .. });
-            let mut start = 0usize;
-            for &bank_ix in &sort.touched {
-                let bank = bank_ix as usize;
-                let end = sort.counts[bank] as usize;
-                // Bank state lives in registers for the whole bucket.
-                let mut cur = self.dram.cursor(bank);
-                let mut bepoch = self.block_epoch[bank];
-                let mut astate = if act {
-                    self.act_state[bank]
-                } else {
-                    ActBankState::default()
-                };
-                for &oi in &sort.order[start..end] {
-                    let i = oi as usize;
-                    let req = &reqs[i];
-                    let now = req.at;
-                    let row = locs[i].1;
-                    let mut at = now;
-                    if let Some(bk) = blocking {
-                        let epoch = now.0 / bk.interval.0.max(1);
-                        if epoch > bepoch {
-                            bepoch = epoch;
-                            blocked += 1;
-                            at = now + bk.block;
-                        }
-                    }
-                    let o = cur.access(row, at, req.actor, &timing, policy);
-                    let raw = o.completed_at - now + overhead;
-                    let latency = match pad {
-                        Pad::Flat => raw,
-                        Pad::Ctd => {
-                            padded += 1;
-                            raw.max(worst)
-                        }
-                        Pad::Act { cfg, epoch_len } => {
-                            let epoch = now.0 / epoch_len;
-                            astate.roll_to(epoch, &cfg);
-                            if o.kind == RowBufferKind::Conflict {
-                                astate.conflicts += 1;
-                            }
-                            if astate.constant_time() {
-                                padded += 1;
-                                raw.max(worst)
-                            } else {
-                                raw
-                            }
-                        }
-                    };
-                    out[i] = MemResponse {
-                        bank,
-                        row,
-                        kind: o.kind,
-                        latency,
-                        completed_at: now + latency,
-                        per_bank: Vec::new(),
-                    };
-                }
-                self.dram.store_cursor(bank, cur);
-                if blocking.is_some() {
-                    note_unshare(&self.block_epoch);
-                    // analyze::allow(cow-aliasing): bucketed batch
-                    // write-back of the RFM epoch computed in registers
-                    Arc::make_mut(&mut self.block_epoch)[bank] = bepoch;
-                }
-                if act {
-                    note_unshare(&self.act_state);
-                    // analyze::allow(cow-aliasing): bucketed batch
-                    // write-back of the ACT state computed in registers
-                    Arc::make_mut(&mut self.act_state)[bank] = astate;
-                }
-                sort.counts[bank] = 0;
-                start = end;
-            }
-        }
-        self.stats.accesses += m as u64;
-        self.stats.blocked += blocked;
-        self.stats.padded += padded;
-    }
-
     /// Hoists the per-batch servicing parameters ([`BatchEnv`]) once.
-    pub(crate) fn batch_env(&self) -> BatchEnv {
+    fn batch_env(&self) -> BatchEnv {
         BatchEnv {
             overhead: self.overhead,
             blocking: self.blocking,
@@ -770,12 +487,12 @@ impl MemoryController {
     }
 
     /// Serves one pre-located, pre-validated scalar request against the
-    /// live per-bank state — the shared body of the sparse batch loops.
-    /// Bit-identical to [`MemoryController::service`] minus the validation
-    /// the caller already performed; `blocked`/`padded` accumulate the
-    /// stats deltas the caller applies once per batch.
+    /// live per-bank state — the body of the located loop. Bit-identical
+    /// to [`MemoryController::service`] minus the validation the caller
+    /// already performed; `blocked`/`padded` accumulate the stats deltas
+    /// the caller applies once per run.
     #[inline(always)]
-    pub(crate) fn serve_located(
+    fn serve_located(
         &mut self,
         req: &MemRequest,
         bank: usize,
@@ -834,16 +551,19 @@ impl MemoryController {
         }
     }
 
-    /// Sparse whole-run servicing for the monolithic batch path: serves
-    /// `reqs` in order, appending one response each — no index list, no
-    /// placeholder resize, no scatter. Preconditions as for
-    /// [`MemoryController::service_scatter`].
+    /// The located loop: serves a pre-validated scalar run in request
+    /// order against the live per-bank state, appending one response per
+    /// request, and applies the stats deltas once. Preconditions:
+    /// `locs[i]` is `mapping.locate` of `reqs[i]`, every address is within
+    /// capacity, no request is a RowClone, and no MPR partition check can
+    /// fail.
     fn service_located_append(
         &mut self,
         reqs: &[MemRequest],
         locs: &[(u32, u64)],
         out: &mut Vec<MemResponse>,
     ) {
+        debug_assert_eq!(reqs.len(), locs.len());
         let env = self.batch_env();
         let mut blocked = 0u64;
         let mut padded = 0u64;
@@ -855,36 +575,6 @@ impl MemoryController {
         self.stats.accesses += reqs.len() as u64;
         self.stats.blocked += blocked;
         self.stats.padded += padded;
-    }
-
-    /// Folds a batch's deferred statistics deltas in after a run of
-    /// [`MemoryController::serve_located`] calls driven by an external
-    /// loop (the sequential sharded path).
-    pub(crate) fn apply_batch_stats(&mut self, accesses: u64, blocked: u64, padded: u64) {
-        self.stats.accesses += accesses;
-        self.stats.blocked += blocked;
-        self.stats.padded += padded;
-    }
-
-    /// Bucketed service of a pre-located, pre-validated scalar batch —
-    /// the parallel sharded path's per-worker entry point. The caller has
-    /// already run `locate_batch` (locations are shared, not recomputed)
-    /// and established the [`MemoryController::service_scatter`]
-    /// preconditions, so this path is infallible.
-    pub(crate) fn service_batch_located(
-        &mut self,
-        reqs: &[MemRequest],
-        locs: &[(u32, u64)],
-    ) -> Vec<MemResponse> {
-        let mut out = vec![empty_response(); reqs.len()];
-        let mut scratch = core::mem::take(&mut self.scratch);
-        scratch.ident.clear();
-        // analyze::allow(lossy-cast): batch length asserted to fit u32 in
-        // service_scatter before any index is used
-        scratch.ident.extend((0..reqs.len()).map(|i| i as u32));
-        self.service_scatter(reqs, locs, &scratch.ident, &mut scratch.sort, &mut out);
-        self.scratch = scratch;
-        out
     }
 
     /// Demand access with the periodic-block and latency-defense checks
@@ -957,10 +647,17 @@ impl MemoryController {
         }
         self.stats.rowclones += 1;
 
-        let per_bank = self.rowclone_lanes(&lanes[..n_lanes], now, actor);
+        let mut per_bank = Vec::with_capacity(n_lanes);
         let mut completed = now;
-        for &(_, _, lat) in &per_bank {
+        for &(bank, src_row, dst_row) in &lanes[..n_lanes] {
+            let block = self.take_block_delay(bank, now);
+            let out = self
+                .dram
+                .rowclone_as(bank, src_row, dst_row, now + block, actor);
+            let raw = out.completed_at - now + self.overhead;
+            let lat = self.apply_latency_defense(bank, out.kind, raw, now);
             completed = completed.max(now + lat);
+            per_bank.push((bank, out.kind, lat));
         }
         Ok(RowCloneOutcome {
             latency: completed - now,
@@ -969,37 +666,13 @@ impl MemoryController {
         })
     }
 
-    /// Executes pre-validated RowClone lanes `(bank, src_row, dst_row)` at
-    /// `now`, returning one `(bank, kind, latency)` outcome per lane in
-    /// input order. Shared between [`MemoryController::rowclone`] and the
-    /// sharded controller, which splits one masked request's lanes across
-    /// sub-controllers; it performs no validation and does not count a
-    /// RowClone operation in the stats — callers do both.
-    pub(crate) fn rowclone_lanes(
-        &mut self,
-        lanes: &[(usize, u64, u64)],
-        now: Cycles,
-        actor: u32,
-    ) -> Vec<(usize, RowBufferKind, Cycles)> {
-        let mut per_bank = Vec::with_capacity(lanes.len());
-        for &(bank, src_row, dst_row) in lanes {
-            let block = self.take_block_delay(bank, now);
-            let out = self
-                .dram
-                .rowclone_as(bank, src_row, dst_row, now + block, actor);
-            let raw = out.completed_at - now + self.overhead;
-            let lat = self.apply_latency_defense(bank, out.kind, raw, now);
-            per_bank.push((bank, out.kind, lat));
-        }
-        per_bank
-    }
-
     /// Worst-case (constant-time) latency served under CTD/ACT padding.
     #[must_use]
     pub fn worst_case_latency(&self) -> Cycles {
         self.dram.timing().worst_case_latency() + self.overhead
     }
 
+    /// Rejects addresses beyond the device capacity.
     pub(crate) fn check_capacity(&self, addr: PhysAddr) -> Result<()> {
         let capacity = self.dram.geometry().capacity_bytes();
         if addr.0 >= capacity {
@@ -1013,9 +686,8 @@ impl MemoryController {
     }
 
     /// Enforces the MPR partition for `(bank, actor)`, counting a reject
-    /// on failure. Crate-visible so the sharded controller can replicate
-    /// the monolithic validation order lane by lane.
-    pub(crate) fn check_partition(&mut self, bank: usize, actor: u32) -> Result<()> {
+    /// on failure.
+    fn check_partition(&mut self, bank: usize, actor: u32) -> Result<()> {
         if let Defense::Mpr(p) = &self.defense {
             if !p.allows(bank, actor) {
                 self.stats.partition_rejects += 1;

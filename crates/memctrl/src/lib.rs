@@ -29,11 +29,9 @@
 pub mod backend;
 pub mod controller;
 pub mod defense;
-pub mod sharded;
 
 pub use backend::{BackendSnap, ControllerBackend};
 pub use controller::{
     CtrlSnap, CtrlStats, MemAccess, MemoryController, PeriodicBlock, RowCloneOutcome,
 };
 pub use defense::{ActConfig, Defense, MprPartition};
-pub use sharded::{ShardedController, ShardedSnap};

@@ -27,7 +27,7 @@
 //! [`snapshot`] freezes the registry into a [`MetricsSnapshot`] whose
 //! [`MetricsSnapshot::to_json`] encoding is canonical (names sorted,
 //! fixed formatting) — the format `fig_all --metrics`, `trace_replay
-//! replay --metrics` and `bench_scaling` write.
+//! replay --metrics` and `fleet_run --metrics` write.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -264,34 +264,19 @@ impl Drop for SpanGuard<'_> {
 pub struct Registry {
     /// `ctrl.batch.size` — requests per `service_batch` call.
     pub ctrl_batch_size: Histogram,
-    /// `ctrl.segments.serial` — scalar segments below the bucketing
-    /// threshold (or failing pre-validation), served request-by-request.
+    /// `ctrl.segments.serial` — scalar segments shorter than 16 requests
+    /// (or failing pre-validation), served request by request.
     pub ctrl_serial_segments: Counter,
     /// `ctrl.segments.sparse` — scalar segments served by the in-order
-    /// located loop (mostly-singleton bank buckets).
+    /// located loop (one `locate_batch` pass, then request order).
     pub ctrl_sparse_segments: Counter,
-    /// `ctrl.segments.dense` — scalar segments served by the bucketed
-    /// per-bank loops with cursor state in registers.
+    /// `ctrl.segments.dense` — always 0: no servicing tier records it.
+    /// Kept in the registry and the export so readers of the name keep
+    /// working.
     pub ctrl_dense_segments: Counter,
     /// `ctrl.cow.unshares` — copy-on-write write-backs that found their
     /// slab still shared with a snapshot and had to clone it.
     pub cow_unshares: Counter,
-    /// `sharded.batches.parallel` — batches the sharded controller
-    /// dispatched to its worker pool.
-    pub sharded_parallel_batches: Counter,
-    /// `sharded.batches.fallback` — batches serviced sequentially despite
-    /// an active pool (RowClones present, below threshold, or validation
-    /// fallback).
-    pub sharded_fallback_batches: Counter,
-    /// `sharded.bucket.size` — per-shard request-bucket sizes of
-    /// pool-dispatched batches.
-    pub sharded_bucket_size: Histogram,
-    /// `sharded.worker.busy_ns` — wall-clock time a pool worker spent
-    /// servicing one shard bucket (span; empty unless [`enabled`]).
-    pub worker_busy_ns: Histogram,
-    /// `sharded.pool.workers` — configured worker count of the most
-    /// recently spawned pool.
-    pub pool_workers: Gauge,
     /// `engine.forks` — copy-on-write engine forks.
     pub engine_forks: Counter,
     /// `engine.snapshots` — full engine snapshots taken.
@@ -320,11 +305,6 @@ impl Registry {
             ctrl_sparse_segments: Counter::new(),
             ctrl_dense_segments: Counter::new(),
             cow_unshares: Counter::new(),
-            sharded_parallel_batches: Counter::new(),
-            sharded_fallback_batches: Counter::new(),
-            sharded_bucket_size: Histogram::new(),
-            worker_busy_ns: Histogram::new(),
-            pool_workers: Gauge::new(),
             engine_forks: Counter::new(),
             engine_snapshots: Counter::new(),
             experiment_wall_ns: Histogram::new(),
@@ -337,7 +317,7 @@ impl Registry {
     }
 
     /// `(name, metric)` view of every counter, in name order.
-    fn counters(&self) -> [(&'static str, &Counter); 11] {
+    fn counters(&self) -> [(&'static str, &Counter); 9] {
         [
             ("ctrl.cow.unshares", &self.cow_unshares),
             ("ctrl.segments.dense", &self.ctrl_dense_segments),
@@ -348,24 +328,17 @@ impl Registry {
             ("fleet.epochs", &self.fleet_epochs),
             ("fleet.sessions.finished", &self.fleet_sessions_finished),
             ("fleet.sessions.started", &self.fleet_sessions_started),
-            ("sharded.batches.fallback", &self.sharded_fallback_batches),
-            ("sharded.batches.parallel", &self.sharded_parallel_batches),
         ]
     }
 
-    fn gauges(&self) -> [(&'static str, &Gauge); 2] {
-        [
-            ("fleet.workers", &self.fleet_workers),
-            ("sharded.pool.workers", &self.pool_workers),
-        ]
+    fn gauges(&self) -> [(&'static str, &Gauge); 1] {
+        [("fleet.workers", &self.fleet_workers)]
     }
 
-    fn histograms(&self) -> [(&'static str, &Histogram); 5] {
+    fn histograms(&self) -> [(&'static str, &Histogram); 3] {
         [
             ("ctrl.batch.size", &self.ctrl_batch_size),
             ("fleet.epoch.wall_ns", &self.fleet_epoch_wall_ns),
-            ("sharded.bucket.size", &self.sharded_bucket_size),
-            ("sharded.worker.busy_ns", &self.worker_busy_ns),
             ("sweep.experiment.wall_ns", &self.experiment_wall_ns),
         ]
     }
@@ -378,8 +351,8 @@ pub fn registry() -> &'static Registry {
     &REGISTRY
 }
 
-/// Zeroes every metric (and leaves [`enabled`] untouched). Benchmarks use
-/// this to scope measurements to one grid point.
+/// Zeroes every metric (and leaves [`enabled`] untouched). `fleet_run`
+/// uses this to scope its exported snapshot to one run.
 pub fn reset() {
     let r = registry();
     for (_, c) in r.counters() {
@@ -702,10 +675,10 @@ mod tests {
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted, "counter names must be sorted");
-        assert!(names.contains(&"sharded.batches.parallel"));
+        assert!(names.contains(&"ctrl.segments.dense"));
         assert!(names.contains(&"engine.forks"));
         assert!(names.contains(&"fleet.sessions.finished"));
-        assert_eq!(snap.gauges.len(), 2);
-        assert_eq!(snap.histograms.len(), 5);
+        assert_eq!(snap.gauges.len(), 1);
+        assert_eq!(snap.histograms.len(), 3);
     }
 }

@@ -963,7 +963,7 @@ impl<B: MemoryBackend + Snapshot> Snapshot for Engine<B> {
 #[cfg(test)]
 mod burst_tests {
     use super::*;
-    use crate::system::{ShardedSystem, System, TracedSystem};
+    use crate::system::{BackendKind, System, TracedSystem};
     use impact_core::config::SystemConfig;
     use impact_core::trace::TraceEvent;
     use impact_memctrl::{ActConfig, Defense, PeriodicBlock};
@@ -1121,9 +1121,9 @@ mod burst_tests {
         let cfg = SystemConfig::paper_table2_noiseless;
         let (mut mono, a, vas) = probe_setup(System::new(cfg()), 8);
         let expected = mono.pim_probe_burst(a, &vas).unwrap();
-        let (mut sharded, sa, svas) = probe_setup(ShardedSystem::sharded(cfg(), 4), 8);
-        assert!(sharded.burst_would_commit(sa, &svas, true));
-        assert_eq!(sharded.pim_probe_burst(sa, &svas).unwrap(), expected);
+        let (mut boxed, ba, bvas) = probe_setup(BackendKind::Mono.system(cfg()), 8);
+        assert!(boxed.burst_would_commit(ba, &bvas, true));
+        assert_eq!(boxed.pim_probe_burst(ba, &bvas).unwrap(), expected);
         let (mut traced, ta, tvas) = probe_setup(TracedSystem::traced(cfg()), 8);
         assert_eq!(traced.pim_probe_burst(ta, &tvas).unwrap(), expected);
     }

@@ -53,5 +53,5 @@ pub use engine::{
 pub use memory::{FrameAllocator, PageTable};
 pub use noise::NoiseInjector;
 pub use sync::{CoBarrier, CoSemaphore};
-pub use system::{BackendKind, DynBackend, DynSystem, ShardedSystem, System, TracedSystem};
+pub use system::{BackendKind, DynBackend, DynSystem, System, TracedSystem};
 pub use tlb::Tlb;

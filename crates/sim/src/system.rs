@@ -3,7 +3,6 @@
 //! | alias | backend | use it for |
 //! |---|---|---|
 //! | [`System`] | [`MemoryController`] | the paper's Table 2 machine (default) |
-//! | [`ShardedSystem`] | [`ShardedController`] | bank-sharded controller, bit-identical to mono |
 //! | [`TracedSystem`] | [`TracingBackend`]`<MemoryController>` | replayable request logs around the default controller |
 //! | [`DynSystem`] | `Box<dyn ControllerBackend>` | runtime backend selection ([`BackendKind`]) |
 //!
@@ -19,9 +18,7 @@ use impact_core::engine::MemoryBackend;
 use impact_core::error::Result;
 use impact_core::trace::{TraceEvent, TraceHeader, TraceSummary, TraceWriter, TracingBackend};
 use impact_dram::{BankStats, RowPolicy};
-use impact_memctrl::{
-    ControllerBackend, Defense, MemoryController, PeriodicBlock, ShardedController,
-};
+use impact_memctrl::{ControllerBackend, Defense, MemoryController, PeriodicBlock};
 
 use crate::engine::Engine;
 // Source compatibility: these types predate the engine split and were
@@ -32,11 +29,6 @@ pub use crate::engine::{AgentId, LoadInfo, PimInfo, RowCloneInfo, SimParams};
 /// generic simulation [`Engine`] instantiated with the default
 /// [`MemoryController`] backend.
 pub type System = Engine<MemoryController>;
-
-/// The engine over a bank-sharded controller ([`ShardedController`]):
-/// observably identical to [`System`], with the banks partitioned across
-/// sub-controllers.
-pub type ShardedSystem = Engine<ShardedController>;
 
 /// The engine over a tracing proxy around the default controller: records
 /// a replayable [`TraceEvent`] log of every request that reaches memory.
@@ -75,28 +67,6 @@ impl System {
     }
 }
 
-impl ShardedSystem {
-    /// Builds the system over a [`ShardedController`] with `shards`
-    /// sub-controllers, serviced sequentially.
-    #[must_use]
-    pub fn sharded(cfg: SystemConfig, shards: usize) -> ShardedSystem {
-        let backend = ShardedController::from_config(&cfg, shards);
-        Engine::with_backend(cfg, SimParams::default(), backend)
-    }
-
-    /// Builds the system over a [`ShardedController`] with `shards`
-    /// sub-controllers and a `workers`-thread pool servicing shard
-    /// buckets concurrently — observably identical to
-    /// [`ShardedSystem::sharded`] (and to [`System`]) at any worker
-    /// count; large request batches just complete in less wall-clock
-    /// time.
-    #[must_use]
-    pub fn sharded_parallel(cfg: SystemConfig, shards: usize, workers: usize) -> ShardedSystem {
-        let backend = ShardedController::from_config_parallel(&cfg, shards, workers);
-        Engine::with_backend(cfg, SimParams::default(), backend)
-    }
-}
-
 impl TracedSystem {
     /// Builds the system over a [`TracingBackend`]-wrapped default
     /// controller.
@@ -119,7 +89,7 @@ impl TracedSystem {
 }
 
 /// Trace persistence, available on any engine whose backend is a tracing
-/// proxy (over *any* inner backend — mono, sharded, or boxed): start a
+/// proxy (over *any* inner backend — mono or boxed): start a
 /// recording with [`Engine::record_trace_to`], run any workload, then seal
 /// the file with [`Engine::finish_trace`]. This is the capture path behind
 /// `fig_all --record-trace` and `trace_replay record`.
@@ -195,15 +165,6 @@ pub enum BackendKind {
     /// The monolithic [`MemoryController`] (default).
     #[default]
     Mono,
-    /// [`ShardedController`] with the given shard count and worker-pool
-    /// size (`workers: 1` services shard buckets sequentially; more
-    /// workers service them concurrently, bit-identically).
-    Sharded {
-        /// Sub-controller count (banks are interleaved `bank % shards`).
-        shards: usize,
-        /// Worker threads servicing shard buckets per batch.
-        workers: usize,
-    },
     /// [`TracingBackend`] around the monolithic controller. Behind the
     /// type-erased [`DynBackend`] the log itself is not reachable — this
     /// kind exists to prove end-to-end transparency of the proxy (e.g.
@@ -214,36 +175,23 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// Parses `"mono"`, `"sharded"` / `"sharded:N"` / `"sharded:N:T"`
-    /// (N shards serviced by T pool workers) or `"traced"`.
+    /// Parses `"mono"` or `"traced"`.
     #[must_use]
     pub fn parse(s: &str) -> Option<BackendKind> {
         match s {
             "mono" => Some(BackendKind::Mono),
             "traced" => Some(BackendKind::Traced),
-            "sharded" => Some(BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            }),
-            _ => {
-                let rest = s.strip_prefix("sharded:")?;
-                let (shards, workers) = match rest.split_once(':') {
-                    None => (rest.parse().ok()?, 1),
-                    Some((n, t)) => (n.parse().ok()?, t.parse().ok()?),
-                };
-                Some(BackendKind::Sharded { shards, workers })
-            }
+            _ => None,
         }
     }
 
-    /// Display label (`mono`, `sharded:4`, `sharded:8:4`, `traced`).
+    /// Display label (`mono`, `traced`): the spelling [`BackendKind::parse`]
+    /// accepts.
     #[must_use]
-    pub fn label(&self) -> String {
+    pub fn label(&self) -> &'static str {
         match self {
-            BackendKind::Mono => "mono".into(),
-            BackendKind::Sharded { shards, workers: 1 } => format!("sharded:{shards}"),
-            BackendKind::Sharded { shards, workers } => format!("sharded:{shards}:{workers}"),
-            BackendKind::Traced => "traced".into(),
+            BackendKind::Mono => "mono",
+            BackendKind::Traced => "traced",
         }
     }
 
@@ -252,9 +200,6 @@ impl BackendKind {
     pub fn backend(&self, cfg: &SystemConfig) -> DynBackend {
         match *self {
             BackendKind::Mono => Box::new(MemoryController::from_config(cfg)),
-            BackendKind::Sharded { shards, workers } => Box::new(
-                ShardedController::from_config_parallel(cfg, shards, workers),
-            ),
             BackendKind::Traced => {
                 Box::new(TracingBackend::new(MemoryController::from_config(cfg)))
             }
@@ -516,35 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_traced_systems_match_mono() {
+    fn traced_and_boxed_systems_match_mono() {
         let cfg = SystemConfig::paper_table2_noiseless();
         let mono = exercise(&mut System::new(cfg.clone()));
-        for shards in [1usize, 2, 8, 16] {
-            let mut s = ShardedSystem::sharded(cfg.clone(), shards);
-            assert_eq!(exercise(&mut s), mono, "{shards} shards diverged");
-        }
-        // Parallel shard servicing is equally invisible.
-        for workers in [2usize, 4] {
-            let mut s = ShardedSystem::sharded_parallel(cfg.clone(), 8, workers);
-            s.backend_mut().set_parallel_threshold(1);
-            assert_eq!(exercise(&mut s), mono, "{workers} workers diverged");
-        }
         let mut t = TracedSystem::traced(cfg.clone());
         assert_eq!(exercise(&mut t), mono, "traced system diverged");
         assert!(!t.trace_log().is_empty());
         // Runtime-selected backends agree too.
-        for kind in [
-            BackendKind::Mono,
-            BackendKind::Sharded {
-                shards: 4,
-                workers: 1,
-            },
-            BackendKind::Sharded {
-                shards: 8,
-                workers: 4,
-            },
-            BackendKind::Traced,
-        ] {
+        for kind in [BackendKind::Mono, BackendKind::Traced] {
             let mut s = kind.system(cfg.clone());
             assert_eq!(exercise(&mut s), mono, "{} diverged", kind.label());
         }
@@ -622,48 +546,25 @@ mod tests {
 
     #[test]
     fn backend_kind_parses_and_labels() {
+        for kind in [BackendKind::Mono, BackendKind::Traced] {
+            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
+        }
         assert_eq!(BackendKind::parse("mono"), Some(BackendKind::Mono));
         assert_eq!(BackendKind::parse("traced"), Some(BackendKind::Traced));
-        assert_eq!(
-            BackendKind::parse("sharded"),
-            Some(BackendKind::Sharded {
-                shards: 4,
-                workers: 1
-            })
-        );
-        assert_eq!(
-            BackendKind::parse("sharded:8"),
-            Some(BackendKind::Sharded {
-                shards: 8,
-                workers: 1
-            })
-        );
-        assert_eq!(
-            BackendKind::parse("sharded:8:4"),
-            Some(BackendKind::Sharded {
-                shards: 8,
-                workers: 4
-            })
-        );
         assert_eq!(BackendKind::parse("nope"), None);
-        assert_eq!(BackendKind::parse("sharded:8:"), None);
-        assert_eq!(BackendKind::parse("sharded:x:2"), None);
-        assert_eq!(
-            BackendKind::Sharded {
-                shards: 8,
-                workers: 1
-            }
-            .label(),
-            "sharded:8"
-        );
-        assert_eq!(
-            BackendKind::Sharded {
-                shards: 8,
-                workers: 4
-            }
-            .label(),
-            "sharded:8:4"
-        );
         assert_eq!(BackendKind::default(), BackendKind::Mono);
+    }
+
+    /// Spellings of the removed sharded backend (bare, with a shard
+    /// count, with shard and worker counts) are rejected like any unknown
+    /// backend, so old command lines fail loudly — `fig_all` and
+    /// `trace_replay` exit 2 with their usage line — instead of silently
+    /// running another backend.
+    #[test]
+    fn backend_kind_rejects_sharded_spellings() {
+        let name = "sharded";
+        for spelling in [name.to_string(), format!("{name}:4"), format!("{name}:8:4")] {
+            assert_eq!(BackendKind::parse(&spelling), None, "{spelling}");
+        }
     }
 }

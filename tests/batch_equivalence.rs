@@ -1,17 +1,16 @@
-//! Property proof that the bucketed batch path is a pure optimization:
-//! for any request stream, `service_batch` is bit-for-bit equal to
-//! serving the same stream one `service()` call at a time — responses,
-//! merged `BackendStats`, DRAM totals and the full DRAM state digest —
-//! across the defense matrix {open, CTD, ACT, RFM} × backends
-//! {mono, sharded:N, sharded:N:W}.
+//! Property proof that the batch path is a pure optimization: for any
+//! request stream, `service_batch` is bit-for-bit equal to serving the
+//! same stream one `service()` call at a time — responses,
+//! `BackendStats`, DRAM totals and the full DRAM state digest — across
+//! the defense matrix {open, CTD, ACT, RFM}, on the controller itself and
+//! behind the tracing proxy.
 //!
-//! The batch path picks between several servicing tiers at runtime (the
-//! serial lean loop, the sparse in-place located pass, the dense
-//! register-cursor bucketed loops, and the sharded interleaved/pooled
-//! dispatches); this suite is what pins them all to the one semantic
-//! reference, the per-request state machine. A dedicated case covers the
-//! fallible paths: mixed RowClone batches and MPR partition rejections
-//! must error on the same request with identical partial state.
+//! The batch path picks a servicing tier by segment length (the serial
+//! lean loop below 16 requests, the located in-order loop at any longer
+//! length); this suite is what pins both to the one semantic reference,
+//! the per-request state machine. A dedicated case covers the fallible
+//! paths: mixed RowClone batches and MPR partition rejections must error
+//! on the same request with identical partial state.
 
 use proptest::prelude::*;
 
@@ -20,17 +19,22 @@ use impact::core::config::SystemConfig;
 use impact::core::engine::{MemRequest, MemoryBackend};
 use impact::core::rng::SimRng;
 use impact::core::time::Cycles;
+use impact::core::trace::TracingBackend;
 use impact::memctrl::{
     ActConfig, ControllerBackend, Defense, MemoryController, MprPartition, PeriodicBlock,
-    ShardedController,
 };
 
 fn cfg() -> SystemConfig {
     SystemConfig::paper_table2()
 }
 
-/// A mixed valid request stream: loads/stores/PiM over 16 banks plus
-/// masked RowClones whose lanes straddle shard boundaries.
+/// Every 37th request of a stream with RowClones is a masked RowClone, so
+/// each scalar run between them (36 requests) is longer than the 16-bank
+/// geometry and revisits banks within one located segment.
+const ROWCLONE_EVERY: u64 = 37;
+
+/// A mixed valid request stream: loads/stores/PiM over 16 banks plus,
+/// optionally, masked RowClones spanning several banks.
 fn stream(n: u64, seed: u64, rowclones: bool) -> Vec<MemRequest> {
     let mc = MemoryController::from_config(&cfg());
     let row_bytes = mc.dram().geometry().row_bytes;
@@ -38,7 +42,7 @@ fn stream(n: u64, seed: u64, rowclones: bool) -> Vec<MemRequest> {
     let mut at = Cycles(0);
     (0..n)
         .map(|i| {
-            let req = if rowclones && i % 9 == 8 {
+            let req = if rowclones && i % ROWCLONE_EVERY == ROWCLONE_EVERY - 1 {
                 let src = PhysAddr(64 * 16 * row_bytes * (1 + rng.below(3)));
                 let dst = PhysAddr(src.0 + 32 * 16 * row_bytes);
                 MemRequest::rowclone(src, dst, rng.below(u64::from(u16::MAX)).max(1), at, 0)
@@ -61,16 +65,14 @@ fn stream(n: u64, seed: u64, rowclones: bool) -> Vec<MemRequest> {
         .collect()
 }
 
-/// One backend of the swept matrix, boxed for uniform handling.
-fn make_backend(sel: usize, shards: usize, workers: usize) -> Box<dyn ControllerBackend> {
-    match sel {
-        0 => Box::new(MemoryController::from_config(&cfg())),
-        1 => Box::new(ShardedController::from_config(&cfg(), shards)),
-        _ => {
-            let mut sc = ShardedController::from_config_parallel(&cfg(), shards, workers);
-            sc.set_parallel_threshold(8); // small batches still dispatch
-            Box::new(sc)
-        }
+/// One backend of the swept matrix, boxed for uniform handling: the
+/// controller itself, or the tracing proxy around it.
+fn make_backend(traced: bool) -> Box<dyn ControllerBackend> {
+    let mc = MemoryController::from_config(&cfg());
+    if traced {
+        Box::new(TracingBackend::new(mc))
+    } else {
+        Box::new(mc)
     }
 }
 
@@ -85,23 +87,23 @@ fn apply_defense(backend: &mut dyn ControllerBackend, sel: usize) {
 }
 
 proptest! {
-    /// The central equivalence: batched == per-request, bit for bit, on
-    /// every backend kind under every defense, RowClones included.
+    /// The central equivalence: batched == per-request, bit for bit,
+    /// under every defense, with and without RowClones, in chunks of any
+    /// size up to the whole stream.
     #[test]
     fn batch_equals_per_request(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        backend_sel in 0usize..3,
-        shards in 1usize..9,
-        workers in 1usize..5,
-        chunk in 1usize..80,
+        traced in any::<bool>(),
+        rowclones in any::<bool>(),
+        chunk in 1usize..160,
     ) {
-        let mut serial = make_backend(backend_sel, shards, workers);
-        let mut batched = make_backend(backend_sel, shards, workers);
+        let mut serial = make_backend(traced);
+        let mut batched = make_backend(traced);
         apply_defense(serial.as_mut(), defense_sel);
         apply_defense(batched.as_mut(), defense_sel);
 
-        let reqs = stream(72, seed, true);
+        let reqs = stream(144, seed, rowclones);
         let mut want = Vec::with_capacity(reqs.len());
         for req in &reqs {
             want.push(serial.service(req).expect("valid stream"));
@@ -116,27 +118,27 @@ proptest! {
         prop_assert_eq!(serial.dram_state_digest(), batched.dram_state_digest());
     }
 
-    /// Cross-backend closure of the same property: the monolithic
-    /// per-request reference pins every batched backend at once.
+    /// Cross-backend closure of the same property: the controller's
+    /// per-request reference pins one whole-stream batch on every backend
+    /// of the matrix at once.
     #[test]
     fn batched_backends_equal_mono_per_request(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        shards in 2usize..9,
     ) {
         let mut mono = MemoryController::from_config(&cfg());
         apply_defense(&mut mono, defense_sel);
-        let reqs = stream(60, seed, true);
+        let reqs = stream(120, seed, true);
         let want: Vec<_> = reqs
             .iter()
             .map(|r| MemoryBackend::service(&mut mono, r).expect("valid stream"))
             .collect();
 
-        for backend_sel in 1..3usize {
-            let mut b = make_backend(backend_sel, shards, 3);
+        for traced in [false, true] {
+            let mut b = make_backend(traced);
             apply_defense(b.as_mut(), defense_sel);
             let got = b.service_batch(&reqs).expect("valid stream");
-            prop_assert_eq!(&want, &got, "backend {} diverged", backend_sel);
+            prop_assert_eq!(&want, &got, "traced={} diverged", traced);
             prop_assert_eq!(mono.backend_stats(), b.backend_stats());
             prop_assert_eq!(mono.dram_state_digest(), b.dram_state_digest());
         }
@@ -145,20 +147,19 @@ proptest! {
     /// The fallible paths: under an MPR partition some requests are
     /// rejected, so a mixed RowClone/MPR batch must fail on the same
     /// request as the serial loop — with the *partial* state applied up
-    /// to the failure identical on every backend.
+    /// to the failure identical.
     #[test]
     fn mpr_rowclone_batches_fail_identically(
         seed in 0u64..100_000,
-        backend_sel in 0usize..3,
-        shards in 1usize..9,
+        traced in any::<bool>(),
     ) {
         let partition = {
             let mut p = MprPartition::new(16);
             p.assign_round_robin(&[0, 1]); // actor 2 is never allowed
             p
         };
-        let mut serial = make_backend(backend_sel, shards, 2);
-        let mut batched = make_backend(backend_sel, shards, 2);
+        let mut serial = make_backend(traced);
+        let mut batched = make_backend(traced);
         serial.set_defense(Defense::Mpr(partition.clone()));
         batched.set_defense(Defense::Mpr(partition));
 

@@ -5,7 +5,7 @@ use impact::attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact::attacks::{PnmCovertChannel, PumCovertChannel};
 use impact::core::config::SystemConfig;
 use impact::core::rng::SimRng;
-use impact::sim::{BackendKind, ShardedSystem, System, TracedSystem};
+use impact::sim::{BackendKind, System, TracedSystem};
 use impact::workloads::graph::Graph;
 use impact::workloads::{kernels, replay};
 use impact_bench::experiments::{
@@ -157,10 +157,10 @@ fn sweep_runner_thread_count_is_invisible() {
     }
 }
 
-/// The sharded controller is observably identical to the monolithic one
-/// at whole-experiment granularity: the covert channel produces
-/// bit-identical reports at 1, 2 and 8 shards, and so does the tracing
-/// proxy.
+/// The covert channel is observably identical on every backend at
+/// whole-experiment granularity: the runtime-selected (boxed) controller
+/// and the tracing proxy produce bit-identical reports to the statically
+/// typed system.
 #[test]
 fn covert_channel_is_backend_invariant() {
     let msg = SimRng::seed(9).bits(768);
@@ -169,27 +169,11 @@ fn covert_channel_is_backend_invariant() {
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
         ch.transmit(&mut sys, &msg).unwrap()
     };
-    for shards in [1usize, 2, 8] {
-        let mut sys = ShardedSystem::sharded(SystemConfig::paper_table2(), shards);
+    for backend in [BackendKind::Mono, BackendKind::Traced] {
+        let mut sys = backend.system(SystemConfig::paper_table2());
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
         let r = ch.transmit(&mut sys, &msg).unwrap();
-        assert_eq!(r, mono, "{shards} shards diverged from mono");
-    }
-    // Parallel shard servicing enabled (and its threshold floored): the
-    // noisy config keeps the engine on its serial per-probe path, so the
-    // pool must stay idle — and a configured-but-idle pool must not
-    // perturb anything either.
-    for workers in [2usize, 4] {
-        let mut sys = ShardedSystem::sharded_parallel(SystemConfig::paper_table2(), 8, workers);
-        sys.backend_mut().set_parallel_threshold(1);
-        let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
-        let r = ch.transmit(&mut sys, &msg).unwrap();
-        assert_eq!(r, mono, "{workers} pool workers diverged from mono");
-        assert_eq!(
-            sys.backend().scheduling_counts().0,
-            0,
-            "noise keeps probes on the serial path; the pool must stay idle"
-        );
+        assert_eq!(r, mono, "{} diverged from mono", backend.label());
     }
     let mut sys = TracedSystem::traced(SystemConfig::paper_table2());
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
@@ -197,7 +181,7 @@ fn covert_channel_is_backend_invariant() {
     assert!(!sys.trace_log().is_empty());
 }
 
-/// The side channel, too, is invariant across shard counts.
+/// The side channel, too, is invariant across backends.
 #[test]
 fn side_channel_is_backend_invariant() {
     let cfg = || SystemConfig::paper_table2_noiseless().with_total_banks(1024);
@@ -222,23 +206,14 @@ fn side_channel_is_backend_invariant() {
         let mut sys = System::new(cfg());
         digest(&attack().run(&mut sys).unwrap())
     };
-    for shards in [1usize, 2, 8] {
-        let mut sys = ShardedSystem::sharded(cfg(), shards);
+    for backend in [BackendKind::Mono, BackendKind::Traced] {
+        let mut sys = backend.system(cfg());
         let r = attack().run(&mut sys).unwrap();
-        assert_eq!(digest(&r), mono, "{shards} shards diverged");
+        assert_eq!(digest(&r), mono, "{} diverged", backend.label());
     }
-    // With pool workers and the threshold lowered beneath the attack's
-    // 1024-bank init sweep (the recalibrated default of 4096 would keep
-    // it sequential): same report, and the scheduling counters prove the
-    // pool actually serviced it.
-    let mut sys = ShardedSystem::sharded_parallel(cfg(), 8, 4);
-    sys.backend_mut().set_parallel_threshold(512);
+    let mut sys = TracedSystem::traced(cfg());
     let r = attack().run(&mut sys).unwrap();
-    assert_eq!(digest(&r), mono, "parallel shards diverged");
-    assert!(
-        sys.backend().scheduling_counts().0 > 0,
-        "the init sweep must have engaged the worker pool"
-    );
+    assert_eq!(digest(&r), mono, "traced system diverged");
 }
 
 /// A traced run's request log replays into a fresh backend of the same
@@ -264,7 +239,7 @@ fn trace_replay_reproduces_stats() {
 
 /// `SweepRunner::run_all` shards whole experiments across workers with
 /// bit-identical `Series` at every thread count, on the monolithic and
-/// the sharded backend alike.
+/// the traced backend alike.
 #[test]
 fn run_all_thread_count_is_invisible() {
     // A compact sub-suite keeps this test fast while still crossing the
@@ -276,20 +251,7 @@ fn run_all_thread_count_is_invisible() {
             .filter(|j| keep.contains(&j.id()))
             .collect::<Vec<_>>()
     };
-    // The parallel-sharded entry composes sweep-runner worker threads
-    // with the controller's own pool threads (threads inside threads);
-    // the output must stay bit-identical through both layers.
-    for backend in [
-        BackendKind::Mono,
-        BackendKind::Sharded {
-            shards: 4,
-            workers: 1,
-        },
-        BackendKind::Sharded {
-            shards: 4,
-            workers: 2,
-        },
-    ] {
+    for backend in [BackendKind::Mono, BackendKind::Traced] {
         let jobs = pick(backend);
         let serial = SweepRunner::serial().run_all(&jobs, |_| {});
         for threads in [2, 4, 8] {
@@ -319,7 +281,8 @@ fn run_all_thread_count_is_invisible() {
 }
 
 /// The figures themselves are backend-invariant: the same sub-suite run
-/// on the sharded backend produces bit-identical series to the mono run.
+/// behind the tracing proxy produces bit-identical series to the mono
+/// run.
 #[test]
 fn suite_is_backend_invariant() {
     let keep = ["delta", "fig8", "fig10"];
@@ -331,34 +294,18 @@ fn suite_is_backend_invariant() {
         SweepRunner::serial().run_all(&jobs, |_| {})
     };
     let mono = run(BackendKind::Mono);
-    for backend in [
-        BackendKind::Sharded {
-            shards: 2,
-            workers: 1,
-        },
-        BackendKind::Sharded {
-            shards: 8,
-            workers: 1,
-        },
-        BackendKind::Sharded {
-            shards: 8,
-            workers: 4,
-        },
-        BackendKind::Traced,
-    ] {
-        let other = run(backend);
-        for (a, b) in mono.iter().zip(&other) {
-            for (sa, sb) in a.series.iter().zip(&b.series) {
-                assert!(
-                    series_bits_eq(sa, sb),
-                    "{}/{} diverged on {}",
-                    a.id,
-                    sa.name,
-                    backend.label()
-                );
-            }
-            assert_eq!(a.notes, b.notes, "{} notes diverged", a.id);
+    let traced = run(BackendKind::Traced);
+    assert_eq!(mono.len(), traced.len());
+    for (a, b) in mono.iter().zip(&traced) {
+        for (sa, sb) in a.series.iter().zip(&b.series) {
+            assert!(
+                series_bits_eq(sa, sb),
+                "{}/{} diverged on traced",
+                a.id,
+                sa.name
+            );
         }
+        assert_eq!(a.notes, b.notes, "{} notes diverged", a.id);
     }
 }
 

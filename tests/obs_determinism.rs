@@ -13,9 +13,9 @@ use impact::core::config::SystemConfig;
 use impact::core::engine::{MemRequest, MemoryBackend};
 use impact::core::snapshot::Snapshot;
 use impact::core::time::Cycles;
-use impact::memctrl::{MemoryController, ShardedController};
+use impact::memctrl::MemoryController;
 use impact::sim::{BackendKind, System};
-use impact_bench::experiments::suite_with;
+use impact_bench::experiments::suite;
 use impact_bench::trace_tools::{record_capture, CaptureKind};
 use impact_bench::SweepRunner;
 
@@ -35,9 +35,9 @@ impl std::io::Write for SharedBuf {
 
 /// Rendered text of a compact sub-suite (the analytic, PoC and breakdown
 /// families — fast in quick mode, still crossing the instrumented tiers).
-fn render_subsuite(backend: BackendKind, fork_sweeps: bool) -> String {
+fn render_subsuite(backend: BackendKind) -> String {
     let keep = ["delta", "fig8", "fig10"];
-    let jobs: Vec<_> = suite_with(true, backend, fork_sweeps)
+    let jobs: Vec<_> = suite(true, backend)
         .into_iter()
         .filter(|j| keep.contains(&j.id()))
         .collect();
@@ -48,31 +48,18 @@ fn render_subsuite(backend: BackendKind, fork_sweeps: bool) -> String {
         .collect()
 }
 
-/// The figure bytes are identical with telemetry clocks off and on, for
-/// the mono and parallel-sharded backends and under fork-served sweeps —
-/// the library-level half of CI's `fig_all --metrics` byte-diff.
+/// The figure bytes are identical with telemetry clocks off and on, on
+/// the mono and traced backends — the library-level half of CI's
+/// `fig_all --metrics` byte-diff.
 #[test]
 fn enabling_telemetry_changes_no_figure_byte() {
-    for (backend, fork_sweeps) in [
-        (BackendKind::Mono, false),
-        (
-            BackendKind::Sharded {
-                shards: 8,
-                workers: 2,
-            },
-            false,
-        ),
-        (BackendKind::Mono, true),
-    ] {
+    for backend in [BackendKind::Mono, BackendKind::Traced] {
         impact::obs::set_enabled(false);
-        let off = render_subsuite(backend, fork_sweeps);
+        let off = render_subsuite(backend);
         impact::obs::set_enabled(true);
-        let on = render_subsuite(backend, fork_sweeps);
+        let on = render_subsuite(backend);
         impact::obs::set_enabled(false);
-        assert_eq!(
-            off, on,
-            "telemetry changed figure output on {backend:?} (fork_sweeps: {fork_sweeps})"
-        );
+        assert_eq!(off, on, "telemetry changed figure output on {backend:?}");
     }
 }
 
@@ -94,14 +81,7 @@ fn enabling_telemetry_changes_no_trace_byte() {
         let bytes = buf.0.lock().unwrap().clone();
         bytes
     };
-    for backend in [
-        BackendKind::Mono,
-        BackendKind::Sharded {
-            shards: 8,
-            workers: 2,
-        },
-        BackendKind::Traced,
-    ] {
+    for backend in [BackendKind::Mono, BackendKind::Traced] {
         impact::obs::set_enabled(false);
         let off = capture(backend);
         impact::obs::set_enabled(true);
@@ -116,39 +96,46 @@ fn enabling_telemetry_changes_no_trace_byte() {
     }
 }
 
-/// Neither snapshots nor forks carry telemetry: a busy controller's
-/// scheduling counters survive a snapshot/restore cycle untouched (they
-/// are not part of the replicated state), a fork starts them from zero,
-/// and engine fork/snapshot events land in the process-global registry —
-/// never inside the snapshot itself.
+/// Neither snapshots nor forks carry telemetry: the controller's
+/// `ctrl.segments.*` counters live in the process-global registry, so a
+/// snapshot/restore cycle rewinds the controller's replicated state but
+/// never the counter, a fork counts into the same registry, and engine
+/// fork/snapshot events land in the registry, never inside the snapshot
+/// itself. (Counters only move forward, and other tests in this binary
+/// service batches concurrently, hence the one-sided comparisons.)
 #[test]
 fn snapshots_and_forks_carry_no_telemetry() {
     let cfg = SystemConfig::paper_table2();
+    let segments = &impact::obs::registry().ctrl_sparse_segments;
 
-    // Drive a parallel batch so the scheduling counters are non-zero.
-    let probe = MemoryController::from_config(&cfg);
+    // A 512-request batch is one located segment: it bumps the counter.
+    let mut mc = MemoryController::from_config(&cfg);
     let reqs: Vec<MemRequest> = (0..512u64)
         .map(|i| {
-            let addr = probe.mapping().compose((i % 16) as usize, (i / 16) % 32, 0);
+            let addr = mc.mapping().compose((i % 16) as usize, (i / 16) % 32, 0);
             MemRequest::load(addr, Cycles(i * 500), 0)
         })
         .collect();
-    let mut par = ShardedController::from_config_parallel(&cfg, 4, 2);
-    par.set_parallel_threshold(1);
-    MemoryBackend::service_batch(&mut par, &reqs).unwrap();
-    let counts = par.scheduling_counts();
-    assert!(counts.0 > 0, "threshold 1 must engage the pool");
+    let snap = mc.snapshot();
+    let before = segments.get();
+    MemoryBackend::service_batch(&mut mc, &reqs).unwrap();
+    let served = segments.get();
+    assert!(served > before, "the located segment must be counted");
+    assert_eq!(mc.stats().accesses, 512);
 
-    // Restoring replicated state leaves the telemetry counters alone...
-    let snap = par.snapshot();
-    par.restore(&snap);
-    assert_eq!(
-        par.scheduling_counts(),
-        counts,
+    // Restoring replicated state rewinds the controller but not the
+    // telemetry counter...
+    mc.restore(&snap);
+    assert_eq!(mc.stats().accesses, 0, "restore rewinds replicated state");
+    assert!(
+        segments.get() >= served,
         "restore must not rewind telemetry"
     );
-    // ...and a fork starts its own view from zero.
-    assert_eq!(par.fork().scheduling_counts(), (0, 0));
+
+    // ...and a fork counts into the same global registry.
+    let mut fork = mc.fork();
+    MemoryBackend::service_batch(&mut fork, &reqs).unwrap();
+    assert!(segments.get() > served, "a fork's segments are counted too");
 
     // Engine forks/snapshots are obs *events*; the global registry only
     // moves forward, so a restore cannot rewind it. (>= because other

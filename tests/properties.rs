@@ -201,36 +201,6 @@ proptest! {
         prop_assert_eq!(batched.stats(), serial.stats());
     }
 
-    /// The sharded controller is response- and stats-identical to the
-    /// monolithic one for arbitrary request streams, at any shard count
-    /// (the ShardedController equivalence contract at the whole-workspace
-    /// level; in-crate proptests also cover RowClones and defenses).
-    #[test]
-    fn sharded_matches_mono_for_any_stream(
-        stream in prop::collection::vec((0usize..16, 0u64..64, 0u32..4), 1..60),
-        shards in 1usize..17,
-    ) {
-        use impact::core::engine::MemoryBackend;
-        use impact::memctrl::ShardedController;
-        let cfg = SystemConfig::paper_table2();
-        let mut mono = MemoryController::from_config(&cfg);
-        let mut sharded = ShardedController::from_config(&cfg, shards);
-        let reqs: Vec<MemRequest> = stream
-            .iter()
-            .enumerate()
-            .map(|(i, &(bank, row, actor))| {
-                let addr = mono.mapping().compose(bank, row, 0);
-                MemRequest::load(addr, Cycles(i as u64 * 500), actor)
-            })
-            .collect();
-        for r in &reqs {
-            let a = mono.service(r).unwrap();
-            let b = MemoryBackend::service(&mut sharded, r).unwrap();
-            prop_assert_eq!(a, b);
-        }
-        prop_assert_eq!(mono.backend_stats(), sharded.backend_stats());
-    }
-
     /// A tracing proxy's log replays into a fresh backend with identical
     /// responses and statistics, for arbitrary request streams.
     #[test]

@@ -4,13 +4,13 @@
 //! A fork shares its bulk state (bank SoA columns, cache tag arrays,
 //! radix page-table leaves, ACT bookkeeping) with its parent behind
 //! `Arc`s, and every mutation goes through `Arc::make_mut`. This suite
-//! pins the two properties the `--fork-sweeps` machinery relies on:
+//! pins the two properties the fleet's fork-per-session setup relies on:
 //!
 //! * **fidelity** — a fork that resumes a request stream is bit-for-bit
-//!   equal to a from-scratch run of the whole stream (responses, merged
+//!   equal to a from-scratch run of the whole stream (responses,
 //!   `BackendStats`, DRAM totals and state digest), across the defense
-//!   matrix {open, CTD, ACT, RFM} × backends {mono, sharded:N,
-//!   sharded:N:W}, through fork-of-fork chains, and at the whole-`Engine`
+//!   matrix {open, CTD, ACT, RFM} on the controller and behind the
+//!   tracing proxy, through fork-of-fork chains, and at the whole-`Engine`
 //!   level (caches, TLBs, page tables, clocks, allocator included);
 //! * **isolation** — writes on a fork never reach the parent (and vice
 //!   versa), and `restore` rewinds a mutated engine to its snapshot
@@ -24,9 +24,8 @@ use impact::core::engine::MemRequest;
 use impact::core::rng::SimRng;
 use impact::core::snapshot::Snapshot;
 use impact::core::time::Cycles;
-use impact::memctrl::{
-    ActConfig, ControllerBackend, Defense, MemoryController, PeriodicBlock, ShardedController,
-};
+use impact::core::trace::TracingBackend;
+use impact::memctrl::{ActConfig, ControllerBackend, Defense, MemoryController, PeriodicBlock};
 use impact::sim::{AgentId, System};
 
 fn cfg() -> SystemConfig {
@@ -34,7 +33,7 @@ fn cfg() -> SystemConfig {
 }
 
 /// A mixed valid request stream: loads/stores/PiM over 16 banks plus
-/// masked RowClones whose lanes straddle shard boundaries.
+/// masked RowClones spanning several banks.
 fn stream(n: u64, seed: u64) -> Vec<MemRequest> {
     let mc = MemoryController::from_config(&cfg());
     let row_bytes = mc.dram().geometry().row_bytes;
@@ -65,16 +64,14 @@ fn stream(n: u64, seed: u64) -> Vec<MemRequest> {
         .collect()
 }
 
-/// One backend of the swept matrix, boxed for uniform handling.
-fn make_backend(sel: usize, shards: usize, workers: usize) -> Box<dyn ControllerBackend> {
-    match sel {
-        0 => Box::new(MemoryController::from_config(&cfg())),
-        1 => Box::new(ShardedController::from_config(&cfg(), shards)),
-        _ => {
-            let mut sc = ShardedController::from_config_parallel(&cfg(), shards, workers);
-            sc.set_parallel_threshold(8); // small batches still dispatch
-            Box::new(sc)
-        }
+/// One backend of the swept matrix, boxed for uniform handling: the
+/// controller itself, or the tracing proxy around it.
+fn make_backend(traced: bool) -> Box<dyn ControllerBackend> {
+    let mc = MemoryController::from_config(&cfg());
+    if traced {
+        Box::new(TracingBackend::new(mc))
+    } else {
+        Box::new(mc)
     }
 }
 
@@ -97,16 +94,14 @@ proptest! {
     fn fork_equals_scratch(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        backend_sel in 0usize..3,
-        shards in 1usize..9,
-        workers in 1usize..5,
+        traced in any::<bool>(),
         split_pct in 0usize..101,
     ) {
         let reqs = stream(72, seed);
         let split = reqs.len() * split_pct / 100;
 
-        let mut scratch = make_backend(backend_sel, shards, workers);
-        let mut parent = make_backend(backend_sel, shards, workers);
+        let mut scratch = make_backend(traced);
+        let mut parent = make_backend(traced);
         apply_defense(scratch.as_mut(), defense_sel);
         apply_defense(parent.as_mut(), defense_sel);
 
@@ -138,13 +133,13 @@ proptest! {
     fn snapshot_restore_rewinds(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        backend_sel in 0usize..3,
+        traced in any::<bool>(),
         split_pct in 0usize..101,
     ) {
         let reqs = stream(54, seed);
         let split = reqs.len() * split_pct / 100;
 
-        let mut backend = make_backend(backend_sel, 4, 2);
+        let mut backend = make_backend(traced);
         apply_defense(backend.as_mut(), defense_sel);
         backend.service_batch(&reqs[..split]).expect("valid stream");
         let snap = backend.snapshot();
@@ -171,17 +166,17 @@ proptest! {
     fn fork_of_fork_chains(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        backend_sel in 0usize..3,
+        traced in any::<bool>(),
     ) {
         let reqs = stream(72, seed);
-        let mut scratch = make_backend(backend_sel, 4, 2);
+        let mut scratch = make_backend(traced);
         apply_defense(scratch.as_mut(), defense_sel);
         let mut want = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(18) {
             want.extend(scratch.service_batch(chunk).expect("valid stream"));
         }
 
-        let mut cur = make_backend(backend_sel, 4, 2);
+        let mut cur = make_backend(traced);
         apply_defense(cur.as_mut(), defense_sel);
         let mut got = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(18) {

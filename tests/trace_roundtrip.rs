@@ -1,8 +1,8 @@
 //! End-to-end reproducibility proof for the trace persistence subsystem:
 //! record a quick experiment on the monolithic backend, persist it to
 //! disk, replay the file through the `trace_replay` machinery on the
-//! sharded and traced backends, and assert that responses,
-//! `BackendStats` and the final DRAM state are bit-identical everywhere.
+//! mono and traced backends, and assert that responses, `BackendStats`
+//! and the final DRAM state are bit-identical everywhere.
 
 use std::fs;
 use std::io::BufReader;
@@ -54,8 +54,8 @@ fn record_quick_mix(path: &PathBuf) {
 }
 
 /// The acceptance proof: a trace recorded on mono replays bit-identically
-/// on sharded:4 and traced — same responses, same `BackendStats`, same
-/// final DRAM state.
+/// on a fresh mono backend and behind the tracing proxy — same responses,
+/// same `BackendStats`, same final DRAM state.
 #[test]
 fn mono_recording_replays_bit_identically_on_other_backends() {
     let scratch = ScratchFile::new("mono.trace");
@@ -64,14 +64,7 @@ fn mono_recording_replays_bit_identically_on_other_backends() {
     // Stream-replay through the trace_replay machinery on each backend;
     // each run verifies itself against the recorded footer.
     let mut verifications = Vec::new();
-    for kind in [
-        BackendKind::Mono,
-        BackendKind::Sharded {
-            shards: 4,
-            workers: 1,
-        },
-        BackendKind::Traced,
-    ] {
+    for kind in [BackendKind::Mono, BackendKind::Traced] {
         let reader = BufReader::new(fs::File::open(&scratch.0).expect("open trace"));
         let v = replay_file(reader, kind).expect("replay");
         assert!(
@@ -103,13 +96,6 @@ fn mono_recording_replays_bit_identically_on_other_backends() {
     };
     let mono = responses_on(BackendKind::Mono);
     assert_eq!(mono.len() as u64, captured.summary.responses);
-    assert_eq!(
-        mono,
-        responses_on(BackendKind::Sharded {
-            shards: 4,
-            workers: 1
-        })
-    );
     assert_eq!(mono, responses_on(BackendKind::Traced));
 }
 
@@ -208,14 +194,11 @@ fn spilled_experiment_equals_in_memory_log() {
     );
     assert_eq!(summary.stats, reference.backend().backend_stats());
 
-    // And the file replays onto a sharded backend with identical DRAM
+    // And the file replays onto a fresh controller with identical DRAM
     // state to the original run.
     let v = replay_file(
         BufReader::new(fs::File::open(&scratch.0).unwrap()),
-        BackendKind::Sharded {
-            shards: 4,
-            workers: 1,
-        },
+        BackendKind::Mono,
     )
     .unwrap();
     assert!(v.matches());
