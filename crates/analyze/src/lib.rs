@@ -92,14 +92,12 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 ];
 
 /// The only files allowed to create threads or shared-state primitives.
+/// `crates/core/src/par.rs` holds `ordered_map`, the one parallel
+/// primitive every sweep, suite and fleet epoch goes through.
 /// `crates/obs` is the telemetry sink: its atomics (and `Instant` reads)
 /// are the sanctioned home for counters and span timers, policed by R7
 /// everywhere else.
-pub const SANCTIONED_CONCURRENCY: &[&str] = &[
-    "crates/bench/src/runner.rs",
-    "crates/obs/src/lib.rs",
-    "crates/fleet/src/scheduler.rs",
-];
+pub const SANCTIONED_CONCURRENCY: &[&str] = &["crates/core/src/par.rs", "crates/obs/src/lib.rs"];
 
 /// Classifies a workspace-relative path (always `/`-separated).
 #[must_use]
@@ -275,16 +273,17 @@ mod tests {
         assert!(!bench.concurrency_sanctioned);
 
         let runner = classify("crates/bench/src/runner.rs");
-        assert!(runner.concurrency_sanctioned);
+        assert!(!runner.concurrency_sanctioned);
         // Other memctrl files are not sanctioned.
         let ctrl = classify("crates/memctrl/src/controller.rs");
         assert!(!ctrl.concurrency_sanctioned);
 
-        // The fleet epoch scheduler: deterministic (its output is the
-        // population report) AND concurrency-sanctioned.
-        let fleet_sched = classify("crates/fleet/src/scheduler.rs");
-        assert!(fleet_sched.deterministic && fleet_sched.concurrency_sanctioned);
-        assert!(!fleet_sched.clock_exempt);
+        // The parallel primitive: deterministic (sweep series, suite
+        // figures and the fleet population report flow through it) AND
+        // concurrency-sanctioned, but it may not read the clock.
+        let par = classify("crates/core/src/par.rs");
+        assert!(par.deterministic && par.concurrency_sanctioned);
+        assert!(!par.clock_exempt);
         let fleet_lib = classify("crates/fleet/src/lib.rs");
         assert!(fleet_lib.deterministic && !fleet_lib.concurrency_sanctioned);
 

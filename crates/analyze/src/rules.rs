@@ -390,8 +390,8 @@ impl Checker<'_> {
         }
     }
 
-    /// R3: ad-hoc concurrency outside the sanctioned sites
-    /// (`bench::runner`, `fleet::scheduler`, the `obs` sinks).
+    /// R3: ad-hoc concurrency outside the sanctioned sites (`core::par`
+    /// and the `obs` sinks).
     fn rule_concurrency(&mut self) {
         if self.ctx.concurrency_sanctioned {
             return;
@@ -429,9 +429,9 @@ impl Checker<'_> {
                 "concurrency",
                 line,
                 format!(
-                    "`{what}` outside the sanctioned concurrency sites (bench::runner, \
-                     fleet::scheduler, the obs sinks); route new parallelism through the \
-                     proven schedulers and telemetry through impact_obs"
+                    "`{what}` outside the sanctioned concurrency sites (core::par, the obs \
+                     sinks); route new parallelism through impact_core::par::ordered_map \
+                     and telemetry through impact_obs"
                 ),
             );
         }
@@ -552,8 +552,8 @@ impl Checker<'_> {
     /// R3 police *deterministic* code; this rule covers the exempt
     /// remainder so the exemptions cannot widen silently: a clock-exempt
     /// crate (e.g. `analyze`) still may not read wall clocks, and a
-    /// concurrency-sanctioned file (the fleet scheduler) still may not
-    /// grow its own atomics. Counters and span timers belong in
+    /// concurrency-sanctioned file (`core::par`) still may not grow its
+    /// own atomics. Counters and span timers belong in
     /// `impact_obs`, where `Instant::now` and `Atomic*` live behind the
     /// determinism contract documented there.
     fn rule_metrics_placement(&mut self) {
@@ -849,10 +849,10 @@ mod tests {
 
     #[test]
     fn metrics_placement_flags_atomics_in_sanctioned_files() {
-        // The fleet scheduler is concurrency-sanctioned (R3 is silent),
-        // but growing new atomic state there must route through impact_obs.
+        // `core::par` is concurrency-sanctioned (R3 is silent), but
+        // growing new atomic state there must route through impact_obs.
         let ctx = FileContext {
-            rel_path: "crates/fleet/src/scheduler.rs".to_string(),
+            rel_path: "crates/core/src/par.rs".to_string(),
             concurrency_sanctioned: true,
             ..det_ctx()
         };

@@ -158,7 +158,7 @@ fn r5_bad_flags_unsafe_even_in_tests() {
 fn r7_good_is_clean_everywhere() {
     for path in [
         "crates/analyze/src/fixture.rs",
-        "crates/fleet/src/scheduler.rs",
+        "crates/core/src/par.rs",
         "crates/sim/src/fixture.rs",
     ] {
         let d = check_at(path, "r7_metrics_good.rs");
@@ -177,9 +177,9 @@ fn r7_bad_flags_clocks_where_r2_is_exempt() {
 
 #[test]
 fn r7_bad_flags_atomics_where_r3_is_sanctioned() {
-    // The fleet scheduler escapes R3; R7 flags the `AtomicU64` import and
-    // field (the clock reads there belong to R2, not R7 — no overlap).
-    let d = check_at("crates/fleet/src/scheduler.rs", "r7_metrics_bad.rs");
+    // `core::par` escapes R3; R7 flags the `AtomicU64` import and field
+    // (the clock reads there belong to R2, not R7 — no overlap).
+    let d = check_at("crates/core/src/par.rs", "r7_metrics_bad.rs");
     assert_eq!(lines_of(&d, "metrics-placement"), vec![5, 9], "{d:?}");
     assert_eq!(lines_of(&d, "wall-clock"), vec![6, 13, 14], "{d:?}");
     assert!(lines_of(&d, "concurrency").is_empty(), "{d:?}");

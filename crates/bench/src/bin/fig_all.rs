@@ -13,9 +13,9 @@
 //! ```
 //!
 //! With `--jobs N` (or `--jobs auto`) the suite is sharded across worker
-//! threads by [`SweepRunner::run_all`]; progress and partial results
-//! stream to stderr as experiments complete, and the rendered output is
-//! printed in suite order at the end — bit-identical to a serial run.
+//! threads by [`SweepRunner::run_all`]; the rendered output is printed in
+//! suite order once every experiment has finished — bit-identical to a
+//! serial run.
 //!
 //! `--record-trace PATH` records the canonical capture workload on the
 //! selected `--backend` (spill-to-disk, replayable with `trace_replay`);
@@ -36,7 +36,7 @@ use std::fs::File;
 use std::io::BufWriter;
 
 use impact_bench::experiments;
-use impact_bench::runner::{ExperimentJob, RunAllEvent};
+use impact_bench::runner::ExperimentJob;
 use impact_bench::trace_tools::{record_capture, trace_figure, CaptureKind, TraceScenario};
 use impact_bench::{Figure, Scenario, SweepRunner};
 use impact_sim::BackendKind;
@@ -213,8 +213,7 @@ fn main() {
         }));
     }
 
-    let verbose = runner.threads() > 1;
-    if verbose {
+    if runner.threads() > 1 {
         eprintln!(
             "fig_all: {} experiments on backend `{}` across {} workers",
             jobs.len(),
@@ -222,23 +221,7 @@ fn main() {
             runner.threads().min(jobs.len()),
         );
     }
-    let figures = runner.run_all(&jobs, |ev| {
-        if !verbose {
-            return;
-        }
-        match ev {
-            RunAllEvent::Started { id } => eprintln!("fig_all: {id} started"),
-            RunAllEvent::SeriesReady { id, series } => {
-                eprintln!("fig_all:   {id} series `{}` ready", series.name);
-            }
-            RunAllEvent::Finished {
-                id,
-                completed,
-                total,
-                ..
-            } => eprintln!("fig_all: {id} done ({completed}/{total})"),
-        }
-    });
+    let figures = runner.run_all(&jobs);
     for fig in &figures {
         render(fig, csv);
     }

@@ -17,9 +17,10 @@
 //! `PATH`, exit nonzero on drift.
 //!
 //! `--trace FILE` additionally admits `--trace-sessions` (default 64)
-//! sessions replaying growing prefixes of a recorded trace; the header
-//! label is resolved to its `SystemConfig` and the fingerprint
-//! cross-checked, exactly like `trace_replay`.
+//! sessions replaying growing prefixes of a recorded trace. The header
+//! label is resolved to its `SystemConfig`, and admission checks the
+//! fingerprint and replays the whole log once; a capture that fails
+//! either check exits 1 before any session runs, like `fig_all --trace`.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -108,11 +109,10 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         };
-        if sys.fingerprint() != trace.header.fingerprint {
-            eprintln!("fleet_run: config fingerprint mismatch for {path}");
+        if let Err(e) = fleet.admit_trace(&Arc::new(trace), &sys, trace_sessions) {
+            eprintln!("fleet_run: trace {path} is not replayable: {e}");
             return ExitCode::FAILURE;
         }
-        fleet.admit_trace(&Arc::new(trace), &sys, trace_sessions);
     }
 
     let admitted = fleet.admitted();

@@ -1,5 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md §4:
-//! row policy, batch size (bank parallelism), decode threshold and noise
+//! Ablation studies for four design choices of the reproduction: row
+//! policy, batch size (bank parallelism), decode threshold and noise
 //! sensitivity.
 
 use impact_attacks::PnmCovertChannel;

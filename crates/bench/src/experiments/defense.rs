@@ -59,8 +59,9 @@ fn defenses() -> Vec<Defense> {
 }
 
 /// One Fig. 12 curve as a parallelizable [`Scenario`]: replays every
-/// workload on a fresh per-point [`System`] under `defense` and reports
-/// cycles, normalized against `baseline` when one is supplied.
+/// workload on a fresh per-point [`System`](impact_sim::System) under
+/// `defense` and reports cycles, normalized against `baseline` when one
+/// is supplied.
 ///
 /// The noisy Table 2 configuration stands in for co-running cores: the
 /// prefetcher/PTW activity creates the row conflicts that arm ACT, as in

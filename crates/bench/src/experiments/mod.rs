@@ -19,7 +19,6 @@ pub use tables::{table1, table2};
 use impact_sim::BackendKind;
 
 use crate::runner::ExperimentJob;
-use crate::Figure;
 
 /// The full paper suite as schedulable jobs, every system-backed
 /// experiment built on `backend`. This is the unit
@@ -45,16 +44,4 @@ pub fn suite(quick: bool, backend: BackendKind) -> Vec<ExperimentJob> {
         ExperimentJob::new("future_banks", move || future_banks_on(backend, bits)),
         ExperimentJob::new("rfm", move || rfm_filtering_on(backend, bits)),
     ]
-}
-
-/// Runs every experiment (in paper order) with default parameters on the
-/// default backend, serially.
-///
-/// `quick` shrinks message/workload sizes for CI-speed runs.
-#[must_use]
-pub fn run_all(quick: bool) -> Vec<Figure> {
-    suite(quick, BackendKind::Mono)
-        .iter()
-        .map(ExperimentJob::run)
-        .collect()
 }

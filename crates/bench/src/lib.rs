@@ -6,8 +6,8 @@
 //! text/CSV. Sweep-style experiments are expressed as [`runner::Scenario`]s
 //! and executed by the [`runner::SweepRunner`], which fans sweep points out
 //! across worker threads with bit-identical results to the serial path.
-//! The per-experiment index lives in DESIGN.md; measured-vs-paper numbers
-//! are recorded in EXPERIMENTS.md.
+//! The table below indexes the experiments; each figure's `note:` lines
+//! set the measured numbers beside the paper's.
 //!
 //! | Experiment | Paper artifact |
 //! |---|---|
@@ -21,7 +21,7 @@
 //! | [`experiments::fig10`] | Fig. 10 sender/receiver breakdown |
 //! | [`experiments::fig11`] | Fig. 11 side-channel bank sweep |
 //! | [`experiments::fig12`] | Fig. 12 defense overheads |
-//! | [`experiments::ablations`] | DESIGN.md §4 ablation studies |
+//! | [`experiments::ablations`] | design-choice ablations (row policy, batch size, threshold, noise) |
 
 pub mod experiments;
 pub mod hotpath;

@@ -1,12 +1,12 @@
 //! Deterministic parallel sweep execution.
 //!
 //! A [`Scenario`] describes one experiment curve: the swept x values plus a
-//! pure-per-point evaluation. The [`SweepRunner`] fans the points out over
-//! `std::thread::scope` worker threads; because every point builds its own
-//! seeded state (typically a `System` derived from a per-point
+//! pure-per-point evaluation. The [`SweepRunner`] fans the points out
+//! through [`impact_core::par::ordered_map`]; because every point builds
+//! its own seeded state (typically a `System` derived from a per-point
 //! [`SimRng`]), the produced [`Series`] is bit-identical no matter how many
-//! threads execute it — the reproducibility contract EXPERIMENTS.md relies
-//! on, now at sweep granularity.
+//! threads execute it (`tests/determinism.rs` pins this for the ported
+//! sweeps).
 //!
 //! # Writing a new scenario
 //!
@@ -47,10 +47,7 @@
 //! assert_eq!(series.points.len(), 3);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::thread;
-
+use impact_core::par;
 use impact_core::rng::SimRng;
 
 use crate::{Figure, Series};
@@ -114,7 +111,7 @@ impl SweepRunner {
     /// A runner sized to the machine's available parallelism.
     #[must_use]
     pub fn auto() -> SweepRunner {
-        SweepRunner::new(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        SweepRunner::new(par::available_workers())
     }
 
     /// Worker threads this runner uses.
@@ -125,62 +122,34 @@ impl SweepRunner {
 
     /// Runs every sweep point and assembles the [`Series`].
     ///
-    /// Points are claimed from a shared counter, evaluated with their own
-    /// derived RNG, and reassembled in index order — the output is
-    /// bit-identical for every thread count.
+    /// Each point is evaluated with its own derived RNG and the results
+    /// come back in index order — the output is bit-identical for every
+    /// thread count.
     pub fn run<S: Scenario + ?Sized>(&self, scenario: &S) -> Series {
         let xs = scenario.xs();
         let seed = scenario.seed();
-        let eval_point = |i: usize, x: f64| scenario.eval(x, &mut point_rng(seed, i));
-        let ys = if self.threads == 1 || xs.len() <= 1 {
-            xs.iter()
-                .enumerate()
-                .map(|(i, &x)| eval_point(i, x))
-                .collect()
-        } else {
-            let workers = self.threads.min(xs.len());
-            let next = AtomicUsize::new(0);
-            let mut indexed: Vec<(usize, f64)> = thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(&x) = xs.get(i) else { break };
-                                local.push((i, eval_point(i, x)));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("sweep worker panicked"))
-                    .collect()
-            });
-            indexed.sort_unstable_by_key(|&(i, _)| i);
-            indexed.into_iter().map(|(_, y)| y).collect::<Vec<f64>>()
-        };
+        let points: Vec<(usize, f64)> = xs.iter().copied().enumerate().collect();
+        let ys = par::ordered_map(points, self.threads, |(i, x)| {
+            scenario.eval(x, &mut point_rng(seed, i))
+        });
         Series::new(scenario.name(), xs.into_iter().zip(ys).collect())
     }
 
-    /// Runs the sweep in parallel and asserts the result is bit-identical
-    /// to the serial reference path before returning it.
+    /// Runs a whole suite of experiments, sharding *across experiments*:
+    /// each worker thread claims the next unstarted [`ExperimentJob`] and
+    /// runs it to completion. The returned figures are in suite order and
+    /// bit-identical for every worker count, because each job is pure.
     ///
     /// # Panics
     ///
-    /// Panics if the parallel and serial series diverge — which would mean
-    /// a scenario observes evaluation order and is not safe to parallelize.
-    pub fn run_verified<S: Scenario + ?Sized>(&self, scenario: &S) -> Series {
-        let parallel = self.run(scenario);
-        let serial = SweepRunner::serial().run(scenario);
-        assert!(
-            series_bits_eq(&parallel, &serial),
-            "parallel sweep diverged from the serial path for `{}`",
-            parallel.name
-        );
-        parallel
+    /// Re-throws the own payload of the first panicking experiment in
+    /// suite order (see [`par::ordered_map`]).
+    #[must_use]
+    pub fn run_all(&self, jobs: &[ExperimentJob]) -> Vec<Figure> {
+        par::ordered_map(jobs.iter().collect(), self.threads, |job| {
+            let _span = impact_obs::registry().experiment_wall_ns.span();
+            job.run()
+        })
     }
 }
 
@@ -228,138 +197,6 @@ impl core::fmt::Debug for ExperimentJob {
     }
 }
 
-/// Progress events [`SweepRunner::run_all`] streams to its callback while
-/// the suite executes, in completion order (not suite order). Partial
-/// results arrive as [`RunAllEvent::SeriesReady`] per finished series, so
-/// long sweeps report incrementally instead of all at the end.
-#[derive(Debug)]
-pub enum RunAllEvent<'a> {
-    /// A worker claimed the experiment and started executing it.
-    Started {
-        /// Experiment identifier.
-        id: &'a str,
-    },
-    /// One series of a finished experiment (streamed before `Finished`).
-    SeriesReady {
-        /// Experiment identifier.
-        id: &'a str,
-        /// The completed series.
-        series: &'a Series,
-    },
-    /// The experiment finished.
-    Finished {
-        /// Experiment identifier.
-        id: &'a str,
-        /// Position of this experiment in the suite.
-        index: usize,
-        /// Experiments finished so far (including this one).
-        completed: usize,
-        /// Total experiments in the suite.
-        total: usize,
-    },
-}
-
-/// Internal worker → coordinator message of [`SweepRunner::run_all`].
-enum SuiteMsg {
-    Started(usize),
-    Done(usize, Figure),
-}
-
-impl SweepRunner {
-    /// Runs a whole suite of experiments, sharding *across experiments*:
-    /// each worker thread claims the next unstarted [`ExperimentJob`],
-    /// runs it to completion, and hands the figure back to the calling
-    /// thread, which invokes `on_event` as results arrive (see
-    /// [`RunAllEvent`]). The returned figures are in suite order and
-    /// bit-identical for every worker count, because each job is pure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (an experiment itself panicked).
-    pub fn run_all<F>(&self, jobs: &[ExperimentJob], mut on_event: F) -> Vec<Figure>
-    where
-        F: FnMut(RunAllEvent<'_>),
-    {
-        let total = jobs.len();
-        if self.threads == 1 || total <= 1 {
-            let mut out = Vec::with_capacity(total);
-            for (index, job) in jobs.iter().enumerate() {
-                on_event(RunAllEvent::Started { id: job.id() });
-                let fig = {
-                    let _span = impact_obs::registry().experiment_wall_ns.span();
-                    job.run()
-                };
-                for series in &fig.series {
-                    on_event(RunAllEvent::SeriesReady {
-                        id: job.id(),
-                        series,
-                    });
-                }
-                on_event(RunAllEvent::Finished {
-                    id: job.id(),
-                    index,
-                    completed: index + 1,
-                    total,
-                });
-                out.push(fig);
-            }
-            return out;
-        }
-
-        let workers = self.threads.min(total);
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<SuiteMsg>();
-        let mut slots: Vec<Option<Figure>> = (0..total).map(|_| None).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(|| {
-                    // Move the clone into the worker; drop it when the
-                    // claiming loop runs dry so the receiver terminates.
-                    let tx = tx;
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(job) = jobs.get(i) else { break };
-                        let _ = tx.send(SuiteMsg::Started(i));
-                        let fig = {
-                            let _span = impact_obs::registry().experiment_wall_ns.span();
-                            job.run()
-                        };
-                        let _ = tx.send(SuiteMsg::Done(i, fig));
-                    }
-                });
-            }
-            drop(tx);
-            let mut completed = 0usize;
-            while let Ok(msg) = rx.recv() {
-                match msg {
-                    SuiteMsg::Started(i) => on_event(RunAllEvent::Started { id: jobs[i].id() }),
-                    SuiteMsg::Done(i, fig) => {
-                        completed += 1;
-                        for series in &fig.series {
-                            on_event(RunAllEvent::SeriesReady {
-                                id: jobs[i].id(),
-                                series,
-                            });
-                        }
-                        on_event(RunAllEvent::Finished {
-                            id: jobs[i].id(),
-                            index: i,
-                            completed,
-                            total,
-                        });
-                        slots[i] = Some(fig);
-                    }
-                }
-            }
-        });
-        slots
-            .into_iter()
-            .map(|f| f.expect("every claimed job completes"))
-            .collect()
-    }
-}
-
 /// Bit-exact series equality: names, lengths and the IEEE-754 bits of
 /// every point (so `-0.0 != 0.0` and NaNs compare by payload).
 #[must_use]
@@ -379,6 +216,7 @@ mod tests {
     use super::*;
     use impact_core::config::SystemConfig;
     use impact_sim::System;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// A System-backed scenario: per-point seeded request streams.
     struct RandomProbes;
@@ -416,13 +254,6 @@ mod tests {
                 "{threads} threads diverged"
             );
         }
-    }
-
-    #[test]
-    fn run_verified_returns_the_parallel_result() {
-        let s = SweepRunner::new(4).run_verified(&RandomProbes);
-        assert_eq!(s.points.len(), 8);
-        assert!(s.points.iter().all(|&(_, y)| y > 0.0));
     }
 
     #[test]
@@ -472,10 +303,10 @@ mod tests {
     #[test]
     fn run_all_is_bit_identical_at_any_thread_count() {
         let jobs = toy_suite();
-        let serial = SweepRunner::serial().run_all(&jobs, |_| {});
+        let serial = SweepRunner::serial().run_all(&jobs);
         assert_eq!(serial.len(), 5);
         for threads in [2, 3, 8] {
-            let parallel = SweepRunner::new(threads).run_all(&jobs, |_| {});
+            let parallel = SweepRunner::new(threads).run_all(&jobs);
             assert_eq!(parallel.len(), serial.len());
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_eq!(a.id, b.id, "{threads} threads reordered the suite");
@@ -488,31 +319,23 @@ mod tests {
     }
 
     #[test]
-    fn run_all_streams_partial_results() {
-        let jobs = toy_suite();
-        let mut started = Vec::new();
-        let mut series_seen = 0usize;
-        let mut finished = Vec::new();
-        let mut last_completed = 0usize;
-        let figs = SweepRunner::new(4).run_all(&jobs, |ev| match ev {
-            RunAllEvent::Started { id } => started.push(id.to_string()),
-            RunAllEvent::SeriesReady { series, .. } => {
-                assert!(!series.points.is_empty());
-                series_seen += 1;
-            }
-            RunAllEvent::Finished {
-                completed, total, ..
-            } => {
-                assert_eq!(total, jobs.len());
-                assert!(completed > last_completed);
-                last_completed = completed;
-                finished.push(completed);
-            }
-        });
-        assert_eq!(figs.len(), jobs.len());
-        assert_eq!(started.len(), jobs.len());
-        assert_eq!(series_seen, jobs.len()); // one series per toy figure
-        assert_eq!(last_completed, jobs.len());
+    fn run_all_rethrows_the_experiments_own_panic() {
+        let jobs: Vec<ExperimentJob> = (0..5)
+            .map(|i| {
+                ExperimentJob::new(format!("exp{i}"), move || {
+                    if i == 2 {
+                        panic!("exp{i} hit a broken invariant");
+                    }
+                    Figure::new(format!("exp{i}"), "toy", "x", "y")
+                })
+            })
+            .collect();
+        let run = || SweepRunner::new(4).run_all(&jobs);
+        let payload = catch_unwind(AssertUnwindSafe(run)).expect_err("exp2 panics");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("exp2 hit a broken invariant")
+        );
     }
 
     #[test]

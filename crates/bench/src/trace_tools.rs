@@ -10,7 +10,8 @@
 //! digest bit-for-bit against the recorded footer; [`diff_readers`]
 //! pinpoints the first divergent event between two captures; and
 //! [`TraceScenario`] turns a captured file into a [`Scenario`] that runs
-//! under the [`SweepRunner`] alongside the built-in experiment suite.
+//! under the [`SweepRunner`](crate::SweepRunner) alongside the built-in
+//! experiment suite.
 
 use std::io::{Read, Write};
 use std::sync::Arc;

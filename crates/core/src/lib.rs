@@ -8,7 +8,8 @@
 //! deterministic, seedable random-number generator ([`rng::SimRng`]), and
 //! the pluggable memory-engine vocabulary ([`engine`]): request/response
 //! types plus the [`engine::MemoryBackend`] trait the simulator core is
-//! generic over.
+//! generic over, and the one parallel primitive every host-level fan-out
+//! goes through ([`par::ordered_map`]).
 //!
 //! # Example
 //!
@@ -27,6 +28,7 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod hash;
+pub mod par;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;

@@ -2,8 +2,8 @@
 //!
 //! Every stochastic component in the workspace (noise injection, genome
 //! synthesis, graph generation, message generation) draws from a [`SimRng`]
-//! seeded explicitly, so every experiment in EXPERIMENTS.md reproduces
-//! bit-for-bit.
+//! seeded explicitly, so every `fig_all` figure reproduces bit-for-bit
+//! (`tests/determinism.rs` pins this).
 
 /// A seedable, deterministic RNG used throughout the simulator.
 ///

@@ -8,7 +8,7 @@
 //! (defense, probe-bank count, co-tenant noise), or recorded-trace
 //! prefixes replayed through the PR 4 codec — and drives them to
 //! completion in epochs: each epoch every unfinished session advances by
-//! a fixed step budget on a shared worker pool, and results merge back
+//! a fixed step budget on up to `workers` threads, and results merge back
 //! in **stable session-id order, never completion order**.
 //!
 //! # Determinism contract
@@ -16,8 +16,8 @@
 //! The aggregate output ([`PopulationReport`], its canonical JSON and
 //! its FNV-1a digest) is bit-identical
 //!
-//! * at any worker count (sessions are independent; the scheduler
-//!   re-seats results by submission index),
+//! * at any worker count (sessions are independent, and
+//!   [`ordered_map`] returns them in submission order),
 //! * across runs of the same seed (every random draw flows from
 //!   [`SimRng`] streams keyed by the fleet seed and session id), and
 //! * under any admission order ([`FleetService::run`] normalizes to
@@ -27,8 +27,9 @@
 //! built and calibrated, then every session forks it
 //! ([`impact_core::snapshot::Snapshot::fork`]). All fleet telemetry
 //! routes through `impact-obs` (`fleet.*` metrics) and is excluded from
-//! the determinism contract; the scheduler's threads live in
-//! `scheduler.rs`, this crate's sanctioned concurrency site.
+//! the determinism contract. Each epoch is one [`ordered_map`] call, the
+//! workspace's one parallel primitive; this crate spawns no threads of
+//! its own.
 //!
 //! ```
 //! use impact_fleet::{FleetConfig, FleetService};
@@ -40,7 +41,6 @@
 //! ```
 
 mod histogram;
-mod scheduler;
 mod session;
 
 pub use histogram::{bucket_lower_bound, PopHistogram, BUCKETS};
@@ -49,8 +49,11 @@ pub use session::{DefensePick, SessionReport, SyntheticSpec, MAX_PROBE_BANKS};
 use std::sync::Arc;
 
 use impact_core::config::SystemConfig;
+use impact_core::error::Result;
 use impact_core::hash::{fnv1a_u64, FNV_OFFSET};
+use impact_core::par::ordered_map;
 use impact_core::rng::SimRng;
+use impact_core::trace::replay_events;
 use impact_memctrl::MemoryController;
 use impact_sim::System;
 use impact_workloads::CapturedTrace;
@@ -205,7 +208,25 @@ impl FleetService {
     /// session `i` of the batch replays the first `(i+1)/n` of the
     /// event log under `sys` (the recording's resolved configuration —
     /// resolve the header label with `config_for_label` or equivalent).
-    pub fn admit_trace(&mut self, trace: &Arc<CapturedTrace>, sys: &SystemConfig, n: usize) {
+    ///
+    /// The whole log is replayed once here on a pristine
+    /// `MemoryController::from_config(sys)` — the state every session
+    /// forks — so no session's prefix replay can fail later.
+    ///
+    /// # Errors
+    ///
+    /// [`impact_core::Error::TraceConfigMismatch`] when `sys` is not the
+    /// recorded configuration, or the first error a recorded event
+    /// raises when serviced. Nothing is admitted on error.
+    pub fn admit_trace(
+        &mut self,
+        trace: &Arc<CapturedTrace>,
+        sys: &SystemConfig,
+        n: usize,
+    ) -> Result<()> {
+        trace.header.expect_config(sys)?;
+        let mut pristine = MemoryController::from_config(sys);
+        replay_events(&trace.events, &mut pristine, |_| {})?;
         let events = trace.events.len();
         for i in 0..n {
             let id = self.take_id();
@@ -217,6 +238,7 @@ impl FleetService {
                 prefix: prefix.max(1),
             });
         }
+        Ok(())
     }
 
     /// Deterministically shuffles the admission queue — a test hook
@@ -236,8 +258,7 @@ impl FleetService {
     ///
     /// # Panics
     ///
-    /// Re-throws the first panicking session's payload; panics if a
-    /// trace session's events fail to replay (a corrupt recording).
+    /// Re-throws the first panicking session's payload.
     pub fn run(mut self, on_event: &mut dyn FnMut(&FleetEvent)) -> PopulationReport {
         let obs = impact_obs::registry();
         self.pending.sort_unstable_by_key(Pending::id);
@@ -291,7 +312,10 @@ impl FleetService {
         while !active.is_empty() {
             let advanced = {
                 let _span = obs.fleet_epoch_wall_ns.span();
-                scheduler::run_epoch(active, self.cfg.workers, self.cfg.epoch_budget)
+                ordered_map(active, self.cfg.workers, |mut sess| {
+                    sess.advance(self.cfg.epoch_budget);
+                    sess
+                })
             };
             epoch += 1;
             obs.fleet_epochs.incr();
@@ -477,7 +501,9 @@ mod tests {
         let mut fleet = FleetService::new(quick_cfg(workers));
         fleet.admit_synthetic(10);
         let trace = tiny_trace();
-        fleet.admit_trace(&trace, &SystemConfig::paper_table2_noiseless(), 4);
+        fleet
+            .admit_trace(&trace, &SystemConfig::paper_table2_noiseless(), 4)
+            .expect("tiny_trace replays");
         if let Some(seed) = shuffle {
             fleet.permute_admission(seed);
         }
@@ -525,6 +551,30 @@ mod tests {
             }) => {}
             other => panic!("run must end on a final EpochComplete, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn unreplayable_traces_are_rejected_at_admission() {
+        let mut out_of_range = (*tiny_trace()).clone();
+        out_of_range.events.push(TraceEvent::Request(MemRequest {
+            addr: PhysAddr(u64::MAX),
+            kind: ReqKind::Load,
+            at: Cycles(400),
+            actor: 0,
+        }));
+        let mut fleet = FleetService::new(quick_cfg(2));
+        fleet.admit_synthetic(2);
+        let noiseless = SystemConfig::paper_table2_noiseless();
+        assert!(matches!(
+            fleet.admit_trace(&Arc::new(out_of_range), &noiseless, 4),
+            Err(impact_core::Error::AddressOutOfRange { .. })
+        ));
+        assert!(matches!(
+            fleet.admit_trace(&tiny_trace(), &SystemConfig::paper_table2(), 4),
+            Err(impact_core::Error::TraceConfigMismatch { .. })
+        ));
+        assert_eq!(fleet.admitted(), 2, "a rejected trace admits nothing");
+        assert_eq!(fleet.run(&mut |_| {}).finished(), 2);
     }
 
     #[test]

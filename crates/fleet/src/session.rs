@@ -386,7 +386,7 @@ impl TraceSession {
             *latency += resp.latency;
             *min_latency = (*min_latency).min(resp.latency);
         })
-        .expect("recorded trace replays on a fresh controller");
+        .expect("admit_trace replayed the whole log from this pristine state");
         self.cursor = end;
     }
 
@@ -428,8 +428,8 @@ fn kbps(clock: Clock, bits: u64, elapsed: Cycles) -> u64 {
 
 enum Work {
     // Both boxed: each carries a whole forked engine/controller, and
-    // sessions move between scheduler channels every epoch — keep the
-    // moved value pointer-sized.
+    // sessions move by value into and out of every epoch's parallel map —
+    // keep the moved value pointer-sized.
     Synthetic(Box<SyntheticSession>),
     Trace(Box<TraceSession>),
 }

@@ -11,7 +11,7 @@
 //!
 //! * [`genome`] — synthetic reference genomes and read sampling (the paper
 //!   uses the human genome + synthetic query genomes; we substitute a
-//!   seeded synthetic reference — see DESIGN.md);
+//!   seeded synthetic reference — the module docs explain why);
 //! * [`index`] — k-mer/minimizer extraction and the bank-distributed hash
 //!   table ([`index::BankLayout`]);
 //! * [`chain`] — anchor chaining (the paper assumes chaining, §5.1);

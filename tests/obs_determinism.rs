@@ -42,7 +42,7 @@ fn render_subsuite(backend: BackendKind) -> String {
         .filter(|j| keep.contains(&j.id()))
         .collect();
     SweepRunner::serial()
-        .run_all(&jobs, |_| {})
+        .run_all(&jobs)
         .iter()
         .map(|f| f.render_text())
         .collect()
