@@ -12,9 +12,9 @@
 //!   (`write_event`) and a decode arm (`next_event`);
 //! * every configuration field in `config.rs` must feed
 //!   `SystemConfig::fingerprint` — or be manifest-excluded;
-//! * every `Engine` state field must be captured by `Engine::snapshot`
-//!   and rewound by `Engine::restore` — or be manifest-excluded — so a
-//!   future field cannot silently escape forking.
+//! * every `Engine` state field must be carried by `Engine::fork` — or
+//!   be manifest-excluded — so a future field cannot silently escape
+//!   forking.
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::manifest::Manifest;
@@ -26,7 +26,7 @@ pub const ENGINE_RS: &str = "crates/core/src/engine.rs";
 pub const CODEC_RS: &str = "crates/core/src/trace/codec.rs";
 /// Configuration path (fingerprint coverage).
 pub const CONFIG_RS: &str = "crates/core/src/config.rs";
-/// The whole-system engine (snapshot/restore field coverage).
+/// The whole-system engine (fork field coverage).
 pub const SIM_ENGINE_RS: &str = "crates/sim/src/engine.rs";
 
 /// One named field with the line it is declared on.
@@ -480,18 +480,16 @@ pub fn check_fingerprint(config_src: &str, manifest: &Manifest) -> Vec<Diagnosti
     diags
 }
 
-/// Checks that every `Engine` state field is captured by
-/// `Engine::snapshot` and rewound by `Engine::restore`. A field that
-/// appears in neither would silently escape forking: a fork would share
-/// (or reset) it while from-scratch runs rebuild it, and the divergence
-/// only surfaces once that state affects an output — exactly the drift
-/// class the fork-equivalence proptests catch late and this check
-/// catches at CI time. Intentionally unsnapshotted fields are listed in
-/// `analyze.toml [engine_snapshot] exclude` with a reason.
+/// Checks that every `Engine` state field is carried by `Engine::fork`.
+/// A field the fork leaves out would silently escape forking: a fork
+/// would reset (or default) it while from-scratch runs rebuild it, and
+/// the divergence only surfaces once that state affects an output —
+/// exactly the drift class the fork-equivalence proptests catch late and
+/// this check catches at CI time. Intentionally unforked fields are
+/// listed in `analyze.toml [engine_snapshot] exclude` with a reason.
 #[must_use]
 pub fn check_engine_snapshot(sim_engine_src: &str, manifest: &Manifest) -> Vec<Diagnostic> {
     let engine = lex(sim_engine_src).tokens;
-    let mut diags = Vec::new();
     let Some(fields) = struct_fields(&engine, "Engine") else {
         return vec![Diagnostic {
             file: SIM_ENGINE_RS.to_string(),
@@ -500,35 +498,24 @@ pub fn check_engine_snapshot(sim_engine_src: &str, manifest: &Manifest) -> Vec<D
             message: "struct Engine not found".to_string(),
         }];
     };
-    let snapshot = fn_body(&engine, "snapshot");
-    let restore = fn_body(&engine, "restore");
+    let fork = fn_body(&engine, "fork");
+    let mut diags = Vec::new();
     for f in &fields {
         let n = &f.name;
-        if manifest.excludes("engine_snapshot.exclude", n) {
+        if manifest.excludes("engine_snapshot.exclude", n)
+            || fork.is_some_and(|r| coverage(&engine, r, n) == Coverage::Used)
+        {
             continue;
         }
-        if !snapshot.is_some_and(|r| coverage(&engine, r, n) == Coverage::Used) {
-            diags.push(Diagnostic {
-                file: SIM_ENGINE_RS.to_string(),
-                line: f.line,
-                rule: "snapshot-coverage".to_string(),
-                message: format!(
-                    "Engine field `{n}` is not captured by Engine::snapshot (or listed in \
-                     analyze.toml [engine_snapshot] exclude); forks would silently drop it"
-                ),
-            });
-        }
-        if !restore.is_some_and(|r| coverage(&engine, r, n) == Coverage::Used) {
-            diags.push(Diagnostic {
-                file: SIM_ENGINE_RS.to_string(),
-                line: f.line,
-                rule: "snapshot-coverage".to_string(),
-                message: format!(
-                    "Engine field `{n}` is not rewound by Engine::restore (or listed in \
-                     analyze.toml [engine_snapshot] exclude); restore would leave it stale"
-                ),
-            });
-        }
+        diags.push(Diagnostic {
+            file: SIM_ENGINE_RS.to_string(),
+            line: f.line,
+            rule: "snapshot-coverage".to_string(),
+            message: format!(
+                "Engine field `{n}` is not carried by Engine::fork (or listed in \
+                 analyze.toml [engine_snapshot] exclude); forks would silently drop it"
+            ),
+        });
     }
     diags
 }
@@ -677,22 +664,18 @@ mod tests {
     fn engine_snapshot_misses_uncovered_fields() {
         let engine = "
             pub struct Engine<B: MemoryBackend> { backend: B, tlbs: Vec<Tlb>, scratch: u64 }
-            impl<B: MemoryBackend + Snapshot> Snapshot for Engine<B> {
-                fn snapshot(&self) -> EngineSnapshot<B::Snap> {
-                    EngineSnapshot { backend: self.backend.snapshot(), tlbs: self.tlbs.clone() }
-                }
-                fn restore(&mut self, snap: &EngineSnapshot<B::Snap>) {
-                    self.backend.restore(&snap.backend);
-                    self.tlbs.clone_from(&snap.tlbs);
+            impl<B: MemoryBackend + Clone> Engine<B> {
+                pub fn fork(&self) -> Engine<B> {
+                    Engine { backend: self.backend.clone(), tlbs: self.tlbs.clone() }
                 }
             }
         ";
         let d = check_engine_snapshot(engine, &Manifest::default());
-        // `scratch` is missing from both snapshot and restore.
-        assert_eq!(d.len(), 2, "{d:?}");
-        assert!(d.iter().all(|d| d.message.contains("`scratch`")));
-        assert!(d.iter().any(|d| d.message.contains("snapshot")));
-        assert!(d.iter().any(|d| d.message.contains("restore")));
+        // `scratch` is missing from the fork.
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, "snapshot-coverage");
+        assert!(d[0].message.contains("`scratch`"));
+        assert!(d[0].message.contains("Engine::fork"));
         let m = Manifest::parse("[engine_snapshot]\nexclude = [\"scratch\"]\n").unwrap();
         assert!(check_engine_snapshot(engine, &m).is_empty());
     }

@@ -19,8 +19,8 @@
 //!   `BackendStats` ↔ merge/`AddAssign`/`PartialEq`/trace footer,
 //!   `TraceEvent` ↔ codec encode/decode arms, configuration fields ↔
 //!   `SystemConfig::fingerprint`, and `Engine` state fields ↔
-//!   `Engine::snapshot`/`restore`, with intentional exclusions recorded
-//!   in the [`manifest`] (`analyze.toml`).
+//!   `Engine::fork`, with intentional exclusions recorded in the
+//!   [`manifest`] (`analyze.toml`).
 //!
 //! Diagnostics are `file:line: rule: message` lines; the binary exits
 //! non-zero when any are produced, which is what gates CI.

@@ -506,9 +506,9 @@ impl Checker<'_> {
     /// R6: copy-on-write alias-breaking operations in deterministic
     /// production code. `Arc::make_mut` (and `get_mut`/`try_unwrap`) is
     /// the only way simulation state behind a shared `Arc` may be
-    /// written — a snapshot or fork may hold the other reference, so
-    /// every unshare site is part of the fork-equivalence contract and
-    /// must say *which* state it unshares. Conversely, mutating shared
+    /// written — a fork may hold the other reference, so every unshare
+    /// site is part of the fork-equivalence contract and must say
+    /// *which* state it unshares. Conversely, mutating shared
     /// state any other way (interior mutability, re-wrapping) would leak
     /// writes into live forks; keeping the audited inventory exhaustive
     /// is what makes `Engine::fork` reviewable.
@@ -539,8 +539,8 @@ impl Checker<'_> {
                 "cow-aliasing",
                 line,
                 format!(
-                    "`{what}` unshares copy-on-write state that a snapshot or fork may \
-                     alias; the site is part of the fork-equivalence contract — justify \
+                    "`{what}` unshares copy-on-write state that a fork may alias; \
+                     the site is part of the fork-equivalence contract — justify \
                      which state it unshares and why the write cannot leak to a fork"
                 ),
             );

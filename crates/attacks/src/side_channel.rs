@@ -152,8 +152,8 @@ impl SideChannelReport {
 /// The descriptor itself is engine-independent — it names agents, rows and
 /// the victim's bucket stream, while the warmed DRAM/TLB/clock state lives
 /// in the engine `init` ran on. That split is what makes the warm prefix
-/// forkable: snapshot or fork the engine after `init`, and one
-/// `SideChannelInit` drives `measure` on every fork.
+/// forkable: fork the engine after `init`, and one `SideChannelInit`
+/// drives `measure` on every fork.
 #[derive(Debug, Clone)]
 pub struct SideChannelInit {
     /// The victim agent.
@@ -482,7 +482,6 @@ mod tests {
     /// and measuring on the fork leaves the warmed parent untouched.
     #[test]
     fn forked_measure_matches_run() {
-        use impact_core::snapshot::Snapshot;
         use impact_memctrl::ControllerBackend;
         let cfg = || SystemConfig::paper_table2_noiseless().with_total_banks(1024);
         let attack = || {

@@ -216,7 +216,7 @@ criterion_group!(
     bench_side_channel_init,
     bench_pnm_transmit,
     impact_bench::hotpath::register_system,
-    impact_bench::hotpath::register_snapshot_fork,
+    impact_bench::hotpath::register_fork,
     bench_trace_codec,
     bench_genomics,
     bench_workloads

@@ -26,7 +26,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use impact_bench::trace_tools::config_for_label;
+use impact_bench::trace_tools::resolve_config;
 use impact_fleet::{FleetConfig, FleetEvent, FleetService};
 use impact_workloads::CapturedTrace;
 
@@ -102,14 +102,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let Some(sys) = config_for_label(&trace.header.label) else {
-            eprintln!(
-                "fleet_run: unknown trace config label {:?} in {path}",
-                trace.header.label
-            );
-            return ExitCode::FAILURE;
-        };
-        if let Err(e) = fleet.admit_trace(&Arc::new(trace), &sys, trace_sessions) {
+        let admission = resolve_config(&trace.header)
+            .and_then(|sys| fleet.admit_trace(&Arc::new(trace), &sys, trace_sessions));
+        if let Err(e) = admission {
             eprintln!("fleet_run: trace {path} is not replayable: {e}");
             return ExitCode::FAILURE;
         }

@@ -20,7 +20,6 @@ use criterion::{black_box, Criterion};
 use impact_attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact_core::config::SystemConfig;
 use impact_core::engine::MemRequest;
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 use impact_memctrl::MemoryController;
 use impact_sim::System;
@@ -148,7 +147,7 @@ pub fn register_system(c: &mut Criterion) {
 /// is O(metadata) — Arc clones of the bank SoA, cache arrays and page
 /// tables — so `side_channel_init_fork` must stay well under a fifth of
 /// `side_channel_init_scratch`.
-pub fn register_snapshot_fork(c: &mut Criterion) {
+pub fn register_fork(c: &mut Criterion) {
     let cfg = SystemConfig::paper_table2_noiseless();
     let attack = SideChannelAttack::new(SideChannelConfig {
         reads: 20,
@@ -175,5 +174,5 @@ pub fn register_all(c: &mut Criterion) {
     register_memctrl_batch(c);
     register_mono_batch(c);
     register_system(c);
-    register_snapshot_fork(c);
+    register_fork(c);
 }

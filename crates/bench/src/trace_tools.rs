@@ -54,6 +54,26 @@ pub fn config_for_label(label: &str) -> Option<SystemConfig> {
     }
 }
 
+/// Resolves a trace header to the [`SystemConfig`] it was recorded on:
+/// the label through [`config_for_label`], then the fingerprint check.
+///
+/// # Errors
+///
+/// [`Error::TraceFormat`] for an unknown config label;
+/// [`Error::TraceConfigMismatch`] when the label resolves to a different
+/// configuration than the recording's.
+pub fn resolve_config(header: &TraceHeader) -> Result<SystemConfig> {
+    let cfg = config_for_label(&header.label).ok_or_else(|| {
+        Error::TraceFormat(format!(
+            "unknown config label {:?} (known: paper_table2, paper_table2_noiseless, \
+             paper_table2_noiseless+banks:N)",
+            header.label
+        ))
+    })?;
+    header.expect_config(&cfg)?;
+    Ok(cfg)
+}
+
 /// The canonical capture workloads `trace_replay record` offers. Each is
 /// deterministic in (seed, quick, backend-invariant responses), so the
 /// same invocation on two machines produces byte-identical trace files.
@@ -248,14 +268,7 @@ impl ReplayVerification {
 /// configuration than the recording's, and backend service errors.
 pub fn replay_file<R: Read>(reader: R, kind: BackendKind) -> Result<ReplayVerification> {
     let mut reader = TraceReader::new(reader)?;
-    let cfg = config_for_label(&reader.header().label).ok_or_else(|| {
-        Error::TraceFormat(format!(
-            "unknown config label {:?} (known: paper_table2, paper_table2_noiseless, \
-             paper_table2_noiseless+banks:N)",
-            reader.header().label
-        ))
-    })?;
-    reader.expect_config(&cfg)?;
+    let cfg = resolve_config(reader.header())?;
     let mut backend: DynBackend = kind.backend(&cfg);
     let (responses, digest) = impact_core::trace::replay_digest(
         std::iter::from_fn(|| reader.next_event().transpose()),
@@ -392,10 +405,7 @@ pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<u64> {
 /// As for [`replay_file`], minus the service step.
 pub fn trace_stats<R: Read>(reader: R) -> Result<(TraceHeader, RequestMix, TraceSummary)> {
     let captured = CapturedTrace::read_from(reader)?;
-    let cfg = config_for_label(&captured.header.label).ok_or_else(|| {
-        Error::TraceFormat(format!("unknown config label {:?}", captured.header.label))
-    })?;
-    captured.header.expect_config(&cfg)?;
+    let cfg = resolve_config(&captured.header)?;
     let probe = BackendKind::Mono.backend(&cfg);
     let mix = captured.mix(&probe);
     Ok((captured.header, mix, captured.summary))
@@ -447,10 +457,7 @@ pub fn slice_capture<W: Write>(
                 "slice [{start}, {start}+{count}) out of range for {total} events"
             ))
         })?;
-    let cfg = config_for_label(&captured.header.label).ok_or_else(|| {
-        Error::TraceFormat(format!("unknown config label {:?}", captured.header.label))
-    })?;
-    captured.header.expect_config(&cfg)?;
+    let cfg = resolve_config(&captured.header)?;
     let window = &captured.events[start..end];
     let mut backend = BackendKind::Mono.backend(&cfg);
     let (responses, response_digest) =
@@ -495,10 +502,7 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
     if rest.is_empty() {
         return Err(Error::TraceFormat("merge needs at least two traces".into()));
     }
-    let cfg = config_for_label(&first.header.label).ok_or_else(|| {
-        Error::TraceFormat(format!("unknown config label {:?}", first.header.label))
-    })?;
-    first.header.expect_config(&cfg)?;
+    let cfg = resolve_config(&first.header)?;
     for (i, input) in rest.iter().enumerate() {
         if input.header.label != first.header.label
             || input.header.fingerprint != first.header.fingerprint
@@ -559,10 +563,7 @@ impl TraceScenario {
     /// whose events fail to service or do not reproduce the footer;
     /// [`Error::TraceConfigMismatch`] when label and fingerprint disagree.
     pub fn new(captured: CapturedTrace, backend: BackendKind) -> Result<TraceScenario> {
-        let cfg = config_for_label(&captured.header.label).ok_or_else(|| {
-            Error::TraceFormat(format!("unknown config label {:?}", captured.header.label))
-        })?;
-        captured.header.expect_config(&cfg)?;
+        let cfg = resolve_config(&captured.header)?;
         let mut probe = backend.backend(&cfg);
         let replayed = captured.replay_prefix(&mut probe, captured.events.len())?;
         if replayed.responses != captured.summary.responses
@@ -917,6 +918,23 @@ mod tests {
         )));
         bad.summary.events += 1;
         assert!(TraceScenario::new(bad, BackendKind::Mono).is_err());
+
+        // So must an injected activation on a bank the device lacks.
+        let mut bad_bank = CapturedTrace::read_from(&bytes[..]).unwrap();
+        let first_inject = bad_bank
+            .events
+            .iter_mut()
+            .find_map(|ev| match ev {
+                TraceEvent::Inject { bank, .. } => Some(bank),
+                _ => None,
+            })
+            .expect("the Mix capture injects activations");
+        *first_inject = 16;
+        assert!(matches!(
+            TraceScenario::new(bad_bank, BackendKind::Mono),
+            Err(Error::TraceFormat(msg))
+                if msg == "inject event targets bank 16 of a 16-bank device"
+        ));
 
         // A footer that doesn't match the events (here: a silently dropped
         // tail) is rejected too.

@@ -2,7 +2,6 @@
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 
 use crate::cacti;
@@ -176,26 +175,6 @@ impl CacheHierarchy {
         self.l1.reset();
         self.l2.reset();
         self.l3.reset();
-    }
-}
-
-impl Snapshot for CacheHierarchy {
-    /// The hierarchy is its own snapshot: each level shares its line
-    /// array copy-on-write.
-    type Snap = CacheHierarchy;
-
-    fn snapshot(&self) -> CacheHierarchy {
-        self.clone()
-    }
-
-    fn restore(&mut self, snap: &CacheHierarchy) {
-        self.l1.restore(&snap.l1);
-        self.l2.restore(&snap.l2);
-        self.l3.restore(&snap.l3);
-    }
-
-    fn fork(&self) -> CacheHierarchy {
-        self.clone()
     }
 }
 

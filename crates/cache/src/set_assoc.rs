@@ -1,14 +1,13 @@
 //! Set-associative cache with pluggable replacement.
 //!
-//! The tag/metadata array lives behind an `Arc` so snapshots and forks
-//! of a warmed cache are O(1): clones share the array, and the first
-//! access on either side copies it (`Arc::make_mut`).
+//! The tag/metadata array lives behind an `Arc` so forks of a warmed
+//! cache are O(1): clones share the array, and the first access on either
+//! side copies it (`Arc::make_mut`).
 
 use std::sync::Arc;
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::{CacheLevelConfig, ReplacementKind};
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 
 /// Maximum re-reference prediction value for 2-bit SRRIP.
@@ -105,8 +104,8 @@ impl SetAssocCache {
         }
     }
 
-    /// The line array for mutation: copies it first if a snapshot or
-    /// fork still shares the storage.
+    /// The line array for mutation: copies it first if a clone still
+    /// shares the storage.
     #[inline]
     fn lines_mut(&mut self) -> &mut Vec<LineMeta> {
         // analyze::allow(cow-aliasing): sole unshare point for the line
@@ -292,24 +291,6 @@ impl SetAssocCache {
                 }
             }
         }
-    }
-}
-
-impl Snapshot for SetAssocCache {
-    /// The cache is its own snapshot: clones share the line array `Arc`.
-    type Snap = SetAssocCache;
-
-    fn snapshot(&self) -> SetAssocCache {
-        self.clone()
-    }
-
-    fn restore(&mut self, snap: &SetAssocCache) {
-        self.lines = Arc::clone(&snap.lines);
-        self.tick = snap.tick;
-    }
-
-    fn fork(&self) -> SetAssocCache {
-        self.clone()
     }
 }
 

@@ -30,7 +30,6 @@ pub mod error;
 pub mod hash;
 pub mod par;
 pub mod rng;
-pub mod snapshot;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -40,6 +39,5 @@ pub use config::SystemConfig;
 pub use engine::{BackendStats, MemRequest, MemResponse, MemoryBackend, ReqKind, RowBufferKind};
 pub use error::{Error, Result};
 pub use rng::SimRng;
-pub use snapshot::Snapshot;
 pub use time::{Cycles, Nanos};
 pub use trace::{TraceEvent, TraceHeader, TraceReader, TraceSummary, TraceWriter, TracingBackend};

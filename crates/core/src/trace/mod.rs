@@ -57,7 +57,6 @@ use crate::addr::PhysAddr;
 use crate::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
 use crate::error::Result;
 use crate::hash::{fnv1a_u64, FNV_OFFSET};
-use crate::snapshot::Snapshot;
 use crate::time::Cycles;
 
 pub use codec::{
@@ -157,24 +156,6 @@ impl<B: core::fmt::Debug> core::fmt::Debug for TracingBackend<B> {
             .field("events", &self.events)
             .field("responses", &self.responses)
             .finish()
-    }
-}
-
-/// Clones the inner backend, log and counters. A spill sink is *not*
-/// cloned — the clone records to its in-memory log — because two writers
-/// cannot share one output stream.
-impl<B: Clone> Clone for TracingBackend<B> {
-    fn clone(&self) -> TracingBackend<B> {
-        TracingBackend {
-            inner: self.inner.clone(),
-            log: self.log.clone(),
-            spill: None,
-            spill_error: self.spill_error.clone(),
-            events: self.events,
-            responses: self.responses,
-            injects: self.injects,
-            digest: self.digest,
-        }
     }
 }
 
@@ -363,138 +344,6 @@ impl<B: MemoryBackend> TracingBackend<B> {
     }
 }
 
-/// Snapshot of a tracing proxy: an inner-backend snapshot plus the
-/// recording position (log length, event/response counters, running
-/// digest). The log itself is *not* copied — restoring truncates the live
-/// log back to the recorded length, which is why a snapshot can only be
-/// restored onto the backend it was taken from (or one of its forks whose
-/// log still extends the snapshot's prefix).
-///
-/// Generic over the inner snapshot type `S` so the same shape serves both
-/// the statically-typed [`Snapshot`] implementation and type-erased
-/// backend snapshots built via [`TracingBackend::snap_with`].
-#[derive(Debug, Clone)]
-pub struct TraceSnap<S> {
-    inner: S,
-    log_len: usize,
-    events: u64,
-    responses: u64,
-    injects: u64,
-    digest: u64,
-}
-
-impl<S> TraceSnap<S> {
-    /// The wrapped inner-backend snapshot.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<B> TracingBackend<B> {
-    /// True when snapshot/fork is sound: spill mode streams events to an
-    /// external sink that can be neither rewound nor shared, so a spilling
-    /// proxy refuses to snapshot.
-    #[must_use]
-    pub fn supports_snapshot(&self) -> bool {
-        self.spill.is_none()
-    }
-
-    fn assert_snapshot_supported(&self, op: &str) {
-        assert!(
-            self.supports_snapshot(),
-            "cannot {op} a spilling TracingBackend: the spill stream \
-             cannot be rewound or shared (finish_spill first)"
-        );
-    }
-
-    /// Builds a [`TraceSnap`] around a caller-provided inner snapshot —
-    /// the type-erased sibling of [`Snapshot::snapshot`], used where the
-    /// inner backend is only known through an object-safe snapshot hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics in spill mode (see [`TracingBackend::supports_snapshot`]).
-    #[must_use]
-    pub fn snap_with<S>(&self, inner: S) -> TraceSnap<S> {
-        self.assert_snapshot_supported("snapshot");
-        TraceSnap {
-            inner,
-            log_len: self.log.len(),
-            events: self.events,
-            responses: self.responses,
-            injects: self.injects,
-            digest: self.digest,
-        }
-    }
-
-    /// Rewinds the proxy's own recording state (log, counters, digest) to
-    /// `snap` and hands back the inner snapshot for the caller to restore
-    /// into the inner backend — the type-erased sibling of
-    /// [`Snapshot::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics in spill mode, and if the live log is shorter than the
-    /// snapshot's (the snapshot then cannot describe this proxy's past).
-    pub fn rewind_with<'s, S>(&mut self, snap: &'s TraceSnap<S>) -> &'s S {
-        self.assert_snapshot_supported("restore");
-        assert!(
-            self.log.len() >= snap.log_len,
-            "trace snapshot does not describe this backend's past \
-             (log has {} events, snapshot recorded {})",
-            self.log.len(),
-            snap.log_len
-        );
-        self.log.truncate(snap.log_len);
-        self.events = snap.events;
-        self.responses = snap.responses;
-        self.injects = snap.injects;
-        self.digest = snap.digest;
-        &snap.inner
-    }
-
-    /// Builds a forked proxy around a caller-provided forked inner
-    /// backend, cloning the log and counters — the type-erased sibling of
-    /// [`Snapshot::fork`]. The fork records to its own in-memory log (the
-    /// log clone is O(events), not copy-on-write).
-    ///
-    /// # Panics
-    ///
-    /// Panics in spill mode.
-    #[must_use]
-    pub fn fork_with<C>(&self, inner: C) -> TracingBackend<C> {
-        self.assert_snapshot_supported("fork");
-        TracingBackend {
-            inner,
-            log: self.log.clone(),
-            spill: None,
-            spill_error: self.spill_error.clone(),
-            events: self.events,
-            responses: self.responses,
-            injects: self.injects,
-            digest: self.digest,
-        }
-    }
-}
-
-impl<B: Snapshot> Snapshot for TracingBackend<B> {
-    type Snap = TraceSnap<B::Snap>;
-
-    fn snapshot(&self) -> TraceSnap<B::Snap> {
-        self.snap_with(self.inner.snapshot())
-    }
-
-    fn restore(&mut self, snap: &TraceSnap<B::Snap>) {
-        let inner = self.rewind_with(snap);
-        self.inner.restore(inner);
-    }
-
-    fn fork(&self) -> TracingBackend<B> {
-        self.fork_with(self.inner.fork())
-    }
-}
-
 impl<B: MemoryBackend> MemoryBackend for TracingBackend<B> {
     fn service(&mut self, req: &MemRequest) -> Result<MemResponse> {
         // A deferred spill error is sticky: every later call fails with it
@@ -583,7 +432,17 @@ fn dispatch_event<B: MemoryBackend>(
             row,
             at,
             actor,
-        } => backend.inject_row_activation(*bank, *row, *at, *actor),
+        } => {
+            // A decoded bank is untrusted input; backends index their bank
+            // arrays with it directly.
+            let banks = backend.num_banks();
+            if *bank >= banks {
+                return Err(crate::error::Error::TraceFormat(format!(
+                    "inject event targets bank {bank} of a {banks}-bank device"
+                )));
+            }
+            backend.inject_row_activation(*bank, *row, *at, *actor);
+        }
     }
     Ok(())
 }
@@ -951,6 +810,21 @@ mod tests {
     }
 
     #[test]
+    fn replay_rejects_injects_on_missing_banks() {
+        use crate::error::Error;
+        let log = [TraceEvent::Inject {
+            bank: 4,
+            row: 0,
+            at: Cycles(0),
+            actor: 0,
+        }];
+        assert!(matches!(
+            replay(&log, &mut MiniBank::default()),
+            Err(Error::TraceFormat(msg)) if msg == "inject event targets bank 4 of a 4-bank device"
+        ));
+    }
+
+    #[test]
     fn replay_digest_matches_recording_digest() {
         let mut traced = TracingBackend::new(MiniBank::default());
         let rs = reqs();
@@ -965,18 +839,5 @@ mod tests {
         assert_eq!(responses, 32);
         assert_eq!(digest, traced.response_digest());
         assert_eq!(fresh.backend_stats(), traced.backend_stats());
-    }
-
-    #[test]
-    fn clones_drop_the_spill_sink_but_keep_counters() {
-        let buf = SharedBuf::default();
-        let mut spilled = TracingBackend::new(MiniBank::default());
-        let writer = TraceWriter::new(Box::new(buf) as Box<dyn Write + Send>, &header()).unwrap();
-        spilled.spill_to(writer).unwrap();
-        spilled.service(&reqs()[0]).unwrap();
-        let clone = spilled.clone();
-        assert!(!clone.is_spilling());
-        assert_eq!(clone.recorded_ops(), 1);
-        assert_eq!(clone.response_digest(), spilled.response_digest());
     }
 }

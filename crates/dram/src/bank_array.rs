@@ -15,15 +15,14 @@
 //! digest layout bit-identical to the array-of-structs representation, so
 //! `dram_state_digest()` and the trace-footer codec are unchanged.
 //!
-//! The columns live behind one `Arc` so the whole array snapshots and
-//! forks in O(1) ([`Snapshot`]): clones share the storage and the first
-//! mutation on either side copies it (`Arc::make_mut`), which is what
-//! makes warmed-engine forks cheap. Uniquely-owned arrays pay only an
-//! atomic refcount check per mutating call.
+//! The columns live behind one `Arc` so the whole array forks in O(1):
+//! clones share the storage and the first mutation on either side copies
+//! it (`Arc::make_mut`), which is what makes warmed-engine forks cheap.
+//! Uniquely-owned arrays pay only an atomic refcount check per mutating
+//! call.
 
 use std::sync::Arc;
 
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 
 use crate::bank::{AccessOutcome, Bank, BankCursor, BankStats, RowBufferKind};
@@ -31,7 +30,7 @@ use crate::policy::RowPolicy;
 use crate::timing::ResolvedTiming;
 
 /// The parallel flat arrays, one per bank field; shared copy-on-write
-/// between a [`BankArray`] and its snapshots/forks.
+/// between a [`BankArray`] and its clones.
 #[derive(Debug, Clone)]
 struct BankColumns {
     open_row: Vec<u64>,
@@ -73,8 +72,8 @@ impl BankArray {
         }
     }
 
-    /// The columns for mutation: copies the storage first if a snapshot
-    /// or fork still shares it.
+    /// The columns for mutation: copies the storage first if a clone
+    /// still shares it.
     #[inline]
     fn cols_mut(&mut self) -> &mut BankColumns {
         // analyze::allow(cow-aliasing): sole accessor-path unshare point
@@ -312,23 +311,6 @@ impl BankArray {
     }
 }
 
-impl Snapshot for BankArray {
-    /// The array is its own snapshot: clones share the columns `Arc`.
-    type Snap = BankArray;
-
-    fn snapshot(&self) -> BankArray {
-        self.clone()
-    }
-
-    fn restore(&mut self, snap: &BankArray) {
-        self.cols = Arc::clone(&snap.cols);
-    }
-
-    fn fork(&self) -> BankArray {
-        self.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,18 +412,17 @@ mod tests {
         assert_eq!(other.load(0), BankCursor::new());
     }
 
-    /// Snapshot/fork share storage until written: a child's writes never
-    /// reach the parent, restore rewinds exactly to the captured state.
+    /// Clones share storage until written: a child's writes never reach
+    /// the parent.
     #[test]
-    fn cow_fork_isolates_and_restore_rewinds() {
+    fn cow_fork_isolates() {
         let t = timing();
         let p = RowPolicy::open_page();
         let mut parent = BankArray::new(4);
         parent.access(0, 5, Cycles(0), 1, &t, p);
-        let snap = Snapshot::snapshot(&parent);
         let parent_digest = parent.fold_state(0, FNV_OFFSET);
 
-        let mut child = parent.fork();
+        let mut child = parent.clone();
         child.access(0, 9, Cycles(100), 2, &t, p);
         child.access(1, 3, Cycles(100), 2, &t, p);
         assert_eq!(
@@ -450,11 +431,6 @@ mod tests {
             "child write leaked into parent"
         );
         assert_ne!(child.fold_state(0, FNV_OFFSET), parent_digest);
-
-        parent.access(0, 7, Cycles(200), 1, &t, p);
-        parent.restore(&snap);
-        assert_eq!(parent.fold_state(0, FNV_OFFSET), parent_digest);
-        assert_eq!(parent.total_stats(), snap.total_stats());
     }
 
     #[test]

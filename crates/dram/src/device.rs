@@ -1,7 +1,6 @@
 //! Whole-device DRAM model: a collection of independently timed banks.
 
 use impact_core::config::{DramGeometry, SystemConfig};
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 
 use crate::bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
@@ -204,36 +203,6 @@ impl DramDevice {
     /// Resets every bank (state and statistics).
     pub fn reset(&mut self) {
         self.banks.reset();
-    }
-}
-
-/// Captured [`DramDevice`] state: the mutable parts only (bank array
-/// shared copy-on-write, plus the row policy defenses may switch).
-/// Geometry and timing are construction-time constants.
-#[derive(Debug, Clone)]
-pub struct DramSnap {
-    policy: RowPolicy,
-    banks: BankArray,
-}
-
-impl Snapshot for DramDevice {
-    type Snap = DramSnap;
-
-    fn snapshot(&self) -> DramSnap {
-        DramSnap {
-            policy: self.policy,
-            banks: self.banks.snapshot(),
-        }
-    }
-
-    fn restore(&mut self, snap: &DramSnap) {
-        self.policy = snap.policy;
-        self.banks.restore(&snap.banks);
-    }
-
-    fn fork(&self) -> DramDevice {
-        // All fields are either `Copy` config or the CoW bank array.
-        self.clone()
     }
 }
 

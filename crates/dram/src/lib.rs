@@ -51,7 +51,7 @@ pub mod timing;
 
 pub use bank::{AccessOutcome, Bank, BankCursor, BankStats, RowBufferKind};
 pub use bank_array::BankArray;
-pub use device::{DramDevice, DramSnap};
+pub use device::DramDevice;
 pub use mapping::{AddressMapping, BankInterleavedXor, RowInterleaved};
 pub use policy::RowPolicy;
 pub use timing::ResolvedTiming;

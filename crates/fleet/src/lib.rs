@@ -25,7 +25,7 @@
 //!
 //! Per-session setup is O(metadata): one warm parent per profile is
 //! built and calibrated, then every session forks it
-//! ([`impact_core::snapshot::Snapshot::fork`]). All fleet telemetry
+//! ([`impact_sim::Engine::fork`]). All fleet telemetry
 //! routes through `impact-obs` (`fleet.*` metrics) and is excluded from
 //! the determinism contract. Each epoch is one [`ordered_map`] call, the
 //! workspace's one parallel primitive; this crate spawns no threads of
@@ -568,6 +568,21 @@ mod tests {
         assert!(matches!(
             fleet.admit_trace(&Arc::new(out_of_range), &noiseless, 4),
             Err(impact_core::Error::AddressOutOfRange { .. })
+        ));
+        let mut bad_bank = (*tiny_trace()).clone();
+        bad_bank.events.insert(
+            0,
+            TraceEvent::Inject {
+                bank: 16,
+                row: 0,
+                at: Cycles(0),
+                actor: 0,
+            },
+        );
+        assert!(matches!(
+            fleet.admit_trace(&Arc::new(bad_bank), &noiseless, 4),
+            Err(impact_core::Error::TraceFormat(msg))
+                if msg == "inject event targets bank 16 of a 16-bank device"
         ));
         assert!(matches!(
             fleet.admit_trace(&tiny_trace(), &SystemConfig::paper_table2(), 4),

@@ -8,8 +8,8 @@
 //! [`CapturedTrace`] prefix through a fresh controller via the trace
 //! codec's event dispatcher.
 //!
-//! Both are built by forking a warmed parent ([`Engine::fork`] /
-//! controller fork), so per-session setup is O(metadata), and both step
+//! Both are built by forking a warmed parent (`Engine::fork` / a
+//! controller clone), so per-session setup is O(metadata), and both step
 //! in fixed budgets so the scheduler can interleave thousands of them.
 //! A session's result depends only on (parent state, spec); it never
 //! observes which worker ran it or when.
@@ -20,7 +20,6 @@ use impact_core::addr::VirtAddr;
 use impact_core::config::SystemConfig;
 use impact_core::hash::fnv1a_u64;
 use impact_core::rng::SimRng;
-use impact_core::snapshot::Snapshot;
 use impact_core::time::{Clock, Cycles};
 use impact_core::trace::{fold_response, replay_events, DIGEST_INIT};
 use impact_memctrl::{ActConfig, Defense, MemoryController};
@@ -355,7 +354,7 @@ impl TraceSession {
     ) -> Self {
         let prefix = prefix.min(trace.events.len());
         TraceSession {
-            backend: parent.fork(),
+            backend: parent.clone(),
             trace,
             clock,
             prefix,

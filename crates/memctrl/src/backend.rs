@@ -8,27 +8,12 @@
 use impact_core::addr::PhysAddr;
 use impact_core::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
 use impact_core::error::Result;
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
-use impact_core::trace::{TraceSnap, TracingBackend};
+use impact_core::trace::TracingBackend;
 use impact_dram::{BankStats, RowPolicy};
 
-use crate::controller::{CtrlSnap, MemoryController, PeriodicBlock};
+use crate::controller::{MemoryController, PeriodicBlock};
 use crate::defense::Defense;
-
-/// Type-erased backend snapshot: the object-safe currency of
-/// [`ControllerBackend::state_snapshot`] /
-/// [`ControllerBackend::state_restore`], so `Box<dyn ControllerBackend>`
-/// (the runtime-selected backend every experiment runs on) snapshots and
-/// forks exactly like a statically-typed backend. The `Traced` variant
-/// nests recursively: a tracing proxy wraps its inner backend's snapshot.
-#[derive(Debug, Clone)]
-pub enum BackendSnap {
-    /// Snapshot of a monolithic [`MemoryController`].
-    Mono(CtrlSnap),
-    /// Snapshot of a [`TracingBackend`] around any controller backend.
-    Traced(Box<TraceSnap<BackendSnap>>),
-}
 
 impl MemoryBackend for MemoryController {
     fn service(&mut self, req: &MemRequest) -> Result<MemResponse> {
@@ -123,24 +108,9 @@ pub trait ControllerBackend: MemoryBackend {
     /// check `trace_replay` runs after re-servicing a recorded trace.
     fn dram_state_digest(&self) -> u64;
 
-    /// Object-safe [`Snapshot::snapshot`]: captures the backend's
-    /// observable state as a type-erased [`BackendSnap`].
-    fn state_snapshot(&self) -> BackendSnap;
-
-    /// Object-safe [`Snapshot::restore`]: rewinds the backend to `snap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `snap` came from a different backend kind or topology.
-    fn state_restore(&mut self, snap: &BackendSnap);
-
-    /// Object-safe [`Snapshot::fork`]: a copy-on-write duplicate behind a
-    /// fresh box, sharing bulk state with `self` until either side writes.
-    fn fork_boxed(&self) -> Box<dyn ControllerBackend>;
-
     /// Scheduling diagnostics `(parallel_batches, sequential_fallbacks)`.
     /// Always `(0, 0)`: no backend dispatches batches to a worker pool.
-    /// Like all telemetry it never enters [`BackendStats`], snapshots or
+    /// Like all telemetry it never enters [`BackendStats`], forks or
     /// trace footers.
     fn scheduling_counts(&self) -> (u64, u64) {
         (0, 0)
@@ -175,21 +145,6 @@ impl ControllerBackend for MemoryController {
         }
         hash
     }
-
-    fn state_snapshot(&self) -> BackendSnap {
-        BackendSnap::Mono(self.snapshot())
-    }
-
-    fn state_restore(&mut self, snap: &BackendSnap) {
-        match snap {
-            BackendSnap::Mono(s) => self.restore(s),
-            _ => panic!("backend snapshot kind mismatch: expected Mono"),
-        }
-    }
-
-    fn fork_boxed(&self) -> Box<dyn ControllerBackend> {
-        Box::new(Snapshot::fork(self))
-    }
 }
 
 impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
@@ -216,27 +171,6 @@ impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
     fn dram_state_digest(&self) -> u64 {
         self.inner().dram_state_digest()
     }
-
-    fn state_snapshot(&self) -> BackendSnap {
-        BackendSnap::Traced(Box::new(self.snap_with(self.inner().state_snapshot())))
-    }
-
-    fn state_restore(&mut self, snap: &BackendSnap) {
-        match snap {
-            BackendSnap::Traced(t) => {
-                let inner_snap = self.rewind_with(t);
-                self.inner_mut().state_restore(inner_snap);
-            }
-            _ => panic!("backend snapshot kind mismatch: expected Traced"),
-        }
-    }
-
-    fn fork_boxed(&self) -> Box<dyn ControllerBackend> {
-        // The fork's inner backend is type-erased, so the forked proxy is
-        // a `TracingBackend<Box<dyn ControllerBackend>>` — observationally
-        // identical to the original.
-        Box::new(self.fork_with(self.inner().fork_boxed()))
-    }
 }
 
 impl<B: ControllerBackend + ?Sized> ControllerBackend for Box<B> {
@@ -262,38 +196,6 @@ impl<B: ControllerBackend + ?Sized> ControllerBackend for Box<B> {
 
     fn dram_state_digest(&self) -> u64 {
         (**self).dram_state_digest()
-    }
-
-    fn state_snapshot(&self) -> BackendSnap {
-        (**self).state_snapshot()
-    }
-
-    fn state_restore(&mut self, snap: &BackendSnap) {
-        (**self).state_restore(snap);
-    }
-
-    fn fork_boxed(&self) -> Box<dyn ControllerBackend> {
-        (**self).fork_boxed()
-    }
-}
-
-/// `Box<dyn ControllerBackend>` — the runtime-selected backend every
-/// experiment runs on — snapshots through the object-safe hooks, so
-/// `Engine<Box<dyn ControllerBackend>>` forks like any statically-typed
-/// engine.
-impl Snapshot for Box<dyn ControllerBackend> {
-    type Snap = BackendSnap;
-
-    fn snapshot(&self) -> BackendSnap {
-        (**self).state_snapshot()
-    }
-
-    fn restore(&mut self, snap: &BackendSnap) {
-        (**self).state_restore(snap);
-    }
-
-    fn fork(&self) -> Box<dyn ControllerBackend> {
-        (**self).fork_boxed()
     }
 }
 

@@ -6,9 +6,8 @@ use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
 use impact_core::engine::{MemRequest, MemResponse, ReqKind};
 use impact_core::error::{Error, Result};
-use impact_core::snapshot::Snapshot;
 use impact_core::time::{Clock, Cycles};
-use impact_dram::{AddressMapping, DramDevice, DramSnap, RowBufferKind, RowInterleaved, RowPolicy};
+use impact_dram::{AddressMapping, DramDevice, RowBufferKind, RowInterleaved, RowPolicy};
 
 use crate::defense::{ActBankState, ActConfig, Defense};
 
@@ -18,9 +17,9 @@ pub use impact_core::engine::BackendStats as CtrlStats;
 
 /// Telemetry probe for the controller's copy-on-write write-backs:
 /// records a `ctrl.cow.unshares` event when the `Arc::make_mut` the
-/// caller is about to perform will actually clone — i.e. a snapshot or
-/// fork still aliases the state. Pure observation; the unshare itself
-/// stays at the call site with its own aliasing justification.
+/// caller is about to perform will actually clone — i.e. a fork still
+/// aliases the state. Pure observation; the unshare itself stays at the
+/// call site with its own aliasing justification.
 #[inline]
 fn note_unshare<T>(arc: &Arc<T>) {
     if Arc::strong_count(arc) > 1 {
@@ -137,10 +136,10 @@ struct BatchScratch {
 /// The memory controller: address mapping + DRAM device + defenses.
 ///
 /// The per-bank defense arrays (`act_state`, `block_epoch`) live behind
-/// [`Arc`]s so [`Snapshot::snapshot`] / [`Snapshot::fork`] are O(metadata)
-/// at any bank count: copies share the arrays until the first mutation
-/// (`Arc::make_mut`), exactly like the DRAM bank columns underneath.
-// analyze::allow(cow-aliasing): snapshot/fork sharing; every mutation goes
+/// [`Arc`]s so [`Clone`] — the fork — is O(metadata) at any bank count:
+/// copies share the arrays until the first mutation (`Arc::make_mut`),
+/// exactly like the DRAM bank columns underneath.
+// analyze::allow(cow-aliasing): fork sharing; every mutation goes
 // through Arc::make_mut
 pub struct MemoryController {
     dram: DramDevice,
@@ -734,48 +733,13 @@ impl MemoryController {
     }
 }
 
-/// Snapshot of a [`MemoryController`]: the DRAM state (copy-on-write),
-/// the defense configuration and its per-bank arrays (shared `Arc`s), the
-/// periodic-blocking setup and the statistics. The address mapping,
-/// front-end overhead and clock are construction constants and are not
-/// captured; the batch scratch buffers are non-observable and reset on
-/// restore targets as needed.
-#[derive(Debug, Clone)]
-pub struct CtrlSnap {
-    dram: DramSnap,
-    defense: Defense,
-    act_state: Arc<Vec<ActBankState>>,
-    blocking: Option<PeriodicBlock>,
-    block_epoch: Arc<Vec<u64>>,
-    stats: CtrlStats,
-}
-
-impl Snapshot for MemoryController {
-    type Snap = CtrlSnap;
-
-    fn snapshot(&self) -> CtrlSnap {
-        CtrlSnap {
-            dram: self.dram.snapshot(),
-            defense: self.defense.clone(),
-            act_state: Arc::clone(&self.act_state),
-            blocking: self.blocking,
-            block_epoch: Arc::clone(&self.block_epoch),
-            stats: self.stats.clone(),
-        }
-    }
-
-    fn restore(&mut self, snap: &CtrlSnap) {
-        self.dram.restore(&snap.dram);
-        self.defense = snap.defense.clone();
-        self.act_state = Arc::clone(&snap.act_state);
-        self.blocking = snap.blocking;
-        self.block_epoch = Arc::clone(&snap.block_epoch);
-        self.stats = snap.stats.clone();
-    }
-
-    fn fork(&self) -> MemoryController {
+/// The fork: the DRAM bank columns and the per-bank defense arrays are
+/// shared copy-on-write, the mapping is re-boxed, and the batch scratch
+/// buffers start empty (they hold no observable state).
+impl Clone for MemoryController {
+    fn clone(&self) -> MemoryController {
         MemoryController {
-            dram: self.dram.fork(),
+            dram: self.dram.clone(),
             mapping: self.mapping.clone_box(),
             overhead: self.overhead,
             clock: self.clock,

@@ -30,8 +30,6 @@ pub mod backend;
 pub mod controller;
 pub mod defense;
 
-pub use backend::{BackendSnap, ControllerBackend};
-pub use controller::{
-    CtrlSnap, CtrlStats, MemAccess, MemoryController, PeriodicBlock, RowCloneOutcome,
-};
+pub use backend::ControllerBackend;
+pub use controller::{CtrlStats, MemAccess, MemoryController, PeriodicBlock, RowCloneOutcome};
 pub use defense::{ActConfig, Defense, MprPartition};

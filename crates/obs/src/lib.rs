@@ -11,8 +11,8 @@
 //!
 //! * nothing here is read back by simulation code — values flow one way,
 //!   from instrumentation sites into [`snapshot`];
-//! * engine snapshots and forks never capture registry state (it is
-//!   global, not a field of any snapshotted struct);
+//! * engine forks never capture registry state (it is global, not a
+//!   field of any forked struct);
 //! * the host clock is only consulted by [`Histogram::span`], and only
 //!   while [`enabled`] — with telemetry disabled (the default) no
 //!   instrumented code path reads time at all.
@@ -275,12 +275,10 @@ pub struct Registry {
     /// working.
     pub ctrl_dense_segments: Counter,
     /// `ctrl.cow.unshares` — copy-on-write write-backs that found their
-    /// slab still shared with a snapshot and had to clone it.
+    /// slab still shared with a fork and had to clone it.
     pub cow_unshares: Counter,
     /// `engine.forks` — copy-on-write engine forks.
     pub engine_forks: Counter,
-    /// `engine.snapshots` — full engine snapshots taken.
-    pub engine_snapshots: Counter,
     /// `sweep.experiment.wall_ns` — wall-clock per experiment job in
     /// `SweepRunner::run_all` (span; empty unless [`enabled`]).
     pub experiment_wall_ns: Histogram,
@@ -306,7 +304,6 @@ impl Registry {
             ctrl_dense_segments: Counter::new(),
             cow_unshares: Counter::new(),
             engine_forks: Counter::new(),
-            engine_snapshots: Counter::new(),
             experiment_wall_ns: Histogram::new(),
             fleet_sessions_started: Counter::new(),
             fleet_sessions_finished: Counter::new(),
@@ -317,14 +314,13 @@ impl Registry {
     }
 
     /// `(name, metric)` view of every counter, in name order.
-    fn counters(&self) -> [(&'static str, &Counter); 9] {
+    fn counters(&self) -> [(&'static str, &Counter); 8] {
         [
             ("ctrl.cow.unshares", &self.cow_unshares),
             ("ctrl.segments.dense", &self.ctrl_dense_segments),
             ("ctrl.segments.serial", &self.ctrl_serial_segments),
             ("ctrl.segments.sparse", &self.ctrl_sparse_segments),
             ("engine.forks", &self.engine_forks),
-            ("engine.snapshots", &self.engine_snapshots),
             ("fleet.epochs", &self.fleet_epochs),
             ("fleet.sessions.finished", &self.fleet_sessions_finished),
             ("fleet.sessions.started", &self.fleet_sessions_started),

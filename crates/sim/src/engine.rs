@@ -12,7 +12,6 @@ use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::SystemConfig;
 use impact_core::engine::{MemRequest, MemoryBackend};
 use impact_core::error::Result;
-use impact_core::snapshot::Snapshot;
 use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
 use impact_pim::pei::{ExecSite, PeiEngine};
@@ -849,103 +848,31 @@ impl<B: MemoryBackend> Engine<B> {
     }
 }
 
-/// A point-in-time image of an entire [`Engine`], generic over the
-/// backend's own snapshot type `S` (`B::Snap` for the engine's backend
-/// `B`).
-///
-/// Every field of [`Engine`] is represented here: the bulk state (bank
-/// columns, cache tag arrays, page-table radixes, controller ACT/blocking
-/// tables) is shared with the live engine through `Arc`s inside the cloned
-/// components, so capturing — and holding — a snapshot is O(metadata), not
-/// O(state). The CI `impact-analyze` invariant pass checks this struct and
-/// [`Engine::snapshot`] stay in sync with the `Engine` field list.
-#[derive(Debug, Clone)]
-pub struct EngineSnapshot<S> {
-    cfg: SystemConfig,
-    params: SimParams,
-    caches: CacheHierarchy,
-    backend: S,
-    pei: PeiEngine,
-    rc: RowCloneEngine,
-    noise: NoiseInjector,
-    ip_prefetcher: IpStridePrefetcher,
-    streamer: StreamerPrefetcher,
-    prefetchers_enabled: bool,
-    clocks: Vec<Cycles>,
-    tlbs: Vec<Tlb>,
-    page_tables: Vec<PageTable>,
-    alloc: FrameAllocator,
-}
-
-impl<S> EngineSnapshot<S> {
-    /// The configuration the snapshotted engine was built with.
+/// Forking: every layer above memory (caches, TLBs, page tables, clocks,
+/// prefetchers, noise RNG, PMU monitor) plus the backend, copied through
+/// `Clone`. The bulk state (bank columns, cache tag arrays, page-table
+/// radixes, controller ACT/blocking tables) sits behind `Arc`s inside
+/// those components, so a fork is O(metadata) and each side copies an
+/// array only when it first writes it. The fleet warms one engine and
+/// forks it per session. `Engine` does not implement `Clone`: `fork` is
+/// the one way to copy an engine, so every copy counts in `engine.forks`.
+/// The CI `impact-analyze` invariant pass checks that [`Engine::fork`]
+/// names every `Engine` field.
+impl<B: MemoryBackend + Clone> Engine<B> {
+    /// An independent copy sharing bulk state copy-on-write. It behaves
+    /// bit-identically to a from-scratch engine driven through the
+    /// parent's history; writes on either side are invisible to the
+    /// other.
     #[must_use]
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// The backend component of the snapshot.
-    #[must_use]
-    pub fn backend(&self) -> &S {
-        &self.backend
-    }
-}
-
-/// Whole-system snapshots: every layer above memory (caches, TLBs, page
-/// tables, clocks, prefetchers, noise RNG, PMU monitor) plus the backend's
-/// own snapshot. `fork` is the sweep-runner primitive: warm one engine
-/// through the expensive common prefix, then fork a cheap copy-on-write
-/// child per sweep point.
-impl<B: MemoryBackend + Snapshot> Snapshot for Engine<B> {
-    type Snap = EngineSnapshot<B::Snap>;
-
-    fn snapshot(&self) -> EngineSnapshot<B::Snap> {
-        // Telemetry event only — the snapshot itself carries no
-        // telemetry state (the obs registry is process-global and never
-        // an engine field).
-        impact_obs::registry().engine_snapshots.incr();
-        EngineSnapshot {
-            cfg: self.cfg.clone(),
-            params: self.params,
-            caches: self.caches.snapshot(),
-            backend: self.backend.snapshot(),
-            pei: self.pei.clone(),
-            rc: self.rc,
-            noise: self.noise.clone(),
-            ip_prefetcher: self.ip_prefetcher.clone(),
-            streamer: self.streamer.clone(),
-            prefetchers_enabled: self.prefetchers_enabled,
-            clocks: self.clocks.clone(),
-            tlbs: self.tlbs.clone(),
-            page_tables: self.page_tables.clone(),
-            alloc: self.alloc.clone(),
-        }
-    }
-
-    fn restore(&mut self, snap: &EngineSnapshot<B::Snap>) {
-        self.cfg = snap.cfg.clone();
-        self.params = snap.params;
-        self.caches.restore(&snap.caches);
-        self.backend.restore(&snap.backend);
-        self.pei = snap.pei.clone();
-        self.rc = snap.rc;
-        self.noise = snap.noise.clone();
-        self.ip_prefetcher = snap.ip_prefetcher.clone();
-        self.streamer = snap.streamer.clone();
-        self.prefetchers_enabled = snap.prefetchers_enabled;
-        self.clocks = snap.clocks.clone();
-        self.tlbs = snap.tlbs.clone();
-        self.page_tables = snap.page_tables.clone();
-        self.alloc = snap.alloc.clone();
-    }
-
-    fn fork(&self) -> Engine<B> {
+    pub fn fork(&self) -> Engine<B> {
+        // Telemetry event only — the fork carries no telemetry state (the
+        // obs registry is process-global and never an engine field).
         impact_obs::registry().engine_forks.incr();
         Engine {
             cfg: self.cfg.clone(),
             params: self.params,
-            caches: self.caches.fork(),
-            backend: self.backend.fork(),
+            caches: self.caches.clone(),
+            backend: self.backend.clone(),
             pei: self.pei.clone(),
             rc: self.rc,
             noise: self.noise.clone(),

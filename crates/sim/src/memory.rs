@@ -32,10 +32,10 @@ const PT_LEAF_LEN: usize = 1 << PT_LEAF_BITS;
 /// `0` marking an unmapped slot, so a leaf is a dense `u64` array.
 ///
 /// The radix sits behind an `Arc` so cloning a page table — the unit of
-/// work in an engine snapshot or fork — shares the mapping until either
-/// side maps a new page. `translate` reads through the `Arc` unchanged;
-/// only `map_page` pays the copy, and only while the radix is shared.
-// analyze::allow(cow-aliasing): snapshot/fork sharing; every mutation goes
+/// work in an engine fork — shares the mapping until either side maps a
+/// new page. `translate` reads through the `Arc` unchanged; only
+/// `map_page` pays the copy, and only while the radix is shared.
+// analyze::allow(cow-aliasing): fork sharing; every mutation goes
 // through Arc::make_mut.
 #[derive(Debug, Default, Clone)]
 pub struct PageTable {

@@ -1,6 +1,6 @@
 //! Telemetry is outside the deterministic state machine: flipping the
 //! obs clocks on changes no figure byte and no recorded trace byte on
-//! any backend, and neither snapshots nor forks ever carry telemetry.
+//! any backend, and forks never carry telemetry.
 //!
 //! These tests deliberately share the process-global obs registry with
 //! every other test in this binary — the contract under test is exactly
@@ -11,7 +11,6 @@ use std::sync::{Arc, Mutex};
 
 use impact::core::config::SystemConfig;
 use impact::core::engine::{MemRequest, MemoryBackend};
-use impact::core::snapshot::Snapshot;
 use impact::core::time::Cycles;
 use impact::memctrl::MemoryController;
 use impact::sim::{BackendKind, System};
@@ -96,13 +95,12 @@ fn enabling_telemetry_changes_no_trace_byte() {
     }
 }
 
-/// Neither snapshots nor forks carry telemetry: the controller's
-/// `ctrl.segments.*` counters live in the process-global registry, so a
-/// snapshot/restore cycle rewinds the controller's replicated state but
-/// never the counter, a fork counts into the same registry, and engine
-/// fork/snapshot events land in the registry, never inside the snapshot
-/// itself. (Counters only move forward, and other tests in this binary
-/// service batches concurrently, hence the one-sided comparisons.)
+/// Forks carry no telemetry: the controller's `ctrl.segments.*`
+/// counters live in the process-global registry, so a fork counts into
+/// the same registry as its parent, and engine forks are registry
+/// *events*, never state inside the fork. (Counters only move forward,
+/// and other tests in this binary service batches concurrently, hence
+/// the one-sided comparisons.)
 #[test]
 fn snapshots_and_forks_carry_no_telemetry() {
     let cfg = SystemConfig::paper_table2();
@@ -116,38 +114,27 @@ fn snapshots_and_forks_carry_no_telemetry() {
             MemRequest::load(addr, Cycles(i * 500), 0)
         })
         .collect();
-    let snap = mc.snapshot();
+    let mut fork = mc.clone();
     let before = segments.get();
     MemoryBackend::service_batch(&mut mc, &reqs).unwrap();
     let served = segments.get();
     assert!(served > before, "the located segment must be counted");
     assert_eq!(mc.stats().accesses, 512);
 
-    // Restoring replicated state rewinds the controller but not the
-    // telemetry counter...
-    mc.restore(&snap);
-    assert_eq!(mc.stats().accesses, 0, "restore rewinds replicated state");
-    assert!(
-        segments.get() >= served,
-        "restore must not rewind telemetry"
-    );
-
-    // ...and a fork counts into the same global registry.
-    let mut fork = mc.fork();
+    // The fork's replicated state is its own; its segments count into
+    // the same global registry.
+    assert_eq!(fork.stats().accesses, 0, "a fork never sees parent traffic");
     MemoryBackend::service_batch(&mut fork, &reqs).unwrap();
     assert!(segments.get() > served, "a fork's segments are counted too");
 
-    // Engine forks/snapshots are obs *events*; the global registry only
-    // moves forward, so a restore cannot rewind it. (>= because other
-    // tests in this binary fork engines concurrently.)
-    let mut sys = System::new(cfg);
+    // Engine forks are obs *events*; the global registry only moves
+    // forward. (> rather than == because other tests in this binary fork
+    // engines concurrently.)
+    let sys = System::new(cfg);
     let before = impact::obs::registry().engine_forks.get();
-    let snap = sys.snapshot();
-    let child = sys.fork();
-    drop(child);
-    sys.restore(&snap);
+    drop(sys.fork());
     assert!(
         impact::obs::registry().engine_forks.get() > before,
-        "engine forks must be counted and never rolled back by restore"
+        "engine forks must be counted"
     );
 }

@@ -1,30 +1,29 @@
-//! The snapshot/fork equivalence layer: proof that copy-on-write engine
-//! forks are *observationally free*.
+//! The fork equivalence layer: proof that copy-on-write forks are
+//! *observationally free*.
 //!
-//! A fork shares its bulk state (bank SoA columns, cache tag arrays,
-//! radix page-table leaves, ACT bookkeeping) with its parent behind
-//! `Arc`s, and every mutation goes through `Arc::make_mut`. This suite
-//! pins the two properties the fleet's fork-per-session setup relies on:
+//! A fork (`MemoryController::clone`, `Engine::fork`) shares its bulk
+//! state (bank SoA columns, cache tag arrays, radix page-table leaves,
+//! ACT bookkeeping) with its parent behind `Arc`s, and every mutation
+//! goes through `Arc::make_mut`. This suite pins the two properties the
+//! fleet's fork-per-session setup relies on:
 //!
 //! * **fidelity** — a fork that resumes a request stream is bit-for-bit
 //!   equal to a from-scratch run of the whole stream (responses,
 //!   `BackendStats`, DRAM totals and state digest), across the defense
-//!   matrix {open, CTD, ACT, RFM} on the controller and behind the
-//!   tracing proxy, through fork-of-fork chains, and at the whole-`Engine`
-//!   level (caches, TLBs, page tables, clocks, allocator included);
+//!   matrix {open, CTD, ACT, RFM} on the controller, through fork-of-fork
+//!   chains, and at the whole-`Engine` level (caches, TLBs, page tables,
+//!   clocks, allocator included);
 //! * **isolation** — writes on a fork never reach the parent (and vice
-//!   versa), and `restore` rewinds a mutated engine to its snapshot
-//!   bit-exactly.
+//!   versa).
 
 use proptest::prelude::*;
 
 use impact::core::addr::PhysAddr;
 use impact::core::config::SystemConfig;
 use impact::core::engine::MemRequest;
+use impact::core::engine::MemoryBackend;
 use impact::core::rng::SimRng;
-use impact::core::snapshot::Snapshot;
 use impact::core::time::Cycles;
-use impact::core::trace::TracingBackend;
 use impact::memctrl::{ActConfig, ControllerBackend, Defense, MemoryController, PeriodicBlock};
 use impact::sim::{AgentId, System};
 
@@ -64,25 +63,16 @@ fn stream(n: u64, seed: u64) -> Vec<MemRequest> {
         .collect()
 }
 
-/// One backend of the swept matrix, boxed for uniform handling: the
-/// controller itself, or the tracing proxy around it.
-fn make_backend(traced: bool) -> Box<dyn ControllerBackend> {
-    let mc = MemoryController::from_config(&cfg());
-    if traced {
-        Box::new(TracingBackend::new(mc))
-    } else {
-        Box::new(mc)
-    }
-}
-
-/// Applies one entry of the swept defense matrix.
-fn apply_defense(backend: &mut dyn ControllerBackend, sel: usize) {
-    match sel {
+/// A fresh controller with one entry of the swept defense matrix applied.
+fn controller(defense_sel: usize) -> MemoryController {
+    let mut mc = MemoryController::from_config(&cfg());
+    match defense_sel {
         0 => {}
-        1 => backend.set_defense(Defense::Ctd),
-        2 => backend.set_defense(Defense::Act(ActConfig::aggressive())),
-        _ => backend.set_periodic_block(Some(PeriodicBlock::rfm_paper_default())),
+        1 => mc.set_defense(Defense::Ctd),
+        2 => mc.set_defense(Defense::Act(ActConfig::aggressive())),
+        _ => mc.set_periodic_block(Some(PeriodicBlock::rfm_paper_default())),
     }
+    mc
 }
 
 proptest! {
@@ -94,23 +84,20 @@ proptest! {
     fn fork_equals_scratch(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        traced in any::<bool>(),
         split_pct in 0usize..101,
     ) {
         let reqs = stream(72, seed);
         let split = reqs.len() * split_pct / 100;
 
-        let mut scratch = make_backend(traced);
-        let mut parent = make_backend(traced);
-        apply_defense(scratch.as_mut(), defense_sel);
-        apply_defense(parent.as_mut(), defense_sel);
+        let mut scratch = controller(defense_sel);
+        let mut parent = controller(defense_sel);
 
         scratch.service_batch(&reqs[..split]).expect("valid stream");
         let want = scratch.service_batch(&reqs[split..]).expect("valid stream");
 
         parent.service_batch(&reqs[..split]).expect("valid stream");
         let at_fork = parent.dram_state_digest();
-        let mut fork = parent.fork();
+        let mut fork = parent.clone();
         let got = fork.service_batch(&reqs[split..]).expect("valid stream");
 
         prop_assert_eq!(&want, &got, "forked responses diverged");
@@ -126,39 +113,6 @@ proptest! {
         prop_assert_eq!(parent.dram_state_digest(), fork.dram_state_digest());
     }
 
-    /// `snapshot`/`restore` rewinds a mutated backend to the capture
-    /// point bit-exactly: re-serving the suffix reproduces the first
-    /// pass, and restoring is idempotent over repeated rewinds.
-    #[test]
-    fn snapshot_restore_rewinds(
-        seed in 0u64..100_000,
-        defense_sel in 0usize..4,
-        traced in any::<bool>(),
-        split_pct in 0usize..101,
-    ) {
-        let reqs = stream(54, seed);
-        let split = reqs.len() * split_pct / 100;
-
-        let mut backend = make_backend(traced);
-        apply_defense(backend.as_mut(), defense_sel);
-        backend.service_batch(&reqs[..split]).expect("valid stream");
-        let snap = backend.snapshot();
-        let at_snap = backend.dram_state_digest();
-
-        let first = backend.service_batch(&reqs[split..]).expect("valid stream");
-        let end_digest = backend.dram_state_digest();
-        let end_stats = backend.backend_stats();
-
-        for _ in 0..2 {
-            backend.restore(&snap);
-            prop_assert_eq!(backend.dram_state_digest(), at_snap, "restore missed state");
-            let again = backend.service_batch(&reqs[split..]).expect("valid stream");
-            prop_assert_eq!(&first, &again, "rewound replay diverged");
-            prop_assert_eq!(backend.dram_state_digest(), end_digest);
-            prop_assert_eq!(backend.backend_stats(), end_stats.clone());
-        }
-    }
-
     /// Fork-of-fork chains: each chunk of the stream runs on a fresh fork
     /// of the previous generation, and the final generation is
     /// bit-identical to the uninterrupted run.
@@ -166,21 +120,18 @@ proptest! {
     fn fork_of_fork_chains(
         seed in 0u64..100_000,
         defense_sel in 0usize..4,
-        traced in any::<bool>(),
     ) {
         let reqs = stream(72, seed);
-        let mut scratch = make_backend(traced);
-        apply_defense(scratch.as_mut(), defense_sel);
+        let mut scratch = controller(defense_sel);
         let mut want = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(18) {
             want.extend(scratch.service_batch(chunk).expect("valid stream"));
         }
 
-        let mut cur = make_backend(traced);
-        apply_defense(cur.as_mut(), defense_sel);
+        let mut cur = controller(defense_sel);
         let mut got = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(18) {
-            let mut next = cur.fork();
+            let mut next = cur.clone();
             got.extend(next.service_batch(chunk).expect("valid stream"));
             cur = next;
         }
@@ -207,10 +158,10 @@ fn engine_traffic(sys: &mut System, seed: u64) -> (Vec<u64>, u64) {
 
 /// Whole-`Engine` coverage: a fork taken mid-run resumes bit-identically
 /// to an uninterrupted engine — through the cache hierarchy, TLBs, page
-/// tables and per-agent clocks, not just the raw controller — and
-/// `restore` rewinds the parent across the same boundary.
+/// tables and per-agent clocks, not just the raw controller — and the
+/// parent, untouched by the fork, resumes identically too.
 #[test]
-fn engine_fork_and_restore_are_bit_faithful() {
+fn engine_fork_is_bit_faithful() {
     let mut scratch = System::new(SystemConfig::paper_table2_noiseless());
     scratch.spawn_agent();
     engine_traffic(&mut scratch, 7); // shared warm phase
@@ -219,24 +170,18 @@ fn engine_fork_and_restore_are_bit_faithful() {
     let mut parent = System::new(SystemConfig::paper_table2_noiseless());
     parent.spawn_agent();
     engine_traffic(&mut parent, 7);
-    let snap = parent.snapshot();
-    let at_snap = parent.backend().dram_state_digest();
+    let at_fork = parent.backend().dram_state_digest();
 
     let mut fork = parent.fork();
     let got = engine_traffic(&mut fork, 8);
     assert_eq!(want, got, "forked engine diverged from scratch");
     assert_eq!(
         parent.backend().dram_state_digest(),
-        at_snap,
+        at_fork,
         "fork traffic mutated the parent engine"
     );
 
-    // The parent itself resumes identically...
+    // The parent itself resumes identically.
     let direct = engine_traffic(&mut parent, 8);
     assert_eq!(want, direct);
-    // ...and restore rewinds it for a bit-exact second pass.
-    parent.restore(&snap);
-    assert_eq!(parent.backend().dram_state_digest(), at_snap);
-    let again = engine_traffic(&mut parent, 8);
-    assert_eq!(want, again, "restored engine diverged");
 }
