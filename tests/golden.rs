@@ -1,6 +1,6 @@
-//! The behavioural spec as pinned constants: the quick `fig_all` text,
-//! a seeded fleet population and a quick Mix capture, each reduced to a
-//! digest that must not move.
+//! The behavioural spec as pinned constants: the quick and full
+//! `fig_all` text, a seeded fleet population, a quick Mix capture and the
+//! full mix/pnm/bfs captures, each reduced to a digest that must not move.
 //!
 //! The determinism and equivalence suites prove that backends, worker
 //! counts, forks and replays agree *with each other*; a change that moves
@@ -12,7 +12,7 @@ use impact::core::hash::{fnv1a_bytes, FNV_OFFSET};
 use impact::fleet::{FleetConfig, FleetService};
 use impact::sim::BackendKind;
 use impact_bench::experiments::suite;
-use impact_bench::trace_tools::{record_capture, CaptureKind};
+use impact_bench::trace_tools::{record_capture, CaptureKind, CaptureOutcome};
 use impact_bench::SweepRunner;
 
 /// FNV-1a of `fig_all --quick` stdout: every figure's text, each followed
@@ -27,6 +27,18 @@ fn quick_suite_text_is_pinned() {
     );
 }
 
+/// FNV-1a of full `fig_all` stdout (the same value as perfbench's suite
+/// digest).
+#[test]
+fn full_suite_text_is_pinned() {
+    let figs = SweepRunner::serial().run_all(&suite(false, BackendKind::Mono));
+    let text: String = figs.iter().map(|fig| fig.render_text() + "\n").collect();
+    assert_eq!(
+        fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
+        0x524d_13b2_dfb8_6c2a
+    );
+}
+
 /// Population digest of 200 synthetic sessions on two workers.
 #[test]
 fn fleet_population_digest_is_pinned() {
@@ -37,36 +49,72 @@ fn fleet_population_digest_is_pinned() {
     assert_eq!(report.digest, 0xdd44_47e4_9197_28d7);
 }
 
-/// A quick Mix capture: its footer, the recording backend's final DRAM
-/// state and the file bytes themselves.
-#[test]
-fn quick_mix_capture_is_pinned() {
-    #[derive(Clone, Default)]
-    struct Sink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+/// An in-memory trace sink that stays readable after the recorder drops
+/// its boxed handle.
+#[derive(Clone, Default)]
+struct Sink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
-    impl std::io::Write for Sink {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
+impl std::io::Write for Sink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
     }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
 
+/// Records `kind` on `Mono` at seed `0x7ACE` (what `trace_replay record`
+/// writes) and returns the outcome with the FNV-1a of the file bytes.
+fn capture(kind: CaptureKind, quick: bool) -> (CaptureOutcome, u64) {
     let sink = Sink::default();
     let outcome = record_capture(
-        CaptureKind::Mix,
+        kind,
         BackendKind::Mono,
-        true,
+        quick,
         0x7ACE,
         Box::new(sink.clone()),
     )
     .expect("capture records");
+    let bytes = sink.0.lock().unwrap();
+    (outcome, fnv1a_bytes(FNV_OFFSET, &bytes))
+}
+
+/// A quick Mix capture: its footer, the recording backend's final DRAM
+/// state and the file bytes themselves.
+#[test]
+fn quick_mix_capture_is_pinned() {
+    let (outcome, file) = capture(CaptureKind::Mix, true);
     assert_eq!(outcome.summary.events, 1316);
     assert_eq!(outcome.summary.responses, 2284);
     assert_eq!(outcome.summary.response_digest, 0x8c9e_c37a_360a_05dc);
     assert_eq!(outcome.state_digest, 0x1135_be60_e3cf_b90c);
-    let bytes = sink.0.lock().unwrap();
-    assert_eq!(fnv1a_bytes(FNV_OFFSET, &bytes), 0xd30a_c26e_d923_cd4f);
+    assert_eq!(file, 0xd30a_c26e_d923_cd4f);
+}
+
+/// The full-size mix, pnm and bfs captures: file bytes and the recording
+/// backend's final DRAM state.
+#[test]
+fn full_captures_are_pinned() {
+    for (kind, file_digest, state_digest) in [
+        (
+            CaptureKind::Mix,
+            0x3ec2_0cce_ab83_ed93,
+            0xf05e_8418_7c44_e825,
+        ),
+        (
+            CaptureKind::Pnm,
+            0xc447_a3e5_41a3_2cba,
+            0x6a61_d307_9e3e_5c5e,
+        ),
+        (
+            CaptureKind::Bfs,
+            0xb979_7eff_fae2_e5c4,
+            0xe21d_62fb_dd4e_4a76,
+        ),
+    ] {
+        let (outcome, file) = capture(kind, false);
+        assert_eq!(file, file_digest, "{} file", kind.name());
+        assert_eq!(outcome.state_digest, state_digest, "{} state", kind.name());
+    }
 }
