@@ -144,7 +144,7 @@ pub fn register_system(c: &mut Criterion) {
 /// `SideChannelAttack::init` prefix — genome/index synthesis, agent
 /// spawning, the bank row-opening sweep, clock sync) vs forking a parent
 /// that ran the identical prefix once, outside the timed loop. The fork
-/// is O(metadata) — Arc clones of the bank SoA, cache arrays and page
+/// is O(metadata) — Arc clones of the bank array, cache arrays and page
 /// tables — so `side_channel_init_fork` must stay well under a fifth of
 /// `side_channel_init_scratch`.
 pub fn register_fork(c: &mut Criterion) {

@@ -154,8 +154,8 @@ pub struct MemResponse {
 ///
 /// Every counter describes *observable* behavior — what the backend did
 /// to requests — so the derived [`PartialEq`] compares all of them and
-/// the trace footer persists all of them. Telemetry (which servicing
-/// tier ran a batch, wall-clock spans, etc.) is deliberately **not** part
+/// the trace footer persists all of them. Telemetry (batch sizes,
+/// wall-clock spans, etc.) is deliberately **not** part
 /// of this struct: it describes how the host executed the traffic, not
 /// what the backend did to it, and lives in the `impact-obs` registry
 /// instead.

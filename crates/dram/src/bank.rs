@@ -1,17 +1,9 @@
 //! Per-bank row-buffer state machine.
 //!
-//! Two representations share one implementation:
-//!
-//! * [`BankCursor`] — the bank state as a flat, `Copy`, sentinel-encoded
-//!   record that a RowClone loads, updates and stores back; it carries
-//!   the only implementation of the access/RowClone/digest state machine.
-//! * [`Bank`] — an `Option`-typed view over a cursor, kept as the public
-//!   accessor API (`raw_open_row() -> Option<u64>` etc.) and as the unit
-//!   under test for the bank-level properties.
-//!
-//! Whole-device storage lives in [`BankArray`](crate::bank_array::BankArray),
-//! which holds one parallel flat array per cursor field and loads/stores
-//! cursors by bank index.
+//! [`Bank`] is one bank's complete state as a flat `Copy` record and holds
+//! the only implementation of the access, RowClone and digest state
+//! machine. A [`DramDevice`](crate::device::DramDevice) stores its banks as
+//! one copy-on-write array of these records.
 
 use impact_core::time::Cycles;
 
@@ -99,70 +91,61 @@ impl core::ops::AddAssign for BankStats {
     }
 }
 
-/// The complete state of one DRAM bank as a flat `Copy` record: an
-/// independent row buffer plus timing bookkeeping.
+/// One DRAM bank: an independent row buffer plus timing bookkeeping, as a
+/// flat `Copy` record.
 ///
-/// The cursor tracks which row is open, until when the bank is busy and
-/// when the open row was last touched (for the optional idle timeout). It
-/// also records the identity of the last actor to activate a row, which
-/// the side-channel analysis uses as ground truth.
+/// The bank tracks which row is open, until when it is busy and when the
+/// open row was last touched (for the optional idle timeout). It also
+/// records the identity of the last actor to activate a row, which the
+/// side-channel analysis uses as ground truth.
 ///
-/// `Option` fields are sentinel-encoded so the whole record is `Copy` and
-/// register-friendly:
+/// The two optional fields are stored sentinel-encoded — one `u64` each
+/// instead of a 16-byte `Option<u64>` — which keeps the record compact;
+/// the accessors decode them back to `Option`s:
 ///
-/// * `open_row == `[`BankCursor::NO_ROW`] means "precharged". Row indices
-///   derive from in-capacity physical addresses, so a real row can never
-///   reach the sentinel.
-/// * `last_activator == `[`BankCursor::NO_ACTOR`] means "never activated".
-///   Actor ids are `u32` (every value of which is valid, including the
-///   anonymous `u32::MAX`), so the sentinel must live above `u32` range —
-///   hence the field is a `u64`.
+/// * an open row of `NO_ROW` means "precharged". Row indices derive from
+///   in-capacity physical addresses, so a real row can never reach the
+///   sentinel.
+/// * a last activator of `NO_ACTOR` means "never activated". Actor ids
+///   are `u32` (every value of which is valid, including the anonymous
+///   `u32::MAX`), so the sentinel must live above `u32` range — hence the
+///   field is a `u64`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BankCursor {
-    /// Open row, or [`BankCursor::NO_ROW`] when precharged.
-    pub open_row: u64,
-    /// When the bank becomes free.
-    pub busy_until: Cycles,
-    /// When the open row was last touched.
-    pub last_use: Cycles,
-    /// Last activating actor (a `u32` value), or [`BankCursor::NO_ACTOR`].
-    pub last_activator: u64,
-    /// Accumulated statistics.
-    pub stats: BankStats,
+pub struct Bank {
+    open_row: u64,
+    busy_until: Cycles,
+    last_use: Cycles,
+    last_activator: u64,
+    stats: BankStats,
 }
 
-impl BankCursor {
-    /// Sentinel in [`BankCursor::open_row`]: no row is open.
-    pub const NO_ROW: u64 = u64::MAX;
-    /// Sentinel in [`BankCursor::last_activator`]: no activation yet.
-    /// Above `u32` range, so every real actor id (a `u32`) is encodable.
-    pub const NO_ACTOR: u64 = u64::MAX;
+impl Bank {
+    /// Sentinel open row: no row is open.
+    const NO_ROW: u64 = u64::MAX;
+    /// Sentinel last activator: no activation yet.
+    const NO_ACTOR: u64 = u64::MAX;
 
-    /// A precharged, idle bank.
+    /// Creates a precharged, idle bank.
     #[must_use]
-    pub fn new() -> BankCursor {
-        BankCursor {
-            open_row: BankCursor::NO_ROW,
+    pub fn new() -> Bank {
+        Bank {
+            open_row: Bank::NO_ROW,
             busy_until: Cycles::ZERO,
             last_use: Cycles::ZERO,
-            last_activator: BankCursor::NO_ACTOR,
+            last_activator: Bank::NO_ACTOR,
             stats: BankStats::default(),
         }
     }
 
-    /// The currently open row under `policy` as observed at time `now`
-    /// (accounts for the idle timeout without mutating state), sentinel
-    /// encoded.
+    /// The sentinel-encoded open row under `policy` at time `now`.
     #[inline]
-    #[must_use]
-    pub fn open_row_at(&self, now: Cycles, policy: RowPolicy) -> u64 {
+    fn open_row_enc(&self, now: Cycles, policy: RowPolicy) -> u64 {
         match policy {
-            RowPolicy::Closed => BankCursor::NO_ROW,
+            RowPolicy::Closed => Bank::NO_ROW,
             RowPolicy::Open { idle_timeout } => {
                 if let Some(t) = idle_timeout {
-                    if self.open_row != BankCursor::NO_ROW && now.saturating_sub(self.last_use) > t
-                    {
-                        return BankCursor::NO_ROW;
+                    if self.open_row != Bank::NO_ROW && now.saturating_sub(self.last_use) > t {
+                        return Bank::NO_ROW;
                     }
                 }
                 self.open_row
@@ -170,14 +153,51 @@ impl BankCursor {
         }
     }
 
+    /// The currently open row under `policy` as observed at time `now`
+    /// (accounts for the idle timeout without mutating state).
+    #[must_use]
+    pub fn open_row_at(&self, now: Cycles, policy: RowPolicy) -> Option<u64> {
+        decode(self.open_row_enc(now, policy), Bank::NO_ROW)
+    }
+
+    /// Raw open row irrespective of policy/timeouts.
+    #[must_use]
+    pub fn raw_open_row(&self) -> Option<u64> {
+        decode(self.open_row, Bank::NO_ROW)
+    }
+
+    /// The actor that last activated a row in this bank, if any.
+    #[must_use]
+    pub fn last_activator(&self) -> Option<u32> {
+        decode(self.last_activator, Bank::NO_ACTOR)
+            .map(|v| u32::try_from(v).expect("actor ids are u32"))
+    }
+
+    /// When the bank becomes free.
+    #[must_use]
+    pub fn busy_until(&self) -> Cycles {
+        self.busy_until
+    }
+
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &BankStats {
+        &self.stats
+    }
+
+    /// Resets state and statistics.
+    pub fn reset(&mut self) {
+        *self = Bank::new();
+    }
+
     /// Classifies an access to `row` at `now` without serving it.
     #[inline]
     #[must_use]
     pub fn classify(&self, row: u64, now: Cycles, policy: RowPolicy) -> RowBufferKind {
-        let open = self.open_row_at(now, policy);
+        let open = self.open_row_enc(now, policy);
         if open == row {
             RowBufferKind::Hit
-        } else if open == BankCursor::NO_ROW {
+        } else if open == Bank::NO_ROW {
             RowBufferKind::Miss
         } else {
             RowBufferKind::Conflict
@@ -222,7 +242,7 @@ impl BankCursor {
             RowPolicy::Closed => {
                 // Auto-precharge after the access; precharge overlaps with
                 // the requester's completion.
-                self.open_row = BankCursor::NO_ROW;
+                self.open_row = Bank::NO_ROW;
                 self.busy_until = completed + timing.t_rp;
             }
             RowPolicy::Open { .. } => {
@@ -241,7 +261,23 @@ impl BankCursor {
     }
 
     /// Serves a RowClone copy from `src_row` to `dst_row` requested at
-    /// `now` by `actor`. See [`Bank::rowclone`] for the timing model.
+    /// `now` by `actor`.
+    ///
+    /// Same-subarray copies use Fast Parallel Mode, whose latency depends
+    /// on the row-buffer state exactly like a normal access (this is the
+    /// IMPACT-PuM timing channel):
+    /// - source row already open → single extra activation,
+    /// - bank precharged → two back-to-back activations,
+    /// - other row open → precharge first.
+    ///
+    /// Copies that cross a subarray boundary (`rows_per_subarray`) fall
+    /// back to Pipelined Serial Mode, streaming `psm_lines` cache lines
+    /// through the internal bus — an order of magnitude slower
+    /// (Seshadri et al., MICRO'13). Pass `rows_per_subarray = 0` to treat
+    /// the whole bank as one subarray.
+    ///
+    /// After the copy the destination row is connected to the bitlines, so
+    /// it is left open under open-row policies.
     #[inline]
     #[allow(clippy::too_many_arguments)]
     pub fn rowclone(
@@ -291,7 +327,7 @@ impl BankCursor {
         self.last_use = completed;
         match policy {
             RowPolicy::Closed => {
-                self.open_row = BankCursor::NO_ROW;
+                self.open_row = Bank::NO_ROW;
                 self.busy_until = completed + timing.t_rp;
             }
             RowPolicy::Open { .. } => {
@@ -320,17 +356,14 @@ impl BankCursor {
     #[must_use]
     pub fn fold_state(&self, mut hash: u64) -> u64 {
         use impact_core::hash::fnv1a_u64;
-        let fold_enc = |h: u64, v: u64, sentinel: u64| {
-            if v == sentinel {
-                fnv1a_u64(h, 0)
-            } else {
-                fnv1a_u64(fnv1a_u64(h, 1), v)
-            }
+        let fold_opt = |h: u64, v: Option<u64>| match v {
+            None => fnv1a_u64(h, 0),
+            Some(v) => fnv1a_u64(fnv1a_u64(h, 1), v),
         };
-        hash = fold_enc(hash, self.open_row, BankCursor::NO_ROW);
+        hash = fold_opt(hash, self.raw_open_row());
         hash = fnv1a_u64(hash, self.busy_until.0);
         hash = fnv1a_u64(hash, self.last_use.0);
-        hash = fold_enc(hash, self.last_activator, BankCursor::NO_ACTOR);
+        hash = fold_opt(hash, decode(self.last_activator, Bank::NO_ACTOR));
         let BankStats {
             hits,
             misses,
@@ -342,151 +375,6 @@ impl BankCursor {
             hash = fnv1a_u64(hash, counter);
         }
         hash
-    }
-}
-
-impl Default for BankCursor {
-    fn default() -> BankCursor {
-        BankCursor::new()
-    }
-}
-
-/// One DRAM bank: an independent row buffer plus timing bookkeeping.
-///
-/// A thin `Option`-typed view over a [`BankCursor`] (which holds the
-/// actual state machine); see the module docs for the split.
-#[derive(Debug, Clone)]
-pub struct Bank {
-    cur: BankCursor,
-}
-
-impl Bank {
-    /// Creates a precharged, idle bank.
-    #[must_use]
-    pub fn new() -> Bank {
-        Bank {
-            cur: BankCursor::new(),
-        }
-    }
-
-    /// Wraps a cursor (used by
-    /// [`BankArray`](crate::bank_array::BankArray) to snapshot a bank).
-    #[must_use]
-    pub fn from_cursor(cur: BankCursor) -> Bank {
-        Bank { cur }
-    }
-
-    /// The underlying flat state record.
-    #[must_use]
-    pub fn cursor(&self) -> BankCursor {
-        self.cur
-    }
-
-    /// The currently open row under `policy` as observed at time `now`
-    /// (accounts for the idle timeout without mutating state).
-    #[must_use]
-    pub fn open_row_at(&self, now: Cycles, policy: RowPolicy) -> Option<u64> {
-        decode(self.cur.open_row_at(now, policy), BankCursor::NO_ROW)
-    }
-
-    /// Raw open row irrespective of policy/timeouts.
-    #[must_use]
-    pub fn raw_open_row(&self) -> Option<u64> {
-        decode(self.cur.open_row, BankCursor::NO_ROW)
-    }
-
-    /// The actor that last activated a row in this bank, if any.
-    #[must_use]
-    pub fn last_activator(&self) -> Option<u32> {
-        decode(self.cur.last_activator, BankCursor::NO_ACTOR)
-            .map(|v| u32::try_from(v).expect("actor ids are u32"))
-    }
-
-    /// When the bank becomes free.
-    #[must_use]
-    pub fn busy_until(&self) -> Cycles {
-        self.cur.busy_until
-    }
-
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> &BankStats {
-        &self.cur.stats
-    }
-
-    /// Folds the complete bank state into a running FNV-1a accumulator;
-    /// see [`BankCursor::fold_state`].
-    #[must_use]
-    pub fn fold_state(&self, hash: u64) -> u64 {
-        self.cur.fold_state(hash)
-    }
-
-    /// Resets state and statistics.
-    pub fn reset(&mut self) {
-        self.cur = BankCursor::new();
-    }
-
-    /// Classifies an access to `row` at `now` without serving it.
-    #[must_use]
-    pub fn classify(&self, row: u64, now: Cycles, policy: RowPolicy) -> RowBufferKind {
-        self.cur.classify(row, now, policy)
-    }
-
-    /// Serves a read/write access to `row` requested at `now` by `actor`.
-    ///
-    /// Returns the classification, the device latency and the completion
-    /// time. The bank is busy until completion.
-    pub fn access(
-        &mut self,
-        row: u64,
-        now: Cycles,
-        actor: u32,
-        timing: &ResolvedTiming,
-        policy: RowPolicy,
-    ) -> AccessOutcome {
-        self.cur.access(row, now, actor, timing, policy)
-    }
-
-    /// Serves a RowClone copy from `src_row` to `dst_row` requested at
-    /// `now` by `actor`.
-    ///
-    /// Same-subarray copies use Fast Parallel Mode, whose latency depends
-    /// on the row-buffer state exactly like a normal access (this is the
-    /// IMPACT-PuM timing channel):
-    /// - source row already open → single extra activation,
-    /// - bank precharged → two back-to-back activations,
-    /// - other row open → precharge first.
-    ///
-    /// Copies that cross a subarray boundary (`rows_per_subarray`) fall
-    /// back to Pipelined Serial Mode, streaming `psm_lines` cache lines
-    /// through the internal bus — an order of magnitude slower
-    /// (Seshadri et al., MICRO'13). Pass `rows_per_subarray = 0` to treat
-    /// the whole bank as one subarray.
-    ///
-    /// After the copy the destination row is connected to the bitlines, so
-    /// it is left open under open-row policies.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rowclone(
-        &mut self,
-        src_row: u64,
-        dst_row: u64,
-        now: Cycles,
-        actor: u32,
-        timing: &ResolvedTiming,
-        policy: RowPolicy,
-        rows_per_subarray: u64,
-        psm_lines: u64,
-    ) -> AccessOutcome {
-        self.cur.rowclone(
-            src_row,
-            dst_row,
-            now,
-            actor,
-            timing,
-            policy,
-            rows_per_subarray,
-            psm_lines,
-        )
     }
 }
 
@@ -719,21 +607,6 @@ mod tests {
         }
         assert_eq!(b.fold_state(FNV_OFFSET), expect);
     }
-
-    #[test]
-    fn cursor_roundtrips_through_bank() {
-        let t = timing();
-        let p = RowPolicy::open_page();
-        let mut b = Bank::new();
-        b.access(5, Cycles(0), 3, &t, p);
-        b.access(5, Cycles(500), 4, &t, p);
-        let snap = Bank::from_cursor(b.cursor());
-        assert_eq!(snap.raw_open_row(), b.raw_open_row());
-        assert_eq!(snap.last_activator(), b.last_activator());
-        assert_eq!(snap.busy_until(), b.busy_until());
-        assert_eq!(snap.stats(), b.stats());
-        assert_eq!(snap.fold_state(7), b.fold_state(7));
-    }
 }
 
 #[cfg(test)]
@@ -810,24 +683,6 @@ mod proptests {
                 prop_assert!(out.issued_at >= Cycles(at));
                 last = out.completed_at;
             }
-        }
-
-        /// The cursor state machine and the `Bank` wrapper are the same
-        /// implementation: driving both with an identical request stream
-        /// leaves identical state, statistics, and digests.
-        #[test]
-        fn cursor_equals_bank(reqs in prop::collection::vec((0u64..64, 0u64..50_000, 0u32..4), 1..60)) {
-            let t = timing();
-            let policy = RowPolicy::open_page();
-            let mut bank = Bank::new();
-            let mut cur = BankCursor::new();
-            for (row, at, actor) in reqs {
-                let a = bank.access(row, Cycles(at), actor, &t, policy);
-                let b = cur.access(row, Cycles(at), actor, &t, policy);
-                prop_assert_eq!(a, b);
-            }
-            prop_assert_eq!(bank.cursor(), cur);
-            prop_assert_eq!(bank.fold_state(1), cur.fold_state(1));
         }
     }
 }

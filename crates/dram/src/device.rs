@@ -1,15 +1,19 @@
 //! Whole-device DRAM model: a collection of independently timed banks.
 
+use std::sync::Arc;
+
 use impact_core::config::{DramGeometry, SystemConfig};
 use impact_core::time::Cycles;
 
 use crate::bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
-use crate::bank_array::BankArray;
 use crate::policy::RowPolicy;
 use crate::timing::ResolvedTiming;
 
-/// A DRAM device: geometry + timing + one bank state machine per bank,
-/// stored structure-of-arrays (see [`BankArray`]).
+/// A DRAM device: geometry + timing + one [`Bank`] record per bank.
+///
+/// The bank records live in one array behind an [`Arc`], so [`Clone`] —
+/// the fork — is O(1): clones share the array and the first write on
+/// either side copies it (`Arc::make_mut`).
 ///
 /// The device serves operations addressed by *flat bank index* and row;
 /// address decomposition is the job of an
@@ -33,7 +37,7 @@ pub struct DramDevice {
     geometry: DramGeometry,
     timing: ResolvedTiming,
     policy: RowPolicy,
-    banks: BankArray,
+    banks: Arc<[Bank]>,
 }
 
 /// Actor id used when none is supplied.
@@ -43,7 +47,7 @@ impl DramDevice {
     /// Creates a device with explicit geometry, timing and row policy.
     #[must_use]
     pub fn new(geometry: DramGeometry, timing: ResolvedTiming, policy: RowPolicy) -> DramDevice {
-        let banks = BankArray::new(geometry.total_banks() as usize);
+        let banks = vec![Bank::new(); geometry.total_banks() as usize].into();
         DramDevice {
             geometry,
             timing,
@@ -92,22 +96,28 @@ impl DramDevice {
         self.banks.len()
     }
 
-    /// By-value snapshot of a bank in the `Option`-typed accessor shape.
-    /// The underlying storage is structure-of-arrays; chain accessors off
-    /// the snapshot (`dram.bank(3).raw_open_row()` etc.).
+    /// One bank's state (`dram.bank(3).raw_open_row()` etc.).
     ///
     /// # Panics
     ///
     /// Panics if `bank` is out of range.
     #[must_use]
-    pub fn bank(&self, bank: usize) -> Bank {
-        self.banks.bank_state(bank)
+    pub fn bank(&self, bank: usize) -> &Bank {
+        &self.banks[bank]
     }
 
-    /// The structure-of-arrays bank storage (read side).
-    #[must_use]
-    pub fn banks(&self) -> &BankArray {
-        &self.banks
+    /// One bank's record for writing: copies the array first if a fork
+    /// still shares it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is out of range.
+    #[inline]
+    fn bank_mut(&mut self, bank: usize) -> &mut Bank {
+        // analyze::allow(cow-aliasing): the device's only bank write site;
+        // a fork still sharing the array gets its own copy before any
+        // bank record changes
+        &mut Arc::make_mut(&mut self.banks)[bank]
     }
 
     /// Folds one bank's state into a running FNV-1a digest accumulator.
@@ -117,7 +127,7 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[must_use]
     pub fn fold_bank_state(&self, bank: usize, hash: u64) -> u64 {
-        self.banks.fold_state(bank, hash)
+        self.banks[bank].fold_state(hash)
     }
 
     /// Serves a read/write access (anonymous actor).
@@ -132,14 +142,14 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[inline]
     pub fn access_as(&mut self, bank: usize, row: u64, now: Cycles, actor: u32) -> AccessOutcome {
-        self.banks
-            .access(bank, row, now, actor, &self.timing, self.policy)
+        let (timing, policy) = (self.timing, self.policy);
+        self.bank_mut(bank).access(row, now, actor, &timing, policy)
     }
 
     /// Classifies an access without serving it.
     #[must_use]
     pub fn classify(&self, bank: usize, row: u64, now: Cycles) -> RowBufferKind {
-        self.banks.load(bank).classify(row, now, self.policy)
+        self.banks[bank].classify(row, now, self.policy)
     }
 
     /// Serves a RowClone FPM copy inside one bank, attributed to `actor`.
@@ -159,8 +169,7 @@ impl DramDevice {
         let timing = self.timing;
         let rows_per_subarray = self.geometry.rows_per_subarray;
         let lines = self.geometry.row_bytes / 64;
-        self.banks.rowclone(
-            bank,
+        self.bank_mut(bank).rowclone(
             src_row,
             dst_row,
             now,
@@ -197,12 +206,16 @@ impl DramDevice {
     /// Aggregated statistics across all banks.
     #[must_use]
     pub fn total_stats(&self) -> BankStats {
-        self.banks.total_stats()
+        let mut total = BankStats::default();
+        for bank in self.banks.iter() {
+            total += bank.stats();
+        }
+        total
     }
 
     /// Resets every bank (state and statistics).
     pub fn reset(&mut self) {
-        self.banks.reset();
+        self.banks = vec![Bank::new(); self.banks.len()].into();
     }
 }
 
@@ -274,6 +287,27 @@ mod tests {
         d.reset();
         assert_eq!(d.total_stats().total_accesses(), 0);
         assert_eq!(d.bank(0).raw_open_row(), None);
+    }
+
+    /// Clones share the bank array until written: a fork's writes never
+    /// reach the parent.
+    #[test]
+    fn cow_fork_isolates() {
+        use impact_core::hash::FNV_OFFSET;
+        let mut parent = device();
+        parent.access(0, 5, Cycles(0));
+        let parent_digest = parent.fold_bank_state(0, FNV_OFFSET);
+
+        let mut child = parent.clone();
+        child.access(0, 9, Cycles(100));
+        child.access(1, 3, Cycles(100));
+        assert_eq!(
+            parent.fold_bank_state(0, FNV_OFFSET),
+            parent_digest,
+            "child write leaked into parent"
+        );
+        assert_ne!(child.fold_bank_state(0, FNV_OFFSET), parent_digest);
+        assert_eq!(parent.bank(1), &Bank::new());
     }
 
     #[test]

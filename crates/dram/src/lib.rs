@@ -43,14 +43,12 @@
 //! ```
 
 pub mod bank;
-pub mod bank_array;
 pub mod device;
 pub mod mapping;
 pub mod policy;
 pub mod timing;
 
-pub use bank::{AccessOutcome, Bank, BankCursor, BankStats, RowBufferKind};
-pub use bank_array::BankArray;
+pub use bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
 pub use device::DramDevice;
 pub use mapping::{AddressMapping, BankInterleavedXor, RowInterleaved};
 pub use policy::RowPolicy;

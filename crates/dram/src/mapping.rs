@@ -32,24 +32,6 @@ pub trait AddressMapping: Send + Sync {
         (self.flat_bank(addr), self.map(addr).row)
     }
 
-    /// Batch [`AddressMapping::locate`]: replaces `out` with one
-    /// `(flat bank, row)` pair per address, in order. The bank is narrowed
-    /// to `u32` — the flat bank space is a `u32` product by construction
-    /// (`DramGeometry::total_banks`) — so a batch's location table stays
-    /// compact. One virtual call per *batch* instead of per request;
-    /// implementations should override to strength-reduce the address
-    /// split across the whole monomorphic loop.
-    fn locate_batch(&self, addrs: &[PhysAddr], out: &mut Vec<(u32, u64)>) {
-        out.clear();
-        out.reserve(addrs.len());
-        for &addr in addrs {
-            let (bank, row) = self.locate(addr);
-            // analyze::allow(lossy-cast): flat bank < total_banks, a u32
-            // product by construction (DramGeometry::total_banks)
-            out.push((bank as u32, row));
-        }
-    }
-
     /// Inverse mapping used by memory massaging: returns a physical address
     /// that lands in `bank` (flat index) at `row` with byte `column`.
     fn compose(&self, bank: usize, row: u64, column: u32) -> PhysAddr;
@@ -66,9 +48,9 @@ pub trait AddressMapping: Send + Sync {
 /// Precomputed shift/mask split for power-of-two geometries: replaces the
 /// two `u64` divisions of the generic `chunk = addr / row_bytes;
 /// bank = chunk % banks; row = chunk / banks` decomposition with shifts —
-/// the difference between ~40 and ~2 cycles per located request on the
-/// batch hot path. Every paper geometry (8 KiB rows, 16–8192 banks) is
-/// power-of-two on both axes.
+/// the difference between ~40 and ~2 cycles in the `locate` every
+/// controller access makes. Every paper geometry (8 KiB rows, 16–8192
+/// banks) is power-of-two on both axes.
 #[derive(Debug, Clone, Copy)]
 struct Pow2Split {
     /// `log2(row_bytes)`.
@@ -156,28 +138,6 @@ impl AddressMapping for RowInterleaved {
         (bank, row)
     }
 
-    fn locate_batch(&self, addrs: &[PhysAddr], out: &mut Vec<(u32, u64)>) {
-        out.clear();
-        out.reserve(addrs.len());
-        if let Some(p) = self.pow2 {
-            for &addr in addrs {
-                let chunk = addr.0 >> p.row_shift;
-                // analyze::allow(lossy-cast): bank <= bank_mask < total_banks,
-                // a u32 product by construction (DramGeometry::total_banks)
-                out.push(((chunk & p.bank_mask) as u32, chunk >> p.bank_shift));
-            }
-            return;
-        }
-        let row_bytes = self.geometry.row_bytes;
-        let banks = u64::from(self.geometry.total_banks());
-        for &addr in addrs {
-            let chunk = addr.0 / row_bytes;
-            // analyze::allow(lossy-cast): bank < total_banks, a u32 product
-            // by construction (DramGeometry::total_banks)
-            out.push(((chunk % banks) as u32, chunk / banks));
-        }
-    }
-
     fn compose(&self, bank: usize, row: u64, column: u32) -> PhysAddr {
         let banks = u64::from(self.geometry.total_banks());
         debug_assert!((bank as u64) < banks);
@@ -258,33 +218,6 @@ impl AddressMapping for BankInterleavedXor {
     fn locate(&self, addr: PhysAddr) -> (usize, u64) {
         let (row, bank, _) = self.split(addr);
         (bank, row)
-    }
-
-    fn locate_batch(&self, addrs: &[PhysAddr], out: &mut Vec<(u32, u64)>) {
-        out.clear();
-        out.reserve(addrs.len());
-        let mask = self.bank_mask;
-        if let Some(p) = self.pow2 {
-            for &addr in addrs {
-                let chunk = addr.0 >> p.row_shift;
-                let row = chunk >> p.bank_shift;
-                let bank = ((chunk & p.bank_mask) ^ (row & mask)) & mask;
-                // analyze::allow(lossy-cast): bank <= bank_mask <
-                // total_banks, a u32 product by construction
-                out.push((bank as u32, row));
-            }
-            return;
-        }
-        let row_bytes = self.geometry.row_bytes;
-        let banks = u64::from(self.geometry.total_banks());
-        for &addr in addrs {
-            let chunk = addr.0 / row_bytes;
-            let row = chunk / banks;
-            let bank = ((chunk % banks) ^ (row & mask)) & mask;
-            // analyze::allow(lossy-cast): bank <= bank_mask < total_banks,
-            // a u32 product by construction
-            out.push((bank as u32, row));
-        }
     }
 
     fn compose(&self, bank: usize, row: u64, column: u32) -> PhysAddr {
@@ -399,27 +332,6 @@ mod tests {
         let mut g = geo();
         g.bank_groups_per_rank = 3;
         let _ = BankInterleavedXor::new(g);
-    }
-
-    #[test]
-    fn locate_batch_agrees_with_locate() {
-        let addrs: Vec<PhysAddr> = (0..300u64).map(|i| PhysAddr(i * 5077 + 13)).collect();
-        let mut non_pow2 = geo();
-        non_pow2.bank_groups_per_rank = 3; // 12 banks: generic division path
-        let mappings: Vec<Box<dyn AddressMapping>> = vec![
-            Box::new(RowInterleaved::new(geo())),
-            Box::new(BankInterleavedXor::new(geo())),
-            Box::new(RowInterleaved::new(non_pow2)),
-        ];
-        for m in &mappings {
-            let mut out = Vec::new();
-            m.locate_batch(&addrs, &mut out);
-            assert_eq!(out.len(), addrs.len());
-            for (i, &addr) in addrs.iter().enumerate() {
-                let (bank, row) = m.locate(addr);
-                assert_eq!(out[i], (bank as u32, row), "addr {addr:?}");
-            }
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use impact_core::error::{Error, Result};
 use impact_core::time::{Clock, Cycles};
 use impact_dram::{AddressMapping, DramDevice, RowBufferKind, RowInterleaved, RowPolicy};
 
-use crate::defense::{ActBankState, ActConfig, Defense};
+use crate::defense::{ActBankState, Defense};
 
 /// Controller statistics (the shared backend-stats vocabulary; every
 /// counter is maintained by this controller).
@@ -97,48 +97,12 @@ pub struct RowCloneOutcome {
     pub completed_at: Cycles,
 }
 
-/// Scalar segments shorter than this are served by the serial lean loop;
-/// longer ones amortize the batch setup (one `locate_batch` pass plus the
-/// side-effect-free pre-validation) over the run.
-const LOCATE_MIN: usize = 16;
-
-/// Latency-padding policy of a batch, hoisted out of the per-request loop
-/// so the located loop matches on a register instead of re-reading
-/// `self.defense` (and re-deriving the ACT epoch length) per access.
-#[derive(Clone, Copy)]
-enum Pad {
-    /// No padding: raw latency through (None / CRP / MPR).
-    Flat,
-    /// CTD: every access padded to worst case.
-    Ctd,
-    /// ACT: per-bank trigger state decides.
-    Act { cfg: ActConfig, epoch_len: u64 },
-}
-
-/// Per-batch servicing parameters, hoisted once so the located loop never
-/// re-reads controller configuration per request.
-#[derive(Clone, Copy)]
-struct BatchEnv {
-    overhead: Cycles,
-    blocking: Option<PeriodicBlock>,
-    worst: Cycles,
-    pad: Pad,
-}
-
-/// Per-controller batch scratch buffers (addresses and their locations),
-/// kept allocated between batches.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    addrs: Vec<PhysAddr>,
-    locs: Vec<(u32, u64)>,
-}
-
 /// The memory controller: address mapping + DRAM device + defenses.
 ///
 /// The per-bank defense arrays (`act_state`, `block_epoch`) live behind
 /// [`Arc`]s so [`Clone`] — the fork — is O(metadata) at any bank count:
 /// copies share the arrays until the first mutation (`Arc::make_mut`),
-/// exactly like the DRAM bank columns underneath.
+/// exactly like the DRAM bank array underneath.
 // analyze::allow(cow-aliasing): fork sharing; every mutation goes
 // through Arc::make_mut
 pub struct MemoryController {
@@ -151,7 +115,6 @@ pub struct MemoryController {
     blocking: Option<PeriodicBlock>,
     block_epoch: Arc<Vec<u64>>,
     stats: CtrlStats,
-    scratch: BatchScratch,
 }
 
 impl core::fmt::Debug for MemoryController {
@@ -184,7 +147,6 @@ impl MemoryController {
             blocking: None,
             block_epoch: Arc::new(vec![0; banks]),
             stats: CtrlStats::default(),
-            scratch: BatchScratch::default(),
         }
     }
 
@@ -321,15 +283,15 @@ impl MemoryController {
                 Ok(self.access(req.addr, req.at, req.actor)?.into())
             }
             ReqKind::RowClone { dst, mask } => {
+                let out = self.rowclone(req.addr, dst, mask, req.at, req.actor)?;
                 // The response headline reports the first *set* lane, so
                 // its source row lives `trailing_zeros` row-chunks past
-                // the range base (rowclone rejects empty masks).
+                // the range base; rowclone has validated that lane.
                 let first_lane = u64::from(mask.trailing_zeros());
                 let row = self
                     .mapping
                     .map(req.addr + first_lane * self.dram.geometry().row_bytes)
                     .row;
-                let out = self.rowclone(req.addr, dst, mask, req.at, req.actor)?;
                 let (bank, kind, _) = out.per_bank[0];
                 Ok(MemResponse {
                     bank,
@@ -344,236 +306,35 @@ impl MemoryController {
     }
 
     /// Serves a batch of requests, returning responses in request order.
-    /// Responses are bit-identical to issuing each request through
-    /// [`MemoryController::service`] serially — see
-    /// [`MemoryController::service_batch_into`] for how.
+    /// Responses, statistics and bank state are bit-identical to issuing
+    /// each request through [`MemoryController::service`] serially: the
+    /// batch is one request-order loop. When no periodic blocking is
+    /// installed and the defense never pads latency — checked once per
+    /// batch — scalar requests skip both checks.
     ///
     /// # Errors
     ///
     /// Fails on the first failing request; state up to that request has
     /// been applied, matching the serial path.
     pub fn service_batch(&mut self, reqs: &[MemRequest]) -> Result<Vec<MemResponse>> {
+        let registry = impact_obs::registry();
+        registry.ctrl_batch_size.record(reqs.len() as u64);
+        registry.ctrl_serial_segments.incr();
+        // The lean path is valid exactly when `take_block_delay` would
+        // always return zero and `apply_latency_defense` would always
+        // return the raw latency.
+        let lean = self.blocking.is_none() && !self.defense.pads_latency();
         let mut out = Vec::with_capacity(reqs.len());
-        self.service_batch_into(reqs, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`MemoryController::service_batch`] into a caller-owned response
-    /// buffer, so replay-heavy loops reuse one allocation across batches.
-    /// `out` is cleared first and then filled with one response per
-    /// request, in request order.
-    ///
-    /// RowClones are served one at a time; each run of scalar requests
-    /// between them picks a tier by length. Runs shorter than 16 requests
-    /// take the serial lean loop. Longer runs locate every address in one
-    /// pass ([`AddressMapping::locate_batch`] — a single virtual call) and
-    /// are then served in request order against the live bank state, with
-    /// the defense environment hoisted out of the loop and the stats
-    /// deltas applied once per run.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first failing request, exactly as the serial path
-    /// would: a located run is pre-validated first (capacity + MPR
-    /// partition — both pure), and a run containing any failure is
-    /// replayed through the serial path instead so state and error
-    /// surface at the same request. On error, `out` holds the responses
-    /// completed so far.
-    pub fn service_batch_into(
-        &mut self,
-        reqs: &[MemRequest],
-        out: &mut Vec<MemResponse>,
-    ) -> Result<()> {
-        out.clear();
-        impact_obs::registry()
-            .ctrl_batch_size
-            .record(reqs.len() as u64);
-        let mut i = 0;
-        while i < reqs.len() {
-            if matches!(reqs[i].kind, ReqKind::RowClone { .. }) {
-                let resp = self.service(&reqs[i])?;
-                out.push(resp);
-                i += 1;
-            } else {
-                let mut j = i + 1;
-                while j < reqs.len() && !matches!(reqs[j].kind, ReqKind::RowClone { .. }) {
-                    j += 1;
-                }
-                self.service_scalar_segment(&reqs[i..j], out)?;
-                i = j;
-            }
-        }
-        Ok(())
-    }
-
-    /// Serves a run of scalar (non-RowClone) requests, appending to `out`.
-    fn service_scalar_segment(
-        &mut self,
-        reqs: &[MemRequest],
-        out: &mut Vec<MemResponse>,
-    ) -> Result<()> {
-        if reqs.len() < LOCATE_MIN {
-            impact_obs::registry().ctrl_serial_segments.incr();
-            // Hoisted once per run: the lean path is valid exactly when
-            // `take_block_delay` would always return zero and
-            // `apply_latency_defense` would always return the raw latency.
-            let lean = self.blocking.is_none() && !self.defense.pads_latency();
-            for req in reqs {
-                let resp = if lean {
+        for req in reqs {
+            let resp = match req.kind {
+                ReqKind::Load | ReqKind::Store | ReqKind::Pim if lean => {
                     self.access_lean(req.addr, req.at, req.actor)?.into()
-                } else {
-                    self.service(req)?
-                };
-                out.push(resp);
-            }
-            return Ok(());
-        }
-
-        let mut scratch = core::mem::take(&mut self.scratch);
-        scratch.addrs.clear();
-        let mut max_addr = 0u64;
-        scratch.addrs.extend(reqs.iter().map(|r| {
-            max_addr = max_addr.max(r.addr.0);
-            r.addr
-        }));
-        self.mapping.locate_batch(&scratch.addrs, &mut scratch.locs);
-
-        // Pre-validate the whole run. Both checks are pure functions of
-        // the request, so passing here guarantees the located loop hits
-        // no error; any failure sends the run down the serial path, which
-        // reproduces the exact serial mutation/error order. Capacity is a
-        // single comparison (the gather above tracked the run's maximum
-        // address); the per-request partition pass only runs under MPR.
-        let ok = max_addr < self.dram.geometry().capacity_bytes()
-            && match &self.defense {
-                Defense::Mpr(p) => reqs
-                    .iter()
-                    .zip(&scratch.locs)
-                    .all(|(req, &(bank, _))| p.allows(bank as usize, req.actor)),
-                _ => true,
+                }
+                _ => self.service(req)?,
             };
-        if !ok {
-            impact_obs::registry().ctrl_serial_segments.incr();
-            self.scratch = scratch;
-            for req in reqs {
-                let resp = self.service(req)?;
-                out.push(resp);
-            }
-            return Ok(());
-        }
-
-        impact_obs::registry().ctrl_sparse_segments.incr();
-        self.service_located_append(reqs, &scratch.locs, out);
-        self.scratch = scratch;
-        Ok(())
-    }
-
-    /// Hoists the per-batch servicing parameters ([`BatchEnv`]) once.
-    fn batch_env(&self) -> BatchEnv {
-        BatchEnv {
-            overhead: self.overhead,
-            blocking: self.blocking,
-            worst: self.worst_case_latency(),
-            pad: match &self.defense {
-                Defense::Ctd => Pad::Ctd,
-                Defense::Act(cfg) => Pad::Act {
-                    cfg: *cfg,
-                    epoch_len: cfg.epoch_cycles(self.clock).0.max(1),
-                },
-                _ => Pad::Flat,
-            },
-        }
-    }
-
-    /// Serves one pre-located, pre-validated scalar request against the
-    /// live per-bank state — the body of the located loop. Bit-identical
-    /// to [`MemoryController::service`] minus the validation the caller
-    /// already performed; `blocked`/`padded` accumulate the stats deltas
-    /// the caller applies once per run.
-    #[inline(always)]
-    fn serve_located(
-        &mut self,
-        req: &MemRequest,
-        bank: usize,
-        row: u64,
-        env: BatchEnv,
-        blocked: &mut u64,
-        padded: &mut u64,
-    ) -> MemResponse {
-        let now = req.at;
-        let mut at = now;
-        if let Some(bk) = env.blocking {
-            let epoch = now.0 / bk.interval.0.max(1);
-            if epoch > self.block_epoch[bank] {
-                note_unshare(&self.block_epoch);
-                // analyze::allow(cow-aliasing): per-request RFM epoch
-                // roll, same guarded write as the scalar path
-                Arc::make_mut(&mut self.block_epoch)[bank] = epoch;
-                *blocked += 1;
-                at = now + bk.block;
-            }
-        }
-        let o = self.dram.access_as(bank, row, at, req.actor);
-        let raw = o.completed_at - now + env.overhead;
-        let latency = match env.pad {
-            Pad::Flat => raw,
-            Pad::Ctd => {
-                *padded += 1;
-                raw.max(env.worst)
-            }
-            Pad::Act { cfg, epoch_len } => {
-                let epoch = now.0 / epoch_len;
-                note_unshare(&self.act_state);
-                // analyze::allow(cow-aliasing): ACT tracks per-access
-                // conflict counts, so servicing under ACT always writes
-                // this bank's slot
-                let state = &mut Arc::make_mut(&mut self.act_state)[bank];
-                state.roll_to(epoch, &cfg);
-                if o.kind == RowBufferKind::Conflict {
-                    state.conflicts += 1;
-                }
-                if state.constant_time() {
-                    *padded += 1;
-                    raw.max(env.worst)
-                } else {
-                    raw
-                }
-            }
-        };
-        MemResponse {
-            bank,
-            row,
-            kind: o.kind,
-            latency,
-            completed_at: now + latency,
-            per_bank: Vec::new(),
-        }
-    }
-
-    /// The located loop: serves a pre-validated scalar run in request
-    /// order against the live per-bank state, appending one response per
-    /// request, and applies the stats deltas once. Preconditions:
-    /// `locs[i]` is `mapping.locate` of `reqs[i]`, every address is within
-    /// capacity, no request is a RowClone, and no MPR partition check can
-    /// fail.
-    fn service_located_append(
-        &mut self,
-        reqs: &[MemRequest],
-        locs: &[(u32, u64)],
-        out: &mut Vec<MemResponse>,
-    ) {
-        debug_assert_eq!(reqs.len(), locs.len());
-        let env = self.batch_env();
-        let mut blocked = 0u64;
-        let mut padded = 0u64;
-        out.reserve(reqs.len());
-        for (req, &(bank, row)) in reqs.iter().zip(locs) {
-            let resp = self.serve_located(req, bank as usize, row, env, &mut blocked, &mut padded);
             out.push(resp);
         }
-        self.stats.accesses += reqs.len() as u64;
-        self.stats.blocked += blocked;
-        self.stats.padded += padded;
+        Ok(out)
     }
 
     /// Demand access with the periodic-block and latency-defense checks
@@ -618,6 +379,19 @@ impl MemoryController {
             return Err(Error::InvalidRowClone("empty bank mask".into()));
         }
         let row_bytes = self.dram.geometry().row_bytes;
+        let capacity = self.dram.geometry().capacity_bytes();
+        // A range base from untrusted input (a trace file) can sit so
+        // close to the top of the address space that a lane wraps; such a
+        // base is past the device capacity, so report it as out of range.
+        let lane = |base: PhysAddr, i: u64| {
+            i.checked_mul(row_bytes)
+                .and_then(|offset| base.0.checked_add(offset))
+                .map(PhysAddr)
+                .ok_or(Error::AddressOutOfRange {
+                    addr: base.0,
+                    capacity,
+                })
+        };
         // Pre-validate every lane before touching any bank state. A mask
         // has at most 64 set bits, so fixed stack scratch replaces the
         // per-request Vec allocation on this path.
@@ -627,8 +401,8 @@ impl MemoryController {
             if mask & (1 << i) == 0 {
                 continue;
             }
-            let s = src + i * row_bytes;
-            let d = dst + i * row_bytes;
+            let s = lane(src, i)?;
+            let d = lane(dst, i)?;
             self.check_capacity(s)?;
             self.check_capacity(d)?;
             let sc = self.mapping.map(s);
@@ -733,9 +507,8 @@ impl MemoryController {
     }
 }
 
-/// The fork: the DRAM bank columns and the per-bank defense arrays are
-/// shared copy-on-write, the mapping is re-boxed, and the batch scratch
-/// buffers start empty (they hold no observable state).
+/// The fork: the DRAM bank array and the per-bank defense arrays are
+/// shared copy-on-write, and the mapping is re-boxed.
 impl Clone for MemoryController {
     fn clone(&self) -> MemoryController {
         MemoryController {
@@ -748,7 +521,6 @@ impl Clone for MemoryController {
             blocking: self.blocking,
             block_epoch: Arc::clone(&self.block_epoch),
             stats: self.stats.clone(),
-            scratch: BatchScratch::default(),
         }
     }
 }

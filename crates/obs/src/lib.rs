@@ -264,15 +264,14 @@ impl Drop for SpanGuard<'_> {
 pub struct Registry {
     /// `ctrl.batch.size` — requests per `service_batch` call.
     pub ctrl_batch_size: Histogram,
-    /// `ctrl.segments.serial` — scalar segments shorter than 16 requests
-    /// (or failing pre-validation), served request by request.
+    /// `ctrl.segments.serial` — `service_batch` calls; each batch is
+    /// served request by request in one loop.
     pub ctrl_serial_segments: Counter,
-    /// `ctrl.segments.sparse` — scalar segments served by the in-order
-    /// located loop (one `locate_batch` pass, then request order).
-    pub ctrl_sparse_segments: Counter,
-    /// `ctrl.segments.dense` — always 0: no servicing tier records it.
+    /// `ctrl.segments.sparse` — always 0: no servicing tier records it.
     /// Kept in the registry and the export so readers of the name keep
     /// working.
+    pub ctrl_sparse_segments: Counter,
+    /// `ctrl.segments.dense` — always 0, like `ctrl.segments.sparse`.
     pub ctrl_dense_segments: Counter,
     /// `ctrl.cow.unshares` — copy-on-write write-backs that found their
     /// slab still shared with a fork and had to clone it.

@@ -5,12 +5,12 @@
 //! the defense matrix {open, CTD, ACT, RFM}, on the controller itself and
 //! behind the tracing proxy.
 //!
-//! The batch path picks a servicing tier by segment length (the serial
-//! lean loop below 16 requests, the located in-order loop at any longer
-//! length); this suite is what pins both to the one semantic reference,
-//! the per-request state machine. A dedicated case covers the fallible
-//! paths: mixed RowClone batches and MPR partition rejections must error
-//! on the same request with identical partial state.
+//! `service_batch` is one request-order loop that skips the blocking and
+//! padding checks when neither can fire (no RFM, no CTD/ACT); this suite
+//! pins both branches to the one semantic reference, the per-request
+//! state machine. A dedicated case covers the fallible paths: mixed
+//! RowClone batches and MPR partition rejections must error on the same
+//! request with identical partial state.
 
 use proptest::prelude::*;
 
@@ -30,7 +30,7 @@ fn cfg() -> SystemConfig {
 
 /// Every 37th request of a stream with RowClones is a masked RowClone, so
 /// each scalar run between them (36 requests) is longer than the 16-bank
-/// geometry and revisits banks within one located segment.
+/// geometry and revisits banks between two RowClones.
 const ROWCLONE_EVERY: u64 = 37;
 
 /// A mixed valid request stream: loads/stores/PiM over 16 banks plus,

@@ -104,9 +104,9 @@ fn enabling_telemetry_changes_no_trace_byte() {
 #[test]
 fn snapshots_and_forks_carry_no_telemetry() {
     let cfg = SystemConfig::paper_table2();
-    let segments = &impact::obs::registry().ctrl_sparse_segments;
+    let segments = &impact::obs::registry().ctrl_serial_segments;
 
-    // A 512-request batch is one located segment: it bumps the counter.
+    // Every `service_batch` call bumps the counter once.
     let mut mc = MemoryController::from_config(&cfg);
     let reqs: Vec<MemRequest> = (0..512u64)
         .map(|i| {
@@ -118,14 +118,14 @@ fn snapshots_and_forks_carry_no_telemetry() {
     let before = segments.get();
     MemoryBackend::service_batch(&mut mc, &reqs).unwrap();
     let served = segments.get();
-    assert!(served > before, "the located segment must be counted");
+    assert!(served > before, "the batch must be counted");
     assert_eq!(mc.stats().accesses, 512);
 
     // The fork's replicated state is its own; its segments count into
     // the same global registry.
     assert_eq!(fork.stats().accesses, 0, "a fork never sees parent traffic");
     MemoryBackend::service_batch(&mut fork, &reqs).unwrap();
-    assert!(segments.get() > served, "a fork's segments are counted too");
+    assert!(segments.get() > served, "a fork's batches are counted too");
 
     // Engine forks are obs *events*; the global registry only moves
     // forward. (> rather than == because other tests in this binary fork

@@ -2,7 +2,7 @@
 //! *observationally free*.
 //!
 //! A fork (`MemoryController::clone`, `Engine::fork`) shares its bulk
-//! state (bank SoA columns, cache tag arrays, radix page-table leaves,
+//! state (the DRAM bank array, cache tag arrays, radix page-table leaves,
 //! ACT bookkeeping) with its parent behind `Arc`s, and every mutation
 //! goes through `Arc::make_mut`. This suite pins the two properties the
 //! fleet's fork-per-session setup relies on:
