@@ -936,6 +936,39 @@ mod tests {
                 if msg == "inject event targets bank 16 of a 16-bank device"
         ));
 
+        // So must an arrival time past the replay horizon...
+        let mut far_future = CapturedTrace::read_from(&bytes[..]).unwrap();
+        far_future.events.push(TraceEvent::Request(MemRequest::load(
+            PhysAddr(0),
+            Cycles(u64::MAX),
+            0,
+        )));
+        far_future.summary.events += 1;
+        assert!(matches!(
+            TraceScenario::new(far_future, BackendKind::Mono),
+            Err(Error::TraceFormat(msg)) if msg.contains("replay horizon")
+        ));
+
+        // ...and a RowClone whose lanes run past the end of the address
+        // space, on either range.
+        for (src, dst) in [(u64::MAX - 100, 0), (0, u64::MAX - 100)] {
+            let mut wrapping = CapturedTrace::read_from(&bytes[..]).unwrap();
+            wrapping
+                .events
+                .push(TraceEvent::Request(MemRequest::rowclone(
+                    PhysAddr(src),
+                    PhysAddr(dst),
+                    0b10,
+                    Cycles(0),
+                    0,
+                )));
+            wrapping.summary.events += 1;
+            assert!(matches!(
+                TraceScenario::new(wrapping, BackendKind::Mono),
+                Err(Error::AddressOutOfRange { .. })
+            ));
+        }
+
         // A footer that doesn't match the events (here: a silently dropped
         // tail) is rejected too.
         let mut short = CapturedTrace::read_from(&bytes[..]).unwrap();

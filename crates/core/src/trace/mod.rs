@@ -425,14 +425,23 @@ fn dispatch_event<B: MemoryBackend>(
     visit: &mut impl FnMut(MemResponse),
 ) -> Result<()> {
     match ev {
-        TraceEvent::Request(req) => visit(backend.service(req)?),
-        TraceEvent::Batch(reqs) => backend.service_batch(reqs)?.into_iter().for_each(visit),
+        TraceEvent::Request(req) => {
+            check_arrival(req.at)?;
+            visit(backend.service(req)?);
+        }
+        TraceEvent::Batch(reqs) => {
+            for req in reqs {
+                check_arrival(req.at)?;
+            }
+            backend.service_batch(reqs)?.into_iter().for_each(visit);
+        }
         TraceEvent::Inject {
             bank,
             row,
             at,
             actor,
         } => {
+            check_arrival(*at)?;
             // A decoded bank is untrusted input; backends index their bank
             // arrays with it directly.
             let banks = backend.num_banks();
@@ -443,6 +452,23 @@ fn dispatch_event<B: MemoryBackend>(
             }
             backend.inject_row_activation(*bank, *row, *at, *actor);
         }
+    }
+    Ok(())
+}
+
+/// Latest arrival time a replayed event may carry: `2^62` cycles, about
+/// 56 years at 2.6 GHz. Backends add latencies to arrival times with
+/// plain `Cycles` arithmetic, so a decoded time near `u64::MAX` would
+/// overflow; rejecting it here keeps that arithmetic unchecked.
+const MAX_ARRIVAL: Cycles = Cycles(1 << 62);
+
+/// Rejects an untrusted arrival time past [`MAX_ARRIVAL`].
+fn check_arrival(at: Cycles) -> Result<()> {
+    if at > MAX_ARRIVAL {
+        return Err(crate::error::Error::TraceFormat(format!(
+            "event arrives at cycle {}, past the replay horizon of {} cycles",
+            at.0, MAX_ARRIVAL.0
+        )));
     }
     Ok(())
 }

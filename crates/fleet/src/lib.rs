@@ -584,6 +584,37 @@ mod tests {
             Err(impact_core::Error::TraceFormat(msg))
                 if msg == "inject event targets bank 16 of a 16-bank device"
         ));
+        // An arrival time past the replay horizon is a format error, not
+        // an overflow in the bank's timing arithmetic.
+        let mut far_future = (*tiny_trace()).clone();
+        far_future.events.push(TraceEvent::Request(MemRequest {
+            addr: PhysAddr(0),
+            kind: ReqKind::Load,
+            at: Cycles(u64::MAX),
+            actor: 0,
+        }));
+        assert!(matches!(
+            fleet.admit_trace(&Arc::new(far_future), &noiseless, 4),
+            Err(impact_core::Error::TraceFormat(msg)) if msg.contains("replay horizon")
+        ));
+        // A RowClone whose source or destination lanes run past the end of
+        // the address space is out of range.
+        for (src, dst) in [(u64::MAX - 100, 0), (0, u64::MAX - 100)] {
+            let mut wrapping = (*tiny_trace()).clone();
+            wrapping
+                .events
+                .push(TraceEvent::Request(MemRequest::rowclone(
+                    PhysAddr(src),
+                    PhysAddr(dst),
+                    0b10,
+                    Cycles(400),
+                    0,
+                )));
+            assert!(matches!(
+                fleet.admit_trace(&Arc::new(wrapping), &noiseless, 4),
+                Err(impact_core::Error::AddressOutOfRange { addr, .. }) if addr == u64::MAX - 100
+            ));
+        }
         assert!(matches!(
             fleet.admit_trace(&tiny_trace(), &SystemConfig::paper_table2(), 4),
             Err(impact_core::Error::TraceConfigMismatch { .. })

@@ -2,11 +2,15 @@
 //! record a quick experiment on the monolithic backend, persist it to
 //! disk, replay the file through the `trace_replay` machinery on the
 //! mono and traced backends, and assert that responses, `BackendStats`
-//! and the final DRAM state are bit-identical everywhere.
+//! and the final DRAM state are bit-identical everywhere. Corrupt files
+//! fail with typed errors, never panics.
 
 use std::fs;
 use std::io::BufReader;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use proptest::prelude::*;
 
 use impact::core::config::SystemConfig;
 use impact::core::engine::{MemResponse, MemoryBackend};
@@ -17,7 +21,8 @@ use impact::sim::{BackendKind, TracedSystem};
 use impact::workloads::CapturedTrace;
 use impact_attacks::PnmCovertChannel;
 use impact_bench::trace_tools::{
-    diff_readers, first_divergence, record_capture, replay_file, CaptureKind, DiffOutcome,
+    diff_readers, first_divergence, record_capture, replay_file, trace_stats, CaptureKind,
+    DiffOutcome,
 };
 
 /// A unique scratch path under the system temp dir, removed on drop.
@@ -203,4 +208,32 @@ fn spilled_experiment_equals_in_memory_log() {
     .unwrap();
     assert!(v.matches());
     assert_eq!(v.state_digest, reference.backend().dram_state_digest());
+}
+
+/// A quick Mix capture's file bytes, recorded once per test binary.
+fn quick_mix_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let scratch = ScratchFile::new("fuzz-base.trace");
+        record_quick_mix(&scratch.0);
+        fs::read(&scratch.0).expect("read trace file")
+    })
+}
+
+proptest! {
+    /// Flipping one to four bytes of a capture gives every reader a
+    /// result or a typed error: decoding, replaying and summarizing a
+    /// corrupt file never panics.
+    #[test]
+    fn mutated_captures_never_panic(
+        flips in prop::collection::vec((0..quick_mix_bytes().len(), 1u8..255), 1..5)
+    ) {
+        let mut bytes = quick_mix_bytes().to_vec();
+        for (at, mask) in flips {
+            bytes[at] ^= mask;
+        }
+        let _ = replay_file(&bytes[..], BackendKind::Mono);
+        let _ = trace_stats(&bytes[..]);
+        let _ = CapturedTrace::read_from(&bytes[..]);
+    }
 }
