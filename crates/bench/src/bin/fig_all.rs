@@ -6,8 +6,6 @@
 //! fig_all fig9 fig11            # run selected experiments
 //! fig_all --csv fig2            # CSV output instead of text
 //! fig_all --jobs 4              # shard experiments over 4 worker threads
-//! fig_all --backend traced      # run behind a tracing proxy
-//! fig_all --record-trace f.trace  # capture a replayable trace file
 //! fig_all --trace f.trace       # run a captured trace as an experiment
 //! fig_all --metrics m.json      # dump the obs telemetry snapshot
 //! ```
@@ -17,27 +15,22 @@
 //! suite order once every experiment has finished — bit-identical to a
 //! serial run.
 //!
-//! `--record-trace PATH` records the canonical capture workload on the
-//! selected `--backend` (spill-to-disk, replayable with `trace_replay`);
-//! when no experiments are selected, fig_all exits after recording.
-//! `--trace PATH` loads a previously captured trace and appends it to the
-//! suite as the `trace` experiment (a prefix-replay sweep whose series is
-//! bit-identical on every backend).
+//! `--trace PATH` loads a trace captured with `trace_replay record` and
+//! appends it to the suite as the `trace` experiment (a prefix-replay
+//! sweep); with no experiments selected, it runs alone.
 //!
 //! `--metrics PATH` enables the wall-clock span timers and writes the
 //! process-wide [`impact_obs`] telemetry snapshot (canonical JSON) to
 //! `PATH` after the suite renders. Telemetry lives entirely outside the
-//! deterministic state machine, so the rendered figures and any recorded
-//! traces are byte-identical with or without the flag — CI diffs the two
-//! byte for byte.
+//! deterministic state machine, so the rendered figures are
+//! byte-identical with or without the flag — CI diffs the two byte for
+//! byte.
 
 use std::env;
-use std::fs::File;
-use std::io::BufWriter;
 
 use impact_bench::experiments;
 use impact_bench::runner::ExperimentJob;
-use impact_bench::trace_tools::{record_capture, trace_figure, CaptureKind, TraceScenario};
+use impact_bench::trace_tools::{trace_figure, TraceScenario};
 use impact_bench::{Figure, Scenario, SweepRunner};
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
@@ -61,8 +54,8 @@ const ALL: [&str; 13] = [
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: fig_all [--quick] [--csv] [--jobs N|auto] [--backend mono|traced] \
-         [--record-trace PATH] [--trace PATH] [--metrics PATH] [EXPERIMENT...]"
+        "usage: fig_all [--quick] [--csv] [--jobs N|auto] [--trace PATH] [--metrics PATH] \
+         [EXPERIMENT...]"
     );
     eprintln!("experiments: {}", ALL.join(", "));
     std::process::exit(2);
@@ -91,12 +84,6 @@ fn main() {
                 _ => usage_exit(&format!("{flag} needs a value")),
             })
     };
-    let backend = match flag_value("--backend") {
-        None => BackendKind::Mono,
-        Some(v) => {
-            BackendKind::parse(&v).unwrap_or_else(|| usage_exit(&format!("unknown backend {v:?}")))
-        }
-    };
     let runner = match flag_value("--jobs").as_deref() {
         None => SweepRunner::serial(),
         Some("auto") => SweepRunner::auto(),
@@ -105,7 +92,6 @@ fn main() {
             Err(_) => usage_exit(&format!("bad --jobs value {v:?}")),
         },
     };
-    let record_trace = flag_value("--record-trace");
     let trace_path = flag_value("--trace");
     let metrics_path = flag_value("--metrics");
     if metrics_path.is_some() {
@@ -120,12 +106,7 @@ fn main() {
             skip_next = false;
             continue;
         }
-        if a == "--jobs"
-            || a == "--backend"
-            || a == "--record-trace"
-            || a == "--trace"
-            || a == "--metrics"
-        {
+        if a == "--jobs" || a == "--trace" || a == "--metrics" {
             skip_next = true;
             continue;
         }
@@ -141,43 +122,15 @@ fn main() {
         selected.push(&args[i]);
     }
 
-    // --record-trace: capture the canonical mixed workload on the selected
-    // backend before (or instead of) running experiments.
-    if let Some(path) = &record_trace {
-        let sink = File::create(path)
-            .unwrap_or_else(|e| usage_exit(&format!("cannot create {path}: {e}")));
-        let outcome = record_capture(
-            CaptureKind::Mix,
-            backend,
-            quick,
-            0x7ACE,
-            Box::new(BufWriter::new(sink)),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("fig_all: trace recording failed: {e}");
-            std::process::exit(1);
-        });
-        eprintln!(
-            "fig_all: recorded {} events ({} responses, digest {:#018x}) on `{}` to {path}",
-            outcome.summary.events,
-            outcome.summary.responses,
-            outcome.summary.response_digest,
-            backend.label(),
-        );
-        if selected.is_empty() && trace_path.is_none() {
-            return;
-        }
-    }
-
     // No selection runs the whole suite in paper order; an explicit
     // selection preserves the user's order and duplicates.
     let mut jobs: Vec<ExperimentJob> = if selected.is_empty() && trace_path.is_some() {
         // A lone --trace runs just the captured-trace experiment.
         Vec::new()
     } else if selected.is_empty() {
-        experiments::suite(quick, backend)
+        experiments::suite(quick, BackendKind::Mono)
     } else {
-        let mut pool: Vec<Option<ExperimentJob>> = experiments::suite(quick, backend)
+        let mut pool: Vec<Option<ExperimentJob>> = experiments::suite(quick, BackendKind::Mono)
             .into_iter()
             .map(Some)
             .collect();
@@ -189,7 +142,7 @@ fn main() {
                     .and_then(Option::take)
                     .unwrap_or_else(|| {
                         // Duplicate selection: build a fresh instance.
-                        experiments::suite(quick, backend)
+                        experiments::suite(quick, BackendKind::Mono)
                             .into_iter()
                             .find(|j| j.id() == *id)
                             .expect("validated against ALL")
@@ -204,7 +157,7 @@ fn main() {
             eprintln!("fig_all: cannot load trace {path}: {e}");
             std::process::exit(1);
         });
-        let scenario = TraceScenario::new(captured, backend).unwrap_or_else(|e| {
+        let scenario = TraceScenario::new(captured).unwrap_or_else(|e| {
             eprintln!("fig_all: trace {path} is not replayable: {e}");
             std::process::exit(1);
         });
@@ -215,9 +168,8 @@ fn main() {
 
     if runner.threads() > 1 {
         eprintln!(
-            "fig_all: {} experiments on backend `{}` across {} workers",
+            "fig_all: {} experiments across {} workers",
             jobs.len(),
-            backend.label(),
             runner.threads().min(jobs.len()),
         );
     }

@@ -1,9 +1,8 @@
-//! Capture, replay, diff and summarize persisted backend traces.
+//! Capture, replay, diff and summarize persisted controller traces.
 //!
 //! ```text
-//! trace_replay record --out run.trace [--scenario mix|pnm|bfs]
-//!                     [--backend mono|traced] [--quick] [--seed N]
-//! trace_replay replay run.trace [--backend mono|traced] [--metrics m.json]
+//! trace_replay record --out run.trace [--scenario mix|pnm|bfs] [--quick] [--seed N]
+//! trace_replay replay run.trace [--metrics m.json]
 //! trace_replay diff   a.trace b.trace
 //! trace_replay stats  run.trace
 //! trace_replay slice  run.trace --out window.trace --start N --count N
@@ -11,8 +10,8 @@
 //! ```
 //!
 //! `record` runs a canonical capture workload with the tracing proxy
-//! spilling straight to disk. `replay` re-services the file on any
-//! backend and verifies responses, `BackendStats` and the DRAM state
+//! spilling straight to disk. `replay` re-services the file on a fresh
+//! controller and verifies responses, `BackendStats` and the DRAM state
 //! digest bit-for-bit against the recorded footer (exit code 1 on any
 //! mismatch); `--metrics PATH` additionally writes the `impact_obs`
 //! telemetry snapshot of the replay (canonical JSON) — telemetry never
@@ -42,9 +41,8 @@ use impact_workloads::CapturedTrace;
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: trace_replay record --out FILE [--scenario mix|pnm|bfs] \
-         [--backend mono|traced] [--quick] [--seed N]\n\
-         \x20      trace_replay replay FILE [--backend mono|traced] [--metrics FILE]\n\
+        "usage: trace_replay record --out FILE [--scenario mix|pnm|bfs] [--quick] [--seed N]\n\
+         \x20      trace_replay replay FILE [--metrics FILE]\n\
          \x20      trace_replay diff A B\n\
          \x20      trace_replay stats FILE\n\
          \x20      trace_replay slice FILE --out FILE --start N --count N\n\
@@ -56,7 +54,6 @@ fn usage_exit(msg: &str) -> ! {
 struct Args {
     positional: Vec<String>,
     quick: bool,
-    backend: BackendKind,
     scenario: CaptureKind,
     seed: u64,
     out: Option<String>,
@@ -69,7 +66,6 @@ fn parse_args(raw: &[String]) -> Args {
     let mut args = Args {
         positional: Vec::new(),
         quick: false,
-        backend: BackendKind::Mono,
         scenario: CaptureKind::Mix,
         seed: 0x7ACE,
         out: None,
@@ -86,11 +82,6 @@ fn parse_args(raw: &[String]) -> Args {
         };
         match a.as_str() {
             "--quick" => args.quick = true,
-            "--backend" => {
-                let v = value("--backend");
-                args.backend = BackendKind::parse(&v)
-                    .unwrap_or_else(|| usage_exit(&format!("unknown backend {v:?}")));
-            }
             "--scenario" => {
                 let v = value("--scenario");
                 args.scenario = CaptureKind::parse(&v)
@@ -149,7 +140,7 @@ fn main() -> ExitCode {
                 .unwrap_or_else(|e| usage_exit(&format!("cannot create {out}: {e}")));
             let outcome = record_capture(
                 args.scenario,
-                args.backend,
+                BackendKind::Mono,
                 args.quick,
                 args.seed,
                 Box::new(std::io::BufWriter::new(sink)),
@@ -159,9 +150,8 @@ fn main() -> ExitCode {
                 std::process::exit(1);
             });
             println!(
-                "recorded scenario={} backend={} quick={} seed={}",
+                "recorded scenario={} quick={} seed={}",
                 args.scenario.name(),
-                args.backend.label(),
                 args.quick,
                 args.seed,
             );
@@ -183,15 +173,13 @@ fn main() -> ExitCode {
             if args.metrics.is_some() {
                 impact_obs::set_enabled(true);
             }
-            let v = replay_file(open(file), args.backend).unwrap_or_else(|e| {
+            let v = replay_file(open(file), BackendKind::Mono).unwrap_or_else(|e| {
                 eprintln!("trace_replay: replay failed: {e}");
                 std::process::exit(1);
             });
             println!(
-                "replayed {} events / {} responses on backend={}",
-                v.recorded.events,
-                v.responses,
-                args.backend.label(),
+                "replayed {} events / {} responses",
+                v.recorded.events, v.responses,
             );
             println!("  response-digest={:#018x}", v.response_digest);
             println!("  state-digest={:#018x}", v.state_digest);

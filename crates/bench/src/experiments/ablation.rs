@@ -8,7 +8,7 @@ use impact_core::config::{NoiseConfig, SystemConfig};
 use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_dram::RowPolicy;
-use impact_sim::BackendKind;
+use impact_sim::System;
 
 use crate::{Figure, Series};
 
@@ -20,12 +20,6 @@ use crate::{Figure, Series};
 /// * error rate vs prefetcher noise rate.
 #[must_use]
 pub fn ablations(quick: bool) -> Figure {
-    ablations_on(BackendKind::Mono, quick)
-}
-
-/// [`ablations`] on an explicit memory backend.
-#[must_use]
-pub fn ablations_on(backend: BackendKind, quick: bool) -> Figure {
     let bits = if quick { 512 } else { 2048 };
     let message = SimRng::seed(0xAB1A).bits(bits);
     let clock = SystemConfig::paper_table2().clock;
@@ -40,7 +34,7 @@ pub fn ablations_on(backend: BackendKind, quick: bool) -> Figure {
     .into_iter()
     .enumerate()
     {
-        let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         sys.set_row_policy(policy);
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
         let r = ch.transmit(&mut sys, &message).expect("transmit");
@@ -51,12 +45,12 @@ pub fn ablations_on(backend: BackendKind, quick: bool) -> Figure {
     let mut pnm_batch = Vec::new();
     let mut pum_batch = Vec::new();
     for banks in [2usize, 4, 8, 16] {
-        let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let mut ch = PnmCovertChannel::setup(&mut sys, banks).expect("setup");
         let r = ch.transmit(&mut sys, &message).expect("transmit");
         pnm_batch.push((banks as f64, r.goodput_mbps(clock)));
 
-        let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let mut ch = PumCovertChannel::setup(&mut sys, banks).expect("setup");
         let r = ch.transmit(&mut sys, &message).expect("transmit");
         pum_batch.push((banks as f64, r.goodput_mbps(clock)));
@@ -65,7 +59,7 @@ pub fn ablations_on(backend: BackendKind, quick: bool) -> Figure {
     // (c) Decode threshold sweep (with noise, so mistuning shows up).
     let mut threshold_pts = Vec::new();
     for threshold in [110u64, 130, 150, 170, 190, 220] {
-        let mut sys = backend.system(SystemConfig::paper_table2());
+        let mut sys = System::new(SystemConfig::paper_table2());
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
         ch.set_threshold(threshold);
         let r = ch.transmit(&mut sys, &message).expect("transmit");
@@ -83,7 +77,7 @@ pub fn ablations_on(backend: BackendKind, quick: bool) -> Figure {
             },
             ..SystemConfig::paper_table2()
         };
-        let mut sys = backend.system(cfg);
+        let mut sys = System::new(cfg);
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
         let r = ch.transmit(&mut sys, &message).expect("transmit");
         let _ = i;

@@ -6,7 +6,7 @@ use impact_attacks::channel::message_from_str;
 use impact_attacks::{PnmCovertChannel, PumCovertChannel};
 use impact_core::config::SystemConfig;
 use impact_core::rng::SimRng;
-use impact_sim::BackendKind;
+use impact_sim::System;
 
 use crate::{Figure, Series};
 
@@ -14,12 +14,6 @@ use crate::{Figure, Series};
 /// IMPACT-PnM (a) and IMPACT-PuM (b), decoded with the 150-cycle threshold.
 #[must_use]
 pub fn fig8() -> Figure {
-    fig8_on(BackendKind::Mono)
-}
-
-/// [`fig8`] on an explicit memory backend.
-#[must_use]
-pub fn fig8_on(backend: BackendKind) -> Figure {
     let mut fig = Figure::new(
         "fig8",
         "PoC: receiver latency per transmitted bit (16 banks)",
@@ -30,7 +24,7 @@ pub fn fig8_on(backend: BackendKind) -> Figure {
     .with_note("paper messages: PnM 1110010011100100, PuM 0001101100011011");
 
     // (a) IMPACT-PnM.
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
     pnm.set_trace(true);
     let msg = message_from_str("1110010011100100");
@@ -45,7 +39,7 @@ pub fn fig8_on(backend: BackendKind) -> Figure {
     fig = fig.with_note(format!("PnM bit errors: {}", r.bit_errors));
 
     // (b) IMPACT-PuM.
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
     pum.set_trace(true);
     let msg = message_from_str("0001101100011011");
@@ -64,12 +58,6 @@ pub fn fig8_on(backend: BackendKind) -> Figure {
 /// (1–128 MB), with the paper's noise sources enabled.
 #[must_use]
 pub fn fig9(message_bits: usize) -> Figure {
-    fig9_on(BackendKind::Mono, message_bits)
-}
-
-/// [`fig9`] on an explicit memory backend.
-#[must_use]
-pub fn fig9_on(backend: BackendKind, message_bits: usize) -> Figure {
     let sizes_mb = [1u64, 2, 4, 8, 16, 32, 64, 128];
     let message = SimRng::seed(0xF19).bits(message_bits);
 
@@ -93,18 +81,18 @@ pub fn fig9_on(backend: BackendKind, message_bits: usize) -> Figure {
             (BaselinePrimitive::Eviction, 1),
             (BaselinePrimitive::Dma, 2),
         ] {
-            let mut sys = backend.system(cfg.clone());
+            let mut sys = System::new(cfg.clone());
             let mut ch = BaselineChannel::setup(&mut sys, primitive).expect("setup");
             let r = ch.transmit(&mut sys, &message).expect("transmit");
             series[idx].1.push((x, r.goodput_mbps(cfg.clock)));
         }
 
-        let mut sys = backend.system(cfg.clone());
+        let mut sys = System::new(cfg.clone());
         let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
         let r = pnm.transmit(&mut sys, &message).expect("transmit");
         series[3].1.push((x, r.goodput_mbps(cfg.clock)));
 
-        let mut sys = backend.system(cfg.clone());
+        let mut sys = System::new(cfg.clone());
         let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
         let r = pum.transmit(&mut sys, &message).expect("transmit");
         series[4].1.push((x, r.goodput_mbps(cfg.clock)));
@@ -128,21 +116,15 @@ pub fn fig9_on(backend: BackendKind, message_bits: usize) -> Figure {
 /// 16-bit message (one batch) in IMPACT-PnM vs IMPACT-PuM.
 #[must_use]
 pub fn fig10() -> Figure {
-    fig10_on(BackendKind::Mono)
-}
-
-/// [`fig10`] on an explicit memory backend.
-#[must_use]
-pub fn fig10_on(backend: BackendKind) -> Figure {
     // Use an all-ones message so the sender cost reflects a full batch of
     // transmissions (the paper's worst-case sender work).
     let message = vec![true; 16];
 
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
     let pnm_r = pnm.transmit(&mut sys, &message).expect("transmit");
 
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
     let pum_r = pum.transmit(&mut sys, &message).expect("transmit");
 

@@ -6,7 +6,7 @@ use impact_core::config::SystemConfig;
 use impact_core::rng::SimRng;
 use impact_core::stats::geometric_mean;
 use impact_memctrl::{ActConfig, Defense};
-use impact_sim::BackendKind;
+use impact_sim::System;
 use impact_workloads::graph::Graph;
 use impact_workloads::{kernels, replay, Trace};
 
@@ -59,7 +59,7 @@ fn defenses() -> Vec<Defense> {
 }
 
 /// One Fig. 12 curve as a parallelizable [`Scenario`]: replays every
-/// workload on a fresh per-point [`System`](impact_sim::System) under
+/// workload on a fresh per-point [`System`] under
 /// `defense` and reports cycles, normalized against `baseline` when one
 /// is supplied.
 ///
@@ -73,8 +73,6 @@ pub struct DefenseOverheadSweep<'a> {
     pub defense: Option<Defense>,
     /// Per-workload baseline cycles; empty to report raw cycles.
     pub baseline: &'a [f64],
-    /// Memory backend each per-point system is built on.
-    pub backend: BackendKind,
 }
 
 impl Scenario for DefenseOverheadSweep<'_> {
@@ -94,7 +92,7 @@ impl Scenario for DefenseOverheadSweep<'_> {
 
     fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
         let i = x as usize;
-        let mut sys = self.backend.system(fig12_system());
+        let mut sys = System::new(fig12_system());
         if let Some(d) = &self.defense {
             sys.set_defense(d.clone());
         }
@@ -115,12 +113,6 @@ impl Scenario for DefenseOverheadSweep<'_> {
 /// paper).
 #[must_use]
 pub fn fig12(quick: bool) -> Figure {
-    fig12_on(BackendKind::Mono, quick)
-}
-
-/// [`fig12`] on an explicit memory backend.
-#[must_use]
-pub fn fig12_on(backend: BackendKind, quick: bool) -> Figure {
     let workloads = fig12_workloads(quick);
     let runner = SweepRunner::auto();
 
@@ -130,7 +122,6 @@ pub fn fig12_on(backend: BackendKind, quick: bool) -> Figure {
             workloads: &workloads,
             defense: None,
             baseline: &[],
-            backend,
         })
         .points
         .into_iter()
@@ -151,7 +142,6 @@ pub fn fig12_on(backend: BackendKind, quick: bool) -> Figure {
             workloads: &workloads,
             defense: Some(defense),
             baseline: &baseline,
-            backend,
         });
         let normalized: Vec<f64> = series.points.iter().map(|&(_, y)| y).collect();
         series
@@ -164,10 +154,10 @@ pub fn fig12_on(backend: BackendKind, quick: bool) -> Figure {
     let bits = if quick { 512 } else { 2048 };
     let message = SimRng::seed(0xF12).bits(bits);
     let clock = SystemConfig::paper_table2().clock;
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
     let open = ch.transmit(&mut sys, &message).expect("transmit");
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     sys.set_defense(Defense::Act(ActConfig::aggressive()));
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
     let defended = ch.transmit(&mut sys, &message).expect("transmit");
@@ -191,7 +181,6 @@ mod tests {
             workloads: &workloads,
             defense: Some(Defense::Act(ActConfig::mild())),
             baseline: &[],
-            backend: BackendKind::Mono,
         };
         let serial = SweepRunner::serial().run(&sweep);
         let parallel = SweepRunner::new(4).run(&sweep);

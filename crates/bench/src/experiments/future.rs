@@ -10,32 +10,26 @@ use impact_attacks::{PnmCovertChannel, PumCovertChannel};
 use impact_core::config::SystemConfig;
 use impact_core::rng::SimRng;
 use impact_memctrl::PeriodicBlock;
-use impact_sim::BackendKind;
+use impact_sim::System;
 
 use crate::{Figure, Series};
 
 /// Covert-channel throughput on devices with 16–256 banks.
 #[must_use]
 pub fn future_banks(message_bits: usize) -> Figure {
-    future_banks_on(BackendKind::Mono, message_bits)
-}
-
-/// [`future_banks`] on an explicit memory backend.
-#[must_use]
-pub fn future_banks_on(backend: BackendKind, message_bits: usize) -> Figure {
     let message = SimRng::seed(0x84).bits(message_bits);
     let clock = SystemConfig::paper_table2().clock;
     let mut pnm_pts = Vec::new();
     let mut pum_pts = Vec::new();
     for banks in [16u32, 32, 64, 128, 256] {
         let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
-        let mut sys = backend.system(cfg.clone());
+        let mut sys = System::new(cfg.clone());
         let mut pnm = PnmCovertChannel::setup(&mut sys, banks as usize).expect("setup");
         let r = pnm.transmit(&mut sys, &message).expect("transmit");
         pnm_pts.push((f64::from(banks), r.goodput_mbps(clock)));
 
         let pum_banks = banks.min(64) as usize; // mask width limit
-        let mut sys = backend.system(cfg);
+        let mut sys = System::new(cfg);
         let mut pum = PumCovertChannel::setup(&mut sys, pum_banks).expect("setup");
         let r = pum.transmit(&mut sys, &message).expect("transmit");
         pum_pts.push((f64::from(banks), r.goodput_mbps(clock)));
@@ -62,19 +56,13 @@ pub fn future_banks_on(backend: BackendKind, message_bits: usize) -> Figure {
 /// mitigation with the receiver subtracting the known pause cost.
 #[must_use]
 pub fn rfm_filtering(message_bits: usize) -> Figure {
-    rfm_filtering_on(BackendKind::Mono, message_bits)
-}
-
-/// [`rfm_filtering`] on an explicit memory backend.
-#[must_use]
-pub fn rfm_filtering_on(backend: BackendKind, message_bits: usize) -> Figure {
     let message = SimRng::seed(0x8F4).bits(message_bits);
     let clock = SystemConfig::paper_table2().clock;
     let block = PeriodicBlock::rfm_paper_default();
     let mut goodput = Vec::new();
     let mut errors = Vec::new();
     for (x, rfm_on, filter) in [(0.0, false, false), (1.0, true, false), (2.0, true, true)] {
-        let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         if rfm_on {
             sys.set_periodic_block(Some(block));
         }

@@ -2,7 +2,7 @@
 
 use impact_attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact_core::config::SystemConfig;
-use impact_sim::BackendKind;
+use impact_sim::System;
 
 use crate::{Figure, Series};
 
@@ -10,19 +10,13 @@ use crate::{Figure, Series};
 /// read-mapping side channel for 1024–8192 DRAM banks.
 #[must_use]
 pub fn fig11(reads: usize) -> Figure {
-    fig11_on(BackendKind::Mono, reads)
-}
-
-/// [`fig11`] on an explicit memory backend.
-#[must_use]
-pub fn fig11_on(backend: BackendKind, reads: usize) -> Figure {
     let banks = [1024u32, 2048, 4096, 8192];
     let mut tput = Vec::new();
     let mut err = Vec::new();
     let mut miss = Vec::new();
     for &b in &banks {
         let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(b);
-        let mut sys = backend.system(cfg);
+        let mut sys = System::new(cfg);
         let attack = SideChannelAttack::new(SideChannelConfig {
             reads,
             ..SideChannelConfig::default()

@@ -7,7 +7,7 @@ use impact_core::config::SystemConfig;
 use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
-use impact_sim::BackendKind;
+use impact_sim::System;
 
 use crate::runner::{Scenario, SweepRunner};
 use crate::{Figure, Series};
@@ -34,13 +34,7 @@ fn mbps(bit_cycles: f64) -> f64 {
 /// 2.6 GHz.
 #[must_use]
 pub fn delta() -> Figure {
-    delta_on(BackendKind::Mono)
-}
-
-/// [`delta`] on an explicit memory backend.
-#[must_use]
-pub fn delta_on(backend: BackendKind) -> Figure {
-    let mut sys = backend.system(SystemConfig::paper_table2_noiseless());
+    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let agent = sys.spawn_agent();
     let row_a = sys.alloc_row_in_bank(agent, 0).expect("allocation");
     let row_b = sys.alloc_row_in_bank(agent, 0).expect("allocation");

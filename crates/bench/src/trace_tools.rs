@@ -1,17 +1,16 @@
-//! Recording, replaying, diffing and sweeping persisted backend traces —
-//! the library behind the `trace_replay` binary and `fig_all`'s
-//! `--record-trace`/`--trace` flags.
+//! Recording, replaying, diffing and sweeping persisted controller traces
+//! — the library behind the `trace_replay` binary and `fig_all --trace`.
 //!
-//! A trace file makes cross-machine, cross-backend reproducibility a
-//! *checkable property*: [`record_capture`] runs a canonical workload on
-//! any backend of the matrix with the tracing proxy spilling straight to
-//! disk; [`replay_file`] re-services the file on any (possibly different)
-//! backend and verifies the responses, [`BackendStats`] and DRAM state
-//! digest bit-for-bit against the recorded footer; [`diff_readers`]
-//! pinpoints the first divergent event between two captures; and
-//! [`TraceScenario`] turns a captured file into a [`Scenario`] that runs
-//! under the [`SweepRunner`](crate::SweepRunner) alongside the built-in
-//! experiment suite.
+//! A trace file makes cross-machine reproducibility a *checkable
+//! property*: [`record_capture`] runs a canonical workload through the
+//! tracing proxy ([`TracedSystem`]) spilling straight to disk;
+//! [`replay_file`] re-services the file on a fresh [`MemoryController`]
+//! and verifies the responses, [`BackendStats`] and DRAM state digest
+//! bit-for-bit against the recorded footer; [`diff_readers`] pinpoints the
+//! first divergent event between two captures; and [`TraceScenario`]
+//! turns a captured file into a [`Scenario`] that runs under the
+//! [`SweepRunner`](crate::SweepRunner) alongside the built-in experiment
+//! suite.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -21,18 +20,13 @@ use impact_core::config::SystemConfig;
 use impact_core::engine::{BackendStats, MemoryBackend};
 use impact_core::error::{Error, Result};
 use impact_core::rng::SimRng;
-use impact_core::trace::{TraceEvent, TraceHeader, TraceReader, TraceSummary, TracingBackend};
-use impact_memctrl::ControllerBackend;
-use impact_sim::{BackendKind, DynBackend, Engine, SimParams};
+use impact_core::trace::{TraceEvent, TraceHeader, TraceReader, TraceSummary};
+use impact_memctrl::{ControllerBackend, MemoryController};
+use impact_sim::{BackendKind, TracedSystem};
 use impact_workloads::{kernels, CapturedTrace, Graph, RequestMix};
 
 use crate::runner::Scenario;
 use crate::{Figure, Series};
-
-/// The engine [`record_capture`] drives: a tracing proxy around a
-/// runtime-chosen backend, so one concrete type records any entry of the
-/// backend matrix.
-pub type TracingDynSystem = Engine<TracingBackend<Box<dyn ControllerBackend>>>;
 
 /// Resolves a trace header's config label to the [`SystemConfig`] it
 /// names. Labels are how a replay on another machine rebuilds the
@@ -43,14 +37,7 @@ pub fn config_for_label(label: &str) -> Option<SystemConfig> {
     match label {
         "paper_table2" => Some(SystemConfig::paper_table2()),
         "paper_table2_noiseless" => Some(SystemConfig::paper_table2_noiseless()),
-        _ => {
-            let banks: u32 = label
-                .strip_prefix("paper_table2_noiseless+banks:")?
-                .parse()
-                .ok()?;
-            (banks > 0 && banks.is_multiple_of(4))
-                .then(|| SystemConfig::paper_table2_noiseless().with_total_banks(banks))
-        }
+        _ => None,
     }
 }
 
@@ -65,8 +52,7 @@ pub fn config_for_label(label: &str) -> Option<SystemConfig> {
 pub fn resolve_config(header: &TraceHeader) -> Result<SystemConfig> {
     let cfg = config_for_label(&header.label).ok_or_else(|| {
         Error::TraceFormat(format!(
-            "unknown config label {:?} (known: paper_table2, paper_table2_noiseless, \
-             paper_table2_noiseless+banks:N)",
+            "unknown config label {:?} (known: paper_table2, paper_table2_noiseless)",
             header.label
         ))
     })?;
@@ -75,8 +61,8 @@ pub fn resolve_config(header: &TraceHeader) -> Result<SystemConfig> {
 }
 
 /// The canonical capture workloads `trace_replay record` offers. Each is
-/// deterministic in (seed, quick, backend-invariant responses), so the
-/// same invocation on two machines produces byte-identical trace files.
+/// deterministic in (seed, quick), so the same invocation on two machines
+/// produces byte-identical trace files.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CaptureKind {
     /// A seeded mixed stream of loads, stores, PiM ops, batched bursts and
@@ -123,10 +109,10 @@ pub struct CaptureOutcome {
     pub state_digest: u64,
 }
 
-/// Records `kind` on `backend`, streaming the trace into `sink` (spill
-/// mode: the recording never materializes in memory). Any entry of the
-/// backend matrix produces byte-identical trace files for the same
-/// (kind, quick, seed) — the property the weekly determinism CI diffs.
+/// Records `kind` through a [`TracedSystem`] over the controller
+/// `backend` names, streaming the trace into `sink` (spill mode: the
+/// recording never materializes in memory). The same (kind, quick, seed)
+/// gives byte-identical trace files on every machine.
 ///
 /// # Errors
 ///
@@ -138,13 +124,9 @@ pub fn record_capture(
     seed: u64,
     sink: Box<dyn Write + Send>,
 ) -> Result<CaptureOutcome> {
-    let cfg = SystemConfig::paper_table2();
+    let BackendKind::Mono = backend;
     let label = "paper_table2";
-    let mut sys: TracingDynSystem = Engine::with_backend(
-        cfg.clone(),
-        SimParams::default(),
-        TracingBackend::new(backend.backend(&cfg)),
-    );
+    let mut sys = TracedSystem::traced(SystemConfig::paper_table2());
     sys.record_trace_to(sink, label, seed)?;
     match kind {
         CaptureKind::Mix => run_mix(&mut sys, quick, seed)?,
@@ -172,7 +154,7 @@ pub fn record_capture(
 /// The seeded mixed workload: demand loads/stores, monitored and
 /// offloaded PiM ops, batched direct-load bursts and masked RowClones,
 /// touching every bank of the device.
-fn run_mix(sys: &mut TracingDynSystem, quick: bool, seed: u64) -> Result<()> {
+fn run_mix(sys: &mut TracedSystem, quick: bool, seed: u64) -> Result<()> {
     let mut rng = SimRng::seed(seed);
     let agent = sys.spawn_agent();
     let banks = sys.backend().num_banks();
@@ -220,7 +202,7 @@ fn run_mix(sys: &mut TracingDynSystem, quick: bool, seed: u64) -> Result<()> {
     Ok(())
 }
 
-/// Outcome of verifying one trace file against one backend.
+/// Outcome of verifying one trace file on a fresh controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplayVerification {
     /// Header of the replayed file.
@@ -231,19 +213,16 @@ pub struct ReplayVerification {
     pub responses: u64,
     /// Response digest produced by the replay.
     pub response_digest: u64,
-    /// Final [`BackendStats`] of the replaying backend.
+    /// Final [`BackendStats`] of the replaying controller.
     pub stats: BackendStats,
-    /// Final DRAM state digest of the replaying backend — equal across
-    /// any two backends that replayed the same file.
+    /// Final DRAM state digest of the replaying controller — equal to the
+    /// recording controller's when the replay is faithful.
     pub state_digest: u64,
-    /// Pool-scheduling telemetry of the replaying backend,
+    /// Pool-scheduling telemetry of the replaying controller,
     /// `(parallel_batches, sequential_fallbacks)` from
-    /// [`ControllerBackend::scheduling_counts`]: always `(0, 0)`, since no
-    /// backend dispatches to a worker pool. Diagnostic only, so it is not
-    /// part of [`ReplayVerification::matches`].
-    ///
-    /// [`ControllerBackend::scheduling_counts`]:
-    /// impact_memctrl::ControllerBackend::scheduling_counts
+    /// [`ControllerBackend::scheduling_counts`]: always `(0, 0)`, since the
+    /// controller dispatches to no worker pool. Diagnostic only, so it is
+    /// not part of [`ReplayVerification::matches`].
     pub pool_batches: (u64, u64),
 }
 
@@ -257,9 +236,9 @@ impl ReplayVerification {
     }
 }
 
-/// Streams a trace file into a fresh backend of `kind` and verifies it
-/// against the recorded footer. Constant-memory: events are serviced as
-/// they decode.
+/// Streams a trace file into a fresh [`MemoryController`], the one `kind`
+/// names, and verifies it against the recorded footer. Constant-memory:
+/// events are serviced as they decode.
 ///
 /// # Errors
 ///
@@ -267,9 +246,10 @@ impl ReplayVerification {
 /// [`Error::TraceConfigMismatch`] when the label resolves to a different
 /// configuration than the recording's, and backend service errors.
 pub fn replay_file<R: Read>(reader: R, kind: BackendKind) -> Result<ReplayVerification> {
+    let BackendKind::Mono = kind;
     let mut reader = TraceReader::new(reader)?;
     let cfg = resolve_config(reader.header())?;
-    let mut backend: DynBackend = kind.backend(&cfg);
+    let mut backend = MemoryController::from_config(&cfg);
     let (responses, digest) = impact_core::trace::replay_digest(
         std::iter::from_fn(|| reader.next_event().transpose()),
         &mut backend,
@@ -406,19 +386,17 @@ pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<u64> {
 pub fn trace_stats<R: Read>(reader: R) -> Result<(TraceHeader, RequestMix, TraceSummary)> {
     let captured = CapturedTrace::read_from(reader)?;
     let cfg = resolve_config(&captured.header)?;
-    let probe = BackendKind::Mono.backend(&cfg);
-    let mix = captured.mix(&probe);
+    let mix = captured.mix(&MemoryController::from_config(&cfg));
     Ok((captured.header, mix, captured.summary))
 }
 
 /// Outcome of [`slice_capture`] or [`merge_captures`]: the output trace's
-/// recomputed footer plus the recomputing backend's final DRAM state
+/// recomputed footer plus the recomputing controller's final DRAM state
 /// digest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SliceOutcome {
     /// The slice's footer, recomputed by replaying the window on a fresh
-    /// mono backend (responses are backend-invariant, so the footer
-    /// verifies on every backend).
+    /// controller.
     pub summary: TraceSummary,
     /// DRAM state digest after the slicing replay.
     pub state_digest: u64,
@@ -429,13 +407,13 @@ pub struct SliceOutcome {
 /// slice`).
 ///
 /// The sliced events are copied verbatim (header included); the footer is
-/// *recomputed* by replaying the window on a fresh backend of the
+/// *recomputed* by replaying the window on a fresh controller of the
 /// header's configuration, because a window cut out of a longer run
 /// produces different responses when serviced from pristine DRAM state.
 /// The output is therefore a first-class trace: `trace_replay replay`
-/// verifies it on any backend and `diff`/`stats` read it like any
-/// capture — which is what makes slicing useful for shrinking a large
-/// diverging capture down to a small standalone repro.
+/// verifies it and `diff`/`stats` read it like any capture — which is
+/// what makes slicing useful for shrinking a large diverging capture down
+/// to a small standalone repro.
 ///
 /// # Errors
 ///
@@ -459,7 +437,7 @@ pub fn slice_capture<W: Write>(
         })?;
     let cfg = resolve_config(&captured.header)?;
     let window = &captured.events[start..end];
-    let mut backend = BackendKind::Mono.backend(&cfg);
+    let mut backend = MemoryController::from_config(&cfg);
     let (responses, response_digest) =
         impact_core::trace::replay_digest(window.iter().cloned().map(Ok), &mut backend)?;
     let summary = TraceSummary {
@@ -482,12 +460,11 @@ pub fn slice_capture<W: Write>(
 /// merged events replay against one configuration); the output reuses the
 /// first input's header, so its seed records the first capture's
 /// provenance. Events are copied verbatim in input order and the footer
-/// is *recomputed* by replaying the concatenation on a fresh mono
-/// backend — later inputs are serviced against the DRAM state the earlier
-/// ones left behind, so the merged footer is not the sum of the input
-/// footers. As with [`slice_capture`], the result is a first-class trace:
-/// `replay` verifies it on any backend, `diff`/`stats`/`slice` read it
-/// like any capture.
+/// is *recomputed* by replaying the concatenation on a fresh controller —
+/// later inputs are serviced against the DRAM state the earlier ones left
+/// behind, so the merged footer is not the sum of the input footers. As
+/// with [`slice_capture`], the result is a first-class trace: `replay`
+/// verifies it, `diff`/`stats`/`slice` read it like any capture.
 ///
 /// # Errors
 ///
@@ -521,7 +498,7 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
     for input in inputs {
         events.extend(input.events.iter().cloned());
     }
-    let mut backend = BackendKind::Mono.backend(&cfg);
+    let mut backend = MemoryController::from_config(&cfg);
     let (responses, response_digest) =
         impact_core::trace::replay_digest(events.iter().cloned().map(Ok), &mut backend)?;
     let summary = TraceSummary {
@@ -539,21 +516,19 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
 
 /// A captured trace as a sweepable [`Scenario`]: x sweeps the replayed
 /// prefix (fraction of events), y reports mean response latency in
-/// cycles/op on a fresh backend per point. Because responses are
-/// backend-invariant, the produced [`Series`] is bit-identical on every
-/// entry of the backend matrix — captured workloads inherit the suite's
-/// reproducibility contract for free.
+/// cycles/op on a fresh controller per point. The produced [`Series`] is
+/// a function of the capture alone, so captured workloads inherit the
+/// suite's reproducibility contract for free.
 #[derive(Debug, Clone)]
 pub struct TraceScenario {
     captured: Arc<CapturedTrace>,
     cfg: SystemConfig,
-    backend: BackendKind,
 }
 
 impl TraceScenario {
-    /// Wraps a loaded capture for replay on `backend`, validating it end
-    /// to end: the label must resolve to the fingerprinted configuration
-    /// AND a full replay on `backend` must reproduce the recorded footer
+    /// Wraps a loaded capture for replay, validating it end to end: the
+    /// label must resolve to the fingerprinted configuration AND a full
+    /// replay on a fresh controller must reproduce the recorded footer
     /// (response count and digest). `eval` can then replay any prefix
     /// without a fallible path.
     ///
@@ -562,17 +537,16 @@ impl TraceScenario {
     /// [`Error::TraceFormat`] for an unknown config label or a capture
     /// whose events fail to service or do not reproduce the footer;
     /// [`Error::TraceConfigMismatch`] when label and fingerprint disagree.
-    pub fn new(captured: CapturedTrace, backend: BackendKind) -> Result<TraceScenario> {
+    pub fn new(captured: CapturedTrace) -> Result<TraceScenario> {
         let cfg = resolve_config(&captured.header)?;
-        let mut probe = backend.backend(&cfg);
+        let mut probe = MemoryController::from_config(&cfg);
         let replayed = captured.replay_prefix(&mut probe, captured.events.len())?;
         if replayed.responses != captured.summary.responses
             || replayed.response_digest != captured.summary.response_digest
         {
             return Err(Error::TraceFormat(format!(
-                "capture does not reproduce its own footer on {} \
+                "capture does not reproduce its own footer \
                  (recorded {} responses / digest {:#018x}, replayed {} / {:#018x})",
-                backend.label(),
                 captured.summary.responses,
                 captured.summary.response_digest,
                 replayed.responses,
@@ -582,7 +556,6 @@ impl TraceScenario {
         Ok(TraceScenario {
             captured: Arc::new(captured),
             cfg,
-            backend,
         })
     }
 
@@ -608,7 +581,7 @@ impl Scenario for TraceScenario {
 
     fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
         let events = (self.captured.events.len() as f64 * x).round() as usize;
-        let mut backend = self.backend.backend(&self.cfg);
+        let mut backend = MemoryController::from_config(&self.cfg);
         let replayed = self
             .captured
             .replay_prefix(&mut backend, events)
@@ -625,8 +598,9 @@ impl Scenario for TraceScenario {
 /// a request-mix note line.
 #[must_use]
 pub fn trace_figure(scenario: &TraceScenario, series: Series) -> Figure {
-    let probe = BackendKind::Mono.backend(&scenario.cfg);
-    let mix = scenario.captured().mix(&probe);
+    let mix = scenario
+        .captured()
+        .mix(&MemoryController::from_config(&scenario.cfg));
     let summary = &scenario.captured().summary;
     Figure::new(
         "trace",
@@ -655,9 +629,10 @@ pub fn trace_figure(scenario: &TraceScenario, series: Series) -> Figure {
 mod tests {
     use super::*;
 
-    fn quick_capture(kind: CaptureKind, backend: BackendKind) -> (Vec<u8>, CaptureOutcome) {
+    fn quick_capture(kind: CaptureKind) -> (Vec<u8>, CaptureOutcome) {
         let buf = SharedVec::default();
-        let outcome = record_capture(kind, backend, true, 0x7ACE, Box::new(buf.clone())).unwrap();
+        let outcome =
+            record_capture(kind, BackendKind::Mono, true, 0x7ACE, Box::new(buf.clone())).unwrap();
         (buf.take(), outcome)
     }
 
@@ -691,9 +666,7 @@ mod tests {
                 .expect_config(&config_for_label(label).unwrap())
                 .is_ok());
         }
-        let banks = config_for_label("paper_table2_noiseless+banks:1024").unwrap();
-        assert_eq!(banks.dram_geometry.total_banks(), 1024);
-        assert!(config_for_label("paper_table2_noiseless+banks:6").is_none());
+        assert!(config_for_label("paper_table2_noiseless+banks:1024").is_none());
         assert!(config_for_label("nope").is_none());
     }
 
@@ -706,44 +679,31 @@ mod tests {
     }
 
     #[test]
-    fn recorded_capture_replays_on_every_backend() {
-        let (bytes, outcome) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+    fn recorded_capture_replays_bit_for_bit() {
+        let (bytes, outcome) = quick_capture(CaptureKind::Mix);
         assert!(outcome.summary.responses > 0);
-        let mut state_digests = Vec::new();
-        for kind in [BackendKind::Mono, BackendKind::Traced] {
-            let v = replay_file(&bytes[..], kind).unwrap();
-            assert!(v.matches(), "{} diverged: {v:?}", kind.label());
-            state_digests.push(v.state_digest);
-        }
-        state_digests.dedup();
-        assert_eq!(state_digests.len(), 1, "DRAM state digests diverged");
-        assert_eq!(state_digests[0], outcome.state_digest);
-    }
-
-    #[test]
-    fn captures_are_backend_invariant_byte_for_byte() {
-        let (mono, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
-        let (traced, _) = quick_capture(CaptureKind::Mix, BackendKind::Traced);
-        assert_eq!(mono, traced, "recorded bytes differ across backends");
+        let v = replay_file(&bytes[..], BackendKind::Mono).unwrap();
+        assert!(v.matches(), "replay diverged: {v:?}");
+        assert_eq!(v.state_digest, outcome.state_digest);
         assert!(matches!(
-            diff_readers(&mono[..], &traced[..]).unwrap(),
-            DiffOutcome::Identical { .. }
+            diff_readers(&bytes[..], &bytes[..]).unwrap(),
+            DiffOutcome::Identical { events } if events == outcome.summary.events
         ));
     }
 
     #[test]
     fn pnm_and_bfs_captures_record_and_replay() {
         for kind in [CaptureKind::Pnm, CaptureKind::Bfs] {
-            let (bytes, outcome) = quick_capture(kind, BackendKind::Mono);
+            let (bytes, outcome) = quick_capture(kind);
             assert!(outcome.summary.responses > 0, "{} empty", kind.name());
-            let v = replay_file(&bytes[..], BackendKind::Traced).unwrap();
+            let v = replay_file(&bytes[..], BackendKind::Mono).unwrap();
             assert!(v.matches(), "{} diverged", kind.name());
         }
     }
 
     #[test]
     fn merged_halves_reproduce_the_original_capture() {
-        let (bytes, outcome) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, outcome) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
         let total = captured.events.len();
         assert!(total > 10, "capture too small to split");
@@ -762,10 +722,10 @@ mod tests {
 
         // The merged footer is recomputed over the full concatenation, so
         // it matches the original capture exactly — and the merged trace
-        // is a first-class replay artifact on any backend.
+        // is a first-class replay artifact.
         assert_eq!(merged.summary, outcome.summary);
         assert_eq!(merged.state_digest, outcome.state_digest);
-        let v = replay_file(&sink.take()[..], BackendKind::Traced).unwrap();
+        let v = replay_file(&sink.take()[..], BackendKind::Mono).unwrap();
         assert!(v.matches(), "merged trace diverged: {v:?}");
 
         // Fewer than two inputs is a usage error, not a silent copy.
@@ -774,7 +734,7 @@ mod tests {
 
     #[test]
     fn sliced_window_is_standalone_and_footer_valid() {
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
         let total = captured.events.len();
         assert!(total > 10, "capture too small to slice");
@@ -791,11 +751,9 @@ mod tests {
         assert_eq!(reread.events[..], captured.events[start..start + count]);
         assert_eq!(reread.summary, sliced.summary);
 
-        // Footer-valid: a fresh replay verifies it on multiple backends.
-        for kind in [BackendKind::Mono, BackendKind::Traced] {
-            let v = replay_file(&bytes[..], kind).unwrap();
-            assert!(v.matches(), "slice diverged on {}", kind.label());
-        }
+        // Footer-valid: a fresh replay verifies it.
+        let v = replay_file(&bytes[..], BackendKind::Mono).unwrap();
+        assert!(v.matches(), "slice diverged: {v:?}");
 
         // A mid-stream window serviced from pristine state produces
         // different responses than it did in context — exactly why the
@@ -820,7 +778,7 @@ mod tests {
 
     #[test]
     fn diff_pinpoints_divergence_and_context() {
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
         let mut mutated = captured.clone();
         let target = mutated.events.len() / 2;
@@ -868,7 +826,7 @@ mod tests {
 
     #[test]
     fn stats_summarize_the_mix() {
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
         let (header, mix, summary) = trace_stats(&bytes[..]).unwrap();
         assert_eq!(header.label, "paper_table2");
         assert!(mix.loads > 0 && mix.stores > 0 && mix.pims > 0);
@@ -879,24 +837,15 @@ mod tests {
     }
 
     #[test]
-    fn trace_scenario_series_is_backend_invariant() {
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+    fn trace_scenario_sweeps_the_capture() {
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
-        let mono = TraceScenario::new(captured.clone(), BackendKind::Mono)
-            .unwrap()
-            .run();
-        assert_eq!(mono.points.len(), 4);
-        assert!(mono.points.iter().all(|&(_, y)| y > 0.0));
-        let traced = TraceScenario::new(captured.clone(), BackendKind::Traced)
-            .unwrap()
-            .run();
-        assert!(
-            crate::runner::series_bits_eq(&mono, &traced),
-            "traced diverged"
-        );
+        let scenario = TraceScenario::new(captured).unwrap();
+        let series = scenario.run();
+        assert_eq!(series.points.len(), 4);
+        assert!(series.points.iter().all(|&(_, y)| y > 0.0));
         // And the figure wrapper carries the mix note.
-        let scenario = TraceScenario::new(captured, BackendKind::Mono).unwrap();
-        let fig = trace_figure(&scenario, mono);
+        let fig = trace_figure(&scenario, series);
         assert_eq!(fig.id, "trace");
         assert!(fig.notes[0].contains("events"));
     }
@@ -906,7 +855,7 @@ mod tests {
         use impact_core::addr::PhysAddr;
         use impact_core::engine::MemRequest;
         use impact_core::time::Cycles;
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
 
         // An out-of-range request must surface as an error from new(),
         // not a panic inside eval()/the sweep workers.
@@ -917,7 +866,7 @@ mod tests {
             0,
         )));
         bad.summary.events += 1;
-        assert!(TraceScenario::new(bad, BackendKind::Mono).is_err());
+        assert!(TraceScenario::new(bad).is_err());
 
         // So must an injected activation on a bank the device lacks.
         let mut bad_bank = CapturedTrace::read_from(&bytes[..]).unwrap();
@@ -931,7 +880,7 @@ mod tests {
             .expect("the Mix capture injects activations");
         *first_inject = 16;
         assert!(matches!(
-            TraceScenario::new(bad_bank, BackendKind::Mono),
+            TraceScenario::new(bad_bank),
             Err(Error::TraceFormat(msg))
                 if msg == "inject event targets bank 16 of a 16-bank device"
         ));
@@ -945,7 +894,7 @@ mod tests {
         )));
         far_future.summary.events += 1;
         assert!(matches!(
-            TraceScenario::new(far_future, BackendKind::Mono),
+            TraceScenario::new(far_future),
             Err(Error::TraceFormat(msg)) if msg.contains("replay horizon")
         ));
 
@@ -964,7 +913,7 @@ mod tests {
                 )));
             wrapping.summary.events += 1;
             assert!(matches!(
-                TraceScenario::new(wrapping, BackendKind::Mono),
+                TraceScenario::new(wrapping),
                 Err(Error::AddressOutOfRange { .. })
             ));
         }
@@ -975,14 +924,14 @@ mod tests {
         short.events.truncate(short.events.len() / 2);
         short.summary.events = short.events.len() as u64;
         assert!(matches!(
-            TraceScenario::new(short, BackendKind::Mono),
+            TraceScenario::new(short),
             Err(Error::TraceFormat(msg)) if msg.contains("footer")
         ));
     }
 
     #[test]
     fn replay_rejects_unknown_labels() {
-        let (bytes, _) = quick_capture(CaptureKind::Mix, BackendKind::Mono);
+        let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
         let mut bad = captured;
         bad.header.label = "mystery".into();
@@ -1007,6 +956,29 @@ mod tests {
         assert!(matches!(
             replay_file(&wrong_bytes[..], BackendKind::Mono),
             Err(Error::TraceConfigMismatch { .. })
+        ));
+
+        // Only the known labels resolve, whatever the fingerprint claims: a
+        // crafted many-bank label with its matching fingerprint must fail
+        // before any reader builds a controller of that size.
+        let label = "paper_table2_noiseless+banks:4294967292";
+        let many_banks = SystemConfig::paper_table2_noiseless().with_total_banks(4_294_967_292);
+        let header = TraceHeader::for_config(&many_banks, label, 0);
+        let crafted =
+            impact_core::trace::write_trace(Vec::new(), &header, &[], &TraceSummary::default())
+                .unwrap();
+        assert!(matches!(
+            replay_file(&crafted[..], BackendKind::Mono),
+            Err(Error::TraceFormat(_))
+        ));
+        assert!(matches!(
+            trace_stats(&crafted[..]),
+            Err(Error::TraceFormat(_))
+        ));
+        let captured = CapturedTrace::read_from(&crafted[..]).unwrap();
+        assert!(matches!(
+            TraceScenario::new(captured),
+            Err(Error::TraceFormat(_))
         ));
     }
 }

@@ -153,13 +153,6 @@ impl Bank {
         }
     }
 
-    /// The currently open row under `policy` as observed at time `now`
-    /// (accounts for the idle timeout without mutating state).
-    #[must_use]
-    pub fn open_row_at(&self, now: Cycles, policy: RowPolicy) -> Option<u64> {
-        decode(self.open_row_enc(now, policy), Bank::NO_ROW)
-    }
-
     /// Raw open row irrespective of policy/timeouts.
     #[must_use]
     pub fn raw_open_row(&self) -> Option<u64> {

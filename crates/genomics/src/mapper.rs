@@ -69,13 +69,6 @@ impl<'a> ReadMapper<'a> {
         }
     }
 
-    /// Overrides the alignment parameters.
-    #[must_use]
-    pub fn with_align_params(mut self, p: AlignParams) -> ReadMapper<'a> {
-        self.align_params = p;
-        self
-    }
-
     /// Maps a read, reporting every hash-table probe to `obs`.
     ///
     /// Returns `None` when no seed of the read occurs in the index.

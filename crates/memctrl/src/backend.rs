@@ -1,9 +1,8 @@
-//! [`MemoryBackend`] implementation for [`MemoryController`] — the default
-//! engine behind the whole-system simulator — plus the
-//! [`ControllerBackend`] extension trait every controller-flavored backend
-//! (the controller, a tracing proxy around it, a boxed backend) implements
-//! so the layers above can install defenses and read DRAM statistics
-//! without knowing which backend is underneath.
+//! [`MemoryBackend`] implementation for [`MemoryController`] — the engine
+//! behind the whole-system simulator — plus the [`ControllerBackend`]
+//! extension trait through which the layers above install defenses and
+//! read DRAM statistics. The controller implements it, and so do the
+//! tracing proxy that records it and a boxed controller.
 
 use impact_core::addr::PhysAddr;
 use impact_core::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
@@ -81,10 +80,9 @@ impl MemoryBackend for MemoryController {
 /// A memory backend with memory-controller management hooks: defense
 /// installation, periodic blocking, row-policy ablations and DRAM-level
 /// statistics. The simulation engine exposes these hooks generically for
-/// any `Engine<B: ControllerBackend>`, which is what lets experiments run
-/// unchanged on the monolithic controller or a tracing proxy around it
-/// (`Box<dyn ControllerBackend>` also implements the trait, for runtime
-/// backend selection).
+/// any `Engine<B: ControllerBackend>`, which is what lets an attack run
+/// unchanged on the controller and behind the tracing proxy that records
+/// it. `Box<dyn ControllerBackend>` forwards every hook.
 pub trait ControllerBackend: MemoryBackend {
     /// Installs a timing defense on every underlying controller.
     fn set_defense(&mut self, defense: Defense);
@@ -98,13 +96,10 @@ pub trait ControllerBackend: MemoryBackend {
     /// DRAM-level statistics aggregated over all banks.
     fn dram_totals(&self) -> BankStats;
 
-    /// Statistics of one flat bank.
-    fn dram_bank_stats(&self, bank: usize) -> BankStats;
-
     /// Deterministic digest of the complete per-bank DRAM state (open
     /// rows, busy-until times, last activators, statistics), folded in
-    /// flat-bank order. Two backends — of any kind, on any machine — are
-    /// in bit-identical DRAM states iff their digests match; this is the
+    /// flat-bank order. Two controllers — on any machine — are in
+    /// bit-identical DRAM states iff their digests match; this is the
     /// check `trace_replay` runs after re-servicing a recorded trace.
     fn dram_state_digest(&self) -> u64;
 
@@ -134,10 +129,6 @@ impl ControllerBackend for MemoryController {
         self.dram().total_stats()
     }
 
-    fn dram_bank_stats(&self, bank: usize) -> BankStats {
-        *self.dram().bank(bank).stats()
-    }
-
     fn dram_state_digest(&self) -> u64 {
         let mut hash = impact_core::hash::FNV_OFFSET;
         for bank in 0..self.dram().num_banks() {
@@ -164,10 +155,6 @@ impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
         self.inner().dram_totals()
     }
 
-    fn dram_bank_stats(&self, bank: usize) -> BankStats {
-        self.inner().dram_bank_stats(bank)
-    }
-
     fn dram_state_digest(&self) -> u64 {
         self.inner().dram_state_digest()
     }
@@ -188,10 +175,6 @@ impl<B: ControllerBackend + ?Sized> ControllerBackend for Box<B> {
 
     fn dram_totals(&self) -> BankStats {
         (**self).dram_totals()
-    }
-
-    fn dram_bank_stats(&self, bank: usize) -> BankStats {
-        (**self).dram_bank_stats(bank)
     }
 
     fn dram_state_digest(&self) -> u64 {

@@ -182,11 +182,6 @@ impl<B: MemoryBackend> Engine<B> {
         &mut self.backend
     }
 
-    /// Enables or disables the behavioural prefetchers (noise ablation).
-    pub fn set_prefetchers_enabled(&mut self, enabled: bool) {
-        self.prefetchers_enabled = enabled;
-    }
-
     /// Current clock of `agent`.
     #[must_use]
     pub fn now(&self, agent: AgentId) -> Cycles {
@@ -1048,7 +1043,12 @@ mod burst_tests {
         let cfg = SystemConfig::paper_table2_noiseless;
         let (mut mono, a, vas) = probe_setup(System::new(cfg()), 8);
         let expected = mono.pim_probe_burst(a, &vas).unwrap();
-        let (mut boxed, ba, bvas) = probe_setup(BackendKind::Mono.system(cfg()), 8);
+        let boxed = Engine::with_backend(
+            cfg(),
+            SimParams::default(),
+            BackendKind::Mono.backend(&cfg()),
+        );
+        let (mut boxed, ba, bvas) = probe_setup(boxed, 8);
         assert!(boxed.burst_would_commit(ba, &bvas, true));
         assert_eq!(boxed.pim_probe_burst(ba, &bvas).unwrap(), expected);
         let (mut traced, ta, tvas) = probe_setup(TracedSystem::traced(cfg()), 8);

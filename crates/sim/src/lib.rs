@@ -51,5 +51,5 @@ pub use engine::{AgentId, Engine, LoadInfo, PimInfo, ProbeSample, RowCloneInfo, 
 pub use memory::{FrameAllocator, PageTable};
 pub use noise::NoiseInjector;
 pub use sync::{CoBarrier, CoSemaphore};
-pub use system::{BackendKind, DynBackend, DynSystem, System, TracedSystem};
+pub use system::{BackendKind, DynBackend, System, TracedSystem};
 pub use tlb::Tlb;

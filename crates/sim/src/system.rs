@@ -1,20 +1,17 @@
-//! System instantiations of the generic [`Engine`] — the backend matrix.
+//! System instantiations of the generic [`Engine`].
 //!
 //! | alias | backend | use it for |
 //! |---|---|---|
-//! | [`System`] | [`MemoryController`] | the paper's Table 2 machine (default) |
-//! | [`TracedSystem`] | [`TracingBackend`]`<MemoryController>` | replayable request logs around the default controller |
-//! | [`DynSystem`] | `Box<dyn ControllerBackend>` | runtime backend selection ([`BackendKind`]) |
+//! | [`System`] | [`MemoryController`] | the paper's Table 2 machine: every experiment |
+//! | [`TracedSystem`] | [`TracingBackend`]`<MemoryController>` | recording a replayable request log |
 //!
-//! Every instantiation shares the defense/blocking/row-policy hooks via
-//! the generic `impl<B: ControllerBackend> Engine<B>` block, so attack and
-//! experiment code written against those hooks runs unchanged on any
-//! backend.
+//! Both share the defense/blocking/row-policy hooks via the generic
+//! `impl<B: ControllerBackend> Engine<B>` block, so attack code written
+//! against those hooks records through the tracing proxy unchanged.
 
 use std::io::Write;
 
 use impact_core::config::SystemConfig;
-use impact_core::engine::MemoryBackend;
 use impact_core::error::Result;
 use impact_core::trace::{TraceEvent, TraceHeader, TraceSummary, TraceWriter, TracingBackend};
 use impact_dram::{BankStats, RowPolicy};
@@ -34,11 +31,8 @@ pub type System = Engine<MemoryController>;
 /// a replayable [`TraceEvent`] log of every request that reaches memory.
 pub type TracedSystem = Engine<TracingBackend<MemoryController>>;
 
-/// A memory backend chosen at runtime.
+/// The controller behind a trait object (see [`BackendKind::backend`]).
 pub type DynBackend = Box<dyn ControllerBackend>;
-
-/// The engine over a runtime-chosen backend (see [`BackendKind`]).
-pub type DynSystem = Engine<DynBackend>;
 
 impl System {
     /// Builds the system with default harness parameters and the LLC
@@ -82,24 +76,13 @@ impl TracedSystem {
         self.backend().log()
     }
 
-    /// Takes the recorded log, leaving an empty one behind.
-    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.backend_mut().take_log()
-    }
-}
-
-/// Trace persistence, available on any engine whose backend is a tracing
-/// proxy (over *any* inner backend — mono or boxed): start a
-/// recording with [`Engine::record_trace_to`], run any workload, then seal
-/// the file with [`Engine::finish_trace`]. This is the capture path behind
-/// `fig_all --record-trace` and `trace_replay record`.
-impl<B: MemoryBackend> Engine<TracingBackend<B>> {
     /// Streams every subsequent memory event into `sink` as a versioned
-    /// on-disk trace. The header carries this engine's configuration
-    /// fingerprint plus `label` (a config name replay tools can resolve)
-    /// and `seed` (whatever seeds the recorded workload). Events bypass
-    /// the in-memory log, so arbitrarily long recordings run in constant
-    /// memory.
+    /// on-disk trace: start a recording here, run any workload, then seal
+    /// the file with [`TracedSystem::finish_trace`]. The header carries
+    /// this engine's configuration fingerprint plus `label` (a config name
+    /// replay tools can resolve) and `seed` (whatever seeds the recorded
+    /// workload). Events bypass the in-memory log, so arbitrarily long
+    /// recordings run in constant memory.
     ///
     /// # Errors
     ///
@@ -157,60 +140,23 @@ impl<B: ControllerBackend> Engine<B> {
     }
 }
 
-/// Runtime selection of the memory backend under the engine — how the
-/// experiment harness and `fig_all --backend ...` run the whole suite on
-/// any entry of the backend matrix.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+/// The memory backend a caller asks for. The simulator has one, the
+/// monolithic [`MemoryController`]. `experiments::suite`, `record_capture`
+/// and `replay_file` still take this parameter; each binds it with
+/// `let BackendKind::Mono = backend;`, so a new variant fails to compile
+/// until they handle it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// The monolithic [`MemoryController`] (default).
-    #[default]
+    /// The monolithic [`MemoryController`].
     Mono,
-    /// [`TracingBackend`] around the monolithic controller. Behind the
-    /// type-erased [`DynBackend`] the log itself is not reachable — this
-    /// kind exists to prove end-to-end transparency of the proxy (e.g.
-    /// the CI `fig_all --backend traced` smoke); use
-    /// [`TracedSystem::traced`] when the log is the point. The log grows
-    /// with every request and is dropped with its system.
-    Traced,
 }
 
 impl BackendKind {
-    /// Parses `"mono"` or `"traced"`.
-    #[must_use]
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s {
-            "mono" => Some(BackendKind::Mono),
-            "traced" => Some(BackendKind::Traced),
-            _ => None,
-        }
-    }
-
-    /// Display label (`mono`, `traced`): the spelling [`BackendKind::parse`]
-    /// accepts.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendKind::Mono => "mono",
-            BackendKind::Traced => "traced",
-        }
-    }
-
-    /// Builds the boxed backend for `cfg`.
+    /// Builds the boxed controller for `cfg`.
     #[must_use]
     pub fn backend(&self, cfg: &SystemConfig) -> DynBackend {
-        match *self {
-            BackendKind::Mono => Box::new(MemoryController::from_config(cfg)),
-            BackendKind::Traced => {
-                Box::new(TracingBackend::new(MemoryController::from_config(cfg)))
-            }
-        }
-    }
-
-    /// Builds a full system over this backend with default parameters.
-    #[must_use]
-    pub fn system(&self, cfg: SystemConfig) -> DynSystem {
-        let backend = self.backend(&cfg);
-        Engine::with_backend(cfg, SimParams::default(), backend)
+        let BackendKind::Mono = self;
+        Box::new(MemoryController::from_config(cfg))
     }
 }
 
@@ -219,6 +165,7 @@ mod tests {
     use super::*;
     use impact_cache::HitLevel;
     use impact_core::addr::VirtAddr;
+    use impact_core::engine::MemoryBackend;
     use impact_core::time::Cycles;
     use impact_dram::RowBufferKind;
     use impact_pim::pei::ExecSite;
@@ -437,7 +384,7 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Backend matrix
+    // Tracing proxy
     // ------------------------------------------------------------------
 
     /// A short whole-system exercise returning observable timing facts.
@@ -461,17 +408,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_and_boxed_systems_match_mono() {
+    fn traced_system_matches_mono() {
         let cfg = SystemConfig::paper_table2_noiseless();
         let mono = exercise(&mut System::new(cfg.clone()));
-        let mut t = TracedSystem::traced(cfg.clone());
+        let mut t = TracedSystem::traced(cfg);
         assert_eq!(exercise(&mut t), mono, "traced system diverged");
         assert!(!t.trace_log().is_empty());
-        // Runtime-selected backends agree too.
-        for kind in [BackendKind::Mono, BackendKind::Traced] {
-            let mut s = kind.system(cfg.clone());
-            assert_eq!(exercise(&mut s), mono, "{} diverged", kind.label());
-        }
     }
 
     #[test]
@@ -542,29 +484,5 @@ mod tests {
             sys.backend().dram_state_digest(),
             "replayed DRAM state diverged"
         );
-    }
-
-    #[test]
-    fn backend_kind_parses_and_labels() {
-        for kind in [BackendKind::Mono, BackendKind::Traced] {
-            assert_eq!(BackendKind::parse(kind.label()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("mono"), Some(BackendKind::Mono));
-        assert_eq!(BackendKind::parse("traced"), Some(BackendKind::Traced));
-        assert_eq!(BackendKind::parse("nope"), None);
-        assert_eq!(BackendKind::default(), BackendKind::Mono);
-    }
-
-    /// Spellings of the removed sharded backend (bare, with a shard
-    /// count, with shard and worker counts) are rejected like any unknown
-    /// backend, so old command lines fail loudly — `fig_all` and
-    /// `trace_replay` exit 2 with their usage line — instead of silently
-    /// running another backend.
-    #[test]
-    fn backend_kind_rejects_sharded_spellings() {
-        let name = "sharded";
-        for spelling in [name.to_string(), format!("{name}:4"), format!("{name}:8:4")] {
-            assert_eq!(BackendKind::parse(&spelling), None, "{spelling}");
-        }
     }
 }

@@ -28,18 +28,6 @@ pub struct ReplayReport {
     pub row_conflicts: u64,
 }
 
-impl ReplayReport {
-    /// Cycles per operation.
-    #[must_use]
-    pub fn cpo(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.cycles.as_f64() / self.ops as f64
-        }
-    }
-}
-
 /// Replays `trace` as `agent` on `sys`.
 ///
 /// The trace footprint is backed by bank-striped physical memory and the

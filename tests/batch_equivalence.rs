@@ -65,8 +65,8 @@ fn stream(n: u64, seed: u64, rowclones: bool) -> Vec<MemRequest> {
         .collect()
 }
 
-/// One backend of the swept matrix, boxed for uniform handling: the
-/// controller itself, or the tracing proxy around it.
+/// The controller itself or the tracing proxy around it, boxed for
+/// uniform handling.
 fn make_backend(traced: bool) -> Box<dyn ControllerBackend> {
     let mc = MemoryController::from_config(&cfg());
     if traced {
@@ -119,8 +119,8 @@ proptest! {
     }
 
     /// Cross-backend closure of the same property: the controller's
-    /// per-request reference pins one whole-stream batch on every backend
-    /// of the matrix at once.
+    /// per-request reference pins one whole-stream batch on the boxed
+    /// controller and behind the tracing proxy at once.
     #[test]
     fn batched_backends_equal_mono_per_request(
         seed in 0u64..100_000,

@@ -1,6 +1,7 @@
 //! Reproducibility: identical seeds produce bit-identical experiment
-//! results across runs, backends, thread counts and fleet worker counts
-//! (the property every `fig_all` figure and fleet digest relies on).
+//! results across runs, the tracing proxy, thread counts and fleet worker
+//! counts (the property every `fig_all` figure and fleet digest relies
+//! on).
 
 use impact::attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact::attacks::{PnmCovertChannel, PumCovertChannel};
@@ -139,7 +140,6 @@ fn sweep_runner_thread_count_is_invisible() {
             workloads: &workloads,
             defense,
             baseline: &[],
-            backend: BackendKind::Mono,
         };
         let serial = SweepRunner::new(1).run(&sweep);
         for threads in [2, 8] {
@@ -155,10 +155,9 @@ fn sweep_runner_thread_count_is_invisible() {
     }
 }
 
-/// The covert channel is observably identical on every backend at
-/// whole-experiment granularity: the runtime-selected (boxed) controller
-/// and the tracing proxy produce bit-identical reports to the statically
-/// typed system.
+/// The covert channel is observably identical at whole-experiment
+/// granularity behind the tracing proxy that records it: a
+/// [`TracedSystem`] produces a bit-identical report to [`System`].
 #[test]
 fn covert_channel_is_backend_invariant() {
     let msg = SimRng::seed(9).bits(768);
@@ -167,19 +166,13 @@ fn covert_channel_is_backend_invariant() {
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
         ch.transmit(&mut sys, &msg).unwrap()
     };
-    for backend in [BackendKind::Mono, BackendKind::Traced] {
-        let mut sys = backend.system(SystemConfig::paper_table2());
-        let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
-        let r = ch.transmit(&mut sys, &msg).unwrap();
-        assert_eq!(r, mono, "{} diverged from mono", backend.label());
-    }
     let mut sys = TracedSystem::traced(SystemConfig::paper_table2());
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
     assert_eq!(ch.transmit(&mut sys, &msg).unwrap(), mono);
     assert!(!sys.trace_log().is_empty());
 }
 
-/// The side channel, too, is invariant across backends.
+/// The side channel, too, is unchanged behind the tracing proxy.
 #[test]
 fn side_channel_is_backend_invariant() {
     let cfg = || SystemConfig::paper_table2_noiseless().with_total_banks(1024);
@@ -204,11 +197,6 @@ fn side_channel_is_backend_invariant() {
         let mut sys = System::new(cfg());
         digest(&attack().run(&mut sys).unwrap())
     };
-    for backend in [BackendKind::Mono, BackendKind::Traced] {
-        let mut sys = backend.system(cfg());
-        let r = attack().run(&mut sys).unwrap();
-        assert_eq!(digest(&r), mono, "{} diverged", backend.label());
-    }
     let mut sys = TracedSystem::traced(cfg());
     let r = attack().run(&mut sys).unwrap();
     assert_eq!(digest(&r), mono, "traced system diverged");
@@ -236,74 +224,38 @@ fn trace_replay_reproduces_stats() {
 }
 
 /// `SweepRunner::run_all` shards whole experiments across workers with
-/// bit-identical `Series` at every thread count, on the monolithic and
-/// the traced backend alike.
+/// bit-identical `Series` at every thread count.
 #[test]
 fn run_all_thread_count_is_invisible() {
     // A compact sub-suite keeps this test fast while still crossing the
     // analytic, covert-channel and replay experiment families.
-    let pick = |backend: BackendKind| {
-        let keep = ["delta", "fig2", "fig8", "fig10"];
-        suite(true, backend)
-            .into_iter()
-            .filter(|j| keep.contains(&j.id()))
-            .collect::<Vec<_>>()
-    };
-    for backend in [BackendKind::Mono, BackendKind::Traced] {
-        let jobs = pick(backend);
-        let serial = SweepRunner::serial().run_all(&jobs);
-        for threads in [2, 4, 8] {
-            let parallel = SweepRunner::new(threads).run_all(&jobs);
-            assert_eq!(serial.len(), parallel.len());
-            for (a, b) in serial.iter().zip(&parallel) {
-                assert_eq!(a.id, b.id, "suite order changed at {threads} threads");
-                assert_eq!(
-                    a.series.len(),
-                    b.series.len(),
-                    "{}: series count diverged",
-                    a.id
-                );
-                for (sa, sb) in a.series.iter().zip(&b.series) {
-                    assert!(
-                        series_bits_eq(sa, sb),
-                        "{}/{} diverged at {threads} threads on {}",
-                        a.id,
-                        sa.name,
-                        backend.label()
-                    );
-                }
-                assert_eq!(a.notes, b.notes, "{}: notes diverged", a.id);
-            }
-        }
-    }
-}
-
-/// The figures themselves are backend-invariant: the same sub-suite run
-/// behind the tracing proxy produces bit-identical series to the mono
-/// run.
-#[test]
-fn suite_is_backend_invariant() {
-    let keep = ["delta", "fig8", "fig10"];
-    let run = |backend: BackendKind| {
-        let jobs: Vec<_> = suite(true, backend)
-            .into_iter()
-            .filter(|j| keep.contains(&j.id()))
-            .collect();
-        SweepRunner::serial().run_all(&jobs)
-    };
-    let mono = run(BackendKind::Mono);
-    let traced = run(BackendKind::Traced);
-    assert_eq!(mono.len(), traced.len());
-    for (a, b) in mono.iter().zip(&traced) {
-        for (sa, sb) in a.series.iter().zip(&b.series) {
-            assert!(
-                series_bits_eq(sa, sb),
-                "{}/{} diverged on traced",
-                a.id,
-                sa.name
+    let keep = ["delta", "fig2", "fig8", "fig10"];
+    let jobs: Vec<_> = suite(true, BackendKind::Mono)
+        .into_iter()
+        .filter(|j| keep.contains(&j.id()))
+        .collect();
+    let serial = SweepRunner::serial().run_all(&jobs);
+    for threads in [2, 4, 8] {
+        let parallel = SweepRunner::new(threads).run_all(&jobs);
+        assert_eq!(serial.len(), parallel.len());
+        for (a, b) in serial.iter().zip(&parallel) {
+            assert_eq!(a.id, b.id, "suite order changed at {threads} threads");
+            assert_eq!(
+                a.series.len(),
+                b.series.len(),
+                "{}: series count diverged",
+                a.id
             );
+            for (sa, sb) in a.series.iter().zip(&b.series) {
+                assert!(
+                    series_bits_eq(sa, sb),
+                    "{}/{} diverged at {threads} threads",
+                    a.id,
+                    sa.name
+                );
+            }
+            assert_eq!(a.notes, b.notes, "{}: notes diverged", a.id);
         }
-        assert_eq!(a.notes, b.notes, "{} notes diverged", a.id);
     }
 }
 

@@ -12,7 +12,7 @@ use impact::core::hash::{fnv1a_bytes, FNV_OFFSET};
 use impact::fleet::{FleetConfig, FleetService};
 use impact::sim::BackendKind;
 use impact_bench::experiments::suite;
-use impact_bench::trace_tools::{record_capture, CaptureKind, CaptureOutcome};
+use impact_bench::trace_tools::{record_capture, replay_file, CaptureKind, CaptureOutcome};
 use impact_bench::SweepRunner;
 
 /// FNV-1a of `fig_all --quick` stdout: every figure's text, each followed
@@ -64,8 +64,9 @@ impl std::io::Write for Sink {
     }
 }
 
-/// Records `kind` on `Mono` at seed `0x7ACE` (what `trace_replay record`
-/// writes) and returns the outcome with the FNV-1a of the file bytes.
+/// Records `kind` at seed `0x7ACE` (what `trace_replay record` writes),
+/// replays the file on a fresh controller (what `trace_replay replay`
+/// checks) and returns the outcome with the FNV-1a of the file bytes.
 fn capture(kind: CaptureKind, quick: bool) -> (CaptureOutcome, u64) {
     let sink = Sink::default();
     let outcome = record_capture(
@@ -77,6 +78,14 @@ fn capture(kind: CaptureKind, quick: bool) -> (CaptureOutcome, u64) {
     )
     .expect("capture records");
     let bytes = sink.0.lock().unwrap();
+    let replayed = replay_file(&bytes[..], BackendKind::Mono).expect("capture replays");
+    assert!(replayed.matches(), "{} replay: {replayed:?}", kind.name());
+    assert_eq!(
+        replayed.state_digest,
+        outcome.state_digest,
+        "{} replayed state",
+        kind.name()
+    );
     (outcome, fnv1a_bytes(FNV_OFFSET, &bytes))
 }
 

@@ -1,6 +1,6 @@
 //! Telemetry is outside the deterministic state machine: flipping the
-//! obs clocks on changes no figure byte and no recorded trace byte on
-//! any backend, and forks never carry telemetry.
+//! obs clocks on changes no figure byte and no recorded trace byte, and
+//! forks never carry telemetry.
 //!
 //! These tests deliberately share the process-global obs registry with
 //! every other test in this binary — the contract under test is exactly
@@ -34,9 +34,9 @@ impl std::io::Write for SharedBuf {
 
 /// Rendered text of a compact sub-suite (the analytic, PoC and breakdown
 /// families — fast in quick mode, still crossing the instrumented tiers).
-fn render_subsuite(backend: BackendKind) -> String {
+fn render_subsuite() -> String {
     let keep = ["delta", "fig8", "fig10"];
-    let jobs: Vec<_> = suite(true, backend)
+    let jobs: Vec<_> = suite(true, BackendKind::Mono)
         .into_iter()
         .filter(|j| keep.contains(&j.id()))
         .collect();
@@ -47,31 +47,27 @@ fn render_subsuite(backend: BackendKind) -> String {
         .collect()
 }
 
-/// The figure bytes are identical with telemetry clocks off and on, on
-/// the mono and traced backends — the library-level half of CI's
-/// `fig_all --metrics` byte-diff.
+/// The figure bytes are identical with telemetry clocks off and on — the
+/// library-level half of CI's `fig_all --metrics` byte-diff.
 #[test]
 fn enabling_telemetry_changes_no_figure_byte() {
-    for backend in [BackendKind::Mono, BackendKind::Traced] {
-        impact::obs::set_enabled(false);
-        let off = render_subsuite(backend);
-        impact::obs::set_enabled(true);
-        let on = render_subsuite(backend);
-        impact::obs::set_enabled(false);
-        assert_eq!(off, on, "telemetry changed figure output on {backend:?}");
-    }
+    impact::obs::set_enabled(false);
+    let off = render_subsuite();
+    impact::obs::set_enabled(true);
+    let on = render_subsuite();
+    impact::obs::set_enabled(false);
+    assert_eq!(off, on, "telemetry changed figure output");
 }
 
-/// A recorded trace is byte-identical with telemetry clocks off and on,
-/// on every backend of the matrix — telemetry can never leak into the
-/// replay artifact.
+/// A recorded trace is byte-identical with telemetry clocks off and on —
+/// telemetry can never leak into the replay artifact.
 #[test]
 fn enabling_telemetry_changes_no_trace_byte() {
-    let capture = |backend: BackendKind| -> Vec<u8> {
+    let capture = || -> Vec<u8> {
         let buf = SharedBuf::default();
         record_capture(
             CaptureKind::Mix,
-            backend,
+            BackendKind::Mono,
             true,
             0x7ACE,
             Box::new(buf.clone()),
@@ -80,19 +76,12 @@ fn enabling_telemetry_changes_no_trace_byte() {
         let bytes = buf.0.lock().unwrap().clone();
         bytes
     };
-    for backend in [BackendKind::Mono, BackendKind::Traced] {
-        impact::obs::set_enabled(false);
-        let off = capture(backend);
-        impact::obs::set_enabled(true);
-        let on = capture(backend);
-        impact::obs::set_enabled(false);
-        assert_eq!(
-            off,
-            on,
-            "telemetry changed trace bytes on {}",
-            backend.label()
-        );
-    }
+    impact::obs::set_enabled(false);
+    let off = capture();
+    impact::obs::set_enabled(true);
+    let on = capture();
+    impact::obs::set_enabled(false);
+    assert_eq!(off, on, "telemetry changed trace bytes");
 }
 
 /// Forks carry no telemetry: the controller's `ctrl.segments.*`

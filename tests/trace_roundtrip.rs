@@ -1,9 +1,9 @@
 //! End-to-end reproducibility proof for the trace persistence subsystem:
-//! record a quick experiment on the monolithic backend, persist it to
-//! disk, replay the file through the `trace_replay` machinery on the
-//! mono and traced backends, and assert that responses, `BackendStats`
-//! and the final DRAM state are bit-identical everywhere. Corrupt files
-//! fail with typed errors, never panics.
+//! record a quick experiment, persist it to disk, replay the file through
+//! the `trace_replay` machinery and into a controller with and without
+//! the tracing proxy, and assert that responses, `BackendStats` and the
+//! final DRAM state are bit-identical everywhere. Corrupt files fail with
+//! typed errors, never panics.
 
 use std::fs;
 use std::io::BufReader;
@@ -15,8 +15,8 @@ use proptest::prelude::*;
 use impact::core::config::SystemConfig;
 use impact::core::engine::{MemResponse, MemoryBackend};
 use impact::core::rng::SimRng;
-use impact::core::trace::{read_trace, replay, write_trace, TraceEvent};
-use impact::memctrl::ControllerBackend;
+use impact::core::trace::{read_trace, replay, write_trace, TraceEvent, TracingBackend};
+use impact::memctrl::{ControllerBackend, MemoryController};
 use impact::sim::{BackendKind, TracedSystem};
 use impact::workloads::CapturedTrace;
 use impact_attacks::PnmCovertChannel;
@@ -44,7 +44,7 @@ impl Drop for ScratchFile {
     }
 }
 
-/// Records the quick capture workload on mono into a real file.
+/// Records the quick capture workload into a real file.
 fn record_quick_mix(path: &PathBuf) {
     let sink = fs::File::create(path).expect("create trace file");
     let outcome = record_capture(
@@ -58,50 +58,44 @@ fn record_quick_mix(path: &PathBuf) {
     assert!(outcome.summary.responses > 0);
 }
 
-/// The acceptance proof: a trace recorded on mono replays bit-identically
-/// on a fresh mono backend and behind the tracing proxy — same responses,
-/// same `BackendStats`, same final DRAM state.
+/// The acceptance proof: a recorded trace replays bit-identically through
+/// the `trace_replay` machinery, and into a fresh controller with and
+/// without the tracing proxy in front of it — same responses, same
+/// `BackendStats`, same final DRAM state.
 #[test]
-fn mono_recording_replays_bit_identically_on_other_backends() {
+fn recording_replays_bit_identically_behind_the_proxy() {
     let scratch = ScratchFile::new("mono.trace");
     record_quick_mix(&scratch.0);
 
-    // Stream-replay through the trace_replay machinery on each backend;
-    // each run verifies itself against the recorded footer.
-    let mut verifications = Vec::new();
-    for kind in [BackendKind::Mono, BackendKind::Traced] {
-        let reader = BufReader::new(fs::File::open(&scratch.0).expect("open trace"));
-        let v = replay_file(reader, kind).expect("replay");
-        assert!(
-            v.matches(),
-            "{}: responses/stats diverged from the recording: {v:?}",
-            kind.label()
-        );
-        verifications.push((kind.label(), v));
-    }
-    // ... and against each other: responses (via digest), stats and DRAM
-    // state must agree across the whole matrix.
-    let (_, reference) = &verifications[0];
-    for (label, v) in &verifications[1..] {
-        assert_eq!(v.response_digest, reference.response_digest, "{label}");
-        assert_eq!(v.responses, reference.responses, "{label}");
-        assert_eq!(v.stats, reference.stats, "{label}");
-        assert_eq!(
-            v.state_digest, reference.state_digest,
-            "{label}: final DRAM state diverged"
-        );
-    }
+    // Stream-replay through the trace_replay machinery, which verifies
+    // itself against the recorded footer.
+    let reader = BufReader::new(fs::File::open(&scratch.0).expect("open trace"));
+    let v = replay_file(reader, BackendKind::Mono).expect("replay");
+    assert!(
+        v.matches(),
+        "responses/stats diverged from the recording: {v:?}"
+    );
 
-    // Full response streams (not just digests) are bit-identical too.
+    // Full response streams (not just digests), stats and DRAM state are
+    // bit-identical with and without the proxy.
     let captured = CapturedTrace::load(&scratch.0).expect("load");
     let cfg = SystemConfig::paper_table2();
-    let responses_on = |kind: BackendKind| -> Vec<MemResponse> {
-        let mut backend = kind.backend(&cfg);
-        replay(&captured.events, &mut backend).expect("replay events")
-    };
-    let mono = responses_on(BackendKind::Mono);
-    assert_eq!(mono.len() as u64, captured.summary.responses);
-    assert_eq!(mono, responses_on(BackendKind::Traced));
+    let mut bare = MemoryController::from_config(&cfg);
+    let mut proxied = TracingBackend::new(MemoryController::from_config(&cfg));
+    let bare_responses: Vec<MemResponse> = replay(&captured.events, &mut bare).expect("replay");
+    assert_eq!(bare_responses.len() as u64, captured.summary.responses);
+    assert_eq!(
+        bare_responses,
+        replay(&captured.events, &mut proxied).expect("replay behind the proxy")
+    );
+    assert_eq!(bare.backend_stats(), proxied.backend_stats());
+    assert_eq!(bare.backend_stats(), v.stats);
+    assert_eq!(bare.dram_state_digest(), proxied.dram_state_digest());
+    assert_eq!(
+        bare.dram_state_digest(),
+        v.state_digest,
+        "final DRAM state diverged"
+    );
 }
 
 /// `trace_replay diff` of a trace against itself reports zero divergence;
