@@ -169,13 +169,6 @@ impl CacheHierarchy {
     pub fn probe_llc(&self, addr: PhysAddr) -> bool {
         self.l3.probe(addr.line_aligned())
     }
-
-    /// Clears all levels.
-    pub fn reset(&mut self) {
-        self.l1.reset();
-        self.l2.reset();
-        self.l3.reset();
-    }
 }
 
 #[cfg(test)]
@@ -269,15 +262,5 @@ mod tests {
         let h = CacheHierarchy::from_config_with_cacti_llc(&cfg);
         assert_eq!(h.llc_latency(), cacti::llc_latency(128 << 20, 16));
         assert!(h.llc_latency() > Cycles(300));
-    }
-
-    #[test]
-    fn reset_clears_hierarchy() {
-        let mut h = hierarchy();
-        let a = PhysAddr(0x5000);
-        h.load(a);
-        h.reset();
-        assert!(!h.probe(a));
-        assert_eq!(h.load(a).level, HitLevel::Memory);
     }
 }

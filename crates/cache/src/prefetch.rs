@@ -4,6 +4,12 @@
 //! simulator their purpose is to generate extra DRAM row activations that
 //! perturb the row-buffer state observed by attackers; both are modelled
 //! behaviourally.
+//!
+//! Each prefetcher's table sits behind an `Arc`, so an engine fork shares
+//! it until either side observes an access. Forks that never run the
+//! prefetchers (noiseless configurations disable them) never copy it.
+
+use std::sync::Arc;
 
 use impact_core::addr::{PhysAddr, LINE_SIZE};
 
@@ -21,9 +27,6 @@ pub trait Prefetcher: Send {
     /// (`miss` = it missed the cache this prefetcher sits next to) and
     /// returns prefetch requests to issue.
     fn observe(&mut self, ip: u64, addr: PhysAddr, miss: bool) -> Vec<PrefetchRequest>;
-
-    /// Clears learned state.
-    fn reset(&mut self);
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -52,7 +55,7 @@ struct StrideEntry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IpStridePrefetcher {
-    table: Vec<StrideEntry>,
+    table: Arc<[StrideEntry]>,
 }
 
 impl IpStridePrefetcher {
@@ -60,15 +63,24 @@ impl IpStridePrefetcher {
     #[must_use]
     pub fn new(entries: usize) -> IpStridePrefetcher {
         IpStridePrefetcher {
-            table: vec![StrideEntry::default(); entries.max(1)],
+            table: vec![StrideEntry::default(); entries.max(1)].into(),
         }
+    }
+
+    /// The stride table for mutation: copies it first if a fork still
+    /// shares it.
+    fn table_mut(&mut self) -> &mut [StrideEntry] {
+        // analyze::allow(cow-aliasing): the stride table's only write
+        // site; a fork still sharing it gets its own copy before the
+        // first observed access changes an entry
+        Arc::make_mut(&mut self.table)
     }
 }
 
 impl Prefetcher for IpStridePrefetcher {
     fn observe(&mut self, ip: u64, addr: PhysAddr, _miss: bool) -> Vec<PrefetchRequest> {
         let idx = (ip as usize) % self.table.len();
-        let e = &mut self.table[idx];
+        let e = &mut self.table_mut()[idx];
         let addr = addr.line_aligned().0;
         if !e.valid || e.ip != ip {
             *e = StrideEntry {
@@ -101,12 +113,6 @@ impl Prefetcher for IpStridePrefetcher {
         }
         Vec::new()
     }
-
-    fn reset(&mut self) {
-        for e in &mut self.table {
-            *e = StrideEntry::default();
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -123,7 +129,7 @@ struct StreamEntry {
 /// subsequent lines.
 #[derive(Debug, Clone)]
 pub struct StreamerPrefetcher {
-    streams: Vec<StreamEntry>,
+    streams: Arc<[StreamEntry]>,
     degree: u32,
 }
 
@@ -136,9 +142,18 @@ impl StreamerPrefetcher {
     #[must_use]
     pub fn new(streams: usize, degree: u32) -> StreamerPrefetcher {
         StreamerPrefetcher {
-            streams: vec![StreamEntry::default(); streams.max(1)],
+            streams: vec![StreamEntry::default(); streams.max(1)].into(),
             degree: degree.max(1),
         }
+    }
+
+    /// The stream table for mutation: copies it first if a fork still
+    /// shares it.
+    fn streams_mut(&mut self) -> &mut [StreamEntry] {
+        // analyze::allow(cow-aliasing): the stream table's only write
+        // site; a fork still sharing it gets its own copy before the
+        // first observed miss changes an entry
+        Arc::make_mut(&mut self.streams)
     }
 }
 
@@ -150,7 +165,7 @@ impl Prefetcher for StreamerPrefetcher {
         let line = addr.line_aligned().0 / LINE_SIZE;
         let zone = addr.0 / ZONE_BYTES;
         let idx = (zone as usize) % self.streams.len();
-        let e = &mut self.streams[idx];
+        let e = &mut self.streams_mut()[idx];
         if !e.valid || e.zone != zone {
             *e = StreamEntry {
                 zone,
@@ -185,12 +200,6 @@ impl Prefetcher for StreamerPrefetcher {
             return reqs;
         }
         Vec::new()
-    }
-
-    fn reset(&mut self) {
-        for e in &mut self.streams {
-            *e = StreamEntry::default();
-        }
     }
 }
 
@@ -260,19 +269,5 @@ mod tests {
         let r = p.observe(0, PhysAddr(top + 384), true);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].addr, PhysAddr(top + 320));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut p = IpStridePrefetcher::new(4);
-        p.observe(1, PhysAddr(0), true);
-        p.observe(1, PhysAddr(64), true);
-        p.reset();
-        assert!(p.observe(1, PhysAddr(128), true).is_empty());
-        let mut s = StreamerPrefetcher::new(4, 2);
-        s.observe(0, PhysAddr(0), true);
-        s.observe(0, PhysAddr(64), true);
-        s.reset();
-        assert!(s.observe(0, PhysAddr(128), true).is_empty());
     }
 }

@@ -10,6 +10,13 @@
 //!   regions with high data locality execute host-side to benefit from
 //!   caches; low-locality regions execute memory-side. The monitor is a
 //!   small direct-mapped table of per-line access counters.
+//!
+//! The monitor's table sits behind an `Arc`, so an engine fork shares it
+//! until either side runs a PEI through the PMU. Forks that only issue
+//! explicitly offloaded PEIs ([`PeiEngine::execute_memory_side`], the
+//! path the fleet's sessions take) never copy it.
+
+use std::sync::Arc;
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::PimConfig;
@@ -56,7 +63,7 @@ struct MonitorEntry {
 /// accesses the next cache line in the initialized row").
 #[derive(Debug, Clone)]
 pub struct LocalityMonitor {
-    entries: Vec<MonitorEntry>,
+    entries: Arc<[MonitorEntry]>,
     threshold: u32,
 }
 
@@ -65,9 +72,18 @@ impl LocalityMonitor {
     #[must_use]
     pub fn new(entries: u32, threshold: u32) -> LocalityMonitor {
         LocalityMonitor {
-            entries: vec![MonitorEntry::default(); entries.max(1) as usize],
+            entries: vec![MonitorEntry::default(); entries.max(1) as usize].into(),
             threshold: threshold.max(1),
         }
+    }
+
+    /// The counter table for mutation: copies it first if a fork still
+    /// shares it.
+    fn entries_mut(&mut self) -> &mut [MonitorEntry] {
+        // analyze::allow(cow-aliasing): the monitor's only write site; a
+        // fork still sharing the table gets its own copy before the first
+        // observed PEI changes a counter
+        Arc::make_mut(&mut self.entries)
     }
 
     /// Reports what [`LocalityMonitor::observe`] would return for `line`
@@ -84,9 +100,10 @@ impl LocalityMonitor {
     /// it high-locality *before* this access.
     pub fn observe(&mut self, line: u64) -> bool {
         let idx = (line as usize) % self.entries.len();
-        let e = &mut self.entries[idx];
+        let threshold = self.threshold;
+        let e = &mut self.entries_mut()[idx];
         if e.valid && e.line == line {
-            let high = e.count >= self.threshold;
+            let high = e.count >= threshold;
             e.count = e.count.saturating_add(1);
             high
         } else {
@@ -96,13 +113,6 @@ impl LocalityMonitor {
                 valid: true,
             };
             false
-        }
-    }
-
-    /// Clears all learned locality.
-    pub fn reset(&mut self) {
-        for e in &mut self.entries {
-            *e = MonitorEntry::default();
         }
     }
 }
@@ -206,11 +216,6 @@ impl PeiEngine {
             completed_at: now + latency,
         })
     }
-
-    /// Resets the PMU locality monitor.
-    pub fn reset_monitor(&mut self) {
-        self.monitor.reset();
-    }
 }
 
 #[cfg(test)]
@@ -294,17 +299,6 @@ mod tests {
             mc2.access(PhysAddr(0), Cycles(0), 0).unwrap().latency
         };
         assert_eq!(out.latency, bare + Cycles(3 + 12));
-    }
-
-    #[test]
-    fn monitor_reset_forgets() {
-        let (mut mc, mut pei) = setup();
-        let addr = PhysAddr(0x40);
-        pei.execute(&mut mc, addr, Cycles(0), 0).unwrap();
-        pei.execute(&mut mc, addr, Cycles(1000), 0).unwrap();
-        pei.reset_monitor();
-        let out = pei.execute(&mut mc, addr, Cycles(2000), 0).unwrap();
-        assert_eq!(out.site, ExecSite::MemorySide);
     }
 
     #[test]

@@ -845,10 +845,11 @@ impl<B: MemoryBackend> Engine<B> {
 
 /// Forking: every layer above memory (caches, TLBs, page tables, clocks,
 /// prefetchers, noise RNG, PMU monitor) plus the backend, copied through
-/// `Clone`. The bulk state (bank columns, cache tag arrays, page-table
-/// radixes, controller ACT/blocking tables) sits behind `Arc`s inside
-/// those components, so a fork is O(metadata) and each side copies an
-/// array only when it first writes it. The fleet warms one engine and
+/// `Clone`. The shared tables (bank records, cache line arrays, page-table
+/// radixes, controller ACT/blocking tables, TLB levels, the PMU monitor
+/// and the prefetcher tables) sits behind an `Arc` inside those
+/// components, so a fork copies only small records and each side copies
+/// a table only when it first writes it. The fleet warms one engine and
 /// forks it per session. `Engine` does not implement `Clone`: `fork` is
 /// the one way to copy an engine, so every copy counts in `engine.forks`.
 /// The CI `impact-analyze` invariant pass checks that [`Engine::fork`]

@@ -7,8 +7,16 @@
 //! controller's batched path landed. CLOCK keeps the recency signal (a
 //! touched entry survives the next sweep) while a hit does two O(1)
 //! operations: an index probe and a reference-bit store.
+//!
+//! A level grows with use: it starts with no entries and no index
+//! buckets. A cloned `HashMap` keeps its bucket count, so a pre-sized
+//! index would make every copy of a level as large as a full one. Each
+//! level sits behind an `Arc`, so forks share it copy-on-write. A hit on
+//! an entry whose reference bit is already set writes nothing, so a fork
+//! that only translates pages its parent warmed never copies either level.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use impact_core::config::TlbConfig;
 use impact_core::hash::FxBuildHasher;
@@ -39,60 +47,63 @@ struct TlbLevel {
 }
 
 impl TlbLevel {
-    fn new(capacity: u32) -> TlbLevel {
-        let capacity = capacity.max(1) as usize;
-        TlbLevel {
-            slots: Vec::with_capacity(capacity),
-            referenced: Vec::with_capacity(capacity),
-            index: HashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+    fn new(capacity: u32) -> Arc<TlbLevel> {
+        Arc::new(TlbLevel {
+            slots: Vec::new(),
+            referenced: Vec::new(),
+            index: HashMap::with_hasher(FxBuildHasher::default()),
             hand: 0,
-            capacity,
-        }
+            capacity: capacity.max(1) as usize,
+        })
     }
 
-    /// Returns true on hit; grants the entry a second chance.
-    fn lookup(&mut self, vpn: u64) -> bool {
-        if let Some(&slot) = self.index.get(&vpn) {
-            self.referenced[slot] = true;
-            true
-        } else {
-            false
-        }
+    /// The level for mutation: copies it first if a fork still shares it.
+    fn unshare(self: &mut Arc<TlbLevel>) -> &mut TlbLevel {
+        // analyze::allow(cow-aliasing): the level's only write site;
+        // lookups of already-referenced entries never reach it, and a fork
+        // still sharing the level gets its own copy before any reference
+        // bit, slot or index entry changes
+        Arc::make_mut(self)
     }
 
-    fn insert(&mut self, vpn: u64) {
-        if let Some(&slot) = self.index.get(&vpn) {
-            self.referenced[slot] = true;
+    /// Returns true on hit; grants the entry a second chance. A hit whose
+    /// reference bit is already set writes nothing.
+    fn lookup(self: &mut Arc<TlbLevel>, vpn: u64) -> bool {
+        let Some(&slot) = self.index.get(&vpn) else {
+            return false;
+        };
+        if !self.referenced[slot] {
+            self.unshare().referenced[slot] = true;
+        }
+        true
+    }
+
+    fn insert(self: &mut Arc<TlbLevel>, vpn: u64) {
+        if self.lookup(vpn) {
             return;
         }
-        if self.slots.len() < self.capacity {
-            self.index.insert(vpn, self.slots.len());
-            self.slots.push(vpn);
-            self.referenced.push(true);
+        let level = self.unshare();
+        if level.slots.len() < level.capacity {
+            level.index.insert(vpn, level.slots.len());
+            level.slots.push(vpn);
+            level.referenced.push(true);
             return;
         }
         // CLOCK sweep: clear reference bits until an unreferenced victim
         // comes under the hand. Terminates within two revolutions.
         loop {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % self.capacity;
-            if self.referenced[slot] {
-                self.referenced[slot] = false;
+            let slot = level.hand;
+            level.hand = (level.hand + 1) % level.capacity;
+            if level.referenced[slot] {
+                level.referenced[slot] = false;
             } else {
-                self.index.remove(&self.slots[slot]);
-                self.index.insert(vpn, slot);
-                self.slots[slot] = vpn;
-                self.referenced[slot] = true;
+                level.index.remove(&level.slots[slot]);
+                level.index.insert(vpn, slot);
+                level.slots[slot] = vpn;
+                level.referenced[slot] = true;
                 return;
             }
         }
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.referenced.clear();
-        self.index.clear();
-        self.hand = 0;
     }
 }
 
@@ -115,8 +126,8 @@ impl TlbLevel {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    l1: TlbLevel,
-    l2: TlbLevel,
+    l1: Arc<TlbLevel>,
+    l2: Arc<TlbLevel>,
     walks: u64,
 }
 
@@ -169,13 +180,6 @@ impl Tlb {
     pub fn warm(&mut self, vpn: u64) {
         self.l1.insert(vpn);
         self.l2.insert(vpn);
-    }
-
-    /// Clears all translations.
-    pub fn reset(&mut self) {
-        self.l1.clear();
-        self.l2.clear();
-        self.walks = 0;
     }
 }
 
@@ -232,12 +236,44 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut t = tlb();
-        t.translate(3);
-        t.reset();
-        assert!(t.translate(3).walked);
-        assert_eq!(t.walk_count(), 1);
+    fn forks_share_levels_until_a_sweep() {
+        // Warm a full L1 (64 entries; L2 holds the same 64), so every
+        // entry in both levels is referenced.
+        let warmed = || {
+            let mut t = tlb();
+            for vpn in 0..64 {
+                t.warm(vpn);
+            }
+            t
+        };
+        let mut parent = warmed();
+        let mut twin = warmed();
+        let mut fork = parent.clone();
+        for vpn in 0..64 {
+            assert_eq!(fork.translate(vpn).latency, Cycles(1));
+        }
+        assert!(
+            Arc::ptr_eq(&fork.l1, &parent.l1),
+            "L1 hit unshared the fork"
+        );
+        assert!(
+            Arc::ptr_eq(&fork.l2, &parent.l2),
+            "L1 hit unshared the fork's L2"
+        );
+
+        // A walk on the full L1 sweeps every reference bit, on the fork
+        // only.
+        assert!(fork.translate(1000).walked);
+        assert!(!Arc::ptr_eq(&fork.l1, &parent.l1));
+        for vpn in 0..64 {
+            assert_eq!(parent.translate(vpn), twin.translate(vpn));
+        }
+        assert_eq!(parent.walk_count(), 0);
+        assert_eq!(parent.walk_count(), twin.walk_count());
+        // The parent's hand and reference bits are untouched too: its own
+        // next sweep evicts what the twin's does.
+        assert_eq!(parent.translate(2000), twin.translate(2000));
+        assert_eq!(parent.translate(0), twin.translate(0));
     }
 
     #[test]
