@@ -38,11 +38,9 @@ pub mod channel;
 pub mod pnm;
 pub mod primitives;
 pub mod pum;
-pub mod recon;
 pub mod side_channel;
 
 pub use channel::{message_from_str, ChannelReport};
 pub use pnm::PnmCovertChannel;
 pub use pum::PumCovertChannel;
-pub use recon::BankRecon;
 pub use side_channel::{SideChannelAttack, SideChannelInit, SideChannelReport};

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use impact_cache::{CacheHierarchy, EvictionSet};
+use impact_cache::CacheHierarchy;
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
 use impact_core::engine::MemRequest;
@@ -49,20 +49,6 @@ fn bench_cache(c: &mut Criterion) {
         let mut h = CacheHierarchy::from_config(&SystemConfig::paper_table2());
         h.load(PhysAddr(0x4000));
         b.iter(|| h.load(PhysAddr(0x4000)).latency);
-    });
-    c.bench_function("cache/eviction_set_run", |b| {
-        let cfg = SystemConfig::paper_table2();
-        b.iter_batched(
-            || {
-                let mut h = CacheHierarchy::from_config(&cfg);
-                let target = PhysAddr(0x40000);
-                h.load(target);
-                let set = EvictionSet::build(&h, target);
-                (h, set)
-            },
-            |(mut h, set)| set.run_once(&mut h),
-            BatchSize::SmallInput,
-        );
     });
 }
 

@@ -31,6 +31,15 @@ const UNIT: &str = "ns per iteration (criterion-shim mean)";
 const DEFAULT_NOTE: &str =
     "1-vCPU shared container; absolute numbers are indicative, cross-run ratios are the signal";
 
+fn usage_exit(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!(
+        "usage: bench_record [--quick] [--label NAME] [--note TEXT] [--out PATH]\n\
+         \x20      bench_record --quick --check PATH"
+    );
+    std::process::exit(2);
+}
+
 fn main() -> ExitCode {
     let mut quick = false;
     let mut label = String::from("current");
@@ -39,16 +48,17 @@ fn main() -> ExitCode {
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        let mut value = |flag: &str| {
+            args.next()
+                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+        };
         match arg.as_str() {
             "--quick" => quick = true,
-            "--label" => label = args.next().expect("--label needs a value"),
-            "--note" => note = Some(args.next().expect("--note needs a value")),
-            "--out" => out_path = args.next().expect("--out needs a value"),
-            "--check" => check_path = Some(args.next().expect("--check needs a value")),
-            other => {
-                eprintln!("unknown argument: {other}");
-                return ExitCode::FAILURE;
-            }
+            "--label" => label = value("--label"),
+            "--note" => note = Some(value("--note")),
+            "--out" => out_path = value("--out"),
+            "--check" => check_path = Some(value("--check")),
+            other => usage_exit(&format!("unknown argument: {other}")),
         }
     }
 

@@ -6,11 +6,12 @@
 //! tracing proxy ([`TracedSystem`]) spilling straight to disk;
 //! [`replay_file`] re-services the file on a fresh [`MemoryController`]
 //! and verifies the responses, [`BackendStats`] and DRAM state digest
-//! bit-for-bit against the recorded footer; [`diff_readers`] pinpoints the
-//! first divergent event between two captures; and [`TraceScenario`]
-//! turns a captured file into a [`Scenario`] that runs under the
-//! [`SweepRunner`](crate::SweepRunner) alongside the built-in experiment
-//! suite.
+//! bit-for-bit against the recorded footer; [`verify_capture`] makes the
+//! same check on a loaded capture before anything uses it;
+//! [`diff_readers`] pinpoints the first divergent event between two
+//! captures; and [`TraceScenario`] turns a captured file into a
+//! [`Scenario`] that runs under the [`SweepRunner`](crate::SweepRunner)
+//! alongside the built-in experiment suite.
 
 use std::io::{Read, Write};
 use std::sync::Arc;
@@ -230,10 +231,66 @@ impl ReplayVerification {
     /// True when the replay reproduced the recorded run bit-for-bit.
     #[must_use]
     pub fn matches(&self) -> bool {
-        self.responses == self.recorded.responses
-            && self.response_digest == self.recorded.response_digest
-            && self.stats == self.recorded.stats
+        reproduces_footer(
+            &self.recorded,
+            self.responses,
+            self.response_digest,
+            &self.stats,
+        )
     }
+}
+
+/// True when a replay's response count, response digest and final
+/// [`BackendStats`] equal the recorded footer's.
+fn reproduces_footer(
+    recorded: &TraceSummary,
+    responses: u64,
+    response_digest: u64,
+    stats: &BackendStats,
+) -> bool {
+    responses == recorded.responses
+        && response_digest == recorded.response_digest
+        && *stats == recorded.stats
+}
+
+/// Verifies a loaded capture before anything uses it: resolves the
+/// header to its [`SystemConfig`] ([`resolve_config`]), replays every
+/// event on a fresh [`MemoryController`] and checks the result against
+/// the recorded footer, as [`ReplayVerification::matches`] does for a
+/// streamed file. Returns the resolved configuration. `fig_all --trace`
+/// (through [`TraceScenario::new`]) and `fleet_run --trace` both call it.
+///
+/// # Errors
+///
+/// [`Error::TraceFormat`] for an unknown config label or a capture whose
+/// events do not reproduce the footer; [`Error::TraceConfigMismatch`]
+/// when label and fingerprint disagree; the first error a recorded event
+/// raises when serviced.
+pub fn verify_capture(captured: &CapturedTrace) -> Result<SystemConfig> {
+    let cfg = resolve_config(&captured.header)?;
+    let mut probe = MemoryController::from_config(&cfg);
+    let replayed = captured.replay_prefix(&mut probe, captured.events.len())?;
+    let recorded = &captured.summary;
+    let stats = probe.backend_stats();
+    if !reproduces_footer(
+        recorded,
+        replayed.responses,
+        replayed.response_digest,
+        &stats,
+    ) {
+        return Err(Error::TraceFormat(format!(
+            "capture does not reproduce its own footer \
+             (recorded {} responses / digest {:#018x} / {:?}, \
+             replayed {} / {:#018x} / {:?})",
+            recorded.responses,
+            recorded.response_digest,
+            recorded.stats,
+            replayed.responses,
+            replayed.response_digest,
+            stats,
+        )));
+    }
+    Ok(cfg)
 }
 
 /// Streams a trace file into a fresh [`MemoryController`], the one `kind`
@@ -526,33 +583,14 @@ pub struct TraceScenario {
 }
 
 impl TraceScenario {
-    /// Wraps a loaded capture for replay, validating it end to end: the
-    /// label must resolve to the fingerprinted configuration AND a full
-    /// replay on a fresh controller must reproduce the recorded footer
-    /// (response count and digest). `eval` can then replay any prefix
-    /// without a fallible path.
+    /// Wraps a loaded capture for replay once [`verify_capture`] accepts
+    /// it, so `eval` can replay any prefix without a fallible path.
     ///
     /// # Errors
     ///
-    /// [`Error::TraceFormat`] for an unknown config label or a capture
-    /// whose events fail to service or do not reproduce the footer;
-    /// [`Error::TraceConfigMismatch`] when label and fingerprint disagree.
+    /// As for [`verify_capture`].
     pub fn new(captured: CapturedTrace) -> Result<TraceScenario> {
-        let cfg = resolve_config(&captured.header)?;
-        let mut probe = MemoryController::from_config(&cfg);
-        let replayed = captured.replay_prefix(&mut probe, captured.events.len())?;
-        if replayed.responses != captured.summary.responses
-            || replayed.response_digest != captured.summary.response_digest
-        {
-            return Err(Error::TraceFormat(format!(
-                "capture does not reproduce its own footer \
-                 (recorded {} responses / digest {:#018x}, replayed {} / {:#018x})",
-                captured.summary.responses,
-                captured.summary.response_digest,
-                replayed.responses,
-                replayed.response_digest,
-            )));
-        }
+        let cfg = verify_capture(&captured)?;
         Ok(TraceScenario {
             captured: Arc::new(captured),
             cfg,
@@ -585,7 +623,7 @@ impl Scenario for TraceScenario {
         let replayed = self
             .captured
             .replay_prefix(&mut backend, events)
-            .expect("full replay was validated by TraceScenario::new");
+            .expect("full replay was validated by verify_capture");
         if replayed.responses == 0 {
             0.0
         } else {
@@ -925,6 +963,15 @@ mod tests {
         short.summary.events = short.events.len() as u64;
         assert!(matches!(
             TraceScenario::new(short),
+            Err(Error::TraceFormat(msg)) if msg.contains("footer")
+        ));
+
+        // So is a footer whose responses and digest reproduce but whose
+        // recorded backend stats do not.
+        let mut stats_only = CapturedTrace::read_from(&bytes[..]).unwrap();
+        stats_only.summary.stats.accesses += 1;
+        assert!(matches!(
+            TraceScenario::new(stats_only),
             Err(Error::TraceFormat(msg)) if msg.contains("footer")
         ));
     }

@@ -1,0 +1,127 @@
+//! The command-line binaries reject malformed input with a usage error or
+//! a typed failure (exit 1 or 2), never a panic. Every case here exits
+//! before any simulation runs, so the table is cheap even in a debug
+//! build.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+use impact_bench::trace_tools::{record_capture, CaptureKind};
+use impact_core::addr::PhysAddr;
+use impact_core::config::SystemConfig;
+use impact_core::engine::ReqKind;
+use impact_core::trace::{write_trace, TraceEvent};
+use impact_sim::BackendKind;
+use impact_workloads::CapturedTrace;
+
+/// Runs `bin args` and asserts that it fails cleanly: exit code 1 or 2
+/// and no panic message on stderr. Returns the exit code and stderr.
+fn assert_clean_failure(bin: &str, args: &[&str]) -> (i32, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("cannot run {bin}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    let name = bin.rsplit('/').next().unwrap_or(bin);
+    let code = out.status.code();
+    assert!(
+        matches!(code, Some(1 | 2)),
+        "{name} {args:?} exited with {code:?}; stderr:\n{stderr}"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{name} {args:?} panicked:\n{stderr}"
+    );
+    (code.unwrap_or_default(), stderr)
+}
+
+#[test]
+fn malformed_arguments_exit_with_usage_not_a_panic() {
+    let fig_all = env!("CARGO_BIN_EXE_fig_all");
+    let fleet_run = env!("CARGO_BIN_EXE_fleet_run");
+    let trace_replay = env!("CARGO_BIN_EXE_trace_replay");
+    let bench_record = env!("CARGO_BIN_EXE_bench_record");
+    let cases: &[(&str, &[&str])] = &[
+        (fig_all, &["--jobs"]),
+        (fig_all, &["--jobs", "abc"]),
+        (fig_all, &["--trace"]),
+        (fig_all, &["--metrics"]),
+        (fig_all, &["nosuch"]),
+        (fleet_run, &["--population"]),
+        (fleet_run, &["--population", "abc"]),
+        (fleet_run, &["--population", "99999999999999999999"]),
+        (fleet_run, &["--workers", "0", "--population", "10"]),
+        (fleet_run, &["--seed", "-1"]),
+        (trace_replay, &[]),
+        (trace_replay, &["replay"]),
+        (trace_replay, &["record"]),
+        (trace_replay, &["merge", "OUT"]),
+        (bench_record, &["--label"]),
+        (bench_record, &["--out"]),
+    ];
+    for (bin, args) in cases {
+        assert_clean_failure(bin, args);
+    }
+}
+
+/// A capture whose events no longer reproduce its footer is rejected by
+/// `fleet_run --trace` before any session runs, as by `fig_all --trace`
+/// and `trace_replay replay`.
+#[test]
+fn fleet_run_rejects_a_capture_that_misses_its_footer() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let pristine = dir.join(format!("cli_args_pristine_{}.trace", std::process::id()));
+    let tampered = dir.join(format!("cli_args_tampered_{}.trace", std::process::id()));
+    let sink = std::fs::File::create(&pristine).expect("create capture file");
+    record_capture(
+        CaptureKind::Mix,
+        BackendKind::Mono,
+        true,
+        0x7ACE,
+        Box::new(std::io::BufWriter::new(sink)),
+    )
+    .expect("record quick capture");
+
+    // Move one demand request to the neighbouring bank (same row), then
+    // re-encode the events under the original header and footer.
+    let mut captured = CapturedTrace::load(&pristine).expect("decode capture");
+    let row_bytes = SystemConfig::paper_table2().dram_geometry.row_bytes;
+    let moved = captured
+        .events
+        .iter_mut()
+        .find_map(|ev| match ev {
+            TraceEvent::Request(req) if matches!(req.kind, ReqKind::Load | ReqKind::Store) => {
+                Some(req)
+            }
+            _ => None,
+        })
+        .expect("the Mix capture holds demand requests");
+    moved.addr = PhysAddr(moved.addr.0 ^ row_bytes);
+    let bytes = write_trace(
+        Vec::new(),
+        &captured.header,
+        &captured.events,
+        &captured.summary,
+    )
+    .expect("re-encode capture");
+    std::fs::write(&tampered, bytes).expect("write tampered capture");
+
+    let (code, stderr) = assert_clean_failure(
+        env!("CARGO_BIN_EXE_fleet_run"),
+        &[
+            "--quick",
+            "--population",
+            "0",
+            "--trace",
+            tampered.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(
+        stderr.contains("does not reproduce its own footer"),
+        "expected the footer check to reject the capture:\n{stderr}"
+    );
+
+    std::fs::remove_file(&pristine).ok();
+    std::fs::remove_file(&tampered).ok();
+}

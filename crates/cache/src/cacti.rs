@@ -11,7 +11,7 @@
 //!   (Fig. 3 right axis),
 //!
 //! where an eviction in steady state costs `ways × llc_latency + one memory
-//! access` (see [`crate::eviction`]).
+//! access` (see [`eviction_latency`]).
 
 use impact_core::time::Cycles;
 

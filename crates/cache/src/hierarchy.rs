@@ -35,9 +35,10 @@ pub struct HierarchyOutcome {
 /// The Table 2 cache hierarchy: 32 KiB L1D (LRU), 2 MiB L2 (SRRIP) and a
 /// configurable LLC (SRRIP), maintained inclusive.
 ///
-/// Inclusivity matters for the eviction-set baseline: evicting a line from
+/// Inclusivity is the premise of eviction-set attacks: evicting a line from
 /// the LLC back-invalidates it from L1/L2, so LLC eviction suffices to push
-/// the next access to DRAM.
+/// the next access to DRAM. The DRAMA-eviction baseline charges that
+/// eviction analytically ([`cacti::eviction_latency`]).
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     l1: SetAssocCache,
@@ -69,12 +70,6 @@ impl CacheHierarchy {
             l2: SetAssocCache::new(cfg.l2),
             l3: SetAssocCache::new(l3cfg),
         }
-    }
-
-    /// The last-level cache (for eviction-set construction).
-    #[must_use]
-    pub fn llc(&self) -> &SetAssocCache {
-        &self.l3
     }
 
     /// Latency of an LLC lookup.
@@ -162,12 +157,6 @@ impl CacheHierarchy {
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let addr = addr.line_aligned();
         self.l1.probe(addr) || self.l2.probe(addr) || self.l3.probe(addr)
-    }
-
-    /// True if the line is resident in the LLC.
-    #[must_use]
-    pub fn probe_llc(&self, addr: PhysAddr) -> bool {
-        self.l3.probe(addr.line_aligned())
     }
 }
 

@@ -9,8 +9,6 @@
 //! * [`CacheHierarchy`] — the three-level hierarchy with `clflush` support;
 //! * [`cacti`] — a CACTI-6.0-style latency model `lat(size, ways)` used for
 //!   the LLC sweeps of Figs. 2, 3 and 9;
-//! * [`EvictionSet`] — congruent-address eviction sets, the cache-bypassing
-//!   primitive of the DRAMA-eviction baseline;
 //! * prefetchers ([`IpStridePrefetcher`], [`StreamerPrefetcher`]) — the
 //!   noise sources of §5.2.3.
 //!
@@ -30,12 +28,10 @@
 //! ```
 
 pub mod cacti;
-pub mod eviction;
 pub mod hierarchy;
 pub mod prefetch;
 pub mod set_assoc;
 
-pub use eviction::EvictionSet;
 pub use hierarchy::{CacheHierarchy, HierarchyOutcome, HitLevel};
 pub use prefetch::{IpStridePrefetcher, PrefetchRequest, Prefetcher, StreamerPrefetcher};
 pub use set_assoc::{AccessResult, EvictedLine, SetAssocCache};

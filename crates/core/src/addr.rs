@@ -116,54 +116,6 @@ impl Add<u64> for VirtAddr {
     }
 }
 
-/// Coordinates of a location inside the DRAM device hierarchy (Fig. 1 of the
-/// paper): channel → rank → bank group → bank → row → column.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DramCoord {
-    /// Channel index.
-    pub channel: u32,
-    /// Rank index within the channel.
-    pub rank: u32,
-    /// Bank-group index within the rank.
-    pub bank_group: u32,
-    /// Bank index within the bank group.
-    pub bank: u32,
-    /// Row index within the bank.
-    pub row: u64,
-    /// Byte column offset within the row.
-    pub column: u32,
-}
-
-impl DramCoord {
-    /// Flat bank identifier across the whole device, given the geometry
-    /// described by `banks_per_group`, `groups_per_rank` and
-    /// `ranks_per_channel`.
-    #[must_use]
-    pub fn flat_bank(
-        &self,
-        banks_per_group: u32,
-        groups_per_rank: u32,
-        ranks_per_channel: u32,
-    ) -> usize {
-        let per_rank = banks_per_group * groups_per_rank;
-        let per_channel = per_rank * ranks_per_channel;
-        (self.channel * per_channel
-            + self.rank * per_rank
-            + self.bank_group * banks_per_group
-            + self.bank) as usize
-    }
-}
-
-impl fmt::Display for DramCoord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ch{}/rk{}/bg{}/bk{}/row{}/col{}",
-            self.channel, self.rank, self.bank_group, self.bank, self.row, self.column
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,22 +141,6 @@ mod tests {
         assert_eq!(PhysAddr(0).line_number(), 0);
         assert_eq!(PhysAddr(63).line_number(), 0);
         assert_eq!(PhysAddr(64).line_number(), 1);
-    }
-
-    #[test]
-    fn flat_bank_layout() {
-        // 4 banks/group, 4 groups/rank, 1 rank/channel -> 16 banks per channel.
-        let c = DramCoord {
-            channel: 0,
-            rank: 0,
-            bank_group: 2,
-            bank: 3,
-            row: 0,
-            column: 0,
-        };
-        assert_eq!(c.flat_bank(4, 4, 1), 11);
-        let c2 = DramCoord { channel: 1, ..c };
-        assert_eq!(c2.flat_bank(4, 4, 1), 27);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! workspace: simulation time ([`time::Cycles`], [`time::Nanos`]), physical
 //! and virtual addresses ([`addr::PhysAddr`], [`addr::VirtAddr`]),
 //! configuration for the simulated system ([`config::SystemConfig`], which
-//! mirrors Table 2 of the paper), statistics counters ([`stats`]), a
+//! mirrors Table 2 of the paper), the Fig. 12 geometric mean ([`stats`]), a
 //! deterministic, seedable random-number generator ([`rng::SimRng`]), and
 //! the pluggable memory-engine vocabulary ([`engine`]): request/response
 //! types plus the [`engine::MemoryBackend`] trait the simulator core is

@@ -1,183 +1,4 @@
-//! Statistics counters and simple descriptive statistics.
-
-use core::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use impact_core::stats::Counter;
-///
-/// let mut hits = Counter::new("row_hits");
-/// hits.inc();
-/// hits.add(2);
-/// assert_eq!(hits.get(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a named counter starting at zero.
-    #[must_use]
-    pub fn new(name: impl Into<String>) -> Counter {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.value
-    }
-
-    /// Counter name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.value = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} = {}", self.name, self.value)
-    }
-}
-
-/// Online mean/min/max/count accumulator for latency samples.
-///
-/// # Example
-///
-/// ```
-/// use impact_core::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [10.0, 20.0, 30.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.count(), 3);
-/// assert_eq!(s.mean(), 20.0);
-/// assert_eq!(s.min(), 10.0);
-/// assert_eq!(s.max(), 30.0);
-/// ```
-#[derive(Debug, Default, Clone, PartialEq)]
-pub struct Summary {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Summary {
-        Summary {
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        self.sum_sq += v * v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0.0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Population variance; 0.0 when empty.
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        (self.sum_sq / self.count as f64 - mean * mean).max(0.0)
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum sample; +inf when empty.
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Maximum sample; -inf when empty.
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl fmt::Display for Summary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.2} sd={:.2} min={:.2} max={:.2}",
-            self.count,
-            self.mean(),
-            self.std_dev(),
-            self.min,
-            self.max
-        )
-    }
-}
+//! Descriptive statistics over experiment results.
 
 /// Geometric mean of a slice of positive values; 0.0 for an empty slice.
 ///
@@ -203,53 +24,6 @@ pub fn geometric_mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.name(), "x");
-        assert_eq!(c.to_string(), "x = 0");
-    }
-
-    #[test]
-    fn summary_stats() {
-        let mut s = Summary::new();
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(v);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn summary_empty() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn summary_merge() {
-        let mut a = Summary::new();
-        a.record(1.0);
-        a.record(3.0);
-        let mut b = Summary::new();
-        b.record(5.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert!((a.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(a.max(), 5.0);
-    }
 
     #[test]
     fn gmean() {

@@ -16,9 +16,9 @@ use crate::timing::ResolvedTiming;
 /// either side copies it (`Arc::make_mut`).
 ///
 /// The device serves operations addressed by *flat bank index* and row;
-/// address decomposition is the job of an
-/// [`AddressMapping`](crate::mapping::AddressMapping) (owned by the memory
-/// controller).
+/// address decomposition is the job of the
+/// [`RowInterleaved`](crate::mapping::RowInterleaved) mapping (owned by the
+/// memory controller).
 ///
 /// # Example
 ///

@@ -2,9 +2,10 @@
 //!
 //! Models a DDR4-style device at command granularity: per-bank row-buffer
 //! state machines, activate/precharge/CAS timing, open- and closed-row
-//! policies with an optional idle row timeout, address mapping schemes, and
-//! RowClone Fast-Parallel-Mode in-DRAM copy (Seshadri et al., MICRO'13),
-//! which is the PuM primitive exploited by IMPACT-PuM.
+//! policies with an optional idle row timeout, the row-interleaved
+//! address mapping, and RowClone Fast-Parallel-Mode in-DRAM copy
+//! (Seshadri et al., MICRO'13), which is the PuM primitive exploited by
+//! IMPACT-PuM.
 //!
 //! The shared row buffer is the timing channel (§3.1 of the paper): an
 //! access to the open row is a *hit* (CAS only), an access to a closed bank
@@ -50,6 +51,6 @@ pub mod timing;
 
 pub use bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
 pub use device::DramDevice;
-pub use mapping::{AddressMapping, BankInterleavedXor, RowInterleaved};
+pub use mapping::RowInterleaved;
 pub use policy::RowPolicy;
 pub use timing::ResolvedTiming;

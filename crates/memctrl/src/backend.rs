@@ -305,7 +305,7 @@ mod tests {
         assert_eq!(resp.per_bank.len(), 1);
         assert_eq!(resp.bank, 2);
         let lane_src = PhysAddr(2 * row_bytes);
-        assert_eq!(resp.row, mc.mapping().map(lane_src).row);
+        assert_eq!((resp.bank, resp.row), mc.mapping().locate(lane_src));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use impact_core::config::SystemConfig;
 use impact_core::engine::{MemRequest, MemResponse, ReqKind};
 use impact_core::error::{Error, Result};
 use impact_core::time::{Clock, Cycles};
-use impact_dram::{AddressMapping, DramDevice, RowBufferKind, RowInterleaved, RowPolicy};
+use impact_dram::{DramDevice, RowBufferKind, RowInterleaved, RowPolicy};
 
 use crate::defense::{ActBankState, Defense};
 
@@ -105,9 +105,10 @@ pub struct RowCloneOutcome {
 /// exactly like the DRAM bank array underneath.
 // analyze::allow(cow-aliasing): fork sharing; every mutation goes
 // through Arc::make_mut
+#[derive(Clone)]
 pub struct MemoryController {
     dram: DramDevice,
-    mapping: Box<dyn AddressMapping>,
+    mapping: RowInterleaved,
     overhead: Cycles,
     clock: Clock,
     defense: Defense,
@@ -128,20 +129,17 @@ impl core::fmt::Debug for MemoryController {
 }
 
 impl MemoryController {
-    /// Creates a controller over `dram` with an explicit mapping.
+    /// Creates the Table 2 controller: row-interleaved mapping, open-page
+    /// policy, no defense.
     #[must_use]
-    pub fn new(
-        dram: DramDevice,
-        mapping: Box<dyn AddressMapping>,
-        overhead: Cycles,
-        clock: Clock,
-    ) -> MemoryController {
+    pub fn from_config(cfg: &SystemConfig) -> MemoryController {
+        let dram = DramDevice::from_config(cfg);
         let banks = dram.num_banks();
         MemoryController {
             dram,
-            mapping,
-            overhead,
-            clock,
+            mapping: RowInterleaved::new(cfg.dram_geometry),
+            overhead: Cycles(cfg.memctrl_overhead_cycles),
+            clock: cfg.clock,
             defense: Defense::None,
             act_state: Arc::new(vec![ActBankState::default(); banks]),
             blocking: None,
@@ -183,20 +181,6 @@ impl MemoryController {
         }
     }
 
-    /// Creates the Table 2 controller: row-interleaved mapping, open-page
-    /// policy, no defense.
-    #[must_use]
-    pub fn from_config(cfg: &SystemConfig) -> MemoryController {
-        let dram = DramDevice::from_config(cfg);
-        let mapping = Box::new(RowInterleaved::new(cfg.dram_geometry));
-        MemoryController::new(
-            dram,
-            mapping,
-            Cycles(cfg.memctrl_overhead_cycles),
-            cfg.clock,
-        )
-    }
-
     /// Installs a defense. CRP switches the device row policy; disabling
     /// CRP restores the open-page policy.
     pub fn set_defense(&mut self, defense: Defense) {
@@ -227,8 +211,8 @@ impl MemoryController {
 
     /// The address mapping.
     #[must_use]
-    pub fn mapping(&self) -> &dyn AddressMapping {
-        self.mapping.as_ref()
+    pub fn mapping(&self) -> &RowInterleaved {
+        &self.mapping
     }
 
     /// Controller statistics.
@@ -288,10 +272,9 @@ impl MemoryController {
                 // its source row lives `trailing_zeros` row-chunks past
                 // the range base; rowclone has validated that lane.
                 let first_lane = u64::from(mask.trailing_zeros());
-                let row = self
+                let (_, row) = self
                     .mapping
-                    .map(req.addr + first_lane * self.dram.geometry().row_bytes)
-                    .row;
+                    .locate(req.addr + first_lane * self.dram.geometry().row_bytes);
                 let (bank, kind, _) = out.per_bank[0];
                 Ok(MemResponse {
                     bank,
@@ -405,17 +388,15 @@ impl MemoryController {
             let d = lane(dst, i)?;
             self.check_capacity(s)?;
             self.check_capacity(d)?;
-            let sc = self.mapping.map(s);
-            let dc = self.mapping.map(d);
-            let sbank = self.mapping.flat_bank(s);
-            let dbank = self.mapping.flat_bank(d);
+            let (sbank, src_row) = self.mapping.locate(s);
+            let (dbank, dst_row) = self.mapping.locate(d);
             if sbank != dbank {
                 return Err(Error::InvalidRowClone(format!(
                     "mask bit {i}: src bank {sbank} != dst bank {dbank}"
                 )));
             }
             self.check_partition(sbank, actor)?;
-            lanes[n_lanes] = (sbank, sc.row, dc.row);
+            lanes[n_lanes] = (sbank, src_row, dst_row);
             n_lanes += 1;
         }
         self.stats.rowclones += 1;
@@ -503,24 +484,6 @@ impl MemoryController {
                 }
             }
             _ => raw,
-        }
-    }
-}
-
-/// The fork: the DRAM bank array and the per-bank defense arrays are
-/// shared copy-on-write, and the mapping is re-boxed.
-impl Clone for MemoryController {
-    fn clone(&self) -> MemoryController {
-        MemoryController {
-            dram: self.dram.clone(),
-            mapping: self.mapping.clone_box(),
-            overhead: self.overhead,
-            clock: self.clock,
-            defense: self.defense.clone(),
-            act_state: Arc::clone(&self.act_state),
-            blocking: self.blocking,
-            block_epoch: Arc::clone(&self.block_epoch),
-            stats: self.stats.clone(),
         }
     }
 }

@@ -17,6 +17,7 @@ use std::sync::Arc;
 use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::DramGeometry;
 use impact_core::error::{Error, Result};
+use impact_dram::RowInterleaved;
 
 /// Second-level page-table fan-out: 512 slots per leaf, mirroring a real
 /// radix page table's 9 bits per level.
@@ -108,14 +109,14 @@ impl PageTable {
 
 /// Bank-aware physical frame allocator over a row-interleaved device.
 ///
-/// The physical address of (bank, row) is `(row * banks + bank) * row_bytes`
-/// (see [`impact_dram::RowInterleaved`]). Per-bank allocations hand out rows
-/// from the bottom of each bank; stripe allocations hand out whole
-/// rotations (one row in every bank) from the top half, so the two never
-/// collide.
+/// Rows are placed through [`RowInterleaved::compose`], the inverse of the
+/// mapping the memory controller decodes addresses with. Per-bank
+/// allocations hand out rows from the bottom of each bank; stripe
+/// allocations hand out whole rotations (one row in every bank) from the
+/// top half, so the two never collide.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
-    geometry: DramGeometry,
+    mapping: RowInterleaved,
     next_row_in_bank: Vec<u64>,
     next_stripe_row: u64,
 }
@@ -126,7 +127,7 @@ impl FrameAllocator {
     pub fn new(geometry: DramGeometry) -> FrameAllocator {
         let banks = geometry.total_banks() as usize;
         FrameAllocator {
-            geometry,
+            mapping: RowInterleaved::new(geometry),
             next_row_in_bank: vec![0; banks],
             next_stripe_row: geometry.rows_per_bank / 2,
         }
@@ -135,7 +136,7 @@ impl FrameAllocator {
     /// Pages per DRAM row.
     #[must_use]
     pub fn pages_per_row(&self) -> u64 {
-        (self.geometry.row_bytes / PAGE_SIZE).max(1)
+        (self.geometry().row_bytes / PAGE_SIZE).max(1)
     }
 
     /// Allocates one fresh row in `bank`, returning its physical base.
@@ -145,22 +146,20 @@ impl FrameAllocator {
     /// Returns [`Error::MassagingFailed`] when the bank's private region is
     /// exhausted.
     pub fn alloc_row_in_bank(&mut self, bank: usize) -> Result<PhysAddr> {
-        let banks = u64::from(self.geometry.total_banks());
+        let banks = u64::from(self.geometry().total_banks());
         if bank as u64 >= banks {
             return Err(Error::MassagingFailed(format!(
                 "bank {bank} out of range ({banks} banks)"
             )));
         }
         let row = self.next_row_in_bank[bank];
-        if row >= self.geometry.rows_per_bank / 2 {
+        if row >= self.geometry().rows_per_bank / 2 {
             return Err(Error::MassagingFailed(format!(
                 "bank {bank} private region exhausted"
             )));
         }
         self.next_row_in_bank[bank] = row + 1;
-        Ok(PhysAddr(
-            (row * banks + bank as u64) * self.geometry.row_bytes,
-        ))
+        Ok(self.mapping.compose(bank, row, 0))
     }
 
     /// Allocates `rotations` physically contiguous rotations (each rotation
@@ -174,25 +173,23 @@ impl FrameAllocator {
     /// exhausted.
     pub fn alloc_bank_stripe(&mut self, rotations: u64) -> Result<PhysAddr> {
         let base_row = self.next_stripe_row;
-        if base_row + rotations > self.geometry.rows_per_bank {
+        if base_row + rotations > self.geometry().rows_per_bank {
             return Err(Error::MassagingFailed("stripe region exhausted".into()));
         }
         self.next_stripe_row += rotations;
-        let banks = u64::from(self.geometry.total_banks());
-        Ok(PhysAddr(base_row * banks * self.geometry.row_bytes))
+        Ok(self.mapping.compose(0, base_row, 0))
     }
 
     /// Geometry served by this allocator.
     #[must_use]
     pub fn geometry(&self) -> &DramGeometry {
-        &self.geometry
+        self.mapping.geometry()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impact_dram::{AddressMapping, RowInterleaved};
 
     fn geo() -> DramGeometry {
         DramGeometry::paper_table2()
@@ -258,7 +255,7 @@ mod tests {
         let mapping = RowInterleaved::new(geo());
         let a = fa.alloc_row_in_bank(3).unwrap();
         let b = fa.alloc_row_in_bank(3).unwrap();
-        assert_ne!(mapping.map(a).row, mapping.map(b).row);
+        assert_ne!(mapping.locate(a).1, mapping.locate(b).1);
     }
 
     #[test]
@@ -278,7 +275,7 @@ mod tests {
         let mapping = RowInterleaved::new(geo());
         let stripe = fa.alloc_bank_stripe(1).unwrap();
         let row = fa.alloc_row_in_bank(0).unwrap();
-        assert_ne!(mapping.map(stripe).row, mapping.map(row).row);
+        assert_ne!(mapping.locate(stripe).1, mapping.locate(row).1);
     }
 
     #[test]

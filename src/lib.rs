@@ -14,7 +14,7 @@
 //! |---|---|---|
 //! | [`core`] | `impact-core` | time, addresses, config, stats, RNG |
 //! | [`dram`] | `impact-dram` | banks, row buffers, timing, RowClone FPM |
-//! | [`cache`] | `impact-cache` | hierarchy, CACTI model, eviction sets |
+//! | [`cache`] | `impact-cache` | hierarchy, CACTI model, prefetchers |
 //! | [`memctrl`] | `impact-memctrl` | controller + MPR/CRP/CTD/ACT defenses |
 //! | [`obs`] | `impact-obs` | deterministic-safe telemetry (counters, histograms, spans) |
 //! | [`pim`] | `impact-pim` | PEI engine, RowClone interface |

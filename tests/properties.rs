@@ -12,7 +12,7 @@ use impact::core::config::{
 };
 use impact::core::engine::{MemRequest, RowBufferKind};
 use impact::core::time::{Clock, Cycles};
-use impact::dram::{AddressMapping, Bank, ResolvedTiming, RowInterleaved, RowPolicy};
+use impact::dram::{Bank, ResolvedTiming, RowInterleaved, RowPolicy};
 use impact::genomics::align::{banded_align, AlignParams};
 use impact::genomics::chain::{chain_anchors, Anchor};
 use impact::memctrl::MemoryController;
@@ -56,25 +56,37 @@ proptest! {
         }
     }
 
-    /// The row-interleaved mapping roundtrips for every (bank, row, col).
+    /// The row-interleaved mapping roundtrips for every (bank, row, col),
+    /// at 16 banks (shift/mask split) and at 12 (division fallback).
     #[test]
-    fn mapping_roundtrip(bank in 0usize..16, row in 0u64..65536, col in 0u32..8192) {
-        let m = RowInterleaved::new(DramGeometry::paper_table2());
+    fn mapping_roundtrip(
+        twelve_banks in any::<bool>(),
+        bank in 0usize..16,
+        row in 0u64..65536,
+        col in 0u32..8192,
+    ) {
+        let geometry = DramGeometry::with_total_banks(if twelve_banks { 12 } else { 16 });
+        let bank = bank % geometry.total_banks() as usize;
+        let m = RowInterleaved::new(geometry);
         let addr = m.compose(bank, row, col);
-        let coord = m.map(addr);
         prop_assert_eq!(m.flat_bank(addr), bank);
-        prop_assert_eq!(coord.row, row);
-        prop_assert_eq!(coord.column, col);
+        prop_assert_eq!(m.locate(addr), (bank, row));
+        prop_assert_eq!(addr.0 % geometry.row_bytes, u64::from(col));
     }
 
-    /// Distinct addresses map to distinct (bank, row, column) coordinates.
+    /// Distinct addresses map to distinct (bank, row, column) coordinates,
+    /// at 16 banks and at 12.
     #[test]
-    fn mapping_is_injective(a in 0u64..(1<<30), b in 0u64..(1<<30)) {
+    fn mapping_is_injective(
+        twelve_banks in any::<bool>(),
+        a in 0u64..(1<<30),
+        b in 0u64..(1<<30),
+    ) {
         prop_assume!(a != b);
-        let m = RowInterleaved::new(DramGeometry::paper_table2());
-        let ca = m.map(PhysAddr(a));
-        let cb = m.map(PhysAddr(b));
-        prop_assert!(ca != cb);
+        let geometry = DramGeometry::with_total_banks(if twelve_banks { 12 } else { 16 });
+        let m = RowInterleaved::new(geometry);
+        let coord = |x: u64| (m.locate(PhysAddr(x)), x % geometry.row_bytes);
+        prop_assert!(coord(a) != coord(b));
     }
 
     /// A cache never reports a hit for a line it has not seen, and always
