@@ -57,7 +57,6 @@ pub struct PnmCovertChannel {
     /// are subtracted before decoding.
     rfm_filter: Option<(u64, u64)>,
     trace: bool,
-    batched: bool,
 }
 
 impl PnmCovertChannel {
@@ -101,7 +100,6 @@ impl PnmCovertChannel {
             threshold: PAPER_THRESHOLD_CYCLES,
             rfm_filter: None,
             trace: false,
-            batched: true,
         };
         ch.initialize_receiver_rows(sys)?;
         Ok(ch)
@@ -110,15 +108,6 @@ impl PnmCovertChannel {
     /// Enables per-bit observation tracing (Fig. 8).
     pub fn set_trace(&mut self, trace: bool) {
         self.trace = trace;
-    }
-
-    /// Selects the receiver probe path: `true` (default) issues each
-    /// batch's probes through [`Engine::pim_probe_burst`], which services
-    /// them in one amortized backend batch when provably equivalent;
-    /// `false` keeps the per-probe reference loop. Both are bit-identical
-    /// (asserted by `batched_transmit_is_bit_identical`).
-    pub fn set_batched(&mut self, batched: bool) {
-        self.batched = batched;
     }
 
     /// Overrides the decode threshold (default: the paper's 150 cycles).
@@ -150,13 +139,7 @@ impl PnmCovertChannel {
     /// Step 1: open the receiver's current row in every bank (unmeasured).
     fn initialize_receiver_rows<B: MemoryBackend>(&mut self, sys: &mut Engine<B>) -> Result<()> {
         let rows: Vec<VirtAddr> = (0..self.banks).map(|b| self.receiver_rows[b].row).collect();
-        if self.batched {
-            sys.pim_open_burst(self.receiver, &rows)?;
-        } else {
-            for row in rows {
-                sys.pim_op_direct(self.receiver, row)?;
-            }
-        }
+        sys.pim_open_burst(self.receiver, &rows)?;
         Ok(())
     }
 
@@ -257,24 +240,12 @@ impl PnmCovertChannel {
                         .expect("rotation maintenance keeps lines available")
                 })
                 .collect();
-            // The probe hot loop: a burst through the backend's batched
-            // request path (or the per-probe reference loop), bit-identical
-            // either way.
-            let mut samples = Vec::with_capacity(probe_vas.len());
-            if self.batched {
-                for probe in sys.pim_probe_burst(self.receiver, &probe_vas)? {
-                    samples.push(probe.measured);
-                }
-            } else {
-                for &probe_va in &probe_vas {
-                    let t0 = sys.rdtscp(self.receiver);
-                    sys.pim_op(self.receiver, probe_va)?;
-                    let t1 = sys.rdtscp(self.receiver);
-                    samples.push(t1 - t0);
-                }
-            }
-            for (bank, (&bit, &raw)) in batch.iter().zip(&samples).enumerate() {
-                let mut measured = raw;
+            // The probe hot loop: one timed PEI per bank. The engine picks
+            // the batched or the serial servicing path from what it can
+            // observe; both are bit-identical.
+            let samples = sys.pim_probe_burst(self.receiver, &probe_vas)?;
+            for (bank, (&bit, probe)) in batch.iter().zip(&samples).enumerate() {
+                let mut measured = probe.measured;
                 if let Some((trigger, subtract)) = self.rfm_filter {
                     if measured > trigger {
                         measured = measured.saturating_sub(subtract);
@@ -413,55 +384,64 @@ mod tests {
         assert!(r.is_err());
     }
 
-    /// The batched receiver loop is bit-identical to the per-probe
-    /// reference loop — the contract of the `Engine` burst port — in
-    /// noiseless configs (fast path), noisy configs (serial fallback) and
-    /// under defenses and periodic blocking.
+    /// The receiver's probe bursts are bit-identical to the engine's
+    /// serial per-probe remainder, which a controller that declines every
+    /// batched burst forces, in noiseless configs (batched path), noisy
+    /// configs (serial on both sides) and under defenses and periodic
+    /// blocking.
     #[test]
     fn batched_transmit_is_bit_identical() {
-        use impact_memctrl::{ActConfig, Defense, PeriodicBlock};
-        type Configure = Box<dyn Fn(&mut System)>;
-        let configs: Vec<(&str, Configure)> = vec![
-            ("noiseless", Box::new(|_: &mut System| {})),
-            (
-                "noisy",
-                Box::new(|s: &mut System| {
-                    *s = System::new(SystemConfig::paper_table2());
-                }),
-            ),
-            (
-                "ctd",
-                Box::new(|s: &mut System| s.set_defense(Defense::Ctd)),
-            ),
+        use crate::test_support::serial_system;
+        use impact_memctrl::{ActConfig, ControllerBackend, Defense, PeriodicBlock};
+
+        fn transmit<B: ControllerBackend>(
+            mut s: Engine<B>,
+            defense: Option<Defense>,
+            block: Option<PeriodicBlock>,
+            msg: &[bool],
+        ) -> (ChannelReport, Engine<B>) {
+            if let Some(d) = defense {
+                s.set_defense(d);
+            }
+            s.set_periodic_block(block);
+            let mut ch = PnmCovertChannel::setup(&mut s, 16).unwrap();
+            ch.set_trace(true);
+            (ch.transmit(&mut s, msg).unwrap(), s)
+        }
+
+        let noiseless = SystemConfig::paper_table2_noiseless;
+        let cases = [
+            ("noiseless", noiseless(), None, None),
+            ("noisy", SystemConfig::paper_table2(), None, None),
+            ("ctd", noiseless(), Some(Defense::Ctd), None),
             (
                 "act",
-                Box::new(|s: &mut System| {
-                    s.set_defense(Defense::Act(ActConfig::aggressive()));
-                }),
+                noiseless(),
+                Some(Defense::Act(ActConfig::aggressive())),
+                None,
             ),
             (
                 "rfm",
-                Box::new(|s: &mut System| {
-                    s.set_periodic_block(Some(PeriodicBlock::rfm_paper_default()));
-                }),
+                noiseless(),
+                None,
+                Some(PeriodicBlock::rfm_paper_default()),
             ),
         ];
         let msg = SimRng::seed(29).bits(512);
-        for (name, configure) in configs {
-            let run = |batched: bool| {
-                let mut s = sys();
-                configure(&mut s);
-                let mut ch = PnmCovertChannel::setup(&mut s, 16).unwrap();
-                ch.set_batched(batched);
-                ch.set_trace(true);
-                let r = ch.transmit(&mut s, &msg).unwrap();
-                (r, s.elapsed(), s.memctrl().stats().clone())
-            };
-            let (br, belapsed, bstats) = run(true);
-            let (sr, selapsed, sstats) = run(false);
+        for (name, cfg, defense, block) in cases {
+            let (br, bsys) = transmit(System::new(cfg.clone()), defense.clone(), block, &msg);
+            let (sr, ssys) = transmit(serial_system(cfg), defense, block, &msg);
             assert_eq!(br, sr, "report diverged under {name}");
-            assert_eq!(belapsed, selapsed, "clock diverged under {name}");
-            assert_eq!(bstats, sstats, "backend stats diverged under {name}");
+            assert_eq!(
+                bsys.elapsed(),
+                ssys.elapsed(),
+                "clock diverged under {name}"
+            );
+            assert_eq!(
+                bsys.memctrl().stats(),
+                ssys.backend().0.stats(),
+                "backend stats diverged under {name}"
+            );
         }
     }
 

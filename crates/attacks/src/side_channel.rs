@@ -67,11 +67,6 @@ pub struct SideChannelConfig {
     pub threshold: u64,
     /// Master seed.
     pub seed: u64,
-    /// Issue the attacker's row-opening initialization sweep through the
-    /// backend's batched request path (default) instead of one probe at a
-    /// time. Bit-identical either way; see
-    /// [`Engine::pim_open_burst_translated`].
-    pub batched_probes: bool,
 }
 
 impl Default for SideChannelConfig {
@@ -88,7 +83,6 @@ impl Default for SideChannelConfig {
             background_rate: 2.5e-9,
             threshold: crate::channel::PAPER_THRESHOLD_CYCLES,
             seed: 0xD5A,
-            batched_probes: true,
         }
     }
 }
@@ -236,36 +230,25 @@ impl SideChannelAttack {
         let victim = sys.spawn_agent();
         let attacker = sys.spawn_agent();
         let mut attacker_rows: Vec<VirtAddr> = Vec::with_capacity(banks);
-        // Open the attacker's row everywhere (initialization sweep). The
-        // batched path keeps the serial allocate/warm/translate order per
-        // bank — only the DRAM row openings are deferred into one burst —
-        // so TLB and allocator state evolve exactly as in the serial
-        // sweep, and the burst itself is bit-identical by the `Engine`
-        // burst contract.
-        if self.cfg.batched_probes {
-            let mut probes: Vec<(PhysAddr, Cycles)> = Vec::with_capacity(banks);
-            for bank in 0..banks {
-                let row = sys.alloc_row_in_bank(attacker, bank)?;
-                sys.warm_tlb(attacker, row, 2);
-                attacker_rows.push(row);
-                probes.push(sys.translate(attacker, row)?);
-            }
-            sys.pim_open_burst_translated(attacker, &probes)?;
-        } else {
-            for bank in 0..banks {
-                let row = sys.alloc_row_in_bank(attacker, bank)?;
-                sys.warm_tlb(attacker, row, 2);
-                attacker_rows.push(row);
-                sys.pim_op_direct(attacker, row)?;
-            }
+        // Open the attacker's row everywhere (initialization sweep). Each
+        // bank keeps the serial allocate/warm/translate order; only the
+        // DRAM row openings are deferred into one burst, which the engine
+        // services bit-identically to opening each row in turn.
+        let mut probes: Vec<(PhysAddr, Cycles)> = Vec::with_capacity(banks);
+        for bank in 0..banks {
+            let row = sys.alloc_row_in_bank(attacker, bank)?;
+            sys.warm_tlb(attacker, row, 2);
+            attacker_rows.push(row);
+            probes.push(sys.translate(attacker, row)?);
         }
+        sys.pim_open_burst_translated(attacker, &probes)?;
 
         // The measured phase starts with both threads synchronized (the
         // harness barrier after initialization): the victim's first
         // lookups happen once the attacker's rows are open, so the
         // initialization sweep's transient bank-busy times are not
         // observable — which is also what makes the batched and serial
-        // init sweeps indistinguishable from here on.
+        // servicing of the init burst indistinguishable from here on.
         let sync_at = sys.now(victim).max(sys.now(attacker));
         sys.set_now(victim, sync_at);
         sys.set_now(attacker, sync_at);
@@ -450,19 +433,22 @@ mod tests {
         assert!(r.victim_accesses < 200);
     }
 
-    /// The batched initialization sweep is bit-identical to the serial
-    /// one: same detections, same timing, same backend state.
+    /// The batched initialization sweep is bit-identical to the engine's
+    /// serial remainder, which a controller that declines every batched
+    /// burst forces: same detections, same timing, same backend state.
     #[test]
     fn batched_init_is_bit_identical() {
-        let run = |batched: bool| {
-            let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(1024);
-            let mut sys = System::new(cfg);
+        use crate::test_support::serial_system;
+        use impact_memctrl::ControllerBackend;
+
+        fn run<B: ControllerBackend>(mut sys: Engine<B>) -> (SideChannelReport, Engine<B>) {
             let attack = SideChannelAttack::new(SideChannelConfig {
                 reads: 20,
-                batched_probes: batched,
                 ..SideChannelConfig::default()
             });
-            let r = attack.run(&mut sys).unwrap();
+            (attack.run(&mut sys).unwrap(), sys)
+        }
+        let digest = |r: &SideChannelReport| {
             (
                 r.score.true_positives,
                 r.score.false_positives,
@@ -471,11 +457,15 @@ mod tests {
                 r.victim_accesses,
                 r.elapsed,
                 r.leaked_bits.to_bits(),
-                sys.memctrl().stats().clone(),
-                sys.dram_totals(),
             )
         };
-        assert_eq!(run(true), run(false));
+
+        let cfg = || SystemConfig::paper_table2_noiseless().with_total_banks(1024);
+        let (br, bsys) = run(System::new(cfg()));
+        let (sr, ssys) = run(serial_system(cfg()));
+        assert_eq!(digest(&br), digest(&sr));
+        assert_eq!(bsys.memctrl().stats(), ssys.backend().0.stats());
+        assert_eq!(bsys.dram_totals(), ssys.dram_totals());
     }
 
     /// `init` + `measure` on a fork is bit-identical to a straight `run`,

@@ -77,9 +77,8 @@ fn bench_side_channel_init(c: &mut Criterion) {
     });
 }
 
-/// The IMPACT-PnM transmit hot loop, batched (receiver probes through one
-/// `service_batch` burst per 16-bit chunk) vs the per-probe reference
-/// loop. Bit-identical outputs; the delta is pure simulator speed.
+/// The IMPACT-PnM transmit hot loop: noiseless, so the receiver's probes
+/// go through one `service_batch` burst per 16-bit chunk.
 fn bench_pnm_transmit(c: &mut Criterion) {
     use impact_attacks::PnmCovertChannel;
     use impact_core::rng::SimRng;
@@ -89,18 +88,6 @@ fn bench_pnm_transmit(c: &mut Criterion) {
             || {
                 let mut sys = System::new(SystemConfig::paper_table2_noiseless());
                 let ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-                (sys, ch)
-            },
-            |(mut sys, mut ch)| ch.transmit(&mut sys, &message).expect("transmit").elapsed,
-            BatchSize::SmallInput,
-        );
-    });
-    c.bench_function("attacks/pnm_transmit_serial", |b| {
-        b.iter_batched(
-            || {
-                let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-                let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-                ch.set_batched(false);
                 (sys, ch)
             },
             |(mut sys, mut ch)| ch.transmit(&mut sys, &message).expect("transmit").elapsed,

@@ -11,9 +11,8 @@
 //! ```
 //!
 //! With `--jobs N` (or `--jobs auto`) the suite is sharded across worker
-//! threads by [`SweepRunner::run_all`]; the rendered output is printed in
-//! suite order once every experiment has finished — bit-identical to a
-//! serial run.
+//! threads by [`run_all`]; the rendered output is printed in suite order
+//! once every experiment has finished — bit-identical to a serial run.
 //!
 //! `--trace PATH` loads a trace captured with `trace_replay record` and
 //! appends it to the suite as the `trace` experiment (a prefix-replay
@@ -29,9 +28,10 @@
 use std::env;
 
 use impact_bench::experiments;
-use impact_bench::runner::ExperimentJob;
-use impact_bench::trace_tools::{trace_figure, TraceScenario};
-use impact_bench::{Figure, Scenario, SweepRunner};
+use impact_bench::runner::{run_all, ExperimentJob};
+use impact_bench::trace_tools::TraceScenario;
+use impact_bench::Figure;
+use impact_core::par::available_workers;
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
 
@@ -84,12 +84,12 @@ fn main() {
                 _ => usage_exit(&format!("{flag} needs a value")),
             })
     };
-    let runner = match flag_value("--jobs").as_deref() {
-        None => SweepRunner::serial(),
-        Some("auto") => SweepRunner::auto(),
+    let workers = match flag_value("--jobs").as_deref() {
+        None => 1,
+        Some("auto") => available_workers(),
         Some(v) => match v.parse::<usize>() {
-            Ok(n) => SweepRunner::new(n),
-            Err(_) => usage_exit(&format!("bad --jobs value {v:?}")),
+            Ok(n) if n > 0 => n,
+            _ => usage_exit(&format!("bad --jobs value {v:?}")),
         },
     };
     let trace_path = flag_value("--trace");
@@ -161,19 +161,17 @@ fn main() {
             eprintln!("fig_all: trace {path} is not replayable: {e}");
             std::process::exit(1);
         });
-        jobs.push(ExperimentJob::new("trace", move || {
-            trace_figure(&scenario, scenario.run())
-        }));
+        jobs.push(ExperimentJob::new("trace", move || scenario.figure()));
     }
 
-    if runner.threads() > 1 {
+    if workers > 1 {
         eprintln!(
             "fig_all: {} experiments across {} workers",
             jobs.len(),
-            runner.threads().min(jobs.len()),
+            workers.min(jobs.len()),
         );
     }
-    let figures = runner.run_all(&jobs);
+    let figures = run_all(&jobs, workers);
     for fig in &figures {
         render(fig, csv);
     }

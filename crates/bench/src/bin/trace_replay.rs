@@ -116,6 +116,14 @@ fn parse_args(raw: &[String]) -> Args {
     args
 }
 
+/// Writes a finished `slice`/`merge` output. Both build the whole file in
+/// memory first, so a failed command leaves an existing output file as it
+/// was.
+fn write_output(path: &str, bytes: &[u8]) {
+    std::fs::write(path, bytes)
+        .unwrap_or_else(|e| usage_exit(&format!("cannot create {path}: {e}")));
+}
+
 fn open(path: &str) -> BufReader<File> {
     BufReader::new(
         File::open(path).unwrap_or_else(|e| usage_exit(&format!("cannot open {path}: {e}"))),
@@ -304,13 +312,12 @@ fn main() -> ExitCode {
                 eprintln!("trace_replay: cannot read {file}: {e}");
                 std::process::exit(1);
             });
-            let sink = File::create(out)
-                .unwrap_or_else(|e| usage_exit(&format!("cannot create {out}: {e}")));
-            let outcome = slice_capture(&captured, start, count, std::io::BufWriter::new(sink))
-                .unwrap_or_else(|e| {
-                    eprintln!("trace_replay: slice failed: {e}");
-                    std::process::exit(1);
-                });
+            let mut bytes = Vec::new();
+            let outcome = slice_capture(&captured, start, count, &mut bytes).unwrap_or_else(|e| {
+                eprintln!("trace_replay: slice failed: {e}");
+                std::process::exit(1);
+            });
+            write_output(out, &bytes);
             println!(
                 "sliced events [{start}, {}) of {} into {out}",
                 start + count,
@@ -339,13 +346,12 @@ fn main() -> ExitCode {
                     })
                 })
                 .collect();
-            let sink = File::create(out)
-                .unwrap_or_else(|e| usage_exit(&format!("cannot create {out}: {e}")));
-            let outcome =
-                merge_captures(&captures, std::io::BufWriter::new(sink)).unwrap_or_else(|e| {
-                    eprintln!("trace_replay: merge failed: {e}");
-                    std::process::exit(1);
-                });
+            let mut bytes = Vec::new();
+            let outcome = merge_captures(&captures, &mut bytes).unwrap_or_else(|e| {
+                eprintln!("trace_replay: merge failed: {e}");
+                std::process::exit(1);
+            });
+            write_output(out, &bytes);
             println!("merged {} traces into {out}", inputs.len());
             println!(
                 "  {} events, {} responses, recomputed digest {:#018x}",

@@ -3,6 +3,7 @@
 
 use impact_attacks::PnmCovertChannel;
 use impact_core::config::SystemConfig;
+use impact_core::par;
 use impact_core::rng::SimRng;
 use impact_core::stats::geometric_mean;
 use impact_memctrl::{ActConfig, Defense};
@@ -10,8 +11,7 @@ use impact_sim::System;
 use impact_workloads::graph::Graph;
 use impact_workloads::{kernels, replay, Trace};
 
-use crate::runner::{Scenario, SweepRunner};
-use crate::Figure;
+use crate::{Figure, Series};
 
 /// The Fig. 12 system: Table 2 with the cache hierarchy scaled down in
 /// proportion to the scaled-down workloads (the kernels' footprints are
@@ -27,10 +27,8 @@ fn fig12_system() -> SystemConfig {
 }
 
 /// The Fig. 12 workload set: (name, trace) pairs replayed under every
-/// defense. Public so determinism tests can drive the same sweep the
-/// figure uses.
-#[must_use]
-pub fn fig12_workloads(quick: bool) -> Vec<(&'static str, Trace)> {
+/// defense.
+fn fig12_workloads(quick: bool) -> Vec<(&'static str, Trace)> {
     let scale = if quick { 1 } else { 2 };
     let g = Graph::rmat(256 * scale, 1024 * scale, 42);
     let g_small = Graph::rmat(128 * scale, 512 * scale, 43);
@@ -58,75 +56,45 @@ fn defenses() -> Vec<Defense> {
     ]
 }
 
-/// One Fig. 12 curve as a parallelizable [`Scenario`]: replays every
-/// workload on a fresh per-point [`System`] under
-/// `defense` and reports cycles, normalized against `baseline` when one
-/// is supplied.
-///
-/// The noisy Table 2 configuration stands in for co-running cores: the
-/// prefetcher/PTW activity creates the row conflicts that arm ACT, as in
-/// the paper's multi-core evaluation.
-pub struct DefenseOverheadSweep<'a> {
-    /// The workloads, from [`fig12_workloads`].
-    pub workloads: &'a [(&'static str, Trace)],
-    /// Defense under test; `None` measures the baseline.
-    pub defense: Option<Defense>,
-    /// Per-workload baseline cycles; empty to report raw cycles.
-    pub baseline: &'a [f64],
-}
-
-impl Scenario for DefenseOverheadSweep<'_> {
-    fn name(&self) -> String {
-        self.defense
-            .as_ref()
-            .map_or("No defense".into(), |d| d.name().into())
-    }
-
-    fn seed(&self) -> u64 {
-        0xF12
-    }
-
-    fn xs(&self) -> Vec<f64> {
-        (0..self.workloads.len()).map(|i| i as f64).collect()
-    }
-
-    fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
-        let i = x as usize;
-        let mut sys = System::new(fig12_system());
-        if let Some(d) = &self.defense {
-            sys.set_defense(d.clone());
-        }
-        let agent = sys.spawn_agent();
-        let r = replay(&mut sys, agent, &self.workloads[i].1).expect("replay");
-        let cycles = r.cycles.as_f64();
-        if self.baseline.is_empty() {
-            cycles
-        } else {
-            cycles / self.baseline[i]
-        }
-    }
-}
-
 /// Fig. 12: normalized execution time of CTD and the three ACT variants
 /// over a no-defense baseline, per workload plus GMEAN; the notes report
 /// ACT-Aggressive's reduction of IMPACT-PnM throughput (~72% in the
 /// paper).
 #[must_use]
 pub fn fig12(quick: bool) -> Figure {
-    let workloads = fig12_workloads(quick);
-    let runner = SweepRunner::auto();
+    fig12_on(quick, par::available_workers())
+}
 
-    // Baseline execution times, swept in parallel like every other curve.
-    let baseline: Vec<f64> = runner
-        .run(&DefenseOverheadSweep {
-            workloads: &workloads,
-            defense: None,
-            baseline: &[],
-        })
-        .points
-        .into_iter()
-        .map(|(_, y)| y)
+/// [`fig12`] with its 25 (defense, workload) replays mapped over
+/// `workers` threads. Each replay builds its own [`System`], so the figure
+/// is bit-identical at any worker count.
+///
+/// The noisy Table 2 configuration stands in for co-running cores: the
+/// prefetcher/PTW activity creates the row conflicts that arm ACT, as in
+/// the paper's multi-core evaluation.
+#[must_use]
+pub fn fig12_on(quick: bool, workers: usize) -> Figure {
+    let workloads = fig12_workloads(quick);
+    // Row 0 is the no-defense baseline; the defended rows follow.
+    let rows: Vec<Option<Defense>> = std::iter::once(None)
+        .chain(defenses().into_iter().map(Some))
         .collect();
+    let points: Vec<(&Option<Defense>, &Trace)> = rows
+        .iter()
+        .flat_map(|defense| workloads.iter().map(move |(_, trace)| (defense, trace)))
+        .collect();
+    let cycles = par::ordered_map(points, workers, |(defense, trace)| {
+        let mut sys = System::new(fig12_system());
+        if let Some(d) = defense {
+            sys.set_defense(d.clone());
+        }
+        let agent = sys.spawn_agent();
+        replay(&mut sys, agent, trace)
+            .expect("replay")
+            .cycles
+            .as_f64()
+    });
+    let (baseline, defended_cycles) = cycles.split_at(workloads.len());
 
     let mut fig = Figure::new(
         "fig12",
@@ -134,20 +102,21 @@ pub fn fig12(quick: bool) -> Figure {
         "workload (0=BC 1=BFS 2=CC 3=TC 4=XS 5=GMEAN)",
         "normalized execution time",
     );
-
-    // Series legends come from `Defense::name()` via the scenario, so the
-    // figure always matches the paper's labels.
-    for defense in defenses() {
-        let mut series = runner.run(&DefenseOverheadSweep {
-            workloads: &workloads,
-            defense: Some(defense),
-            baseline: &baseline,
-        });
-        let normalized: Vec<f64> = series.points.iter().map(|&(_, y)| y).collect();
-        series
-            .points
-            .push((workloads.len() as f64, geometric_mean(&normalized)));
-        fig = fig.with_series(series);
+    // Legends come from `Defense::name()`, so the figure always matches
+    // the paper's labels.
+    for (defense, row) in rows
+        .iter()
+        .flatten()
+        .zip(defended_cycles.chunks(workloads.len()))
+    {
+        let normalized: Vec<f64> = row.iter().zip(baseline).map(|(c, b)| c / b).collect();
+        let mut points: Vec<(f64, f64)> = normalized
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| (i as f64, y))
+            .collect();
+        points.push((workloads.len() as f64, geometric_mean(&normalized)));
+        fig = fig.with_series(Series::new(defense.name(), points));
     }
 
     // ACT-Aggressive's effect on the IMPACT-PnM covert channel.
@@ -176,15 +145,15 @@ mod tests {
 
     #[test]
     fn defense_sweep_parallel_matches_serial() {
-        let workloads = fig12_workloads(true);
-        let sweep = DefenseOverheadSweep {
-            workloads: &workloads,
-            defense: Some(Defense::Act(ActConfig::mild())),
-            baseline: &[],
-        };
-        let serial = SweepRunner::serial().run(&sweep);
-        let parallel = SweepRunner::new(4).run(&sweep);
-        assert!(series_bits_eq(&serial, &parallel));
+        let serial = fig12_on(true, 1);
+        for workers in [2, 8] {
+            let parallel = fig12_on(true, workers);
+            assert_eq!(serial.series.len(), parallel.series.len());
+            for (a, b) in serial.series.iter().zip(&parallel.series) {
+                assert!(series_bits_eq(a, b), "{workers} workers diverged");
+            }
+            assert_eq!(serial.notes, parallel.notes);
+        }
     }
 
     #[test]

@@ -10,10 +10,10 @@ mod tables;
 
 pub use ablation::ablations;
 pub use covert::{fig10, fig8, fig9};
-pub use defense::{fig12, fig12_workloads, DefenseOverheadSweep};
+pub use defense::{fig12, fig12_on};
 pub use future::{future_banks, rfm_filtering};
 pub use side::fig11;
-pub use sweeps::{delta, fig2, fig3, LlcAxis, LlcCurve, LlcSweep};
+pub use sweeps::{delta, fig2, fig3};
 pub use tables::{table1, table2};
 
 use impact_sim::BackendKind;
@@ -21,7 +21,7 @@ use impact_sim::BackendKind;
 use crate::runner::ExperimentJob;
 
 /// The full paper suite as schedulable jobs: the unit
-/// [`crate::SweepRunner::run_all`] shards across worker threads. Every
+/// [`crate::runner::run_all`] shards across worker threads. Every
 /// system-backed experiment builds a [`System`](impact_sim::System), the
 /// controller `backend` names.
 ///

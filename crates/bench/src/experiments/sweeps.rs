@@ -1,15 +1,13 @@
 //! §3 motivation experiments: the row-buffer timing delta (§3.1) and the
-//! LLC size/associativity sweeps (Figs. 2 and 3), the latter expressed as
-//! [`Scenario`]s and executed by the parallel [`SweepRunner`].
+//! LLC size/associativity sweeps (Figs. 2 and 3), the latter evaluated
+//! from the closed-form CACTI eviction model.
 
 use impact_cache::cacti;
 use impact_core::config::SystemConfig;
-use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
 use impact_sim::System;
 
-use crate::runner::{Scenario, SweepRunner};
 use crate::{Figure, Series};
 
 /// Average DRAM access latency (controller + conflict-dominated probe)
@@ -71,81 +69,37 @@ pub fn delta() -> Figure {
 }
 
 /// The LLC parameter a sweep varies (Fig. 2 sweeps size, Fig. 3 ways).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LlcAxis {
+#[derive(Debug, Clone, Copy)]
+enum LlcAxis {
     /// LLC capacity in megabytes, at 16 ways.
     SizeMb,
     /// LLC associativity, at 16 MB.
     Ways,
 }
 
-/// Which Fig. 2/3 curve an [`LlcSweep`] produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LlcCurve {
-    /// Eviction-set covert channel throughput (Mb/s).
-    Baseline,
-    /// Direct-memory-access covert channel throughput (Mb/s).
-    Direct,
-    /// Eviction latency (cycles, right axis).
-    Eviction,
-}
-
-/// One curve of the Fig. 2/3 LLC sweeps as a parallelizable [`Scenario`].
-#[derive(Debug, Clone, Copy)]
-pub struct LlcSweep {
-    /// The swept LLC parameter.
-    pub axis: LlcAxis,
-    /// The reported quantity.
-    pub curve: LlcCurve,
-}
-
-impl Scenario for LlcSweep {
-    fn name(&self) -> String {
-        match self.curve {
-            LlcCurve::Baseline => "Baseline Attack (Mb/s)".into(),
-            LlcCurve::Direct => "Direct Memory Access Attack (Mb/s)".into(),
-            LlcCurve::Eviction => "Eviction Latency (cycles)".into(),
-        }
-    }
-
-    fn seed(&self) -> u64 {
-        0xF123
-    }
-
-    fn xs(&self) -> Vec<f64> {
-        match self.axis {
-            LlcAxis::SizeMb => [4u64, 8, 16, 32, 64, 128]
-                .iter()
-                .map(|&mb| mb as f64)
-                .collect(),
-            LlcAxis::Ways => [2u32, 4, 8, 16, 32, 64, 128]
-                .iter()
-                .map(|&w| f64::from(w))
-                .collect(),
-        }
-    }
-
-    fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
-        let eviction = match self.axis {
-            LlcAxis::SizeMb => cacti::eviction_latency((x as u64) << 20, 16, Cycles(206)),
-            LlcAxis::Ways => cacti::eviction_latency(16 << 20, x as u32, Cycles(206)),
+/// The three Fig. 2/3 curves over `axis`: baseline (eviction-set) and
+/// direct-memory-access throughput in Mb/s, and the eviction latency in
+/// cycles (right axis).
+fn llc_figure(fig: Figure, axis: LlcAxis) -> Figure {
+    let xs: &[u32] = match axis {
+        LlcAxis::SizeMb => &[4, 8, 16, 32, 64, 128],
+        LlcAxis::Ways => &[2, 4, 8, 16, 32, 64, 128],
+    };
+    let (mut baseline, mut direct, mut eviction) = (Vec::new(), Vec::new(), Vec::new());
+    for &x in xs {
+        let evict = match axis {
+            LlcAxis::SizeMb => cacti::eviction_latency(u64::from(x) << 20, 16, Cycles(206)),
+            LlcAxis::Ways => cacti::eviction_latency(16 << 20, x, Cycles(206)),
         }
         .as_f64();
-        match self.curve {
-            LlcCurve::Baseline => mbps(eviction + MEM_PROBE + BASELINE_OVERHEAD),
-            LlcCurve::Direct => mbps(DIRECT_BIT),
-            LlcCurve::Eviction => eviction,
-        }
+        let x = f64::from(x);
+        baseline.push((x, mbps(evict + MEM_PROBE + BASELINE_OVERHEAD)));
+        direct.push((x, mbps(DIRECT_BIT)));
+        eviction.push((x, evict));
     }
-}
-
-fn llc_figure(fig: Figure, axis: LlcAxis) -> Figure {
-    let runner = SweepRunner::auto();
-    [LlcCurve::Baseline, LlcCurve::Direct, LlcCurve::Eviction]
-        .into_iter()
-        .fold(fig, |f, curve| {
-            f.with_series(runner.run(&LlcSweep { axis, curve }))
-        })
+    fig.with_series(Series::new("Baseline Attack (Mb/s)", baseline))
+        .with_series(Series::new("Direct Memory Access Attack (Mb/s)", direct))
+        .with_series(Series::new("Eviction Latency (cycles)", eviction))
 }
 
 /// Fig. 2: impact of LLC size (4–128 MB, 16 ways) on the baseline
@@ -209,20 +163,6 @@ mod tests {
         let d = direct.y_at(4.0).unwrap();
         assert!((11.0..=11.6).contains(&d), "direct {d:.2}");
         assert_eq!(direct.y_at(4.0), direct.y_at(128.0));
-    }
-
-    #[test]
-    fn llc_sweep_parallel_matches_serial() {
-        use crate::runner::series_bits_eq;
-        for axis in [LlcAxis::SizeMb, LlcAxis::Ways] {
-            for curve in [LlcCurve::Baseline, LlcCurve::Direct, LlcCurve::Eviction] {
-                let s = LlcSweep { axis, curve };
-                assert!(
-                    series_bits_eq(&SweepRunner::serial().run(&s), &SweepRunner::new(4).run(&s)),
-                    "{axis:?}/{curve:?} diverged"
-                );
-            }
-        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! Each experiment in [`experiments`] is a pure function returning a
 //! structured [`series::Figure`]; the `fig_all` binary renders them as
-//! text/CSV. Sweep-style experiments are expressed as [`runner::Scenario`]s
-//! and executed by the [`runner::SweepRunner`], which fans sweep points out
-//! across worker threads with bit-identical results to the serial path.
+//! text/CSV. [`runner::run_all`] shards whole experiments across worker
+//! threads, and Fig. 12 alone maps its defense × workload replays over
+//! threads too; both give bit-identical results at any worker count.
 //! The table below indexes the experiments; each figure's `note:` lines
 //! set the measured numbers beside the paper's.
 //!
@@ -30,6 +30,5 @@ pub mod runner;
 pub mod series;
 pub mod trace_tools;
 
-pub use runner::{Scenario, SweepRunner};
 pub use series::{Figure, Series};
 pub use trace_tools::TraceScenario;

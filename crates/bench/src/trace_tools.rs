@@ -10,11 +10,10 @@
 //! same check on a loaded capture before anything uses it;
 //! [`diff_readers`] pinpoints the first divergent event between two
 //! captures; and [`TraceScenario`] turns a captured file into a
-//! [`Scenario`] that runs under the [`SweepRunner`](crate::SweepRunner)
-//! alongside the built-in experiment suite.
+//! prefix-replay [`Figure`] that runs alongside the built-in experiment
+//! suite.
 
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 use impact_attacks::PnmCovertChannel;
 use impact_core::config::SystemConfig;
@@ -26,7 +25,6 @@ use impact_memctrl::{ControllerBackend, MemoryController};
 use impact_sim::{BackendKind, TracedSystem};
 use impact_workloads::{kernels, CapturedTrace, Graph, RequestMix};
 
-use crate::runner::Scenario;
 use crate::{Figure, Series};
 
 /// Resolves a trace header's config label to the [`SystemConfig`] it
@@ -571,96 +569,75 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
     })
 }
 
-/// A captured trace as a sweepable [`Scenario`]: x sweeps the replayed
-/// prefix (fraction of events), y reports mean response latency in
-/// cycles/op on a fresh controller per point. The produced [`Series`] is
-/// a function of the capture alone, so captured workloads inherit the
-/// suite's reproducibility contract for free.
+/// A verified capture, ready to run as the `fig_all --trace` experiment:
+/// x sweeps the replayed prefix (fraction of events), y reports mean
+/// response latency in cycles/op on a fresh controller per point. The
+/// figure is a function of the capture alone, so captured workloads
+/// inherit the suite's reproducibility contract for free.
 #[derive(Debug, Clone)]
 pub struct TraceScenario {
-    captured: Arc<CapturedTrace>,
+    captured: CapturedTrace,
     cfg: SystemConfig,
 }
 
 impl TraceScenario {
     /// Wraps a loaded capture for replay once [`verify_capture`] accepts
-    /// it, so `eval` can replay any prefix without a fallible path.
+    /// it, so [`TraceScenario::figure`] can replay any prefix without a
+    /// fallible path.
     ///
     /// # Errors
     ///
     /// As for [`verify_capture`].
     pub fn new(captured: CapturedTrace) -> Result<TraceScenario> {
         let cfg = verify_capture(&captured)?;
-        Ok(TraceScenario {
-            captured: Arc::new(captured),
-            cfg,
-        })
+        Ok(TraceScenario { captured, cfg })
     }
 
-    /// The wrapped capture.
+    /// Replays the first 25%, 50%, 75% and 100% of the events, each on a
+    /// fresh controller, and adds a request-mix note line.
     #[must_use]
-    pub fn captured(&self) -> &CapturedTrace {
-        &self.captured
+    pub fn figure(&self) -> Figure {
+        let points = [0.25, 0.5, 0.75, 1.0]
+            .into_iter()
+            .map(|x| {
+                let events = (self.captured.events.len() as f64 * x).round() as usize;
+                let mut backend = MemoryController::from_config(&self.cfg);
+                let replayed = self
+                    .captured
+                    .replay_prefix(&mut backend, events)
+                    .expect("full replay was validated by verify_capture");
+                let y = if replayed.responses == 0 {
+                    0.0
+                } else {
+                    replayed.total_latency as f64 / replayed.responses as f64
+                };
+                (x, y)
+            })
+            .collect();
+        let mix = self.captured.mix(&MemoryController::from_config(&self.cfg));
+        let summary = &self.captured.summary;
+        Figure::new(
+            "trace",
+            "Captured-trace workload replay",
+            "fraction of trace replayed",
+            "mean response latency (cycles/op)",
+        )
+        .with_series(Series::new("captured trace replay (cycles/op)", points))
+        .with_note(format!(
+            "{} events, {} responses; mix: {} loads, {} stores, {} pim, {} rowclone, {} inject \
+             ({} batches, max {}); recorded digest {:#018x}",
+            summary.events,
+            summary.responses,
+            mix.loads,
+            mix.stores,
+            mix.pims,
+            mix.rowclones,
+            mix.injects,
+            mix.batches,
+            mix.max_batch,
+            summary.response_digest,
+        ))
     }
-}
-
-impl Scenario for TraceScenario {
-    fn name(&self) -> String {
-        "captured trace replay (cycles/op)".into()
-    }
-
-    fn seed(&self) -> u64 {
-        self.captured.header.seed
-    }
-
-    fn xs(&self) -> Vec<f64> {
-        vec![0.25, 0.5, 0.75, 1.0]
-    }
-
-    fn eval(&self, x: f64, _rng: &mut SimRng) -> f64 {
-        let events = (self.captured.events.len() as f64 * x).round() as usize;
-        let mut backend = MemoryController::from_config(&self.cfg);
-        let replayed = self
-            .captured
-            .replay_prefix(&mut backend, events)
-            .expect("full replay was validated by verify_capture");
-        if replayed.responses == 0 {
-            0.0
-        } else {
-            replayed.total_latency as f64 / replayed.responses as f64
-        }
-    }
-}
-
-/// Builds the `fig_all --trace` figure: the [`TraceScenario`] sweep plus
-/// a request-mix note line.
-#[must_use]
-pub fn trace_figure(scenario: &TraceScenario, series: Series) -> Figure {
-    let mix = scenario
-        .captured()
-        .mix(&MemoryController::from_config(&scenario.cfg));
-    let summary = &scenario.captured().summary;
-    Figure::new(
-        "trace",
-        "Captured-trace workload replay",
-        "fraction of trace replayed",
-        "mean response latency (cycles/op)",
-    )
-    .with_series(series)
-    .with_note(format!(
-        "{} events, {} responses; mix: {} loads, {} stores, {} pim, {} rowclone, {} inject \
-         ({} batches, max {}); recorded digest {:#018x}",
-        summary.events,
-        summary.responses,
-        mix.loads,
-        mix.stores,
-        mix.pims,
-        mix.rowclones,
-        mix.injects,
-        mix.batches,
-        mix.max_batch,
-        summary.response_digest,
-    ))
 }
 
 #[cfg(test)]
@@ -878,13 +855,12 @@ mod tests {
     fn trace_scenario_sweeps_the_capture() {
         let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
-        let scenario = TraceScenario::new(captured).unwrap();
-        let series = scenario.run();
+        let fig = TraceScenario::new(captured).unwrap().figure();
+        assert_eq!(fig.id, "trace");
+        let series = &fig.series[0];
         assert_eq!(series.points.len(), 4);
         assert!(series.points.iter().all(|&(_, y)| y > 0.0));
-        // And the figure wrapper carries the mix note.
-        let fig = trace_figure(&scenario, series);
-        assert_eq!(fig.id, "trace");
+        // And the figure carries the mix note.
         assert!(fig.notes[0].contains("events"));
     }
 
@@ -896,7 +872,7 @@ mod tests {
         let (bytes, _) = quick_capture(CaptureKind::Mix);
 
         // An out-of-range request must surface as an error from new(),
-        // not a panic inside eval()/the sweep workers.
+        // not a panic inside figure().
         let mut bad = CapturedTrace::read_from(&bytes[..]).unwrap();
         bad.events.push(TraceEvent::Request(MemRequest::load(
             PhysAddr(u64::MAX),

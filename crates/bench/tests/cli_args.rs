@@ -3,7 +3,7 @@
 //! before any simulation runs, so the table is cheap even in a debug
 //! build.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use impact_bench::trace_tools::{record_capture, CaptureKind};
@@ -44,6 +44,7 @@ fn malformed_arguments_exit_with_usage_not_a_panic() {
     let cases: &[(&str, &[&str])] = &[
         (fig_all, &["--jobs"]),
         (fig_all, &["--jobs", "abc"]),
+        (fig_all, &["--jobs", "0"]),
         (fig_all, &["--trace"]),
         (fig_all, &["--metrics"]),
         (fig_all, &["nosuch"]),
@@ -64,15 +65,9 @@ fn malformed_arguments_exit_with_usage_not_a_panic() {
     }
 }
 
-/// A capture whose events no longer reproduce its footer is rejected by
-/// `fleet_run --trace` before any session runs, as by `fig_all --trace`
-/// and `trace_replay replay`.
-#[test]
-fn fleet_run_rejects_a_capture_that_misses_its_footer() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let pristine = dir.join(format!("cli_args_pristine_{}.trace", std::process::id()));
-    let tampered = dir.join(format!("cli_args_tampered_{}.trace", std::process::id()));
-    let sink = std::fs::File::create(&pristine).expect("create capture file");
+/// Records a quick Mix capture to `path`.
+fn record_quick_mix(path: &Path) {
+    let sink = std::fs::File::create(path).expect("create capture file");
     record_capture(
         CaptureKind::Mix,
         BackendKind::Mono,
@@ -81,6 +76,17 @@ fn fleet_run_rejects_a_capture_that_misses_its_footer() {
         Box::new(std::io::BufWriter::new(sink)),
     )
     .expect("record quick capture");
+}
+
+/// A capture whose events no longer reproduce its footer is rejected by
+/// `fleet_run --trace` before any session runs, as by `fig_all --trace`
+/// and `trace_replay replay`.
+#[test]
+fn fleet_run_rejects_a_capture_that_misses_its_footer() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let pristine = dir.join(format!("cli_args_pristine_{}.trace", std::process::id()));
+    let tampered = dir.join(format!("cli_args_tampered_{}.trace", std::process::id()));
+    record_quick_mix(&pristine);
 
     // Move one demand request to the neighbouring bank (same row), then
     // re-encode the events under the original header and footer.
@@ -124,4 +130,40 @@ fn fleet_run_rejects_a_capture_that_misses_its_footer() {
 
     std::fs::remove_file(&pristine).ok();
     std::fs::remove_file(&tampered).ok();
+}
+
+/// `trace_replay slice` checks its window before it writes: an
+/// out-of-range window exits 1 and leaves an existing `--out` file as it
+/// was.
+#[test]
+fn failed_slice_leaves_its_output_untouched() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let capture = dir.join(format!("cli_args_slice_in_{}.trace", std::process::id()));
+    let out = dir.join(format!("cli_args_slice_out_{}.trace", std::process::id()));
+    record_quick_mix(&capture);
+    std::fs::write(&out, b"an earlier slice").expect("pre-fill --out");
+
+    let (code, stderr) = assert_clean_failure(
+        env!("CARGO_BIN_EXE_trace_replay"),
+        &[
+            "slice",
+            capture.to_str().expect("utf-8 temp path"),
+            "--out",
+            out.to_str().expect("utf-8 temp path"),
+            "--start",
+            "999999",
+            "--count",
+            "2",
+        ],
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("out of range"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&out).expect("read --out"),
+        b"an earlier slice",
+        "a failed slice changed its output file"
+    );
+
+    std::fs::remove_file(&capture).ok();
+    std::fs::remove_file(&out).ok();
 }

@@ -2,11 +2,11 @@
 //! telemetry sinks its only sanctioned concurrency site
 //! (`SANCTIONED_CONCURRENCY` in `impact-analyze`).
 //!
-//! Host threads only ever fan out independent units of work — sweep
-//! points, whole experiments, fleet sessions — so [`ordered_map`] is all
-//! the concurrency the simulator needs: results come back in item order,
-//! never completion order, which makes the worker count unobservable
-//! whenever `f` is a pure function of its item.
+//! Host threads only ever fan out independent units of work — whole
+//! experiments, Fig. 12's replays, fleet sessions — so [`ordered_map`]
+//! is all the concurrency the simulator needs: results come back in item
+//! order, never completion order, which makes the worker count
+//! unobservable whenever `f` is a pure function of its item.
 //!
 //! ```
 //! use impact_core::par::ordered_map;

@@ -279,7 +279,7 @@ pub struct Registry {
     /// `engine.forks` — copy-on-write engine forks.
     pub engine_forks: Counter,
     /// `sweep.experiment.wall_ns` — wall-clock per experiment job in
-    /// `SweepRunner::run_all` (span; empty unless [`enabled`]).
+    /// `impact_bench::runner::run_all` (span; empty unless [`enabled`]).
     pub experiment_wall_ns: Histogram,
     /// `fleet.sessions.started` — sessions admitted by the fleet service.
     pub fleet_sessions_started: Counter,

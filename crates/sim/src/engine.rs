@@ -439,42 +439,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// Propagates translation and backend errors.
     pub fn pim_op(&mut self, agent: AgentId, va: VirtAddr) -> Result<PimInfo> {
         let (pa, tlb_lat) = self.translate(agent, va)?;
-        let start = self.now(agent) + tlb_lat;
-        match self.pei.decide(pa) {
-            ExecSite::Host => {
-                // Host-side PCU: PEI overhead + cache path.
-                let h = self.caches.load(pa);
-                let mut latency = tlb_lat + Cycles(self.cfg.pim.pei_overhead_cycles) + h.latency;
-                let mut kind = None;
-                if h.level == HitLevel::Memory {
-                    let m =
-                        self.backend
-                            .service(&MemRequest::load(pa, start + latency, agent.0))?;
-                    latency += m.latency;
-                    kind = Some(m.kind);
-                }
-                self.noise.perturb(&mut self.backend, start + latency);
-                self.advance(agent, latency);
-                Ok(PimInfo {
-                    latency,
-                    site: ExecSite::Host,
-                    kind,
-                })
-            }
-            ExecSite::MemorySide => {
-                let out = self
-                    .pei
-                    .execute_memory_side(&mut self.backend, pa, start, agent.0)?;
-                let latency = tlb_lat + out.latency;
-                self.noise.perturb(&mut self.backend, start + latency);
-                self.advance(agent, latency);
-                Ok(PimInfo {
-                    latency,
-                    site: ExecSite::MemorySide,
-                    kind: out.kind,
-                })
-            }
-        }
+        self.pim_op_translated(agent, pa, tlb_lat, true)
     }
 
     /// Executes a PiM-enabled instruction with an explicit memory-side
@@ -488,18 +453,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// Propagates translation and backend errors.
     pub fn pim_op_direct(&mut self, agent: AgentId, va: VirtAddr) -> Result<PimInfo> {
         let (pa, tlb_lat) = self.translate(agent, va)?;
-        let start = self.now(agent) + tlb_lat;
-        let out = self
-            .pei
-            .execute_memory_side(&mut self.backend, pa, start, agent.0)?;
-        let latency = tlb_lat + out.latency;
-        self.noise.perturb(&mut self.backend, start + latency);
-        self.advance(agent, latency);
-        Ok(PimInfo {
-            latency,
-            site: ExecSite::MemorySide,
-            kind: out.kind,
-        })
+        self.pim_op_translated(agent, pa, tlb_lat, false)
     }
 
     // ------------------------------------------------------------------
@@ -586,9 +540,11 @@ impl<B: MemoryBackend> Engine<B> {
         true
     }
 
-    /// The serial remainder of one probe after translation: exactly
-    /// [`Engine::pim_op`] (monitored) or [`Engine::pim_op_direct`]
-    /// (not) minus the translate.
+    /// One PEI after translation: the body of [`Engine::pim_op`]
+    /// (`monitored`: the PMU locality monitor picks the site) and of
+    /// [`Engine::pim_op_direct`] (not: always memory-side), and the serial
+    /// remainder of every burst.
+    #[inline]
     fn pim_op_translated(
         &mut self,
         agent: AgentId,

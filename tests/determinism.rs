@@ -10,11 +10,8 @@ use impact::core::rng::SimRng;
 use impact::sim::{BackendKind, System, TracedSystem};
 use impact::workloads::graph::Graph;
 use impact::workloads::{kernels, replay};
-use impact_bench::experiments::{
-    fig12_workloads, suite, DefenseOverheadSweep, LlcAxis, LlcCurve, LlcSweep,
-};
-use impact_bench::runner::{series_bits_eq, SweepRunner};
-use impact_bench::Scenario;
+use impact_bench::experiments::{fig12_on, suite};
+use impact_bench::runner::{run_all, series_bits_eq};
 
 #[test]
 fn covert_channel_reports_are_deterministic() {
@@ -106,52 +103,23 @@ fn same_seed_systems_accumulate_identical_stats() {
     assert_ne!(run(41).0, run(42).0, "different seeds must diverge");
 }
 
-/// The SweepRunner contract: a sweep executed on one worker thread and on
-/// many produces bit-identical `Series`, for both the ported experiment
-/// families (the analytic LLC sweeps and the System-backed defense
-/// sweeps).
+/// Fig. 12, the one experiment that maps its own points over threads,
+/// renders bit-identical series and notes at every worker count: each of
+/// its 25 points is one full seeded System replay.
 #[test]
 fn sweep_runner_thread_count_is_invisible() {
-    // Fig. 2/3 curves (analytic, no System).
-    for axis in [LlcAxis::SizeMb, LlcAxis::Ways] {
-        for curve in [LlcCurve::Baseline, LlcCurve::Direct, LlcCurve::Eviction] {
-            let sweep = LlcSweep { axis, curve };
-            let serial = SweepRunner::new(1).run(&sweep);
-            for threads in [2, 8] {
-                let parallel = SweepRunner::new(threads).run(&sweep);
-                assert!(
-                    series_bits_eq(&serial, &parallel),
-                    "LLC sweep {axis:?}/{curve:?} diverged at {threads} threads"
-                );
-            }
-        }
-    }
-
-    // Fig. 12 curves: one full seeded System replay per sweep point.
-    let workloads = fig12_workloads(true);
-    for defense in [
-        None,
-        Some(impact::memctrl::Defense::Ctd),
-        Some(impact::memctrl::Defense::Act(
-            impact::memctrl::ActConfig::aggressive(),
-        )),
-    ] {
-        let sweep = DefenseOverheadSweep {
-            workloads: &workloads,
-            defense,
-            baseline: &[],
-        };
-        let serial = SweepRunner::new(1).run(&sweep);
-        for threads in [2, 8] {
-            let parallel = SweepRunner::new(threads).run(&sweep);
+    let serial = fig12_on(true, 1);
+    for workers in [2, 8] {
+        let parallel = fig12_on(true, workers);
+        assert_eq!(serial.series.len(), parallel.series.len());
+        for (a, b) in serial.series.iter().zip(&parallel.series) {
             assert!(
-                series_bits_eq(&serial, &parallel),
-                "defense sweep `{}` diverged at {threads} threads",
-                serial.name
+                series_bits_eq(a, b),
+                "fig12 `{}` diverged at {workers} workers",
+                a.name
             );
         }
-        // And the Scenario's own serial entry point agrees.
-        assert!(series_bits_eq(&serial, &sweep.run()));
+        assert_eq!(serial.notes, parallel.notes);
     }
 }
 
@@ -223,7 +191,7 @@ fn trace_replay_reproduces_stats() {
     assert_eq!(fresh.dram().total_stats(), sys.dram_totals());
 }
 
-/// `SweepRunner::run_all` shards whole experiments across workers with
+/// `run_all` shards whole experiments across workers with
 /// bit-identical `Series` at every thread count.
 #[test]
 fn run_all_thread_count_is_invisible() {
@@ -234,9 +202,9 @@ fn run_all_thread_count_is_invisible() {
         .into_iter()
         .filter(|j| keep.contains(&j.id()))
         .collect();
-    let serial = SweepRunner::serial().run_all(&jobs);
+    let serial = run_all(&jobs, 1);
     for threads in [2, 4, 8] {
-        let parallel = SweepRunner::new(threads).run_all(&jobs);
+        let parallel = run_all(&jobs, threads);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.id, b.id, "suite order changed at {threads} threads");

@@ -12,14 +12,14 @@ use impact::core::hash::{fnv1a_bytes, FNV_OFFSET};
 use impact::fleet::{FleetConfig, FleetService};
 use impact::sim::BackendKind;
 use impact_bench::experiments::suite;
+use impact_bench::runner::run_all;
 use impact_bench::trace_tools::{record_capture, replay_file, CaptureKind, CaptureOutcome};
-use impact_bench::SweepRunner;
 
 /// FNV-1a of `fig_all --quick` stdout: every figure's text, each followed
 /// by the blank line `fig_all` prints after it.
 #[test]
 fn quick_suite_text_is_pinned() {
-    let figs = SweepRunner::serial().run_all(&suite(true, BackendKind::Mono));
+    let figs = run_all(&suite(true, BackendKind::Mono), 1);
     let text: String = figs.iter().map(|fig| fig.render_text() + "\n").collect();
     assert_eq!(
         fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
@@ -31,7 +31,7 @@ fn quick_suite_text_is_pinned() {
 /// digest).
 #[test]
 fn full_suite_text_is_pinned() {
-    let figs = SweepRunner::serial().run_all(&suite(false, BackendKind::Mono));
+    let figs = run_all(&suite(false, BackendKind::Mono), 1);
     let text: String = figs.iter().map(|fig| fig.render_text() + "\n").collect();
     assert_eq!(
         fnv1a_bytes(FNV_OFFSET, text.as_bytes()),

@@ -15,8 +15,8 @@ use impact::core::time::Cycles;
 use impact::memctrl::MemoryController;
 use impact::sim::{BackendKind, System};
 use impact_bench::experiments::suite;
+use impact_bench::runner::run_all;
 use impact_bench::trace_tools::{record_capture, CaptureKind};
-use impact_bench::SweepRunner;
 
 /// A shared in-memory sink for `record_capture`.
 #[derive(Clone, Default)]
@@ -40,11 +40,7 @@ fn render_subsuite() -> String {
         .into_iter()
         .filter(|j| keep.contains(&j.id()))
         .collect();
-    SweepRunner::serial()
-        .run_all(&jobs)
-        .iter()
-        .map(|f| f.render_text())
-        .collect()
+    run_all(&jobs, 1).iter().map(|f| f.render_text()).collect()
 }
 
 /// The figure bytes are identical with telemetry clocks off and on — the
