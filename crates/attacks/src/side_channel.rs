@@ -8,6 +8,12 @@
 //! there — with the table interleaved across banks, that someone is the
 //! victim probing one of the (few) hash-table entries resident in *b*.
 //!
+//! Those probes are all the attacker sees, so the victim is modelled as
+//! its seed stream ([`impact_genomics::index::seed_buckets`]): one probe
+//! per read minimizer, separated by a fixed compute gap
+//! ([`SideChannelConfig::victim_gap`]) that stands in for chaining and
+//! alignment.
+//!
 //! # Accounting (following §6.3)
 //!
 //! * **Throughput** counts successfully leaked information only: each
@@ -34,8 +40,7 @@ use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_genomics::genome::{Genome, ReadSampler};
 use impact_genomics::imputation::{score_rounds, LeakScore};
-use impact_genomics::index::{BankLayout, KmerIndex};
-use impact_genomics::mapper::{ReadMapper, RecordingObserver};
+use impact_genomics::index::{seed_buckets, BankLayout};
 use impact_sim::{AgentId, Engine};
 
 /// Configuration of the side-channel experiment.
@@ -46,7 +51,7 @@ pub struct SideChannelConfig {
     pub table_buckets: usize,
     /// Reference genome length in bases.
     pub genome_len: usize,
-    /// Number of reads the victim maps.
+    /// Number of reads the victim seeds.
     pub reads: usize,
     /// Read length in bases.
     pub read_len: usize,
@@ -57,8 +62,9 @@ pub struct SideChannelConfig {
     pub focus_fraction: f64,
     /// Length of the hotspot locus in bases.
     pub focus_len: usize,
-    /// Victim compute cycles between consecutive seeding probes
-    /// (chaining/alignment work interleaved with seeding).
+    /// Victim compute cycles between consecutive seeding probes: the
+    /// chaining and alignment work interleaved with seeding, which is
+    /// modelled only as this gap.
     pub victim_gap: Cycles,
     /// Background per-bank row-activation rate (events per cycle per
     /// bank): co-tenant traffic and refresh-like disturbances.
@@ -196,21 +202,21 @@ impl SideChannelAttack {
     }
 
     /// Initializes the attack on `sys`: victim-side preparation (genome,
-    /// index, read mapping — pure compute), agent spawning, the attacker's
-    /// row-opening sweep, and the clock-synchronizing barrier. This is the
-    /// sweep-point-independent warm prefix: fork the engine afterwards and
-    /// run [`SideChannelAttack::measure`] on each fork.
+    /// reads and their seed bucket stream — pure compute), agent spawning,
+    /// the attacker's row-opening sweep, and the clock-synchronizing
+    /// barrier. This is the sweep-point-independent warm prefix: fork the
+    /// engine afterwards and run [`SideChannelAttack::measure`] on each
+    /// fork.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors.
     pub fn init<B: MemoryBackend>(&self, sys: &mut Engine<B>) -> Result<SideChannelInit> {
         let banks = sys.config().dram_geometry.total_banks() as usize;
-        let layout = BankLayout::new(banks, self.cfg.table_buckets, 0);
+        let layout = BankLayout::new(banks, self.cfg.table_buckets);
 
         // --- Victim-side preparation (outside the timed window) ---
         let genome = Genome::synthesize(self.cfg.genome_len, self.cfg.seed);
-        let index = KmerIndex::build(&genome, 15, 5, self.cfg.table_buckets);
         let mut sampler = ReadSampler::new(self.cfg.seed ^ 0xBEEF);
         let reads = sampler.sample_focused(
             &genome,
@@ -221,10 +227,7 @@ impl SideChannelAttack {
             self.cfg.genome_len / 3,
             self.cfg.focus_len,
         );
-        let mapper = ReadMapper::new(&genome, &index);
-        let mut recorder = RecordingObserver::default();
-        mapper.map_reads_observed(&reads, &mut recorder);
-        let bucket_stream = recorder.buckets;
+        let bucket_stream = seed_buckets(&reads, 15, 5, self.cfg.table_buckets);
 
         // --- Simulated agents ---
         let victim = sys.spawn_agent();
@@ -306,7 +309,7 @@ impl SideChannelAttack {
                     let bucket = bucket_stream[stream_pos];
                     stream_pos += 1;
                     let vb = layout.bank_of(bucket);
-                    let line = (bucket / banks) as u64 % 128;
+                    let line = layout.line_of(bucket);
                     let row = match victim_rows[vb] {
                         Some(r) => r,
                         None => {
@@ -421,7 +424,7 @@ mod tests {
 
     #[test]
     fn detection_requires_victim() {
-        // With no reads mapped, only background noise fires.
+        // With a single read seeded, only background noise fires.
         let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(1024);
         let mut sys = System::new(cfg);
         let attack = SideChannelAttack::new(SideChannelConfig {
@@ -505,6 +508,32 @@ mod tests {
             straight_sys.backend().dram_state_digest(),
             fork.backend().dram_state_digest()
         );
+    }
+
+    /// The victim's probe stream — every bucket the attacker can see — is
+    /// pinned by length and FNV-1a digest at fig11's full (120 reads) and
+    /// quick (40 reads) sizes. The constants were taken from the observer
+    /// of a full read mapper (seeding, chaining, alignment), so they show
+    /// that seeding alone reproduces the stream the mapper probed.
+    #[test]
+    fn victim_stream_is_pinned() {
+        use impact_core::hash::{fnv1a_u64, FNV_OFFSET};
+        for (reads, len, digest) in [
+            (120, 5423, 0xc5ca_fed4_57ff_0b5e_u64),
+            (40, 1791, 0x8ca1_ddd1_676c_56b6),
+        ] {
+            let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(1024);
+            let mut sys = System::new(cfg);
+            let attack = SideChannelAttack::new(SideChannelConfig {
+                reads,
+                ..SideChannelConfig::default()
+            });
+            let stream = attack.init(&mut sys).unwrap().bucket_stream;
+            let got = stream
+                .iter()
+                .fold(FNV_OFFSET, |h, &b| fnv1a_u64(h, b as u64));
+            assert_eq!((stream.len(), got), (len, digest), "{reads} reads");
+        }
     }
 
     /// The attack runs identically behind the tracing proxy.

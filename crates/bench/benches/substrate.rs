@@ -10,7 +10,7 @@ use impact_core::engine::MemRequest;
 use impact_core::time::Cycles;
 use impact_dram::DramDevice;
 use impact_genomics::genome::Genome;
-use impact_genomics::index::{minimizers, KmerIndex};
+use impact_genomics::index::minimizers;
 use impact_memctrl::MemoryController;
 use impact_sim::System;
 use impact_workloads::graph::Graph;
@@ -162,9 +162,6 @@ fn bench_genomics(c: &mut Criterion) {
     let genome = Genome::synthesize(20_000, 7);
     c.bench_function("genomics/minimizers_20kb", |b| {
         b.iter(|| minimizers(genome.bases(), 15, 5).len());
-    });
-    c.bench_function("genomics/index_build_20kb", |b| {
-        b.iter(|| KmerIndex::build(&genome, 15, 5, 16384).occupied_buckets());
     });
 }
 

@@ -141,12 +141,12 @@ pub fn register_system(c: &mut Criterion) {
 
 /// The copy-on-write fork payoff at sweep granularity: obtaining a warmed
 /// side-channel engine from scratch (`System::new` + the full
-/// `SideChannelAttack::init` prefix — genome/index synthesis, agent
-/// spawning, the bank row-opening sweep, clock sync) vs forking a parent
-/// that ran the identical prefix once, outside the timed loop. The fork
-/// is O(metadata) — Arc clones of the bank array, cache arrays and page
-/// tables — so `side_channel_init_fork` must stay well under a fifth of
-/// `side_channel_init_scratch`.
+/// `SideChannelAttack::init` prefix — genome synthesis, read sampling and
+/// seeding, agent spawning, the bank row-opening sweep, clock sync) vs
+/// forking a parent that ran the identical prefix once, outside the timed
+/// loop. The fork is O(metadata) — Arc clones of the bank array, cache
+/// arrays and page tables — so `side_channel_init_fork` must stay well
+/// under a fifth of `side_channel_init_scratch`.
 pub fn register_fork(c: &mut Criterion) {
     let cfg = SystemConfig::paper_table2_noiseless();
     let attack = SideChannelAttack::new(SideChannelConfig {

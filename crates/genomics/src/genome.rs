@@ -4,8 +4,8 @@
 //! genomes (§5.1). Distributing a real human genome is neither possible nor
 //! necessary here: the side channel depends only on the victim's hash-table
 //! access pattern, which any reference with realistic minimizer statistics
-//! reproduces. Sequences are uniform random bases with optional repeated
-//! segments (repeats stress seeding the way real genomes do).
+//! reproduces. Sequences are uniform random bases; reads are sampled from
+//! them with substitution errors and an optional coverage hotspot.
 
 use impact_core::rng::SimRng;
 
@@ -21,40 +21,6 @@ impl Genome {
     pub fn synthesize(len: usize, seed: u64) -> Genome {
         let mut rng = SimRng::seed(seed);
         let bases = (0..len).map(|_| rng.below(4) as u8).collect();
-        Genome { bases }
-    }
-
-    /// Synthesizes a genome with `repeats` copies of a `repeat_len`-base
-    /// segment inserted at random positions (tests seeding under
-    /// ambiguity).
-    #[must_use]
-    pub fn synthesize_with_repeats(
-        len: usize,
-        seed: u64,
-        repeats: usize,
-        repeat_len: usize,
-    ) -> Genome {
-        let mut g = Genome::synthesize(len, seed);
-        if repeat_len == 0 || repeat_len >= len || repeats == 0 {
-            return g;
-        }
-        let mut rng = SimRng::seed(seed ^ 0x5eed);
-        let segment: Vec<u8> = (0..repeat_len).map(|_| rng.below(4) as u8).collect();
-        for _ in 0..repeats {
-            let pos = rng.below((len - repeat_len) as u64) as usize;
-            g.bases[pos..pos + repeat_len].copy_from_slice(&segment);
-        }
-        g
-    }
-
-    /// Builds a genome from explicit bases.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any base is not in `0..4`.
-    #[must_use]
-    pub fn from_bases(bases: Vec<u8>) -> Genome {
-        assert!(bases.iter().all(|&b| b < 4), "bases must be 0..4");
         Genome { bases }
     }
 
@@ -83,15 +49,6 @@ impl Genome {
         let end = (start + len).min(self.bases.len());
         &self.bases[start..end]
     }
-
-    /// ASCII representation (ACGT) for debugging.
-    #[must_use]
-    pub fn to_ascii(&self) -> String {
-        self.bases
-            .iter()
-            .map(|&b| ['A', 'C', 'G', 'T'][b as usize])
-            .collect()
-    }
 }
 
 /// A sequencing read with its ground-truth origin.
@@ -101,20 +58,6 @@ pub struct ReadSeq {
     pub bases: Vec<u8>,
     /// Position in the reference the read was sampled from.
     pub true_position: usize,
-}
-
-impl ReadSeq {
-    /// Read length.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bases.len()
-    }
-
-    /// True if the read has no bases.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bases.is_empty()
-    }
 }
 
 /// Samples reads from a reference with substitution errors (sequencing
@@ -205,7 +148,6 @@ impl ReadSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impact_core::hash::FxBuildHasher;
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -236,28 +178,6 @@ mod tests {
                 "skewed distribution: {counts:?}"
             );
         }
-    }
-
-    #[test]
-    fn repeats_are_inserted() {
-        let g = Genome::synthesize_with_repeats(5_000, 3, 4, 200);
-        // The repeated segment appears verbatim more than once: some
-        // 200-base window must recur. Count windows in an Fx-hashed map
-        // (deterministic, and nothing here depends on iteration order —
-        // the maximum is tracked at insertion time).
-        let mut seen: std::collections::HashMap<Vec<u8>, u32, FxBuildHasher> =
-            std::collections::HashMap::default();
-        let mut max_repeats = 0u32;
-        for w in g.bases().windows(200) {
-            let count = seen.entry(w.to_vec()).or_insert(0);
-            *count += 1;
-            max_repeats = max_repeats.max(*count);
-        }
-        assert!(
-            max_repeats >= 2,
-            "no 200-base window recurs (max {max_repeats}); repeats were not inserted"
-        );
-        assert_eq!(g.len(), 5_000);
     }
 
     #[test]
@@ -301,17 +221,5 @@ mod tests {
             .filter(|r| (2_000..2_300).contains(&r.true_position))
             .count();
         assert!((130..=190).contains(&focused), "focused = {focused}/200");
-    }
-
-    #[test]
-    fn ascii_roundtrip() {
-        let g = Genome::from_bases(vec![0, 1, 2, 3]);
-        assert_eq!(g.to_ascii(), "ACGT");
-    }
-
-    #[test]
-    #[should_panic(expected = "bases must be 0..4")]
-    fn from_bases_validates() {
-        let _ = Genome::from_bases(vec![0, 7]);
     }
 }

@@ -23,18 +23,8 @@ pub struct LeakScore {
 }
 
 impl LeakScore {
-    /// Fraction of the attacker's guesses that were correct.
-    #[must_use]
-    pub fn accuracy(&self) -> f64 {
-        let guesses = self.true_positives + self.false_positives;
-        if guesses == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / guesses as f64
-        }
-    }
-
-    /// Error rate (1 − accuracy), the secondary axis of Fig. 11.
+    /// Error rate: the fraction of the attacker's guesses that were
+    /// wrong, the secondary axis of Fig. 11.
     #[must_use]
     pub fn error_rate(&self) -> f64 {
         let guesses = self.true_positives + self.false_positives;
@@ -42,17 +32,6 @@ impl LeakScore {
             0.0
         } else {
             self.false_positives as f64 / guesses as f64
-        }
-    }
-
-    /// Fraction of the victim's accesses the attacker captured.
-    #[must_use]
-    pub fn recall(&self) -> f64 {
-        let truth = self.true_positives + self.false_negatives;
-        if truth == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / truth as f64
         }
     }
 
@@ -110,9 +89,7 @@ mod tests {
         assert_eq!(s.true_positives, 3);
         assert_eq!(s.false_positives, 0);
         assert_eq!(s.false_negatives, 0);
-        assert_eq!(s.accuracy(), 1.0);
         assert_eq!(s.error_rate(), 0.0);
-        assert_eq!(s.recall(), 1.0);
     }
 
     #[test]
@@ -123,22 +100,18 @@ mod tests {
         assert_eq!(s.true_positives, 2);
         assert_eq!(s.false_positives, 1);
         assert_eq!(s.false_negatives, 2);
-        assert!((s.accuracy() - 2.0 / 3.0).abs() < 1e-12);
         assert!((s.error_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.recall() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_rounds() {
         let s = score_rounds(&[], &[]);
-        assert_eq!(s.accuracy(), 0.0);
         assert_eq!(s.error_rate(), 0.0);
-        assert_eq!(s.recall(), 0.0);
     }
 
     #[test]
     fn leaked_bits_match_layout_resolution() {
-        let layout = BankLayout::new(1024, 16384, 0);
+        let layout = BankLayout::new(1024, 16384);
         let truth = vec![set(&[5]), set(&[9]), set(&[100])];
         let s = score_rounds(&truth, &truth.clone());
         // 3 correct guesses x 10 bits each.
@@ -147,7 +120,7 @@ mod tests {
 
     #[test]
     fn candidates_are_bank_resident() {
-        let layout = BankLayout::new(16, 256, 0);
+        let layout = BankLayout::new(16, 256);
         let c = candidate_buckets(&layout, 5);
         assert_eq!(c.len(), 16);
         assert!(c.iter().all(|&b| layout.bank_of(b) == 5));

@@ -1,14 +1,15 @@
-//! Minimizer extraction and the bank-distributed seed hash table.
+//! Minimizer seeding and the seed hash table's placement across banks.
 //!
 //! Seeding (§4.3, Fig. 6) hashes small segments (k-mers) of the reference
 //! and stores their positions in a hash table. Like minimap2 we keep only
-//! window minimizers. The table is interleaved across DRAM banks
-//! ([`BankLayout`]) — the paper argues this is realistic because modern
-//! controllers interleave consecutive chunks across banks for parallelism.
+//! window minimizers. A read's seeding probes one bucket per minimizer,
+//! and a bucket is a function of the hash alone, so [`seed_buckets`]
+//! yields the victim's probe stream without building the table. The table
+//! is interleaved across DRAM banks ([`BankLayout`]) — the paper argues
+//! this is realistic because modern controllers interleave consecutive
+//! chunks across banks for parallelism.
 
-use impact_core::rng::SimRng;
-
-use crate::genome::Genome;
+use crate::genome::ReadSeq;
 
 /// 64-bit finalizer (splitmix64-style) used as the k-mer hash.
 #[must_use]
@@ -74,32 +75,44 @@ pub fn minimizers(seq: &[u8], k: usize, w: usize) -> Vec<Minimizer> {
     out
 }
 
+/// The victim's seeding probe stream: for every read in order, the bucket
+/// (`hash % buckets`) of each of its window minimizers — the hash-table
+/// probes the attacker observes (§4.3).
+///
+/// # Panics
+///
+/// Panics if `buckets` is 0.
+#[must_use]
+pub fn seed_buckets(reads: &[ReadSeq], k: usize, w: usize, buckets: usize) -> Vec<usize> {
+    reads
+        .iter()
+        .flat_map(|read| minimizers(&read.bases, k, w))
+        .map(|m| (m.hash % buckets as u64) as usize)
+        .collect()
+}
+
+/// Cache lines in one 8 KiB DRAM row.
+const LINES_PER_ROW: u64 = 128;
+
 /// Placement of hash-table buckets across DRAM banks (§4.3, Fig. 7):
-/// bucket `b` lives in bank `b % banks`; the buckets of one bank pack into
-/// rows of `buckets_per_row` entries.
+/// bucket `b` lives in bank `b % banks`, and a bank's buckets fill the
+/// cache lines of one table row in turn ([`BankLayout::line_of`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankLayout {
     /// Number of DRAM banks holding the table.
     pub banks: usize,
     /// Total hash-table buckets.
     pub buckets: usize,
-    /// Buckets stored per DRAM row.
-    pub buckets_per_row: usize,
 }
 
 impl BankLayout {
-    /// Creates a layout; `buckets_per_row` defaults from an 8 KiB row of
-    /// 8-byte entries when 0 is passed.
+    /// Creates a layout of `buckets` buckets over `banks` banks (each
+    /// clamped to at least 1).
     #[must_use]
-    pub fn new(banks: usize, buckets: usize, buckets_per_row: usize) -> BankLayout {
+    pub fn new(banks: usize, buckets: usize) -> BankLayout {
         BankLayout {
             banks: banks.max(1),
             buckets: buckets.max(1),
-            buckets_per_row: if buckets_per_row == 0 {
-                1024
-            } else {
-                buckets_per_row
-            },
         }
     }
 
@@ -109,10 +122,10 @@ impl BankLayout {
         bucket % self.banks
     }
 
-    /// Row (within the bank's table region) holding `bucket`.
+    /// Cache line, within its bank's table row, holding `bucket`.
     #[must_use]
-    pub fn row_of(&self, bucket: usize) -> u64 {
-        ((bucket / self.banks) / self.buckets_per_row) as u64
+    pub fn line_of(&self, bucket: usize) -> u64 {
+        (bucket / self.banks) as u64 % LINES_PER_ROW
     }
 
     /// Buckets co-resident in `bucket`'s bank — the attacker's residual
@@ -132,89 +145,10 @@ impl BankLayout {
     }
 }
 
-/// The seed hash table: bucketized minimizer → reference positions.
-#[derive(Debug, Clone)]
-pub struct KmerIndex {
-    k: usize,
-    w: usize,
-    buckets: Vec<Vec<u32>>,
-}
-
-impl KmerIndex {
-    /// Builds the index over `genome` with k-mer size `k`, window `w` and
-    /// `num_buckets` hash buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is 0 or exceeds 32, or `num_buckets` is 0.
-    #[must_use]
-    pub fn build(genome: &Genome, k: usize, w: usize, num_buckets: usize) -> KmerIndex {
-        assert!(k > 0 && k <= 32, "k must be in 1..=32");
-        assert!(num_buckets > 0, "need at least one bucket");
-        let mut buckets = vec![Vec::new(); num_buckets];
-        for m in minimizers(genome.bases(), k, w) {
-            buckets[(m.hash % num_buckets as u64) as usize].push(m.pos as u32);
-        }
-        KmerIndex { k, w, buckets }
-    }
-
-    /// K-mer size.
-    #[must_use]
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Minimizer window.
-    #[must_use]
-    pub fn w(&self) -> usize {
-        self.w
-    }
-
-    /// Number of buckets.
-    #[must_use]
-    pub fn num_buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Bucket index of a hash.
-    #[must_use]
-    pub fn bucket_of(&self, hash: u64) -> usize {
-        (hash % self.buckets.len() as u64) as usize
-    }
-
-    /// Reference positions stored in the bucket for `hash`.
-    #[must_use]
-    pub fn lookup(&self, hash: u64) -> &[u32] {
-        &self.buckets[self.bucket_of(hash)]
-    }
-
-    /// Positions stored in bucket `bucket` (attacker-side candidate
-    /// enumeration in the completion attack).
-    #[must_use]
-    pub fn bucket_positions(&self, bucket: usize) -> &[u32] {
-        &self.buckets[bucket]
-    }
-
-    /// Number of non-empty buckets (diagnostics).
-    #[must_use]
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| !b.is_empty()).count()
-    }
-
-    /// A random occupied bucket (test helper for synthetic victims).
-    pub fn random_occupied_bucket(&self, rng: &mut SimRng) -> usize {
-        loop {
-            let b = rng.below(self.buckets.len() as u64) as usize;
-            if !self.buckets[b].is_empty() {
-                return b;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::genome::{Genome, ReadSampler};
 
     #[test]
     fn pack_kmer_bounds() {
@@ -248,58 +182,44 @@ mod tests {
     }
 
     #[test]
-    fn index_lookup_finds_origin() {
-        let g = Genome::synthesize(5_000, 13);
-        let idx = KmerIndex::build(&g, 15, 5, 4096);
-        // Every minimizer of the genome must be findable at its position.
-        for m in minimizers(g.bases(), 15, 5).into_iter().take(100) {
-            assert!(
-                idx.lookup(m.hash).contains(&(m.pos as u32)),
-                "minimizer at {} missing",
-                m.pos
-            );
-        }
+    fn seed_buckets_follow_read_minimizers() {
+        let g = Genome::synthesize(20_000, 21);
+        let reads = ReadSampler::new(3).sample(&g, 5, 150, 0.01);
+        let buckets = 16384;
+        let stream = seed_buckets(&reads, 15, 5, buckets);
+        assert!(!stream.is_empty());
+        assert!(stream.iter().all(|&b| b < buckets));
+        let expected: Vec<usize> = reads
+            .iter()
+            .flat_map(|r| minimizers(&r.bases, 15, 5))
+            .map(|m| (m.hash % buckets as u64) as usize)
+            .collect();
+        assert_eq!(stream, expected);
     }
 
     #[test]
     fn bank_layout_paper_example() {
         // 16384 entries over 1024 banks -> 16 entries per bank (§6.3).
-        let l = BankLayout::new(1024, 16384, 0);
+        let l = BankLayout::new(1024, 16384);
         assert_eq!(l.buckets_per_bank(), 16);
         assert!((l.bits_per_identified_access() - 10.0).abs() < 1e-9);
         // 2048 banks -> 8 entries, more precise leak (11 bits).
-        let l2 = BankLayout::new(2048, 16384, 0);
+        let l2 = BankLayout::new(2048, 16384);
         assert_eq!(l2.buckets_per_bank(), 8);
         assert!(l2.bits_per_identified_access() > l.bits_per_identified_access());
     }
 
     #[test]
     fn bank_layout_mapping_consistent() {
-        let l = BankLayout::new(16, 1 << 14, 1024);
+        let l = BankLayout::new(16, 1 << 14);
         for bucket in [0usize, 1, 15, 16, 17, 9999] {
             assert_eq!(l.bank_of(bucket), bucket % 16);
-            assert!(l.row_of(bucket) <= 1);
+            assert!(l.line_of(bucket) < 128);
         }
-    }
-
-    #[test]
-    fn occupied_buckets_reasonable() {
-        let g = Genome::synthesize(20_000, 17);
-        let idx = KmerIndex::build(&g, 15, 5, 16384);
-        let occ = idx.occupied_buckets();
-        // ~6.6k minimizers into 16k buckets: expect thousands occupied.
-        assert!(occ > 2000, "occupied = {occ}");
-    }
-
-    #[test]
-    fn random_occupied_bucket_is_occupied() {
-        let g = Genome::synthesize(5_000, 19);
-        let idx = KmerIndex::build(&g, 15, 5, 512);
-        let mut rng = SimRng::seed(1);
-        for _ in 0..20 {
-            let b = idx.random_occupied_bucket(&mut rng);
-            assert!(!idx.bucket_positions(b).is_empty());
-        }
+        // A bank's buckets take consecutive lines, wrapping after a row.
+        assert_eq!(l.line_of(5), 0);
+        assert_eq!(l.line_of(5 + 16), 1);
+        assert_eq!(l.line_of(5 + 16 * 128), 0);
     }
 }
 
@@ -355,7 +275,7 @@ mod proptests {
         /// bank are exactly those congruent mod banks.
         #[test]
         fn layout_partition(banks in 1usize..64, buckets in 1usize..4096, probe in 0usize..4096) {
-            let l = BankLayout::new(banks, buckets, 0);
+            let l = BankLayout::new(banks, buckets);
             prop_assume!(probe < buckets);
             let bank = l.bank_of(probe);
             prop_assert!(bank < banks);

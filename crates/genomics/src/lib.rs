@@ -1,4 +1,4 @@
-//! Genomic read-mapping substrate for the IMPACT side-channel attack.
+//! Genomic read-mapping victim for the IMPACT side-channel attack.
 //!
 //! The paper's side channel (§4.3) targets a read-mapping (RM) victim built
 //! on minimap2-style seeding: the reference genome is indexed into a hash
@@ -7,18 +7,17 @@
 //! whose bank identity an attacker can observe through the row-buffer
 //! timing channel.
 //!
-//! This crate is a self-contained RM implementation:
+//! Only the seeding stage reaches the attacker, so only seeding is
+//! implemented. The victim's chaining and alignment work between probes
+//! is modelled as a fixed compute gap (`SideChannelConfig::victim_gap` in
+//! `impact-attacks`).
 //!
 //! * [`genome`] — synthetic reference genomes and read sampling (the paper
 //!   uses the human genome + synthetic query genomes; we substitute a
 //!   seeded synthetic reference — the module docs explain why);
-//! * [`index`] — k-mer/minimizer extraction and the bank-distributed hash
-//!   table ([`index::BankLayout`]);
-//! * [`chain`] — anchor chaining (the paper assumes chaining, §5.1);
-//! * [`align`] — banded dynamic-programming alignment;
-//! * [`mapper`] — the end-to-end mapper with an observer hook
-//!   ([`mapper::SeedAccessObserver`]) through which the simulator sees
-//!   every hash-table access — the exact signal the attacker steals;
+//! * [`index`] — minimizer seeding ([`index::seed_buckets`], the victim's
+//!   probe stream) and the bank-distributed hash table's layout
+//!   ([`index::BankLayout`]);
 //! * [`imputation`] — completion-attack style scoring of leaked accesses
 //!   against ground truth.
 //!
@@ -26,31 +25,22 @@
 //!
 //! ```
 //! use impact_genomics::genome::{Genome, ReadSampler};
-//! use impact_genomics::index::KmerIndex;
-//! use impact_genomics::mapper::ReadMapper;
+//! use impact_genomics::index::{seed_buckets, BankLayout};
 //!
 //! let genome = Genome::synthesize(10_000, 7);
-//! let index = KmerIndex::build(&genome, 15, 5, 1024);
 //! let reads = ReadSampler::new(42).sample(&genome, 20, 100, 0.01);
-//! let mapper = ReadMapper::new(&genome, &index);
-//! let hits = reads
-//!     .iter()
-//!     .filter(|r| {
-//!         mapper
-//!             .map_read(r)
-//!             .is_some_and(|m| m.position.abs_diff(r.true_position) < 50)
-//!     })
-//!     .count();
-//! assert!(hits * 10 >= reads.len() * 8); // >= 80% mapped correctly
+//! let stream = seed_buckets(&reads, 15, 5, 1024);
+//! // About 2/(w+1) of a read's 86 k-mers are minimizers, each one probe.
+//! assert!(stream.len() > 20 * 20);
+//! // The attacker sees the bank of every probe, never the bucket itself.
+//! let layout = BankLayout::new(64, 1024);
+//! assert!(stream.iter().all(|&b| layout.bank_of(b) < 64));
+//! assert_eq!(layout.buckets_per_bank(), 16);
 //! ```
 
-pub mod align;
-pub mod chain;
 pub mod genome;
 pub mod imputation;
 pub mod index;
-pub mod mapper;
 
 pub use genome::{Genome, ReadSampler, ReadSeq};
-pub use index::{BankLayout, KmerIndex};
-pub use mapper::{MapResult, ReadMapper, SeedAccessObserver};
+pub use index::BankLayout;

@@ -44,7 +44,7 @@ fn main() -> Result<(), Error> {
 
     // What one detection buys the attacker: the victim's probe is narrowed
     // to the hash-table entries resident in the detected bank (§6.3).
-    let layout = BankLayout::new(banks as usize, table_buckets, 0);
+    let layout = BankLayout::new(banks as usize, table_buckets);
     let example_bank = 42;
     let candidates = candidate_buckets(&layout, example_bank);
     println!(

@@ -19,7 +19,7 @@
 //! | [`obs`] | `impact-obs` | deterministic-safe telemetry (counters, histograms, spans) |
 //! | [`pim`] | `impact-pim` | PEI engine, RowClone interface |
 //! | [`sim`] | `impact-sim` | whole-system co-simulation |
-//! | [`genomics`] | `impact-genomics` | read-mapping victim |
+//! | [`genomics`] | `impact-genomics` | read sampling, minimizer seeding (the victim's probe stream), bank layout, leak scoring |
 //! | [`workloads`] | `impact-workloads` | GraphBIG-style kernels, XSBench |
 //! | [`attacks`] | `impact-attacks` | IMPACT-PnM/PuM, baselines, side channel |
 //! | [`fleet`] | `impact-fleet` | fleet-scale session service over an epoch scheduler |

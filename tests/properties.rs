@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) on core invariants across the
 //! workspace: DRAM bank state machine, address mappings, caches, the
-//! covert channel, and the genomics pipeline.
+//! covert channel, batch servicing and trace replay.
 
 use proptest::prelude::*;
 
@@ -13,8 +13,6 @@ use impact::core::config::{
 use impact::core::engine::{MemRequest, RowBufferKind};
 use impact::core::time::{Clock, Cycles};
 use impact::dram::{Bank, ResolvedTiming, RowInterleaved, RowPolicy};
-use impact::genomics::align::{banded_align, AlignParams};
-use impact::genomics::chain::{chain_anchors, Anchor};
 use impact::memctrl::MemoryController;
 use impact::sim::System;
 
@@ -106,40 +104,6 @@ proptest! {
             let a = PhysAddr(a).line_aligned();
             c.access(a, false);
             prop_assert!(c.probe(a), "line {a} missing right after fill");
-        }
-    }
-
-    /// Alignment score is bounded by match_score * min(len) and symmetric.
-    #[test]
-    fn alignment_bounds(
-        a in prop::collection::vec(0u8..4, 0..64),
-        b in prop::collection::vec(0u8..4, 0..64),
-    ) {
-        let p = AlignParams::default();
-        let fwd = banded_align(&a, &b, p);
-        let rev = banded_align(&b, &a, p);
-        prop_assert_eq!(fwd.score, rev.score, "asymmetric score");
-        let bound = (a.len().min(b.len()) as i32) * p.match_score;
-        prop_assert!(fwd.score <= bound);
-        prop_assert!(i64::from(fwd.matches) <= a.len().min(b.len()) as i64);
-    }
-
-    /// Chains are strictly increasing in both read and reference
-    /// coordinates.
-    #[test]
-    fn chains_are_colinear(
-        anchors in prop::collection::vec((0u32..500, 0u32..500), 0..40)
-    ) {
-        let anchors: Vec<Anchor> = anchors
-            .into_iter()
-            .map(|(read_pos, ref_pos)| Anchor { read_pos, ref_pos })
-            .collect();
-        let chain = chain_anchors(&anchors, 10, 1);
-        for pair in chain.anchors.windows(2) {
-            let x = anchors[pair[0]];
-            let y = anchors[pair[1]];
-            prop_assert!(x.read_pos < y.read_pos, "read order violated");
-            prop_assert!(x.ref_pos < y.ref_pos, "ref order violated");
         }
     }
 
