@@ -2,20 +2,22 @@
 //!
 //! Each line is two words, `[tag, meta]`, packed as
 //! `meta = stamp << 4 | rrpv << 2 | dirty << 1 | valid`. The all-zero
-//! pair is an invalid line, so a new cache is one zeroed allocation
-//! (`vec![[0; 2]; n]`) and construction writes no line. When the
-//! allocator maps a large array fresh, as glibc does above its mmap
-//! threshold, the OS maps its pages in only when a line in them is first
-//! written: a 128 MiB LLC costs next to nothing until it fills.
-//! No other initial value is needed, because nothing reads the `stamp` or
-//! `rrpv` of an invalid line: victim choice takes an invalid way before it
-//! reads either field, and SRRIP ages only full sets. `stamp` is the
-//! access tick, so the 60-bit field bounds a cache's lifetime at 2^60
-//! accesses (checked in debug builds).
+//! pair is an invalid line. No other initial value is needed, because
+//! nothing reads the `stamp` or `rrpv` of an invalid line: victim choice
+//! takes an invalid way before it reads either field, and SRRIP ages only
+//! full sets. `stamp` is the access tick, so the 60-bit field bounds a
+//! cache's lifetime at 2^60 accesses (checked in debug builds).
 //!
-//! The line array lives behind an `Arc` so forks of a warmed cache are
-//! O(1): clones share the array, and the first write on either side copies
-//! it (`Arc::make_mut`).
+//! The lines live in chunks of 16 sets (`CHUNK_SETS`), each allocated
+//! zeroed on the first write to a set in it, as the page table allocates
+//! its radix leaves. A set in an unallocated chunk reads as all-invalid,
+//! so a new cache allocates only its chunk table, and a run's memory
+//! follows the sets it writes: a 128 MiB LLC costs next to nothing until
+//! it fills, whatever the allocator does with freed blocks.
+//!
+//! The chunk table lives behind an `Arc` so forks of a warmed cache are
+//! O(1): clones share the table, and the first write on either side copies
+//! it together with the chunks it points to (`Arc::make_mut`).
 
 use std::sync::Arc;
 
@@ -30,6 +32,11 @@ const RRPV_INSERT: u8 = 2;
 
 /// One line: `[tag, meta]`, see the module docs. `[0, 0]` is invalid.
 type Line = [u64; 2];
+
+/// Sets per chunk of the line store. A power of two, so a set's chunk and
+/// its offset in the chunk are a shift and a mask; at 16 ways a chunk is
+/// one 4 KiB page.
+const CHUNK_SETS: u64 = 16;
 
 const VALID: u64 = 1;
 const DIRTY: u64 = 1 << 1;
@@ -110,13 +117,15 @@ pub struct AccessResult {
 pub struct SetAssocCache {
     cfg: CacheLevelConfig,
     sets: u64,
-    lines: Arc<Vec<Line>>,
+    /// Chunk `i` holds the lines of sets `i * CHUNK_SETS ..`, `ways` per
+    /// set; `None` until one of those sets is first written.
+    chunks: Arc<Vec<Option<Box<[Line]>>>>,
     tick: u64,
 }
 
 impl SetAssocCache {
-    /// Builds an empty cache. The line array is a zeroed allocation;
-    /// building writes no line.
+    /// Builds an empty cache. Only the chunk table is allocated; a chunk of
+    /// lines is allocated when one of its sets is first written.
     ///
     /// # Panics
     ///
@@ -124,23 +133,12 @@ impl SetAssocCache {
     #[must_use]
     pub fn new(cfg: CacheLevelConfig) -> SetAssocCache {
         let sets = cfg.sets();
-        let lines = vec![[0u64; 2]; (sets * u64::from(cfg.ways)) as usize];
         SetAssocCache {
             cfg,
             sets,
-            lines: Arc::new(lines),
+            chunks: Arc::new(vec![None; sets.div_ceil(CHUNK_SETS) as usize]),
             tick: 0,
         }
-    }
-
-    /// The line array for mutation: copies it first if a clone still
-    /// shares the storage.
-    #[inline]
-    fn lines_mut(&mut self) -> &mut Vec<Line> {
-        // analyze::allow(cow-aliasing): sole unshare point for the line
-        // array; every mutation funnels through here, so a shared fork
-        // gets its own copy before the first write
-        Arc::make_mut(&mut self.lines)
     }
 
     /// Configuration of this level.
@@ -175,19 +173,34 @@ impl SetAssocCache {
         PhysAddr((tag * self.sets + set) * u64::from(self.cfg.line_bytes))
     }
 
-    /// Index of the set's first way in the line array.
-    fn set_base(&self, set: u64) -> usize {
-        set as usize * self.cfg.ways as usize
+    /// The set's chunk and the index of its first way in that chunk.
+    fn locate_set(&self, set: u64) -> (usize, usize) {
+        let offset = (set % CHUNK_SETS) as usize * self.cfg.ways as usize;
+        ((set / CHUNK_SETS) as usize, offset)
     }
 
-    fn set_slice_mut(&mut self, set: u64) -> &mut [Line] {
-        let (base, ways) = (self.set_base(set), self.cfg.ways as usize);
-        &mut self.lines_mut()[base..base + ways]
-    }
-
+    /// The set's lines; empty while its chunk is unallocated, which reads
+    /// as a set of invalid lines.
     fn set_slice(&self, set: u64) -> &[Line] {
-        let base = self.set_base(set);
-        &self.lines[base..base + self.cfg.ways as usize]
+        let (chunk, offset) = self.locate_set(set);
+        match &self.chunks[chunk] {
+            Some(lines) => &lines[offset..offset + self.cfg.ways as usize],
+            None => &[],
+        }
+    }
+
+    /// The set's lines for mutation: copies the chunk table first if a
+    /// clone still shares it, and allocates the set's chunk on its first
+    /// write.
+    fn set_slice_mut(&mut self, set: u64) -> &mut [Line] {
+        let (chunk, offset) = self.locate_set(set);
+        let ways = self.cfg.ways as usize;
+        // analyze::allow(cow-aliasing): sole unshare point for the chunk
+        // table; every mutation funnels through here, so a shared fork
+        // gets its own copy before the first write
+        let lines = Arc::make_mut(&mut self.chunks)[chunk]
+            .get_or_insert_with(|| vec![[0u64; 2]; CHUNK_SETS as usize * ways].into_boxed_slice());
+        &mut lines[offset..offset + ways]
     }
 
     /// True if the line is currently cached (no state change).
@@ -206,9 +219,10 @@ impl SetAssocCache {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
         let repl = self.cfg.replacement;
+        let lines = self.set_slice_mut(set);
 
         // Hit path: restamp for LRU, promote to RRPV 0 for SRRIP.
-        if let Some(line) = self.set_slice_mut(set).iter_mut().find(|l| holds(l, tag)) {
+        if let Some(line) = lines.iter_mut().find(|l| holds(l, tag)) {
             *line = valid_line(tag, is_dirty(line) || write, tick, 0);
             return AccessResult {
                 hit: true,
@@ -216,24 +230,17 @@ impl SetAssocCache {
             };
         }
 
-        // Miss: choose a victim.
-        let slot = self.set_base(set) + self.choose_victim(set, repl);
-        let victim = self.lines[slot];
+        // Miss: fill over the chosen victim.
+        let way = choose_victim(lines, repl);
+        let victim = std::mem::replace(&mut lines[way], valid_line(tag, write, tick, RRPV_INSERT));
         let evicted = is_valid(&victim).then(|| EvictedLine {
             addr: self.addr_of(set, victim[0]),
             dirty: is_dirty(&victim),
         });
-        self.lines_mut()[slot] = valid_line(tag, write, tick, RRPV_INSERT);
         AccessResult {
             hit: false,
             evicted,
         }
-    }
-
-    /// Fills a line without counting as a demand access (prefetch fill).
-    pub fn fill(&mut self, addr: PhysAddr) -> Option<EvictedLine> {
-        let r = self.access(addr, false);
-        r.evicted
     }
 
     /// Invalidates (flushes) a line if present, returning it.
@@ -245,13 +252,12 @@ impl SetAssocCache {
         let set = self.set_index(addr);
         let tag = self.tag_of(addr);
         let way = self.set_slice(set).iter().position(|l| holds(l, tag))?;
-        let slot = self.set_base(set) + way;
-        let evicted = EvictedLine {
+        // Taking the line leaves `[0, 0]`, an invalid line.
+        let line = std::mem::take(&mut self.set_slice_mut(set)[way]);
+        Some(EvictedLine {
             addr: self.addr_of(set, tag),
-            dirty: is_dirty(&self.lines[slot]),
-        };
-        self.lines_mut()[slot] = [0; 2];
-        Some(evicted)
+            dirty: is_dirty(&line),
+        })
     }
 
     /// Addresses currently resident in the set containing `addr`
@@ -266,33 +272,38 @@ impl SetAssocCache {
             .collect()
     }
 
-    fn choose_victim(&mut self, set: u64, repl: ReplacementKind) -> usize {
-        // Prefer an invalid way. Past this point the set is full, so every
-        // stamp and RRPV read below belongs to a valid line.
-        if let Some(idx) = self.set_slice(set).iter().position(|l| !is_valid(l)) {
-            return idx;
-        }
-        match repl {
-            ReplacementKind::Lru => self
-                .set_slice(set)
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| stamp(l))
-                .map(|(i, _)| i)
-                .expect("non-empty set"),
-            ReplacementKind::Srrip => {
-                // Find a line with RRPV == MAX, aging all lines until one
-                // appears.
-                loop {
-                    if let Some(idx) = self.set_slice(set).iter().position(|l| rrpv(l) >= RRPV_MAX)
-                    {
-                        return idx;
-                    }
-                    // Every RRPV is below MAX here, so the increment stays
-                    // inside its two bits.
-                    for l in self.set_slice_mut(set) {
-                        l[1] += 1 << RRPV_SHIFT;
-                    }
+    /// Number of allocated chunks.
+    #[cfg(test)]
+    fn allocated_chunks(&self) -> usize {
+        self.chunks.iter().filter(|c| c.is_some()).count()
+    }
+}
+
+/// The way a miss in `lines` (one set) fills.
+fn choose_victim(lines: &mut [Line], repl: ReplacementKind) -> usize {
+    // Prefer an invalid way. Past this point the set is full, so every
+    // stamp and RRPV read below belongs to a valid line.
+    if let Some(idx) = lines.iter().position(|l| !is_valid(l)) {
+        return idx;
+    }
+    match repl {
+        ReplacementKind::Lru => lines
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, l)| stamp(l))
+            .map(|(i, _)| i)
+            .expect("non-empty set"),
+        ReplacementKind::Srrip => {
+            // Find a line with RRPV == MAX, aging all lines until one
+            // appears.
+            loop {
+                if let Some(idx) = lines.iter().position(|l| rrpv(l) >= RRPV_MAX) {
+                    return idx;
+                }
+                // Every RRPV is below MAX here, so the increment stays
+                // inside its two bits.
+                for l in lines.iter_mut() {
+                    l[1] += 1 << RRPV_SHIFT;
                 }
             }
         }
@@ -302,6 +313,7 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impact_core::config::SystemConfig;
 
     fn cfg(ways: u32, repl: ReplacementKind) -> CacheLevelConfig {
         CacheLevelConfig {
@@ -401,6 +413,61 @@ mod tests {
     }
 
     #[test]
+    fn chunks_are_allocated_on_first_write() {
+        // fig9's largest point: 2M lines in 131,072 sets, 8,192 chunks.
+        let llc = SystemConfig::paper_table2().with_llc_size(128 << 20).l3;
+        let mut c = SetAssocCache::new(llc);
+        assert_eq!(c.allocated_chunks(), 0);
+        let a = PhysAddr(0x1234_5640);
+        assert!(!c.probe(a));
+        assert!(c.resident_in_set(a).is_empty());
+        assert_eq!(c.flush(a), None);
+        assert_eq!(c.allocated_chunks(), 0, "reads and absent flushes allocate");
+        c.access(a, false);
+        assert_eq!(c.allocated_chunks(), 1);
+    }
+
+    #[test]
+    fn clone_writes_leave_the_parent_unchanged() {
+        // 64 sets x 2 ways: four chunks. The parent fills set 0 (chunk 0).
+        let mut parent = SetAssocCache::new(CacheLevelConfig {
+            size_bytes: 2 * 64 * 64,
+            ..cfg(2, ReplacementKind::Lru)
+        });
+        let own = congruent(&parent, PhysAddr(0), 2);
+        for &a in &own {
+            parent.access(a, true);
+        }
+        let in_shared = congruent(&parent, PhysAddr(0), 3)[2];
+        let in_new = PhysAddr(CHUNK_SETS * 64);
+        let probes = [own[0], own[1], in_shared, in_new];
+        let answers = probes.map(|a| parent.probe(a));
+
+        let mut child = parent.clone();
+        assert_eq!(child.flush(in_new), None);
+        assert!(
+            Arc::ptr_eq(&parent.chunks, &child.chunks),
+            "flushing an absent line unshared the chunk table"
+        );
+        // An eviction in the chunk both share, then a fill in a chunk only
+        // the child allocates.
+        assert_eq!(
+            child.access(in_shared, false).evicted,
+            Some(EvictedLine {
+                addr: own[0],
+                dirty: true
+            })
+        );
+        child.access(in_new, false);
+        assert_eq!(
+            (parent.allocated_chunks(), child.allocated_chunks()),
+            (1, 2)
+        );
+        assert_eq!(probes.map(|a| parent.probe(a)), answers);
+        assert_eq!(probes.map(|a| child.probe(a)), [false, true, true, true]);
+    }
+
+    #[test]
     fn resident_in_set_reports_contents() {
         let mut c = SetAssocCache::new(cfg(2, ReplacementKind::Lru));
         let a = PhysAddr(0);
@@ -410,14 +477,6 @@ mod tests {
         let mut resident = c.resident_in_set(a);
         resident.sort();
         assert_eq!(resident, vec![a, others[0]]);
-    }
-
-    #[test]
-    fn fill_behaves_like_clean_access() {
-        let mut c = SetAssocCache::new(cfg(2, ReplacementKind::Lru));
-        let a = PhysAddr(0x80);
-        assert_eq!(c.fill(a), None);
-        assert!(c.probe(a));
     }
 }
 
@@ -439,6 +498,20 @@ mod proptests {
     fn small_cache() -> SetAssocCache {
         SetAssocCache::new(small_config(ReplacementKind::Lru))
     }
+
+    /// 64 sets x 4 ways: four chunks of the line store.
+    fn chunked_config(replacement: ReplacementKind) -> CacheLevelConfig {
+        CacheLevelConfig {
+            size_bytes: 4 * 64 * 64,
+            ..small_config(replacement)
+        }
+    }
+
+    /// The sets the reference-model ops write: both ends of chunk 0, the
+    /// first set of chunk 1 and the last set of chunk 2.
+    const WRITTEN_SETS: [u64; 4] = [0, 15, 16, 47];
+    /// A set in chunk 3, which the ops probe and flush but never write.
+    const UNWRITTEN_SET: u64 = 50;
 
     /// The unpacked line record the cache stored before the two-word
     /// layout: an empty line has `rrpv == RRPV_MAX`, not 0.
@@ -601,31 +674,41 @@ mod proptests {
             }
         }
 
-        /// The packed two-word layout behaves exactly like the
-        /// `Vec<LineMeta>` reference model under random load, store and
-        /// flush sequences, for both replacement policies. Ops are
-        /// `(kind, line)`: kind 0 loads, 1 stores, 2 flushes; 32 lines
-        /// over 4 sets keep every set under eviction pressure.
+        /// The packed two-word layout in its chunk store behaves exactly
+        /// like the `Vec<LineMeta>` reference model under random load,
+        /// store and flush sequences, for both replacement policies. Ops
+        /// are `(kind, set, tag)` on a 64-set cache (four chunks): kind 0
+        /// loads, 1 stores and 2 flushes a line of `WRITTEN_SETS[set]`; 3
+        /// flushes a line of `UNWRITTEN_SET`, whose chunk is never
+        /// written. Eight tags per set over four ways keep every written
+        /// chunk under eviction pressure.
         #[test]
         fn packed_lines_match_reference_model(
             srrip in any::<bool>(),
-            ops in prop::collection::vec((0u8..3, 0u64..32), 1..300),
+            ops in prop::collection::vec((0u8..4, 0usize..4, 0u64..8), 1..300),
         ) {
             let repl = if srrip { ReplacementKind::Srrip } else { ReplacementKind::Lru };
-            let mut c = SetAssocCache::new(small_config(repl));
-            let mut r = RefCache::new(small_config(repl));
-            for (step, (kind, line)) in ops.into_iter().enumerate() {
-                let a = PhysAddr(line * 64);
+            let mut c = SetAssocCache::new(chunked_config(repl));
+            let mut r = RefCache::new(chunked_config(repl));
+            let line = |set: u64, tag: u64| PhysAddr((tag * 64 + set) * 64);
+            let all_sets: Vec<u64> = WRITTEN_SETS.into_iter().chain([UNWRITTEN_SET]).collect();
+            for (step, (kind, set, tag)) in ops.into_iter().enumerate() {
+                let a = line(WRITTEN_SETS[set], tag);
                 match kind {
                     0 | 1 => prop_assert_eq!(c.access(a, kind == 1), r.access(a, kind == 1), "step {}", step),
-                    _ => prop_assert_eq!(c.flush(a), r.flush(a), "step {}", step),
+                    2 => prop_assert_eq!(c.flush(a), r.flush(a), "step {}", step),
+                    _ => {
+                        let a = line(UNWRITTEN_SET, tag);
+                        prop_assert_eq!(c.flush(a), r.flush(a), "step {}", step);
+                    }
                 }
-                for probe in (0..32u64).map(|l| PhysAddr(l * 64)) {
-                    prop_assert_eq!(c.probe(probe), r.probe(probe), "step {}", step);
+                for &set in &all_sets {
+                    for tag in 0..8 {
+                        prop_assert_eq!(c.probe(line(set, tag)), r.probe(line(set, tag)), "step {}", step);
+                    }
+                    prop_assert_eq!(c.resident_in_set(line(set, 0)), r.resident_in_set(line(set, 0)), "step {}", step);
                 }
-                for set in (0..4u64).map(|s| PhysAddr(s * 64)) {
-                    prop_assert_eq!(c.resident_in_set(set), r.resident_in_set(set), "step {}", step);
-                }
+                prop_assert!(c.chunks[(UNWRITTEN_SET / CHUNK_SETS) as usize].is_none());
             }
         }
 

@@ -801,9 +801,9 @@ impl<B: MemoryBackend> Engine<B> {
 
 /// Forking: every layer above memory (caches, TLBs, page tables, clocks,
 /// prefetchers, noise RNG, PMU monitor) plus the backend, copied through
-/// `Clone`. The shared tables (bank records, cache line arrays, page-table
-/// radixes, controller ACT/blocking tables, TLB levels, the PMU monitor
-/// and the prefetcher tables) sits behind an `Arc` inside those
+/// `Clone`. The shared tables (bank records, cache line chunk tables,
+/// page-table radixes, controller ACT/blocking tables, TLB levels, the PMU
+/// monitor and the prefetcher tables) sit behind an `Arc` inside those
 /// components, so a fork copies only small records and each side copies
 /// a table only when it first writes it. The fleet warms one engine and
 /// forks it per session. `Engine` does not implement `Clone`: `fork` is
