@@ -26,6 +26,7 @@
 //! byte.
 
 use std::env;
+use std::io::{self, Write};
 
 use impact_bench::experiments;
 use impact_bench::runner::{run_all, ExperimentJob};
@@ -61,14 +62,19 @@ fn usage_exit(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn render(fig: &Figure, csv: bool) {
-    if csv {
-        println!("# {}", fig.id);
-        print!("{}", fig.render_csv());
-    } else {
-        print!("{}", fig.render_text());
+/// Writes every figure through one locked stdout.
+fn render_all(figures: &[Figure], csv: bool) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    for fig in figures {
+        if csv {
+            writeln!(out, "# {}", fig.id)?;
+            write!(out, "{}", fig.render_csv())?;
+        } else {
+            write!(out, "{}", fig.render_text())?;
+        }
+        writeln!(out)?;
     }
-    println!();
+    out.flush()
 }
 
 fn main() {
@@ -172,8 +178,14 @@ fn main() {
         );
     }
     let figures = run_all(&jobs, workers);
-    for fig in &figures {
-        render(fig, csv);
+    match render_all(&figures, csv) {
+        Ok(()) => {}
+        // The reader has gone (`fig_all | head`): nothing is left to do.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("fig_all: cannot write output: {e}");
+            std::process::exit(1);
+        }
     }
 
     if let Some(path) = &metrics_path {

@@ -20,7 +20,7 @@ use impact_core::config::SystemConfig;
 use impact_core::engine::{BackendStats, MemoryBackend};
 use impact_core::error::{Error, Result};
 use impact_core::rng::SimRng;
-use impact_core::trace::{TraceEvent, TraceHeader, TraceReader, TraceSummary};
+use impact_core::trace::{replay_events, TraceEvent, TraceHeader, TraceReader, TraceSummary};
 use impact_memctrl::{ControllerBackend, MemoryController};
 use impact_sim::{BackendKind, TracedSystem};
 use impact_workloads::{kernels, CapturedTrace, Graph, RequestMix};
@@ -571,9 +571,9 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
 
 /// A verified capture, ready to run as the `fig_all --trace` experiment:
 /// x sweeps the replayed prefix (fraction of events), y reports mean
-/// response latency in cycles/op on a fresh controller per point. The
-/// figure is a function of the capture alone, so captured workloads
-/// inherit the suite's reproducibility contract for free.
+/// response latency in cycles/op over that prefix, replayed from a fresh
+/// controller. The figure is a function of the capture alone, so captured
+/// workloads inherit the suite's reproducibility contract for free.
 #[derive(Debug, Clone)]
 pub struct TraceScenario {
     captured: CapturedTrace,
@@ -593,23 +593,29 @@ impl TraceScenario {
         Ok(TraceScenario { captured, cfg })
     }
 
-    /// Replays the first 25%, 50%, 75% and 100% of the events, each on a
-    /// fresh controller, and adds a request-mix note line.
+    /// Reports the mean latency over the first 25%, 50%, 75% and 100% of
+    /// the events, and adds a request-mix note line. A prefix replayed on a
+    /// fresh controller is a prefix of the full replay, so one replay on
+    /// one fresh controller reads every point at its cut.
     #[must_use]
     pub fn figure(&self) -> Figure {
+        let events = &self.captured.events;
+        let mut backend = MemoryController::from_config(&self.cfg);
+        let (mut replayed, mut responses, mut total_latency) = (0, 0u64, 0u64);
         let points = [0.25, 0.5, 0.75, 1.0]
             .into_iter()
             .map(|x| {
-                let events = (self.captured.events.len() as f64 * x).round() as usize;
-                let mut backend = MemoryController::from_config(&self.cfg);
-                let replayed = self
-                    .captured
-                    .replay_prefix(&mut backend, events)
-                    .expect("full replay was validated by verify_capture");
-                let y = if replayed.responses == 0 {
+                let cut = (events.len() as f64 * x).round() as usize;
+                replay_events(&events[replayed..cut], &mut backend, |resp| {
+                    responses += 1;
+                    total_latency += resp.latency.0;
+                })
+                .expect("full replay was validated by verify_capture");
+                replayed = cut;
+                let y = if responses == 0 {
                     0.0
                 } else {
-                    replayed.total_latency as f64 / replayed.responses as f64
+                    total_latency as f64 / responses as f64
                 };
                 (x, y)
             })
@@ -851,14 +857,25 @@ mod tests {
         assert!(summary.responses >= mix.loads + mix.stores);
     }
 
+    /// The figure's single replay reads, bit for bit, the points a replay
+    /// of each prefix on its own fresh controller gives.
     #[test]
     fn trace_scenario_sweeps_the_capture() {
         let (bytes, _) = quick_capture(CaptureKind::Mix);
         let captured = CapturedTrace::read_from(&bytes[..]).unwrap();
-        let fig = TraceScenario::new(captured).unwrap().figure();
+        let cfg = resolve_config(&captured.header).unwrap();
+        let fig = TraceScenario::new(captured.clone()).unwrap().figure();
         assert_eq!(fig.id, "trace");
         let series = &fig.series[0];
         assert_eq!(series.points.len(), 4);
+        for &(x, y) in &series.points {
+            let cut = (captured.events.len() as f64 * x).round() as usize;
+            let mut fresh = MemoryController::from_config(&cfg);
+            let prefix = captured.replay_prefix(&mut fresh, cut).unwrap();
+            assert!(prefix.responses > 0);
+            let expect = prefix.total_latency as f64 / prefix.responses as f64;
+            assert_eq!(y.to_bits(), expect.to_bits(), "point at {x}");
+        }
         assert!(series.points.iter().all(|&(_, y)| y > 0.0));
         // And the figure carries the mix note.
         assert!(fig.notes[0].contains("events"));

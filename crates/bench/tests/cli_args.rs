@@ -1,10 +1,10 @@
 //! The command-line binaries reject malformed input with a usage error or
-//! a typed failure (exit 1 or 2), never a panic. Every case here exits
-//! before any simulation runs, so the table is cheap even in a debug
+//! a typed failure (exit 1 or 2), never a panic. Every case in the table
+//! exits before any simulation runs, so it is cheap even in a debug
 //! build.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use impact_bench::trace_tools::{record_capture, CaptureKind};
 use impact_core::addr::PhysAddr;
@@ -63,6 +63,24 @@ fn malformed_arguments_exit_with_usage_not_a_panic() {
     for (bin, args) in cases {
         assert_clean_failure(bin, args);
     }
+}
+
+/// A reader that goes away before the first figure (`fig_all | head`)
+/// ends the run quietly with exit 0, not a broken-pipe panic.
+#[test]
+fn fig_all_exits_quietly_when_its_reader_goes_away() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fig_all"))
+        .arg("--quick")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("run fig_all");
+    // Figures print only once every experiment has run, long after this.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for fig_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "fig_all panicked:\n{stderr}");
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
 }
 
 /// Records a quick Mix capture to `path`.

@@ -835,6 +835,91 @@ mod tests {
         assert_ne!(run(1), DIGEST_INIT);
     }
 
+    /// The fold as specified: every field's 8 little-endian bytes, in fold
+    /// order, through the plain byte loop.
+    fn reference_fold(digest: u64, resp: &MemResponse) -> u64 {
+        let mut words = vec![
+            resp.bank as u64,
+            resp.row,
+            resp.kind as u64,
+            resp.latency.0,
+            resp.completed_at.0,
+            resp.per_bank.len() as u64,
+        ];
+        for &(bank, kind, latency) in &resp.per_bank {
+            words.extend([bank as u64, kind as u64, latency.0]);
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        crate::hash::fnv1a_bytes(digest, &bytes)
+    }
+
+    /// All-zero and all-ones responses, each with and without per-bank
+    /// lanes, and a RowClone-shaped one with realistic widths.
+    fn sample_responses() -> Vec<MemResponse> {
+        use RowBufferKind::{Conflict, Hit, Miss};
+        let zero = MemResponse {
+            bank: 0,
+            row: 0,
+            kind: Hit,
+            latency: Cycles(0),
+            completed_at: Cycles(0),
+            per_bank: Vec::new(),
+        };
+        let max = MemResponse {
+            bank: usize::MAX,
+            row: u64::MAX,
+            kind: Conflict,
+            latency: Cycles(u64::MAX),
+            completed_at: Cycles(u64::MAX),
+            per_bank: Vec::new(),
+        };
+        let lanes = vec![
+            (usize::MAX, Conflict, Cycles(u64::MAX)),
+            (0, Hit, Cycles(0)),
+        ];
+        vec![
+            MemResponse {
+                per_bank: lanes.clone(),
+                ..zero.clone()
+            },
+            MemResponse {
+                per_bank: lanes,
+                ..max.clone()
+            },
+            zero,
+            max,
+            MemResponse {
+                bank: 13,
+                row: 0x2a0f,
+                kind: Miss,
+                latency: Cycles(174),
+                completed_at: Cycles(0x00de_ad4b),
+                per_bank: vec![(13, Miss, Cycles(174)), (77, Conflict, Cycles(0x1_0000))],
+            },
+        ]
+    }
+
+    #[test]
+    fn fold_response_equals_byte_fold_of_every_field() {
+        for resp in &sample_responses() {
+            for start in [DIGEST_INIT, 0, u64::MAX] {
+                assert_eq!(
+                    fold_response(start, resp),
+                    reference_fold(start, resp),
+                    "{resp:?}"
+                );
+            }
+        }
+    }
+
+    /// The digest of [`sample_responses`], pinned from the plain
+    /// byte-at-a-time fold.
+    #[test]
+    fn fold_response_digest_is_pinned() {
+        let digest = sample_responses().iter().fold(DIGEST_INIT, fold_response);
+        assert_eq!(digest, 0x97a9_cace_dc04_7002, "got {digest:#018x}");
+    }
+
     #[test]
     fn replay_rejects_injects_on_missing_banks() {
         use crate::error::Error;
