@@ -456,15 +456,17 @@ mod tests {
         let mut mono_ch = PnmCovertChannel::setup(&mut mono_sys, 16).unwrap();
         let mono = mono_ch.transmit(&mut mono_sys, &msg).unwrap();
 
-        let mut tr_sys = TracedSystem::traced(cfg());
+        let mut tr_sys =
+            TracedSystem::recording(cfg(), Vec::new(), "paper_table2_noiseless", 31).unwrap();
         let mut tr_ch = PnmCovertChannel::setup(&mut tr_sys, 16).unwrap();
         assert_eq!(tr_ch.transmit(&mut tr_sys, &msg).unwrap(), mono);
-        // The hot loop really went through the batched path: the log
+        // The hot loop really went through the batched path: the trace
         // contains one batch event per transmitted chunk plus the
         // initialization burst.
-        use impact_core::trace::TraceEvent;
-        let batches = tr_sys
-            .trace_log()
+        use impact_core::trace::{read_trace, TraceEvent};
+        let (_, bytes) = tr_sys.finish_trace().unwrap();
+        let (_, events, _) = read_trace(&bytes[..]).unwrap();
+        let batches = events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Batch(_)))
             .count();

@@ -549,7 +549,13 @@ mod tests {
         };
         let mut mono_sys = System::new(cfg());
         let mono = attack().run(&mut mono_sys).unwrap();
-        let mut tr_sys = TracedSystem::traced(cfg());
+        let mut tr_sys = TracedSystem::recording(
+            cfg(),
+            std::io::sink(),
+            "paper_table2_noiseless+banks:1024",
+            0,
+        )
+        .unwrap();
         let traced = attack().run(&mut tr_sys).unwrap();
         assert_eq!(mono.score.true_positives, traced.score.true_positives);
         assert_eq!(mono.score.false_positives, traced.score.false_positives);

@@ -17,17 +17,17 @@
 //! `PATH`, exit nonzero on drift.
 //!
 //! `--trace FILE` additionally admits `--trace-sessions` (default 64)
-//! sessions replaying growing prefixes of a recorded trace. The capture
-//! is first checked by `trace_tools::verify_capture`, as under
-//! `fig_all --trace`: its label must resolve to the fingerprinted
-//! `SystemConfig` and a full replay must reproduce the recorded footer.
-//! A capture that fails exits 1 before any session runs.
+//! sessions replaying growing prefixes of a recorded trace. Its label
+//! must resolve to the fingerprinted `SystemConfig`, and admission runs
+//! `CapturedTrace::verify`, the check behind `fig_all --trace`: one full
+//! replay must reproduce the recorded footer. A capture that fails exits
+//! 1 before any session runs.
 
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use impact_bench::trace_tools::verify_capture;
+use impact_bench::trace_tools::resolve_config;
 use impact_fleet::{FleetConfig, FleetEvent, FleetService};
 use impact_workloads::CapturedTrace;
 
@@ -103,7 +103,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let admission = verify_capture(&trace)
+        let admission = resolve_config(&trace.header)
             .and_then(|sys| fleet.admit_trace(&Arc::new(trace), &sys, trace_sessions));
         if let Err(e) = admission {
             eprintln!("fleet_run: trace {path} is not replayable: {e}");

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! `record` runs a canonical capture workload with the tracing proxy
-//! spilling straight to disk. `replay` re-services the file on a fresh
+//! streaming straight to disk. `replay` re-services the file on a fresh
 //! controller and verifies responses, `BackendStats` and the DRAM state
 //! digest bit-for-bit against the recorded footer (exit code 1 on any
 //! mismatch); `--metrics PATH` additionally writes the `impact_obs`

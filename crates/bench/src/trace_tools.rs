@@ -3,14 +3,14 @@
 //!
 //! A trace file makes cross-machine reproducibility a *checkable
 //! property*: [`record_capture`] runs a canonical workload through the
-//! tracing proxy ([`TracedSystem`]) spilling straight to disk;
+//! tracing proxy ([`TracedSystem`]), which streams it straight to disk;
 //! [`replay_file`] re-services the file on a fresh [`MemoryController`]
 //! and verifies the responses, [`BackendStats`] and DRAM state digest
-//! bit-for-bit against the recorded footer; [`verify_capture`] makes the
-//! same check on a loaded capture before anything uses it;
-//! [`diff_readers`] pinpoints the first divergent event between two
-//! captures; and [`TraceScenario`] turns a captured file into a
-//! prefix-replay [`Figure`] that runs alongside the built-in experiment
+//! bit-for-bit against the recorded footer; [`verify_capture`] runs
+//! [`CapturedTrace::verify`], the same check on a loaded capture, before
+//! anything uses it; [`diff_readers`] pinpoints the first divergent event
+//! between two captures; and [`TraceScenario`] turns a captured file into
+//! a prefix-replay [`Figure`] that runs alongside the built-in experiment
 //! suite.
 
 use std::io::{Read, Write};
@@ -20,7 +20,9 @@ use impact_core::config::SystemConfig;
 use impact_core::engine::{BackendStats, MemoryBackend};
 use impact_core::error::{Error, Result};
 use impact_core::rng::SimRng;
-use impact_core::trace::{replay_events, TraceEvent, TraceHeader, TraceReader, TraceSummary};
+use impact_core::trace::{
+    replay_events, TraceEvent, TraceHeader, TraceReader, TraceSummary, TraceWriter, TracingBackend,
+};
 use impact_memctrl::{ControllerBackend, MemoryController};
 use impact_sim::{BackendKind, TracedSystem};
 use impact_workloads::{kernels, CapturedTrace, Graph, RequestMix};
@@ -109,9 +111,9 @@ pub struct CaptureOutcome {
 }
 
 /// Records `kind` through a [`TracedSystem`] over the controller
-/// `backend` names, streaming the trace into `sink` (spill mode: the
-/// recording never materializes in memory). The same (kind, quick, seed)
-/// gives byte-identical trace files on every machine.
+/// `backend` names, streaming the trace into `sink` (the recording never
+/// materializes in memory). The same (kind, quick, seed) gives
+/// byte-identical trace files on every machine.
 ///
 /// # Errors
 ///
@@ -125,8 +127,7 @@ pub fn record_capture(
 ) -> Result<CaptureOutcome> {
     let BackendKind::Mono = backend;
     let label = "paper_table2";
-    let mut sys = TracedSystem::traced(SystemConfig::paper_table2());
-    sys.record_trace_to(sink, label, seed)?;
+    let mut sys = TracedSystem::recording(SystemConfig::paper_table2(), sink, label, seed)?;
     match kind {
         CaptureKind::Mix => run_mix(&mut sys, quick, seed)?,
         CaptureKind::Pnm => {
@@ -142,11 +143,12 @@ pub fn record_capture(
             impact_workloads::replay(&mut sys, agent, &trace)?;
         }
     }
-    let summary = sys.finish_trace()?.expect("recording was started above");
+    let state_digest = sys.backend().dram_state_digest();
+    let (summary, _) = sys.finish_trace()?;
     Ok(CaptureOutcome {
         label: label.to_string(),
         summary,
-        state_digest: sys.backend().dram_state_digest(),
+        state_digest,
     })
 }
 
@@ -226,37 +228,21 @@ pub struct ReplayVerification {
 }
 
 impl ReplayVerification {
-    /// True when the replay reproduced the recorded run bit-for-bit.
+    /// True when the replay reproduced the recorded run bit-for-bit
+    /// ([`TraceSummary::reproduced_by`]).
     #[must_use]
     pub fn matches(&self) -> bool {
-        reproduces_footer(
-            &self.recorded,
-            self.responses,
-            self.response_digest,
-            &self.stats,
-        )
+        self.recorded
+            .reproduced_by(self.responses, self.response_digest, &self.stats)
     }
 }
 
-/// True when a replay's response count, response digest and final
-/// [`BackendStats`] equal the recorded footer's.
-fn reproduces_footer(
-    recorded: &TraceSummary,
-    responses: u64,
-    response_digest: u64,
-    stats: &BackendStats,
-) -> bool {
-    responses == recorded.responses
-        && response_digest == recorded.response_digest
-        && *stats == recorded.stats
-}
-
-/// Verifies a loaded capture before anything uses it: resolves the
-/// header to its [`SystemConfig`] ([`resolve_config`]), replays every
-/// event on a fresh [`MemoryController`] and checks the result against
-/// the recorded footer, as [`ReplayVerification::matches`] does for a
-/// streamed file. Returns the resolved configuration. `fig_all --trace`
-/// (through [`TraceScenario::new`]) and `fleet_run --trace` both call it.
+/// Resolves a loaded capture's header to its [`SystemConfig`]
+/// ([`resolve_config`]) and runs [`CapturedTrace::verify`] on it, so
+/// nothing uses a capture whose events do not reproduce its footer.
+/// Returns the resolved configuration. `fig_all --trace` calls it through
+/// [`TraceScenario::new`]; `fleet_run --trace` reaches the same check
+/// through `FleetService::admit_trace`.
 ///
 /// # Errors
 ///
@@ -266,28 +252,7 @@ fn reproduces_footer(
 /// raises when serviced.
 pub fn verify_capture(captured: &CapturedTrace) -> Result<SystemConfig> {
     let cfg = resolve_config(&captured.header)?;
-    let mut probe = MemoryController::from_config(&cfg);
-    let replayed = captured.replay_prefix(&mut probe, captured.events.len())?;
-    let recorded = &captured.summary;
-    let stats = probe.backend_stats();
-    if !reproduces_footer(
-        recorded,
-        replayed.responses,
-        replayed.response_digest,
-        &stats,
-    ) {
-        return Err(Error::TraceFormat(format!(
-            "capture does not reproduce its own footer \
-             (recorded {} responses / digest {:#018x} / {:?}, \
-             replayed {} / {:#018x} / {:?})",
-            recorded.responses,
-            recorded.response_digest,
-            recorded.stats,
-            replayed.responses,
-            replayed.response_digest,
-            stats,
-        )));
-    }
+    captured.verify(&cfg)?;
     Ok(cfg)
 }
 
@@ -419,20 +384,6 @@ pub fn diff_readers<A: Read, B: Read>(a: A, b: B) -> Result<DiffOutcome> {
     }
 }
 
-/// First divergent index between two in-memory event slices (`None` when
-/// equal) — the slice-level core of `trace_replay diff`, used directly by
-/// the end-to-end tests.
-#[must_use]
-pub fn first_divergence(a: &[TraceEvent], b: &[TraceEvent]) -> Option<u64> {
-    let shared = a.len().min(b.len());
-    for (i, (ea, eb)) in a.iter().zip(b).enumerate() {
-        if ea != eb {
-            return Some(i as u64);
-        }
-    }
-    (a.len() != b.len()).then_some(shared as u64)
-}
-
 /// Summarizes a trace file's request mix (`trace_replay stats`).
 ///
 /// # Errors
@@ -491,21 +442,12 @@ pub fn slice_capture<W: Write>(
             ))
         })?;
     let cfg = resolve_config(&captured.header)?;
-    let window = &captured.events[start..end];
-    let mut backend = MemoryController::from_config(&cfg);
-    let (responses, response_digest) =
-        impact_core::trace::replay_digest(window.iter().cloned().map(Ok), &mut backend)?;
-    let summary = TraceSummary {
-        events: window.len() as u64,
-        responses,
-        response_digest,
-        stats: backend.backend_stats(),
-    };
-    impact_core::trace::write_trace(sink, &captured.header, window, &summary)?;
-    Ok(SliceOutcome {
-        summary,
-        state_digest: backend.dram_state_digest(),
-    })
+    rewrite(
+        &cfg,
+        &captured.header,
+        captured.events[start..end].iter(),
+        sink,
+    )
 }
 
 /// Concatenates captured traces into one standalone, footer-valid trace
@@ -549,20 +491,26 @@ pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<Sli
             )));
         }
     }
-    let mut events: Vec<TraceEvent> = Vec::new();
-    for input in inputs {
-        events.extend(input.events.iter().cloned());
-    }
-    let mut backend = MemoryController::from_config(&cfg);
-    let (responses, response_digest) =
-        impact_core::trace::replay_digest(events.iter().cloned().map(Ok), &mut backend)?;
-    let summary = TraceSummary {
-        events: events.len() as u64,
-        responses,
-        response_digest,
-        stats: backend.backend_stats(),
-    };
-    impact_core::trace::write_trace(sink, &first.header, &events, &summary)?;
+    let events = inputs.iter().flat_map(|input| &input.events);
+    rewrite(&cfg, &first.header, events, sink)
+}
+
+/// Writes `events` under `header` as a standalone trace whose footer is
+/// recomputed from pristine state — the shared tail of [`slice_capture`]
+/// and [`merge_captures`]. The events replay on a fresh controller of
+/// `cfg` behind the tracing proxy, which records them again as they are
+/// serviced. On error `sink` holds a stream without a footer, which
+/// readers reject.
+fn rewrite<'a, W: Write>(
+    cfg: &SystemConfig,
+    header: &TraceHeader,
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+    sink: W,
+) -> Result<SliceOutcome> {
+    let writer = TraceWriter::new(sink, header)?;
+    let mut proxy = TracingBackend::new(MemoryController::from_config(cfg), writer)?;
+    replay_events(events, &mut proxy, |_| {})?;
+    let (backend, summary, _) = proxy.finish()?;
     Ok(SliceOutcome {
         summary,
         state_digest: backend.dram_state_digest(),
@@ -833,16 +781,24 @@ mod tests {
             }
             other => panic!("expected EventMismatch, got {other:?}"),
         }
-        assert_eq!(
-            first_divergence(&captured.events, &mutated.events),
-            Some(target as u64)
-        );
-        assert_eq!(first_divergence(&captured.events, &captured.events), None);
-        // Length mismatch diverges at the shorter length.
-        assert_eq!(
-            first_divergence(&captured.events[..4], &captured.events),
-            Some(4)
-        );
+        // A stream that ends early diverges at its own length.
+        let short_bytes = impact_core::trace::write_trace(
+            Vec::new(),
+            &captured.header,
+            &captured.events[..4],
+            &captured.summary,
+        )
+        .unwrap();
+        match diff_readers(&short_bytes[..], &bytes[..]).unwrap() {
+            DiffOutcome::EventMismatch {
+                index, left, right, ..
+            } => {
+                assert_eq!(index, 4);
+                assert_eq!(left, None);
+                assert_eq!(right.as_ref(), captured.events.get(4));
+            }
+            other => panic!("expected EventMismatch, got {other:?}"),
+        }
     }
 
     #[test]
@@ -871,9 +827,14 @@ mod tests {
         for &(x, y) in &series.points {
             let cut = (captured.events.len() as f64 * x).round() as usize;
             let mut fresh = MemoryController::from_config(&cfg);
-            let prefix = captured.replay_prefix(&mut fresh, cut).unwrap();
-            assert!(prefix.responses > 0);
-            let expect = prefix.total_latency as f64 / prefix.responses as f64;
+            let (mut responses, mut total_latency) = (0u64, 0u64);
+            replay_events(&captured.events[..cut], &mut fresh, |resp| {
+                responses += 1;
+                total_latency += resp.latency.0;
+            })
+            .unwrap();
+            assert!(responses > 0);
+            let expect = total_latency as f64 / responses as f64;
             assert_eq!(y.to_bits(), expect.to_bits(), "point at {x}");
         }
         assert!(series.points.iter().all(|&(_, y)| y > 0.0));

@@ -83,6 +83,25 @@ fn fig_all_exits_quietly_when_its_reader_goes_away() {
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
 }
 
+/// A worker count far past the item count runs like one thread per
+/// item: `16 * workers` must not overflow into an empty claim.
+#[test]
+fn fig_all_accepts_a_huge_job_count() {
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig_all"))
+            .args(args)
+            .output()
+            .expect("run fig_all");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr:\n{stderr}");
+        out.stdout
+    };
+    assert_eq!(
+        run(&["--jobs", "1152921504606846976", "table1", "table2"]),
+        run(&["table1", "table2"])
+    );
+}
+
 /// Records a quick Mix capture to `path`.
 fn record_quick_mix(path: &Path) {
     let sink = std::fs::File::create(path).expect("create capture file");

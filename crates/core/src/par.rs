@@ -53,6 +53,9 @@ where
     if workers <= 1 || n <= 1 {
         return items.into_iter().map(f).collect();
     }
+    // More workers than items already meant one item per claim; clamping
+    // keeps `16 * workers` from overflowing on a huge request.
+    let workers = workers.min(n);
     let chunk = if n < 16 * workers {
         1
     } else {
@@ -61,7 +64,7 @@ where
     let queue = Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<thread::Result<R>>> = (0..n).map(|_| None).collect();
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(n))
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
                     let mut done = Vec::new();
@@ -118,6 +121,18 @@ mod tests {
     fn results_come_back_in_item_order() {
         let expected: Vec<u64> = (0..40).map(|i| i * i).collect();
         for workers in [0, 1, 2, 3, 8, 64] {
+            assert_eq!(
+                ordered_map((0..40).collect(), workers, uneven),
+                expected,
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_worker_counts_run_every_item() {
+        let expected: Vec<u64> = (0..40).map(|i| i * i).collect();
+        for workers in [1 << 60, usize::MAX] {
             assert_eq!(
                 ordered_map((0..40).collect(), workers, uneven),
                 expected,

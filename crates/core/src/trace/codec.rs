@@ -149,6 +149,23 @@ pub struct TraceSummary {
     pub stats: BackendStats,
 }
 
+impl TraceSummary {
+    /// True when a replay's response count, response digest and final
+    /// [`BackendStats`] equal this recorded footer's: the one test of
+    /// whether a replay reproduced the recorded run.
+    #[must_use]
+    pub fn reproduced_by(
+        &self,
+        responses: u64,
+        response_digest: u64,
+        stats: &BackendStats,
+    ) -> bool {
+        responses == self.responses
+            && response_digest == self.response_digest
+            && *stats == self.stats
+    }
+}
+
 /// Decoded trace-file header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHeader {
@@ -310,7 +327,7 @@ impl<W: Write> TraceWriter<W> {
 
     /// Appends one batch event directly from a request slice — equivalent
     /// to `write_event(&TraceEvent::Batch(reqs.to_vec()))` without the
-    /// intermediate allocation (the spill-mode hot path).
+    /// intermediate allocation (the tracing proxy's batched hot path).
     ///
     /// # Errors
     ///

@@ -1,19 +1,21 @@
-//! A recording proxy backend: wraps any [`MemoryBackend`] and keeps a
-//! replayable log of everything that reached it.
+//! A recording proxy backend: wraps any [`MemoryBackend`] and streams a
+//! replayable trace of everything that reached it.
 //!
 //! [`TracingBackend`] is the second face of the backend seam: where the
 //! controller decides *how* requests are served, the tracing proxy
 //! changes *nothing* — it forwards every call to the inner backend
-//! verbatim and appends a [`TraceEvent`] to its log. Replaying the log
-//! into a fresh backend of the same configuration ([`replay`]) reproduces
-//! the original backend state and statistics bit for bit, which makes the
-//! log a portable repro artifact for any simulated experiment.
+//! verbatim and writes a [`TraceEvent`] through the [`TraceWriter`] it was
+//! built with. Replaying the events into a fresh backend of the same
+//! configuration ([`replay_events`], or [`replay_digest`] over a decoded
+//! stream) reproduces the original backend state and statistics bit for
+//! bit, which makes the trace a portable repro artifact for any simulated
+//! experiment.
 //!
-//! The [`codec`] submodule gives the log a durable form: a compact,
-//! versioned on-disk format ([`TraceWriter`]/[`TraceReader`]) with a
-//! config-fingerprinted header and a verifying footer, and
-//! [`TracingBackend::spill_to`] streams a recording straight to disk so
-//! multi-GB captures never materialize in memory.
+//! The [`codec`] submodule defines the durable form: a compact, versioned
+//! on-disk format ([`TraceWriter`]/[`TraceReader`]) with a
+//! config-fingerprinted header and a verifying footer. The proxy writes
+//! each event as it happens, so multi-GB captures never materialize in
+//! memory.
 //!
 //! # Example
 //!
@@ -21,7 +23,9 @@
 //! use impact_core::addr::PhysAddr;
 //! use impact_core::engine::{MemRequest, MemoryBackend};
 //! use impact_core::time::Cycles;
-//! use impact_core::trace::{replay, TracingBackend};
+//! use impact_core::trace::{
+//!     read_trace, replay_events, TraceHeader, TraceWriter, TracingBackend, TRACE_VERSION,
+//! };
 //! # use impact_core::engine::{BackendStats, MemResponse, RowBufferKind};
 //! # use impact_core::error::Result;
 //! # #[derive(Clone)]
@@ -41,11 +45,15 @@
 //! #     fn rows_per_bank(&self) -> u64 { 1 }
 //! #     fn inject_row_activation(&mut self, _: usize, _: u64, _: Cycles, _: u32) {}
 //! # }
-//! let mut traced = TracingBackend::new(Toy(0));
+//! let header = TraceHeader { version: TRACE_VERSION, fingerprint: 0, seed: 0, label: "toy".into() };
+//! let mut traced = TracingBackend::new(Toy(0), TraceWriter::new(Vec::new(), &header)?)?;
 //! traced.service(&MemRequest::load(PhysAddr(0), Cycles(0), 0))?;
+//! let (toy, summary, bytes) = traced.finish()?;
+//! let (_, events, footer) = read_trace(&bytes[..])?;
+//! assert_eq!(footer, summary);
 //! let mut fresh = Toy(0);
-//! replay(traced.log(), &mut fresh)?;
-//! assert_eq!(fresh.backend_stats(), traced.backend_stats());
+//! replay_events(&events, &mut fresh, |_| {})?;
+//! assert_eq!(fresh.backend_stats(), toy.backend_stats());
 //! # Ok::<(), impact_core::Error>(())
 //! ```
 
@@ -55,7 +63,7 @@ use std::io::Write;
 
 use crate::addr::PhysAddr;
 use crate::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::hash::{fnv1a_u64, FNV_OFFSET};
 use crate::time::Cycles;
 
@@ -88,7 +96,7 @@ pub fn fold_response(mut digest: u64, resp: &MemResponse) -> u64 {
     digest
 }
 
-/// One logged backend interaction.
+/// One recorded backend interaction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A single [`MemoryBackend::service`] call.
@@ -109,131 +117,34 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Number of backend operations this event stands for.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match self {
-            TraceEvent::Request(_) | TraceEvent::Inject { .. } => 1,
-            TraceEvent::Batch(reqs) => reqs.len(),
-        }
-    }
-
-    /// True for an empty batch event.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// A [`MemoryBackend`] proxy that records a replayable request log around
-/// any inner backend. All behavior — responses, statistics, batching —
-/// is the inner backend's, bit for bit.
+/// A [`MemoryBackend`] proxy that streams every interaction with an inner
+/// backend into a [`TraceWriter`]. All behavior — responses, statistics,
+/// batching — is the inner backend's, bit for bit.
 ///
-/// Events are kept in the in-memory log by default; switch to *spill
-/// mode* with [`TracingBackend::spill_to`] to stream them through a
-/// [`TraceWriter`] instead, so a multi-GB recording never materializes.
-/// In either mode the proxy maintains a running [`fold_response`] digest
-/// and response count, which become the footer of a persisted trace and
-/// the ground truth a replay verifies against.
-pub struct TracingBackend<B> {
+/// The proxy keeps a running [`fold_response`] digest and response count;
+/// [`TracingBackend::finish`] writes them, with the inner backend's final
+/// statistics, as the footer a replay verifies against.
+pub struct TracingBackend<B, W: Write> {
     inner: B,
-    log: Vec<TraceEvent>,
-    spill: Option<TraceWriter<Box<dyn Write + Send>>>,
-    spill_error: Option<crate::error::Error>,
-    events: u64,
+    writer: TraceWriter<W>,
+    write_error: Option<Error>,
     responses: u64,
-    injects: u64,
     digest: u64,
 }
 
-impl<B: core::fmt::Debug> core::fmt::Debug for TracingBackend<B> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("TracingBackend")
-            .field("inner", &self.inner)
-            .field("log_events", &self.log.len())
-            .field("spilling", &self.spill.is_some())
-            .field("events", &self.events)
-            .field("responses", &self.responses)
-            .finish()
-    }
-}
-
-impl<B: MemoryBackend> TracingBackend<B> {
-    /// Wraps `inner`, starting with an empty log.
-    #[must_use]
-    pub fn new(inner: B) -> TracingBackend<B> {
-        TracingBackend {
-            inner,
-            log: Vec::new(),
-            spill: None,
-            spill_error: None,
-            events: 0,
-            responses: 0,
-            injects: 0,
-            digest: DIGEST_INIT,
-        }
-    }
-
-    fn record(&mut self, ev: TraceEvent) {
-        self.events += 1;
-        match self.spill.as_mut() {
-            Some(writer) if self.spill_error.is_none() => {
-                if let Err(e) = writer.write_event(&ev) {
-                    // `service` callers see the error on the *next* request;
-                    // `inject_row_activation` cannot fail, so the error is
-                    // also re-surfaced by `finish_spill`.
-                    self.spill_error = Some(e);
-                }
-            }
-            Some(_) => {}
-            None => self.log.push(ev),
-        }
-    }
-
-    /// [`TracingBackend::record`] for a batch, without materializing the
-    /// `TraceEvent::Batch` vector when spilling (the batched hot path).
-    fn record_batch(&mut self, reqs: &[MemRequest]) {
-        self.events += 1;
-        match self.spill.as_mut() {
-            Some(writer) if self.spill_error.is_none() => {
-                if let Err(e) = writer.write_batch(reqs) {
-                    self.spill_error = Some(e);
-                }
-            }
-            Some(_) => {}
-            None => self.log.push(TraceEvent::Batch(reqs.to_vec())),
-        }
-    }
-
-    fn fold(&mut self, resp: &MemResponse) {
-        self.responses += 1;
-        self.digest = fold_response(self.digest, resp);
-    }
-
-    /// Starts streaming events into `writer` instead of the in-memory log.
-    /// The writer must already carry the header — build it with
-    /// [`TraceWriter::new`].
+impl<B: MemoryBackend, W: Write> TracingBackend<B, W> {
+    /// Wraps `inner`, streaming every event into `writer`, which already
+    /// carries the header (build it with [`TraceWriter::new`]).
     ///
     /// # Errors
     ///
-    /// Returns [`Error`](crate::error::Error::TraceFormat) when this proxy
-    /// or its inner backend has already serviced traffic: a persisted
-    /// trace must describe a run from pristine backend state, or replaying
-    /// the file into a fresh backend of the same configuration could never
-    /// verify (the footer would count pre-recording responses the event
-    /// stream does not carry, and the inner backend's warm bank state
-    /// would change the replayed responses).
-    pub fn spill_to(&mut self, writer: TraceWriter<Box<dyn Write + Send>>) -> Result<()> {
-        if self.events > 0 || self.responses > 0 || self.injects > 0 {
-            return Err(crate::error::Error::TraceFormat(format!(
-                "trace recording must start on a fresh backend \
-                 ({} events already recorded)",
-                self.events
-            )));
-        }
-        if self.inner.backend_stats() != BackendStats::default() {
-            return Err(crate::error::Error::TraceFormat(
+    /// Returns [`Error::TraceFormat`] when `inner` has already serviced
+    /// traffic or carries warm bank state: a trace must describe a run
+    /// from pristine backend state, or replaying it into a fresh backend
+    /// of the same configuration could never verify.
+    pub fn new(inner: B, writer: TraceWriter<W>) -> Result<TracingBackend<B, W>> {
+        if inner.backend_stats() != BackendStats::default() {
+            return Err(Error::TraceFormat(
                 "trace recording must start on a fresh backend \
                  (inner backend has already serviced traffic)"
                     .into(),
@@ -244,68 +155,72 @@ impl<B: MemoryBackend> TracingBackend<B> {
         // backend provides it (`Cycles(u64::MAX)` is the conservative
         // "no introspection" default, which cannot prove anything either
         // way and is let through).
-        for bank in 0..self.inner.num_banks() {
-            let ready = self.inner.bank_ready_at(bank);
+        for bank in 0..inner.num_banks() {
+            let ready = inner.bank_ready_at(bank);
             if ready != Cycles::ZERO && ready != Cycles(u64::MAX) {
-                return Err(crate::error::Error::TraceFormat(format!(
+                return Err(Error::TraceFormat(format!(
                     "trace recording must start on a fresh backend \
                      (bank {bank} carries warm state)"
                 )));
             }
         }
-        self.spill = Some(writer);
+        Ok(TracingBackend {
+            inner,
+            writer,
+            write_error: None,
+            responses: 0,
+            digest: DIGEST_INIT,
+        })
+    }
+
+    /// Writes one event through `write`. A write error is sticky: the call
+    /// that hits it still succeeds, every later one fails with it, and
+    /// [`TracingBackend::finish`] refuses to seal the stream.
+    fn record(&mut self, write: impl FnOnce(&mut TraceWriter<W>) -> Result<()>) -> Result<()> {
+        if let Some(e) = &self.write_error {
+            return Err(e.clone());
+        }
+        self.write_error = write(&mut self.writer).err();
         Ok(())
     }
 
-    /// True while events stream to a spill writer.
-    #[must_use]
-    pub fn is_spilling(&self) -> bool {
-        self.spill.is_some()
+    fn fold(&mut self, resp: &MemResponse) {
+        self.responses += 1;
+        self.digest = fold_response(self.digest, resp);
     }
 
-    /// Ends spill mode: writes the trace footer (event count, response
-    /// count, response digest, the inner backend's final stats), flushes,
-    /// and returns the completed [`TraceSummary`]. Returns `Ok(None)` when
-    /// not spilling.
+    /// Seals the trace: writes the footer (event and response counts, the
+    /// response digest, the inner backend's final stats), flushes, and
+    /// returns the inner backend, the footer and the sink.
     ///
     /// # Errors
     ///
-    /// Surfaces any write error deferred during recording, then footer
+    /// The write error that ended the recording, if any, then footer
     /// write/flush errors.
-    pub fn finish_spill(&mut self) -> Result<Option<TraceSummary>> {
-        let Some(writer) = self.spill.take() else {
-            return Ok(None);
-        };
-        // A write error anywhere during the recording makes the stream
-        // unusable; never seal it with a success footer.
-        if let Some(e) = self.spill_error.take() {
+    pub fn finish(self) -> Result<(B, TraceSummary, W)> {
+        let summary = self.summary();
+        let TracingBackend {
+            inner,
+            writer,
+            write_error,
+            ..
+        } = self;
+        if let Some(e) = write_error {
             return Err(e);
         }
-        let summary = TraceSummary {
-            events: writer.events_written(),
-            responses: self.responses,
-            response_digest: self.digest,
-            stats: self.inner.backend_stats(),
-        };
-        writer.finish(summary.responses, summary.response_digest, &summary.stats)?;
-        Ok(Some(summary))
+        let sink = writer.finish(summary.responses, summary.response_digest, &summary.stats)?;
+        Ok((inner, summary, sink))
     }
 
-    /// The footer-shaped summary of everything recorded so far (any mode).
+    /// The footer-shaped summary of everything recorded so far.
     #[must_use]
     pub fn summary(&self) -> TraceSummary {
         TraceSummary {
-            events: self.events,
+            events: self.writer.events_written(),
             responses: self.responses,
             response_digest: self.digest,
             stats: self.inner.backend_stats(),
         }
-    }
-
-    /// Running [`fold_response`] digest over every response served.
-    #[must_use]
-    pub fn response_digest(&self) -> u64 {
-        self.digest
     }
 
     /// The wrapped backend.
@@ -318,51 +233,18 @@ impl<B: MemoryBackend> TracingBackend<B> {
     pub fn inner_mut(&mut self) -> &mut B {
         &mut self.inner
     }
-
-    /// The recorded log so far.
-    #[must_use]
-    pub fn log(&self) -> &[TraceEvent] {
-        &self.log
-    }
-
-    /// Takes the recorded log, leaving an empty one behind.
-    pub fn take_log(&mut self) -> Vec<TraceEvent> {
-        core::mem::take(&mut self.log)
-    }
-
-    /// Total backend operations recorded (batch events count per request),
-    /// in any mode.
-    #[must_use]
-    pub fn recorded_ops(&self) -> usize {
-        (self.responses + self.injects) as usize
-    }
-
-    /// Unwraps into the inner backend, discarding the log.
-    #[must_use]
-    pub fn into_inner(self) -> B {
-        self.inner
-    }
 }
 
-impl<B: MemoryBackend> MemoryBackend for TracingBackend<B> {
+impl<B: MemoryBackend, W: Write> MemoryBackend for TracingBackend<B, W> {
     fn service(&mut self, req: &MemRequest) -> Result<MemResponse> {
-        // A deferred spill error is sticky: every later call fails with it
-        // and `finish_spill` still surfaces it, so a broken recording can
-        // never be sealed as a success.
-        if let Some(e) = &self.spill_error {
-            return Err(e.clone());
-        }
-        self.record(TraceEvent::Request(*req));
+        self.record(|w| w.write_event(&TraceEvent::Request(*req)))?;
         let resp = self.inner.service(req)?;
         self.fold(&resp);
         Ok(resp)
     }
 
     fn service_batch(&mut self, reqs: &[MemRequest]) -> Result<Vec<MemResponse>> {
-        if let Some(e) = &self.spill_error {
-            return Err(e.clone());
-        }
-        self.record_batch(reqs);
+        self.record(|w| w.write_batch(reqs))?;
         let resps = self.inner.service_batch(reqs)?;
         for resp in &resps {
             self.fold(resp);
@@ -391,12 +273,15 @@ impl<B: MemoryBackend> MemoryBackend for TracingBackend<B> {
     }
 
     fn inject_row_activation(&mut self, bank: usize, row: u64, at: Cycles, actor: u32) {
-        self.injects += 1;
-        self.record(TraceEvent::Inject {
-            bank,
-            row,
-            at,
-            actor,
+        // Injection cannot fail; a write error surfaces on the next
+        // `service` call and at `finish`.
+        let _ = self.record(|w| {
+            w.write_event(&TraceEvent::Inject {
+                bank,
+                row,
+                at,
+                actor,
+            })
         });
         self.inner.inject_row_activation(bank, row, at, actor);
     }
@@ -415,10 +300,10 @@ impl<B: MemoryBackend> MemoryBackend for TracingBackend<B> {
 }
 
 /// Services one event and hands each produced response to `visit` — THE
-/// event dispatch rule. Every replay flavor (collecting, digesting,
-/// prefix-sweeping) routes through this one function so a future
-/// [`TraceEvent`] variant or servicing-rule change cannot silently
-/// diverge between them.
+/// event dispatch rule. Both replay entry points ([`replay_events`] over
+/// borrowed events, [`replay_digest`] over a decoded stream) route
+/// through this one function, so a future [`TraceEvent`] variant or
+/// servicing-rule change cannot silently diverge between them.
 fn dispatch_event<B: MemoryBackend>(
     ev: &TraceEvent,
     backend: &mut B,
@@ -446,7 +331,7 @@ fn dispatch_event<B: MemoryBackend>(
             // arrays with it directly.
             let banks = backend.num_banks();
             if *bank >= banks {
-                return Err(crate::error::Error::TraceFormat(format!(
+                return Err(Error::TraceFormat(format!(
                     "inject event targets bank {bank} of a {banks}-bank device"
                 )));
             }
@@ -465,7 +350,7 @@ const MAX_ARRIVAL: Cycles = Cycles(1 << 62);
 /// Rejects an untrusted arrival time past [`MAX_ARRIVAL`].
 fn check_arrival(at: Cycles) -> Result<()> {
     if at > MAX_ARRIVAL {
-        return Err(crate::error::Error::TraceFormat(format!(
+        return Err(Error::TraceFormat(format!(
             "event arrives at cycle {}, past the replay horizon of {} cycles",
             at.0, MAX_ARRIVAL.0
         )));
@@ -473,9 +358,10 @@ fn check_arrival(at: Cycles) -> Result<()> {
     Ok(())
 }
 
-/// Replays in-memory events into `backend`, handing each response to
-/// `visit` as it is produced — the constant-memory building block the
-/// other replay entry points (and `CapturedTrace::replay_prefix`) share.
+/// Replays borrowed events into `backend`, handing each response to
+/// `visit` as it is produced. Given a backend in the recording's initial
+/// configuration, this reproduces the original run's responses, backend
+/// state and statistics.
 ///
 /// # Errors
 ///
@@ -495,23 +381,10 @@ where
     Ok(())
 }
 
-/// Replays a recorded log into `backend`, reproducing the original run's
-/// backend state and statistics (given a backend in the original initial
-/// configuration). Returns the responses in log order, batches flattened.
-///
-/// # Errors
-///
-/// Stops at the first failing request, exactly like the original run.
-pub fn replay<B: MemoryBackend>(log: &[TraceEvent], backend: &mut B) -> Result<Vec<MemResponse>> {
-    let mut out = Vec::new();
-    replay_events(log, backend, |resp| out.push(resp))?;
-    Ok(out)
-}
-
-/// Streams decoded events into `backend` without materializing responses,
-/// folding each into a [`fold_response`] digest — the memory-lean replay
-/// path for traces too large to hold in memory. Returns
-/// `(responses, digest)`.
+/// Streams decoded events into `backend` without materializing them or
+/// their responses, folding each response into a [`fold_response`]
+/// digest — the replay path for traces too large to hold in memory.
+/// Returns `(responses, digest)`.
 ///
 /// # Errors
 ///
@@ -603,73 +476,6 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn proxy_is_transparent() {
-        let mut plain = MiniBank::default();
-        let mut traced = TracingBackend::new(MiniBank::default());
-        for r in reqs() {
-            assert_eq!(plain.service(&r).unwrap(), traced.service(&r).unwrap());
-        }
-        assert_eq!(plain.backend_stats(), traced.backend_stats());
-        assert_eq!(traced.log().len(), 16);
-        assert_eq!(traced.recorded_ops(), 16);
-    }
-
-    #[test]
-    fn replay_reproduces_state_and_stats() {
-        let mut traced = TracingBackend::new(MiniBank::default());
-        let rs = reqs();
-        let originals: Vec<MemResponse> = rs
-            .iter()
-            .map(|r| traced.service(r).unwrap())
-            .collect::<Vec<_>>();
-        traced.service_batch(&rs).unwrap();
-        traced.inject_row_activation(2, 7, Cycles(99), 1);
-
-        let mut fresh = MiniBank::default();
-        let replayed = replay(traced.log(), &mut fresh).unwrap();
-        assert_eq!(&replayed[..originals.len()], &originals[..]);
-        assert_eq!(fresh.backend_stats(), traced.backend_stats());
-        assert_eq!(fresh.open, traced.inner().open);
-    }
-
-    #[test]
-    fn batch_boundaries_are_preserved() {
-        let mut traced = TracingBackend::new(MiniBank::default());
-        let rs = reqs();
-        traced.service_batch(&rs[..4]).unwrap();
-        traced.service(&rs[4]).unwrap();
-        assert_eq!(traced.log().len(), 2);
-        assert!(matches!(&traced.log()[0], TraceEvent::Batch(b) if b.len() == 4));
-        assert!(matches!(&traced.log()[1], TraceEvent::Request(_)));
-        assert_eq!(traced.recorded_ops(), 5);
-    }
-
-    #[test]
-    fn take_log_resets() {
-        let mut traced = TracingBackend::new(MiniBank::default());
-        traced.service(&reqs()[0]).unwrap();
-        let log = traced.take_log();
-        assert_eq!(log.len(), 1);
-        assert!(traced.log().is_empty());
-        assert_eq!(traced.into_inner().stats.accesses, 1);
-    }
-
-    /// A `Write` handle over a shared buffer so tests can read back what a
-    /// boxed spill writer produced.
-    #[derive(Clone, Default)]
-    struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
-
-    impl Write for SharedBuf {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     fn header() -> TraceHeader {
         TraceHeader {
             version: TRACE_VERSION,
@@ -679,93 +485,80 @@ mod tests {
         }
     }
 
+    /// A proxy recording `inner` into an in-memory trace.
+    fn recorder(inner: MiniBank) -> Result<TracingBackend<MiniBank, Vec<u8>>> {
+        TracingBackend::new(inner, TraceWriter::new(Vec::new(), &header()).unwrap())
+    }
+
     #[test]
-    fn spill_mode_streams_events_instead_of_logging() {
+    fn proxy_is_transparent() {
+        let mut plain = MiniBank::default();
+        let mut traced = recorder(MiniBank::default()).unwrap();
+        for r in reqs() {
+            assert_eq!(plain.service(&r).unwrap(), traced.service(&r).unwrap());
+        }
+        assert_eq!(plain.backend_stats(), traced.backend_stats());
+        let (inner, summary, _) = traced.finish().unwrap();
+        assert_eq!(inner.open, plain.open);
+        assert_eq!((summary.events, summary.responses), (16, 16));
+    }
+
+    #[test]
+    fn replay_reproduces_state_and_stats() {
+        let mut traced = recorder(MiniBank::default()).unwrap();
         let rs = reqs();
-        // Reference run: in-memory log.
-        let mut logged = TracingBackend::new(MiniBank::default());
-        for r in &rs {
-            logged.service(r).unwrap();
-        }
-        logged.service_batch(&rs[..4]).unwrap();
-        logged.inject_row_activation(1, 3, Cycles(5), 9);
+        let originals: Vec<MemResponse> = rs.iter().map(|r| traced.service(r).unwrap()).collect();
+        traced.service_batch(&rs).unwrap();
+        traced.inject_row_activation(2, 7, Cycles(99), 1);
+        let (inner, summary, bytes) = traced.finish().unwrap();
 
-        // Spilled run of the same stream.
-        let buf = SharedBuf::default();
-        let mut spilled = TracingBackend::new(MiniBank::default());
-        let writer =
-            TraceWriter::new(Box::new(buf.clone()) as Box<dyn Write + Send>, &header()).unwrap();
-        spilled.spill_to(writer).unwrap();
-        assert!(spilled.is_spilling());
-        for r in &rs {
-            spilled.service(r).unwrap();
-        }
-        spilled.service_batch(&rs[..4]).unwrap();
-        spilled.inject_row_activation(1, 3, Cycles(5), 9);
-        assert!(spilled.log().is_empty(), "spill mode must not grow the log");
-        assert_eq!(spilled.recorded_ops(), logged.recorded_ops());
-        assert_eq!(spilled.response_digest(), logged.response_digest());
-        let summary = spilled.finish_spill().unwrap().expect("was spilling");
-        assert!(!spilled.is_spilling());
-        assert_eq!(summary, logged.summary());
-
-        // The spilled bytes decode back to exactly the in-memory log.
-        let bytes = buf.0.lock().unwrap().clone();
-        let (hdr, events, decoded_summary) = read_trace(&bytes[..]).unwrap();
+        // The file carries the header, every event and the footer
+        // `finish` reported.
+        let (hdr, events, footer) = read_trace(&bytes[..]).unwrap();
         assert_eq!(hdr, header());
-        assert_eq!(events, logged.log());
-        assert_eq!(decoded_summary, summary);
+        assert_eq!(footer, summary);
+        assert_eq!(events.len(), 18);
+
+        let mut fresh = MiniBank::default();
+        let mut replayed = Vec::new();
+        replay_events(&events, &mut fresh, |resp| replayed.push(resp)).unwrap();
+        assert_eq!(&replayed[..originals.len()], &originals[..]);
+        assert_eq!(fresh.backend_stats(), inner.backend_stats());
+        assert_eq!(fresh.open, inner.open);
     }
 
     #[test]
-    fn finish_spill_without_spill_is_none() {
-        let mut traced = TracingBackend::new(MiniBank::default());
-        assert!(traced.finish_spill().unwrap().is_none());
+    fn batch_boundaries_are_preserved() {
+        let mut traced = recorder(MiniBank::default()).unwrap();
+        let rs = reqs();
+        traced.service_batch(&rs[..4]).unwrap();
+        traced.service(&rs[4]).unwrap();
+        let (_, summary, bytes) = traced.finish().unwrap();
+        assert_eq!((summary.events, summary.responses), (2, 5));
+        let (_, events, _) = read_trace(&bytes[..]).unwrap();
+        assert!(matches!(&events[0], TraceEvent::Batch(b) if b.len() == 4));
+        assert!(matches!(&events[1], TraceEvent::Request(_)));
     }
 
     #[test]
-    fn spill_requires_a_fresh_backend() {
-        use crate::error::Error;
-        // A proxy that already serviced traffic cannot start a recording:
-        // the footer would count responses the event stream doesn't carry.
-        let mut used = TracingBackend::new(MiniBank::default());
-        used.service(&reqs()[0]).unwrap();
-        let writer = TraceWriter::new(
-            Box::new(SharedBuf::default()) as Box<dyn Write + Send>,
-            &header(),
-        )
-        .unwrap();
-        assert!(matches!(
-            used.spill_to(writer),
-            Err(Error::TraceFormat(msg)) if msg.contains("fresh backend")
-        ));
-        assert!(!used.is_spilling());
-
-        // A pre-warmed *inner* backend is rejected too: its bank state
+    fn recording_requires_a_fresh_backend() {
+        // A pre-warmed inner backend is rejected: the footer would count
+        // responses the event stream doesn't carry, and its bank state
         // would change the replayed responses.
         let mut warm_inner = MiniBank::default();
         warm_inner.service(&reqs()[0]).unwrap();
-        let mut proxy = TracingBackend::new(warm_inner);
-        let writer = TraceWriter::new(
-            Box::new(SharedBuf::default()) as Box<dyn Write + Send>,
-            &header(),
-        )
-        .unwrap();
-        assert!(proxy.spill_to(writer).is_err());
+        assert!(matches!(
+            recorder(warm_inner),
+            Err(Error::TraceFormat(msg)) if msg.contains("fresh backend")
+        ));
 
         // Injected activations don't move BackendStats, but they warm
         // bank state — the bank-readiness sweep still rejects them.
         let mut injected = MiniBank::default();
         injected.inject_row_activation(1, 3, Cycles(5), 9);
         assert_eq!(injected.backend_stats(), BackendStats::default());
-        let mut proxy = TracingBackend::new(injected);
-        let writer = TraceWriter::new(
-            Box::new(SharedBuf::default()) as Box<dyn Write + Send>,
-            &header(),
-        )
-        .unwrap();
         assert!(matches!(
-            proxy.spill_to(writer),
+            recorder(injected),
             Err(Error::TraceFormat(msg)) if msg.contains("warm state")
         ));
     }
@@ -790,15 +583,9 @@ mod tests {
     }
 
     #[test]
-    fn spill_write_errors_are_sticky_and_block_sealing() {
-        use crate::error::Error;
-        let mut traced = TracingBackend::new(MiniBank::default());
-        let writer = TraceWriter::new(
-            Box::new(FlakyWriter { remaining: 64 }) as Box<dyn Write + Send>,
-            &header(),
-        )
-        .unwrap();
-        traced.spill_to(writer).unwrap();
+    fn write_errors_are_sticky_and_block_sealing() {
+        let writer = TraceWriter::new(FlakyWriter { remaining: 64 }, &header()).unwrap();
+        let mut traced = TracingBackend::new(MiniBank::default(), writer).unwrap();
         // Hammer the sink until a write fails (the failing write itself is
         // deferred, so the triggering call may still succeed).
         let rs = reqs();
@@ -817,18 +604,18 @@ mod tests {
             Err(Error::TraceIo(_))
         ));
         // ...and the broken recording can never be sealed as a success.
-        assert!(matches!(traced.finish_spill(), Err(Error::TraceIo(_))));
+        assert!(matches!(traced.finish(), Err(Error::TraceIo(_))));
     }
 
     #[test]
     fn response_digest_tracks_the_response_stream() {
         let rs = reqs();
         let run = |upto: usize| {
-            let mut t = TracingBackend::new(MiniBank::default());
+            let mut t = recorder(MiniBank::default()).unwrap();
             for r in &rs[..upto] {
                 t.service(r).unwrap();
             }
-            t.response_digest()
+            t.summary().response_digest
         };
         assert_eq!(run(16), run(16));
         assert_ne!(run(16), run(15));
@@ -922,7 +709,6 @@ mod tests {
 
     #[test]
     fn replay_rejects_injects_on_missing_banks() {
-        use crate::error::Error;
         let log = [TraceEvent::Inject {
             bank: 4,
             row: 0,
@@ -930,25 +716,30 @@ mod tests {
             actor: 0,
         }];
         assert!(matches!(
-            replay(&log, &mut MiniBank::default()),
+            replay_events(&log, &mut MiniBank::default(), |_| {}),
             Err(Error::TraceFormat(msg)) if msg == "inject event targets bank 4 of a 4-bank device"
         ));
     }
 
     #[test]
     fn replay_digest_matches_recording_digest() {
-        let mut traced = TracingBackend::new(MiniBank::default());
+        let mut traced = recorder(MiniBank::default()).unwrap();
         let rs = reqs();
         for r in &rs {
             traced.service(r).unwrap();
         }
         traced.service_batch(&rs).unwrap();
         traced.inject_row_activation(2, 7, Cycles(99), 1);
+        let (inner, summary, bytes) = traced.finish().unwrap();
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
         let mut fresh = MiniBank::default();
-        let (responses, digest) =
-            replay_digest(traced.log().iter().cloned().map(Ok), &mut fresh).unwrap();
+        let (responses, digest) = replay_digest(
+            std::iter::from_fn(|| reader.next_event().transpose()),
+            &mut fresh,
+        )
+        .unwrap();
         assert_eq!(responses, 32);
-        assert_eq!(digest, traced.response_digest());
-        assert_eq!(fresh.backend_stats(), traced.backend_stats());
+        assert_eq!(digest, summary.response_digest);
+        assert_eq!(fresh.backend_stats(), inner.backend_stats());
     }
 }

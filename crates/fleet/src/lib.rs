@@ -53,7 +53,6 @@ use impact_core::error::Result;
 use impact_core::hash::{fnv1a_u64, FNV_OFFSET};
 use impact_core::par::ordered_map;
 use impact_core::rng::SimRng;
-use impact_core::trace::replay_events;
 use impact_memctrl::MemoryController;
 use impact_sim::System;
 use impact_workloads::CapturedTrace;
@@ -209,24 +208,23 @@ impl FleetService {
     /// event log under `sys` (the recording's resolved configuration —
     /// resolve the header label with `config_for_label` or equivalent).
     ///
-    /// The whole log is replayed once here on a pristine
-    /// `MemoryController::from_config(sys)` — the state every session
-    /// forks — so no session's prefix replay can fail later.
+    /// The capture must pass [`CapturedTrace::verify`] first: its full
+    /// replay on a pristine `MemoryController::from_config(sys)` — the
+    /// state every session forks — reproduces the recorded footer, so no
+    /// session's prefix replay can fail later.
     ///
     /// # Errors
     ///
-    /// [`impact_core::Error::TraceConfigMismatch`] when `sys` is not the
-    /// recorded configuration, or the first error a recorded event
-    /// raises when serviced. Nothing is admitted on error.
+    /// As for [`CapturedTrace::verify`]: a configuration mismatch, the
+    /// first error a recorded event raises when serviced, or a footer
+    /// the events do not reproduce. Nothing is admitted on error.
     pub fn admit_trace(
         &mut self,
         trace: &Arc<CapturedTrace>,
         sys: &SystemConfig,
         n: usize,
     ) -> Result<()> {
-        trace.header.expect_config(sys)?;
-        let mut pristine = MemoryController::from_config(sys);
-        replay_events(&trace.events, &mut pristine, |_| {})?;
+        trace.verify(sys)?;
         let events = trace.events.len();
         for i in 0..n {
             let id = self.take_id();
@@ -455,9 +453,9 @@ impl PopulationReport {
 mod tests {
     use super::*;
     use impact_core::addr::PhysAddr;
-    use impact_core::engine::{MemRequest, ReqKind};
+    use impact_core::engine::{MemRequest, MemoryBackend, ReqKind};
     use impact_core::time::Cycles;
-    use impact_core::trace::{TraceEvent, TraceHeader, TraceSummary};
+    use impact_core::trace::{TraceEvent, TraceHeader, TraceWriter, TracingBackend};
 
     fn quick_cfg(workers: usize) -> FleetConfig {
         let mut cfg = FleetConfig::quick(0xF1EE7);
@@ -468,33 +466,26 @@ mod tests {
         cfg
     }
 
+    /// Forty random loads recorded through the tracing proxy, so the
+    /// footer is the one their replay reproduces.
     fn tiny_trace() -> Arc<CapturedTrace> {
         let sys = SystemConfig::paper_table2_noiseless();
         let capacity = sys.dram_geometry.capacity_bytes();
+        let header = TraceHeader::for_config(&sys, "paper_table2_noiseless", 0xACE);
+        let writer = TraceWriter::new(Vec::new(), &header).unwrap();
+        let mut traced = TracingBackend::new(MemoryController::from_config(&sys), writer).unwrap();
         let mut rng = SimRng::seed(0xACE);
-        let events: Vec<TraceEvent> = (0..40)
-            .map(|i| {
-                TraceEvent::Request(MemRequest {
-                    addr: PhysAddr(rng.below(capacity)),
-                    kind: ReqKind::Load,
-                    at: Cycles(i * 10),
-                    actor: 0,
-                })
-            })
-            .collect();
-        Arc::new(CapturedTrace {
-            header: TraceHeader {
-                version: 1,
-                fingerprint: sys.fingerprint(),
-                seed: 0xACE,
-                label: "paper_table2_noiseless".to_string(),
-            },
-            summary: TraceSummary {
-                events: events.len() as u64,
-                ..TraceSummary::default()
-            },
-            events,
-        })
+        for i in 0..40 {
+            let req = MemRequest {
+                addr: PhysAddr(rng.below(capacity)),
+                kind: ReqKind::Load,
+                at: Cycles(i * 10),
+                actor: 0,
+            };
+            traced.service(&req).unwrap();
+        }
+        let (_, _, bytes) = traced.finish().unwrap();
+        Arc::new(CapturedTrace::read_from(&bytes[..]).unwrap())
     }
 
     fn run_fleet(workers: usize, shuffle: Option<u64>) -> (PopulationReport, Vec<FleetEvent>) {
@@ -618,6 +609,14 @@ mod tests {
         assert!(matches!(
             fleet.admit_trace(&tiny_trace(), &SystemConfig::paper_table2(), 4),
             Err(impact_core::Error::TraceConfigMismatch { .. })
+        ));
+        // Events that replay cleanly but do not reproduce the footer.
+        let mut lying = (*tiny_trace()).clone();
+        lying.summary.response_digest ^= 1;
+        assert!(matches!(
+            fleet.admit_trace(&Arc::new(lying), &noiseless, 4),
+            Err(impact_core::Error::TraceFormat(msg))
+                if msg.contains("does not reproduce its own footer")
         ));
         assert_eq!(fleet.admitted(), 2, "a rejected trace admits nothing");
         assert_eq!(fleet.run(&mut |_| {}).finished(), 2);

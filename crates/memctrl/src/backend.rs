@@ -4,6 +4,8 @@
 //! read DRAM statistics. The controller implements it, and so do the
 //! tracing proxy that records it and a boxed controller.
 
+use std::io::Write;
+
 use impact_core::addr::PhysAddr;
 use impact_core::engine::{BackendStats, MemRequest, MemResponse, MemoryBackend};
 use impact_core::error::Result;
@@ -138,7 +140,7 @@ impl ControllerBackend for MemoryController {
     }
 }
 
-impl<B: ControllerBackend> ControllerBackend for TracingBackend<B> {
+impl<B: ControllerBackend, W: Write> ControllerBackend for TracingBackend<B, W> {
     fn set_defense(&mut self, defense: Defense) {
         self.inner_mut().set_defense(defense);
     }
@@ -326,8 +328,9 @@ mod tests {
     fn dram_state_digest_is_backend_invariant() {
         let cfg = SystemConfig::paper_table2();
         let mut mono = MemoryController::from_config(&cfg);
-        let mut traced =
-            impact_core::trace::TracingBackend::new(MemoryController::from_config(&cfg));
+        let header = impact_core::trace::TraceHeader::for_config(&cfg, "paper_table2", 0);
+        let writer = impact_core::trace::TraceWriter::new(std::io::sink(), &header).unwrap();
+        let mut traced = TracingBackend::new(MemoryController::from_config(&cfg), writer).unwrap();
         let fresh = mono.dram_state_digest();
         assert_eq!(fresh, traced.dram_state_digest());
 

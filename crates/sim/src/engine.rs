@@ -182,6 +182,13 @@ impl<B: MemoryBackend> Engine<B> {
         &mut self.backend
     }
 
+    /// Consumes the engine and returns its backend (how a recording
+    /// proxy's trace gets sealed).
+    #[must_use]
+    pub fn into_backend(self) -> B {
+        self.backend
+    }
+
     /// Current clock of `agent`.
     #[must_use]
     pub fn now(&self, agent: AgentId) -> Cycles {
@@ -844,7 +851,7 @@ mod burst_tests {
     use super::*;
     use crate::system::{BackendKind, System, TracedSystem};
     use impact_core::config::SystemConfig;
-    use impact_core::trace::TraceEvent;
+    use impact_core::trace::{read_trace, TraceEvent};
     use impact_memctrl::{ActConfig, Defense, PeriodicBlock};
 
     /// Builds a system, one agent, and one probe line per bank.
@@ -954,15 +961,15 @@ mod burst_tests {
 
     #[test]
     fn fast_path_uses_one_service_batch() {
-        let (mut sys, a, vas) = probe_setup(
-            TracedSystem::traced(SystemConfig::paper_table2_noiseless()),
-            8,
-        );
-        let before = sys.trace_log().len();
+        let cfg = SystemConfig::paper_table2_noiseless();
+        let recording = TracedSystem::recording(cfg, Vec::new(), "paper_table2_noiseless", 0);
+        let (mut sys, a, vas) = probe_setup(recording.unwrap(), 8);
+        let before = sys.backend().summary().events;
         sys.pim_probe_burst(a, &vas).unwrap();
-        let new: Vec<_> = sys.trace_log()[before..].to_vec();
-        assert_eq!(new.len(), 1, "expected exactly one batch event: {new:?}");
-        assert!(matches!(&new[0], TraceEvent::Batch(b) if b.len() == 8));
+        let (summary, bytes) = sys.finish_trace().unwrap();
+        assert_eq!(summary.events, before + 1, "expected exactly one event");
+        let (_, events, _) = read_trace(&bytes[..]).unwrap();
+        assert!(matches!(events.last(), Some(TraceEvent::Batch(b)) if b.len() == 8));
     }
 
     #[test]
@@ -1008,7 +1015,9 @@ mod burst_tests {
         let (mut boxed, ba, bvas) = probe_setup(boxed, 8);
         assert!(boxed.burst_would_commit(ba, &bvas, true));
         assert_eq!(boxed.pim_probe_burst(ba, &bvas).unwrap(), expected);
-        let (mut traced, ta, tvas) = probe_setup(TracedSystem::traced(cfg()), 8);
+        let recording =
+            TracedSystem::recording(cfg(), std::io::sink(), "paper_table2_noiseless", 0);
+        let (mut traced, ta, tvas) = probe_setup(recording.unwrap(), 8);
         assert_eq!(traced.pim_probe_burst(ta, &tvas).unwrap(), expected);
     }
 

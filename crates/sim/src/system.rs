@@ -3,7 +3,7 @@
 //! | alias | backend | use it for |
 //! |---|---|---|
 //! | [`System`] | [`MemoryController`] | the paper's Table 2 machine: every experiment |
-//! | [`TracedSystem`] | [`TracingBackend`]`<MemoryController>` | recording a replayable request log |
+//! | [`TracedSystem`] | [`TracingBackend`]`<MemoryController, W>` | recording a replayable trace into a sink `W` |
 //!
 //! Both share the defense/blocking/row-policy hooks via the generic
 //! `impl<B: ControllerBackend> Engine<B>` block, so attack code written
@@ -13,7 +13,7 @@ use std::io::Write;
 
 use impact_core::config::SystemConfig;
 use impact_core::error::Result;
-use impact_core::trace::{TraceEvent, TraceHeader, TraceSummary, TraceWriter, TracingBackend};
+use impact_core::trace::{TraceHeader, TraceSummary, TraceWriter, TracingBackend};
 use impact_dram::{BankStats, RowPolicy};
 use impact_memctrl::{ControllerBackend, Defense, MemoryController, PeriodicBlock};
 
@@ -27,9 +27,9 @@ pub use crate::engine::{AgentId, LoadInfo, PimInfo, RowCloneInfo, SimParams};
 /// [`MemoryController`] backend.
 pub type System = Engine<MemoryController>;
 
-/// The engine over a tracing proxy around the default controller: records
-/// a replayable [`TraceEvent`] log of every request that reaches memory.
-pub type TracedSystem = Engine<TracingBackend<MemoryController>>;
+/// The engine over a tracing proxy around the default controller: streams
+/// a replayable trace of every request that reaches memory into `W`.
+pub type TracedSystem<W = Box<dyn Write + Send>> = Engine<TracingBackend<MemoryController, W>>;
 
 /// The controller behind a trait object (see [`BackendKind::backend`]).
 pub type DynBackend = Box<dyn ControllerBackend>;
@@ -61,56 +61,41 @@ impl System {
     }
 }
 
-impl TracedSystem {
-    /// Builds the system over a [`TracingBackend`]-wrapped default
-    /// controller.
-    #[must_use]
-    pub fn traced(cfg: SystemConfig) -> TracedSystem {
-        let backend = TracingBackend::new(MemoryController::from_config(&cfg));
-        Engine::with_backend(cfg, SimParams::default(), backend)
-    }
-
-    /// The recorded request log so far.
-    #[must_use]
-    pub fn trace_log(&self) -> &[TraceEvent] {
-        self.backend().log()
-    }
-
-    /// Streams every subsequent memory event into `sink` as a versioned
-    /// on-disk trace: start a recording here, run any workload, then seal
-    /// the file with [`TracedSystem::finish_trace`]. The header carries
-    /// this engine's configuration fingerprint plus `label` (a config name
-    /// replay tools can resolve) and `seed` (whatever seeds the recorded
-    /// workload). Events bypass the in-memory log, so arbitrarily long
-    /// recordings run in constant memory.
+impl<W: Write> TracedSystem<W> {
+    /// Builds the system over a tracing proxy around a fresh default
+    /// controller, streaming every memory event into `sink` as a versioned
+    /// on-disk trace; seal it with [`TracedSystem::finish_trace`]. The
+    /// header carries the configuration fingerprint plus `label` (a config
+    /// name replay tools can resolve) and `seed` (whatever seeds the
+    /// recorded workload). Recording runs in constant memory.
     ///
     /// # Errors
     ///
-    /// Propagates header write failures as [`impact_core::Error::TraceIo`];
-    /// fails with [`impact_core::Error::TraceFormat`] when the backend has
-    /// already serviced traffic (recordings must start from pristine
-    /// backend state to be replayable from a fresh backend).
-    pub fn record_trace_to(
-        &mut self,
-        sink: Box<dyn Write + Send>,
+    /// Header write failures as [`impact_core::Error::TraceIo`]; a label
+    /// over [`impact_core::trace::MAX_LABEL_BYTES`] as
+    /// [`impact_core::Error::TraceFormat`].
+    pub fn recording(
+        cfg: SystemConfig,
+        sink: W,
         label: &str,
         seed: u64,
-    ) -> Result<()> {
-        let header = TraceHeader::for_config(self.config(), label, seed);
-        let writer = TraceWriter::new(sink, &header)?;
-        self.backend_mut().spill_to(writer)
+    ) -> Result<TracedSystem<W>> {
+        let writer = TraceWriter::new(sink, &TraceHeader::for_config(&cfg, label, seed))?;
+        let backend = TracingBackend::new(MemoryController::from_config(&cfg), writer)?;
+        Ok(Engine::with_backend(cfg, SimParams::default(), backend))
     }
 
-    /// Seals an active recording: writes the verifying footer (event and
-    /// response counts, response digest, final backend statistics) and
-    /// flushes. Returns `Ok(None)` when no recording is active.
+    /// Seals the recording: writes the verifying footer (event and
+    /// response counts, response digest, final backend statistics),
+    /// flushes, and returns the footer and the sink.
     ///
     /// # Errors
     ///
-    /// Surfaces deferred write errors from the recording, then footer
+    /// The write error that ended the recording, if any, then footer
     /// write/flush failures.
-    pub fn finish_trace(&mut self) -> Result<Option<TraceSummary>> {
-        self.backend_mut().finish_spill()
+    pub fn finish_trace(self) -> Result<(TraceSummary, W)> {
+        let (_, summary, sink) = self.into_backend().finish()?;
+        Ok((summary, sink))
     }
 }
 
@@ -411,77 +396,46 @@ mod tests {
     fn traced_system_matches_mono() {
         let cfg = SystemConfig::paper_table2_noiseless();
         let mono = exercise(&mut System::new(cfg.clone()));
-        let mut t = TracedSystem::traced(cfg);
+        let mut t =
+            TracedSystem::recording(cfg, std::io::sink(), "paper_table2_noiseless", 0).unwrap();
         assert_eq!(exercise(&mut t), mono, "traced system diverged");
-        assert!(!t.trace_log().is_empty());
-    }
-
-    #[test]
-    fn traced_system_replays_to_identical_stats() {
-        use impact_core::trace::replay;
-        let cfg = SystemConfig::paper_table2();
-        let mut t = TracedSystem::traced(cfg.clone());
-        let a = t.spawn_agent();
-        for bank in 0..6 {
-            let va = t.alloc_row_in_bank(a, bank).unwrap();
-            t.warm_tlb(a, va, 2);
-            t.load(a, va).unwrap();
-            t.pim_op(a, va + 64).unwrap();
-            t.load_direct_batch(a, &[va + 128, va + 192]).unwrap();
-        }
-        // Replaying the log into a fresh controller of the same initial
-        // configuration reproduces the backend state and statistics.
-        let mut fresh = MemoryController::from_config(&cfg);
-        replay(t.trace_log(), &mut fresh).unwrap();
-        assert_eq!(fresh.backend_stats(), t.backend().backend_stats());
-        assert_eq!(fresh.dram().total_stats(), t.dram_totals());
+        assert!(t.backend().summary().events > 0);
     }
 
     #[test]
     fn engine_records_a_replayable_trace_file() {
-        use impact_core::trace::{read_trace, replay};
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
+        use impact_core::trace::{read_trace, replay_events};
 
         let cfg = SystemConfig::paper_table2();
-        let buf = SharedBuf::default();
-        let mut sys = TracedSystem::traced(cfg.clone());
-        sys.record_trace_to(Box::new(buf.clone()), "paper_table2", 0xABC)
-            .unwrap();
+        let mut sys =
+            TracedSystem::recording(cfg.clone(), Vec::new(), "paper_table2", 0xABC).unwrap();
         let a = sys.spawn_agent();
-        for bank in 0..4 {
+        for bank in 0..6 {
             let va = sys.alloc_row_in_bank(a, bank).unwrap();
             sys.warm_tlb(a, va, 2);
             sys.load(a, va).unwrap();
             sys.pim_op(a, va + 64).unwrap();
             sys.load_direct_batch(a, &[va + 128, va + 192]).unwrap();
         }
-        let summary = sys.finish_trace().unwrap().expect("recording was active");
-        assert!(sys.finish_trace().unwrap().is_none(), "already sealed");
+        let totals = sys.dram_totals();
+        let state = sys.backend().dram_state_digest();
+        let (summary, bytes) = sys.finish_trace().unwrap();
+        assert_eq!(summary.stats.accesses, 6 * 4);
 
-        let bytes = buf.0.lock().unwrap().clone();
         let (header, events, decoded) = read_trace(&bytes[..]).unwrap();
         assert_eq!(header.fingerprint, cfg.fingerprint());
         assert_eq!(header.label, "paper_table2");
         assert_eq!(header.seed, 0xABC);
         assert_eq!(decoded, summary);
+        // Replaying the file into a fresh controller of the same initial
+        // configuration reproduces the backend state and statistics.
         let mut fresh = MemoryController::from_config(&cfg);
-        replay(&events, &mut fresh).unwrap();
-        assert_eq!(fresh.backend_stats(), sys.backend().backend_stats());
+        replay_events(&events, &mut fresh, |_| {}).unwrap();
+        assert_eq!(fresh.backend_stats(), summary.stats);
+        assert_eq!(fresh.dram().total_stats(), totals);
         assert_eq!(
             fresh.dram_state_digest(),
-            sys.backend().dram_state_digest(),
+            state,
             "replayed DRAM state diverged"
         );
     }

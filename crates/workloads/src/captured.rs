@@ -2,22 +2,24 @@
 //!
 //! Where [`crate::trace::Trace`] is a *synthetic* workload emitted by a
 //! kernel, a [`CapturedTrace`] is a *recorded* one: the decoded contents
-//! of an on-disk trace file written by `TracingBackend`'s spill mode (see
+//! of an on-disk trace file written by the tracing proxy (see
 //! `impact_core::trace::codec`). Loading one turns any previously
 //! recorded run — from this machine or another — into a replayable,
-//! sweepable workload: replay a prefix into any fresh backend, verify the
-//! response digest against the recorded footer, or summarize its request
-//! mix per bank and per kind.
+//! sweepable workload: [`CapturedTrace::verify`] replays it on a fresh
+//! controller against its recorded footer, and [`CapturedTrace::mix`]
+//! summarizes its request mix per bank and per kind.
 
 use std::fs::File;
 use std::io::{BufReader, Read};
 use std::path::Path;
 
+use impact_core::config::SystemConfig;
 use impact_core::engine::{MemoryBackend, ReqKind};
 use impact_core::error::{Error, Result};
 use impact_core::trace::{
     fold_response, read_trace, replay_events, TraceEvent, TraceHeader, TraceSummary, DIGEST_INIT,
 };
+use impact_memctrl::MemoryController;
 
 /// A fully decoded trace file: header, events, and the recorded run's
 /// verifying footer.
@@ -31,20 +33,6 @@ pub struct CapturedTrace {
     /// The recorded run's footer: event/response counts, response digest
     /// and final backend statistics.
     pub summary: TraceSummary,
-}
-
-/// Outcome of replaying a [`CapturedTrace`] prefix into a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayedPrefix {
-    /// Responses the backend produced.
-    pub responses: u64,
-    /// [`fold_response`] digest over those responses, comparable with the
-    /// recorded [`TraceSummary::response_digest`] when the whole trace was
-    /// replayed.
-    pub response_digest: u64,
-    /// Sum of all response latencies, in cycles — the scalar the trace
-    /// scenario sweeps report.
-    pub total_latency: u64,
 }
 
 /// Per-kind and per-bank request mix of a captured trace.
@@ -107,31 +95,37 @@ impl CapturedTrace {
         CapturedTrace::read_from(BufReader::new(file))
     }
 
-    /// Replays the first `events` events into `backend`, preserving
-    /// request/batch boundaries, and reports the produced responses'
-    /// count, digest and total latency. Pass `self.events.len()` to replay
-    /// everything.
+    /// The capture check every consumer of an untrusted capture runs
+    /// first: the header must name `cfg`'s fingerprint, and replaying
+    /// every event on a fresh [`MemoryController`] of `cfg` must reproduce
+    /// the footer's response count, response digest and backend
+    /// statistics ([`TraceSummary::reproduced_by`]).
     ///
     /// # Errors
     ///
-    /// Stops at the first failing request, exactly like the original run.
-    pub fn replay_prefix<B: MemoryBackend>(
-        &self,
-        backend: &mut B,
-        events: usize,
-    ) -> Result<ReplayedPrefix> {
-        let mut out = ReplayedPrefix {
-            responses: 0,
-            response_digest: DIGEST_INIT,
-            total_latency: 0,
-        };
-        let prefix = &self.events[..events.min(self.events.len())];
-        replay_events(prefix, backend, |resp| {
-            out.responses += 1;
-            out.response_digest = fold_response(out.response_digest, &resp);
-            out.total_latency += resp.latency.0;
+    /// [`Error::TraceConfigMismatch`] when the capture was recorded under
+    /// another configuration; the first error a recorded event raises
+    /// when serviced; [`Error::TraceFormat`] when the replay does not
+    /// reproduce the footer.
+    pub fn verify(&self, cfg: &SystemConfig) -> Result<()> {
+        self.header.expect_config(cfg)?;
+        let mut probe = MemoryController::from_config(cfg);
+        let (mut responses, mut digest) = (0u64, DIGEST_INIT);
+        replay_events(&self.events, &mut probe, |resp| {
+            responses += 1;
+            digest = fold_response(digest, &resp);
         })?;
-        Ok(out)
+        let recorded = &self.summary;
+        let stats = probe.backend_stats();
+        if recorded.reproduced_by(responses, digest, &stats) {
+            return Ok(());
+        }
+        Err(Error::TraceFormat(format!(
+            "capture does not reproduce its own footer \
+             (recorded {} responses / digest {:#018x} / {:?}, \
+             replayed {responses} / {digest:#018x} / {stats:?})",
+            recorded.responses, recorded.response_digest, recorded.stats,
+        )))
     }
 
     /// Summarizes the request mix, resolving banks through `backend`
@@ -181,15 +175,15 @@ impl CapturedTrace {
 mod tests {
     use super::*;
     use impact_core::addr::PhysAddr;
-    use impact_core::config::SystemConfig;
     use impact_core::engine::MemRequest;
     use impact_core::time::Cycles;
-    use impact_core::trace::{write_trace, TracingBackend};
-    use impact_memctrl::MemoryController;
+    use impact_core::trace::{TraceWriter, TracingBackend};
 
     fn recorded() -> (CapturedTrace, SystemConfig) {
         let cfg = SystemConfig::paper_table2();
-        let mut traced = TracingBackend::new(MemoryController::from_config(&cfg));
+        let header = TraceHeader::for_config(&cfg, "paper_table2", 1);
+        let writer = TraceWriter::new(Vec::new(), &header).unwrap();
+        let mut traced = TracingBackend::new(MemoryController::from_config(&cfg), writer).unwrap();
         let mc = MemoryController::from_config(&cfg);
         let mut at = Cycles(0);
         let mut reqs = Vec::new();
@@ -203,35 +197,35 @@ mod tests {
         }
         traced.service_batch(&reqs[16..]).unwrap();
         traced.inject_row_activation(2, 9, at, 7);
-        let header = TraceHeader::for_config(&cfg, "paper_table2", 1);
-        let bytes = write_trace(Vec::new(), &header, traced.log(), &traced.summary()).unwrap();
+        let (_, _, bytes) = traced.finish().unwrap();
         (CapturedTrace::read_from(&bytes[..]).unwrap(), cfg)
     }
 
     #[test]
-    fn full_replay_matches_recorded_footer() {
+    fn verify_accepts_the_recording_and_rejects_a_lying_footer() {
         let (captured, cfg) = recorded();
-        let mut fresh = MemoryController::from_config(&cfg);
-        let replayed = captured
-            .replay_prefix(&mut fresh, captured.events.len())
-            .unwrap();
-        assert_eq!(replayed.responses, captured.summary.responses);
-        assert_eq!(replayed.response_digest, captured.summary.response_digest);
-        assert!(replayed.total_latency > 0);
-        assert_eq!(fresh.backend_stats(), captured.summary.stats);
-    }
+        captured.verify(&cfg).unwrap();
 
-    #[test]
-    fn prefix_replay_is_monotonic() {
-        let (captured, cfg) = recorded();
-        let mut last = 0;
-        for upto in [0, 5, captured.events.len()] {
-            let mut fresh = MemoryController::from_config(&cfg);
-            let replayed = captured.replay_prefix(&mut fresh, upto).unwrap();
-            assert!(replayed.responses >= last);
-            last = replayed.responses;
+        // Each footer field the replay reproduces is checked.
+        let lies: [fn(&mut TraceSummary); 3] = [
+            |s| s.responses += 1,
+            |s| s.response_digest ^= 1,
+            |s| s.stats.accesses += 1,
+        ];
+        for lie in lies {
+            let mut lying = captured.clone();
+            lie(&mut lying.summary);
+            assert!(matches!(
+                lying.verify(&cfg),
+                Err(Error::TraceFormat(msg)) if msg.contains("does not reproduce its own footer")
+            ));
         }
-        assert_eq!(last, captured.summary.responses);
+
+        // A capture checked against another configuration never replays.
+        assert!(matches!(
+            captured.verify(&SystemConfig::paper_table2_noiseless()),
+            Err(Error::TraceConfigMismatch { .. })
+        ));
     }
 
     #[test]

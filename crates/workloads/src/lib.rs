@@ -29,7 +29,7 @@ pub mod kernels;
 pub mod replay;
 pub mod trace;
 
-pub use captured::{CapturedTrace, ReplayedPrefix, RequestMix};
+pub use captured::{CapturedTrace, RequestMix};
 pub use graph::Graph;
 pub use replay::replay;
 pub use replay::ReplayReport;

@@ -19,7 +19,7 @@ use impact::core::config::SystemConfig;
 use impact::core::engine::{MemRequest, MemoryBackend};
 use impact::core::rng::SimRng;
 use impact::core::time::Cycles;
-use impact::core::trace::TracingBackend;
+use impact::core::trace::{TraceHeader, TraceWriter, TracingBackend};
 use impact::memctrl::{
     ActConfig, ControllerBackend, Defense, MemoryController, MprPartition, PeriodicBlock,
 };
@@ -70,7 +70,9 @@ fn stream(n: u64, seed: u64, rowclones: bool) -> Vec<MemRequest> {
 fn make_backend(traced: bool) -> Box<dyn ControllerBackend> {
     let mc = MemoryController::from_config(&cfg());
     if traced {
-        Box::new(TracingBackend::new(mc))
+        let header = TraceHeader::for_config(&cfg(), "paper_table2", 0);
+        let writer = TraceWriter::new(std::io::sink(), &header).unwrap();
+        Box::new(TracingBackend::new(mc, writer).unwrap())
     } else {
         Box::new(mc)
     }

@@ -134,10 +134,16 @@ fn covert_channel_is_backend_invariant() {
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
         ch.transmit(&mut sys, &msg).unwrap()
     };
-    let mut sys = TracedSystem::traced(SystemConfig::paper_table2());
+    let mut sys = TracedSystem::recording(
+        SystemConfig::paper_table2(),
+        std::io::sink(),
+        "paper_table2",
+        9,
+    )
+    .unwrap();
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
     assert_eq!(ch.transmit(&mut sys, &msg).unwrap(), mono);
-    assert!(!sys.trace_log().is_empty());
+    assert!(sys.backend().summary().events > 0);
 }
 
 /// The side channel, too, is unchanged behind the tracing proxy.
@@ -165,30 +171,34 @@ fn side_channel_is_backend_invariant() {
         let mut sys = System::new(cfg());
         digest(&attack().run(&mut sys).unwrap())
     };
-    let mut sys = TracedSystem::traced(cfg());
+    let label = "paper_table2_noiseless+banks:1024";
+    let mut sys = TracedSystem::recording(cfg(), std::io::sink(), label, 0).unwrap();
     let r = attack().run(&mut sys).unwrap();
     assert_eq!(digest(&r), mono, "traced system diverged");
 }
 
-/// A traced run's request log replays into a fresh backend of the same
-/// configuration with bit-identical statistics — the repro-artifact
+/// A traced run's recorded events replay into a fresh backend of the
+/// same configuration with bit-identical statistics — the repro-artifact
 /// contract of the tracing proxy.
 #[test]
 fn trace_replay_reproduces_stats() {
     use impact::core::engine::MemoryBackend;
-    use impact::core::trace::replay;
+    use impact::core::trace::{read_trace, replay_events};
     use impact::memctrl::MemoryController;
 
     let cfg = SystemConfig::paper_table2();
-    let mut sys = TracedSystem::traced(cfg.clone());
+    let mut sys = TracedSystem::recording(cfg.clone(), Vec::new(), "paper_table2", 77).unwrap();
     let msg = SimRng::seed(77).bits(512);
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
     ch.transmit(&mut sys, &msg).unwrap();
+    let totals = sys.dram_totals();
+    let (summary, bytes) = sys.finish_trace().unwrap();
 
+    let (_, events, _) = read_trace(&bytes[..]).unwrap();
     let mut fresh = MemoryController::from_config(&cfg);
-    replay(sys.trace_log(), &mut fresh).unwrap();
-    assert_eq!(fresh.backend_stats(), sys.backend().backend_stats());
-    assert_eq!(fresh.dram().total_stats(), sys.dram_totals());
+    replay_events(&events, &mut fresh, |_| {}).unwrap();
+    assert_eq!(fresh.backend_stats(), summary.stats);
+    assert_eq!(fresh.dram().total_stats(), totals);
 }
 
 /// `run_all` shards whole experiments across workers with
@@ -249,22 +259,18 @@ fn different_seeds_differ() {
 fn fleet_population_is_worker_and_admission_invariant() {
     use std::sync::Arc;
 
-    use impact::core::trace::{TraceHeader, TraceSummary};
     use impact::fleet::{FleetConfig, FleetService};
     use impact::workloads::CapturedTrace;
 
     // Record a covert-channel transmission as the shared trace the
     // trace-fed sessions replay.
     let cfg = SystemConfig::paper_table2();
-    let mut sys = TracedSystem::traced(cfg.clone());
+    let mut sys = TracedSystem::recording(cfg.clone(), Vec::new(), "paper_table2", 41).unwrap();
     let msg = SimRng::seed(41).bits(96);
     let mut ch = PnmCovertChannel::setup(&mut sys, 16).unwrap();
     ch.transmit(&mut sys, &msg).unwrap();
-    let trace = Arc::new(CapturedTrace {
-        header: TraceHeader::for_config(&cfg, "paper_table2", 41),
-        events: sys.trace_log().to_vec(),
-        summary: TraceSummary::default(),
-    });
+    let (_, bytes) = sys.finish_trace().unwrap();
+    let trace = Arc::new(CapturedTrace::read_from(&bytes[..]).unwrap());
 
     let run = |workers: usize, shuffle: Option<u64>| {
         let mut fleet_cfg = FleetConfig::quick(0xF1EE7).with_workers(workers);

@@ -1,6 +1,8 @@
 //! The behavioural spec as pinned constants: the quick and full
 //! `fig_all` text, a seeded fleet population, a quick Mix capture and the
-//! full mix/pnm/bfs captures, each reduced to a digest that must not move.
+//! full mix/pnm/bfs captures, and what the trace tools make of the quick
+//! capture (its figure, a slice, a merge and a fleet of trace sessions),
+//! each reduced to a digest that must not move.
 //!
 //! The determinism and equivalence suites prove that backends, worker
 //! counts, forks and replays agree *with each other*; a change that moves
@@ -8,12 +10,19 @@
 //! They are the same in debug and release builds. A change that alters
 //! model output on purpose updates them and says why.
 
+use std::sync::Arc;
+
+use impact::core::config::SystemConfig;
 use impact::core::hash::{fnv1a_bytes, FNV_OFFSET};
 use impact::fleet::{FleetConfig, FleetService};
 use impact::sim::BackendKind;
+use impact::workloads::CapturedTrace;
 use impact_bench::experiments::suite;
 use impact_bench::runner::run_all;
-use impact_bench::trace_tools::{record_capture, replay_file, CaptureKind, CaptureOutcome};
+use impact_bench::trace_tools::{
+    merge_captures, record_capture, replay_file, slice_capture, CaptureKind, CaptureOutcome,
+    TraceScenario,
+};
 
 /// FNV-1a of `fig_all --quick` stdout: every figure's text, each followed
 /// by the blank line `fig_all` prints after it.
@@ -126,4 +135,73 @@ fn full_captures_are_pinned() {
         assert_eq!(file, file_digest, "{} file", kind.name());
         assert_eq!(outcome.state_digest, state_digest, "{} state", kind.name());
     }
+}
+
+/// The quick Mix capture at seed `0x7ACE`, as `trace_replay record
+/// --quick` writes it.
+fn quick_mix() -> CapturedTrace {
+    let sink = Sink::default();
+    record_capture(
+        CaptureKind::Mix,
+        BackendKind::Mono,
+        true,
+        0x7ACE,
+        Box::new(sink.clone()),
+    )
+    .expect("capture records");
+    let bytes = sink.0.lock().unwrap();
+    CapturedTrace::read_from(&bytes[..]).expect("capture decodes")
+}
+
+/// FNV-1a of the captured-trace figure over the quick Mix capture, with
+/// the blank line `fig_all` prints after it: `fig_all --trace` stdout.
+#[test]
+fn trace_scenario_text_is_pinned() {
+    let fig = TraceScenario::new(quick_mix())
+        .expect("capture verifies")
+        .figure();
+    let text = fig.render_text() + "\n";
+    assert_eq!(text.len(), 452);
+    assert_eq!(
+        fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
+        0x2eff_cc72_c700_7d0c
+    );
+}
+
+/// Events [100, 600) of the quick Mix capture sliced into a standalone
+/// trace, then merged in front of the whole capture: the recomputed
+/// footers, the recomputing controller's DRAM state and the file bytes.
+#[test]
+fn slice_and_merge_of_the_quick_capture_are_pinned() {
+    let captured = quick_mix();
+    let mut window = Vec::new();
+    let slice = slice_capture(&captured, 100, 500, &mut window).expect("slice");
+    assert_eq!(slice.summary.events, 500);
+    assert_eq!(slice.summary.responses, 885);
+    assert_eq!(slice.summary.response_digest, 0xe777_8540_d8cb_a121);
+    assert_eq!(slice.state_digest, 0x8c44_70dd_fc03_18d4);
+    assert_eq!(fnv1a_bytes(FNV_OFFSET, &window), 0xe3c8_45cd_22f4_ec44);
+
+    let window = CapturedTrace::read_from(&window[..]).expect("slice decodes");
+    let mut merged = Vec::new();
+    let merge = merge_captures(&[window, captured], &mut merged).expect("merge");
+    assert_eq!(merge.summary.events, 1816);
+    assert_eq!(merge.summary.responses, 3169);
+    assert_eq!(merge.summary.response_digest, 0xcc9b_4f03_12ef_5bce);
+    assert_eq!(merge.state_digest, 0x4d4e_e94a_bf77_5c79);
+    assert_eq!(fnv1a_bytes(FNV_OFFSET, &merged), 0x882e_1bb2_ee7a_f91b);
+}
+
+/// Population digest of 16 trace sessions replaying growing prefixes of
+/// the quick Mix capture on two workers.
+#[test]
+fn trace_fleet_digest_is_pinned() {
+    let mut fleet = FleetService::new(FleetConfig::quick(0xF1EE7).with_workers(2));
+    fleet
+        .admit_trace(&Arc::new(quick_mix()), &SystemConfig::paper_table2(), 16)
+        .expect("capture admits");
+    let report = fleet.run(&mut |_| {});
+    assert_eq!(report.finished(), 16);
+    assert_eq!(report.epochs, 165);
+    assert_eq!(report.digest, 0x6bad_0227_e29e_2e52);
 }

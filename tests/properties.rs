@@ -177,17 +177,22 @@ proptest! {
         prop_assert_eq!(batched.stats(), serial.stats());
     }
 
-    /// A tracing proxy's log replays into a fresh backend with identical
-    /// responses and statistics, for arbitrary request streams.
+    /// A tracing proxy's recorded trace replays into a fresh backend with
+    /// identical responses and statistics, for arbitrary request streams.
     #[test]
     fn trace_replay_is_lossless(
         stream in prop::collection::vec((0usize..16, 0u64..64, 0u32..4), 1..60),
         batch_len in 1usize..16,
     ) {
         use impact::core::engine::MemoryBackend;
-        use impact::core::trace::{replay, TracingBackend};
+        use impact::core::trace::{
+            read_trace, replay_events, TraceHeader, TraceWriter, TracingBackend,
+        };
         let cfg = SystemConfig::paper_table2();
-        let mut traced = TracingBackend::new(MemoryController::from_config(&cfg));
+        let header = TraceHeader::for_config(&cfg, "paper_table2", 0);
+        let writer = TraceWriter::new(Vec::new(), &header).unwrap();
+        let mut traced =
+            TracingBackend::new(MemoryController::from_config(&cfg), writer).unwrap();
         let reqs: Vec<MemRequest> = stream
             .iter()
             .enumerate()
@@ -208,10 +213,13 @@ proptest! {
             }
         }
         traced.inject_row_activation(3, 7, Cycles(1), 99);
+        let (inner, _, bytes) = traced.finish().unwrap();
+        let (_, events, _) = read_trace(&bytes[..]).unwrap();
         let mut fresh = MemoryController::from_config(&cfg);
-        let replayed = replay(traced.log(), &mut fresh).unwrap();
+        let mut replayed = Vec::new();
+        replay_events(&events, &mut fresh, |resp| replayed.push(resp)).unwrap();
         prop_assert_eq!(replayed, originals);
-        prop_assert_eq!(fresh.backend_stats(), traced.backend_stats());
-        prop_assert_eq!(fresh.dram().total_stats(), traced.inner().dram().total_stats());
+        prop_assert_eq!(fresh.backend_stats(), inner.backend_stats());
+        prop_assert_eq!(fresh.dram().total_stats(), inner.dram().total_stats());
     }
 }

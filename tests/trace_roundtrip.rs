@@ -15,14 +15,15 @@ use proptest::prelude::*;
 use impact::core::config::SystemConfig;
 use impact::core::engine::{MemResponse, MemoryBackend};
 use impact::core::rng::SimRng;
-use impact::core::trace::{read_trace, replay, write_trace, TraceEvent, TracingBackend};
+use impact::core::trace::{
+    read_trace, replay_events, write_trace, TraceEvent, TraceWriter, TracingBackend,
+};
 use impact::memctrl::{ControllerBackend, MemoryController};
-use impact::sim::{BackendKind, TracedSystem};
+use impact::sim::{BackendKind, System, TracedSystem};
 use impact::workloads::CapturedTrace;
 use impact_attacks::PnmCovertChannel;
 use impact_bench::trace_tools::{
-    diff_readers, first_divergence, record_capture, replay_file, trace_stats, CaptureKind,
-    DiffOutcome,
+    diff_readers, record_capture, replay_file, trace_stats, CaptureKind, DiffOutcome,
 };
 
 /// A unique scratch path under the system temp dir, removed on drop.
@@ -80,22 +81,30 @@ fn recording_replays_bit_identically_behind_the_proxy() {
     // bit-identical with and without the proxy.
     let captured = CapturedTrace::load(&scratch.0).expect("load");
     let cfg = SystemConfig::paper_table2();
+    fn replay_all<B: MemoryBackend>(events: &[TraceEvent], backend: &mut B) -> Vec<MemResponse> {
+        let mut responses = Vec::new();
+        replay_events(events, backend, |resp| responses.push(resp)).expect("replay");
+        responses
+    }
     let mut bare = MemoryController::from_config(&cfg);
-    let mut proxied = TracingBackend::new(MemoryController::from_config(&cfg));
-    let bare_responses: Vec<MemResponse> = replay(&captured.events, &mut bare).expect("replay");
+    let writer = TraceWriter::new(Vec::new(), &captured.header).expect("header");
+    let mut proxied =
+        TracingBackend::new(MemoryController::from_config(&cfg), writer).expect("fresh backend");
+    let bare_responses = replay_all(&captured.events, &mut bare);
     assert_eq!(bare_responses.len() as u64, captured.summary.responses);
-    assert_eq!(
-        bare_responses,
-        replay(&captured.events, &mut proxied).expect("replay behind the proxy")
-    );
-    assert_eq!(bare.backend_stats(), proxied.backend_stats());
+    assert_eq!(bare_responses, replay_all(&captured.events, &mut proxied));
     assert_eq!(bare.backend_stats(), v.stats);
-    assert_eq!(bare.dram_state_digest(), proxied.dram_state_digest());
     assert_eq!(
         bare.dram_state_digest(),
         v.state_digest,
         "final DRAM state diverged"
     );
+
+    // Re-recording the replay writes the capture again, byte for byte.
+    let (inner, summary, bytes) = proxied.finish().expect("seal");
+    assert_eq!(summary, captured.summary);
+    assert_eq!(inner.dram_state_digest(), v.state_digest);
+    assert_eq!(bytes, fs::read(&scratch.0).expect("read trace file"));
 }
 
 /// `trace_replay diff` of a trace against itself reports zero divergence;
@@ -142,59 +151,38 @@ fn diff_reports_zero_then_exact_divergence() {
         }
         other => panic!("expected EventMismatch at {target}, got {other:?}"),
     }
-    assert_eq!(
-        first_divergence(&captured.events, &mutated.events),
-        Some(target as u64)
-    );
-    assert_eq!(first_divergence(&captured.events, &captured.events), None);
 }
 
-/// Spill-to-disk recording of a whole experiment (the PnM covert channel
-/// on a traced system) decodes to the same events, digest and stats as
-/// the in-memory log of an identical run.
+/// Recording a whole experiment (the PnM covert channel on a traced
+/// system) to disk leaves the experiment unchanged, and the file replays
+/// to the untraced run's backend stats and DRAM state.
 #[test]
-fn spilled_experiment_equals_in_memory_log() {
+fn recorded_experiment_equals_the_untraced_run() {
     let cfg = SystemConfig::paper_table2();
     let message = SimRng::seed(0x5111).bits(384);
 
-    // In-memory reference run.
-    let mut reference = TracedSystem::traced(cfg.clone());
+    // Untraced reference run.
+    let mut reference = System::new(cfg.clone());
     let mut channel = PnmCovertChannel::setup(&mut reference, 16).unwrap();
     let report = channel.transmit(&mut reference, &message).unwrap();
 
-    // Spilled run of the same experiment.
+    // Recorded run of the same experiment.
     let scratch = ScratchFile::new("pnm.trace");
-    let mut spilled = TracedSystem::traced(cfg.clone());
-    spilled
-        .record_trace_to(
-            Box::new(std::io::BufWriter::new(
-                fs::File::create(&scratch.0).unwrap(),
-            )),
-            "paper_table2",
-            0x5111,
-        )
-        .unwrap();
-    let mut channel = PnmCovertChannel::setup(&mut spilled, 16).unwrap();
-    let spilled_report = channel.transmit(&mut spilled, &message).unwrap();
-    assert_eq!(
-        spilled_report, report,
-        "tracing mode changed the experiment"
-    );
-    let summary = spilled.finish_trace().unwrap().expect("was recording");
-
-    let (header, events, decoded_summary) =
-        read_trace(BufReader::new(fs::File::open(&scratch.0).unwrap())).unwrap();
-    assert_eq!(header.fingerprint, cfg.fingerprint());
-    assert_eq!(events, reference.trace_log(), "event streams diverged");
-    assert_eq!(decoded_summary, summary);
-    assert_eq!(
-        summary.response_digest,
-        reference.backend().response_digest()
-    );
+    let sink = std::io::BufWriter::new(fs::File::create(&scratch.0).unwrap());
+    let mut recorded = TracedSystem::recording(cfg.clone(), sink, "paper_table2", 0x5111).unwrap();
+    let mut channel = PnmCovertChannel::setup(&mut recorded, 16).unwrap();
+    let recorded_report = channel.transmit(&mut recorded, &message).unwrap();
+    assert_eq!(recorded_report, report, "recording changed the experiment");
+    let (summary, _) = recorded.finish_trace().unwrap();
     assert_eq!(summary.stats, reference.backend().backend_stats());
 
+    let (header, _, decoded_summary) =
+        read_trace(BufReader::new(fs::File::open(&scratch.0).unwrap())).unwrap();
+    assert_eq!(header.fingerprint, cfg.fingerprint());
+    assert_eq!(decoded_summary, summary);
+
     // And the file replays onto a fresh controller with identical DRAM
-    // state to the original run.
+    // state to the untraced run.
     let v = replay_file(
         BufReader::new(fs::File::open(&scratch.0).unwrap()),
         BackendKind::Mono,
@@ -228,6 +216,10 @@ proptest! {
         }
         let _ = replay_file(&bytes[..], BackendKind::Mono);
         let _ = trace_stats(&bytes[..]);
-        let _ = CapturedTrace::read_from(&bytes[..]);
+        // The capture check `fig_all --trace` and `fleet_run --trace` run
+        // on whatever decodes.
+        if let Ok(captured) = CapturedTrace::read_from(&bytes[..]) {
+            let _ = captured.verify(&SystemConfig::paper_table2());
+        }
     }
 }
