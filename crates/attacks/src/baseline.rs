@@ -1,13 +1,13 @@
 //! Baseline main-memory covert channels (§5.2.2): DRAMA-clflush,
-//! DRAMA-eviction, the DMA-engine attack, and the idealized direct-access
-//! attack of §3.3.
+//! DRAMA-eviction and the DMA-engine attack.
 //!
 //! All baselines share DRAMA's slotted protocol over one DRAM bank: each
 //! bit occupies a time slot; in the first half the sender (for a logic-1)
 //! bypasses its cache copy and activates its own row, creating a row
 //! conflict; in the second half the receiver bypasses its copy and times a
-//! load of its row. The cache-bypass step is what differentiates the
-//! baselines — and what IMPACT eliminates:
+//! load of its row, which [`crate::channel`]'s one decode rule reads. The
+//! cache-bypass step is what differentiates the baselines — and what
+//! IMPACT eliminates:
 //!
 //! * **clflush** — one LLC-latency flush per access (grows with LLC size
 //!   via the CACTI model, which is why Fig. 9's DRAMA lines decline);
@@ -20,13 +20,15 @@
 //!   addresses in foreign banks;
 //! * **DMA engine** — no cache work, but a fixed software-stack cost
 //!   ([`impact_sim::SimParams::dma_overhead`]) per transfer (§6.2: OS
-//!   overheads make it ~10× slower than IMPACT-PnM);
-//! * **direct access** — one uncached memory request per bit, the §3.3
-//!   upper bound.
+//!   overheads make it ~10× slower than IMPACT-PnM).
+//!
+//! There is no simulated direct-access channel: the direct-memory-access
+//! line of Figs. 2 and 3 (§3.3's upper bound) is analytic, a fixed
+//! per-bit cost in `impact-bench`'s sweeps.
 //!
 //! The slotted protocol pays a guard interval per slot
-//! ([`BaselineChannel::slot_guard`]), calibrated so DRAMA-clflush matches
-//! its published ~2.3 Mb/s at small LLCs.
+//! ([`BaselinePrimitive::slot_guard`]), calibrated so DRAMA-clflush
+//! matches its published ~2.3 Mb/s at small LLCs.
 
 use impact_cache::cacti;
 use impact_core::addr::VirtAddr;
@@ -35,7 +37,7 @@ use impact_core::error::Result;
 use impact_core::time::Cycles;
 use impact_sim::{AgentId, CoBarrier, Engine};
 
-use crate::channel::{BitObservation, ChannelReport};
+use crate::channel::{ChannelReport, Decoder};
 
 /// Which cache-bypass primitive the baseline uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,8 +48,6 @@ pub enum BaselinePrimitive {
     Eviction,
     /// DMA-engine transfers.
     Dma,
-    /// Idealized single-request direct access (§3.3).
-    DirectAccess,
 }
 
 impl BaselinePrimitive {
@@ -58,17 +58,15 @@ impl BaselinePrimitive {
             BaselinePrimitive::Clflush => "DRAMA-clflush",
             BaselinePrimitive::Eviction => "DRAMA-Eviction",
             BaselinePrimitive::Dma => "DMA Engine",
-            BaselinePrimitive::DirectAccess => "Direct Memory Access",
         }
     }
 
-    /// Default slot guard interval for this primitive's protocol.
+    /// Guard interval this primitive's protocol adds to every slot.
     #[must_use]
-    pub fn default_slot_guard(&self) -> Cycles {
+    pub fn slot_guard(&self) -> Cycles {
         match self {
             BaselinePrimitive::Clflush | BaselinePrimitive::Eviction => Cycles(1075),
             BaselinePrimitive::Dma => Cycles(240),
-            BaselinePrimitive::DirectAccess => Cycles(40),
         }
     }
 }
@@ -82,9 +80,6 @@ pub struct BaselineChannel {
     sender_row: VirtAddr,
     receiver_row: VirtAddr,
     threshold: u64,
-    /// Guard interval added to every slot.
-    pub slot_guard: Cycles,
-    trace: bool,
 }
 
 impl BaselineChannel {
@@ -111,31 +106,12 @@ impl BaselineChannel {
             sender_row,
             receiver_row,
             threshold: 0,
-            slot_guard: primitive.default_slot_guard(),
-            trace: false,
         };
         ch.calibrate(sys)?;
         Ok(ch)
     }
 
-    /// Enables per-bit tracing.
-    pub fn set_trace(&mut self, trace: bool) {
-        self.trace = trace;
-    }
-
-    /// The primitive in use.
-    #[must_use]
-    pub fn primitive(&self) -> BaselinePrimitive {
-        self.primitive
-    }
-
-    /// The calibrated decode threshold.
-    #[must_use]
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-
-    /// Bypasses the cached copy of `row` for `agent` and returns the cost.
+    /// Bypasses the cached copy of `row` for `agent`.
     fn bypass<B: MemoryBackend>(
         &self,
         sys: &mut Engine<B>,
@@ -157,7 +133,6 @@ impl BaselineChannel {
                 // The DMA path never caches; charge the software stack.
                 sys.advance(agent, sys.params().dma_overhead);
             }
-            BaselinePrimitive::DirectAccess => {}
         }
         Ok(())
     }
@@ -173,7 +148,7 @@ impl BaselineChannel {
             BaselinePrimitive::Clflush | BaselinePrimitive::Eviction => {
                 sys.load(agent, row)?;
             }
-            BaselinePrimitive::Dma | BaselinePrimitive::DirectAccess => {
+            BaselinePrimitive::Dma => {
                 sys.load_direct(agent, row)?;
             }
         }
@@ -224,17 +199,17 @@ impl BaselineChannel {
     ) -> Result<ChannelReport> {
         let barrier = CoBarrier::new(Cycles(10));
         let both = [self.sender, self.receiver];
+        let half_guard = self.primitive.slot_guard() / 2;
         let start_s = sys.now(self.sender);
         let start_r = sys.now(self.receiver);
         let start = start_s.max(start_r);
-        let mut errors = 0u64;
-        let mut observations = Vec::new();
+        let mut decoder = Decoder::new(self.threshold, message.len());
 
-        for &bit in message.iter() {
+        for &bit in message {
             // Slot start.
             barrier.sync(sys, &both);
-            sys.advance(self.sender, self.slot_guard / 2);
-            sys.advance(self.receiver, self.slot_guard / 2);
+            sys.advance(self.sender, half_guard);
+            sys.advance(self.receiver, half_guard);
             // First half: sender encodes.
             if bit {
                 self.bypass(sys, self.sender, self.sender_row)?;
@@ -243,31 +218,15 @@ impl BaselineChannel {
             // Half-slot boundary.
             barrier.sync(sys, &both);
             // Second half: receiver decodes.
-            let measured = self.timed_probe(sys)?;
-            let decoded = measured > self.threshold;
-            if decoded != bit {
-                errors += 1;
-            }
-            if self.trace {
-                observations.push(BitObservation {
-                    bank: 0,
-                    measured,
-                    sent: bit,
-                    decoded,
-                });
-            }
+            decoder.decode(0, self.timed_probe(sys)?, bit);
         }
 
         let end = sys.now(self.sender).max(sys.now(self.receiver));
-        Ok(ChannelReport {
-            bits_sent: message.len() as u64,
-            bit_errors: errors,
-            elapsed: end - start,
-            sender_cycles: sys.now(self.sender) - start_s,
-            receiver_cycles: sys.now(self.receiver) - start_r,
-            threshold: self.threshold,
-            observations,
-        })
+        Ok(decoder.report(
+            end - start,
+            sys.now(self.sender) - start_s,
+            sys.now(self.receiver) - start_r,
+        ))
     }
 }
 
@@ -319,14 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_access_fastest_baseline() {
-        let (r, mbps) = run(BaselinePrimitive::DirectAccess, 1024);
-        assert_eq!(r.bit_errors, 0);
-        let (_, clflush_mbps) = run(BaselinePrimitive::Clflush, 1024);
-        assert!(mbps > 2.0 * clflush_mbps, "direct = {mbps:.2} Mb/s");
-    }
-
-    #[test]
     fn clflush_declines_with_llc_size() {
         let msg = SimRng::seed(33).bits(512);
         let mut small = System::new(SystemConfig::paper_table2_noiseless().with_llc_size(1 << 20));
@@ -366,9 +317,5 @@ mod tests {
         assert_eq!(BaselinePrimitive::Clflush.name(), "DRAMA-clflush");
         assert_eq!(BaselinePrimitive::Eviction.name(), "DRAMA-Eviction");
         assert_eq!(BaselinePrimitive::Dma.name(), "DMA Engine");
-        assert_eq!(
-            BaselinePrimitive::DirectAccess.name(),
-            "Direct Memory Access"
-        );
     }
 }

@@ -1,6 +1,19 @@
-//! Covert-channel framework: messages, thresholds, reports.
+//! Covert-channel framework: messages, thresholds, the decode rule and
+//! the PnM/PuM batch handshake.
+//!
+//! Every covert channel decodes one way (§4.1 Listing 1, §4.2 Listing 2,
+//! §5.2.2): a timed probe above the threshold is a row-buffer conflict,
+//! so the bit is a 1. The crate's `Decoder` is that rule, and the only
+//! code that builds a [`ChannelReport`]. IMPACT-PnM and IMPACT-PuM also
+//! share one semaphore handshake: the sender posts a batch of bits, one
+//! per bank, the receiver probes and decodes it and frees the buffer
+//! again. `transmit_batches` runs that handshake over a channel's
+//! per-batch `send` and `receive`.
 
+use impact_core::engine::MemoryBackend;
+use impact_core::error::Result;
 use impact_core::time::{Clock, Cycles};
+use impact_sim::{AgentId, CoSemaphore, Engine};
 
 /// The decode threshold the paper's proof-of-concept uses (§6.1): a
 /// receiver-measured latency above 150 cycles is decoded as a row-buffer
@@ -31,7 +44,7 @@ pub fn message_from_str(s: &str) -> Vec<bool> {
         .collect()
 }
 
-/// Per-bit trace entry captured by the receiver (used for Fig. 8).
+/// What the receiver measured and decoded for one bit (Fig. 8).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitObservation {
     /// The bank the bit was transmitted through.
@@ -59,7 +72,7 @@ pub struct ChannelReport {
     pub receiver_cycles: Cycles,
     /// Decode threshold used.
     pub threshold: u64,
-    /// Per-bit observations (empty when tracing was disabled).
+    /// One observation per transmitted bit, in transmission order.
     pub observations: Vec<BitObservation>,
 }
 
@@ -80,12 +93,112 @@ impl ChannelReport {
     pub fn goodput_mbps(&self, clock: Clock) -> f64 {
         clock.throughput_mbps(self.bits_sent - self.bit_errors, self.elapsed)
     }
+}
 
-    /// Raw channel throughput ignoring errors.
-    #[must_use]
-    pub fn raw_throughput_mbps(&self, clock: Clock) -> f64 {
-        clock.throughput_mbps(self.bits_sent, self.elapsed)
+/// The decode rule every covert channel shares, and the bookkeeping of
+/// one transmission: each bit is decoded exactly once, so the report's
+/// bit count is its observation count.
+pub(crate) struct Decoder {
+    threshold: u64,
+    errors: u64,
+    observations: Vec<BitObservation>,
+}
+
+impl Decoder {
+    /// A decoder for a `bits`-bit message.
+    pub(crate) fn new(threshold: u64, bits: usize) -> Decoder {
+        Decoder {
+            threshold,
+            errors: 0,
+            observations: Vec::with_capacity(bits),
+        }
     }
+
+    /// Decodes the bit sent through `bank` from the receiver's `measured`
+    /// latency: above the threshold is a row-buffer conflict, a 1.
+    pub(crate) fn decode(&mut self, bank: usize, measured: u64, sent: bool) {
+        let decoded = measured > self.threshold;
+        self.errors += u64::from(decoded != sent);
+        self.observations.push(BitObservation {
+            bank,
+            measured,
+            sent,
+            decoded,
+        });
+    }
+
+    /// The transmission's report.
+    pub(crate) fn report(
+        self,
+        elapsed: Cycles,
+        sender_cycles: Cycles,
+        receiver_cycles: Cycles,
+    ) -> ChannelReport {
+        ChannelReport {
+            bits_sent: self.observations.len() as u64,
+            bit_errors: self.errors,
+            elapsed,
+            sender_cycles,
+            receiver_cycles,
+            threshold: self.threshold,
+            observations: self.observations,
+        }
+    }
+}
+
+/// One batch of a bank-parallel covert channel: bit `i` of a batch
+/// travels through bank `i`.
+pub(crate) trait BatchChannel {
+    /// The sender's encoding of one batch, before its fence.
+    fn send<B: MemoryBackend>(&mut self, sys: &mut Engine<B>, batch: &[bool]) -> Result<()>;
+
+    /// The receiver's timed probes of one batch, each decoded through
+    /// `decoder`, then the receiver's fence and end-of-batch upkeep.
+    fn receive<B: MemoryBackend>(
+        &mut self,
+        sys: &mut Engine<B>,
+        batch: &[bool],
+        decoder: &mut Decoder,
+    ) -> Result<()>;
+}
+
+/// Transmits `message` in batches of `banks` bits through the semaphore
+/// handshake of Listings 1 and 2. The buffer starts free; per batch the
+/// sender waits until it is free, sends, fences and posts the data, and
+/// the receiver waits for the data, receives and frees the buffer. Each
+/// side's busy time counts from the end of its wait.
+pub(crate) fn transmit_batches<B: MemoryBackend, C: BatchChannel>(
+    channel: &mut C,
+    sys: &mut Engine<B>,
+    (sender, receiver): (AgentId, AgentId),
+    banks: usize,
+    threshold: u64,
+    message: &[bool],
+) -> Result<ChannelReport> {
+    let sync = sys.params().sync_overhead;
+    let mut data = CoSemaphore::new(sync);
+    let mut ready = CoSemaphore::new(sync);
+    ready.post(sys, receiver);
+    let start = sys.now(sender).max(sys.now(receiver));
+    let mut decoder = Decoder::new(threshold, message.len());
+    let mut sender_busy = Cycles::ZERO;
+    let mut receiver_busy = Cycles::ZERO;
+    for batch in message.chunks(banks) {
+        ready.wait(sys, sender);
+        let begin = sys.now(sender);
+        channel.send(sys, batch)?;
+        sys.fence(sender);
+        data.post(sys, sender);
+        sender_busy += sys.now(sender) - begin;
+
+        data.wait(sys, receiver);
+        let begin = sys.now(receiver);
+        channel.receive(sys, batch, &mut decoder)?;
+        ready.post(sys, receiver);
+        receiver_busy += sys.now(receiver) - begin;
+    }
+    let end = sys.now(sender).max(sys.now(receiver));
+    Ok(decoder.report(end - start, sender_busy, receiver_busy))
 }
 
 /// Derives a decode threshold from calibration samples: the midpoint of
@@ -132,7 +245,20 @@ mod tests {
         // 95 bits in 10 us at 2.6 GHz = 9.5 Mb/s.
         let clock = Clock::paper_default();
         assert!((r.goodput_mbps(clock) - 9.5).abs() < 0.01);
-        assert!(r.raw_throughput_mbps(clock) > r.goodput_mbps(clock));
+    }
+
+    #[test]
+    fn decoder_reads_above_threshold_as_one() {
+        let mut d = Decoder::new(150, 4);
+        d.decode(0, 151, true);
+        d.decode(1, 150, false);
+        d.decode(2, 150, true);
+        d.decode(3, 200, false);
+        let r = d.report(Cycles(40), Cycles(10), Cycles(30));
+        assert_eq!((r.bits_sent, r.bit_errors, r.threshold), (4, 2, 150));
+        let decoded: Vec<bool> = r.observations.iter().map(|o| o.decoded).collect();
+        assert_eq!(decoded, [true, false, false, true]);
+        assert_eq!(r.observations[3].bank, 3);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   leaking which hash-table banks a read-mapping victim probes (§4.3).
 //!
 //! Baselines from the paper's evaluation (§5.2.2) live in [`baseline`]:
-//! DRAMA-clflush, DRAMA-eviction, the DMA-engine attack and the idealized
-//! direct-memory-access attack of §3.3. The [`primitives`] module encodes
-//! Table 1's attack-primitive property matrix.
+//! DRAMA-clflush, DRAMA-eviction and the DMA-engine attack. All covert
+//! channels decode through one rule and PnM and PuM share one batch
+//! handshake ([`channel`]). The [`primitives`] module encodes Table 1's
+//! attack-primitive property matrix.
 //!
 //! # Example: proof-of-concept IMPACT-PnM transmission
 //!

@@ -1,16 +1,19 @@
 //! IMPACT-PnM: the PiM-enabled-instructions covert channel (§4.1,
 //! Listing 1, Fig. 4).
 //!
-//! Protocol per M-bit batch (M = number of banks):
+//! Protocol per M-bit batch (M = number of banks), over
+//! [`crate::channel`]'s semaphore handshake:
 //!
-//! 1. the receiver has one of its rows open in every bank (Step 1
-//!    initialization, repeated when rotating rows);
-//! 2. the sender encodes logic-1 as interference: it executes a PEI on its
-//!    own row in the corresponding bank (row-buffer conflict), and a NOP
-//!    for logic-0; then fences and posts the semaphore;
-//! 3. the receiver waits on the semaphore and probes each bank with a PEI
-//!    on its initialized row, timing it with `rdtscp`: above-threshold
-//!    latency ⇒ conflict ⇒ 1, else hit ⇒ 0.
+//! 1. Step 1, in `setup`: the receiver opens one of its rows in every
+//!    bank (repeated, unmeasured, when it rotates to a fresh row);
+//! 2. Step 2, the channel's `send`: the sender encodes logic-1 as
+//!    interference, a PEI on its own row in the corresponding bank
+//!    (row-buffer conflict), and logic-0 as a NOP; the handshake then
+//!    fences and posts the semaphore;
+//! 3. Step 3, the channel's `receive`: the receiver probes each bank with
+//!    a PEI on its initialized row, timed with `rdtscp`, and decodes it
+//!    (above the threshold ⇒ conflict ⇒ 1, else hit ⇒ 0); then it fences
+//!    and rotates its exhausted rows.
 //!
 //! Both parties defeat the PMU locality monitor by touching a fresh cache
 //! line of the row on every batch, rotating to a fresh row (with an
@@ -20,11 +23,13 @@ use impact_core::addr::{VirtAddr, LINE_SIZE};
 use impact_core::engine::MemoryBackend;
 use impact_core::error::Result;
 use impact_core::time::Cycles;
-use impact_sim::{AgentId, CoSemaphore, Engine};
+use impact_sim::{AgentId, Engine};
 
-use crate::channel::{BitObservation, ChannelReport, PAPER_THRESHOLD_CYCLES};
+use crate::channel::{
+    transmit_batches, BatchChannel, ChannelReport, Decoder, PAPER_THRESHOLD_CYCLES,
+};
 
-/// Per-bank, per-side row state with line rotation.
+/// One side's row in one bank, and the next of its lines to touch.
 #[derive(Debug, Clone)]
 struct RowCursor {
     row: VirtAddr,
@@ -33,13 +38,31 @@ struct RowCursor {
 }
 
 impl RowCursor {
-    fn next_line(&mut self) -> Option<VirtAddr> {
-        if self.line >= self.lines_per_row {
-            return None;
-        }
+    /// Allocates a fresh row for `agent` in `bank` and warms its pages.
+    fn fresh<B: MemoryBackend>(
+        sys: &mut Engine<B>,
+        agent: AgentId,
+        bank: usize,
+    ) -> Result<RowCursor> {
+        let row_bytes = sys.config().dram_geometry.row_bytes;
+        let row = sys.alloc_row_in_bank(agent, bank)?;
+        sys.warm_tlb(agent, row, (row_bytes / 4096).max(1));
+        Ok(RowCursor {
+            row,
+            line: 0,
+            lines_per_row: row_bytes / LINE_SIZE,
+        })
+    }
+
+    fn exhausted(&self) -> bool {
+        self.line >= self.lines_per_row
+    }
+
+    fn next_line(&mut self) -> VirtAddr {
+        debug_assert!(!self.exhausted(), "row rotation keeps lines available");
         let va = self.row + self.line * LINE_SIZE;
         self.line += 1;
-        Some(va)
+        va
     }
 }
 
@@ -56,7 +79,6 @@ pub struct PnmCovertChannel {
     /// `.0` are assumed to include one preventive action and `.1` cycles
     /// are subtracted before decoding.
     rfm_filter: Option<(u64, u64)>,
-    trace: bool,
 }
 
 impl PnmCovertChannel {
@@ -71,27 +93,16 @@ impl PnmCovertChannel {
     pub fn setup<B: MemoryBackend>(sys: &mut Engine<B>, banks: usize) -> Result<PnmCovertChannel> {
         let sender = sys.spawn_agent();
         let receiver = sys.spawn_agent();
-        let lines_per_row = sys.config().dram_geometry.row_bytes / LINE_SIZE;
-        let pages_per_row = (sys.config().dram_geometry.row_bytes / 4096).max(1);
         let mut sender_rows = Vec::with_capacity(banks);
         let mut receiver_rows = Vec::with_capacity(banks);
         for bank in 0..banks {
-            let s_row = sys.alloc_row_in_bank(sender, bank)?;
-            let r_row = sys.alloc_row_in_bank(receiver, bank)?;
-            sys.warm_tlb(sender, s_row, pages_per_row);
-            sys.warm_tlb(receiver, r_row, pages_per_row);
-            sender_rows.push(RowCursor {
-                row: s_row,
-                line: 0,
-                lines_per_row,
-            });
-            receiver_rows.push(RowCursor {
-                row: r_row,
-                line: 0,
-                lines_per_row,
-            });
+            sender_rows.push(RowCursor::fresh(sys, sender, bank)?);
+            receiver_rows.push(RowCursor::fresh(sys, receiver, bank)?);
         }
-        let mut ch = PnmCovertChannel {
+        // Step 1: open the receiver's row in every bank (unmeasured).
+        let rows: Vec<VirtAddr> = receiver_rows.iter().map(|c| c.row).collect();
+        sys.pim_open_burst(receiver, &rows)?;
+        Ok(PnmCovertChannel {
             sender,
             receiver,
             banks,
@@ -99,15 +110,7 @@ impl PnmCovertChannel {
             receiver_rows,
             threshold: PAPER_THRESHOLD_CYCLES,
             rfm_filter: None,
-            trace: false,
-        };
-        ch.initialize_receiver_rows(sys)?;
-        Ok(ch)
-    }
-
-    /// Enables per-bit observation tracing (Fig. 8).
-    pub fn set_trace(&mut self, trace: bool) {
-        self.trace = trace;
+        })
     }
 
     /// Overrides the decode threshold (default: the paper's 150 cycles).
@@ -124,45 +127,6 @@ impl PnmCovertChannel {
         self.rfm_filter = filter;
     }
 
-    /// The sender agent.
-    #[must_use]
-    pub fn sender(&self) -> AgentId {
-        self.sender
-    }
-
-    /// The receiver agent.
-    #[must_use]
-    pub fn receiver(&self) -> AgentId {
-        self.receiver
-    }
-
-    /// Step 1: open the receiver's current row in every bank (unmeasured).
-    fn initialize_receiver_rows<B: MemoryBackend>(&mut self, sys: &mut Engine<B>) -> Result<()> {
-        let rows: Vec<VirtAddr> = (0..self.banks).map(|b| self.receiver_rows[b].row).collect();
-        sys.pim_open_burst(self.receiver, &rows)?;
-        Ok(())
-    }
-
-    /// Advances a side's cursor in `bank`, rotating to a fresh row when
-    /// the current one is exhausted. Receiver rotations re-initialize.
-    fn sender_line<B: MemoryBackend>(
-        &mut self,
-        sys: &mut Engine<B>,
-        bank: usize,
-    ) -> Result<VirtAddr> {
-        if let Some(va) = self.sender_rows[bank].next_line() {
-            return Ok(va);
-        }
-        let row = sys.alloc_row_in_bank(self.sender, bank)?;
-        sys.warm_tlb(self.sender, row, 2);
-        self.sender_rows[bank] = RowCursor {
-            row,
-            line: 0,
-            lines_per_row: self.sender_rows[bank].lines_per_row,
-        };
-        Ok(self.sender_rows[bank].next_line().expect("fresh row"))
-    }
-
     /// End-of-batch maintenance: any receiver row that is out of fresh
     /// lines is replaced by a new row in the same bank and re-initialized
     /// *before* the sender's next batch, so the rotation never masks the
@@ -172,16 +136,10 @@ impl PnmCovertChannel {
         sys: &mut Engine<B>,
     ) -> Result<()> {
         for bank in 0..self.banks {
-            if self.receiver_rows[bank].line >= self.receiver_rows[bank].lines_per_row {
-                let row = sys.alloc_row_in_bank(self.receiver, bank)?;
-                sys.warm_tlb(self.receiver, row, 2);
-                self.receiver_rows[bank] = RowCursor {
-                    row,
-                    line: 0,
-                    lines_per_row: self.receiver_rows[bank].lines_per_row,
-                };
+            if self.receiver_rows[bank].exhausted() {
+                self.receiver_rows[bank] = RowCursor::fresh(sys, self.receiver, bank)?;
                 // Unmeasured Step 1 re-initialization of the fresh row.
-                sys.pim_op_direct(self.receiver, row)?;
+                sys.pim_op_direct(self.receiver, self.receiver_rows[bank].row)?;
             }
         }
         Ok(())
@@ -197,89 +155,57 @@ impl PnmCovertChannel {
         sys: &mut Engine<B>,
         message: &[bool],
     ) -> Result<ChannelReport> {
-        let sync = sys.params().sync_overhead;
-        let mut data_sem = CoSemaphore::new(sync);
-        let mut ready_sem = CoSemaphore::new(sync);
-        // The buffer starts free.
-        ready_sem.post(sys, self.receiver);
+        let agents = (self.sender, self.receiver);
+        let (banks, threshold) = (self.banks, self.threshold);
+        transmit_batches(self, sys, agents, banks, threshold, message)
+    }
+}
 
-        let start_s = sys.now(self.sender);
-        let start_r = sys.now(self.receiver);
-        let start = start_s.max(start_r);
-        let mut errors = 0u64;
-        let mut observations = Vec::new();
-        let mut sender_busy = Cycles::ZERO;
-        let mut receiver_busy = Cycles::ZERO;
-
-        for batch in message.chunks(self.banks) {
-            // --- Sender: Step 2 ---
-            ready_sem.wait(sys, self.sender);
-            let s_begin = sys.now(self.sender);
-            for (bank, &bit) in batch.iter().enumerate() {
-                if bit {
-                    let va = self.sender_line(sys, bank)?;
-                    sys.pim_op(self.sender, va)?;
-                } else {
-                    // NOP: do not interfere with the receiver.
-                    sys.advance(self.sender, Cycles(2));
+impl BatchChannel for PnmCovertChannel {
+    /// Step 2: a PEI on a fresh line of the sender's row for each 1 (on a
+    /// fresh row once the row's lines run out), a NOP for each 0.
+    fn send<B: MemoryBackend>(&mut self, sys: &mut Engine<B>, batch: &[bool]) -> Result<()> {
+        for (bank, &bit) in batch.iter().enumerate() {
+            if bit {
+                if self.sender_rows[bank].exhausted() {
+                    self.sender_rows[bank] = RowCursor::fresh(sys, self.sender, bank)?;
                 }
+                let va = self.sender_rows[bank].next_line();
+                sys.pim_op(self.sender, va)?;
+            } else {
+                sys.advance(self.sender, Cycles(2));
             }
-            sys.fence(self.sender);
-            data_sem.post(sys, self.sender);
-            sender_busy += sys.now(self.sender) - s_begin;
-
-            // --- Receiver: Step 3 ---
-            data_sem.wait(sys, self.receiver);
-            let r_begin = sys.now(self.receiver);
-            // One fresh probe line per bank; collecting them up front is
-            // invisible to the simulation (cursor state only).
-            let probe_vas: Vec<VirtAddr> = (0..batch.len())
-                .map(|bank| {
-                    self.receiver_rows[bank]
-                        .next_line()
-                        .expect("rotation maintenance keeps lines available")
-                })
-                .collect();
-            // The probe hot loop: one timed PEI per bank. The engine picks
-            // the batched or the serial servicing path from what it can
-            // observe; both are bit-identical.
-            let samples = sys.pim_probe_burst(self.receiver, &probe_vas)?;
-            for (bank, (&bit, probe)) in batch.iter().zip(&samples).enumerate() {
-                let mut measured = probe.measured;
-                if let Some((trigger, subtract)) = self.rfm_filter {
-                    if measured > trigger {
-                        measured = measured.saturating_sub(subtract);
-                    }
-                }
-                let decoded = measured > self.threshold;
-                if decoded != bit {
-                    errors += 1;
-                }
-                if self.trace {
-                    observations.push(BitObservation {
-                        bank,
-                        measured,
-                        sent: bit,
-                        decoded,
-                    });
-                }
-            }
-            sys.fence(self.receiver);
-            self.rotate_exhausted_receiver_rows(sys)?;
-            ready_sem.post(sys, self.receiver);
-            receiver_busy += sys.now(self.receiver) - r_begin;
         }
+        Ok(())
+    }
 
-        let end = sys.now(self.sender).max(sys.now(self.receiver));
-        Ok(ChannelReport {
-            bits_sent: message.len() as u64,
-            bit_errors: errors,
-            elapsed: end - start,
-            sender_cycles: sender_busy,
-            receiver_cycles: receiver_busy,
-            threshold: self.threshold,
-            observations,
-        })
+    /// Step 3: one timed PEI per bank on a fresh line of the receiver's
+    /// row, filtered for RowHammer-mitigation pauses when enabled and
+    /// decoded; then the fence and the row rotation.
+    fn receive<B: MemoryBackend>(
+        &mut self,
+        sys: &mut Engine<B>,
+        batch: &[bool],
+        decoder: &mut Decoder,
+    ) -> Result<()> {
+        // Collecting the probe lines up front is invisible to the
+        // simulation (cursor state only).
+        let probe_vas: Vec<VirtAddr> = self.receiver_rows[..batch.len()]
+            .iter_mut()
+            .map(RowCursor::next_line)
+            .collect();
+        let samples = sys.pim_probe_burst(self.receiver, &probe_vas)?;
+        for (bank, (&bit, probe)) in batch.iter().zip(&samples).enumerate() {
+            let mut measured = probe.measured;
+            if let Some((trigger, subtract)) = self.rfm_filter {
+                if measured > trigger {
+                    measured = measured.saturating_sub(subtract);
+                }
+            }
+            decoder.decode(bank, measured, bit);
+        }
+        sys.fence(self.receiver);
+        self.rotate_exhausted_receiver_rows(sys)
     }
 }
 
@@ -300,7 +226,6 @@ mod tests {
         // The Fig. 8a message decodes perfectly without noise.
         let mut s = sys();
         let mut ch = PnmCovertChannel::setup(&mut s, 16).unwrap();
-        ch.set_trace(true);
         let msg = message_from_str("1110010011100100");
         let r = ch.transmit(&mut s, &msg).unwrap();
         assert_eq!(r.bit_errors, 0);
@@ -405,7 +330,6 @@ mod tests {
             }
             s.set_periodic_block(block);
             let mut ch = PnmCovertChannel::setup(&mut s, 16).unwrap();
-            ch.set_trace(true);
             (ch.transmit(&mut s, msg).unwrap(), s)
         }
 

@@ -5,22 +5,27 @@
 //! mask bit, all banks in parallel — this is the throughput advantage over
 //! IMPACT-PnM, whose sender pays one PEI per bit.
 //!
-//! The receiver initializes by cloning its own `src → dst` ranges in every
-//! bank (leaving its destination rows open), then decodes each batch by
-//! issuing one single-bank RowClone per bank and timing it: if the sender
-//! cloned in that bank, the receiver's row was displaced and the copy pays
-//! a precharge (slow ⇒ 1); otherwise the receiver's row is still open and
-//! the copy is fast (⇒ 0). Each receiver probe swaps the copy direction so
-//! its own source row is always the one left open by its previous probe.
+//! The receiver initializes in `setup` by cloning its own `src → dst`
+//! ranges in every bank, leaving its destination rows open. Over
+//! [`crate::channel`]'s semaphore handshake, the channel's `send` is the
+//! sender's masked clone, and its `receive` decodes the batch: one timed
+//! single-bank RowClone per bank. If the sender cloned in that bank, the
+//! receiver's row was displaced and the copy pays a precharge (slow ⇒ 1);
+//! otherwise the receiver's row is still open and the copy is fast
+//! (⇒ 0). Each batch then swaps the copy direction, so the receiver's
+//! source row is always the one its previous probes left open, and
+//! fences.
 
+use impact_core::addr::VirtAddr;
 use impact_core::engine::MemoryBackend;
 use impact_core::error::Result;
 use impact_core::time::Cycles;
-use impact_sim::{AgentId, CoSemaphore, Engine};
-
-use crate::channel::{BitObservation, ChannelReport, PAPER_THRESHOLD_CYCLES};
-use impact_core::addr::VirtAddr;
 use impact_pim::mask_from_bits;
+use impact_sim::{AgentId, Engine};
+
+use crate::channel::{
+    transmit_batches, BatchChannel, ChannelReport, Decoder, PAPER_THRESHOLD_CYCLES,
+};
 
 /// The IMPACT-PuM covert channel.
 #[derive(Debug)]
@@ -34,8 +39,6 @@ pub struct PumCovertChannel {
     receiver_dst: VirtAddr,
     /// Copy direction toggle per batch (receiver side).
     forward: bool,
-    threshold: u64,
-    trace: bool,
 }
 
 impl PumCovertChannel {
@@ -72,7 +75,11 @@ impl PumCovertChannel {
         ] {
             sys.warm_tlb(agent, va, rotation_pages);
         }
-        let mut ch = PumCovertChannel {
+        // Step 1: init_DRAM_rows_with_RowClone(); the receiver's
+        // destination rows are now open.
+        let full_mask = mask_from_bits(&vec![true; banks]);
+        sys.rowclone(receiver, receiver_src, receiver_dst, full_mask)?;
+        Ok(PumCovertChannel {
             sender,
             receiver,
             banks,
@@ -80,37 +87,8 @@ impl PumCovertChannel {
             sender_dst,
             receiver_src,
             receiver_dst,
-            forward: true,
-            threshold: PAPER_THRESHOLD_CYCLES,
-            trace: false,
-        };
-        // Step 1: init_DRAM_rows_with_RowClone().
-        let full_mask = mask_from_bits(&vec![true; banks]);
-        sys.rowclone(ch.receiver, ch.receiver_src, ch.receiver_dst, full_mask)?;
-        ch.forward = false; // receiver's dst rows are now open
-        Ok(ch)
-    }
-
-    /// Enables per-bit observation tracing (Fig. 8).
-    pub fn set_trace(&mut self, trace: bool) {
-        self.trace = trace;
-    }
-
-    /// Overrides the decode threshold.
-    pub fn set_threshold(&mut self, threshold: u64) {
-        self.threshold = threshold;
-    }
-
-    /// The sender agent.
-    #[must_use]
-    pub fn sender(&self) -> AgentId {
-        self.sender
-    }
-
-    /// The receiver agent.
-    #[must_use]
-    pub fn receiver(&self) -> AgentId {
-        self.receiver
+            forward: false,
+        })
     }
 
     /// Transmits `message`.
@@ -123,76 +101,46 @@ impl PumCovertChannel {
         sys: &mut Engine<B>,
         message: &[bool],
     ) -> Result<ChannelReport> {
-        let sync = sys.params().sync_overhead;
-        let mut data_sem = CoSemaphore::new(sync);
-        let mut ready_sem = CoSemaphore::new(sync);
-        ready_sem.post(sys, self.receiver);
+        let agents = (self.sender, self.receiver);
+        let banks = self.banks;
+        transmit_batches(self, sys, agents, banks, PAPER_THRESHOLD_CYCLES, message)
+    }
+}
 
-        let start_s = sys.now(self.sender);
-        let start_r = sys.now(self.receiver);
-        let start = start_s.max(start_r);
-        let mut errors = 0u64;
-        let mut observations = Vec::new();
-        let mut sender_busy = Cycles::ZERO;
-        let mut receiver_busy = Cycles::ZERO;
-
-        for batch in message.chunks(self.banks) {
-            // --- Sender: one masked RowClone for the whole batch ---
-            ready_sem.wait(sys, self.sender);
-            let s_begin = sys.now(self.sender);
-            let mask = mask_from_bits(batch);
-            if mask != 0 {
-                sys.rowclone(self.sender, self.sender_src, self.sender_dst, mask)?;
-            } else {
-                sys.advance(self.sender, Cycles(2));
-            }
-            sys.fence(self.sender);
-            data_sem.post(sys, self.sender);
-            sender_busy += sys.now(self.sender) - s_begin;
-
-            // --- Receiver: one timed single-bank RowClone per bank ---
-            data_sem.wait(sys, self.receiver);
-            let r_begin = sys.now(self.receiver);
-            let (from, to) = if self.forward {
-                (self.receiver_src, self.receiver_dst)
-            } else {
-                (self.receiver_dst, self.receiver_src)
-            };
-            for (bank, &bit) in batch.iter().enumerate() {
-                let mask = 1u64 << bank;
-                let t0 = sys.rdtscp(self.receiver);
-                sys.rowclone(self.receiver, from, to, mask)?;
-                let t1 = sys.rdtscp(self.receiver);
-                let measured = t1 - t0;
-                let decoded = measured > self.threshold;
-                if decoded != bit {
-                    errors += 1;
-                }
-                if self.trace {
-                    observations.push(BitObservation {
-                        bank,
-                        measured,
-                        sent: bit,
-                        decoded,
-                    });
-                }
-            }
-            self.forward = !self.forward;
-            sys.fence(self.receiver);
-            ready_sem.post(sys, self.receiver);
-            receiver_busy += sys.now(self.receiver) - r_begin;
+impl BatchChannel for PumCovertChannel {
+    /// One masked RowClone for the whole batch; a NOP for an all-zero one.
+    fn send<B: MemoryBackend>(&mut self, sys: &mut Engine<B>, batch: &[bool]) -> Result<()> {
+        let mask = mask_from_bits(batch);
+        if mask != 0 {
+            sys.rowclone(self.sender, self.sender_src, self.sender_dst, mask)?;
+        } else {
+            sys.advance(self.sender, Cycles(2));
         }
+        Ok(())
+    }
 
-        let end = sys.now(self.sender).max(sys.now(self.receiver));
-        Ok(ChannelReport {
-            bits_sent: message.len() as u64,
-            bit_errors: errors,
-            elapsed: end - start,
-            sender_cycles: sender_busy,
-            receiver_cycles: receiver_busy,
-            threshold: self.threshold,
-            observations,
-        })
+    /// One timed single-bank RowClone per bank, each decoded; then the
+    /// direction swap and the fence.
+    fn receive<B: MemoryBackend>(
+        &mut self,
+        sys: &mut Engine<B>,
+        batch: &[bool],
+        decoder: &mut Decoder,
+    ) -> Result<()> {
+        let (from, to) = if self.forward {
+            (self.receiver_src, self.receiver_dst)
+        } else {
+            (self.receiver_dst, self.receiver_src)
+        };
+        for (bank, &bit) in batch.iter().enumerate() {
+            let t0 = sys.rdtscp(self.receiver);
+            sys.rowclone(self.receiver, from, to, 1u64 << bank)?;
+            let t1 = sys.rdtscp(self.receiver);
+            decoder.decode(bank, t1 - t0, bit);
+        }
+        self.forward = !self.forward;
+        sys.fence(self.receiver);
+        Ok(())
     }
 }
 
@@ -213,7 +161,6 @@ mod tests {
         // Fig. 8b message.
         let mut s = sys();
         let mut ch = PumCovertChannel::setup(&mut s, 16).unwrap();
-        ch.set_trace(true);
         let msg = message_from_str("0001101100011011");
         let r = ch.transmit(&mut s, &msg).unwrap();
         assert_eq!(r.bit_errors, 0);

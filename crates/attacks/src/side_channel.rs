@@ -16,6 +16,10 @@
 //!
 //! # Accounting (following §6.3)
 //!
+//! Each sweep round probes every bank once, and `measure` scores each
+//! probe as it runs it, against whether the victim touched that bank
+//! since the bank's previous probe:
+//!
 //! * **Throughput** counts successfully leaked information only: each
 //!   true-positive detection resolves the victim's probe to the entries of
 //!   one bank, worth `log2(total entries) − log2(entries per bank)` bits
@@ -25,13 +29,18 @@
 //!   victim probes collapsing into one observation window count as
 //!   misses).
 //!
-//! As the bank count grows, one probe sweep takes proportionally longer,
+//! # Why fig11 falls with the bank count
+//!
+//! One probe sweep takes proportionally longer as the bank count grows,
 //! so (i) per-bank background activity has more time to accumulate
 //! between probes (error grows) and (ii) repeated probes of hot hash
-//! buckets alias within a sweep (detected-event rate drops) — reproducing
-//! Fig. 11's trends.
-
-use std::collections::BTreeSet;
+//! buckets alias within a sweep (§6.3; the detected-event rate drops).
+//! From 2048 banks on, a page walk adds most of the drop: the attacker
+//! re-translates one 4 KiB page per bank before each timed probe, those
+//! pages overflow the 1536-entry L2 TLB, and every probe pays a 120-cycle
+//! walk. A probe then costs about 259 attacker cycles instead of 140.5 at
+//! 1024 banks. Without the walk, 2048 banks would read 7.32 Mb/s instead
+//! of 5.53.
 
 use impact_core::addr::{PhysAddr, VirtAddr, LINE_SIZE};
 use impact_core::engine::MemoryBackend;
@@ -39,7 +48,7 @@ use impact_core::error::Result;
 use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_genomics::genome::{Genome, ReadSampler};
-use impact_genomics::imputation::{score_rounds, LeakScore};
+use impact_genomics::imputation::LeakScore;
 use impact_genomics::index::{seed_buckets, BankLayout};
 use impact_sim::{AgentId, Engine};
 
@@ -183,12 +192,6 @@ impl SideChannelAttack {
         SideChannelAttack { cfg }
     }
 
-    /// Paper-default configuration.
-    #[must_use]
-    pub fn paper_default() -> SideChannelAttack {
-        SideChannelAttack::new(SideChannelConfig::default())
-    }
-
     /// Runs the attack on `sys`, whose DRAM geometry determines the bank
     /// count being swept. Equivalent to [`SideChannelAttack::init`]
     /// followed by [`SideChannelAttack::measure`].
@@ -292,17 +295,13 @@ impl SideChannelAttack {
         let mut bg_rng = SimRng::seed(self.cfg.seed ^ 0x6A6E);
         let mut pending: Vec<u64> = vec![0; banks];
         let mut last_probe: Vec<Cycles> = vec![sys.now(attacker); banks];
-        let mut truth_rounds: Vec<BTreeSet<usize>> = Vec::new();
-        let mut observed_rounds: Vec<BTreeSet<usize>> = Vec::new();
+        let mut score = LeakScore::default();
         let mut stream_pos = 0usize;
         let mut victim_accesses = 0u64;
         let mut probes = 0u64;
-        let mut aliased_misses = 0u64;
         let start = sys.now(attacker);
 
         while stream_pos < bucket_stream.len() {
-            let mut truth = BTreeSet::new();
-            let mut observed = BTreeSet::new();
             for bank in 0..banks {
                 // Let the victim catch up to the attacker's clock.
                 while stream_pos < bucket_stream.len() && sys.now(victim) <= sys.now(attacker) {
@@ -339,11 +338,12 @@ impl SideChannelAttack {
                     );
                 }
 
-                // Refresh the translation before the timed probe. The
-                // attacker backs its probe buffer with 2 MiB hugepages
-                // (one page covers 256 rows), so in hardware these
-                // translations always hit; the 4 KiB-page simulator models
-                // that by re-warming the entry, unmeasured.
+                // The attacker re-translates its row before the timed
+                // probe and pays the lookup on its own clock. Its rows sit
+                // in 4 KiB pages, one per bank, so from 2048 banks on they
+                // overflow the L2 TLB and every lookup walks (see the
+                // module docs). `pim_op_direct` translates the row again
+                // inside the timed window, as a 1-cycle L1 hit.
                 let (_, tlb_cost) = sys.translate(attacker, attacker_rows[bank])?;
                 sys.advance(attacker, tlb_cost);
                 let t0 = sys.rdtscp(attacker);
@@ -352,23 +352,20 @@ impl SideChannelAttack {
                 probes += 1;
                 last_probe[bank] = sys.now(attacker);
                 let detected = (t1 - t0) > self.cfg.threshold;
-                if pending[bank] > 0 {
-                    truth.insert(bank);
-                    // Accesses beyond the first collapsed into one
-                    // row-buffer observation and are unrecoverable.
-                    aliased_misses += pending[bank] - 1;
+                let touched = pending[bank] > 0;
+                match (touched, detected) {
+                    (true, true) => score.true_positives += 1,
+                    (false, true) => score.false_positives += 1,
+                    (true, false) => score.false_negatives += 1,
+                    (false, false) => {}
                 }
-                if detected {
-                    observed.insert(bank);
-                }
+                // Accesses beyond the first collapsed into one row-buffer
+                // observation and are unrecoverable.
+                score.false_negatives += pending[bank].saturating_sub(1);
                 pending[bank] = 0;
             }
-            truth_rounds.push(truth);
-            observed_rounds.push(observed);
         }
 
-        let mut score = score_rounds(&truth_rounds, &observed_rounds);
-        score.false_negatives += aliased_misses;
         let elapsed = sys.now(attacker) - start;
         let leaked_bits = score.leaked_bits(layout);
         Ok(SideChannelReport {
@@ -536,6 +533,34 @@ mod tests {
         }
     }
 
+    /// The attacker's per-probe translation budget at fig11's 40-read
+    /// configuration, in the steady state of `measure`'s rounds: after
+    /// `init`, a fork re-translates every attacker row once (the first
+    /// round), and a second sweep then costs an L1 miss and an L2 hit
+    /// (1 + 12 cycles) per row at 1024 banks. From 2048 banks on, the
+    /// sweep's pages cycle through the 1536-entry LRU L2 TLB, so every
+    /// row also walks (1 + 12 + 120).
+    #[test]
+    fn translation_budget_per_probe_is_pinned() {
+        for (banks, per_row) in [(1024u32, 13u64), (2048, 133), (4096, 133), (8192, 133)] {
+            let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
+            let mut parent = System::new(cfg);
+            let attack = SideChannelAttack::new(SideChannelConfig {
+                reads: 40,
+                ..SideChannelConfig::default()
+            });
+            let init = attack.init(&mut parent).unwrap();
+            let mut fork = parent.fork();
+            for &row in &init.attacker_rows {
+                fork.translate(init.attacker, row).unwrap();
+            }
+            for &row in &init.attacker_rows {
+                let (_, cost) = fork.translate(init.attacker, row).unwrap();
+                assert_eq!(cost, Cycles(per_row), "{banks} banks");
+            }
+        }
+    }
+
     /// The attack runs identically behind the tracing proxy.
     #[test]
     fn runs_identically_on_traced_backend() {
@@ -562,36 +587,5 @@ mod tests {
         assert_eq!(mono.score.false_negatives, traced.score.false_negatives);
         assert_eq!(mono.elapsed, traced.elapsed);
         assert_eq!(mono_sys.dram_totals(), tr_sys.dram_totals());
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use impact_core::config::SystemConfig;
-    use impact_sim::System;
-
-    #[test]
-    #[ignore]
-    fn debug_score_breakdown() {
-        for banks in [1024u32, 2048, 4096, 8192] {
-            let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
-            let mut sys = System::new(cfg);
-            let attack = SideChannelAttack::new(SideChannelConfig {
-                reads: 40,
-                ..SideChannelConfig::default()
-            });
-            let r = attack.run(&mut sys).unwrap();
-            eprintln!(
-                "banks {banks}: TP {} FP {} FN {} victim {} tput {:.2} err {:.3} miss {:.3}",
-                r.score.true_positives,
-                r.score.false_positives,
-                r.score.false_negatives,
-                r.victim_accesses,
-                r.throughput_mbps(sys.config().clock),
-                r.error_rate(),
-                r.miss_rate()
-            );
-        }
     }
 }

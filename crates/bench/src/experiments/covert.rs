@@ -26,7 +26,6 @@ pub fn fig8() -> Figure {
     // (a) IMPACT-PnM.
     let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-    pnm.set_trace(true);
     let msg = message_from_str("1110010011100100");
     let r = pnm.transmit(&mut sys, &msg).expect("transmit");
     fig = fig.with_series(Series::new(
@@ -41,7 +40,6 @@ pub fn fig8() -> Figure {
     // (b) IMPACT-PuM.
     let mut sys = System::new(SystemConfig::paper_table2_noiseless());
     let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
-    pum.set_trace(true);
     let msg = message_from_str("0001101100011011");
     let r = pum.transmit(&mut sys, &msg).expect("transmit");
     fig = fig.with_series(Series::new(

@@ -18,8 +18,9 @@
 //! * [`index`] — minimizer seeding ([`index::seed_buckets`], the victim's
 //!   probe stream) and the bank-distributed hash table's layout
 //!   ([`index::BankLayout`]);
-//! * [`imputation`] — completion-attack style scoring of leaked accesses
-//!   against ground truth.
+//! * [`imputation`] — the score of leaked accesses against ground truth
+//!   ([`imputation::LeakScore`], which the side channel fills in as it
+//!   probes) and the attacker's candidate reconstruction.
 //!
 //! # Example
 //!

@@ -18,6 +18,7 @@
 //! ```
 //! use impact_core::config::SystemConfig;
 //! use impact_core::addr::PhysAddr;
+//! use impact_core::engine::RowBufferKind;
 //! use impact_core::time::Cycles;
 //! use impact_memctrl::MemoryController;
 //! use impact_pim::pei::{ExecSite, PeiEngine};
@@ -25,9 +26,12 @@
 //! let cfg = SystemConfig::paper_table2();
 //! let mut mc = MemoryController::from_config(&cfg);
 //! let mut pei = PeiEngine::new(cfg.pim);
-//! // A cold line has no locality: the PMU sends the PEI memory-side.
-//! let out = pei.execute(&mut mc, PhysAddr(0x1000), Cycles(0), 0)?;
-//! assert_eq!(out.site, ExecSite::MemorySide);
+//! // A cold line has no locality: the PMU sends the PEI memory-side,
+//! // where it opens the line's row.
+//! let addr = PhysAddr(0x1000);
+//! assert_eq!(pei.decide(addr), ExecSite::MemorySide);
+//! let out = pei.execute_memory_side(&mut mc, addr, Cycles(0), 0)?;
+//! assert_eq!(out.kind, RowBufferKind::Miss);
 //! # Ok::<(), impact_core::Error>(())
 //! ```
 

@@ -11,10 +11,14 @@
 //!   caches; low-locality regions execute memory-side. The monitor is a
 //!   small direct-mapped table of per-line access counters.
 //!
+//! [`PeiEngine::decide`] is the PMU's decision. The system simulator
+//! times a host-side PEI through its own cache hierarchy;
+//! [`PeiEngine::execute_memory_side`] times a memory-side one.
+//!
 //! The monitor's table sits behind an `Arc`, so an engine fork shares it
 //! until either side runs a PEI through the PMU. Forks that only issue
-//! explicitly offloaded PEIs ([`PeiEngine::execute_memory_side`], the
-//! path the fleet's sessions take) never copy it.
+//! explicitly offloaded PEIs (the path the fleet's sessions take) never
+//! copy it.
 
 use std::sync::Arc;
 
@@ -33,17 +37,13 @@ pub enum ExecSite {
     MemorySide,
 }
 
-/// Result of executing one PEI.
+/// Result of executing one PEI memory-side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeiOutcome {
-    /// Execution site chosen by the PMU.
-    pub site: ExecSite,
     /// Latency observed by the issuing thread.
     pub latency: Cycles,
-    /// Row-buffer classification for memory-side execution (None when the
-    /// PEI ran host-side; the host path is timed by the caller's cache
-    /// model).
-    pub kind: Option<RowBufferKind>,
+    /// Row-buffer classification of the PEI's DRAM access.
+    pub kind: RowBufferKind,
     /// Completion time.
     pub completed_at: Cycles,
 }
@@ -160,38 +160,6 @@ impl PeiEngine {
         }
     }
 
-    /// Executes a PEI (e.g. `pim_add`) targeting `addr` at `now` for
-    /// `actor`, letting the PMU pick the site.
-    ///
-    /// Host-side execution is returned with only the PEI overhead charged;
-    /// the caller (the system simulator) adds its cache-path latency. The
-    /// memory-side path is fully timed here.
-    ///
-    /// # Errors
-    ///
-    /// Propagates backend errors (partition violations, out-of-range
-    /// addresses) for memory-side execution.
-    pub fn execute<B: MemoryBackend>(
-        &mut self,
-        mem: &mut B,
-        addr: PhysAddr,
-        now: Cycles,
-        actor: u32,
-    ) -> Result<PeiOutcome> {
-        match self.decide(addr) {
-            ExecSite::Host => {
-                let latency = Cycles(self.cfg.pei_overhead_cycles);
-                Ok(PeiOutcome {
-                    site: ExecSite::Host,
-                    latency,
-                    kind: None,
-                    completed_at: now + latency,
-                })
-            }
-            ExecSite::MemorySide => self.execute_memory_side(mem, addr, now, actor),
-        }
-    }
-
     /// Forces memory-side execution (used once the attacker has arranged
     /// to bypass the monitor; also the path for explicitly offloaded
     /// regions).
@@ -210,9 +178,8 @@ impl PeiEngine {
         let access = mem.service(&MemRequest::pim(addr, now + overhead, actor))?;
         let latency = overhead + access.latency;
         Ok(PeiOutcome {
-            site: ExecSite::MemorySide,
             latency,
-            kind: Some(access.kind),
+            kind: access.kind,
             completed_at: now + latency,
         })
     }
@@ -230,36 +197,27 @@ mod tests {
     }
 
     #[test]
-    fn cold_lines_go_memory_side() {
-        let (mut mc, mut pei) = setup();
-        let out = pei.execute(&mut mc, PhysAddr(0x80), Cycles(0), 0).unwrap();
-        assert_eq!(out.site, ExecSite::MemorySide);
-        assert!(out.kind.is_some());
-    }
-
-    #[test]
     fn hot_lines_go_host_side() {
-        let (mut mc, mut pei) = setup();
+        let mut pei = setup().1;
         let addr = PhysAddr(0x40);
-        // Warm the monitor past the threshold (2).
-        pei.execute(&mut mc, addr, Cycles(0), 0).unwrap();
-        pei.execute(&mut mc, addr, Cycles(1000), 0).unwrap();
-        let out = pei.execute(&mut mc, addr, Cycles(2000), 0).unwrap();
-        assert_eq!(out.site, ExecSite::Host);
-        assert_eq!(out.kind, None);
-        assert_eq!(out.latency, Cycles(3));
+        // Cold lines go memory-side until the monitor passes the
+        // threshold (2).
+        assert_eq!(pei.decide(addr), ExecSite::MemorySide);
+        assert_eq!(pei.decide(addr), ExecSite::MemorySide);
+        assert_eq!(pei.decide(addr), ExecSite::Host);
     }
 
     #[test]
     fn attacker_bypasses_monitor_with_fresh_lines() {
         // Accessing a different cache line in the row each time keeps every
         // PEI memory-side (the IMPACT-PnM strategy).
-        let (mut mc, mut pei) = setup();
+        let mut pei = setup().1;
         for i in 0..64u64 {
-            let out = pei
-                .execute(&mut mc, PhysAddr(i * 64), Cycles(i * 1000), 0)
-                .unwrap();
-            assert_eq!(out.site, ExecSite::MemorySide, "iteration {i}");
+            assert_eq!(
+                pei.decide(PhysAddr(i * 64)),
+                ExecSite::MemorySide,
+                "iteration {i}"
+            );
         }
     }
 
@@ -272,17 +230,17 @@ mod tests {
         let a = PhysAddr(0);
         let b = PhysAddr(64);
         let first = pei.execute_memory_side(&mut mc, a, Cycles(0), 0).unwrap();
-        assert_eq!(first.kind, Some(RowBufferKind::Miss));
+        assert_eq!(first.kind, RowBufferKind::Miss);
         let second = pei
             .execute_memory_side(&mut mc, b, first.completed_at, 0)
             .unwrap();
-        assert_eq!(second.kind, Some(RowBufferKind::Hit));
+        assert_eq!(second.kind, RowBufferKind::Hit);
         // A line one full rotation later lands in bank 0, next row.
         let c = PhysAddr(16 * row_bytes);
         let third = pei
             .execute_memory_side(&mut mc, c, second.completed_at, 0)
             .unwrap();
-        assert_eq!(third.kind, Some(RowBufferKind::Conflict));
+        assert_eq!(third.kind, RowBufferKind::Conflict);
         // The 74-cycle signal survives the PEI path.
         assert_eq!(third.latency - second.latency, Cycles(74));
     }
@@ -303,16 +261,15 @@ mod tests {
 
     #[test]
     fn peek_predicts_decide_without_mutation() {
-        let (mut mc, mut pei) = setup();
+        let mut pei = setup().1;
         let addr = PhysAddr(0x40);
         assert_eq!(pei.peek_site(addr), ExecSite::MemorySide);
-        pei.execute(&mut mc, addr, Cycles(0), 0).unwrap();
-        pei.execute(&mut mc, addr, Cycles(1000), 0).unwrap();
+        pei.decide(addr);
+        pei.decide(addr);
         // Hot line: peek says Host and repeated peeks change nothing.
         assert_eq!(pei.peek_site(addr), ExecSite::Host);
         assert_eq!(pei.peek_site(addr), ExecSite::Host);
-        let out = pei.execute(&mut mc, addr, Cycles(2000), 0).unwrap();
-        assert_eq!(out.site, ExecSite::Host);
+        assert_eq!(pei.decide(addr), ExecSite::Host);
     }
 
     #[test]

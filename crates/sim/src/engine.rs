@@ -589,7 +589,7 @@ impl<B: MemoryBackend> Engine<B> {
         Ok(PimInfo {
             latency,
             site: ExecSite::MemorySide,
-            kind: out.kind,
+            kind: Some(out.kind),
         })
     }
 

@@ -65,7 +65,10 @@ fn main() -> Result<(), Error> {
 
     results.sort_by(|a, b| b.1.total_cmp(&a.1));
     for (name, mbps, errors, rate) in &results {
-        println!("{name:<22} {mbps:>12.2} {errors:>10} {rate:>11.2}%");
+        println!(
+            "{name:<22} {mbps:>12.2} {errors:>10} {:>11.2}%",
+            rate * 100.0
+        );
     }
     println!("\npaper reference: PuM 14.8 Mb/s > PnM 8.2 Mb/s > clflush 2.29 > DMA 0.81");
     Ok(())

@@ -19,7 +19,6 @@ fn main() -> Result<(), Error> {
 
     // Co-locate sender and receiver rows in all 16 banks and initialize.
     let mut channel = PnmCovertChannel::setup(&mut sys, 16)?;
-    channel.set_trace(true);
 
     let message = message_from_str("1110010011100100"); // Fig. 8a
     let report = channel.transmit(&mut sys, &message)?;

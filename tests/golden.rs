@@ -1,8 +1,10 @@
 //! The behavioural spec as pinned constants: the quick and full
 //! `fig_all` text, a seeded fleet population, a quick Mix capture and the
-//! full mix/pnm/bfs captures, and what the trace tools make of the quick
+//! full mix/pnm/bfs captures, what the trace tools make of the quick
 //! capture (its figure, a slice, a merge and a fleet of trace sessions),
-//! each reduced to a digest that must not move.
+//! and every field of the attacks' reports (each covert channel on six
+//! machines, fig11's side channel at four bank counts), each reduced to a
+//! digest or a value that must not move.
 //!
 //! The determinism and equivalence suites prove that backends, worker
 //! counts, forks and replays agree *with each other*; a change that moves
@@ -12,10 +14,15 @@
 
 use std::sync::Arc;
 
+use impact::attacks::baseline::{BaselineChannel, BaselinePrimitive};
+use impact::attacks::side_channel::{SideChannelAttack, SideChannelConfig};
+use impact::attacks::{ChannelReport, PnmCovertChannel, PumCovertChannel};
 use impact::core::config::SystemConfig;
-use impact::core::hash::{fnv1a_bytes, FNV_OFFSET};
+use impact::core::hash::{fnv1a_bytes, fnv1a_u64, FNV_OFFSET};
+use impact::core::rng::SimRng;
 use impact::fleet::{FleetConfig, FleetService};
-use impact::sim::BackendKind;
+use impact::memctrl::{ActConfig, Defense, PeriodicBlock};
+use impact::sim::{BackendKind, System};
 use impact::workloads::CapturedTrace;
 use impact_bench::experiments::suite;
 use impact_bench::runner::run_all;
@@ -204,4 +211,166 @@ fn trace_fleet_digest_is_pinned() {
     assert_eq!(report.finished(), 16);
     assert_eq!(report.epochs, 165);
     assert_eq!(report.digest, 0x6bad_0227_e29e_2e52);
+}
+
+/// Folds every field of a covert-channel report, observations included.
+fn fold_report(mut h: u64, r: &ChannelReport) -> u64 {
+    for v in [
+        r.bits_sent,
+        r.bit_errors,
+        r.elapsed.0,
+        r.sender_cycles.0,
+        r.receiver_cycles.0,
+        r.threshold,
+    ] {
+        h = fnv1a_u64(h, v);
+    }
+    for o in &r.observations {
+        h = fnv1a_u64(h, o.bank as u64);
+        h = fnv1a_u64(h, o.measured);
+        h = fnv1a_u64(h, u64::from(o.sent));
+        h = fnv1a_u64(h, u64::from(o.decoded));
+    }
+    h
+}
+
+/// Every covert channel (PnM and PuM at 4 and 16 banks, then the three
+/// baselines on the message's first 256 bits) on each Table 2 machine,
+/// each report folded field by field in that order. Under RFM the PnM
+/// receiver filters the pauses as the `rfm` experiment does.
+#[test]
+fn covert_channel_reports_are_pinned() {
+    let message = SimRng::seed(0x51AB).bits(1024);
+    let noiseless = || System::new(SystemConfig::paper_table2_noiseless());
+    let defended = |d: Defense| {
+        let mut sys = noiseless();
+        sys.set_defense(d);
+        sys
+    };
+    let rfm = || {
+        let mut sys = noiseless();
+        sys.set_periodic_block(Some(PeriodicBlock::rfm_paper_default()));
+        sys
+    };
+    let machines: [(&str, &dyn Fn() -> System, u64); 6] = [
+        ("noiseless", &noiseless, 0x9984_162c_8d2e_6775),
+        (
+            "noisy",
+            &|| System::new(SystemConfig::paper_table2()),
+            0x9695_2f79_0809_08b9,
+        ),
+        ("CTD", &|| defended(Defense::Ctd), 0x5958_8600_869f_dd1f),
+        ("CRP", &|| defended(Defense::Crp), 0xebb2_e538_dd39_2624),
+        (
+            "ACT-Aggressive",
+            &|| defended(Defense::Act(ActConfig::aggressive())),
+            0x6026_8cb7_d601_f8d7,
+        ),
+        ("RFM", &rfm, 0x17c0_484d_a1f4_c858),
+    ];
+    for (name, machine, digest) in machines {
+        let mut reports = Vec::new();
+        for banks in [4, 16] {
+            let mut sys = machine();
+            let mut ch = PnmCovertChannel::setup(&mut sys, banks).expect("PnM setup");
+            if name == "RFM" {
+                ch.set_rfm_filter(Some((400, 910)));
+            }
+            reports.push(ch.transmit(&mut sys, &message).expect("PnM transmit"));
+        }
+        for banks in [4, 16] {
+            let mut sys = machine();
+            let mut ch = PumCovertChannel::setup(&mut sys, banks).expect("PuM setup");
+            reports.push(ch.transmit(&mut sys, &message).expect("PuM transmit"));
+        }
+        for primitive in [
+            BaselinePrimitive::Clflush,
+            BaselinePrimitive::Eviction,
+            BaselinePrimitive::Dma,
+        ] {
+            let mut sys = machine();
+            let mut ch = BaselineChannel::setup(&mut sys, primitive).expect("baseline setup");
+            reports.push(
+                ch.transmit(&mut sys, &message[..256])
+                    .expect("baseline transmit"),
+            );
+        }
+        for r in &reports {
+            assert_eq!(r.observations.len() as u64, r.bits_sent, "{name}");
+        }
+        assert_eq!(
+            reports.iter().fold(FNV_OFFSET, fold_report),
+            digest,
+            "{name}"
+        );
+    }
+}
+
+/// fig11's reports at 40 reads, per bank count: TP, FP, FN, probes,
+/// victim accesses, elapsed cycles and the bits of `leaked_bits`.
+#[test]
+fn side_channel_reports_are_pinned() {
+    for (banks, tp, fp, fn_, probes, victim, elapsed, leaked) in [
+        (
+            1024,
+            1709,
+            16,
+            64,
+            41984,
+            1791,
+            5_900_242,
+            0x40d0_b080_0000_0000,
+        ),
+        (
+            2048,
+            1129,
+            25,
+            582,
+            22528,
+            1791,
+            5_852_564,
+            0x40c8_4180_0000_0000,
+        ),
+        (
+            4096,
+            893,
+            75,
+            856,
+            24576,
+            1791,
+            6_363_088,
+            0x40c4_ee00_0000_0000,
+        ),
+        (
+            8192,
+            658,
+            113,
+            967,
+            24576,
+            1791,
+            6_348_510,
+            0x40c0_b500_0000_0000,
+        ),
+    ] {
+        let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
+        let mut sys = System::new(cfg);
+        let attack = SideChannelAttack::new(SideChannelConfig {
+            reads: 40,
+            ..SideChannelConfig::default()
+        });
+        let r = attack.run(&mut sys).expect("side channel run");
+        assert_eq!(
+            (
+                r.score.true_positives,
+                r.score.false_positives,
+                r.score.false_negatives,
+                r.probes,
+                r.victim_accesses,
+                r.elapsed.0,
+                r.leaked_bits.to_bits(),
+            ),
+            (tp, fp, fn_, probes, victim, elapsed, leaked),
+            "{banks} banks"
+        );
+    }
 }
