@@ -1,14 +1,11 @@
 //! CLI for the workspace static-analysis pass.
 //!
 //! ```text
-//! impact-analyze [--root DIR] [--fix-allowlist]
+//! impact-analyze [--root DIR]
 //! ```
 //!
 //! Prints `file:line: rule: message` diagnostics and exits 1 when any are
-//! found (0 when clean, 2 on usage or I/O errors). `--fix-allowlist` is a
-//! dry-run helper: instead of failing, it prints the
-//! `// analyze::allow(...)` comment each finding would need, for a human
-//! to paste (and justify!) at the flagged site.
+//! found (0 when clean, 2 on usage errors or when no workspace is found).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -16,7 +13,7 @@ use std::process::ExitCode;
 use impact_analyze::analyze_workspace;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: impact-analyze [--root DIR] [--fix-allowlist]");
+    eprintln!("usage: impact-analyze [--root DIR]");
     ExitCode::from(2)
 }
 
@@ -39,7 +36,6 @@ fn find_root(start: PathBuf) -> Option<PathBuf> {
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
-    let mut fix_allowlist = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -47,14 +43,12 @@ fn main() -> ExitCode {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage(),
             },
-            "--fix-allowlist" => fix_allowlist = true,
             "--help" | "-h" => {
                 println!(
                     "impact-analyze: determinism & concurrency static analysis\n\n\
-                     usage: impact-analyze [--root DIR] [--fix-allowlist]\n\n\
+                     usage: impact-analyze [--root DIR]\n\n\
                      Exits 0 when the workspace is clean, 1 when diagnostics were\n\
-                     found, 2 on usage/I/O errors. --fix-allowlist prints the\n\
-                     allow-comment each finding would need instead of failing."
+                     found, 2 on usage errors or when no workspace is found."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -76,29 +70,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let diags = match analyze_workspace(&root) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("impact-analyze: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if fix_allowlist {
-        for d in &diags {
-            println!(
-                "{}:{}: add: // analyze::allow({}): TODO justify — {}",
-                d.file, d.line, d.rule, d.message
-            );
-        }
-        eprintln!(
-            "impact-analyze: {} finding(s); allow-comments above are a dry run — \
-             justify each before pasting",
-            diags.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
+    let diags = analyze_workspace(&root);
     for d in &diags {
         println!("{d}");
     }

@@ -21,10 +21,7 @@ pub const RULES: &[&str] = &[
     "cow-aliasing",
     "metrics-placement",
     "allow-syntax",
-    "stats-coverage",
     "trace-coverage",
-    "fingerprint-coverage",
-    "snapshot-coverage",
 ];
 
 const ITER_METHODS: &[&str] = &[

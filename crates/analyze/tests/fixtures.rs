@@ -1,7 +1,5 @@
 //! Fixture-based tests for the analyzer: one good + one bad snippet per
-//! rule R1–R5 and R7 (exact diagnostics asserted), plus a
-//! `BackendStats`-style layer-2 fixture with a counter deliberately
-//! missing from `merge`.
+//! rule R1–R5 and R7 (exact diagnostics asserted).
 //!
 //! The fixture files live under `tests/fixtures/` — a directory the
 //! workspace walker deliberately skips, because these files exist to
@@ -9,8 +7,7 @@
 
 use std::path::Path;
 
-use impact_analyze::manifest::Manifest;
-use impact_analyze::{classify, invariants, rules, Diagnostic};
+use impact_analyze::{classify, rules, Diagnostic};
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -194,33 +191,6 @@ fn r7_is_silent_in_the_sinks_themselves() {
             "{path}: {d:?}"
         );
     }
-}
-
-/// A codec snippet that carries every counter of the fixture struct, so
-/// the only uncovered consumer is `merge`.
-const FIXTURE_CODEC: &str = "
-    fn finish(stats: &BackendStats) {
-        let BackendStats { accesses, blocked, row_hammer_alerts } = *stats;
-        for c in [accesses, blocked, row_hammer_alerts] { emit(c); }
-    }
-    fn read_footer() -> BackendStats {
-        BackendStats { accesses: r(), blocked: r(), row_hammer_alerts: r() }
-    }
-";
-
-#[test]
-fn stats_fixture_reports_exactly_the_missing_merge_field() {
-    let engine = fixture("stats_missing_merge.rs");
-    let d = invariants::check_backend_stats(&engine, FIXTURE_CODEC, &Manifest::default());
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert_eq!(d[0].rule, "stats-coverage");
-    assert_eq!(d[0].line, 7, "anchors to the field declaration");
-    assert!(
-        d[0].message
-            .contains("`row_hammer_alerts` is not folded in BackendStats::merge"),
-        "{}",
-        d[0].message
-    );
 }
 
 #[test]

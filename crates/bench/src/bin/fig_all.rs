@@ -36,29 +36,17 @@ use impact_core::par::available_workers;
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
 
-const ALL: [&str; 13] = [
-    "delta",
-    "table1",
-    "table2",
-    "fig2",
-    "fig3",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "fig12",
-    "ablations",
-    "future_banks",
-    "rfm",
-];
-
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
         "usage: fig_all [--quick] [--csv] [--jobs N|auto] [--trace PATH] [--metrics PATH] \
          [EXPERIMENT...]"
     );
-    eprintln!("experiments: {}", ALL.join(", "));
+    let ids: Vec<String> = experiments::suite(false, BackendKind::Mono)
+        .iter()
+        .map(|job| job.id().to_owned())
+        .collect();
+    eprintln!("experiments: {}", ids.join(", "));
     std::process::exit(2);
 }
 
@@ -105,6 +93,7 @@ fn main() {
     }
 
     // Positional args select experiments; flag values are skipped.
+    let suite = experiments::suite(quick, BackendKind::Mono);
     let mut selected: Vec<&str> = Vec::new();
     let mut skip_next = false;
     for (i, a) in args.iter().enumerate() {
@@ -122,7 +111,7 @@ fn main() {
             }
             continue;
         }
-        if !ALL.contains(&a.as_str()) {
+        if !suite.iter().any(|job| job.id() == a) {
             usage_exit(&format!("unknown experiment {a:?}"));
         }
         selected.push(&args[i]);
@@ -134,25 +123,15 @@ fn main() {
         // A lone --trace runs just the captured-trace experiment.
         Vec::new()
     } else if selected.is_empty() {
-        experiments::suite(quick, BackendKind::Mono)
+        suite
     } else {
-        let mut pool: Vec<Option<ExperimentJob>> = experiments::suite(quick, BackendKind::Mono)
-            .into_iter()
-            .map(Some)
-            .collect();
         selected
             .iter()
             .map(|id| {
-                pool.iter_mut()
-                    .find(|j| j.as_ref().is_some_and(|j| j.id() == *id))
-                    .and_then(Option::take)
-                    .unwrap_or_else(|| {
-                        // Duplicate selection: build a fresh instance.
-                        experiments::suite(quick, BackendKind::Mono)
-                            .into_iter()
-                            .find(|j| j.id() == *id)
-                            .expect("validated against ALL")
-                    })
+                experiments::suite(quick, BackendKind::Mono)
+                    .into_iter()
+                    .find(|job| job.id() == *id)
+                    .expect("validated against the suite")
             })
             .collect()
     };

@@ -68,7 +68,7 @@ pub fn ablations(quick: bool) -> Figure {
 
     // (d) Noise sensitivity: prefetcher rate sweep.
     let mut noise_pts = Vec::new();
-    for (i, rate) in [0.0, 0.005, 0.01, 0.02, 0.05].into_iter().enumerate() {
+    for rate in [0.0, 0.005, 0.01, 0.02, 0.05] {
         let cfg = SystemConfig {
             noise: NoiseConfig {
                 prefetcher_rate: rate,
@@ -80,7 +80,6 @@ pub fn ablations(quick: bool) -> Figure {
         let mut sys = System::new(cfg);
         let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
         let r = ch.transmit(&mut sys, &message).expect("transmit");
-        let _ = i;
         noise_pts.push((rate * 100.0, r.error_rate() * 100.0));
     }
 

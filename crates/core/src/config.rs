@@ -388,63 +388,120 @@ impl SystemConfig {
     /// bit-exactness contract everywhere else in the workspace). Trace
     /// files embed this fingerprint so a replay on a different machine can
     /// prove it is driving the same simulated system the recording ran on.
+    ///
+    /// Every config struct is destructured exhaustively and every binding
+    /// must be used, so a new field fails to compile here until it is
+    /// folded in (or named `field: _`, a visible exclusion).
     #[must_use]
+    #[deny(unused_variables)]
     pub fn fingerprint(&self) -> u64 {
-        fn cache(mut h: u64, c: &CacheLevelConfig) -> u64 {
-            h = fnv1a_u64(h, c.size_bytes);
-            h = fnv1a_u64(h, u64::from(c.ways));
-            h = fnv1a_u64(h, u64::from(c.line_bytes));
-            h = fnv1a_u64(h, c.latency_cycles);
-            fnv1a_u64(
-                h,
-                match c.replacement {
-                    ReplacementKind::Lru => 0,
-                    ReplacementKind::Srrip => 1,
-                },
-            )
+        fn cache(h: u64, c: &CacheLevelConfig) -> u64 {
+            let CacheLevelConfig {
+                size_bytes,
+                ways,
+                line_bytes,
+                latency_cycles,
+                replacement,
+            } = *c;
+            let replacement = match replacement {
+                ReplacementKind::Lru => 0,
+                ReplacementKind::Srrip => 1,
+            };
+            [
+                size_bytes,
+                u64::from(ways),
+                u64::from(line_bytes),
+                latency_cycles,
+                replacement,
+            ]
+            .into_iter()
+            .fold(h, fnv1a_u64)
         }
-        let mut h = FNV_OFFSET;
-        h = fnv1a_u64(h, self.clock.freq_ghz().to_bits());
-        h = fnv1a_u64(h, u64::from(self.cores));
-        h = cache(h, &self.l1d);
-        h = cache(h, &self.l2);
-        h = cache(h, &self.l3);
-        let t = &self.tlb;
-        h = fnv1a_u64(h, u64::from(t.l1_entries));
-        h = fnv1a_u64(h, t.l1_latency_cycles);
-        h = fnv1a_u64(h, u64::from(t.l2_entries));
-        h = fnv1a_u64(h, t.l2_latency_cycles);
-        h = fnv1a_u64(h, t.walk_latency_cycles);
-        let g = &self.dram_geometry;
-        h = fnv1a_u64(h, u64::from(g.channels));
-        h = fnv1a_u64(h, u64::from(g.ranks_per_channel));
-        h = fnv1a_u64(h, u64::from(g.bank_groups_per_rank));
-        h = fnv1a_u64(h, u64::from(g.banks_per_group));
-        h = fnv1a_u64(h, g.rows_per_bank);
-        h = fnv1a_u64(h, g.rows_per_subarray);
-        h = fnv1a_u64(h, g.row_bytes);
-        let d = &self.dram_timing;
-        for ns in [
-            d.t_rcd_ns,
-            d.t_rp_ns,
-            d.t_rc_ns,
-            d.t_cl_ns,
-            d.t_burst_ns,
-            d.row_timeout_ns,
-            d.conflict_overhead_ns,
-        ] {
-            h = fnv1a_u64(h, ns.to_bits());
+        let SystemConfig {
+            clock,
+            cores,
+            l1d,
+            l2,
+            l3,
+            tlb,
+            dram_geometry,
+            dram_timing,
+            memctrl_overhead_cycles,
+            pim,
+            noise,
+        } = self;
+        let TlbConfig {
+            l1_entries,
+            l1_latency_cycles,
+            l2_entries,
+            l2_latency_cycles,
+            walk_latency_cycles,
+        } = *tlb;
+        let DramGeometry {
+            channels,
+            ranks_per_channel,
+            bank_groups_per_rank,
+            banks_per_group,
+            rows_per_bank,
+            rows_per_subarray,
+            row_bytes,
+        } = *dram_geometry;
+        let DramTiming {
+            t_rcd_ns,
+            t_rp_ns,
+            t_rc_ns,
+            t_cl_ns,
+            t_burst_ns,
+            row_timeout_ns,
+            conflict_overhead_ns,
+        } = *dram_timing;
+        let PimConfig {
+            pei_overhead_cycles,
+            pcu_transport_cycles,
+            locality_monitor_entries,
+            locality_threshold,
+        } = *pim;
+        let NoiseConfig {
+            prefetcher_rate,
+            ptw_rate,
+            seed,
+        } = *noise;
+        let mut h = fnv1a_u64(FNV_OFFSET, clock.freq_ghz().to_bits());
+        h = fnv1a_u64(h, u64::from(*cores));
+        for c in [l1d, l2, l3] {
+            h = cache(h, c);
         }
-        h = fnv1a_u64(h, self.memctrl_overhead_cycles);
-        let p = &self.pim;
-        h = fnv1a_u64(h, p.pei_overhead_cycles);
-        h = fnv1a_u64(h, p.pcu_transport_cycles);
-        h = fnv1a_u64(h, u64::from(p.locality_monitor_entries));
-        h = fnv1a_u64(h, u64::from(p.locality_threshold));
-        let n = &self.noise;
-        h = fnv1a_u64(h, n.prefetcher_rate.to_bits());
-        h = fnv1a_u64(h, n.ptw_rate.to_bits());
-        fnv1a_u64(h, n.seed)
+        [
+            u64::from(l1_entries),
+            l1_latency_cycles,
+            u64::from(l2_entries),
+            l2_latency_cycles,
+            walk_latency_cycles,
+            u64::from(channels),
+            u64::from(ranks_per_channel),
+            u64::from(bank_groups_per_rank),
+            u64::from(banks_per_group),
+            rows_per_bank,
+            rows_per_subarray,
+            row_bytes,
+            t_rcd_ns.to_bits(),
+            t_rp_ns.to_bits(),
+            t_rc_ns.to_bits(),
+            t_cl_ns.to_bits(),
+            t_burst_ns.to_bits(),
+            row_timeout_ns.to_bits(),
+            conflict_overhead_ns.to_bits(),
+            *memctrl_overhead_cycles,
+            pei_overhead_cycles,
+            pcu_transport_cycles,
+            u64::from(locality_monitor_entries),
+            u64::from(locality_threshold),
+            prefetcher_rate.to_bits(),
+            ptw_rate.to_bits(),
+            seed,
+        ]
+        .into_iter()
+        .fold(h, fnv1a_u64)
     }
 }
 
@@ -533,6 +590,19 @@ mod tests {
         let mut timing_tweak = SystemConfig::paper_table2();
         timing_tweak.dram_timing.t_rcd_ns += 0.5;
         assert_ne!(base.fingerprint(), timing_tweak.fingerprint());
+    }
+
+    #[test]
+    fn table2_fingerprints_are_pinned() {
+        // Trace headers and the golden capture digests embed these.
+        assert_eq!(
+            SystemConfig::paper_table2().fingerprint(),
+            0x109b_f117_834b_45d1
+        );
+        assert_eq!(
+            SystemConfig::paper_table2_noiseless().fingerprint(),
+            0xa12a_2983_e1d9_6d9d
+        );
     }
 
     #[test]

@@ -1,19 +1,17 @@
 //! Deterministic population histograms.
 //!
-//! Same bucketing scheme as the `impact-obs` telemetry histograms —
-//! power-of-two buckets by bit length, bucket 0 for zeros, an explicit
-//! overflow count for samples past the top bucket — but built from plain
-//! `u64` fields. Telemetry histograms are best-effort observability and
-//! excluded from the determinism contract; these histograms ARE the
-//! fleet's aggregate result, so they live in deterministic code, fold
-//! into the population digest, and render into the canonical JSON that
-//! CI byte-compares across worker counts.
+//! They bucket as the `impact-obs` telemetry histograms do, through the
+//! same [`bucket_index`] and [`bucket_lower_bound`] — power-of-two
+//! buckets by bit length, bucket 0 for zeros, an explicit overflow count
+//! for samples past the top bucket — but keep plain `u64` fields.
+//! Telemetry histograms are best-effort observability and excluded from
+//! the determinism contract; these histograms ARE the fleet's aggregate
+//! result, so they live in deterministic code, fold into the population
+//! digest, and render into the canonical JSON that CI byte-compares
+//! across worker counts.
 
 use impact_core::hash::fnv1a_u64;
-
-/// Number of power-of-two buckets, matching `impact_obs::BUCKETS` so
-/// fleet aggregates and telemetry histograms bucket identically.
-pub const BUCKETS: usize = 48;
+use impact_obs::{bucket_index, bucket_lower_bound, BUCKETS};
 
 /// A deterministic histogram over `u64` samples: bucket `i` counts
 /// samples of bit length `i` (bucket 0 counts zeros); samples of bit
@@ -41,26 +39,14 @@ impl Default for PopHistogram {
     }
 }
 
-/// Lower bound of bucket `i`: 0 for the zero bucket, else `2^(i-1)`.
-#[must_use]
-pub fn bucket_lower_bound(i: usize) -> u64 {
-    if i == 0 {
-        0
-    } else {
-        1u64 << (i - 1)
-    }
-}
-
 impl PopHistogram {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
-        let bits = (64 - value.leading_zeros()) as usize;
-        if bits < BUCKETS {
-            self.buckets[bits] += 1;
-        } else {
-            self.overflow += 1;
+        match bucket_index(value) {
+            Some(i) => self.buckets[i] += 1,
+            None => self.overflow += 1,
         }
     }
 

@@ -43,7 +43,7 @@
 mod histogram;
 mod session;
 
-pub use histogram::{bucket_lower_bound, PopHistogram, BUCKETS};
+pub use histogram::PopHistogram;
 pub use session::{DefensePick, SessionReport, SyntheticSpec, MAX_PROBE_BANKS};
 
 use std::sync::Arc;

@@ -139,7 +139,8 @@ pub const BUCKETS: usize = 48;
 
 /// The bucket a value lands in — its bit length — or `None` when the
 /// value exceeds the bucketed range and must be counted as overflow.
-fn bucket_index(v: u64) -> Option<usize> {
+#[must_use]
+pub fn bucket_index(v: u64) -> Option<usize> {
     let bits = (64 - v.leading_zeros()) as usize;
     (bits < BUCKETS).then_some(bits)
 }
@@ -155,8 +156,7 @@ pub fn bucket_lower_bound(i: usize) -> u64 {
 }
 
 /// A fixed-bucket size/latency distribution: power-of-two buckets plus an
-/// exact count and sum (so means are exact even though quantiles are
-/// bucket-resolution).
+/// exact count and sum.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
@@ -390,57 +390,12 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Exact sum of all samples.
     pub sum: u64,
-    /// Samples whose bit length exceeded the bucketed range. Nonzero
-    /// overflow means bucket-resolution readers ([`quantile`]) may hit
-    /// the [`OVERFLOW_SENTINEL`] instead of a lower bound.
-    ///
-    /// [`quantile`]: HistogramSnapshot::quantile
+    /// Samples whose bit length exceeded the bucketed range. They count
+    /// toward `count` and `sum` but appear in no bucket.
     pub overflow: u64,
     /// `(bucket lower bound, samples)` for every non-empty bucket, in
     /// ascending bound order.
     pub buckets: Vec<(u64, u64)>,
-}
-
-/// Returned by [`HistogramSnapshot::quantile`] when the requested rank
-/// falls among overflowed samples: there is no meaningful bucket lower
-/// bound to report, and a saturated "top bucket" value would be a
-/// plausible-looking lie.
-pub const OVERFLOW_SENTINEL: u64 = u64::MAX;
-
-impl HistogramSnapshot {
-    /// Mean sample (0 when empty) — exact, from count and sum.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Bucket-resolution quantile: the lower bound of the bucket in which
-    /// the `q`-quantile sample falls (0 when empty). `q` is clamped to
-    /// `[0, 1]`. When the rank lands among overflowed samples — beyond
-    /// every bucket — there is no bucket to report and the result is
-    /// [`OVERFLOW_SENTINEL`], never a plausible-looking top-bucket bound.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for &(bound, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bound;
-            }
-        }
-        if self.overflow > 0 {
-            return OVERFLOW_SENTINEL;
-        }
-        self.buckets.last().map_or(0, |&(bound, _)| bound)
-    }
 }
 
 /// A frozen, name-sorted view of the registry. Produced by [`snapshot`];
@@ -570,45 +525,9 @@ mod tests {
             "overflow never lands in the top bucket"
         );
 
-        // Quantiles inside the bucketed range still resolve; ranks that
-        // fall among the overflow report the sentinel, not a bound.
-        assert_eq!(s.quantile(0.25), top);
-        assert_eq!(s.quantile(0.5), top);
-        assert_eq!(s.quantile(0.75), OVERFLOW_SENTINEL);
-        assert_eq!(s.quantile(1.0), OVERFLOW_SENTINEL);
-
         h.reset();
         let s = h.snapshot();
         assert_eq!((s.count, s.overflow), (0, 0), "reset clears overflow");
-    }
-
-    #[test]
-    fn quantiles_are_bucket_resolution() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(10);
-        }
-        for _ in 0..10 {
-            h.record(1000);
-        }
-        let s = h.snapshot();
-        assert_eq!(s.quantile(0.5), 8, "p50 in the [8,16) bucket");
-        assert_eq!(s.quantile(0.99), 512, "p99 in the [512,1024) bucket");
-        assert_eq!(s.quantile(0.0), 8);
-        assert_eq!(s.quantile(1.0), 512);
-        assert!((s.mean() - 109.0).abs() < 1e-9);
-        assert_eq!(HistogramSnapshot::default_empty().quantile(0.5), 0);
-    }
-
-    impl HistogramSnapshot {
-        fn default_empty() -> HistogramSnapshot {
-            HistogramSnapshot {
-                count: 0,
-                sum: 0,
-                overflow: 0,
-                buckets: Vec::new(),
-            }
-        }
     }
 
     #[test]

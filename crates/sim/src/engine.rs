@@ -815,8 +815,8 @@ impl<B: MemoryBackend> Engine<B> {
 /// a table only when it first writes it. The fleet warms one engine and
 /// forks it per session. `Engine` does not implement `Clone`: `fork` is
 /// the one way to copy an engine, so every copy counts in `engine.forks`.
-/// The CI `impact-analyze` invariant pass checks that [`Engine::fork`]
-/// names every `Engine` field.
+/// [`Engine::fork`] builds the copy with a full struct literal, so a new
+/// `Engine` field fails to compile there until the fork carries it.
 impl<B: MemoryBackend + Clone> Engine<B> {
     /// An independent copy sharing bulk state copy-on-write. It behaves
     /// bit-identically to a from-scratch engine driven through the
