@@ -12,14 +12,16 @@
 //!   (R1), wall-clock/environment reads (R2), ad-hoc concurrency outside
 //!   the sanctioned worker pools (R3), lossy address casts in the
 //!   dram/memctrl hot paths (R4), `unsafe` anywhere (R5), copy-on-write
-//!   unshare sites (`Arc::make_mut` & co.) outside the audited inventory
-//!   (R6), and wall-clock reads or atomics outside the `crates/obs` sinks
+//!   unshare sites (`Arc::make_mut`, `get_mut`, `try_unwrap`,
+//!   `unwrap_or_clone`) outside the one justified `CowBox` unshare (R6),
+//!   and wall-clock reads or atomics outside the `crates/obs` sinks
 //!   (R7). Sites are justified with
 //!   `// analyze::allow(<rule>): <reason>` comments.
 //! * **Layer 2** ([`invariants`]) — every `TraceEvent` variant has a
 //!   codec encode and decode arm. The other field-set contracts
-//!   (`BackendStats`, `SystemConfig`, `Engine::fork`) are exhaustive
-//!   destructures and struct literals that rustc checks in every build.
+//!   (`BackendStats`, `SystemConfig`, `Clock`, `Engine::fork`) are
+//!   exhaustive destructures and struct literals that rustc checks in
+//!   every build.
 //!
 //! Diagnostics are `file:line: rule: message` lines; the binary exits
 //! non-zero when any are produced, which is what gates CI.
@@ -166,25 +168,35 @@ fn scan_roots(root: &Path) -> Vec<PathBuf> {
     roots
 }
 
+/// Every source file the analyzer scans in the workspace at `root`, as
+/// sorted workspace-relative `/`-separated paths.
+#[must_use]
+pub fn workspace_files(root: &Path) -> Vec<String> {
+    let mut files = Vec::new();
+    for scan_root in scan_roots(root) {
+        collect_rs(&scan_root, &mut files);
+    }
+    let mut rels: Vec<String> = files
+        .iter()
+        .map(|path| {
+            path.strip_prefix(root)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    rels.sort();
+    rels.dedup();
+    rels
+}
+
 /// Runs both analysis layers over the workspace at `root`. Unreadable
 /// source files and missing layer-2 anchors are diagnostics, not errors.
 #[must_use]
 pub fn analyze_workspace(root: &Path) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut files = Vec::new();
-    for scan_root in scan_roots(root) {
-        collect_rs(&scan_root, &mut files);
-    }
-    files.sort();
-    files.dedup();
-
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        match fs::read_to_string(path) {
+    for rel in workspace_files(root) {
+        match fs::read_to_string(root.join(&rel)) {
             Ok(src) => {
                 let ctx = classify(&rel);
                 diags.extend(rules::check_source(&ctx, &src));

@@ -282,8 +282,7 @@ impl Checker<'_> {
                             t[i].line,
                             format!(
                                 "{}::{} uses the default randomized hasher in a deterministic \
-                                 crate; use FxBuildHasher (impact_core::hash) or an ordered \
-                                 structure",
+                                 crate; use an ordered structure (BTreeMap, BTreeSet or a Vec)",
                                 t[i].text, t[j].text
                             ),
                         ));
@@ -501,14 +500,14 @@ impl Checker<'_> {
     }
 
     /// R6: copy-on-write alias-breaking operations in deterministic
-    /// production code. `Arc::make_mut` (and `get_mut`/`try_unwrap`) is
-    /// the only way simulation state behind a shared `Arc` may be
-    /// written — a fork may hold the other reference, so every unshare
-    /// site is part of the fork-equivalence contract and must say
-    /// *which* state it unshares. Conversely, mutating shared
-    /// state any other way (interior mutability, re-wrapping) would leak
-    /// writes into live forks; keeping the audited inventory exhaustive
-    /// is what makes `Engine::fork` reviewable.
+    /// production code: `make_mut`, `get_mut`, `try_unwrap` and
+    /// `unwrap_or_clone` on an `Arc` or `Rc`. Simulation state a fork may
+    /// share lives in `impact_core::cow::CowBox`, whose one justified
+    /// unshare is the only such site (the analyzer's self-check pins the
+    /// count at one) — a fork may hold the other reference, so an unshare
+    /// is part of the fork-equivalence contract. An ad-hoc unshare
+    /// elsewhere would be a second, unaudited copy path; keeping the
+    /// inventory at one site is what makes `Engine::fork` reviewable.
     fn rule_cow_aliasing(&mut self) {
         if !self.ctx.deterministic {
             return;
@@ -525,7 +524,9 @@ impl Checker<'_> {
             if t.get(i + 1).is_some_and(|x| x.is_punct(':'))
                 && t.get(i + 2).is_some_and(|x| x.is_punct(':'))
                 && t.get(i + 3).is_some_and(|x| {
-                    x.is_ident("make_mut") || x.is_ident("get_mut") || x.is_ident("try_unwrap")
+                    ["make_mut", "get_mut", "try_unwrap", "unwrap_or_clone"]
+                        .iter()
+                        .any(|op| x.is_ident(op))
                 })
             {
                 flagged.push((t[i].line, format!("{}::{}", t[i].text, t[i + 3].text)));
@@ -718,7 +719,7 @@ mod tests {
 
     #[test]
     fn field_declared_maps_are_tracked() {
-        let src = "struct S { index: HashMap<u64, usize, FxBuildHasher> }\n\
+        let src = "struct S { index: HashMap<u64, usize, FixedHasher> }\n\
                    impl S { fn f(&self) { for k in self.index.keys() {} } }";
         let d = check_source(&det_ctx(), src);
         assert_eq!(d.len(), 1, "{d:?}");
@@ -727,8 +728,8 @@ mod tests {
     }
 
     #[test]
-    fn fx_hashed_lookup_only_maps_are_clean() {
-        let src = "struct S { index: HashMap<u64, usize, FxBuildHasher> }\n\
+    fn fixed_hasher_lookup_only_maps_are_clean() {
+        let src = "struct S { index: HashMap<u64, usize, FixedHasher> }\n\
                    impl S { fn f(&self) -> Option<&usize> { self.index.get(&1) } }";
         assert!(check_source(&det_ctx(), src).is_empty());
     }

@@ -1,5 +1,5 @@
 //! Fixture-based tests for the analyzer: one good + one bad snippet per
-//! rule R1–R5 and R7 (exact diagnostics asserted).
+//! rule R1–R7 (exact diagnostics asserted).
 //!
 //! The fixture files live under `tests/fixtures/` — a directory the
 //! workspace walker deliberately skips, because these files exist to
@@ -149,6 +149,33 @@ fn r5_bad_flags_unsafe_even_in_tests() {
     // Unlike R2/R3, a test-only path does not exempt R5.
     let d = check_at("tests/fixture.rs", "r5_unsafe_bad.rs");
     assert_eq!(lines_of(&d, "unsafe-code"), vec![3, 11], "{d:?}");
+}
+
+#[test]
+fn r6_good_is_clean() {
+    let d = check_at("crates/sim/src/fixture.rs", "r6_cow_aliasing_good.rs");
+    assert!(d.is_empty(), "{d:?}");
+}
+
+#[test]
+fn r6_bad_flags_every_unshare_op() {
+    let d = check_at("crates/sim/src/fixture.rs", "r6_cow_aliasing_bad.rs");
+    // make_mut, both unwrap_or_clone calls (one line), get_mut,
+    // try_unwrap; the test module's unshares are exempt.
+    assert_eq!(
+        lines_of(&d, "cow-aliasing"),
+        vec![7, 11, 11, 15, 19],
+        "{d:?}"
+    );
+    assert_eq!(d.len(), 5);
+    assert!(d[1].message.contains("`Arc::unwrap_or_clone`"), "{d:?}");
+    assert!(d[2].message.contains("`Rc::unwrap_or_clone`"), "{d:?}");
+}
+
+#[test]
+fn r6_is_scoped_to_deterministic_crates() {
+    let d = check_at("crates/bench/src/fixture.rs", "r6_cow_aliasing_bad.rs");
+    assert!(lines_of(&d, "cow-aliasing").is_empty(), "{d:?}");
 }
 
 #[test]

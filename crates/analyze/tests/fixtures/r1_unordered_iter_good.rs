@@ -1,11 +1,13 @@
-//! R1 clean: Fx-hashed maps used for lookup only, Vec iteration, and a
-//! justified iteration site.
+//! R1 clean: fixed-hasher maps used for lookup only, Vec iteration, and
+//! a justified iteration site.
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use impact_core::hash::FxBuildHasher;
+type FixedHasher = BuildHasherDefault<DefaultHasher>;
 
 struct Tlb {
-    index: HashMap<u64, usize, FxBuildHasher>,
+    index: HashMap<u64, usize, FixedHasher>,
     slots: Vec<u64>,
 }
 

@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use impact_analyze::{analyze_workspace, classify, rules};
+use impact_analyze::{analyze_workspace, classify, lexer, rules, workspace_files};
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -31,6 +31,36 @@ fn real_workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+}
+
+/// Simulation state leaves an `Arc` in one place: production code holds
+/// exactly one `analyze::allow(cow-aliasing)`, on the `CowBox` unshare.
+/// A second unshare site would need an allow of its own, so it cannot
+/// come back unnoticed.
+#[test]
+fn cow_box_unshare_is_the_one_allowed_unshare() {
+    let root = workspace_root();
+    let mut sites = Vec::new();
+    for rel in workspace_files(&root) {
+        if classify(&rel).test_file {
+            continue;
+        }
+        let lexed = lexer::lex(&read(&rel));
+        let in_test = lexer::test_regions(&lexed.tokens);
+        for c in &lexed.comments {
+            if !c.text.trim().starts_with("analyze::allow(cow-aliasing)") {
+                continue;
+            }
+            // An allow covers the code that follows it; one in a test
+            // module is not production code.
+            let site = lexed.tokens.iter().position(|t| t.line > c.line);
+            if site.is_some_and(|i| !in_test[i]) {
+                sites.push(format!("{rel}:{}", c.line));
+            }
+        }
+    }
+    assert_eq!(sites.len(), 1, "cow-aliasing allows: {sites:?}");
+    assert!(sites[0].starts_with("crates/core/src/cow.rs:"), "{sites:?}");
 }
 
 /// Seeding demo (a): a `HashMap` iteration added to a real `crates/sim`

@@ -144,9 +144,11 @@ pub fn register_system(c: &mut Criterion) {
 /// `SideChannelAttack::init` prefix — genome synthesis, read sampling and
 /// seeding, agent spawning, the bank row-opening sweep, clock sync) vs
 /// forking a parent that ran the identical prefix once, outside the timed
-/// loop. The fork is O(metadata) — Arc clones of the bank array, cache
-/// arrays and page tables — so `side_channel_init_fork` must stay well
-/// under a fifth of `side_channel_init_scratch`.
+/// loop. The fork is O(metadata): each `CowBox` table (the bank array,
+/// cache chunk tables, page tables, TLB levels) gains one shared handle,
+/// and the parent's tables move behind `Arc`s on its first fork only, so
+/// `side_channel_init_fork` must stay well under a fifth of
+/// `side_channel_init_scratch`.
 pub fn register_fork(c: &mut Criterion) {
     let cfg = SystemConfig::paper_table2_noiseless();
     let attack = SideChannelAttack::new(SideChannelConfig {

@@ -39,7 +39,7 @@ pub struct HierarchyOutcome {
 /// the LLC back-invalidates it from L1/L2, so LLC eviction suffices to push
 /// the next access to DRAM. The DRAMA-eviction baseline charges that
 /// eviction analytically ([`cacti::eviction_latency`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CacheHierarchy {
     l1: SetAssocCache,
     l2: SetAssocCache,
@@ -69,6 +69,17 @@ impl CacheHierarchy {
             l1: SetAssocCache::new(cfg.l1d),
             l2: SetAssocCache::new(cfg.l2),
             l3: SetAssocCache::new(l3cfg),
+        }
+    }
+
+    /// An independent copy that shares every level's line store until
+    /// either side writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> CacheHierarchy {
+        CacheHierarchy {
+            l1: self.l1.fork(),
+            l2: self.l2.fork(),
+            l3: self.l3.fork(),
         }
     }
 

@@ -5,13 +5,14 @@
 //! perturb the row-buffer state observed by attackers; both are modelled
 //! behaviourally.
 //!
-//! Each prefetcher's table sits behind an `Arc`, so an engine fork shares
+//! Each prefetcher's table sits in a [`CowBox`], so an engine fork shares
 //! it until either side observes an access. Forks that never run the
 //! prefetchers (noiseless configurations disable them) never copy it.
-
-use std::sync::Arc;
+//! Both tables are direct-mapped with a power-of-two length, so a key
+//! finds its slot by mask.
 
 use impact_core::addr::{PhysAddr, LINE_SIZE};
+use impact_core::cow::CowBox;
 
 /// A prefetch the hardware would like to issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,34 +54,46 @@ struct StrideEntry {
 /// let reqs = p.observe(1, PhysAddr(128), true);            // confident
 /// assert_eq!(reqs[0].addr, PhysAddr(192));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IpStridePrefetcher {
-    table: Arc<[StrideEntry]>,
+    table: CowBox<Vec<StrideEntry>>,
+    /// `table.len() - 1`.
+    mask: u64,
 }
 
 impl IpStridePrefetcher {
     /// Creates a prefetcher with `entries` table slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `entries` is a power of two (zero counts as one).
     #[must_use]
     pub fn new(entries: usize) -> IpStridePrefetcher {
+        let entries = entries.max(1);
+        assert!(
+            entries.is_power_of_two(),
+            "stride table length {entries} is not a power of two"
+        );
         IpStridePrefetcher {
-            table: vec![StrideEntry::default(); entries.max(1)].into(),
+            table: CowBox::new(vec![StrideEntry::default(); entries]),
+            mask: entries as u64 - 1,
         }
     }
 
-    /// The stride table for mutation: copies it first if a fork still
-    /// shares it.
-    fn table_mut(&mut self) -> &mut [StrideEntry] {
-        // analyze::allow(cow-aliasing): the stride table's only write
-        // site; a fork still sharing it gets its own copy before the
-        // first observed access changes an entry
-        Arc::make_mut(&mut self.table)
+    /// An independent copy that shares the stride table until either
+    /// side writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> IpStridePrefetcher {
+        IpStridePrefetcher {
+            table: self.table.fork(),
+            mask: self.mask,
+        }
     }
 }
 
 impl Prefetcher for IpStridePrefetcher {
     fn observe(&mut self, ip: u64, addr: PhysAddr, _miss: bool) -> Vec<PrefetchRequest> {
-        let idx = (ip as usize) % self.table.len();
-        let e = &mut self.table_mut()[idx];
+        let e = &mut self.table.to_mut()[(ip & self.mask) as usize];
         let addr = addr.line_aligned().0;
         if !e.valid || e.ip != ip {
             *e = StrideEntry {
@@ -127,9 +140,11 @@ struct StreamEntry {
 /// Streamer prefetcher (Chen & Baer style): detects two misses with a
 /// consistent direction inside a 4 KiB zone and prefetches a run of
 /// subsequent lines.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct StreamerPrefetcher {
-    streams: Arc<[StreamEntry]>,
+    streams: CowBox<Vec<StreamEntry>>,
+    /// `streams.len() - 1`.
+    mask: u64,
     degree: u32,
 }
 
@@ -139,21 +154,33 @@ const ZONE_BYTES: u64 = 4096;
 impl StreamerPrefetcher {
     /// Creates a streamer with `streams` tracked zones issuing `degree`
     /// prefetches when triggered.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `streams` is a power of two (zero counts as one).
     #[must_use]
     pub fn new(streams: usize, degree: u32) -> StreamerPrefetcher {
+        let streams = streams.max(1);
+        assert!(
+            streams.is_power_of_two(),
+            "stream table length {streams} is not a power of two"
+        );
         StreamerPrefetcher {
-            streams: vec![StreamEntry::default(); streams.max(1)].into(),
+            streams: CowBox::new(vec![StreamEntry::default(); streams]),
+            mask: streams as u64 - 1,
             degree: degree.max(1),
         }
     }
 
-    /// The stream table for mutation: copies it first if a fork still
-    /// shares it.
-    fn streams_mut(&mut self) -> &mut [StreamEntry] {
-        // analyze::allow(cow-aliasing): the stream table's only write
-        // site; a fork still sharing it gets its own copy before the
-        // first observed miss changes an entry
-        Arc::make_mut(&mut self.streams)
+    /// An independent copy that shares the stream table until either
+    /// side writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> StreamerPrefetcher {
+        StreamerPrefetcher {
+            streams: self.streams.fork(),
+            mask: self.mask,
+            degree: self.degree,
+        }
     }
 }
 
@@ -164,8 +191,7 @@ impl Prefetcher for StreamerPrefetcher {
         }
         let line = addr.line_aligned().0 / LINE_SIZE;
         let zone = addr.0 / ZONE_BYTES;
-        let idx = (zone as usize) % self.streams.len();
-        let e = &mut self.streams_mut()[idx];
+        let e = &mut self.streams.to_mut()[(zone & self.mask) as usize];
         if !e.valid || e.zone != zone {
             *e = StreamEntry {
                 zone,

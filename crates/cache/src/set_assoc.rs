@@ -15,14 +15,17 @@
 //! follows the sets it writes: a 128 MiB LLC costs next to nothing until
 //! it fills, whatever the allocator does with freed blocks.
 //!
-//! The chunk table lives behind an `Arc` so forks of a warmed cache are
-//! O(1): clones share the table, and the first write on either side copies
-//! it together with the chunks it points to (`Arc::make_mut`).
-
-use std::sync::Arc;
+//! The chunk table lives in a [`CowBox`] so forks of a warmed cache are
+//! O(1): parent and fork share the table, and the first write on either
+//! side copies it together with the chunks it points to.
+//!
+//! The line size and the set count are powers of two (`new` checks), so
+//! an address splits into set and tag by shifts and a mask, as
+//! `RowInterleaved`'s `Pow2Split` splits bank addresses.
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::{CacheLevelConfig, ReplacementKind};
+use impact_core::cow::CowBox;
 use impact_core::time::Cycles;
 
 /// Maximum re-reference prediction value for 2-bit SRRIP.
@@ -113,13 +116,17 @@ pub struct AccessResult {
 /// assert!(!c.access(PhysAddr(0), false).hit);
 /// assert!(c.access(PhysAddr(0), false).hit);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     cfg: CacheLevelConfig,
     sets: u64,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
     /// Chunk `i` holds the lines of sets `i * CHUNK_SETS ..`, `ways` per
     /// set; `None` until one of those sets is first written.
-    chunks: Arc<Vec<Option<Box<[Line]>>>>,
+    chunks: CowBox<Vec<Option<Box<[Line]>>>>,
     tick: u64,
 }
 
@@ -129,15 +136,35 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero sets.
+    /// Panics if the line size or the set count is not a power of two.
     #[must_use]
     pub fn new(cfg: CacheLevelConfig) -> SetAssocCache {
         let sets = cfg.sets();
+        assert!(
+            cfg.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two"
+        );
         SetAssocCache {
             cfg,
             sets,
-            chunks: Arc::new(vec![None; sets.div_ceil(CHUNK_SETS) as usize]),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            chunks: CowBox::new(vec![None; sets.div_ceil(CHUNK_SETS) as usize]),
             tick: 0,
+        }
+    }
+
+    /// An independent copy that shares the line store until either side
+    /// writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> SetAssocCache {
+        SetAssocCache {
+            cfg: self.cfg,
+            sets: self.sets,
+            line_shift: self.line_shift,
+            set_shift: self.set_shift,
+            chunks: self.chunks.fork(),
+            tick: self.tick,
         }
     }
 
@@ -162,15 +189,20 @@ impl SetAssocCache {
     /// Set index for an address.
     #[must_use]
     pub fn set_index(&self, addr: PhysAddr) -> u64 {
-        (addr.0 / u64::from(self.cfg.line_bytes)) % self.sets
+        self.set_and_tag(addr).0
     }
 
-    fn tag_of(&self, addr: PhysAddr) -> u64 {
-        (addr.0 / u64::from(self.cfg.line_bytes)) / self.sets
+    /// `(set, tag)` of an address: `line % sets` and `line / sets` of its
+    /// line number.
+    #[inline]
+    fn set_and_tag(&self, addr: PhysAddr) -> (u64, u64) {
+        let line = addr.0 >> self.line_shift;
+        (line & (self.sets - 1), line >> self.set_shift)
     }
 
+    /// The line-aligned address of `tag` in `set`.
     fn addr_of(&self, set: u64, tag: u64) -> PhysAddr {
-        PhysAddr((tag * self.sets + set) * u64::from(self.cfg.line_bytes))
+        PhysAddr(((tag << self.set_shift) | set) << self.line_shift)
     }
 
     /// The set's chunk and the index of its first way in that chunk.
@@ -190,15 +222,12 @@ impl SetAssocCache {
     }
 
     /// The set's lines for mutation: copies the chunk table first if a
-    /// clone still shares it, and allocates the set's chunk on its first
+    /// fork still shares it, and allocates the set's chunk on its first
     /// write.
     fn set_slice_mut(&mut self, set: u64) -> &mut [Line] {
         let (chunk, offset) = self.locate_set(set);
         let ways = self.cfg.ways as usize;
-        // analyze::allow(cow-aliasing): sole unshare point for the chunk
-        // table; every mutation funnels through here, so a shared fork
-        // gets its own copy before the first write
-        let lines = Arc::make_mut(&mut self.chunks)[chunk]
+        let lines = self.chunks.to_mut()[chunk]
             .get_or_insert_with(|| vec![[0u64; 2]; CHUNK_SETS as usize * ways].into_boxed_slice());
         &mut lines[offset..offset + ways]
     }
@@ -206,8 +235,7 @@ impl SetAssocCache {
     /// True if the line is currently cached (no state change).
     #[must_use]
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.set_and_tag(addr);
         self.set_slice(set).iter().any(|l| holds(l, tag))
     }
 
@@ -216,8 +244,7 @@ impl SetAssocCache {
     pub fn access(&mut self, addr: PhysAddr, write: bool) -> AccessResult {
         self.tick += 1;
         let tick = self.tick;
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.set_and_tag(addr);
         let repl = self.cfg.replacement;
         let lines = self.set_slice_mut(set);
 
@@ -249,8 +276,7 @@ impl SetAssocCache {
     /// responsible for charging any write-back latency if the line was
     /// dirty. Flushing an absent line writes nothing.
     pub fn flush(&mut self, addr: PhysAddr) -> Option<EvictedLine> {
-        let set = self.set_index(addr);
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.set_and_tag(addr);
         let way = self.set_slice(set).iter().position(|l| holds(l, tag))?;
         // Taking the line leaves `[0, 0]`, an invalid line.
         let line = std::mem::take(&mut self.set_slice_mut(set)[way]);
@@ -428,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_writes_leave_the_parent_unchanged() {
+    fn fork_writes_leave_the_parent_unchanged() {
         // 64 sets x 2 ways: four chunks. The parent fills set 0 (chunk 0).
         let mut parent = SetAssocCache::new(CacheLevelConfig {
             size_bytes: 2 * 64 * 64,
@@ -443,10 +469,10 @@ mod tests {
         let probes = [own[0], own[1], in_shared, in_new];
         let answers = probes.map(|a| parent.probe(a));
 
-        let mut child = parent.clone();
+        let mut child = parent.fork();
         assert_eq!(child.flush(in_new), None);
         assert!(
-            Arc::ptr_eq(&parent.chunks, &child.chunks),
+            std::ptr::eq(&*parent.chunks, &*child.chunks),
             "flushing an absent line unshared the chunk table"
         );
         // An eviction in the chunk both share, then a fill in a chunk only

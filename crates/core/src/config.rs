@@ -160,12 +160,19 @@ impl CacheLevelConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration does not yield a positive power-of-two
-    /// set count.
+    /// Panics unless `size_bytes` is a positive power-of-two number of
+    /// sets of `ways` lines each.
     #[must_use]
     pub fn sets(&self) -> u64 {
-        let sets = self.size_bytes / (u64::from(self.ways) * u64::from(self.line_bytes));
-        assert!(sets > 0, "cache must have at least one set");
+        let set_bytes = u64::from(self.ways) * u64::from(self.line_bytes);
+        let sets = self.size_bytes / set_bytes;
+        assert!(
+            sets.is_power_of_two() && sets * set_bytes == self.size_bytes,
+            "a {}-byte, {}-way cache of {}-byte lines has no power-of-two set count",
+            self.size_bytes,
+            self.ways,
+            self.line_bytes
+        );
         sets
     }
 }
@@ -391,7 +398,9 @@ impl SystemConfig {
     ///
     /// Every config struct is destructured exhaustively and every binding
     /// must be used, so a new field fails to compile here until it is
-    /// folded in (or named `field: _`, a visible exclusion).
+    /// folded in (or named `field: _`, a visible exclusion). `Clock`, whose
+    /// field is private to `time.rs`, is destructured the same way there
+    /// (`Clock::fold_fingerprint`).
     #[must_use]
     #[deny(unused_variables)]
     pub fn fingerprint(&self) -> u64 {
@@ -466,7 +475,7 @@ impl SystemConfig {
             ptw_rate,
             seed,
         } = *noise;
-        let mut h = fnv1a_u64(FNV_OFFSET, clock.freq_ghz().to_bits());
+        let mut h = clock.fold_fingerprint(FNV_OFFSET);
         h = fnv1a_u64(h, u64::from(*cores));
         for c in [l1d, l2, l3] {
             h = cache(h, c);
@@ -558,6 +567,17 @@ mod tests {
         assert_eq!(cfg.l1d.sets(), 64);
         assert_eq!(cfg.l2.sets(), 2048);
         assert_eq!(cfg.l3.sets(), 8192);
+    }
+
+    #[test]
+    #[should_panic(expected = "no power-of-two set count")]
+    fn twelve_way_two_mib_cache_has_no_set_count() {
+        // 2 MiB / (12 x 64 B) is 2,730.67 sets.
+        let _ = SystemConfig::paper_table2()
+            .with_llc_size(2 << 20)
+            .with_llc_ways(12)
+            .l3
+            .sets();
     }
 
     #[test]

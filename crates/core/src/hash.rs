@@ -1,7 +1,6 @@
 //! Deterministic, dependency-free hashing used across the workspace:
 //! FNV-1a folds for content digests (trace response digests, configuration
-//! fingerprints, DRAM state digests) and a fast multiplicative
-//! [`core::hash::Hasher`] for hot-path hash maps (the TLB index).
+//! fingerprints, DRAM state digests).
 //!
 //! Everything here is fully deterministic across runs, platforms and
 //! processes — a digest computed on one machine is comparable bit-for-bit
@@ -17,8 +16,6 @@
 //! prime, and the digest keeps its value bit for bit. Most words the
 //! simulator folds (banks, row-buffer classes, latencies) are one or two
 //! bytes wide.
-
-use core::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit offset basis: the initial accumulator for every digest.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -69,57 +66,9 @@ pub fn fnv1a_bytes(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A fast, deterministic multiplicative hasher (rustc-hash style) for
-/// in-process hash maps on integer keys. Not suitable for persisted
-/// digests — use the FNV-1a folds for those — but ideal where SipHash's
-/// per-lookup cost dominates, as in the TLB index maps.
-#[derive(Debug, Default, Clone)]
-pub struct FxHasher {
-    state: u64,
-}
-
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-impl FxHasher {
-    #[inline]
-    fn fold(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.fold(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, value: u64) {
-        self.fold(value);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, value: usize) {
-        self.fold(value as u64);
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]-backed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn fnv_matches_reference_vectors() {
@@ -155,32 +104,6 @@ mod tests {
             assert_eq!(start.wrapping_mul(pow), hash, "{k} zero bytes");
             hash = fnv1a_u8(hash, 0);
         }
-    }
-
-    #[test]
-    fn fx_hasher_is_deterministic_and_usable() {
-        let mut a = FxHasher::default();
-        a.write_u64(42);
-        let mut b = FxHasher::default();
-        b.write_u64(42);
-        assert_eq!(a.finish(), b.finish());
-        assert_ne!(a.finish(), FxHasher::default().finish());
-
-        let mut map: HashMap<u64, usize, FxBuildHasher> = HashMap::default();
-        for i in 0..100 {
-            map.insert(i, i as usize);
-        }
-        assert_eq!(map.get(&7), Some(&7));
-        assert_eq!(map.len(), 100);
-    }
-
-    #[test]
-    fn fx_write_bytes_pads_tail_chunk() {
-        let mut a = FxHasher::default();
-        a.write(&[1, 2, 3]);
-        let mut b = FxHasher::default();
-        b.write_u64(u64::from_le_bytes([1, 2, 3, 0, 0, 0, 0, 0]));
-        assert_eq!(a.finish(), b.finish());
     }
 }
 

@@ -8,8 +8,9 @@
 //! deterministic, seedable random-number generator ([`rng::SimRng`]), and
 //! the pluggable memory-engine vocabulary ([`engine`]): request/response
 //! types plus the [`engine::MemoryBackend`] trait the simulator core is
-//! generic over, and the one parallel primitive every host-level fan-out
-//! goes through ([`par::ordered_map`]).
+//! generic over, the one parallel primitive every host-level fan-out
+//! goes through ([`par::ordered_map`]), and the copy-on-write box every
+//! table a fork may share lives in ([`cow::CowBox`]).
 //!
 //! # Example
 //!
@@ -25,6 +26,7 @@
 
 pub mod addr;
 pub mod config;
+pub mod cow;
 pub mod engine;
 pub mod error;
 pub mod hash;

@@ -8,6 +8,8 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
+use crate::hash::fnv1a_u64;
+
 /// A duration or point in time measured in CPU clock cycles.
 ///
 /// `Cycles` is an ordered, additive quantity. Subtraction saturates at zero
@@ -186,6 +188,17 @@ impl Clock {
     #[must_use]
     pub fn freq_ghz(&self) -> f64 {
         self.freq_ghz
+    }
+
+    /// Folds the clock into a configuration fingerprint
+    /// ([`crate::config::SystemConfig::fingerprint`]). The destructure is
+    /// exhaustive and every binding must be folded, so a new field fails
+    /// to compile here until it is (or is named `field: _`).
+    #[must_use]
+    #[deny(unused_variables)]
+    pub(crate) fn fold_fingerprint(&self, hash: u64) -> u64 {
+        let Clock { freq_ghz } = *self;
+        fnv1a_u64(hash, freq_ghz.to_bits())
     }
 
     /// Converts a nanosecond duration to cycles, rounding up.

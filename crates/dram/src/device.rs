@@ -1,8 +1,7 @@
 //! Whole-device DRAM model: a collection of independently timed banks.
 
-use std::sync::Arc;
-
 use impact_core::config::{DramGeometry, SystemConfig};
+use impact_core::cow::CowBox;
 use impact_core::time::Cycles;
 
 use crate::bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
@@ -11,9 +10,9 @@ use crate::timing::ResolvedTiming;
 
 /// A DRAM device: geometry + timing + one [`Bank`] record per bank.
 ///
-/// The bank records live in one array behind an [`Arc`], so [`Clone`] —
-/// the fork — is O(1): clones share the array and the first write on
-/// either side copies it (`Arc::make_mut`).
+/// The bank records live in one array in a [`CowBox`], so
+/// [`DramDevice::fork`] is O(1): parent and fork share the array and the
+/// first write on either side copies it.
 ///
 /// The device serves operations addressed by *flat bank index* and row;
 /// address decomposition is the job of the
@@ -32,12 +31,12 @@ use crate::timing::ResolvedTiming;
 /// let out = dram.access(3, 42, Cycles(0));
 /// assert!(out.latency > Cycles::ZERO);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DramDevice {
     geometry: DramGeometry,
     timing: ResolvedTiming,
     policy: RowPolicy,
-    banks: Arc<[Bank]>,
+    banks: CowBox<Vec<Bank>>,
 }
 
 /// Actor id used when none is supplied.
@@ -47,12 +46,23 @@ impl DramDevice {
     /// Creates a device with explicit geometry, timing and row policy.
     #[must_use]
     pub fn new(geometry: DramGeometry, timing: ResolvedTiming, policy: RowPolicy) -> DramDevice {
-        let banks = vec![Bank::new(); geometry.total_banks() as usize].into();
         DramDevice {
             geometry,
             timing,
             policy,
-            banks,
+            banks: CowBox::new(vec![Bank::new(); geometry.total_banks() as usize]),
+        }
+    }
+
+    /// An independent copy that shares the bank array until either side
+    /// writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> DramDevice {
+        DramDevice {
+            geometry: self.geometry,
+            timing: self.timing,
+            policy: self.policy,
+            banks: self.banks.fork(),
         }
     }
 
@@ -114,10 +124,7 @@ impl DramDevice {
     /// Panics if `bank` is out of range.
     #[inline]
     fn bank_mut(&mut self, bank: usize) -> &mut Bank {
-        // analyze::allow(cow-aliasing): the device's only bank write site;
-        // a fork still sharing the array gets its own copy before any
-        // bank record changes
-        &mut Arc::make_mut(&mut self.banks)[bank]
+        &mut self.banks.to_mut()[bank]
     }
 
     /// Folds one bank's state into a running FNV-1a digest accumulator.
@@ -215,7 +222,7 @@ impl DramDevice {
 
     /// Resets every bank (state and statistics).
     pub fn reset(&mut self) {
-        self.banks = vec![Bank::new(); self.banks.len()].into();
+        self.banks = CowBox::new(vec![Bank::new(); self.banks.len()]);
     }
 }
 
@@ -289,7 +296,7 @@ mod tests {
         assert_eq!(d.bank(0).raw_open_row(), None);
     }
 
-    /// Clones share the bank array until written: a fork's writes never
+    /// Forks share the bank array until written: a fork's writes never
     /// reach the parent.
     #[test]
     fn cow_fork_isolates() {
@@ -298,7 +305,7 @@ mod tests {
         parent.access(0, 5, Cycles(0));
         let parent_digest = parent.fold_bank_state(0, FNV_OFFSET);
 
-        let mut child = parent.clone();
+        let mut child = parent.fork();
         child.access(0, 9, Cycles(100));
         child.access(1, 3, Cycles(100));
         assert_eq!(

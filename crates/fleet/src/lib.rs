@@ -290,7 +290,7 @@ impl FleetService {
                         trace_parent =
                             Some((Arc::clone(&trace), fp, MemoryController::from_config(&sys)));
                     }
-                    let (_, _, parent) = trace_parent.as_ref().expect("just seeded");
+                    let (_, _, parent) = trace_parent.as_mut().expect("just seeded");
                     traced += 1;
                     Session::trace(id, TraceSession::new(parent, trace, sys.clock, prefix))
                 }

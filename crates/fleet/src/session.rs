@@ -8,9 +8,10 @@
 //! [`CapturedTrace`] prefix through a fresh controller via the trace
 //! codec's event dispatcher.
 //!
-//! Both are built by forking a warmed parent (`Engine::fork` / a
-//! controller clone), so per-session setup is O(metadata), and both step
-//! in fixed budgets so the scheduler can interleave thousands of them.
+//! Both are built by forking a warmed parent (`Engine::fork` /
+//! `MemoryController::fork`), so per-session setup is O(metadata), and
+//! both step in fixed budgets so the scheduler can interleave thousands
+//! of them.
 //! A session's result depends only on (parent state, spec); it never
 //! observes which worker ran it or when.
 
@@ -238,7 +239,7 @@ pub(crate) struct SyntheticSession {
 }
 
 impl SyntheticSession {
-    pub(crate) fn new(parent: &System, warm: Arc<WarmSlots>, spec: SyntheticSpec) -> Self {
+    pub(crate) fn new(parent: &mut System, warm: Arc<WarmSlots>, spec: SyntheticSpec) -> Self {
         let mut eng = parent.fork();
         if let Some(defense) = spec.defense.to_defense() {
             eng.set_defense(defense);
@@ -347,14 +348,14 @@ pub(crate) struct TraceSession {
 
 impl TraceSession {
     pub(crate) fn new(
-        parent: &MemoryController,
+        parent: &mut MemoryController,
         trace: Arc<CapturedTrace>,
         clock: Clock,
         prefix: usize,
     ) -> Self {
         let prefix = prefix.min(trace.events.len());
         TraceSession {
-            backend: parent.clone(),
+            backend: parent.fork(),
             trace,
             clock,
             prefix,

@@ -1,9 +1,8 @@
 //! The memory controller proper.
 
-use std::sync::Arc;
-
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
+use impact_core::cow::CowBox;
 use impact_core::engine::{MemRequest, MemResponse, ReqKind};
 use impact_core::error::{Error, Result};
 use impact_core::time::{Clock, Cycles};
@@ -15,14 +14,12 @@ use crate::defense::{ActBankState, Defense};
 /// counter is maintained by this controller).
 pub use impact_core::engine::BackendStats as CtrlStats;
 
-/// Telemetry probe for the controller's copy-on-write write-backs:
-/// records a `ctrl.cow.unshares` event when the `Arc::make_mut` the
-/// caller is about to perform will actually clone — i.e. a fork still
-/// aliases the state. Pure observation; the unshare itself stays at the
-/// call site with its own aliasing justification.
+/// Telemetry probe for the controller's copy-on-write tables: records a
+/// `ctrl.cow.unshares` event when the write the caller is about to make
+/// will copy the table, i.e. a fork still shares it. Pure observation.
 #[inline]
-fn note_unshare<T>(arc: &Arc<T>) {
-    if Arc::strong_count(arc) > 1 {
+fn note_unshare<T>(table: &CowBox<T>) {
+    if table.is_shared() {
         impact_obs::registry().cow_unshares.incr();
     }
 }
@@ -99,22 +96,19 @@ pub struct RowCloneOutcome {
 
 /// The memory controller: address mapping + DRAM device + defenses.
 ///
-/// The per-bank defense arrays (`act_state`, `block_epoch`) live behind
-/// [`Arc`]s so [`Clone`] — the fork — is O(metadata) at any bank count:
-/// copies share the arrays until the first mutation (`Arc::make_mut`),
-/// exactly like the DRAM bank array underneath.
-// analyze::allow(cow-aliasing): fork sharing; every mutation goes
-// through Arc::make_mut
-#[derive(Clone)]
+/// The per-bank defense arrays (`act_state`, `block_epoch`) live in
+/// [`CowBox`]es so [`MemoryController::fork`] is O(metadata) at any bank
+/// count: parent and fork share the arrays until the first write, exactly
+/// like the DRAM bank array underneath.
 pub struct MemoryController {
     dram: DramDevice,
     mapping: RowInterleaved,
     overhead: Cycles,
     clock: Clock,
     defense: Defense,
-    act_state: Arc<Vec<ActBankState>>,
+    act_state: CowBox<Vec<ActBankState>>,
     blocking: Option<PeriodicBlock>,
-    block_epoch: Arc<Vec<u64>>,
+    block_epoch: CowBox<Vec<u64>>,
     stats: CtrlStats,
 }
 
@@ -141,10 +135,30 @@ impl MemoryController {
             overhead: Cycles(cfg.memctrl_overhead_cycles),
             clock: cfg.clock,
             defense: Defense::None,
-            act_state: Arc::new(vec![ActBankState::default(); banks]),
+            act_state: CowBox::new(vec![ActBankState::default(); banks]),
             blocking: None,
-            block_epoch: Arc::new(vec![0; banks]),
+            block_epoch: CowBox::new(vec![0; banks]),
             stats: CtrlStats::default(),
+        }
+    }
+
+    /// An independent copy that shares the bank array and the per-bank
+    /// defense arrays until either side writes them. It behaves
+    /// bit-identically to a from-scratch controller driven through the
+    /// parent's history; writes on either side are invisible to the
+    /// other.
+    #[must_use]
+    pub fn fork(&mut self) -> MemoryController {
+        MemoryController {
+            dram: self.dram.fork(),
+            mapping: self.mapping.clone(),
+            overhead: self.overhead,
+            clock: self.clock,
+            defense: self.defense.clone(),
+            act_state: self.act_state.fork(),
+            blocking: self.blocking,
+            block_epoch: self.block_epoch.fork(),
+            stats: self.stats.clone(),
         }
     }
 
@@ -152,7 +166,7 @@ impl MemoryController {
     /// `None` to disable.
     pub fn set_periodic_block(&mut self, blocking: Option<PeriodicBlock>) {
         self.blocking = blocking;
-        self.block_epoch = Arc::new(vec![0; self.dram.num_banks()]);
+        self.block_epoch = CowBox::new(vec![0; self.dram.num_banks()]);
     }
 
     /// The active periodic blocking mechanism, if any.
@@ -170,10 +184,7 @@ impl MemoryController {
         let epoch = now.0 / b.interval.0.max(1);
         if epoch > self.block_epoch[bank] {
             note_unshare(&self.block_epoch);
-            // analyze::allow(cow-aliasing): rolls this bank's RFM epoch
-            // forward; guarded by the epoch compare so shared state is
-            // only copied when the write actually happens
-            Arc::make_mut(&mut self.block_epoch)[bank] = epoch;
+            self.block_epoch.to_mut()[bank] = epoch;
             self.stats.blocked += 1;
             b.block
         } else {
@@ -188,7 +199,7 @@ impl MemoryController {
             Defense::Crp => self.dram.set_policy(RowPolicy::closed_page()),
             _ => self.dram.set_policy(RowPolicy::open_page()),
         }
-        self.act_state = Arc::new(vec![ActBankState::default(); self.dram.num_banks()]);
+        self.act_state = CowBox::new(vec![ActBankState::default(); self.dram.num_banks()]);
         self.defense = defense;
     }
 
@@ -475,9 +486,7 @@ impl MemoryController {
                 let epoch_len = cfg.epoch_cycles(self.clock).0.max(1);
                 let epoch = now.0 / epoch_len;
                 note_unshare(&self.act_state);
-                // analyze::allow(cow-aliasing): ACT conflict accounting
-                // writes this bank's slot on every serviced access
-                let state = &mut Arc::make_mut(&mut self.act_state)[bank];
+                let state = &mut self.act_state.to_mut()[bank];
                 state.roll_to(epoch, &cfg);
                 if kind == RowBufferKind::Conflict {
                     state.conflicts += 1;

@@ -15,15 +15,15 @@
 //! times a host-side PEI through its own cache hierarchy;
 //! [`PeiEngine::execute_memory_side`] times a memory-side one.
 //!
-//! The monitor's table sits behind an `Arc`, so an engine fork shares it
+//! The monitor's table sits in a [`CowBox`], so an engine fork shares it
 //! until either side runs a PEI through the PMU. Forks that only issue
 //! explicitly offloaded PEIs (the path the fleet's sessions take) never
-//! copy it.
-
-use std::sync::Arc;
+//! copy it. The table's length is a power of two (Table 2's 256 entries),
+//! so a line finds its slot by mask.
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::PimConfig;
+use impact_core::cow::CowBox;
 use impact_core::engine::{MemRequest, MemoryBackend, RowBufferKind};
 use impact_core::error::Result;
 use impact_core::time::Cycles;
@@ -61,29 +61,43 @@ struct MonitorEntry {
 /// table is classified high-locality (host execution). Attackers bypass it
 /// by touching a fresh cache line per operation (§4.1: "The receiver
 /// accesses the next cache line in the initialized row").
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LocalityMonitor {
-    entries: Arc<[MonitorEntry]>,
+    entries: CowBox<Vec<MonitorEntry>>,
+    /// `entries.len() - 1`.
+    mask: u64,
     threshold: u32,
 }
 
 impl LocalityMonitor {
     /// Creates a monitor with `entries` slots and the given threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `entries` is a power of two (zero counts as one).
     #[must_use]
     pub fn new(entries: u32, threshold: u32) -> LocalityMonitor {
+        let entries = entries.max(1);
+        assert!(
+            entries.is_power_of_two(),
+            "locality monitor length {entries} is not a power of two"
+        );
         LocalityMonitor {
-            entries: vec![MonitorEntry::default(); entries.max(1) as usize].into(),
+            entries: CowBox::new(vec![MonitorEntry::default(); entries as usize]),
+            mask: u64::from(entries - 1),
             threshold: threshold.max(1),
         }
     }
 
-    /// The counter table for mutation: copies it first if a fork still
-    /// shares it.
-    fn entries_mut(&mut self) -> &mut [MonitorEntry] {
-        // analyze::allow(cow-aliasing): the monitor's only write site; a
-        // fork still sharing the table gets its own copy before the first
-        // observed PEI changes a counter
-        Arc::make_mut(&mut self.entries)
+    /// An independent copy that shares the counter table until either
+    /// side writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> LocalityMonitor {
+        LocalityMonitor {
+            entries: self.entries.fork(),
+            mask: self.mask,
+            threshold: self.threshold,
+        }
     }
 
     /// Reports what [`LocalityMonitor::observe`] would return for `line`
@@ -91,17 +105,15 @@ impl LocalityMonitor {
     /// predict PMU decisions before committing to a burst.
     #[must_use]
     pub fn peek(&self, line: u64) -> bool {
-        let idx = (line as usize) % self.entries.len();
-        let e = &self.entries[idx];
+        let e = &self.entries[(line & self.mask) as usize];
         e.valid && e.line == line && e.count >= self.threshold
     }
 
     /// Observes an access to `line` and reports whether the PMU considers
     /// it high-locality *before* this access.
     pub fn observe(&mut self, line: u64) -> bool {
-        let idx = (line as usize) % self.entries.len();
         let threshold = self.threshold;
-        let e = &mut self.entries_mut()[idx];
+        let e = &mut self.entries.to_mut()[(line & self.mask) as usize];
         if e.valid && e.line == line {
             let high = e.count >= threshold;
             e.count = e.count.saturating_add(1);
@@ -118,7 +130,7 @@ impl LocalityMonitor {
 }
 
 /// The PEI engine: PMU + memory-side PCU timing.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PeiEngine {
     cfg: PimConfig,
     monitor: LocalityMonitor,
@@ -131,6 +143,16 @@ impl PeiEngine {
         PeiEngine {
             monitor: LocalityMonitor::new(cfg.locality_monitor_entries, cfg.locality_threshold),
             cfg,
+        }
+    }
+
+    /// An independent copy that shares the locality monitor's table until
+    /// either side writes it.
+    #[must_use]
+    pub fn fork(&mut self) -> PeiEngine {
+        PeiEngine {
+            cfg: self.cfg,
+            monitor: self.monitor.fork(),
         }
     }
 

@@ -7,6 +7,8 @@
 //! accesses). The paper's Table 2 machine is the instantiation with the
 //! default controller backend — see [`crate::system::System`].
 
+use std::sync::Arc;
+
 use impact_cache::{CacheHierarchy, HitLevel, IpStridePrefetcher, Prefetcher, StreamerPrefetcher};
 use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::SystemConfig;
@@ -14,6 +16,7 @@ use impact_core::engine::{MemRequest, MemoryBackend};
 use impact_core::error::Result;
 use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
+use impact_memctrl::MemoryController;
 use impact_pim::pei::{ExecSite, PeiEngine};
 use impact_pim::rowclone::RowCloneEngine;
 
@@ -101,7 +104,8 @@ pub struct ProbeSample {
 /// [`crate::system::System`], the instantiation with the default
 /// [`impact_memctrl::MemoryController`] backend.
 pub struct Engine<B: MemoryBackend> {
-    cfg: SystemConfig,
+    /// Immutable after construction, so forks share it.
+    cfg: Arc<SystemConfig>,
     params: SimParams,
     caches: CacheHierarchy,
     backend: B,
@@ -144,7 +148,7 @@ impl<B: MemoryBackend> Engine<B> {
             tlbs: Vec::new(),
             page_tables: Vec::new(),
             alloc: FrameAllocator::new(cfg.dram_geometry),
-            cfg,
+            cfg: Arc::new(cfg),
             params,
         }
     }
@@ -807,40 +811,44 @@ impl<B: MemoryBackend> Engine<B> {
 }
 
 /// Forking: every layer above memory (caches, TLBs, page tables, clocks,
-/// prefetchers, noise RNG, PMU monitor) plus the backend, copied through
-/// `Clone`. The shared tables (bank records, cache line chunk tables,
-/// page-table radixes, controller ACT/blocking tables, TLB levels, the PMU
-/// monitor and the prefetcher tables) sit behind an `Arc` inside those
-/// components, so a fork copies only small records and each side copies
-/// a table only when it first writes it. The fleet warms one engine and
-/// forks it per session. `Engine` does not implement `Clone`: `fork` is
-/// the one way to copy an engine, so every copy counts in `engine.forks`.
-/// [`Engine::fork`] builds the copy with a full struct literal, so a new
-/// `Engine` field fails to compile there until the fork carries it.
-impl<B: MemoryBackend + Clone> Engine<B> {
+/// prefetchers, noise RNG, PMU monitor) plus the controller, each through
+/// its own `fork`. The tables a fork may share (bank records, cache line
+/// chunk tables, page-table radixes, controller ACT/blocking tables, TLB
+/// levels, the PMU monitor and the prefetcher tables) sit in
+/// [`impact_core::cow::CowBox`]es, which the parent owns and writes with
+/// no reference counting until its first fork. A fork then copies only
+/// small records, shares the configuration through an `Arc`, and each side
+/// copies a table only when it first writes it. The fleet warms one engine
+/// and forks it per session. `Engine` does not implement `Clone`: `fork`
+/// is the one way to copy an engine, so every copy counts in
+/// `engine.forks`. [`Engine::fork`] builds the copy with a full struct
+/// literal, so a new `Engine` field fails to compile there until the fork
+/// carries it.
+impl Engine<MemoryController> {
     /// An independent copy sharing bulk state copy-on-write. It behaves
     /// bit-identically to a from-scratch engine driven through the
     /// parent's history; writes on either side are invisible to the
-    /// other.
+    /// other. It takes `&mut self` because the parent's tables move
+    /// behind shared handles on its first fork.
     #[must_use]
-    pub fn fork(&self) -> Engine<B> {
+    pub fn fork(&mut self) -> Engine<MemoryController> {
         // Telemetry event only — the fork carries no telemetry state (the
         // obs registry is process-global and never an engine field).
         impact_obs::registry().engine_forks.incr();
         Engine {
-            cfg: self.cfg.clone(),
+            cfg: Arc::clone(&self.cfg),
             params: self.params,
-            caches: self.caches.clone(),
-            backend: self.backend.clone(),
-            pei: self.pei.clone(),
+            caches: self.caches.fork(),
+            backend: self.backend.fork(),
+            pei: self.pei.fork(),
             rc: self.rc,
             noise: self.noise.clone(),
-            ip_prefetcher: self.ip_prefetcher.clone(),
-            streamer: self.streamer.clone(),
+            ip_prefetcher: self.ip_prefetcher.fork(),
+            streamer: self.streamer.fork(),
             prefetchers_enabled: self.prefetchers_enabled,
             clocks: self.clocks.clone(),
-            tlbs: self.tlbs.clone(),
-            page_tables: self.page_tables.clone(),
+            tlbs: self.tlbs.iter_mut().map(Tlb::fork).collect(),
+            page_tables: self.page_tables.iter_mut().map(PageTable::fork).collect(),
             alloc: self.alloc.clone(),
         }
     }

@@ -12,10 +12,9 @@
 //!   spanning every bank once per "rotation" (the PuM source/destination
 //!   range layout).
 
-use std::sync::Arc;
-
 use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::DramGeometry;
+use impact_core::cow::CowBox;
 use impact_core::error::{Error, Result};
 use impact_dram::RowInterleaved;
 
@@ -32,17 +31,21 @@ const PT_LEAF_LEN: usize = 1 << PT_LEAF_BITS;
 /// bounds-checked array reads with no hashing. Leaves hold `pfn + 1`, with
 /// `0` marking an unmapped slot, so a leaf is a dense `u64` array.
 ///
-/// The radix sits behind an `Arc` so cloning a page table — the unit of
-/// work in an engine fork — shares the mapping until either side maps a
-/// new page. `translate` reads through the `Arc` unchanged; only
-/// `map_page` pays the copy, and only while the radix is shared.
-// analyze::allow(cow-aliasing): fork sharing; every mutation goes
-// through Arc::make_mut.
-#[derive(Debug, Default, Clone)]
+/// The radix sits in a [`CowBox`] so forking a page table — part of an
+/// engine fork — shares the mapping until either side maps a new page.
+/// `translate` only reads; `map_page` pays the copy, and only while the
+/// radix is shared.
+#[derive(Debug)]
 pub struct PageTable {
-    leaves: Arc<Vec<Option<Box<[u64; PT_LEAF_LEN]>>>>,
+    leaves: CowBox<Vec<Option<Box<[u64; PT_LEAF_LEN]>>>>,
     mapped: usize,
     next_vpn: u64,
+}
+
+impl Default for PageTable {
+    fn default() -> PageTable {
+        PageTable::new()
+    }
 }
 
 impl PageTable {
@@ -50,9 +53,20 @@ impl PageTable {
     #[must_use]
     pub fn new() -> PageTable {
         PageTable {
-            leaves: Arc::new(Vec::new()),
+            leaves: CowBox::new(Vec::new()),
             mapped: 0,
             next_vpn: 0x100, // skip the null region
+        }
+    }
+
+    /// An independent copy that shares the radix until either side maps a
+    /// page.
+    #[must_use]
+    pub fn fork(&mut self) -> PageTable {
+        PageTable {
+            leaves: self.leaves.fork(),
+            mapped: self.mapped,
+            next_vpn: self.next_vpn,
         }
     }
 
@@ -60,10 +74,7 @@ impl PageTable {
     pub fn map_page(&mut self, vpn: u64, pfn: u64) {
         let hi = (vpn >> PT_LEAF_BITS) as usize;
         let lo = (vpn & (PT_LEAF_LEN as u64 - 1)) as usize;
-        // analyze::allow(cow-aliasing): map_page is the only writer of
-        // the radix leaves; a fork sharing them gets its own copy before
-        // any new mapping lands
-        let leaves = Arc::make_mut(&mut self.leaves);
+        let leaves = self.leaves.to_mut();
         if hi >= leaves.len() {
             leaves.resize_with(hi + 1, || None);
         }

@@ -90,7 +90,7 @@ fn construction_and_forks_touch_only_what_they_write() {
     // banks. Copying pre-sized TLB indexes and the PMU table into every
     // fork would cost about 120 KiB per fork.
     const FORKS: u64 = 2_000;
-    let (parent, agents) = warm_fleet_parent();
+    let (mut parent, agents) = warm_fleet_parent();
     let (victim, victim_rows) = &agents[1];
     let (attacker, attacker_rows) = &agents[0];
     let before = vm_rss();

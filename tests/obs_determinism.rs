@@ -99,7 +99,7 @@ fn snapshots_and_forks_carry_no_telemetry() {
             MemRequest::load(addr, Cycles(i * 500), 0)
         })
         .collect();
-    let mut fork = mc.clone();
+    let mut fork = mc.fork();
     let before = segments.get();
     MemoryBackend::service_batch(&mut mc, &reqs).unwrap();
     let served = segments.get();
@@ -115,7 +115,7 @@ fn snapshots_and_forks_carry_no_telemetry() {
     // Engine forks are obs *events*; the global registry only moves
     // forward. (> rather than == because other tests in this binary fork
     // engines concurrently.)
-    let sys = System::new(cfg);
+    let mut sys = System::new(cfg);
     let before = impact::obs::registry().engine_forks.get();
     drop(sys.fork());
     assert!(

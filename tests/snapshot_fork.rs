@@ -1,11 +1,12 @@
 //! The fork equivalence layer: proof that copy-on-write forks are
 //! *observationally free*.
 //!
-//! A fork (`MemoryController::clone`, `Engine::fork`) shares its bulk
-//! state (the DRAM bank array, cache tag arrays, radix page-table leaves,
-//! ACT bookkeeping) with its parent behind `Arc`s, and every mutation
-//! goes through `Arc::make_mut`. This suite pins the two properties the
-//! fleet's fork-per-session setup relies on:
+//! A fork (`MemoryController::fork`, `Engine::fork`) shares its bulk
+//! state (the DRAM bank array, cache line chunk tables, radix page-table
+//! leaves, TLB levels, ACT and RFM bookkeeping) with its parent through
+//! `CowBox`es, and the first write on either side copies the table it
+//! writes. This suite pins the two properties the fleet's
+//! fork-per-session setup relies on:
 //!
 //! * **fidelity** — a fork that resumes a request stream is bit-for-bit
 //!   equal to a from-scratch run of the whole stream (responses,
@@ -97,7 +98,7 @@ proptest! {
 
         parent.service_batch(&reqs[..split]).expect("valid stream");
         let at_fork = parent.dram_state_digest();
-        let mut fork = parent.clone();
+        let mut fork = parent.fork();
         let got = fork.service_batch(&reqs[split..]).expect("valid stream");
 
         prop_assert_eq!(&want, &got, "forked responses diverged");
@@ -131,7 +132,7 @@ proptest! {
         let mut cur = controller(defense_sel);
         let mut got = Vec::with_capacity(reqs.len());
         for chunk in reqs.chunks(18) {
-            let mut next = cur.clone();
+            let mut next = cur.fork();
             got.extend(next.service_batch(chunk).expect("valid stream"));
             cur = next;
         }
