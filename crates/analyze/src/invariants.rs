@@ -7,9 +7,9 @@
 //! this check notices a variant it never produces.
 //!
 //! The other field-set contracts are compile errors instead: exhaustive
-//! destructures in `BackendStats::merge`, `TraceWriter::finish` and
-//! `SystemConfig::fingerprint`, and full struct literals in
-//! `TraceReader::read_footer` and `Engine::fork`.
+//! destructures in `TraceWriter::finish`, `SystemConfig::fingerprint` and
+//! `Clock::fold_fingerprint`, and full struct literals in
+//! `TraceReader::read_footer`, `Engine::fork` and `Agent::fork`.
 
 use crate::lexer::{lex, TokKind, Token};
 use crate::Diagnostic;

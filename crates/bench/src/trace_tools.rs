@@ -891,8 +891,8 @@ mod tests {
         ));
 
         // ...and a RowClone whose lanes run past the end of the address
-        // space, on either range.
-        for (src, dst) in [(u64::MAX - 100, 0), (0, u64::MAX - 100)] {
+        // space, on either (row-aligned) range.
+        for (src, dst) in [(u64::MAX - 8191, 0), (0, u64::MAX - 8191)] {
             let mut wrapping = CapturedTrace::read_from(&bytes[..]).unwrap();
             wrapping
                 .events
@@ -962,8 +962,8 @@ mod tests {
         // Only the known labels resolve, whatever the fingerprint claims: a
         // crafted many-bank label with its matching fingerprint must fail
         // before any reader builds a controller of that size.
-        let label = "paper_table2_noiseless+banks:4294967292";
-        let many_banks = SystemConfig::paper_table2_noiseless().with_total_banks(4_294_967_292);
+        let label = "paper_table2_noiseless+banks:2147483648";
+        let many_banks = SystemConfig::paper_table2_noiseless().with_total_banks(1 << 31);
         let header = TraceHeader::for_config(&many_banks, label, 0);
         let crafted =
             impact_core::trace::write_trace(Vec::new(), &header, &[], &TraceSummary::default())

@@ -6,10 +6,12 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
-use impact_bench::trace_tools::{record_capture, CaptureKind};
+use impact_bench::trace_tools::{record_capture, replay_file, CaptureKind};
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
-use impact_core::engine::ReqKind;
+use impact_core::engine::{MemRequest, ReqKind};
+use impact_core::error::Error;
+use impact_core::time::Cycles;
 use impact_core::trace::{write_trace, TraceEvent};
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
@@ -167,6 +169,79 @@ fn fleet_run_rejects_a_capture_that_misses_its_footer() {
 
     std::fs::remove_file(&pristine).ok();
     std::fs::remove_file(&tampered).ok();
+}
+
+/// A capture that ends in an impossible RowClone (source equal to
+/// destination, a range off a row boundary, or a mask bit past the bank
+/// count) fails every replay with the controller's typed error, whichever
+/// path replays it: `replay_file`, `CapturedTrace::verify`, `fleet_run
+/// --trace` and `trace_replay replay`.
+#[test]
+fn every_replay_rejects_an_impossible_rowclone() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let pristine = dir.join(format!("cli_args_rc_pristine_{}.trace", std::process::id()));
+    let crafted = dir.join(format!("cli_args_rc_crafted_{}.trace", std::process::id()));
+    record_quick_mix(&pristine);
+    let cfg = SystemConfig::paper_table2();
+    let row_bytes = cfg.dram_geometry.row_bytes;
+    let stripe = 16 * row_bytes;
+
+    let impossible = [
+        (PhysAddr(stripe), PhysAddr(stripe), 0b1),
+        (PhysAddr(64), PhysAddr(stripe + 64), 0b1),
+        (PhysAddr(0), PhysAddr(stripe), 1 << 20),
+    ];
+    for (src, dst, mask) in impossible {
+        let mut captured = CapturedTrace::load(&pristine).expect("decode capture");
+        captured
+            .events
+            .push(TraceEvent::Request(MemRequest::rowclone(
+                src,
+                dst,
+                mask,
+                Cycles(0),
+                0,
+            )));
+        captured.summary.events += 1;
+        let bytes = write_trace(
+            Vec::new(),
+            &captured.header,
+            &captured.events,
+            &captured.summary,
+        )
+        .expect("re-encode capture");
+        let case = format!("{src:?} -> {dst:?} mask {mask:#x}");
+        assert!(
+            matches!(
+                replay_file(&bytes[..], BackendKind::Mono),
+                Err(Error::InvalidRowClone(_))
+            ),
+            "replay_file accepted {case}"
+        );
+        assert!(
+            matches!(captured.verify(&cfg), Err(Error::InvalidRowClone(_))),
+            "verify accepted {case}"
+        );
+        std::fs::write(&crafted, bytes).expect("write crafted capture");
+        let path = crafted.to_str().expect("utf-8 temp path");
+        for (bin, args) in [
+            (
+                env!("CARGO_BIN_EXE_fleet_run"),
+                &["--quick", "--population", "0", "--trace", path][..],
+            ),
+            (env!("CARGO_BIN_EXE_trace_replay"), &["replay", path][..]),
+        ] {
+            let (code, stderr) = assert_clean_failure(bin, args);
+            assert_eq!(code, 1, "{case}: {stderr}");
+            assert!(
+                stderr.contains("invalid rowclone operation"),
+                "{case}: expected the controller to reject the RowClone:\n{stderr}"
+            );
+        }
+    }
+
+    std::fs::remove_file(&pristine).ok();
+    std::fs::remove_file(&crafted).ok();
 }
 
 /// `trace_replay slice` checks its window before it writes: an

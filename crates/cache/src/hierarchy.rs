@@ -1,4 +1,6 @@
-//! Three-level inclusive cache hierarchy.
+//! Three-level inclusive cache hierarchy, built one way
+//! ([`CacheHierarchy::from_config`]): L1 and L2 at their configured
+//! latencies, the LLC at the CACTI model's latency for its size and ways.
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
@@ -33,7 +35,8 @@ pub struct HierarchyOutcome {
 }
 
 /// The Table 2 cache hierarchy: 32 KiB L1D (LRU), 2 MiB L2 (SRRIP) and a
-/// configurable LLC (SRRIP), maintained inclusive.
+/// configurable LLC (SRRIP) timed by the CACTI model, maintained
+/// inclusive.
 ///
 /// Inclusivity is the premise of eviction-set attacks: evicting a line from
 /// the LLC back-invalidates it from L1/L2, so LLC eviction suffices to push
@@ -47,28 +50,19 @@ pub struct CacheHierarchy {
 }
 
 impl CacheHierarchy {
-    /// Builds the hierarchy from a system configuration, using the
-    /// configured per-level latencies.
+    /// Builds the hierarchy from a system configuration. L1 and L2 take
+    /// their configured latencies; the LLC's latency comes from the CACTI
+    /// model ([`cacti::llc_latency`]) of its size and associativity, so
+    /// the Fig. 2/3/9 LLC sweeps time each size they simulate. The
+    /// configured `l3.latency_cycles` is not used.
     #[must_use]
     pub fn from_config(cfg: &SystemConfig) -> CacheHierarchy {
+        let mut l3 = cfg.l3;
+        l3.latency_cycles = cacti::llc_latency(l3.size_bytes, l3.ways).0;
         CacheHierarchy {
             l1: SetAssocCache::new(cfg.l1d),
             l2: SetAssocCache::new(cfg.l2),
-            l3: SetAssocCache::new(cfg.l3),
-        }
-    }
-
-    /// Builds the hierarchy with the LLC latency derived from the CACTI
-    /// model instead of the configured constant — used by the Fig. 2/3/9
-    /// LLC sweeps where size/associativity vary.
-    #[must_use]
-    pub fn from_config_with_cacti_llc(cfg: &SystemConfig) -> CacheHierarchy {
-        let mut l3cfg = cfg.l3;
-        l3cfg.latency_cycles = cacti::llc_latency(l3cfg.size_bytes, l3cfg.ways).0;
-        CacheHierarchy {
-            l1: SetAssocCache::new(cfg.l1d),
-            l2: SetAssocCache::new(cfg.l2),
-            l3: SetAssocCache::new(l3cfg),
+            l3: SetAssocCache::new(l3),
         }
     }
 
@@ -185,8 +179,9 @@ mod tests {
         let a = PhysAddr(0x10_000);
         let first = h.load(a);
         assert_eq!(first.level, HitLevel::Memory);
-        // Lookup latency = 4 + 16 + 50 = 70 for Table 2.
-        assert_eq!(first.latency, Cycles(70));
+        // Lookup latency = 4 + 16 + 44 = 64 for Table 2 (the CACTI LLC
+        // latency at 8 MiB and 16 ways).
+        assert_eq!(first.latency, Cycles(64));
         let second = h.load(a);
         assert_eq!(second.level, HitLevel::L1);
         assert_eq!(second.latency, Cycles(4));
@@ -199,7 +194,7 @@ mod tests {
         h.load(a);
         assert!(h.probe(a));
         let (lat, dirty) = h.clflush(a);
-        assert_eq!(lat, Cycles(50));
+        assert_eq!(lat, Cycles(44));
         assert!(!dirty);
         assert!(!h.probe(a));
         assert_eq!(h.load(a).level, HitLevel::Memory);
@@ -259,7 +254,7 @@ mod tests {
     #[test]
     fn cacti_llc_latency_used_in_sweeps() {
         let cfg = SystemConfig::paper_table2().with_llc_size(128 << 20);
-        let h = CacheHierarchy::from_config_with_cacti_llc(&cfg);
+        let h = CacheHierarchy::from_config(&cfg);
         assert_eq!(h.llc_latency(), cacti::llc_latency(128 << 20, 16));
         assert!(h.llc_latency() > Cycles(300));
     }

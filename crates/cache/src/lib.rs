@@ -7,8 +7,9 @@
 //! * [`SetAssocCache`] — a set-associative cache with LRU and SRRIP
 //!   replacement (Table 2 uses LRU in L1 and SRRIP in L2/L3);
 //! * [`CacheHierarchy`] — the three-level hierarchy with `clflush` support;
-//! * [`cacti`] — a CACTI-6.0-style latency model `lat(size, ways)` used for
-//!   the LLC sweeps of Figs. 2, 3 and 9;
+//! * [`cacti`] — a CACTI-6.0-style latency model `lat(size, ways)`, which
+//!   times the LLC of every hierarchy (so the LLC sweeps of Figs. 2, 3
+//!   and 9 time each size they simulate);
 //! * prefetchers ([`IpStridePrefetcher`], [`StreamerPrefetcher`]) — the
 //!   noise sources of §5.2.3.
 //!

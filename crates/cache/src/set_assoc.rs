@@ -21,7 +21,7 @@
 //!
 //! The line size and the set count are powers of two (`new` checks), so
 //! an address splits into set and tag by shifts and a mask, as
-//! `RowInterleaved`'s `Pow2Split` splits bank addresses.
+//! `RowInterleaved` splits bank addresses.
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::{CacheLevelConfig, ReplacementKind};

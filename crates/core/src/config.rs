@@ -53,12 +53,13 @@ impl DramGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `total_banks` is not a positive multiple of 4.
+    /// Panics if `total_banks` is not a power of two of at least 4 (the
+    /// address mapping splits bank indices by shift and mask).
     #[must_use]
     pub fn with_total_banks(total_banks: u32) -> DramGeometry {
         assert!(
-            total_banks > 0 && total_banks.is_multiple_of(4),
-            "total_banks must be a positive multiple of 4, got {total_banks}"
+            total_banks >= 4 && total_banks.is_power_of_two(),
+            "total_banks must be a power of two of at least 4, got {total_banks}"
         );
         DramGeometry {
             bank_groups_per_rank: total_banks / 4,
@@ -302,7 +303,10 @@ pub struct SystemConfig {
     pub l1d: CacheLevelConfig,
     /// L2 cache.
     pub l2: CacheLevelConfig,
-    /// L3 (last-level) cache. Table 2: 2 MB/core.
+    /// L3 (last-level) cache. Table 2: 2 MB/core. The simulated
+    /// hierarchy (`impact_cache::CacheHierarchy::from_config`) times the
+    /// LLC with the CACTI model of its size and ways, so its
+    /// `latency_cycles` is printed in Table 2 but never simulated.
     pub l3: CacheLevelConfig,
     /// TLB hierarchy.
     pub tlb: TlbConfig,
@@ -543,9 +547,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "multiple of 4")]
+    #[should_panic(expected = "power of two of at least 4")]
     fn bank_sweep_rejects_odd() {
-        let _ = DramGeometry::with_total_banks(6);
+        let _ = DramGeometry::with_total_banks(12);
     }
 
     #[test]

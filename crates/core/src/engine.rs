@@ -173,40 +173,6 @@ pub struct BackendStats {
     pub partition_rejects: u64,
 }
 
-impl BackendStats {
-    /// Accumulates `other` into `self`, counter by counter. This is how
-    /// experiments aggregate stats across systems without summing fields
-    /// by hand.
-    pub fn merge(&mut self, other: &BackendStats) {
-        // Exhaustive destructuring: adding a counter without merging it
-        // becomes a compile error instead of silently dropped stats.
-        let BackendStats {
-            accesses,
-            rowclones,
-            blocked,
-            padded,
-            partition_rejects,
-        } = *other;
-        self.accesses += accesses;
-        self.rowclones += rowclones;
-        self.blocked += blocked;
-        self.padded += padded;
-        self.partition_rejects += partition_rejects;
-    }
-}
-
-impl core::ops::AddAssign<&BackendStats> for BackendStats {
-    fn add_assign(&mut self, rhs: &BackendStats) {
-        self.merge(rhs);
-    }
-}
-
-impl core::ops::AddAssign for BackendStats {
-    fn add_assign(&mut self, rhs: BackendStats) {
-        self.merge(&rhs);
-    }
-}
-
 /// A pluggable memory engine: classifies and times [`MemRequest`]s.
 ///
 /// Implementations must be deterministic: identical request sequences into
@@ -359,47 +325,6 @@ mod tests {
         assert_eq!(rc.addr, a);
         assert_eq!(rc.at, Cycles(5));
         assert_eq!(rc.actor, 7);
-    }
-
-    #[test]
-    fn backend_stats_merge_sums_every_counter() {
-        let a = BackendStats {
-            accesses: 1,
-            rowclones: 2,
-            blocked: 3,
-            padded: 4,
-            partition_rejects: 5,
-        };
-        let b = BackendStats {
-            accesses: 10,
-            rowclones: 20,
-            blocked: 30,
-            padded: 40,
-            partition_rejects: 50,
-        };
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(
-            m,
-            BackendStats {
-                accesses: 11,
-                rowclones: 22,
-                blocked: 33,
-                padded: 44,
-                partition_rejects: 55,
-            }
-        );
-        // AddAssign agrees, by value and by reference.
-        let mut v = a.clone();
-        v += b.clone();
-        assert_eq!(v, m);
-        let mut r = a;
-        r += &b;
-        assert_eq!(r, m);
-        // Merging the default is the identity.
-        let before = m.clone();
-        m += BackendStats::default();
-        assert_eq!(m, before);
     }
 
     /// Every `BackendStats` counter is observable behavior, so the

@@ -188,28 +188,6 @@ impl DramDevice {
         )
     }
 
-    /// Serves RowClone copies in several banks in parallel (the masked
-    /// multi-bank fan-out of IMPACT-PuM). Returns one outcome per set mask
-    /// bit, in ascending bank order, plus the completion time of the whole
-    /// operation (banks operate concurrently, so this is the max).
-    pub fn rowclone_masked_as(
-        &mut self,
-        banks: impl IntoIterator<Item = usize>,
-        src_row: u64,
-        dst_row: u64,
-        now: Cycles,
-        actor: u32,
-    ) -> (Vec<(usize, AccessOutcome)>, Cycles) {
-        let mut outcomes = Vec::new();
-        let mut done = now;
-        for bank in banks {
-            let o = self.rowclone_as(bank, src_row, dst_row, now, actor);
-            done = done.max(o.completed_at);
-            outcomes.push((bank, o));
-        }
-        (outcomes, done)
-    }
-
     /// Aggregated statistics across all banks.
     #[must_use]
     pub fn total_stats(&self) -> BankStats {
@@ -251,17 +229,6 @@ mod tests {
         let h = d.access(0, 10, m.completed_at);
         let c = d.access(0, 11, h.completed_at);
         assert_eq!(c.latency - h.latency, Cycles(74));
-    }
-
-    #[test]
-    fn masked_rowclone_parallelism() {
-        let mut d = device();
-        let (outs, done) = d.rowclone_masked_as([0usize, 1, 2, 3], 5, 6, Cycles(0), 1);
-        assert_eq!(outs.len(), 4);
-        // All banks precharged -> same latency; total time equals one op.
-        let lat = outs[0].1.latency;
-        assert!(outs.iter().all(|(_, o)| o.latency == lat));
-        assert_eq!(done, Cycles(0) + lat);
     }
 
     #[test]

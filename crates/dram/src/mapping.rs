@@ -6,50 +6,14 @@
 //! scheme, [`RowInterleaved`]: consecutive cache lines fill a row, then
 //! move to the next bank (row:bank:column split). The attacker knows it —
 //! memory massaging places rows through [`RowInterleaved::compose`].
+//!
+//! The row size and the bank count are powers of two
+//! ([`RowInterleaved::new`] checks), as in every paper geometry (8 KiB
+//! rows, 16–8192 banks), so an address splits into bank and row by shifts
+//! and a mask alone.
 
 use impact_core::addr::PhysAddr;
 use impact_core::config::DramGeometry;
-
-/// Precomputed shift/mask split for power-of-two geometries: replaces the
-/// two `u64` divisions of the generic `chunk = addr / row_bytes;
-/// bank = chunk % banks; row = chunk / banks` decomposition with shifts —
-/// the difference between ~40 and ~2 cycles in the `locate` every
-/// controller access makes. Every paper geometry (8 KiB rows, 16–8192
-/// banks) is power-of-two on both axes.
-#[derive(Debug, Clone, Copy)]
-struct Pow2Split {
-    /// `log2(row_bytes)`.
-    row_shift: u32,
-    /// `row_bytes - 1`.
-    column_mask: u64,
-    /// `log2(total_banks)`.
-    bank_shift: u32,
-    /// `total_banks - 1`.
-    bank_mask: u64,
-}
-
-impl Pow2Split {
-    fn for_geometry(geometry: &DramGeometry) -> Option<Pow2Split> {
-        let banks = u64::from(geometry.total_banks());
-        let row_bytes = geometry.row_bytes;
-        (row_bytes.is_power_of_two() && banks.is_power_of_two()).then(|| Pow2Split {
-            row_shift: row_bytes.trailing_zeros(),
-            column_mask: row_bytes - 1,
-            bank_shift: banks.trailing_zeros(),
-            bank_mask: banks - 1,
-        })
-    }
-
-    /// `(row, raw bank, column)` of an address, shifts and masks only.
-    #[inline]
-    fn split(self, addr: u64) -> (u64, u64, u32) {
-        let chunk = addr >> self.row_shift;
-        // analyze::allow(lossy-cast): column < row_bytes (8 KiB rows; any
-        // plausible geometry keeps row sizes far below 2^32)
-        let column = (addr & self.column_mask) as u32;
-        (chunk >> self.bank_shift, chunk & self.bank_mask, column)
-    }
-}
 
 /// Row-interleaved mapping: `addr = ((row * banks + bank) * row_bytes) + col`.
 ///
@@ -59,39 +23,38 @@ impl Pow2Split {
 #[derive(Debug, Clone)]
 pub struct RowInterleaved {
     geometry: DramGeometry,
-    pow2: Option<Pow2Split>,
+    /// `log2(row_bytes)`.
+    row_shift: u32,
+    /// `log2(total_banks)`.
+    bank_shift: u32,
 }
 
 impl RowInterleaved {
     /// Creates the mapping for a geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row size or the total bank count is not a power of
+    /// two.
     #[must_use]
     pub fn new(geometry: DramGeometry) -> RowInterleaved {
-        let pow2 = Pow2Split::for_geometry(&geometry);
-        RowInterleaved { geometry, pow2 }
-    }
-
-    #[inline]
-    fn split(&self, addr: PhysAddr) -> (u64, usize, u32) {
-        if let Some(p) = self.pow2 {
-            let (row, bank, column) = p.split(addr.0);
-            // analyze::allow(lossy-cast): bank <= bank_mask < total_banks
-            return (row, bank as usize, column);
+        let banks = geometry.total_banks();
+        assert!(
+            geometry.row_bytes.is_power_of_two() && banks.is_power_of_two(),
+            "row size ({}) and bank count ({banks}) must be powers of two",
+            geometry.row_bytes
+        );
+        RowInterleaved {
+            geometry,
+            row_shift: geometry.row_bytes.trailing_zeros(),
+            bank_shift: banks.trailing_zeros(),
         }
-        let row_bytes = self.geometry.row_bytes;
-        let banks = u64::from(self.geometry.total_banks());
-        let chunk = addr.0 / row_bytes;
-        // analyze::allow(lossy-cast): column < row_bytes (8 KiB rows; any
-        // plausible geometry keeps row sizes far below 2^32)
-        let column = (addr.0 % row_bytes) as u32;
-        let bank = (chunk % banks) as usize;
-        let row = chunk / banks;
-        (row, bank, column)
     }
 
     /// Flat bank index of an address.
     #[must_use]
     pub fn flat_bank(&self, addr: PhysAddr) -> usize {
-        self.split(addr).1
+        self.locate(addr).0
     }
 
     /// `(flat bank, row)` of an address in one decomposition — the pair
@@ -99,8 +62,10 @@ impl RowInterleaved {
     #[inline]
     #[must_use]
     pub fn locate(&self, addr: PhysAddr) -> (usize, u64) {
-        let (row, bank, _) = self.split(addr);
-        (bank, row)
+        let chunk = addr.0 >> self.row_shift;
+        let bank = chunk & !(u64::MAX << self.bank_shift);
+        // analyze::allow(lossy-cast): bank < total_banks, a u32
+        (bank as usize, chunk >> self.bank_shift)
     }
 
     /// Inverse mapping used by memory massaging: the physical address that
@@ -153,17 +118,22 @@ mod tests {
     }
 
     #[test]
-    fn pow2_split_matches_division() {
+    fn split_matches_the_division_formula() {
         let g = geo();
-        let p = Pow2Split::for_geometry(&g).expect("paper geometry is pow2");
+        let m = RowInterleaved::new(g);
         let banks = u64::from(g.total_banks());
         for addr in (0..500u64).map(|i| i * 9973 + 7) {
             let chunk = addr / g.row_bytes;
-            let expect = (chunk / banks, chunk % banks, (addr % g.row_bytes) as u32);
-            assert_eq!(p.split(addr), expect, "addr {addr}");
+            let expect = ((chunk % banks) as usize, chunk / banks);
+            assert_eq!(m.locate(PhysAddr(addr)), expect, "addr {addr}");
         }
-        let mut odd = g;
-        odd.bank_groups_per_rank = 3;
-        assert!(Pow2Split::for_geometry(&odd).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be powers of two")]
+    fn twelve_banks_are_rejected() {
+        let mut twelve = geo();
+        twelve.bank_groups_per_rank = 3;
+        let _ = RowInterleaved::new(twelve);
     }
 }

@@ -361,12 +361,20 @@ impl MemoryController {
     /// of `mask`, copies the row containing `src + i*row_bytes` onto the
     /// row containing `dst + i*row_bytes`, all in parallel.
     ///
+    /// This is the one place a RowClone is checked, whoever issues it (the
+    /// engine, a trace replay, a fleet session). No bank is touched unless
+    /// every check passes.
+    ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidRowClone`] if the mask is empty or a source
-    /// and destination chunk map to different banks (FPM copies are
-    /// intra-bank), [`Error::PartitionViolation`] under MPR, and
-    /// [`Error::AddressOutOfRange`] for out-of-device addresses.
+    /// Checked in this order:
+    /// - [`Error::InvalidRowClone`] if the mask is empty, if it sets a bit
+    ///   at or past the bank count, if either range base is not
+    ///   row-aligned, or if the two ranges share a base;
+    /// - then per lane, [`Error::AddressOutOfRange`] for a lane past the
+    ///   device capacity, [`Error::InvalidRowClone`] if its source and
+    ///   destination rows sit in different banks (FPM copies are
+    ///   intra-bank), and [`Error::PartitionViolation`] under MPR.
     pub fn rowclone(
         &mut self,
         src: PhysAddr,
@@ -379,6 +387,24 @@ impl MemoryController {
             return Err(Error::InvalidRowClone("empty bank mask".into()));
         }
         let row_bytes = self.dram.geometry().row_bytes;
+        let banks = self.dram.num_banks();
+        let top = 64 - mask.leading_zeros();
+        if top as usize > banks {
+            return Err(Error::InvalidRowClone(format!(
+                "mask uses bit {} but only {banks} banks are addressable",
+                top - 1
+            )));
+        }
+        if !src.0.is_multiple_of(row_bytes) || !dst.0.is_multiple_of(row_bytes) {
+            return Err(Error::InvalidRowClone(
+                "source/destination ranges must be row-aligned".into(),
+            ));
+        }
+        if src == dst {
+            return Err(Error::InvalidRowClone(
+                "source and destination ranges must differ".into(),
+            ));
+        }
         let capacity = self.dram.geometry().capacity_bytes();
         // A range base from untrusted input (a trace file) can sit so
         // close to the top of the address space that a lane wraps; such a
@@ -608,33 +634,87 @@ mod tests {
         assert_eq!(mc.stats().padded, 0);
     }
 
+    /// The four request-level checks, in order, then a lane check: each
+    /// bad RowClone is refused before any lane is served, through
+    /// `service` (the path the engine, trace replay and fleet sessions
+    /// take).
     #[test]
-    fn rowclone_parallel_lanes() {
+    fn service_rejects_each_invalid_rowclone() {
         let mut mc = controller();
-        let row_bytes = mc.dram().geometry().row_bytes;
-        // Contiguous ranges spanning banks 0..16 (row-interleaved).
-        let src = PhysAddr(0);
-        let dst = PhysAddr(64 * 16 * row_bytes); // 64 rows further: same banks
-        let out = mc.rowclone(src, dst, 0xFFFF, Cycles(0), 0).unwrap();
-        assert_eq!(out.per_bank.len(), 16);
-        // Parallel: the whole op costs one lane, not sixteen.
-        let max_lane = out.per_bank.iter().map(|(_, _, l)| *l).max().unwrap();
-        assert_eq!(out.latency, max_lane);
+        let row = mc.dram().geometry().row_bytes;
+        let stripe = PhysAddr(16 * row);
+        let bad = [
+            (PhysAddr(0), stripe, 0, "empty bank mask"),
+            (
+                PhysAddr(0),
+                stripe,
+                1 << 20,
+                "mask uses bit 20 but only 16 banks are addressable",
+            ),
+            (
+                PhysAddr(64),
+                stripe,
+                1,
+                "source/destination ranges must be row-aligned",
+            ),
+            (
+                PhysAddr(0),
+                PhysAddr(row * 16 + 64),
+                1,
+                "source/destination ranges must be row-aligned",
+            ),
+            (
+                stripe,
+                stripe,
+                1,
+                "source and destination ranges must differ",
+            ),
+            // dst shifted by one row: the lane lands in another bank.
+            (
+                PhysAddr(0),
+                PhysAddr(row),
+                1,
+                "mask bit 0: src bank 0 != dst bank 1",
+            ),
+        ];
+        for (src, dst, mask, msg) in bad {
+            let req = MemRequest::rowclone(src, dst, mask, Cycles(0), 0);
+            match mc.service(&req) {
+                Err(Error::InvalidRowClone(m)) => assert_eq!(m, msg),
+                other => panic!("{src:?} -> {dst:?} mask {mask:#x}: {other:?}"),
+            }
+        }
+        assert_eq!(mc.stats().rowclones, 0);
+        assert_eq!(mc.dram().total_stats().total_accesses(), 0);
+
+        // A full 16-bank mask between two stripes is served, one lane
+        // per bank in ascending order.
+        let out = mc
+            .service(&MemRequest::rowclone(
+                PhysAddr(0),
+                stripe,
+                0xFFFF,
+                Cycles(0),
+                0,
+            ))
+            .unwrap();
+        let banks: Vec<usize> = out.per_bank.iter().map(|(b, _, _)| *b).collect();
+        assert_eq!(banks, (0..16).collect::<Vec<_>>());
     }
 
     #[test]
-    fn rowclone_rejects_empty_mask_and_cross_bank() {
-        let mut mc = controller();
-        let e = mc
-            .rowclone(PhysAddr(0), PhysAddr(8192), 0, Cycles(0), 0)
-            .unwrap_err();
-        assert!(matches!(e, Error::InvalidRowClone(_)));
-        // dst shifted by one row -> lanes land in different banks.
-        let row_bytes = mc.dram().geometry().row_bytes;
-        let e = mc
-            .rowclone(PhysAddr(0), PhysAddr(row_bytes), 1, Cycles(0), 0)
-            .unwrap_err();
-        assert!(matches!(e, Error::InvalidRowClone(_)));
+    fn single_request_is_parallel() {
+        // One masked request transmits M bits in the time of one lane —
+        // the IMPACT-PuM sender advantage (§4.2).
+        let row = controller().dram().geometry().row_bytes;
+        let lanes = |mask| {
+            let req = MemRequest::rowclone(PhysAddr(0), PhysAddr(16 * row), mask, Cycles(0), 0);
+            controller().service(&req).unwrap()
+        };
+        let (full, single) = (lanes(0xFFFF), lanes(0b1));
+        assert_eq!(full.per_bank.len(), 16);
+        assert!(full.per_bank.iter().all(|&(_, _, l)| l == single.latency));
+        assert_eq!(full.latency, single.latency);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Sits between the processor/PiM units and the [`impact_dram::DramDevice`]:
 //! decomposes physical addresses via an address mapping, enforces bank
-//! timing, fans masked RowClone requests out to banks (Listing 2 of the
-//! paper), and implements the four defense mechanisms of §7:
+//! timing, checks masked RowClone requests and fans them out to banks
+//! (Listing 2 of the paper; no other layer validates them), and
+//! implements the four defense mechanisms of §7:
 //!
 //! * **MPR** — bank-level memory partitioning (§7.1),
 //! * **CRP** — closed-row policy (§7.2),

@@ -9,9 +9,10 @@
 //!   IMPACT-PnM attack deliberately defeats the monitor by touching a
 //!   different cache line on every operation.
 //! * **PuM — RowClone** ([`rowclone`]): bulk in-DRAM copy issued by
-//!   userspace with a source range, destination range and bank mask; the
-//!   memory controller fans the masked request out to banks in parallel
-//!   (Listing 2 of the paper).
+//!   userspace with a source range, destination range and bank mask. The
+//!   memory controller alone checks the masked request and fans it out to
+//!   banks in parallel (Listing 2 of the paper); this crate only builds
+//!   the mask ([`mask_from_bits`]).
 //!
 //! # Example
 //!
@@ -39,4 +40,4 @@ pub mod pei;
 pub mod rowclone;
 
 pub use pei::{ExecSite, PeiEngine, PeiOutcome};
-pub use rowclone::{mask_from_bits, RowCloneEngine};
+pub use rowclone::mask_from_bits;

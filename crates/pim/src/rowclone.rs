@@ -1,16 +1,13 @@
 //! RowClone, the PuM substrate (Seshadri et al., MICRO'13).
 //!
 //! Userspace issues one request carrying a source range, a destination
-//! range and a bank mask; the memory backend breaks it into parallel
-//! per-bank Fast-Parallel-Mode copies (§4.2 / Listing 2 of the paper). The
-//! engine here validates ranges and provides mask helpers; the per-bank
-//! timing lives in the backend (`impact_memctrl::MemoryController` by
-//! default).
-
-use impact_core::addr::PhysAddr;
-use impact_core::engine::{MemRequest, MemResponse, MemoryBackend};
-use impact_core::error::{Error, Result};
-use impact_core::time::Cycles;
+//! range and a bank mask; the chunk for mask bit `i` is
+//! `base + i * row_bytes`, which under the row-interleaved mapping places
+//! consecutive chunks in consecutive banks — the layout the IMPACT-PuM
+//! sender allocates. The memory controller
+//! (`impact_memctrl::MemoryController::rowclone`) validates the request
+//! and fans it out into parallel per-bank Fast-Parallel-Mode copies (§4.2
+//! / Listing 2 of the paper); this module only builds masks.
 
 /// Builds a bank mask from per-bank bits (bit `i` of the result = `bits[i]`).
 ///
@@ -33,94 +30,9 @@ pub fn mask_from_bits(bits: &[bool]) -> u64 {
         .fold(0u64, |m, (i, &b)| if b { m | (1 << i) } else { m })
 }
 
-/// The userspace-facing RowClone interface.
-///
-/// A request copies rows between two *range bases*: the chunk for mask bit
-/// `i` is `base + i * row_bytes`, which under the row-interleaved mapping
-/// places consecutive chunks in consecutive banks — the layout the
-/// IMPACT-PuM sender allocates.
-#[derive(Debug, Clone, Copy)]
-pub struct RowCloneEngine {
-    row_bytes: u64,
-}
-
-impl RowCloneEngine {
-    /// Creates an engine for a device with the given row size.
-    #[must_use]
-    pub fn new(row_bytes: u64) -> RowCloneEngine {
-        RowCloneEngine { row_bytes }
-    }
-
-    /// Row size the engine assumes.
-    #[must_use]
-    pub fn row_bytes(&self) -> u64 {
-        self.row_bytes
-    }
-
-    /// Validates that `src`/`dst` are row-aligned and the mask is non-empty
-    /// and within `max_banks`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidRowClone`] describing the violation.
-    pub fn validate(&self, src: PhysAddr, dst: PhysAddr, mask: u64, max_banks: u32) -> Result<()> {
-        if mask == 0 {
-            return Err(Error::InvalidRowClone("empty bank mask".into()));
-        }
-        let top = 64 - mask.leading_zeros();
-        if top > max_banks.min(64) {
-            return Err(Error::InvalidRowClone(format!(
-                "mask uses bit {} but only {max_banks} banks are addressable",
-                top - 1
-            )));
-        }
-        if !src.0.is_multiple_of(self.row_bytes) || !dst.0.is_multiple_of(self.row_bytes) {
-            return Err(Error::InvalidRowClone(
-                "source/destination ranges must be row-aligned".into(),
-            ));
-        }
-        if src == dst {
-            return Err(Error::InvalidRowClone(
-                "source and destination ranges must differ".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Executes a masked RowClone through the memory backend.
-    ///
-    /// # Errors
-    ///
-    /// Returns validation errors from [`RowCloneEngine::validate`] or
-    /// backend errors (cross-bank lanes, partition violations,
-    /// out-of-range addresses).
-    pub fn execute<B: MemoryBackend>(
-        &self,
-        mem: &mut B,
-        src: PhysAddr,
-        dst: PhysAddr,
-        mask: u64,
-        now: Cycles,
-        actor: u32,
-    ) -> Result<MemResponse> {
-        let max_banks = u32::try_from(mem.num_banks()).unwrap_or(u32::MAX);
-        self.validate(src, dst, mask, max_banks)?;
-        mem.service(&MemRequest::rowclone(src, dst, mask, now, actor))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use impact_core::config::SystemConfig;
-    use impact_memctrl::MemoryController;
-
-    fn setup() -> (MemoryController, RowCloneEngine) {
-        let cfg = SystemConfig::paper_table2();
-        let mc = MemoryController::from_config(&cfg);
-        let rc = RowCloneEngine::new(cfg.dram_geometry.row_bytes);
-        (mc, rc)
-    }
 
     #[test]
     fn mask_builder() {
@@ -133,46 +45,5 @@ mod tests {
     #[should_panic(expected = "64 banks")]
     fn mask_builder_rejects_over_64() {
         let _ = mask_from_bits(&[false; 65]);
-    }
-
-    #[test]
-    fn validate_rejects_bad_requests() {
-        let (_, rc) = setup();
-        let row = rc.row_bytes();
-        assert!(rc.validate(PhysAddr(0), PhysAddr(row * 16), 0, 16).is_err());
-        assert!(rc.validate(PhysAddr(1), PhysAddr(row * 16), 1, 16).is_err());
-        assert!(rc.validate(PhysAddr(0), PhysAddr(0), 1, 16).is_err());
-        assert!(rc
-            .validate(PhysAddr(0), PhysAddr(row * 16), 1 << 20, 16)
-            .is_err());
-        assert!(rc
-            .validate(PhysAddr(0), PhysAddr(row * 16), 0xFFFF, 16)
-            .is_ok());
-    }
-
-    #[test]
-    fn sixteen_bank_broadcast() {
-        let (mut mc, rc) = setup();
-        let row = rc.row_bytes();
-        let src = PhysAddr(0);
-        let dst = PhysAddr(16 * row); // next rotation: same banks, next row
-        let out = rc.execute(&mut mc, src, dst, 0xFFFF, Cycles(0), 0).unwrap();
-        assert_eq!(out.per_bank.len(), 16);
-        let banks: Vec<usize> = out.per_bank.iter().map(|(b, _, _)| *b).collect();
-        assert_eq!(banks, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_request_is_parallel() {
-        // One masked request transmits M bits in the time of one lane —
-        // the IMPACT-PuM sender advantage (§4.2).
-        let (mut mc, rc) = setup();
-        let row = rc.row_bytes();
-        let src = PhysAddr(0);
-        let dst = PhysAddr(16 * row);
-        let full = rc.execute(&mut mc, src, dst, 0xFFFF, Cycles(0), 0).unwrap();
-        let (mut mc2, _) = setup();
-        let single = rc.execute(&mut mc2, src, dst, 0b1, Cycles(0), 0).unwrap();
-        assert_eq!(full.latency, single.latency);
     }
 }

@@ -18,7 +18,6 @@ use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
 use impact_memctrl::MemoryController;
 use impact_pim::pei::{ExecSite, PeiEngine};
-use impact_pim::rowclone::RowCloneEngine;
 
 use crate::memory::{FrameAllocator, PageTable};
 use crate::noise::{NoiseInjector, NOISE_ACTOR};
@@ -98,6 +97,26 @@ pub struct ProbeSample {
     pub site: ExecSite,
 }
 
+/// One co-simulated agent's private state: its clock, TLB and page table.
+struct Agent {
+    clock: Cycles,
+    tlb: Tlb,
+    page_table: PageTable,
+}
+
+impl Agent {
+    /// An independent copy sharing the TLB levels and the page-table
+    /// radix copy-on-write. The full struct literal makes a new `Agent`
+    /// field fail to compile here until the fork carries it.
+    fn fork(&mut self) -> Agent {
+        Agent {
+            clock: self.clock,
+            tlb: self.tlb.fork(),
+            page_table: self.page_table.fork(),
+        }
+    }
+}
+
 /// The simulation core, generic over the memory engine underneath it.
 ///
 /// See the crate-level docs for the co-simulation model. Most users want
@@ -110,21 +129,18 @@ pub struct Engine<B: MemoryBackend> {
     caches: CacheHierarchy,
     backend: B,
     pei: PeiEngine,
-    rc: RowCloneEngine,
     noise: NoiseInjector,
     ip_prefetcher: IpStridePrefetcher,
     streamer: StreamerPrefetcher,
     prefetchers_enabled: bool,
-    clocks: Vec<Cycles>,
-    tlbs: Vec<Tlb>,
-    page_tables: Vec<PageTable>,
+    agents: Vec<Agent>,
     alloc: FrameAllocator,
 }
 
 impl<B: MemoryBackend> core::fmt::Debug for Engine<B> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("Engine")
-            .field("agents", &self.clocks.len())
+            .field("agents", &self.agents.len())
             .field("banks", &self.backend.num_banks())
             .field("defense", &self.backend.defense_label())
             .finish()
@@ -136,17 +152,14 @@ impl<B: MemoryBackend> Engine<B> {
     #[must_use]
     pub fn with_backend(cfg: SystemConfig, params: SimParams, backend: B) -> Engine<B> {
         Engine {
-            caches: CacheHierarchy::from_config_with_cacti_llc(&cfg),
+            caches: CacheHierarchy::from_config(&cfg),
             backend,
             pei: PeiEngine::new(cfg.pim),
-            rc: RowCloneEngine::new(cfg.dram_geometry.row_bytes),
             noise: NoiseInjector::new(cfg.noise),
             ip_prefetcher: IpStridePrefetcher::new(64),
             streamer: StreamerPrefetcher::new(16, 2),
             prefetchers_enabled: cfg.noise.prefetcher_rate > 0.0 || cfg.noise.ptw_rate > 0.0,
-            clocks: Vec::new(),
-            tlbs: Vec::new(),
-            page_tables: Vec::new(),
+            agents: Vec::new(),
             alloc: FrameAllocator::new(cfg.dram_geometry),
             cfg: Arc::new(cfg),
             params,
@@ -156,10 +169,12 @@ impl<B: MemoryBackend> Engine<B> {
     /// Creates a new agent (thread/process) with its own clock, TLB and
     /// page table.
     pub fn spawn_agent(&mut self) -> AgentId {
-        let id = AgentId(self.clocks.len() as u32);
-        self.clocks.push(Cycles::ZERO);
-        self.tlbs.push(Tlb::new(self.cfg.tlb));
-        self.page_tables.push(PageTable::new());
+        let id = AgentId(self.agents.len() as u32);
+        self.agents.push(Agent {
+            clock: Cycles::ZERO,
+            tlb: Tlb::new(self.cfg.tlb),
+            page_table: PageTable::new(),
+        });
         id
     }
 
@@ -196,23 +211,27 @@ impl<B: MemoryBackend> Engine<B> {
     /// Current clock of `agent`.
     #[must_use]
     pub fn now(&self, agent: AgentId) -> Cycles {
-        self.clocks[agent.0 as usize]
+        self.agents[agent.0 as usize].clock
     }
 
     /// Sets the clock (used by synchronization primitives).
     pub fn set_now(&mut self, agent: AgentId, t: Cycles) {
-        self.clocks[agent.0 as usize] = t;
+        self.agents[agent.0 as usize].clock = t;
     }
 
     /// Advances the agent's clock by `d` (compute time).
     pub fn advance(&mut self, agent: AgentId, d: Cycles) {
-        self.clocks[agent.0 as usize] += d;
+        self.agents[agent.0 as usize].clock += d;
     }
 
     /// Maximum clock across all agents (total elapsed time).
     #[must_use]
     pub fn elapsed(&self) -> Cycles {
-        self.clocks.iter().copied().max().unwrap_or(Cycles::ZERO)
+        self.agents
+            .iter()
+            .map(|a| a.clock)
+            .max()
+            .unwrap_or(Cycles::ZERO)
     }
 
     /// Emulated serialized timestamp read (`cpuid; rdtscp`).
@@ -261,7 +280,7 @@ impl<B: MemoryBackend> Engine<B> {
     }
 
     fn map_region(&mut self, agent: AgentId, pa: PhysAddr, pages: u64) -> VirtAddr {
-        let pt = &mut self.page_tables[agent.0 as usize];
+        let pt = &mut self.agents[agent.0 as usize].page_table;
         let va = pt.reserve_vspace(pages);
         for p in 0..pages {
             pt.map_page(va.page_number() + p, pa.frame_number() + p);
@@ -276,8 +295,9 @@ impl<B: MemoryBackend> Engine<B> {
     /// Returns [`impact_core::Error::UnmappedVirtualAddress`] for unmapped
     /// pages.
     pub fn translate(&mut self, agent: AgentId, va: VirtAddr) -> Result<(PhysAddr, Cycles)> {
-        let pa = self.page_tables[agent.0 as usize].translate(va)?;
-        let look = self.tlbs[agent.0 as usize].translate(va.page_number());
+        let a = &mut self.agents[agent.0 as usize];
+        let pa = a.page_table.translate(va)?;
+        let look = a.tlb.translate(va.page_number());
         Ok((pa, look.latency))
     }
 
@@ -285,7 +305,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// (the warm-up the paper performs before attacks, §5.2.1).
     pub fn warm_tlb(&mut self, agent: AgentId, va: VirtAddr, pages: u64) {
         for p in 0..pages {
-            self.tlbs[agent.0 as usize].warm(va.page_number() + p);
+            self.agents[agent.0 as usize].tlb.warm(va.page_number() + p);
         }
     }
 
@@ -744,11 +764,13 @@ impl<B: MemoryBackend> Engine<B> {
     /// Executes a masked RowClone: copies row chunks from the range at
     /// `src_va` to the range at `dst_va` for every set mask bit (§4.2).
     /// Both ranges must come from [`Engine::alloc_bank_stripe`] so that
-    /// they are physically contiguous.
+    /// they are physically contiguous. The request goes to the backend as
+    /// is; the backend checks it (see
+    /// [`MemoryController::rowclone`](impact_memctrl::MemoryController::rowclone)).
     ///
     /// # Errors
     ///
-    /// Propagates translation, validation and backend errors.
+    /// Propagates translation and backend errors.
     pub fn rowclone(
         &mut self,
         agent: AgentId,
@@ -761,8 +783,8 @@ impl<B: MemoryBackend> Engine<B> {
         let tlb_lat = src_lat + dst_lat;
         let start = self.now(agent) + tlb_lat;
         let out = self
-            .rc
-            .execute(&mut self.backend, src, dst, mask, start, agent.0)?;
+            .backend
+            .service(&MemRequest::rowclone(src, dst, mask, start, agent.0))?;
         let latency = tlb_lat + out.latency;
         self.noise.perturb(&mut self.backend, start + latency);
         self.advance(agent, latency);
@@ -779,7 +801,7 @@ impl<B: MemoryBackend> Engine<B> {
         vas: &[VirtAddr],
         monitored: bool,
     ) -> bool {
-        let pt = &self.page_tables[agent.0 as usize];
+        let pt = &self.agents[agent.0 as usize].page_table;
         let Ok(probes) = vas
             .iter()
             .map(|&va| pt.translate(va).map(|pa| (pa, Cycles::ZERO)))
@@ -810,9 +832,9 @@ impl<B: MemoryBackend> Engine<B> {
     }
 }
 
-/// Forking: every layer above memory (caches, TLBs, page tables, clocks,
-/// prefetchers, noise RNG, PMU monitor) plus the controller, each through
-/// its own `fork`. The tables a fork may share (bank records, cache line
+/// Forking: every layer above memory (caches, each agent's clock, TLB and
+/// page table, prefetchers, noise RNG, PMU monitor) plus the controller,
+/// each through its own `fork`. The tables a fork may share (bank records, cache line
 /// chunk tables, page-table radixes, controller ACT/blocking tables, TLB
 /// levels, the PMU monitor and the prefetcher tables) sit in
 /// [`impact_core::cow::CowBox`]es, which the parent owns and writes with
@@ -841,14 +863,11 @@ impl Engine<MemoryController> {
             caches: self.caches.fork(),
             backend: self.backend.fork(),
             pei: self.pei.fork(),
-            rc: self.rc,
             noise: self.noise.clone(),
             ip_prefetcher: self.ip_prefetcher.fork(),
             streamer: self.streamer.fork(),
             prefetchers_enabled: self.prefetchers_enabled,
-            clocks: self.clocks.clone(),
-            tlbs: self.tlbs.iter_mut().map(Tlb::fork).collect(),
-            page_tables: self.page_tables.iter_mut().map(PageTable::fork).collect(),
+            agents: self.agents.iter_mut().map(Agent::fork).collect(),
             alloc: self.alloc.clone(),
         }
     }

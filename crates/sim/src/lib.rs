@@ -1,9 +1,9 @@
 //! Whole-system cycle-accounting simulator for the IMPACT reproduction.
 //!
 //! Plays the role of the paper's modified Sniper setup (§5.2.1): it stitches
-//! together the cache hierarchy, TLBs, memory controller, PEI engine and
-//! RowClone engine, emulates `rdtscp`/`cpuid` timing measurement, injects
-//! prefetcher/page-table-walker noise, and co-simulates multiple agents
+//! together the cache hierarchy, TLBs, memory controller (which serves
+//! RowClone) and PEI engine, emulates `rdtscp`/`cpuid` timing measurement,
+//! injects prefetcher/page-table-walker noise, and co-simulates multiple agents
 //! (sender/receiver/victim/attacker threads), each with its own clock,
 //! over shared DRAM state.
 //!

@@ -55,15 +55,15 @@ proptest! {
     }
 
     /// The row-interleaved mapping roundtrips for every (bank, row, col),
-    /// at 16 banks (shift/mask split) and at 12 (division fallback).
+    /// at 16 banks and at 8192 (fig11's largest device).
     #[test]
     fn mapping_roundtrip(
-        twelve_banks in any::<bool>(),
-        bank in 0usize..16,
+        many_banks in any::<bool>(),
+        bank in 0usize..8192,
         row in 0u64..65536,
         col in 0u32..8192,
     ) {
-        let geometry = DramGeometry::with_total_banks(if twelve_banks { 12 } else { 16 });
+        let geometry = DramGeometry::with_total_banks(if many_banks { 8192 } else { 16 });
         let bank = bank % geometry.total_banks() as usize;
         let m = RowInterleaved::new(geometry);
         let addr = m.compose(bank, row, col);
@@ -73,15 +73,15 @@ proptest! {
     }
 
     /// Distinct addresses map to distinct (bank, row, column) coordinates,
-    /// at 16 banks and at 12.
+    /// at 16 banks and at 8192.
     #[test]
     fn mapping_is_injective(
-        twelve_banks in any::<bool>(),
+        many_banks in any::<bool>(),
         a in 0u64..(1<<30),
         b in 0u64..(1<<30),
     ) {
         prop_assume!(a != b);
-        let geometry = DramGeometry::with_total_banks(if twelve_banks { 12 } else { 16 });
+        let geometry = DramGeometry::with_total_banks(if many_banks { 8192 } else { 16 });
         let m = RowInterleaved::new(geometry);
         let coord = |x: u64| (m.locate(PhysAddr(x)), x % geometry.row_bytes);
         prop_assert!(coord(a) != coord(b));
