@@ -608,6 +608,10 @@ mod tests {
     /// Shared growable sink so tests can get bytes back out of the boxed
     /// writer.
     #[derive(Clone, Default)]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the boxed writer must be Send, so the test reads it back through a Mutex"
+    )]
     struct SharedVec(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
 
     impl SharedVec {

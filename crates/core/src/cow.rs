@@ -96,11 +96,14 @@ impl<T: Clone + Default> CowBox<T> {
 
     #[cold]
     #[inline(never)]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one unshare of forked simulation state: a handle still shared \
+                  with a fork writes only its own copy, and the last handle takes the \
+                  value back"
+    )]
     fn unshare(&mut self) {
         if let Repr::Shared(shared) = &mut self.0 {
-            // analyze::allow(cow-aliasing): the one unshare of forked
-            // simulation state; a handle still shared with a fork writes
-            // only its own copy, and the last handle takes the value back
             let value = match Arc::get_mut(shared) {
                 Some(last) => std::mem::take(last),
                 None => T::clone(shared),

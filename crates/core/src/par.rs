@@ -1,6 +1,6 @@
 //! The workspace's one parallel primitive, and with the `impact-obs`
-//! telemetry sinks its only sanctioned concurrency site
-//! (`SANCTIONED_CONCURRENCY` in `impact-analyze`).
+//! telemetry sinks its only sanctioned concurrency site (the
+//! `#[expect(clippy::disallowed_*)]` inventory in `tests/lint_policy.rs`).
 //!
 //! Host threads only ever fan out independent units of work — whole
 //! experiments, Fig. 12's replays, fleet sessions — so [`ordered_map`]
@@ -17,7 +17,6 @@
 
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::thread;
 
 /// The host's available parallelism (1 when it cannot be queried).
@@ -43,6 +42,11 @@ pub fn available_workers() -> usize {
 /// Every item runs under `catch_unwind`. Once all items have finished,
 /// the payload of the lowest-index panicking item is re-thrown — the
 /// same panic the inline path raises.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the workspace's one worker pool: a Mutex-guarded queue on scoped threads"
+)]
 pub fn ordered_map<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
@@ -61,7 +65,7 @@ where
     } else {
         n / (8 * workers)
     };
-    let queue = Mutex::new(items.into_iter().enumerate());
+    let queue = std::sync::Mutex::new(items.into_iter().enumerate());
     let mut slots: Vec<Option<thread::Result<R>>> = (0..n).map(|_| None).collect();
     thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -106,7 +110,14 @@ where
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the tests hold items back on a channel and record them under a Mutex"
+)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
 
     /// Busy work whose cost varies by item, so workers finish out of order.

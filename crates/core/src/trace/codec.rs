@@ -49,10 +49,39 @@ pub const TRACE_MAGIC: [u8; 8] = *b"IMPTRACE";
 /// giant allocation).
 pub const MAX_LABEL_BYTES: usize = 4096;
 
-const TAG_END: u8 = 0;
-const TAG_REQUEST: u8 = 1;
-const TAG_BATCH: u8 = 2;
-const TAG_INJECT: u8 = 3;
+/// The byte that opens every record: one per [`TraceEvent`] variant,
+/// plus the footer's. [`Tag::of`] names each variant's tag and
+/// [`TraceReader::next_event`] matches on the decoded tag, so a new
+/// variant fails to compile (E0004) until it has a tag and a decode arm.
+enum Tag {
+    End = 0,
+    Request = 1,
+    Batch = 2,
+    Inject = 3,
+}
+
+impl Tag {
+    fn of(ev: &TraceEvent) -> Self {
+        match ev {
+            TraceEvent::Request(_) => Self::Request,
+            TraceEvent::Batch(_) => Self::Batch,
+            TraceEvent::Inject { .. } => Self::Inject,
+        }
+    }
+
+    // Inlined into the generic `next_event`, which each caller's crate
+    // compiles; an out-of-line call per event slows the replay loop.
+    #[inline]
+    fn decode(byte: u8) -> Result<Self> {
+        match byte {
+            0 => Ok(Self::End),
+            1 => Ok(Self::Request),
+            2 => Ok(Self::Batch),
+            3 => Ok(Self::Inject),
+            other => Err(Error::TraceFormat(format!("unknown event tag {other}"))),
+        }
+    }
+}
 
 const KIND_LOAD: u8 = 0;
 const KIND_STORE: u8 = 1;
@@ -285,8 +314,12 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    fn emit_batch(&mut self, reqs: &[MemRequest]) -> Result<()> {
-        self.w.write_all(&[TAG_BATCH]).map_err(|e| io_err(&e))?;
+    fn write_tag(&mut self, tag: Tag) -> Result<()> {
+        self.w.write_all(&[tag as u8]).map_err(|e| io_err(&e))
+    }
+
+    /// A batch record after its tag: the length, then each request.
+    fn write_requests(&mut self, reqs: &[MemRequest]) -> Result<()> {
         write_varint(&mut self.w, reqs.len() as u64)?;
         for req in reqs {
             self.write_request(req)?;
@@ -301,19 +334,16 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors as [`Error::TraceIo`].
     pub fn write_event(&mut self, ev: &TraceEvent) -> Result<()> {
         self.events += 1;
+        self.write_tag(Tag::of(ev))?;
         match ev {
-            TraceEvent::Request(req) => {
-                self.w.write_all(&[TAG_REQUEST]).map_err(|e| io_err(&e))?;
-                self.write_request(req)
-            }
-            TraceEvent::Batch(reqs) => self.emit_batch(reqs),
+            TraceEvent::Request(req) => self.write_request(req),
+            TraceEvent::Batch(reqs) => self.write_requests(reqs),
             TraceEvent::Inject {
                 bank,
                 row,
                 at,
                 actor,
             } => {
-                self.w.write_all(&[TAG_INJECT]).map_err(|e| io_err(&e))?;
                 write_varint(&mut self.w, *bank as u64)?;
                 write_varint(&mut self.w, *row)?;
                 write_varint(
@@ -334,7 +364,8 @@ impl<W: Write> TraceWriter<W> {
     /// Propagates I/O errors as [`Error::TraceIo`].
     pub fn write_batch(&mut self, reqs: &[MemRequest]) -> Result<()> {
         self.events += 1;
-        self.emit_batch(reqs)
+        self.write_tag(Tag::Batch)?;
+        self.write_requests(reqs)
     }
 
     /// Events written so far.
@@ -355,7 +386,7 @@ impl<W: Write> TraceWriter<W> {
         response_digest: u64,
         stats: &BackendStats,
     ) -> Result<W> {
-        self.w.write_all(&[TAG_END]).map_err(|e| io_err(&e))?;
+        self.write_tag(Tag::End)?;
         write_varint(&mut self.w, self.events)?;
         write_varint(&mut self.w, responses)?;
         self.w
@@ -540,13 +571,13 @@ impl<R: Read> TraceReader<R> {
         }
         let mut tag = [0u8; 1];
         self.r.read_exact(&mut tag).map_err(|e| io_err(&e))?;
-        let ev = match tag[0] {
-            TAG_END => {
+        let ev = match Tag::decode(tag[0])? {
+            Tag::End => {
                 self.summary = Some(self.read_footer()?);
                 return Ok(None);
             }
-            TAG_REQUEST => TraceEvent::Request(self.read_request()?),
-            TAG_BATCH => {
+            Tag::Request => TraceEvent::Request(self.read_request()?),
+            Tag::Batch => {
                 let len = read_varint(&mut self.r)?;
                 if len > (1 << 32) {
                     return Err(Error::TraceFormat(format!(
@@ -562,7 +593,7 @@ impl<R: Read> TraceReader<R> {
                 }
                 TraceEvent::Batch(reqs)
             }
-            TAG_INJECT => {
+            Tag::Inject => {
                 let bank = read_varint(&mut self.r)?;
                 let bank = usize::try_from(bank)
                     .map_err(|_| Error::TraceFormat(format!("bank {bank} overflows usize")))?;
@@ -578,7 +609,6 @@ impl<R: Read> TraceReader<R> {
                     actor,
                 }
             }
-            other => return Err(Error::TraceFormat(format!("unknown event tag {other}"))),
         };
         self.events_read += 1;
         Ok(Some(ev))
@@ -791,7 +821,7 @@ mod tests {
         // A batch whose length varint claims 2^31 requests must fail at
         // EOF, not abort on a giant up-front allocation.
         let mut w = TraceWriter::new(Vec::new(), &header()).unwrap();
-        w.w.push(TAG_BATCH);
+        w.w.push(Tag::Batch as u8);
         write_varint(&mut w.w, 1 << 31).unwrap();
         let bytes = w.w;
         assert!(matches!(read_trace(&bytes[..]), Err(Error::TraceTruncated)));

@@ -272,7 +272,11 @@ impl Bank {
     /// After the copy the destination row is connected to the bitlines, so
     /// it is left open under open-row policies.
     #[inline]
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a copy needs both rows, its issue time and actor, and the timing, \
+                  row policy and subarray geometry of the device"
+    )]
     pub fn rowclone(
         &mut self,
         src_row: u64,

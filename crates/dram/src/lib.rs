@@ -43,6 +43,17 @@
 //! assert_eq!(conflict.latency.0 - hit.latency.0, 74);
 //! ```
 
+// R4: a narrowing cast of a bank, row or address silently misroutes an
+// access, so production code converts with `try_from` or states its bound.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod bank;
 pub mod device;
 pub mod mapping;

@@ -64,8 +64,9 @@ impl RowInterleaved {
     pub fn locate(&self, addr: PhysAddr) -> (usize, u64) {
         let chunk = addr.0 >> self.row_shift;
         let bank = chunk & !(u64::MAX << self.bank_shift);
-        // analyze::allow(lossy-cast): bank < total_banks, a u32
-        (bank as usize, chunk >> self.bank_shift)
+        #[expect(clippy::cast_possible_truncation, reason = "bank < total_banks, a u32")]
+        let bank = bank as usize;
+        (bank, chunk >> self.bank_shift)
     }
 
     /// Inverse mapping used by memory massaging: the physical address that

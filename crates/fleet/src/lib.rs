@@ -303,7 +303,6 @@ impl FleetService {
             active.push(sess);
         }
 
-        // analyze::allow(lossy-cast): worker counts are tiny.
         obs.fleet_workers.set(self.cfg.workers as u64);
         let mut epoch = 0u64;
         let mut finished: Vec<SessionReport> = Vec::new();

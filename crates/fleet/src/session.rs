@@ -116,7 +116,6 @@ impl SyntheticSpec {
         let probe_banks = [4, 8, 16][rng.below(3) as usize];
         let noise_bp = [0, 500, 2000, 5000][rng.below(4) as usize];
         let span = u64::from(max_steps.saturating_sub(min_steps).max(1));
-        // analyze::allow(lossy-cast): bounded by max_steps, a u32.
         let steps = min_steps + rng.below(span) as u32;
         let seed = rng.next_u64();
         SyntheticSpec {
@@ -269,7 +268,6 @@ impl SyntheticSession {
     /// bank.
     fn step_once(&mut self) {
         let warm = &self.warm;
-        // analyze::allow(lossy-cast): bounded by MAX_PROBE_BANKS.
         let secret = self.rng.below(self.spec.probe_banks as u64) as usize;
         let v = self
             .eng
@@ -277,7 +275,6 @@ impl SyntheticSession {
             .expect("warmed victim access cannot fail");
         let mut step_cycles = v.latency;
         if self.spec.noise_bp > 0 && self.rng.below(10_000) < self.spec.noise_bp {
-            // analyze::allow(lossy-cast): bounded by MAX_PROBE_BANKS.
             let bank = self.rng.below(MAX_PROBE_BANKS as u64) as usize;
             let n = self
                 .eng
@@ -422,7 +419,7 @@ fn kbps(clock: Clock, bits: u64, elapsed: Cycles) -> u64 {
     if elapsed.0 == 0 {
         return 0;
     }
-    // analyze::allow(lossy-cast): non-negative and far below 2^63.
+    // Non-negative and far below 2^63, so the cast only drops the fraction.
     (clock.throughput_mbps(bits, elapsed) * 1000.0) as u64
 }
 

@@ -103,7 +103,10 @@ impl ReadSampler {
     ///
     /// Panics if `len` exceeds the genome length, the genome is empty, or
     /// the focus region (when `focus_fraction > 0`) cannot fit a read.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "read length, error rate and the focus region are independent knobs"
+    )]
     pub fn sample_focused(
         &mut self,
         genome: &Genome,

@@ -213,7 +213,10 @@ impl ActBankState {
 }
 
 #[cfg(test)]
-#[allow(clippy::field_reassign_with_default)]
+#[expect(
+    clippy::field_reassign_with_default,
+    reason = "each test starts from the default config and sets the one field it probes"
+)]
 mod tests {
     use super::*;
 

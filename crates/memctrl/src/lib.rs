@@ -27,6 +27,17 @@
 //! # Ok::<(), impact_core::Error>(())
 //! ```
 
+// R4: a narrowing cast of a bank, row or address silently misroutes an
+// access, so production code converts with `try_from` or states its bound.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
+
 pub mod backend;
 pub mod controller;
 pub mod defense;

@@ -17,17 +17,24 @@
 //!   while [`enabled`] — with telemetry disabled (the default) no
 //!   instrumented code path reads time at all.
 //!
-//! This file is one of the sanctioned concurrency sites and the only
-//! place outside `crates/bench` allowed to call `Instant::now` — both
-//! enforced by `impact-analyze` (rule R7 `metrics-placement`).
-//! Instrumented crates interact with it exclusively through function
-//! calls (`impact_obs::registry().engine_forks.incr()`), so no atomics or
+//! This crate is the one home of atomics and of `Instant::now` under
+//! `crates/`: `crates/clippy.toml` disallows both, and the crate-level
+//! `expect` below is their one exemption (`tests/lint_policy.rs` pins
+//! the list of exemptions). Instrumented crates interact with it
+//! exclusively through function calls
+//! (`impact_obs::registry().engine_forks.incr()`), so no atomics or
 //! clock tokens appear in deterministic source files.
 //!
 //! [`snapshot`] freezes the registry into a [`MetricsSnapshot`] whose
 //! [`MetricsSnapshot::to_json`] encoding is canonical (names sorted,
 //! fixed formatting) — the format `fig_all --metrics`, `trace_replay
 //! replay --metrics` and `fleet_run --metrics` write.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the telemetry sinks: relaxed atomics, and the host clock read only while enabled"
+)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
