@@ -13,8 +13,9 @@
 //! `--workers`, `--metrics` or wall-clock — which is what CI exploits:
 //! it runs `--quick` at workers 1, 2 and 4 (and once with `--metrics`)
 //! and byte-compares the outputs. `--check PATH` performs that
-//! comparison in-process: run the fleet, byte-compare the JSON against
-//! `PATH`, exit nonzero on drift.
+//! comparison in-process: read `PATH` (an unreadable one exits 1 before
+//! any session runs), run the fleet, byte-compare the JSON against it,
+//! exit nonzero on drift.
 //!
 //! `--trace FILE` additionally admits `--trace-sessions` (default 64)
 //! sessions replaying growing prefixes of a recorded trace. Its label
@@ -81,6 +82,18 @@ fn main() -> ExitCode {
     if workers == 0 {
         usage_exit("--workers must be at least 1");
     }
+    // Read the reference before any session runs, so a mistyped path
+    // fails at once rather than after the whole population.
+    let recorded = match &check_path {
+        None => None,
+        Some(path) => match std::fs::read_to_string(path) {
+            Ok(c) => Some((path, c)),
+            Err(e) => {
+                eprintln!("fleet_run: cannot read {path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     if metrics_path.is_some() {
         impact_obs::set_enabled(true);
     }
@@ -147,14 +160,7 @@ fn main() -> ExitCode {
         }
         eprintln!("fleet_run: wrote population report to {path}");
     }
-    if let Some(path) = &check_path {
-        let recorded = match std::fs::read_to_string(path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fleet_run: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    if let Some((path, recorded)) = recorded {
         if recorded != json {
             eprintln!(
                 "fleet_run: population report drifted from {path} \

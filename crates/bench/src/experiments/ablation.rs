@@ -5,6 +5,7 @@
 use impact_attacks::PnmCovertChannel;
 use impact_attacks::PumCovertChannel;
 use impact_core::config::{NoiseConfig, SystemConfig};
+use impact_core::par;
 use impact_core::rng::SimRng;
 use impact_core::time::Cycles;
 use impact_dram::RowPolicy;
@@ -12,91 +13,154 @@ use impact_sim::System;
 
 use crate::{Figure, Series};
 
+/// One point of an ablation series: a covert-channel run on its own
+/// [`System`].
+#[derive(Clone, Copy)]
+enum Point {
+    /// PnM goodput under a row policy.
+    RowPolicy(RowPolicy),
+    /// PnM goodput with a batch of this many banks.
+    PnmBatch(usize),
+    /// PuM goodput with a batch of this many banks.
+    PumBatch(usize),
+    /// PnM error rate at this decode threshold, with noise on.
+    Threshold(u64),
+    /// PnM error rate at this prefetcher rate.
+    PrefetcherRate(f64),
+}
+
+impl Point {
+    /// The point's y value: goodput in Mb/s or error rate in %.
+    fn measure(self, message: &[bool]) -> f64 {
+        let clock = SystemConfig::paper_table2().clock;
+        let pnm =
+            |sys: &mut System, banks: usize| PnmCovertChannel::setup(sys, banks).expect("setup");
+        match self {
+            Point::RowPolicy(policy) => {
+                let mut sys = System::new(SystemConfig::paper_table2_noiseless());
+                sys.set_row_policy(policy);
+                let r = pnm(&mut sys, 16).transmit(&mut sys, message);
+                r.expect("transmit").goodput_mbps(clock)
+            }
+            Point::PnmBatch(banks) => {
+                let mut sys = System::new(SystemConfig::paper_table2_noiseless());
+                let r = pnm(&mut sys, banks).transmit(&mut sys, message);
+                r.expect("transmit").goodput_mbps(clock)
+            }
+            Point::PumBatch(banks) => {
+                let mut sys = System::new(SystemConfig::paper_table2_noiseless());
+                let mut ch = PumCovertChannel::setup(&mut sys, banks).expect("setup");
+                let r = ch.transmit(&mut sys, message);
+                r.expect("transmit").goodput_mbps(clock)
+            }
+            Point::Threshold(threshold) => {
+                let mut sys = System::new(SystemConfig::paper_table2());
+                let mut ch = pnm(&mut sys, 16);
+                ch.set_threshold(threshold);
+                let r = ch.transmit(&mut sys, message);
+                r.expect("transmit").error_rate() * 100.0
+            }
+            Point::PrefetcherRate(rate) => {
+                let cfg = SystemConfig {
+                    noise: NoiseConfig {
+                        prefetcher_rate: rate,
+                        ptw_rate: 0.0,
+                        seed: 7,
+                    },
+                    ..SystemConfig::paper_table2()
+                };
+                let mut sys = System::new(cfg);
+                let r = pnm(&mut sys, 16).transmit(&mut sys, message);
+                r.expect("transmit").error_rate() * 100.0
+            }
+        }
+    }
+}
+
 /// Runs the four ablations and reports them as one multi-series figure:
 ///
 /// * goodput under row policies (open / open+100ns idle timeout / closed);
 /// * goodput vs covert-channel batch size (bank parallelism);
 /// * error rate vs decode threshold;
 /// * error rate vs prefetcher noise rate.
+///
+/// Its 22 points each build their own [`System`] and are mapped over the
+/// host's cores, so the figure is bit-identical at any worker count.
 #[must_use]
 pub fn ablations(quick: bool) -> Figure {
     let bits = if quick { 512 } else { 2048 };
     let message = SimRng::seed(0xAB1A).bits(bits);
-    let clock = SystemConfig::paper_table2().clock;
+    let batches = [2usize, 4, 8, 16];
+    // (series name, its (x, point) pairs), in legend order.
+    let series: [(&str, Vec<(f64, Point)>); 5] = [
+        // (a) Row policy: the eager idle timeout already breaks the channel.
+        (
+            "PnM goodput by row policy (Mb/s)",
+            [
+                RowPolicy::open_page(),
+                RowPolicy::open_with_timeout(Cycles(260)),
+                RowPolicy::closed_page(),
+            ]
+            .into_iter()
+            .enumerate()
+            .map(|(i, policy)| (i as f64, Point::RowPolicy(policy)))
+            .collect(),
+        ),
+        // (b) Batch size (bank parallelism) for both IMPACT variants.
+        (
+            "PnM goodput by batch size (Mb/s)",
+            batches
+                .iter()
+                .map(|&b| (b as f64, Point::PnmBatch(b)))
+                .collect(),
+        ),
+        (
+            "PuM goodput by batch size (Mb/s)",
+            batches
+                .iter()
+                .map(|&b| (b as f64, Point::PumBatch(b)))
+                .collect(),
+        ),
+        // (c) Decode threshold sweep (with noise, so mistuning shows up).
+        (
+            "PnM error by threshold (%)",
+            [110u64, 130, 150, 170, 190, 220]
+                .into_iter()
+                .map(|t| (t as f64, Point::Threshold(t)))
+                .collect(),
+        ),
+        // (d) Noise sensitivity: prefetcher rate sweep.
+        (
+            "PnM error by prefetcher rate (%)",
+            [0.0, 0.005, 0.01, 0.02, 0.05]
+                .into_iter()
+                .map(|rate| (rate * 100.0, Point::PrefetcherRate(rate)))
+                .collect(),
+        ),
+    ];
+    let points: Vec<Point> = series
+        .iter()
+        .flat_map(|(_, pts)| pts.iter().map(|&(_, p)| p))
+        .collect();
+    let mut ys =
+        par::ordered_map(points, par::available_workers(), |p| p.measure(&message)).into_iter();
 
-    // (a) Row policy: the eager idle timeout already breaks the channel.
-    let mut policy_pts = Vec::new();
-    for (i, policy) in [
-        RowPolicy::open_page(),
-        RowPolicy::open_with_timeout(Cycles(260)),
-        RowPolicy::closed_page(),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-        sys.set_row_policy(policy);
-        let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = ch.transmit(&mut sys, &message).expect("transmit");
-        policy_pts.push((i as f64, r.goodput_mbps(clock)));
-    }
-
-    // (b) Batch size (bank parallelism) for both IMPACT variants.
-    let mut pnm_batch = Vec::new();
-    let mut pum_batch = Vec::new();
-    for banks in [2usize, 4, 8, 16] {
-        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-        let mut ch = PnmCovertChannel::setup(&mut sys, banks).expect("setup");
-        let r = ch.transmit(&mut sys, &message).expect("transmit");
-        pnm_batch.push((banks as f64, r.goodput_mbps(clock)));
-
-        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-        let mut ch = PumCovertChannel::setup(&mut sys, banks).expect("setup");
-        let r = ch.transmit(&mut sys, &message).expect("transmit");
-        pum_batch.push((banks as f64, r.goodput_mbps(clock)));
-    }
-
-    // (c) Decode threshold sweep (with noise, so mistuning shows up).
-    let mut threshold_pts = Vec::new();
-    for threshold in [110u64, 130, 150, 170, 190, 220] {
-        let mut sys = System::new(SystemConfig::paper_table2());
-        let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-        ch.set_threshold(threshold);
-        let r = ch.transmit(&mut sys, &message).expect("transmit");
-        threshold_pts.push((threshold as f64, r.error_rate() * 100.0));
-    }
-
-    // (d) Noise sensitivity: prefetcher rate sweep.
-    let mut noise_pts = Vec::new();
-    for rate in [0.0, 0.005, 0.01, 0.02, 0.05] {
-        let cfg = SystemConfig {
-            noise: NoiseConfig {
-                prefetcher_rate: rate,
-                ptw_rate: 0.0,
-                seed: 7,
-            },
-            ..SystemConfig::paper_table2()
-        };
-        let mut sys = System::new(cfg);
-        let mut ch = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = ch.transmit(&mut sys, &message).expect("transmit");
-        noise_pts.push((rate * 100.0, r.error_rate() * 100.0));
-    }
-
-    Figure::new(
+    let mut fig = Figure::new(
         "ablations",
         "Design-choice ablations (DESIGN.md §4)",
         "see per-series x meaning",
         "Mb/s or % (per series)",
-    )
-    .with_series(Series::new("PnM goodput by row policy (Mb/s)", policy_pts))
-    .with_series(Series::new("PnM goodput by batch size (Mb/s)", pnm_batch))
-    .with_series(Series::new("PuM goodput by batch size (Mb/s)", pum_batch))
-    .with_series(Series::new("PnM error by threshold (%)", threshold_pts))
-    .with_series(Series::new("PnM error by prefetcher rate (%)", noise_pts))
-    .with_note("row policy x: 0=open-page, 1=open+100ns idle timeout, 2=closed-page")
-    .with_note("an eager idle row timeout acts as a (costly) defense: the hit signal dies")
-    .with_note("threshold x: decode threshold in cycles; noise x: prefetcher rate in %")
+    );
+    for (name, pts) in series {
+        let pts = pts
+            .into_iter()
+            .map(|(x, _)| (x, ys.next().expect("one y per point")))
+            .collect();
+        fig = fig.with_series(Series::new(name, pts));
+    }
+    fig.with_note("row policy x: 0=open-page, 1=open+100ns idle timeout, 2=closed-page")
+        .with_note("an eager idle row timeout acts as a (costly) defense: the hit signal dies")
+        .with_note("threshold x: decode threshold in cycles; noise x: prefetcher rate in %")
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@ use impact_attacks::baseline::{BaselineChannel, BaselinePrimitive};
 use impact_attacks::channel::message_from_str;
 use impact_attacks::{PnmCovertChannel, PumCovertChannel};
 use impact_core::config::SystemConfig;
+use impact_core::par;
 use impact_core::rng::SimRng;
 use impact_sim::System;
 
@@ -52,49 +53,58 @@ pub fn fig8() -> Figure {
     fig.with_note(format!("PuM bit errors: {}", r.bit_errors))
 }
 
+/// The five attacks of Fig. 9, in legend order.
+#[derive(Clone, Copy)]
+enum Fig9Attack {
+    Baseline(BaselinePrimitive),
+    Pnm,
+    Pum,
+}
+
+const FIG9_ATTACKS: [(&str, Fig9Attack); 5] = [
+    (
+        "DRAMA-clflush",
+        Fig9Attack::Baseline(BaselinePrimitive::Clflush),
+    ),
+    (
+        "DRAMA-Eviction",
+        Fig9Attack::Baseline(BaselinePrimitive::Eviction),
+    ),
+    ("DMA Engine", Fig9Attack::Baseline(BaselinePrimitive::Dma)),
+    ("IMPACT-PnM", Fig9Attack::Pnm),
+    ("IMPACT-PuM", Fig9Attack::Pum),
+];
+
 /// Fig. 9: leakage throughput of all five attacks across LLC sizes
-/// (1–128 MB), with the paper's noise sources enabled.
+/// (1–128 MB), with the paper's noise sources enabled. Its 40
+/// (LLC size, attack) points each build their own [`System`] and are
+/// mapped over the host's cores, so the figure is bit-identical at any
+/// worker count.
 #[must_use]
 pub fn fig9(message_bits: usize) -> Figure {
     let sizes_mb = [1u64, 2, 4, 8, 16, 32, 64, 128];
     let message = SimRng::seed(0xF19).bits(message_bits);
-
-    let mut series: Vec<(String, Vec<(f64, f64)>)> = [
-        "DRAMA-clflush",
-        "DRAMA-Eviction",
-        "DMA Engine",
-        "IMPACT-PnM",
-        "IMPACT-PuM",
-    ]
-    .iter()
-    .map(|n| ((*n).to_string(), Vec::new()))
-    .collect();
-
-    for &mb in &sizes_mb {
+    let points: Vec<(u64, Fig9Attack)> = sizes_mb
+        .iter()
+        .flat_map(|&mb| FIG9_ATTACKS.iter().map(move |&(_, attack)| (mb, attack)))
+        .collect();
+    let goodput = par::ordered_map(points, par::available_workers(), |(mb, attack)| {
         let cfg = SystemConfig::paper_table2().with_llc_size(mb << 20);
-        let x = mb as f64;
-
-        for (primitive, idx) in [
-            (BaselinePrimitive::Clflush, 0usize),
-            (BaselinePrimitive::Eviction, 1),
-            (BaselinePrimitive::Dma, 2),
-        ] {
-            let mut sys = System::new(cfg.clone());
-            let mut ch = BaselineChannel::setup(&mut sys, primitive).expect("setup");
-            let r = ch.transmit(&mut sys, &message).expect("transmit");
-            series[idx].1.push((x, r.goodput_mbps(cfg.clock)));
+        let mut sys = System::new(cfg.clone());
+        let r = match attack {
+            Fig9Attack::Baseline(primitive) => BaselineChannel::setup(&mut sys, primitive)
+                .expect("setup")
+                .transmit(&mut sys, &message),
+            Fig9Attack::Pnm => PnmCovertChannel::setup(&mut sys, 16)
+                .expect("setup")
+                .transmit(&mut sys, &message),
+            Fig9Attack::Pum => PumCovertChannel::setup(&mut sys, 16)
+                .expect("setup")
+                .transmit(&mut sys, &message),
         }
-
-        let mut sys = System::new(cfg.clone());
-        let mut pnm = PnmCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = pnm.transmit(&mut sys, &message).expect("transmit");
-        series[3].1.push((x, r.goodput_mbps(cfg.clock)));
-
-        let mut sys = System::new(cfg.clone());
-        let mut pum = PumCovertChannel::setup(&mut sys, 16).expect("setup");
-        let r = pum.transmit(&mut sys, &message).expect("transmit");
-        series[4].1.push((x, r.goodput_mbps(cfg.clock)));
-    }
+        .expect("transmit");
+        r.goodput_mbps(cfg.clock)
+    });
 
     let mut fig = Figure::new(
         "fig9",
@@ -104,8 +114,13 @@ pub fn fig9(message_bits: usize) -> Figure {
     )
     .with_note("paper: PnM 8.2 Mb/s, PuM 14.8 Mb/s, both LLC-independent")
     .with_note("paper: DRAMA-clflush up to 2.29 Mb/s declining; DMA 0.81 Mb/s flat");
-    for (name, pts) in series {
-        fig = fig.with_series(Series::new(name, pts));
+    for (a, (name, _)) in FIG9_ATTACKS.iter().enumerate() {
+        let pts = sizes_mb
+            .iter()
+            .zip(goodput.chunks(FIG9_ATTACKS.len()))
+            .map(|(&mb, row)| (mb as f64, row[a]))
+            .collect();
+        fig = fig.with_series(Series::new(*name, pts));
     }
     fig
 }

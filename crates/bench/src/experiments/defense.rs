@@ -67,7 +67,10 @@ pub fn fig12(quick: bool) -> Figure {
 
 /// [`fig12`] with its 25 (defense, workload) replays mapped over
 /// `workers` threads. Each replay builds its own [`System`], so the figure
-/// is bit-identical at any worker count.
+/// is bit-identical at any worker count. Fig. 9, Fig. 11, the ablations
+/// and the §8.4 bank study map their points the same way, over
+/// [`par::available_workers`]; this is the one that also takes the worker
+/// count as a parameter, so tests can compare counts in one process.
 ///
 /// The noisy Table 2 configuration stands in for co-running cores: the
 /// prefetcher/PTW activity creates the row conflicts that arm ACT, as in

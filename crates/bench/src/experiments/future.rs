@@ -8,40 +8,56 @@
 
 use impact_attacks::{PnmCovertChannel, PumCovertChannel};
 use impact_core::config::SystemConfig;
+use impact_core::par;
 use impact_core::rng::SimRng;
 use impact_memctrl::PeriodicBlock;
 use impact_sim::System;
 
 use crate::{Figure, Series};
 
-/// Covert-channel throughput on devices with 16–256 banks.
+/// Covert-channel throughput on devices with 16–256 banks. Its 10
+/// (bank count, attack) points each build their own [`System`] and are
+/// mapped over the host's cores, so the figure is bit-identical at any
+/// worker count.
 #[must_use]
 pub fn future_banks(message_bits: usize) -> Figure {
     let message = SimRng::seed(0x84).bits(message_bits);
     let clock = SystemConfig::paper_table2().clock;
-    let mut pnm_pts = Vec::new();
-    let mut pum_pts = Vec::new();
-    for banks in [16u32, 32, 64, 128, 256] {
-        let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(banks);
-        let mut sys = System::new(cfg.clone());
-        let mut pnm = PnmCovertChannel::setup(&mut sys, banks as usize).expect("setup");
-        let r = pnm.transmit(&mut sys, &message).expect("transmit");
-        pnm_pts.push((f64::from(banks), r.goodput_mbps(clock)));
-
-        let pum_banks = banks.min(64) as usize; // mask width limit
-        let mut sys = System::new(cfg);
-        let mut pum = PumCovertChannel::setup(&mut sys, pum_banks).expect("setup");
-        let r = pum.transmit(&mut sys, &message).expect("transmit");
-        pum_pts.push((f64::from(banks), r.goodput_mbps(clock)));
-    }
+    let banks = [16u32, 32, 64, 128, 256];
+    // Each bank count runs PnM (`false`), then PuM (`true`).
+    let points: Vec<(u32, bool)> = banks
+        .iter()
+        .flat_map(|&b| [(b, false), (b, true)])
+        .collect();
+    let goodput = par::ordered_map(points, par::available_workers(), |(banks, pum)| {
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless().with_total_banks(banks));
+        let r = if pum {
+            let pum_banks = banks.min(64) as usize; // mask width limit
+            PumCovertChannel::setup(&mut sys, pum_banks)
+                .expect("setup")
+                .transmit(&mut sys, &message)
+        } else {
+            PnmCovertChannel::setup(&mut sys, banks as usize)
+                .expect("setup")
+                .transmit(&mut sys, &message)
+        };
+        r.expect("transmit").goodput_mbps(clock)
+    });
+    let series = |column: usize| {
+        banks
+            .iter()
+            .zip(goodput.chunks(2))
+            .map(|(&b, pair)| (f64::from(b), pair[column]))
+            .collect()
+    };
     Figure::new(
         "future_banks",
         "§8.4 extension: covert throughput on future many-bank devices",
         "DRAM banks",
         "goodput (Mb/s)",
     )
-    .with_series(Series::new("IMPACT-PnM", pnm_pts))
-    .with_series(Series::new("IMPACT-PuM (<=64-bank mask)", pum_pts))
+    .with_series(Series::new("IMPACT-PnM", series(0)))
+    .with_series(Series::new("IMPACT-PuM (<=64-bank mask)", series(1)))
     .with_note("paper §8.4: more banks -> more parallelism -> higher IMPACT throughput")
     .with_note("PuM gains directly (one masked request covers the batch) until the 64-bit mask saturates")
     .with_note("PnM gains only from per-batch sync amortization: its sender issues blocking PEIs bit by bit")

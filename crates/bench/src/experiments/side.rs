@@ -2,19 +2,19 @@
 
 use impact_attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact_core::config::SystemConfig;
+use impact_core::par;
 use impact_sim::System;
 
 use crate::{Figure, Series};
 
 /// Fig. 11: leakage throughput (Mb/s) and error rate (%) of the
-/// read-mapping side channel for 1024–8192 DRAM banks.
+/// read-mapping side channel for 1024–8192 DRAM banks. The four bank
+/// counts each build their own [`System`] and are mapped over the host's
+/// cores, so the figure is bit-identical at any worker count.
 #[must_use]
 pub fn fig11(reads: usize) -> Figure {
-    let banks = [1024u32, 2048, 4096, 8192];
-    let mut tput = Vec::new();
-    let mut err = Vec::new();
-    let mut miss = Vec::new();
-    for &b in &banks {
+    let banks = vec![1024u32, 2048, 4096, 8192];
+    let reports = par::ordered_map(banks, par::available_workers(), |b| {
         let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(b);
         let mut sys = System::new(cfg);
         let attack = SideChannelAttack::new(SideChannelConfig {
@@ -23,10 +23,16 @@ pub fn fig11(reads: usize) -> Figure {
         });
         let r = attack.run(&mut sys).expect("side channel run");
         let clock = sys.config().clock;
-        tput.push((f64::from(b), r.throughput_mbps(clock)));
-        err.push((f64::from(b), r.error_rate() * 100.0));
-        miss.push((f64::from(b), r.miss_rate() * 100.0));
-    }
+        let x = f64::from(b);
+        (
+            (x, r.throughput_mbps(clock)),
+            (x, r.error_rate() * 100.0),
+            (x, r.miss_rate() * 100.0),
+        )
+    });
+    let tput = reports.iter().map(|p| p.0).collect();
+    let err = reports.iter().map(|p| p.1).collect();
+    let miss = reports.iter().map(|p| p.2).collect();
     Figure::new(
         "fig11",
         "Read-mapping side channel: throughput and error vs bank count",

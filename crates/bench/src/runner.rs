@@ -3,10 +3,13 @@
 //!
 //! Each [`ExperimentJob`] builds all of its seeded state from its own
 //! captured parameters, so the figures come back bit-identical at any
-//! worker count (`tests/determinism.rs` pins this). Inside the suite only
-//! Fig. 12 maps its own points over threads
-//! ([`crate::experiments::fig12_on`]); every other experiment runs
-//! serially in its job.
+//! worker count (`tests/determinism.rs` pins this). Inside the suite the
+//! five sweeps also map their own points over the host's cores, each
+//! point on a seeded `System` of its own: Fig. 9's 40 (LLC size, attack)
+//! points, Fig. 11's four bank counts, Fig. 12's 25 replays
+//! ([`crate::experiments::fig12_on`]), the 22 ablation points and the
+//! §8.4 bank study's 10. The other experiments cost about a millisecond
+//! or less each and run serially in their jobs.
 
 use impact_core::par;
 

@@ -104,6 +104,30 @@ fn fig_all_accepts_a_huge_job_count() {
     );
 }
 
+/// `fleet_run --check PATH` reads `PATH` before it drives any session, so
+/// a mistyped path fails at once instead of after the whole population.
+#[test]
+fn fleet_run_check_reads_its_reference_before_any_session() {
+    let missing = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli_args_no_report_{}.json", std::process::id()));
+    let (code, stderr) = assert_clean_failure(
+        env!("CARGO_BIN_EXE_fleet_run"),
+        &[
+            "--quick",
+            "--population",
+            "20",
+            "--check",
+            missing.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("cannot read"), "{stderr}");
+    assert!(
+        !stderr.contains("epoch 1"),
+        "sessions ran before the check failed:\n{stderr}"
+    );
+}
+
 /// Records a quick Mix capture to `path`.
 fn record_quick_mix(path: &Path) {
     let sink = std::fs::File::create(path).expect("create capture file");

@@ -3,10 +3,14 @@
 //! `#[expect(clippy::disallowed_*)]` inventory in `tests/lint_policy.rs`).
 //!
 //! Host threads only ever fan out independent units of work — whole
-//! experiments, Fig. 12's replays, fleet sessions — so [`ordered_map`]
-//! is all the concurrency the simulator needs: results come back in item
-//! order, never completion order, which makes the worker count
-//! unobservable whenever `f` is a pure function of its item.
+//! experiments, the points of the paper's sweeps (Fig. 9, Fig. 11,
+//! Fig. 12, the ablations, the §8.4 bank study), fleet sessions — so
+//! [`ordered_map`] is all the concurrency the simulator needs: results
+//! come back in item order, never completion order, which makes the
+//! worker count unobservable whenever `f` is a pure function of its item.
+//! The caller works too: a map over `workers` threads spawns
+//! `workers − 1` of them, and one over a single item or a single worker
+//! spawns none.
 //!
 //! ```
 //! use impact_core::par::ordered_map;
@@ -25,9 +29,12 @@ pub fn available_workers() -> usize {
     thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// Applies `f` to every item on up to `workers` scoped threads and
-/// returns the results in item order.
+/// Applies `f` to every item on up to `workers` threads and returns the
+/// results in item order.
 ///
+/// The calling thread is one of the workers: it spawns
+/// `min(workers, n) − 1` scoped threads for `n` items and runs the same
+/// claim loop as they do, instead of idling until they finish.
 /// Workers claim contiguous chunks of `n / (8 · workers)` items from a
 /// shared queue and run each chunk in order, so a run takes about eight
 /// claims per worker and uneven chunk costs still balance out. Neighbouring
@@ -35,7 +42,8 @@ pub fn available_workers() -> usize {
 /// neighbouring items' memory at the same time. Calls with fewer than
 /// `16 · workers` items claim one item at a time. With `workers <= 1` or
 /// at most one item, `f` runs inline on the calling thread and no thread
-/// is spawned.
+/// is spawned; on a host with one available CPU, `available_workers()`
+/// returns 1, so every caller that passes it runs inline.
 ///
 /// # Panics
 ///
@@ -66,37 +74,37 @@ where
         n / (8 * workers)
     };
     let queue = std::sync::Mutex::new(items.into_iter().enumerate());
+    // One worker's claim loop: the spawned threads and the caller run it.
+    let work = || {
+        let mut done = Vec::new();
+        let mut claim = Vec::with_capacity(chunk);
+        loop {
+            // The lock guards only the claim, which cannot panic.
+            claim.extend(
+                queue
+                    .lock()
+                    .expect("queue lock never poisoned")
+                    .by_ref()
+                    .take(chunk),
+            );
+            if claim.is_empty() {
+                break;
+            }
+            for (i, item) in claim.drain(..) {
+                done.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
+            }
+        }
+        done
+    };
     let mut slots: Vec<Option<thread::Result<R>>> = (0..n).map(|_| None).collect();
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    let mut claim = Vec::with_capacity(chunk);
-                    loop {
-                        // The lock guards only the claim, which cannot panic.
-                        claim.extend(
-                            queue
-                                .lock()
-                                .expect("queue lock never poisoned")
-                                .by_ref()
-                                .take(chunk),
-                        );
-                        if claim.is_empty() {
-                            break;
-                        }
-                        for (i, item) in claim.drain(..) {
-                            done.push((i, catch_unwind(AssertUnwindSafe(|| f(item)))));
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, outcome) in handle.join().expect("item panics are caught") {
-                slots[i] = Some(outcome);
-            }
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let own = work();
+        let spawned = handles
+            .into_iter()
+            .map(|handle| handle.join().expect("item panics are caught"));
+        for (i, outcome) in std::iter::once(own).chain(spawned).flatten() {
+            slots[i] = Some(outcome);
         }
     });
     let mut out = Vec::with_capacity(n);
@@ -190,6 +198,20 @@ mod tests {
         for workers in [0, 1, 4] {
             assert!(ordered_map(Vec::<u8>::new(), workers, |x| x).is_empty());
         }
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Each item waits for the other, so both must run at once: on the
+        // caller and on exactly one spawned thread.
+        let caller = thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let threads = ordered_map(vec![0u8, 1], 2, |_| {
+            both.wait();
+            thread::current().id()
+        });
+        assert_ne!(threads[0], threads[1]);
+        assert!(threads.contains(&caller), "the caller ran no item");
     }
 
     #[test]

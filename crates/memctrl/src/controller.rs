@@ -99,7 +99,9 @@ pub struct RowCloneOutcome {
 /// The per-bank defense arrays (`act_state`, `block_epoch`) live in
 /// [`CowBox`]es so [`MemoryController::fork`] is O(metadata) at any bank
 /// count: parent and fork share the arrays until the first write, exactly
-/// like the DRAM bank array underneath.
+/// like the DRAM bank array underneath. Each array is empty unless its
+/// mechanism is installed: `act_state` holds one entry per bank only under
+/// [`Defense::Act`], `block_epoch` only while a [`PeriodicBlock`] is set.
 pub struct MemoryController {
     dram: DramDevice,
     mapping: RowInterleaved,
@@ -127,17 +129,15 @@ impl MemoryController {
     /// policy, no defense.
     #[must_use]
     pub fn from_config(cfg: &SystemConfig) -> MemoryController {
-        let dram = DramDevice::from_config(cfg);
-        let banks = dram.num_banks();
         MemoryController {
-            dram,
+            dram: DramDevice::from_config(cfg),
             mapping: RowInterleaved::new(cfg.dram_geometry),
             overhead: Cycles(cfg.memctrl_overhead_cycles),
             clock: cfg.clock,
             defense: Defense::None,
-            act_state: CowBox::new(vec![ActBankState::default(); banks]),
+            act_state: CowBox::new(Vec::new()),
             blocking: None,
-            block_epoch: CowBox::new(vec![0; banks]),
+            block_epoch: CowBox::new(Vec::new()),
             stats: CtrlStats::default(),
         }
     }
@@ -165,8 +165,13 @@ impl MemoryController {
     /// Enables a periodic blocking mechanism (refresh / RFM / PRAC); pass
     /// `None` to disable.
     pub fn set_periodic_block(&mut self, blocking: Option<PeriodicBlock>) {
+        let banks = if blocking.is_some() {
+            self.dram.num_banks()
+        } else {
+            0
+        };
         self.blocking = blocking;
-        self.block_epoch = CowBox::new(vec![0; self.dram.num_banks()]);
+        self.block_epoch = CowBox::new(vec![0; banks]);
     }
 
     /// The active periodic blocking mechanism, if any.
@@ -199,7 +204,12 @@ impl MemoryController {
             Defense::Crp => self.dram.set_policy(RowPolicy::closed_page()),
             _ => self.dram.set_policy(RowPolicy::open_page()),
         }
-        self.act_state = CowBox::new(vec![ActBankState::default(); self.dram.num_banks()]);
+        let banks = if matches!(defense, Defense::Act(_)) {
+            self.dram.num_banks()
+        } else {
+            0
+        };
+        self.act_state = CowBox::new(vec![ActBankState::default(); banks]);
         self.defense = defense;
     }
 
@@ -765,6 +775,22 @@ mod tests {
         mc.access(a, Cycles(50_000), 0).unwrap();
         mc.access(b, Cycles(50_000), 0).unwrap();
         assert_eq!(mc.stats().blocked, 2);
+    }
+
+    #[test]
+    fn act_and_rfm_tables_exist_only_while_installed() {
+        let mut mc = controller();
+        let banks = mc.dram().num_banks();
+        assert!(mc.act_state.is_empty(), "from_config built an ACT table");
+        assert!(mc.block_epoch.is_empty(), "from_config built an RFM table");
+        mc.set_defense(Defense::Act(ActConfig::mild()));
+        assert_eq!(mc.act_state.len(), banks);
+        mc.set_defense(Defense::Ctd);
+        assert!(mc.act_state.is_empty(), "CTD kept the ACT table");
+        mc.set_periodic_block(Some(PeriodicBlock::rfm_paper_default()));
+        assert_eq!(mc.block_epoch.len(), banks);
+        mc.set_periodic_block(None);
+        assert!(mc.block_epoch.is_empty(), "disabling kept the RFM table");
     }
 
     #[test]

@@ -147,6 +147,11 @@ impl<B: MemoryBackend> core::fmt::Debug for Engine<B> {
     }
 }
 
+/// Probes per `service_batch` call on the burst fast path, so a burst
+/// over thousands of banks (fig11's init sweeps) holds a few KiB of
+/// requests and responses at a time rather than 112 bytes per probe.
+const BURST_CHUNK: usize = 64;
+
 impl<B: MemoryBackend> Engine<B> {
     /// Builds the engine over an explicit backend.
     #[must_use]
@@ -617,10 +622,11 @@ impl<B: MemoryBackend> Engine<B> {
         })
     }
 
-    /// Burst body shared by every probe flavor: fast path (one
-    /// `service_batch`) when provably equivalent, serial remainder loop
-    /// otherwise. `timed` charges the serialized-timestamp pair around
-    /// each probe, as the receiver measurement loops do.
+    /// Burst body shared by every probe flavor: fast path
+    /// (`service_batch` in chunks of [`BURST_CHUNK`] probes) when provably
+    /// equivalent, serial remainder loop otherwise. `timed` charges the
+    /// serialized-timestamp pair around each probe, as the receiver
+    /// measurement loops do.
     fn pim_burst_translated(
         &mut self,
         agent: AgentId,
@@ -646,21 +652,29 @@ impl<B: MemoryBackend> Engine<B> {
             }
             let overhead =
                 Cycles(self.cfg.pim.pei_overhead_cycles + self.cfg.pim.pcu_transport_cycles);
+            // Every chunk arrives at the burst start, so chunking serves
+            // the same requests in the same order as one batch would; it
+            // only keeps the request and response buffers small.
             let at = self.now(agent);
-            let reqs: Vec<MemRequest> = probes
-                .iter()
-                .map(|&(pa, _)| MemRequest::pim(pa, at, agent.0))
-                .collect();
-            let resps = self.backend.service_batch(&reqs)?;
+            let mut reqs = Vec::with_capacity(probes.len().min(BURST_CHUNK));
             let mut infos = Vec::with_capacity(probes.len());
-            for (&(_, tlb_lat), m) in probes.iter().zip(resps) {
-                let latency = tlb_lat + overhead + m.latency;
-                self.advance(agent, latency + timers);
-                infos.push(PimInfo {
-                    latency,
+            for chunk in probes.chunks(BURST_CHUNK) {
+                reqs.clear();
+                reqs.extend(
+                    chunk
+                        .iter()
+                        .map(|&(pa, _)| MemRequest::pim(pa, at, agent.0)),
+                );
+                let resps = self.backend.service_batch(&reqs)?;
+                infos.extend(chunk.iter().zip(resps).map(|(&(_, tlb_lat), m)| PimInfo {
+                    latency: tlb_lat + overhead + m.latency,
                     site: ExecSite::MemorySide,
                     kind: Some(m.kind),
-                });
+                }));
+            }
+            // The clock moves only once the whole burst has succeeded.
+            for info in &infos {
+                self.advance(agent, info.latency + timers);
             }
             Ok(infos)
         } else {
@@ -701,9 +715,9 @@ impl<B: MemoryBackend> Engine<B> {
     /// t0 = rdtscp(); pim_op(va); t1 = rdtscp(); measured = t1 - t0;
     /// ```
     ///
-    /// but when the burst invariants hold (see the module comments) all
-    /// probes are serviced through one amortized
-    /// [`MemoryBackend::service_batch`] call.
+    /// but when the burst invariants hold (see the module comments) the
+    /// probes are serviced through amortized
+    /// [`MemoryBackend::service_batch`] calls of up to 64 probes each.
     ///
     /// # Errors
     ///
@@ -1027,6 +1041,47 @@ mod burst_tests {
             .collect();
         assert_eq!(burst, serial);
         assert_eq!(c_sys.now(c), d_sys.now(d));
+    }
+
+    #[test]
+    fn bursts_wider_than_one_chunk_match_the_serial_loops() {
+        // 1,024 banks: every burst below spans sixteen `service_batch`
+        // chunks.
+        let make = || System::new(SystemConfig::paper_table2_noiseless().with_total_banks(1024));
+        let (mut a_sys, a, vas) = probe_setup(make(), 1024);
+        let (mut b_sys, b, _) = probe_setup(make(), 1024);
+        assert!(vas.len() > BURST_CHUNK);
+
+        // The init sweep: untimed, pretranslated row openings.
+        assert!(a_sys.burst_would_commit(a, &vas, false));
+        let probes: Vec<(PhysAddr, Cycles)> = vas
+            .iter()
+            .map(|&va| a_sys.translate(a, va).unwrap())
+            .collect();
+        let burst = a_sys.pim_open_burst_translated(a, &probes).unwrap();
+        let serial: Vec<PimInfo> = vas
+            .iter()
+            .map(|&va| b_sys.pim_op_direct(b, va).unwrap())
+            .collect();
+        assert_eq!(burst, serial);
+        assert_eq!(a_sys.now(a), b_sys.now(b), "clock diverged");
+        assert_eq!(
+            a_sys.backend().backend_stats(),
+            b_sys.backend().backend_stats()
+        );
+
+        // Then timed, monitored probes of a fresh line in every bank.
+        let off: Vec<VirtAddr> = vas.iter().map(|&v| v + 64).collect();
+        assert!(a_sys.burst_would_commit(a, &off, true));
+        let burst = a_sys.pim_probe_burst(a, &off).unwrap();
+        let serial = serial_probe_loop(&mut b_sys, b, &off);
+        assert_eq!(burst, serial);
+        assert_eq!(a_sys.now(a), b_sys.now(b), "clock diverged");
+        assert_eq!(
+            a_sys.backend().backend_stats(),
+            b_sys.backend().backend_stats()
+        );
+        assert_eq!(a_sys.dram_totals(), b_sys.dram_totals());
     }
 
     #[test]

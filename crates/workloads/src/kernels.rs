@@ -307,7 +307,10 @@ mod tests {
         let g = Graph::uniform_random(128, 512, 2);
         let (_, trace) = bfs(&g, 0);
         assert!(trace.footprint() > 0);
-        assert!(trace.ops().iter().all(|o| o.offset < trace.footprint()));
+        assert!(trace
+            .ops()
+            .iter()
+            .all(|o| u64::from(o.offset) < trace.footprint()));
     }
 
     #[test]

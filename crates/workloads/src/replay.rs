@@ -56,7 +56,7 @@ pub fn replay<B: ControllerBackend>(
     let start = sys.now(agent);
     for op in trace.ops() {
         sys.advance(agent, Cycles(u64::from(op.gap)));
-        let va = base + op.offset;
+        let va = base + u64::from(op.offset);
         match op.kind {
             OpKind::Load => sys.load(agent, va)?,
             OpKind::Store => sys.store(agent, va)?,

@@ -19,10 +19,13 @@ pub enum OpKind {
 }
 
 /// One traced operation: a byte offset into the workload footprint.
+///
+/// Eight bytes: the offset is 32 bits wide, since [`TraceBuilder`]
+/// refuses a footprint past 4 GiB (the largest kernel's is about 4.3 MB).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemOp {
     /// Byte offset within the workload's flat footprint.
-    pub offset: u64,
+    pub offset: u32,
     /// Load or store.
     pub kind: OpKind,
     /// Compute cycles between the previous access and this one.
@@ -83,34 +86,42 @@ impl TraceBuilder {
     }
 
     /// Reserves a region of `bytes` bytes, returning its base offset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would end past offset `u32::MAX`: a
+    /// [`MemOp`] offset is 32 bits wide.
     pub fn region(&mut self, bytes: u64) -> u64 {
         let base = self.next_region;
-        self.next_region += bytes.div_ceil(PAGE_SIZE).max(1) * PAGE_SIZE;
+        let pages = bytes.div_ceil(PAGE_SIZE).max(1);
+        self.next_region = base.saturating_add(pages.saturating_mul(PAGE_SIZE));
+        assert!(
+            self.next_region <= 1 << 32,
+            "a {bytes}-byte region at offset {base} ends past the 4 GiB a trace can address"
+        );
         base
     }
 
     /// Records a load of `bytes`-sized element `index` in the region at
     /// `base`, with `gap` compute cycles beforehand.
     pub fn load(&mut self, base: u64, index: u64, elem_bytes: u64, gap: u16) {
-        self.ops.push(MemOp {
-            offset: base + index * elem_bytes,
-            kind: OpKind::Load,
-            gap,
-        });
+        self.push(base + index * elem_bytes, OpKind::Load, gap);
     }
 
     /// Records a store, as [`TraceBuilder::load`].
     pub fn store(&mut self, base: u64, index: u64, elem_bytes: u64, gap: u16) {
-        self.ops.push(MemOp {
-            offset: base + index * elem_bytes,
-            kind: OpKind::Store,
-            gap,
-        });
+        self.push(base + index * elem_bytes, OpKind::Store, gap);
     }
 
-    /// Finalizes the trace.
+    fn push(&mut self, offset: u64, kind: OpKind, gap: u16) {
+        let offset = u32::try_from(offset).expect("offsets stay inside the 4 GiB of regions");
+        self.ops.push(MemOp { offset, kind, gap });
+    }
+
+    /// Finalizes the trace, releasing the builder's spare capacity.
     #[must_use]
-    pub fn finish(self) -> Trace {
+    pub fn finish(mut self) -> Trace {
+        self.ops.shrink_to_fit();
         Trace {
             footprint: self.next_region.max(PAGE_SIZE),
             ops: self.ops,
@@ -142,7 +153,7 @@ mod tests {
         b.store(base, 0, 8, 1);
         let t = b.finish();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.ops()[0].offset, base + 24);
+        assert_eq!(u64::from(t.ops()[0].offset), base + 24);
         assert_eq!(t.ops()[0].kind, OpKind::Load);
         assert_eq!(t.ops()[1].kind, OpKind::Store);
     }
@@ -166,6 +177,19 @@ mod tests {
         let mut t = b.finish();
         t.truncate(10);
         assert_eq!(t.len(), 10);
+    }
+
+    #[test]
+    fn ops_are_eight_bytes() {
+        assert_eq!(std::mem::size_of::<MemOp>(), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "ends past the 4 GiB a trace can address")]
+    fn regions_past_four_gib_are_refused() {
+        let mut b = TraceBuilder::new();
+        b.region(1 << 32);
+        b.region(1);
     }
 
     #[test]

@@ -103,9 +103,11 @@ fn same_seed_systems_accumulate_identical_stats() {
     assert_ne!(run(41).0, run(42).0, "different seeds must diverge");
 }
 
-/// Fig. 12, the one experiment that maps its own points over threads,
-/// renders bit-identical series and notes at every worker count: each of
-/// its 25 points is one full seeded System replay.
+/// Fig. 12 renders bit-identical series and notes at every worker count:
+/// each of its 25 points is one full seeded System replay. Fig. 9, Fig.
+/// 11, the ablations and the §8.4 bank study fan out the same way, but
+/// over the host's core count; CI compares those with the inline path by
+/// diffing `fig_all` pinned to one CPU against an unpinned run.
 #[test]
 fn sweep_runner_thread_count_is_invisible() {
     let serial = fig12_on(true, 1);

@@ -8,6 +8,7 @@
 
 #![cfg(target_os = "linux")]
 
+use impact::attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact::core::addr::VirtAddr;
 use impact::core::config::SystemConfig;
 use impact::sim::{AgentId, System};
@@ -54,6 +55,30 @@ fn warm_fleet_parent() -> (System, Vec<(AgentId, Vec<VirtAddr>)>) {
 
 #[test]
 fn construction_and_forks_touch_only_what_they_write() {
+    // fig11's largest point: an 8,192-bank system and the side channel's
+    // set-up, measured first, before other builds leave freed heap behind.
+    // Its 1,024-bank point runs first: that pages in the code and the
+    // bank-independent heap (genome, reads), so the reading is the same
+    // on every run: about 700 KiB, and about 890 KiB if `from_config`
+    // builds ACT and RFM tables (32 B per bank).
+    let set_up = |banks: u32| {
+        let mut sys = System::new(SystemConfig::paper_table2_noiseless().with_total_banks(banks));
+        let init = SideChannelAttack::new(SideChannelConfig::default())
+            .init(&mut sys)
+            .expect("side channel set-up");
+        (sys, init)
+    };
+    drop(set_up(1024));
+    let before = vm_rss();
+    let point = set_up(8192);
+    let grown = vm_rss().saturating_sub(before);
+    assert!(
+        grown < 800 * KIB,
+        "fig11's 8,192-bank set-up grew VmRSS by {} KiB",
+        grown / KIB
+    );
+    drop(point);
+
     // fig9's build order: five systems per LLC size, 1 to 128 MiB, each
     // dropped before the next is built. Once the allocator has freed a
     // large block it may serve a smaller one from reused heap memory and
