@@ -5,14 +5,14 @@
 //! fig_all --quick               # run everything (reduced sizes)
 //! fig_all fig9 fig11            # run selected experiments
 //! fig_all --csv fig2            # CSV output instead of text
-//! fig_all --jobs 4              # shard experiments over 4 worker threads
 //! fig_all --trace f.trace       # run a captured trace as an experiment
 //! fig_all --metrics m.json      # dump the obs telemetry snapshot
 //! ```
 //!
-//! With `--jobs N` (or `--jobs auto`) the suite is sharded across worker
-//! threads by [`run_all`]; the rendered output is printed in suite order
-//! once every experiment has finished — bit-identical to a serial run.
+//! The experiments run one after another, in suite order or in the order
+//! given (duplicates included); the five sweeps among them map their own
+//! points over the host's cores. The rendered output is printed once
+//! every experiment has finished.
 //!
 //! `--trace PATH` loads a trace captured with `trace_replay record` and
 //! appends it to the suite as the `trace` experiment (a prefix-replay
@@ -20,7 +20,8 @@
 //!
 //! `--metrics PATH` enables the wall-clock span timers and writes the
 //! process-wide [`impact_obs`] telemetry snapshot (canonical JSON) to
-//! `PATH` after the suite renders. Telemetry lives entirely outside the
+//! `PATH` after the suite renders; `sweep.experiment.wall_ns` holds one
+//! sample per experiment run. Telemetry lives entirely outside the
 //! deterministic state machine, so the rendered figures are
 //! byte-identical with or without the flag — CI diffs the two byte for
 //! byte.
@@ -29,19 +30,15 @@ use std::env;
 use std::io::{self, Write};
 
 use impact_bench::experiments;
-use impact_bench::runner::{run_all, ExperimentJob};
+use impact_bench::runner::ExperimentJob;
 use impact_bench::trace_tools::TraceScenario;
 use impact_bench::Figure;
-use impact_core::par::available_workers;
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
-    eprintln!(
-        "usage: fig_all [--quick] [--csv] [--jobs N|auto] [--trace PATH] [--metrics PATH] \
-         [EXPERIMENT...]"
-    );
+    eprintln!("usage: fig_all [--quick] [--csv] [--trace PATH] [--metrics PATH] [EXPERIMENT...]");
     let ids: Vec<String> = experiments::suite(false, BackendKind::Mono)
         .iter()
         .map(|job| job.id().to_owned())
@@ -66,79 +63,51 @@ fn render_all(figures: &[Figure], csv: bool) -> io::Result<()> {
 }
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let csv = args.iter().any(|a| a == "--csv");
-
-    let flag_value = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .map(|i| match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => usage_exit(&format!("{flag} needs a value")),
-            })
-    };
-    let workers = match flag_value("--jobs").as_deref() {
-        None => 1,
-        Some("auto") => available_workers(),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => usage_exit(&format!("bad --jobs value {v:?}")),
-        },
-    };
-    let trace_path = flag_value("--trace");
-    let metrics_path = flag_value("--metrics");
+    let mut quick = false;
+    let mut csv = false;
+    let mut trace_path: Option<String> = None;
+    let mut metrics_path: Option<String> = None;
+    let mut selected: Vec<String> = Vec::new();
+    let mut args = env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = |flag: &str| match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_exit(&format!("{flag} needs a value")),
+        };
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--csv" => csv = true,
+            "--trace" => trace_path = Some(value("--trace")),
+            "--metrics" => metrics_path = Some(value("--metrics")),
+            flag if flag.starts_with("--") => usage_exit(&format!("unknown flag {flag:?}")),
+            _ => selected.push(arg),
+        }
+    }
     if metrics_path.is_some() {
         impact_obs::set_enabled(true);
     }
 
-    // Positional args select experiments; flag values are skipped.
+    // No selection runs the whole suite in paper order, or, with a lone
+    // --trace, just the captured-trace experiment; an explicit selection
+    // keeps the user's order and duplicates.
     let suite = experiments::suite(quick, BackendKind::Mono);
-    let mut selected: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--jobs" || a == "--trace" || a == "--metrics" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            if a != "--quick" && a != "--csv" {
-                usage_exit(&format!("unknown flag {a:?}"));
-            }
-            continue;
-        }
-        if !suite.iter().any(|job| job.id() == a) {
-            usage_exit(&format!("unknown experiment {a:?}"));
-        }
-        selected.push(&args[i]);
-    }
-
-    // No selection runs the whole suite in paper order; an explicit
-    // selection preserves the user's order and duplicates.
-    let mut jobs: Vec<ExperimentJob> = if selected.is_empty() && trace_path.is_some() {
-        // A lone --trace runs just the captured-trace experiment.
-        Vec::new()
-    } else if selected.is_empty() {
-        suite
+    let mut jobs: Vec<&ExperimentJob> = if selected.is_empty() && trace_path.is_none() {
+        suite.iter().collect()
     } else {
         selected
             .iter()
             .map(|id| {
-                experiments::suite(quick, BackendKind::Mono)
-                    .into_iter()
-                    .find(|job| job.id() == *id)
-                    .expect("validated against the suite")
+                suite
+                    .iter()
+                    .find(|job| job.id() == id)
+                    .unwrap_or_else(|| usage_exit(&format!("unknown experiment {id:?}")))
             })
             .collect()
     };
 
     // --trace: append the captured trace as one more experiment.
-    if let Some(path) = &trace_path {
-        let captured = CapturedTrace::load(std::path::Path::new(path)).unwrap_or_else(|e| {
+    let trace_job = trace_path.map(|path| {
+        let captured = CapturedTrace::load(std::path::Path::new(&path)).unwrap_or_else(|e| {
             eprintln!("fig_all: cannot load trace {path}: {e}");
             std::process::exit(1);
         });
@@ -146,17 +115,17 @@ fn main() {
             eprintln!("fig_all: trace {path} is not replayable: {e}");
             std::process::exit(1);
         });
-        jobs.push(ExperimentJob::new("trace", move || scenario.figure()));
-    }
+        ExperimentJob::new("trace", move || scenario.figure())
+    });
+    jobs.extend(&trace_job);
 
-    if workers > 1 {
-        eprintln!(
-            "fig_all: {} experiments across {} workers",
-            jobs.len(),
-            workers.min(jobs.len()),
-        );
-    }
-    let figures = run_all(&jobs, workers);
+    let figures: Vec<Figure> = jobs
+        .iter()
+        .map(|job| {
+            let _span = impact_obs::registry().experiment_wall_ns.span();
+            job.run()
+        })
+        .collect();
     match render_all(&figures, csv) {
         Ok(()) => {}
         // The reader has gone (`fig_all | head`): nothing is left to do.

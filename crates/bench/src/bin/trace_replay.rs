@@ -25,6 +25,11 @@
 //! `merge` concatenates captures recorded on the same configuration into
 //! one standalone trace whose footer is likewise recomputed from pristine
 //! state (see `impact_bench::trace_tools::merge_captures`).
+//!
+//! A malformed command line prints the usage text and exits 2. A file
+//! that cannot be opened, read or written exits 1 with a one-line
+//! `trace_replay: cannot …` message, like a trace that fails to decode or
+//! replay.
 
 use std::env;
 use std::fs::File;
@@ -49,6 +54,13 @@ fn usage_exit(msg: &str) -> ! {
          \x20      trace_replay merge OUT IN IN [IN...]"
     );
     std::process::exit(2);
+}
+
+/// Reports a failure that is not a usage error (a file that cannot be
+/// read or written, a trace that does not decode or replay) and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("trace_replay: {msg}");
+    std::process::exit(1);
 }
 
 struct Args {
@@ -120,14 +132,11 @@ fn parse_args(raw: &[String]) -> Args {
 /// memory first, so a failed command leaves an existing output file as it
 /// was.
 fn write_output(path: &str, bytes: &[u8]) {
-    std::fs::write(path, bytes)
-        .unwrap_or_else(|e| usage_exit(&format!("cannot create {path}: {e}")));
+    std::fs::write(path, bytes).unwrap_or_else(|e| fail(&format!("cannot create {path}: {e}")));
 }
 
 fn open(path: &str) -> BufReader<File> {
-    BufReader::new(
-        File::open(path).unwrap_or_else(|e| usage_exit(&format!("cannot open {path}: {e}"))),
-    )
+    BufReader::new(File::open(path).unwrap_or_else(|e| fail(&format!("cannot open {path}: {e}"))))
 }
 
 fn main() -> ExitCode {
@@ -144,8 +153,8 @@ fn main() -> ExitCode {
             if !args.positional.is_empty() {
                 usage_exit("record takes no positional arguments");
             }
-            let sink = File::create(out)
-                .unwrap_or_else(|e| usage_exit(&format!("cannot create {out}: {e}")));
+            let sink =
+                File::create(out).unwrap_or_else(|e| fail(&format!("cannot create {out}: {e}")));
             let outcome = record_capture(
                 args.scenario,
                 BackendKind::Mono,
@@ -153,10 +162,7 @@ fn main() -> ExitCode {
                 args.seed,
                 Box::new(std::io::BufWriter::new(sink)),
             )
-            .unwrap_or_else(|e| {
-                eprintln!("trace_replay: record failed: {e}");
-                std::process::exit(1);
-            });
+            .unwrap_or_else(|e| fail(&format!("record failed: {e}")));
             println!(
                 "recorded scenario={} quick={} seed={}",
                 args.scenario.name(),
@@ -181,10 +187,8 @@ fn main() -> ExitCode {
             if args.metrics.is_some() {
                 impact_obs::set_enabled(true);
             }
-            let v = replay_file(open(file), BackendKind::Mono).unwrap_or_else(|e| {
-                eprintln!("trace_replay: replay failed: {e}");
-                std::process::exit(1);
-            });
+            let v = replay_file(open(file), BackendKind::Mono)
+                .unwrap_or_else(|e| fail(&format!("replay failed: {e}")));
             println!(
                 "replayed {} events / {} responses",
                 v.recorded.events, v.responses,
@@ -194,7 +198,7 @@ fn main() -> ExitCode {
             if let Some(path) = &args.metrics {
                 let json = impact_obs::snapshot().to_json();
                 std::fs::write(path, json)
-                    .unwrap_or_else(|e| usage_exit(&format!("cannot write {path}: {e}")));
+                    .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
                 println!("  metrics: wrote telemetry snapshot to {path}");
             }
             if v.matches() {
@@ -216,10 +220,8 @@ fn main() -> ExitCode {
             let [a, b] = &args.positional[..] else {
                 usage_exit("diff takes exactly two trace files");
             };
-            let outcome = diff_readers(open(a), open(b)).unwrap_or_else(|e| {
-                eprintln!("trace_replay: diff failed: {e}");
-                std::process::exit(1);
-            });
+            let outcome = diff_readers(open(a), open(b))
+                .unwrap_or_else(|e| fail(&format!("diff failed: {e}")));
             match outcome {
                 DiffOutcome::Identical { events } => {
                     println!("identical: {events} events, matching footers");
@@ -265,10 +267,8 @@ fn main() -> ExitCode {
             let [file] = &args.positional[..] else {
                 usage_exit("stats takes exactly one trace file");
             };
-            let (header, mix, summary) = trace_stats(open(file)).unwrap_or_else(|e| {
-                eprintln!("trace_replay: stats failed: {e}");
-                std::process::exit(1);
-            });
+            let (header, mix, summary) =
+                trace_stats(open(file)).unwrap_or_else(|e| fail(&format!("stats failed: {e}")));
             println!(
                 "trace config={} (fingerprint {:#018x}) seed={}",
                 header.label, header.fingerprint, header.seed
@@ -308,15 +308,11 @@ fn main() -> ExitCode {
                 usage_exit("slice needs --count N");
             };
             let start = args.start.unwrap_or(0);
-            let captured = CapturedTrace::read_from(open(file)).unwrap_or_else(|e| {
-                eprintln!("trace_replay: cannot read {file}: {e}");
-                std::process::exit(1);
-            });
+            let captured = CapturedTrace::read_from(open(file))
+                .unwrap_or_else(|e| fail(&format!("cannot read {file}: {e}")));
             let mut bytes = Vec::new();
-            let outcome = slice_capture(&captured, start, count, &mut bytes).unwrap_or_else(|e| {
-                eprintln!("trace_replay: slice failed: {e}");
-                std::process::exit(1);
-            });
+            let outcome = slice_capture(&captured, start, count, &mut bytes)
+                .unwrap_or_else(|e| fail(&format!("slice failed: {e}")));
             write_output(out, &bytes);
             println!(
                 "sliced events [{start}, {}) of {} into {out}",
@@ -340,17 +336,13 @@ fn main() -> ExitCode {
             let captures: Vec<CapturedTrace> = inputs
                 .iter()
                 .map(|file| {
-                    CapturedTrace::read_from(open(file)).unwrap_or_else(|e| {
-                        eprintln!("trace_replay: cannot read {file}: {e}");
-                        std::process::exit(1);
-                    })
+                    CapturedTrace::read_from(open(file))
+                        .unwrap_or_else(|e| fail(&format!("cannot read {file}: {e}")))
                 })
                 .collect();
             let mut bytes = Vec::new();
-            let outcome = merge_captures(&captures, &mut bytes).unwrap_or_else(|e| {
-                eprintln!("trace_replay: merge failed: {e}");
-                std::process::exit(1);
-            });
+            let outcome = merge_captures(&captures, &mut bytes)
+                .unwrap_or_else(|e| fail(&format!("merge failed: {e}")));
             write_output(out, &bytes);
             println!("merged {} traces into {out}", inputs.len());
             println!(

@@ -70,7 +70,8 @@ pub fn fig12(quick: bool) -> Figure {
 /// is bit-identical at any worker count. Fig. 9, Fig. 11, the ablations
 /// and the §8.4 bank study map their points the same way, over
 /// [`par::available_workers`]; this is the one that also takes the worker
-/// count as a parameter, so tests can compare counts in one process.
+/// count as a parameter, so `tests/determinism.rs` can compare counts in
+/// one process.
 ///
 /// The noisy Table 2 configuration stands in for co-running cores: the
 /// prefetcher/PTW activity creates the row conflicts that arm ACT, as in
@@ -144,20 +145,6 @@ pub fn fig12_on(quick: bool, workers: usize) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::series_bits_eq;
-
-    #[test]
-    fn defense_sweep_parallel_matches_serial() {
-        let serial = fig12_on(true, 1);
-        for workers in [2, 8] {
-            let parallel = fig12_on(true, workers);
-            assert_eq!(serial.series.len(), parallel.series.len());
-            for (a, b) in serial.series.iter().zip(&parallel.series) {
-                assert!(series_bits_eq(a, b), "{workers} workers diverged");
-            }
-            assert_eq!(serial.notes, parallel.notes);
-        }
-    }
 
     #[test]
     fn fig12_overhead_ordering() {

@@ -1,4 +1,8 @@
-//! The experiments, one per paper table/figure plus ablations.
+//! The experiments, one per paper table/figure plus ablations. Five are
+//! sweeps over independent seeded machines (fig9, fig11, fig12, the
+//! ablations and future_banks); each maps its own points over the host's
+//! cores with `impact_core::par::ordered_map`. [`suite`] lists all of
+//! them as jobs.
 
 mod ablation;
 mod covert;
@@ -20,10 +24,10 @@ use impact_sim::BackendKind;
 
 use crate::runner::ExperimentJob;
 
-/// The full paper suite as schedulable jobs: the unit
-/// [`crate::runner::run_all`] shards across worker threads. Every
-/// system-backed experiment builds a [`System`](impact_sim::System), the
-/// controller `backend` names.
+/// The full paper suite as jobs, one per experiment in paper order; the
+/// caller runs them one after another. Every system-backed experiment
+/// builds a [`System`](impact_sim::System), the controller `backend`
+/// names.
 ///
 /// `quick` shrinks message/workload sizes for CI-speed runs.
 #[must_use]

@@ -3,9 +3,10 @@
 //!
 //! Each experiment in [`experiments`] is a pure function returning a
 //! structured [`series::Figure`]; the `fig_all` binary renders them as
-//! text/CSV. [`runner::run_all`] shards whole experiments across worker
-//! threads, and Fig. 12 alone maps its defense × workload replays over
-//! threads too; both give bit-identical results at any worker count.
+//! text/CSV, one experiment after another. The five sweeps (Fig. 9,
+//! Fig. 11, Fig. 12, the ablations and the §8.4 bank study) map their
+//! points over the host's cores, with bit-identical results at any core
+//! count (see [`runner`]).
 //! The table below indexes the experiments; each figure's `note:` lines
 //! set the measured numbers beside the paper's.
 //!

@@ -37,33 +37,94 @@ fn assert_clean_failure(bin: &str, args: &[&str]) -> (i32, String) {
     (code.unwrap_or_default(), stderr)
 }
 
+/// Every row is a usage error: exit 2, the row's own message, then the
+/// usage text.
 #[test]
 fn malformed_arguments_exit_with_usage_not_a_panic() {
     let fig_all = env!("CARGO_BIN_EXE_fig_all");
     let fleet_run = env!("CARGO_BIN_EXE_fleet_run");
     let trace_replay = env!("CARGO_BIN_EXE_trace_replay");
     let bench_record = env!("CARGO_BIN_EXE_bench_record");
-    let cases: &[(&str, &[&str])] = &[
-        (fig_all, &["--jobs"]),
-        (fig_all, &["--jobs", "abc"]),
-        (fig_all, &["--jobs", "0"]),
-        (fig_all, &["--trace"]),
-        (fig_all, &["--metrics"]),
-        (fig_all, &["nosuch"]),
-        (fleet_run, &["--population"]),
-        (fleet_run, &["--population", "abc"]),
-        (fleet_run, &["--population", "99999999999999999999"]),
-        (fleet_run, &["--workers", "0", "--population", "10"]),
-        (fleet_run, &["--seed", "-1"]),
-        (trace_replay, &[]),
-        (trace_replay, &["replay"]),
-        (trace_replay, &["record"]),
-        (trace_replay, &["merge", "OUT"]),
-        (bench_record, &["--label"]),
-        (bench_record, &["--out"]),
+    let cases: &[(&str, &[&str], &str)] = &[
+        (fig_all, &["--jobs", "2"], "unknown flag"),
+        (fig_all, &["--trace"], "--trace needs a value"),
+        (fig_all, &["--metrics"], "--metrics needs a value"),
+        (fig_all, &["nosuch"], "unknown experiment"),
+        (fleet_run, &["--population"], "--population needs a value"),
+        (
+            fleet_run,
+            &["--population", "abc"],
+            "bad --population value",
+        ),
+        (
+            fleet_run,
+            &["--population", "99999999999999999999"],
+            "bad --population value",
+        ),
+        (
+            fleet_run,
+            &["--workers", "0", "--population", "10"],
+            "--workers must be at least 1",
+        ),
+        (fleet_run, &["--seed", "-1"], "bad --seed value"),
+        (trace_replay, &[], "missing subcommand"),
+        (
+            trace_replay,
+            &["replay"],
+            "replay takes exactly one trace file",
+        ),
+        (trace_replay, &["record"], "record needs --out FILE"),
+        (
+            trace_replay,
+            &["merge", "OUT"],
+            "merge takes an output file then at least two inputs",
+        ),
+        (bench_record, &["--label"], "--label needs a value"),
+        (bench_record, &["--out"], "--out needs a value"),
     ];
-    for (bin, args) in cases {
-        assert_clean_failure(bin, args);
+    for (bin, args, message) in cases {
+        let (code, stderr) = assert_clean_failure(bin, args);
+        assert_eq!(code, 2, "{args:?} is a usage error:\n{stderr}");
+        assert!(
+            stderr.contains(message),
+            "{args:?}: no {message:?} in:\n{stderr}"
+        );
+        assert!(
+            stderr.contains("usage:"),
+            "{args:?}: no usage text in:\n{stderr}"
+        );
+    }
+}
+
+/// `trace_replay` reports a file it cannot open or create as a failure of
+/// the run (exit 1, one `trace_replay: cannot …` line), not as a usage
+/// error.
+#[test]
+fn trace_replay_io_failures_are_not_usage_errors() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let missing = dir.join(format!("cli_args_no_trace_{}.trace", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let unwritable = dir
+        .join(format!("cli_args_no_dir_{}", std::process::id()))
+        .join("x.trace");
+    let unwritable = unwritable.to_str().expect("utf-8 temp path");
+    let cases: [&[&str]; 4] = [
+        &["replay", missing],
+        &["stats", missing],
+        &["diff", missing, missing],
+        &["record", "--quick", "--out", unwritable],
+    ];
+    for args in cases {
+        let (code, stderr) = assert_clean_failure(env!("CARGO_BIN_EXE_trace_replay"), args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("trace_replay: cannot "),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("usage:"),
+            "{args:?} printed the usage text:\n{stderr}"
+        );
     }
 }
 
@@ -85,22 +146,58 @@ fn fig_all_exits_quietly_when_its_reader_goes_away() {
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
 }
 
-/// A worker count far past the item count runs like one thread per
-/// item: `16 * workers` must not overflow into an empty claim.
+/// A worker count far past the session count runs like one thread per
+/// session (`ordered_map` clamps it): `16 * workers` must not overflow
+/// into an empty claim, and the report does not depend on the count.
 #[test]
-fn fig_all_accepts_a_huge_job_count() {
-    let run = |args: &[&str]| {
-        let out = Command::new(env!("CARGO_BIN_EXE_fig_all"))
+fn fleet_run_accepts_a_huge_worker_count() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let run = |workers: &str| {
+        let report = dir.join(format!(
+            "cli_args_workers_{workers}_{}.json",
+            std::process::id()
+        ));
+        let path = report.to_str().expect("utf-8 temp path");
+        let args = [
+            "--quick",
+            "--population",
+            "20",
+            "--workers",
+            workers,
+            "--out",
+            path,
+        ];
+        let out = Command::new(env!("CARGO_BIN_EXE_fleet_run"))
             .args(args)
             .output()
-            .expect("run fig_all");
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            .expect("run fleet_run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(0), "{args:?} stderr:\n{stderr}");
-        out.stdout
+        let json = std::fs::read(&report).expect("read the population report");
+        std::fs::remove_file(&report).ok();
+        json
     };
-    assert_eq!(
-        run(&["--jobs", "1152921504606846976", "table1", "table2"]),
-        run(&["table1", "table2"])
+    assert_eq!(run("1152921504606846976"), run("1"));
+}
+
+/// `fig_all` times each experiment it runs: `--metrics` holds one
+/// `sweep.experiment.wall_ns` sample per selected experiment.
+#[test]
+fn fig_all_times_each_experiment_it_runs() {
+    let metrics = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cli_args_metrics_{}.json", std::process::id()));
+    let path = metrics.to_str().expect("utf-8 temp path");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig_all"))
+        .args(["--quick", "--metrics", path, "table1", "table2"])
+        .output()
+        .expect("run fig_all");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    let json = std::fs::read_to_string(&metrics).expect("read the snapshot");
+    std::fs::remove_file(&metrics).ok();
+    assert!(
+        json.contains("\"sweep.experiment.wall_ns\": {\"count\": 2,"),
+        "{json}"
     );
 }
 

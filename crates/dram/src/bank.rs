@@ -29,14 +29,6 @@ pub struct AccessOutcome {
     pub completed_at: Cycles,
 }
 
-impl AccessOutcome {
-    /// Total latency observed by the requester: queueing + service.
-    #[must_use]
-    pub fn observed_latency(&self, requested_at: Cycles) -> Cycles {
-        self.completed_at - requested_at
-    }
-}
-
 /// Per-bank event statistics.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct BankStats {
@@ -82,12 +74,6 @@ impl BankStats {
 impl core::ops::AddAssign<&BankStats> for BankStats {
     fn add_assign(&mut self, rhs: &BankStats) {
         self.merge(rhs);
-    }
-}
-
-impl core::ops::AddAssign for BankStats {
-    fn add_assign(&mut self, rhs: BankStats) {
-        self.merge(&rhs);
     }
 }
 
@@ -176,11 +162,6 @@ impl Bank {
     #[must_use]
     pub fn stats(&self) -> &BankStats {
         &self.stats
-    }
-
-    /// Resets state and statistics.
-    pub fn reset(&mut self) {
-        *self = Bank::new();
     }
 
     /// Classifies an access to `row` at `now` without serving it.
@@ -420,7 +401,7 @@ mod tests {
         // Request issued while the bank is still busy starts late.
         let a2 = b.access(5, Cycles(1), 0, &t, p);
         assert_eq!(a2.issued_at, a1.completed_at);
-        assert!(a2.observed_latency(Cycles(1)) > a2.latency);
+        assert!(a2.completed_at - Cycles(1) > a2.latency);
     }
 
     #[test]
@@ -544,18 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let t = timing();
-        let p = RowPolicy::open_page();
-        let mut b = Bank::new();
-        b.access(5, Cycles(0), 3, &t, p);
-        b.reset();
-        assert_eq!(b.raw_open_row(), None);
-        assert_eq!(b.last_activator(), None);
-        assert_eq!(b.stats().total_accesses(), 0);
-    }
-
-    #[test]
     fn state_fold_separates_states() {
         use impact_core::hash::FNV_OFFSET;
         let t = timing();
@@ -575,7 +544,7 @@ mod tests {
         c.access(5, Cycles(0), 4, &t, p);
         assert_ne!(a.fold_state(FNV_OFFSET), c.fold_state(FNV_OFFSET));
 
-        a.reset();
+        a = Bank::new();
         assert_eq!(a.fold_state(FNV_OFFSET), fresh);
     }
 

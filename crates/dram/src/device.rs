@@ -4,7 +4,7 @@ use impact_core::config::{DramGeometry, SystemConfig};
 use impact_core::cow::CowBox;
 use impact_core::time::Cycles;
 
-use crate::bank::{AccessOutcome, Bank, BankStats, RowBufferKind};
+use crate::bank::{AccessOutcome, Bank, BankStats};
 use crate::policy::RowPolicy;
 use crate::timing::ResolvedTiming;
 
@@ -153,12 +153,6 @@ impl DramDevice {
         self.bank_mut(bank).access(row, now, actor, &timing, policy)
     }
 
-    /// Classifies an access without serving it.
-    #[must_use]
-    pub fn classify(&self, bank: usize, row: u64, now: Cycles) -> RowBufferKind {
-        self.banks[bank].classify(row, now, self.policy)
-    }
-
     /// Serves a RowClone FPM copy inside one bank, attributed to `actor`.
     ///
     /// # Panics
@@ -197,16 +191,12 @@ impl DramDevice {
         }
         total
     }
-
-    /// Resets every bank (state and statistics).
-    pub fn reset(&mut self) {
-        self.banks = CowBox::new(vec![Bank::new(); self.banks.len()]);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::RowBufferKind;
 
     fn device() -> DramDevice {
         DramDevice::from_config(&SystemConfig::paper_table2())
@@ -252,15 +242,6 @@ mod tests {
         assert_eq!(s.total_accesses(), 3);
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
-    }
-
-    #[test]
-    fn reset_restores_fresh_device() {
-        let mut d = device();
-        d.access(0, 1, Cycles(0));
-        d.reset();
-        assert_eq!(d.total_stats().total_accesses(), 0);
-        assert_eq!(d.bank(0).raw_open_row(), None);
     }
 
     /// Forks share the bank array until written: a fork's writes never

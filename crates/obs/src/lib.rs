@@ -285,8 +285,9 @@ pub struct Registry {
     pub cow_unshares: Counter,
     /// `engine.forks` — copy-on-write engine forks.
     pub engine_forks: Counter,
-    /// `sweep.experiment.wall_ns` — wall-clock per experiment job in
-    /// `impact_bench::runner::run_all` (span; empty unless [`enabled`]).
+    /// `sweep.experiment.wall_ns` — wall-clock per experiment job, timed
+    /// by `fig_all` around each `ExperimentJob::run` (span; empty unless
+    /// [`enabled`]).
     pub experiment_wall_ns: Histogram,
     /// `fleet.sessions.started` — sessions admitted by the fleet service.
     pub fleet_sessions_started: Counter,

@@ -7,11 +7,11 @@ use impact::attacks::side_channel::{SideChannelAttack, SideChannelConfig};
 use impact::attacks::{PnmCovertChannel, PumCovertChannel};
 use impact::core::config::SystemConfig;
 use impact::core::rng::SimRng;
-use impact::sim::{BackendKind, System, TracedSystem};
+use impact::sim::{System, TracedSystem};
 use impact::workloads::graph::Graph;
 use impact::workloads::{kernels, replay};
-use impact_bench::experiments::{fig12_on, suite};
-use impact_bench::runner::{run_all, series_bits_eq};
+use impact_bench::experiments::fig12_on;
+use impact_bench::runner::series_bits_eq;
 
 #[test]
 fn covert_channel_reports_are_deterministic() {
@@ -109,7 +109,7 @@ fn same_seed_systems_accumulate_identical_stats() {
 /// over the host's core count; CI compares those with the inline path by
 /// diffing `fig_all` pinned to one CPU against an unpinned run.
 #[test]
-fn sweep_runner_thread_count_is_invisible() {
+fn fig12_worker_count_is_invisible() {
     let serial = fig12_on(true, 1);
     for workers in [2, 8] {
         let parallel = fig12_on(true, workers);
@@ -201,42 +201,6 @@ fn trace_replay_reproduces_stats() {
     replay_events(&events, &mut fresh, |_| {}).unwrap();
     assert_eq!(fresh.backend_stats(), summary.stats);
     assert_eq!(fresh.dram().total_stats(), totals);
-}
-
-/// `run_all` shards whole experiments across workers with
-/// bit-identical `Series` at every thread count.
-#[test]
-fn run_all_thread_count_is_invisible() {
-    // A compact sub-suite keeps this test fast while still crossing the
-    // analytic, covert-channel and replay experiment families.
-    let keep = ["delta", "fig2", "fig8", "fig10"];
-    let jobs: Vec<_> = suite(true, BackendKind::Mono)
-        .into_iter()
-        .filter(|j| keep.contains(&j.id()))
-        .collect();
-    let serial = run_all(&jobs, 1);
-    for threads in [2, 4, 8] {
-        let parallel = run_all(&jobs, threads);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.id, b.id, "suite order changed at {threads} threads");
-            assert_eq!(
-                a.series.len(),
-                b.series.len(),
-                "{}: series count diverged",
-                a.id
-            );
-            for (sa, sb) in a.series.iter().zip(&b.series) {
-                assert!(
-                    series_bits_eq(sa, sb),
-                    "{}/{} diverged at {threads} threads",
-                    a.id,
-                    sa.name
-                );
-            }
-            assert_eq!(a.notes, b.notes, "{}: notes diverged", a.id);
-        }
-    }
 }
 
 #[test]

@@ -25,7 +25,7 @@ use impact::memctrl::{ActConfig, Defense, PeriodicBlock};
 use impact::sim::{BackendKind, System};
 use impact::workloads::CapturedTrace;
 use impact_bench::experiments::suite;
-use impact_bench::runner::run_all;
+use impact_bench::runner::ExperimentJob;
 use impact_bench::trace_tools::{
     merge_captures, record_capture, replay_file, slice_capture, CaptureKind, CaptureOutcome,
     TraceScenario,
@@ -35,8 +35,11 @@ use impact_bench::trace_tools::{
 /// by the blank line `fig_all` prints after it.
 #[test]
 fn quick_suite_text_is_pinned() {
-    let figs = run_all(&suite(true, BackendKind::Mono), 1);
-    let text: String = figs.iter().map(|fig| fig.render_text() + "\n").collect();
+    let text: String = suite(true, BackendKind::Mono)
+        .iter()
+        .map(ExperimentJob::run)
+        .map(|fig| fig.render_text() + "\n")
+        .collect();
     assert_eq!(
         fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
         0xfeaa_f24d_6159_5b5b
@@ -47,8 +50,11 @@ fn quick_suite_text_is_pinned() {
 /// digest).
 #[test]
 fn full_suite_text_is_pinned() {
-    let figs = run_all(&suite(false, BackendKind::Mono), 1);
-    let text: String = figs.iter().map(|fig| fig.render_text() + "\n").collect();
+    let text: String = suite(false, BackendKind::Mono)
+        .iter()
+        .map(ExperimentJob::run)
+        .map(|fig| fig.render_text() + "\n")
+        .collect();
     assert_eq!(
         fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
         0x524d_13b2_dfb8_6c2a

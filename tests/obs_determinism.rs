@@ -15,7 +15,7 @@ use impact::core::time::Cycles;
 use impact::memctrl::MemoryController;
 use impact::sim::{BackendKind, System};
 use impact_bench::experiments::suite;
-use impact_bench::runner::run_all;
+use impact_bench::runner::ExperimentJob;
 use impact_bench::trace_tools::{record_capture, CaptureKind};
 
 /// A shared in-memory sink for `record_capture`.
@@ -36,11 +36,12 @@ impl std::io::Write for SharedBuf {
 /// families — fast in quick mode, still crossing the instrumented tiers).
 fn render_subsuite() -> String {
     let keep = ["delta", "fig8", "fig10"];
-    let jobs: Vec<_> = suite(true, BackendKind::Mono)
-        .into_iter()
+    suite(true, BackendKind::Mono)
+        .iter()
         .filter(|j| keep.contains(&j.id()))
-        .collect();
-    run_all(&jobs, 1).iter().map(|f| f.render_text()).collect()
+        .map(ExperimentJob::run)
+        .map(|f| f.render_text())
+        .collect()
 }
 
 /// The figure bytes are identical with telemetry clocks off and on — the
