@@ -11,8 +11,9 @@
 //!
 //! The experiments run one after another, in suite order or in the order
 //! given (duplicates included); the five sweeps among them map their own
-//! points over the host's cores. The rendered output is printed once
-//! every experiment has finished.
+//! points over the host's cores. Each figure is printed as its experiment
+//! returns, so a reader that goes away (`fig_all | head -1`) ends the run
+//! at the next figure, with exit status 0.
 //!
 //! `--trace PATH` loads a trace captured with `trace_replay record` and
 //! appends it to the suite as the `trace` experiment (a prefix-replay
@@ -27,12 +28,11 @@
 //! byte.
 
 use std::env;
-use std::io::{self, Write};
+use std::io;
 
 use impact_bench::experiments;
-use impact_bench::runner::ExperimentJob;
+use impact_bench::runner::{run_and_print, ExperimentJob};
 use impact_bench::trace_tools::TraceScenario;
-use impact_bench::Figure;
 use impact_sim::BackendKind;
 use impact_workloads::CapturedTrace;
 
@@ -45,21 +45,6 @@ fn usage_exit(msg: &str) -> ! {
         .collect();
     eprintln!("experiments: {}", ids.join(", "));
     std::process::exit(2);
-}
-
-/// Writes every figure through one locked stdout.
-fn render_all(figures: &[Figure], csv: bool) -> io::Result<()> {
-    let mut out = io::stdout().lock();
-    for fig in figures {
-        if csv {
-            writeln!(out, "# {}", fig.id)?;
-            write!(out, "{}", fig.render_csv())?;
-        } else {
-            write!(out, "{}", fig.render_text())?;
-        }
-        writeln!(out)?;
-    }
-    out.flush()
 }
 
 fn main() {
@@ -119,14 +104,7 @@ fn main() {
     });
     jobs.extend(&trace_job);
 
-    let figures: Vec<Figure> = jobs
-        .iter()
-        .map(|job| {
-            let _span = impact_obs::registry().experiment_wall_ns.span();
-            job.run()
-        })
-        .collect();
-    match render_all(&figures, csv) {
+    match run_and_print(jobs, csv, &mut io::stdout().lock()) {
         Ok(()) => {}
         // The reader has gone (`fig_all | head`): nothing is left to do.
         Err(e) if e.kind() == io::ErrorKind::BrokenPipe => std::process::exit(0),

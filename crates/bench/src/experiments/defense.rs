@@ -6,10 +6,10 @@ use impact_core::config::SystemConfig;
 use impact_core::par;
 use impact_core::rng::SimRng;
 use impact_core::stats::geometric_mean;
-use impact_memctrl::{ActConfig, Defense};
+use impact_memctrl::{ActConfig, Defense, MemoryController};
 use impact_sim::System;
 use impact_workloads::graph::Graph;
-use impact_workloads::{kernels, replay, Trace};
+use impact_workloads::{kernels, replay_lanes, Trace};
 
 use crate::{Figure, Series};
 
@@ -65,10 +65,12 @@ pub fn fig12(quick: bool) -> Figure {
     fig12_on(quick, par::available_workers())
 }
 
-/// [`fig12`] with its 25 (defense, workload) replays mapped over
-/// `workers` threads. Each replay builds its own [`System`], so the figure
-/// is bit-identical at any worker count. Fig. 9, Fig. 11, the ablations
-/// and the §8.4 bank study map their points the same way, over
+/// [`fig12`] with its five workloads mapped over `workers` threads. Each
+/// workload replays its trace once, on a seeded [`System`] of its own:
+/// the system's controller runs the no-defense baseline and one lane per
+/// defense runs that row ([`replay_lanes`]). So the figure is
+/// bit-identical at any worker count. Fig. 9, Fig. 11, the ablations and
+/// the §8.4 bank study map their points the same way, over
 /// [`par::available_workers`]; this is the one that also takes the worker
 /// count as a parameter, so `tests/determinism.rs` can compare counts in
 /// one process.
@@ -79,26 +81,27 @@ pub fn fig12(quick: bool) -> Figure {
 #[must_use]
 pub fn fig12_on(quick: bool, workers: usize) -> Figure {
     let workloads = fig12_workloads(quick);
-    // Row 0 is the no-defense baseline; the defended rows follow.
-    let rows: Vec<Option<Defense>> = std::iter::once(None)
-        .chain(defenses().into_iter().map(Some))
-        .collect();
-    let points: Vec<(&Option<Defense>, &Trace)> = rows
-        .iter()
-        .flat_map(|defense| workloads.iter().map(move |(_, trace)| (defense, trace)))
-        .collect();
-    let cycles = par::ordered_map(points, workers, |(defense, trace)| {
-        let mut sys = System::new(fig12_system());
-        if let Some(d) = defense {
-            sys.set_defense(d.clone());
-        }
-        let agent = sys.spawn_agent();
-        replay(&mut sys, agent, trace)
-            .expect("replay")
-            .cycles
-            .as_f64()
-    });
-    let (baseline, defended_cycles) = cycles.split_at(workloads.len());
+    let defenses = defenses();
+    // Per workload: the baseline's cycles, then each defense's.
+    let rows: Vec<Vec<f64>> =
+        par::ordered_map(workloads.iter().collect(), workers, |(_, trace)| {
+            let cfg = fig12_system();
+            let mut lanes: Vec<MemoryController> = defenses
+                .iter()
+                .map(|defense| {
+                    let mut ctrl = MemoryController::from_config(&cfg);
+                    ctrl.set_defense(defense.clone());
+                    ctrl
+                })
+                .collect();
+            let mut sys = System::new(cfg);
+            let agent = sys.spawn_agent();
+            replay_lanes(&mut sys, agent, trace, &mut lanes)
+                .expect("replay")
+                .iter()
+                .map(|report| report.cycles.as_f64())
+                .collect()
+        });
 
     let mut fig = Figure::new(
         "fig12",
@@ -108,12 +111,8 @@ pub fn fig12_on(quick: bool, workers: usize) -> Figure {
     );
     // Legends come from `Defense::name()`, so the figure always matches
     // the paper's labels.
-    for (defense, row) in rows
-        .iter()
-        .flatten()
-        .zip(defended_cycles.chunks(workloads.len()))
-    {
-        let normalized: Vec<f64> = row.iter().zip(baseline).map(|(c, b)| c / b).collect();
+    for (i, defense) in defenses.iter().enumerate() {
+        let normalized: Vec<f64> = rows.iter().map(|row| row[i + 1] / row[0]).collect();
         let mut points: Vec<(f64, f64)> = normalized
             .iter()
             .enumerate()
@@ -145,6 +144,94 @@ pub fn fig12_on(quick: bool, workers: usize) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use impact_cache::CacheHierarchy;
+    use impact_core::addr::PhysAddr;
+    use impact_core::engine::MemoryBackend;
+    use impact_memctrl::ControllerBackend;
+    use impact_workloads::replay;
+    use impact_workloads::trace::TraceBuilder;
+
+    /// One store to every line of twice the LLC, in order: the second
+    /// half evicts the first half's dirty lines, so write-backs reach
+    /// memory. (Fig. 12's kernels write back nothing at its cache sizes.)
+    fn store_sweep(cfg: &SystemConfig) -> Trace {
+        let lines = 2 * cfg.l3.size_bytes / 64;
+        let mut b = TraceBuilder::new();
+        let base = b.region(lines * 64);
+        for line in 0..lines {
+            b.store(base, line, 64, 3);
+        }
+        b.finish()
+    }
+
+    /// The no-defense baseline plus every other defense a lane may run.
+    fn lane_defenses() -> Vec<Defense> {
+        [Defense::None, Defense::Crp]
+            .into_iter()
+            .chain(defenses())
+            .collect()
+    }
+
+    /// Replays `trace` once with a lane per defense and requires every
+    /// side to equal a fresh `System` with that defense replaying alone:
+    /// cycles, operation and row-buffer counts, controller statistics and
+    /// the final DRAM state.
+    fn assert_lanes_match_fresh_replays(cfg: &SystemConfig, name: &str, trace: &Trace) {
+        let mut lanes: Vec<MemoryController> = lane_defenses()
+            .into_iter()
+            .map(|defense| {
+                let mut ctrl = MemoryController::from_config(cfg);
+                ctrl.set_defense(defense);
+                ctrl
+            })
+            .collect();
+        let mut sys = System::new(cfg.clone());
+        let agent = sys.spawn_agent();
+        let reports = replay_lanes(&mut sys, agent, trace, &mut lanes).unwrap();
+        assert_eq!(reports.len(), 1 + lanes.len());
+        let sides = std::iter::once(sys.memctrl()).chain(&lanes);
+        let defenses = std::iter::once(Defense::None).chain(lane_defenses());
+        for ((defense, ctrl), report) in defenses.zip(sides).zip(reports) {
+            let label = format!("{name} under {}", defense.name());
+            let mut fresh = System::new(cfg.clone());
+            fresh.set_defense(defense);
+            let a = fresh.spawn_agent();
+            assert_eq!(report, replay(&mut fresh, a, trace).unwrap(), "{label}");
+            assert_eq!(
+                ctrl.backend_stats(),
+                fresh.backend().backend_stats(),
+                "{label}"
+            );
+            assert_eq!(
+                ctrl.dram_state_digest(),
+                fresh.backend().dram_state_digest(),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn lanes_match_fresh_replays_on_both_machines() {
+        for cfg in [fig12_system(), SystemConfig::paper_table2_noiseless()] {
+            for (name, trace) in fig12_workloads(true) {
+                assert_lanes_match_fresh_replays(&cfg, name, &trace);
+            }
+        }
+    }
+
+    #[test]
+    fn store_sweep_write_backs_reach_every_lane() {
+        let cfg = fig12_system();
+        let trace = store_sweep(&cfg);
+        let mut caches = CacheHierarchy::from_config(&cfg);
+        let writebacks: u32 = trace
+            .ops()
+            .iter()
+            .map(|op| caches.store(PhysAddr(u64::from(op.offset))).writebacks)
+            .sum();
+        assert!(writebacks > 1000, "the sweep wrote back {writebacks} lines");
+        assert_lanes_match_fresh_replays(&cfg, "store sweep", &trace);
+    }
 
     #[test]
     fn fig12_overhead_ordering() {

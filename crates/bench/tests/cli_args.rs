@@ -138,7 +138,9 @@ fn fig_all_exits_quietly_when_its_reader_goes_away() {
         .stderr(Stdio::piped())
         .spawn()
         .expect("run fig_all");
-    // Figures print only once every experiment has run, long after this.
+    // Each figure prints as its experiment returns, the first once delta
+    // has run, well after this drop: the first write that meets the
+    // closed pipe ends the run, and no later experiment starts.
     drop(child.stdout.take());
     let out = child.wait_with_output().expect("wait for fig_all");
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -9,14 +9,16 @@
 
 use std::sync::Arc;
 
-use impact_cache::{CacheHierarchy, HitLevel, IpStridePrefetcher, Prefetcher, StreamerPrefetcher};
+use impact_cache::{
+    CacheHierarchy, HierarchyOutcome, HitLevel, IpStridePrefetcher, Prefetcher, StreamerPrefetcher,
+};
 use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::SystemConfig;
 use impact_core::engine::{MemRequest, MemoryBackend};
-use impact_core::error::Result;
+use impact_core::error::{Error, Result};
 use impact_core::time::Cycles;
 use impact_dram::RowBufferKind;
-use impact_memctrl::MemoryController;
+use impact_memctrl::{Defense, MemoryController};
 use impact_pim::pei::{ExecSite, PeiEngine};
 
 use crate::memory::{FrameAllocator, PageTable};
@@ -95,6 +97,100 @@ pub struct ProbeSample {
     pub kind: Option<RowBufferKind>,
     /// Where the PMU executed the probe.
     pub site: ExecSite,
+}
+
+/// A second memory side for the engine's front end: a controller that
+/// receives the requests the engine's own backend receives, each timed by
+/// this lane's own copy of the accessing agent's clock.
+///
+/// [`Engine::access_lanes`] runs the front end of a cached access once:
+/// translation, the TLB, the caches, the prefetchers and the noise draw.
+/// It runs the memory side once per lane: the demand request, the
+/// write-backs, the prefetch requests, the noise activations and the clock
+/// advance. That equals running the access on a separate engine per
+/// controller exactly while the front end never reads a latency, which
+/// holds for one in-order, blocking agent (`impact_workloads::replay`).
+/// Open a lane with [`Engine::lane`].
+#[derive(Debug)]
+pub struct Lane<'a> {
+    ctrl: &'a mut MemoryController,
+    clock: Cycles,
+}
+
+impl Lane<'_> {
+    /// This lane's copy of the agent's clock.
+    #[must_use]
+    pub fn now(&self) -> Cycles {
+        self.clock
+    }
+
+    /// Advances this lane's clock by `d` (compute time), as
+    /// [`Engine::advance`] does the agent's.
+    pub fn advance(&mut self, d: Cycles) {
+        self.clock += d;
+    }
+
+    /// The lane's controller.
+    #[must_use]
+    pub fn controller(&self) -> &MemoryController {
+        self.ctrl
+    }
+}
+
+/// The memory side of one cached access, as the front end resolved it.
+#[derive(Clone, Copy)]
+struct MemorySide {
+    pa: PhysAddr,
+    tlb_lat: Cycles,
+    hier: HierarchyOutcome,
+    write: bool,
+    actor: u32,
+}
+
+impl MemorySide {
+    /// Sends the demand request and the write-backs to `mem`, timed from
+    /// `clock`, and advances `clock` by the access's latency. Returns that
+    /// latency and the demand's row-buffer kind.
+    #[inline]
+    fn serve<M: MemoryBackend>(
+        self,
+        mem: &mut M,
+        clock: &mut Cycles,
+    ) -> Result<(Cycles, Option<RowBufferKind>)> {
+        let start = *clock + self.tlb_lat;
+        let mut latency = self.tlb_lat + self.hier.latency;
+        let mut kind = None;
+        if self.hier.level == HitLevel::Memory {
+            let at = start + self.hier.latency;
+            let req = if self.write {
+                MemRequest::store(self.pa, at, self.actor)
+            } else {
+                MemRequest::load(self.pa, at, self.actor)
+            };
+            let m = mem.service(&req)?;
+            latency += m.latency;
+            kind = Some(m.kind);
+        }
+        // Dirty victims written back to memory perturb bank state but are
+        // off the critical path. Each goes to `pa`, the line the demand
+        // just served, not to the victim's line: `HierarchyOutcome`
+        // carries only a count (ROADMAP item 11). So a write-back cannot
+        // be refused where the demand was served.
+        for _ in 0..self.hier.writebacks {
+            let _ = mem.service(&MemRequest::store(self.pa, start + latency, self.actor));
+        }
+        *clock += latency;
+        Ok((latency, kind))
+    }
+}
+
+/// The error for a lane that stopped following the engine's backend.
+#[cold]
+fn out_of_step(what: &str) -> Error {
+    Error::InvalidConfig(format!(
+        "a lane and the engine's backend disagree on {what}; \
+         lanes need the engine's DRAM geometry and no MPR"
+    ))
 }
 
 /// One co-simulated agent's private state: its clock, TLB and page table.
@@ -322,11 +418,11 @@ impl<B: MemoryBackend> Engine<B> {
     ///
     /// # Errors
     ///
-    /// Propagates translation and backend errors. On a partition-violation
-    /// (MPR) the clock has already advanced past the lookup; state is
-    /// otherwise untouched.
+    /// Propagates translation and backend errors. On a partition violation
+    /// (MPR) the TLB and the caches have already seen the access; the
+    /// clock, the prefetchers and the noise source have not.
     pub fn load(&mut self, agent: AgentId, va: VirtAddr) -> Result<LoadInfo> {
-        self.cached_access(agent, va, false)
+        self.access_lanes(agent, va, false, &mut [])
     }
 
     /// Cached store (write-allocate).
@@ -335,42 +431,96 @@ impl<B: MemoryBackend> Engine<B> {
     ///
     /// As for [`Engine::load`].
     pub fn store(&mut self, agent: AgentId, va: VirtAddr) -> Result<LoadInfo> {
-        self.cached_access(agent, va, true)
+        self.access_lanes(agent, va, true, &mut [])
     }
 
-    fn cached_access(&mut self, agent: AgentId, va: VirtAddr, write: bool) -> Result<LoadInfo> {
+    /// Opens a [`Lane`] over `ctrl` for `agent`, its clock at the agent's.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] when `ctrl`'s DRAM geometry differs from
+    /// the engine's, so noise rows and address checks would not carry
+    /// over, or when `ctrl` runs [`Defense::Mpr`], under which whether a
+    /// request is served depends on its actor.
+    pub fn lane<'a>(&self, agent: AgentId, ctrl: &'a mut MemoryController) -> Result<Lane<'a>> {
+        if *ctrl.dram().geometry() != self.cfg.dram_geometry {
+            return Err(Error::InvalidConfig(
+                "a lane's DRAM geometry differs from the engine's".into(),
+            ));
+        }
+        if matches!(ctrl.defense(), Defense::Mpr(_)) {
+            return Err(Error::InvalidConfig(
+                "a lane cannot run MPR: its acceptance depends on the actor".into(),
+            ));
+        }
+        Ok(Lane {
+            ctrl,
+            clock: self.now(agent),
+        })
+    }
+
+    /// A cached load (`write == false`) or store whose memory side also
+    /// runs on every lane; [`Engine::load`] and [`Engine::store`] are the
+    /// case with no lanes. The front end runs once. Then the engine's
+    /// backend and each lane in turn get the demand request and the
+    /// write-backs, the prefetch requests and the noise activations, each
+    /// timed by its own clock, in the order and at the offsets a lone
+    /// engine uses. A prefetched line fills the caches once, if every side
+    /// served it. Returns the engine's own [`LoadInfo`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Engine::load`], from the engine's own side, before any
+    /// lane moves. [`Error::InvalidConfig`] when a lane refuses a request
+    /// the engine's backend served or the other way round; the lanes are
+    /// then out of step with the engine.
+    // Inlined because `load` and `store`, its no-lane case, sit on every
+    // attack's hot path: outlined, it cost perfbench's traced fig9
+    // re-drive about 3% (2-vCPU host).
+    #[inline]
+    pub fn access_lanes(
+        &mut self,
+        agent: AgentId,
+        va: VirtAddr,
+        write: bool,
+        lanes: &mut [Lane<'_>],
+    ) -> Result<LoadInfo> {
         let (pa, tlb_lat) = self.translate(agent, va)?;
-        let start = self.now(agent) + tlb_lat;
-        let h = if write {
+        let hier = if write {
             self.caches.store(pa)
         } else {
             self.caches.load(pa)
         };
-        let mut latency = tlb_lat + h.latency;
-        let mut kind = None;
-        if h.level == HitLevel::Memory {
-            let req = if write {
-                MemRequest::store(pa, start + h.latency, agent.0)
-            } else {
-                MemRequest::load(pa, start + h.latency, agent.0)
-            };
-            let m = self.backend.service(&req)?;
-            latency += m.latency;
-            kind = Some(m.kind);
+        let side = MemorySide {
+            pa,
+            tlb_lat,
+            hier,
+            write,
+            actor: agent.0,
+        };
+        let clock = &mut self.agents[agent.0 as usize].clock;
+        let (latency, kind) = side.serve(&mut self.backend, clock)?;
+        // The traffic off the critical path lands at `start + latency`:
+        // each side's advanced clock plus the translation latency.
+        let now = *clock + tlb_lat;
+        for lane in lanes.iter_mut() {
+            side.serve(&mut *lane.ctrl, &mut lane.clock)
+                .map_err(|_| out_of_step("a demand access"))?;
         }
-        // Dirty victims written back to memory perturb bank state but are
-        // off the critical path.
-        for _ in 0..h.writebacks {
-            let _ = self
-                .backend
-                .service(&MemRequest::store(pa, start + latency, agent.0));
+        if self.prefetchers_enabled {
+            let missed = hier.level == HitLevel::Memory;
+            self.run_prefetchers(va, pa, missed, now, tlb_lat, lanes)?;
         }
-        self.run_prefetchers(va, pa, h.level == HitLevel::Memory, start + latency);
-        self.noise.perturb(&mut self.backend, start + latency);
-        self.advance(agent, latency);
+        self.noise.draw(&mut self.backend, |backend, bank, row| {
+            backend.inject_row_activation(bank, row, now, NOISE_ACTOR);
+            for lane in lanes.iter_mut() {
+                let at = lane.clock + tlb_lat;
+                lane.ctrl.inject_row_activation(bank, row, at, NOISE_ACTOR);
+            }
+        });
         Ok(LoadInfo {
             latency,
-            level: h.level,
+            level: hier.level,
             kind,
         })
     }
@@ -826,23 +976,40 @@ impl<B: MemoryBackend> Engine<B> {
         self.burst_eligible(agent, &probes, monitored)
     }
 
-    fn run_prefetchers(&mut self, va: VirtAddr, pa: PhysAddr, missed: bool, now: Cycles) {
-        if !self.prefetchers_enabled {
-            return;
-        }
+    /// Trains the prefetchers on one access and sends their requests to
+    /// the engine's backend at `now` and to every lane `tlb_lat` past its
+    /// clock. A prefetched line fills the caches once, if every side
+    /// served it.
+    #[inline]
+    fn run_prefetchers(
+        &mut self,
+        va: VirtAddr,
+        pa: PhysAddr,
+        missed: bool,
+        now: Cycles,
+        tlb_lat: Cycles,
+        lanes: &mut [Lane<'_>],
+    ) -> Result<()> {
         let ip = va.page_number(); // stream id proxy
         let mut reqs = self.ip_prefetcher.observe(ip, pa, missed);
         reqs.extend(self.streamer.observe(ip, pa, missed));
         for r in reqs {
             // Prefetches fill caches and touch DRAM rows (noise).
-            if self
+            let served = self
                 .backend
                 .service(&MemRequest::load(r.addr, now, NOISE_ACTOR))
-                .is_ok()
-            {
+                .is_ok();
+            for lane in lanes.iter_mut() {
+                let req = MemRequest::load(r.addr, lane.clock + tlb_lat, NOISE_ACTOR);
+                if lane.ctrl.service(&req).is_ok() != served {
+                    return Err(out_of_step("a prefetch"));
+                }
+            }
+            if served {
                 let _ = self.caches.load(r.addr);
             }
         }
+        Ok(())
     }
 }
 

@@ -32,37 +32,44 @@ impl NoiseInjector {
         }
     }
 
-    /// Possibly injects noise accesses after a demand operation at `now`.
-    ///
-    /// With probability `prefetcher_rate` a random row in a random bank is
-    /// activated (stream prefetch trained on an unrelated application);
-    /// with probability `ptw_rate` a page-table-walk access does the same.
-    /// Injected accesses never fail: they target bank-local rows directly
-    /// through the backend's activation hook, bypassing mapping and
-    /// defenses.
+    /// Possibly injects noise accesses after a demand operation at `now`:
+    /// one [`NoiseInjector::draw`], each activation injected into `mem`.
     pub fn perturb<B: MemoryBackend>(&mut self, mem: &mut B, now: Cycles) {
-        let total_rate = self.cfg.prefetcher_rate + self.cfg.ptw_rate;
-        if total_rate <= 0.0 {
+        self.draw(mem, |mem, bank, row| {
+            mem.inject_row_activation(bank, row, now, NOISE_ACTOR);
+        });
+    }
+
+    /// Draws one operation's noise and hands each activation to `activate`
+    /// as `(mem, bank, row)`, in draw order.
+    ///
+    /// With probability `prefetcher_rate` a random row in a random bank of
+    /// `mem` is activated (stream prefetch trained on an unrelated
+    /// application); with probability `ptw_rate` a page-table-walk access
+    /// does the same. Injected accesses never fail: they target bank-local
+    /// rows directly through the backend's activation hook, bypassing
+    /// mapping and defenses. So `activate` may inject one draw into several
+    /// backends of `mem`'s geometry, as the engine's lanes do.
+    pub fn draw<B: MemoryBackend>(
+        &mut self,
+        mem: &mut B,
+        mut activate: impl FnMut(&mut B, usize, u64),
+    ) {
+        if self.cfg.prefetcher_rate + self.cfg.ptw_rate <= 0.0 {
             return;
         }
-        if self.rng.chance(self.cfg.prefetcher_rate) {
-            self.activate_random_row(mem, now);
-        }
-        if self.rng.chance(self.cfg.ptw_rate) {
-            self.activate_random_row(mem, now);
+        for rate in [self.cfg.prefetcher_rate, self.cfg.ptw_rate] {
+            if self.rng.chance(rate) {
+                let bank = self.rng.below(mem.num_banks() as u64) as usize;
+                let row = self.rng.below(mem.rows_per_bank());
+                self.events += 1;
+                activate(mem, bank, row);
+            }
         }
     }
 
-    fn activate_random_row<B: MemoryBackend>(&mut self, mem: &mut B, now: Cycles) {
-        let banks = mem.num_banks() as u64;
-        let rows = mem.rows_per_bank();
-        let bank = self.rng.below(banks) as usize;
-        let row = self.rng.below(rows);
-        mem.inject_row_activation(bank, row, now, NOISE_ACTOR);
-        self.events += 1;
-    }
-
-    /// Number of noise accesses injected so far.
+    /// Number of noise activations drawn so far (a draw injected into
+    /// several lanes counts once).
     #[must_use]
     pub fn events(&self) -> u64 {
         self.events

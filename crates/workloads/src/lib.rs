@@ -9,7 +9,11 @@
 //! answer, which the tests check) that simultaneously emits a memory trace
 //! ([`trace::Trace`]) of its data-structure accesses. The trace is replayed
 //! through the simulated memory system ([`replay()`]) under each defense to
-//! measure normalized execution time.
+//! measure normalized execution time. [`replay_lanes`] replays it once for
+//! several defenses: one pass through translation, the TLB, the caches,
+//! the prefetchers and the noise draws drives one controller per defense
+//! (valid for the in-order, blocking replay core; see the
+//! [`mod@replay`] module docs).
 //!
 //! # Example
 //!
@@ -31,6 +35,6 @@ pub mod trace;
 
 pub use captured::{CapturedTrace, RequestMix};
 pub use graph::Graph;
-pub use replay::replay;
 pub use replay::ReplayReport;
+pub use replay::{replay, replay_lanes};
 pub use trace::{MemOp, OpKind, Trace};

@@ -5,11 +5,33 @@
 //! The core model is in-order and blocking: execution time is the sum of
 //! compute gaps and memory latencies, which makes defense-imposed latency
 //! padding directly visible.
+//!
+//! # One front end, several controllers
+//!
+//! [`replay_lanes`] replays a trace once and reports it for the engine's
+//! own controller and for every extra controller it is given, each a
+//! [`Lane`] with its own copy of the agent's clock. [`replay`] is the case
+//! with no extra controller. Fig. 12 replays each kernel once for its five
+//! rows this way, where it used to replay it five times.
+//!
+//! This is valid because the replaying agent is one in-order, blocking
+//! core. Translation, the TLB, the three cache levels, the prefetcher
+//! tables and the noise draws then depend on the address sequence alone,
+//! never on a latency or on the installed defense, so every controller
+//! sees the requests a replay of its own would send it, at the times that
+//! replay would send them. Each lane's cycles, row-buffer counts and
+//! final DRAM state equal those of a fresh engine over that controller
+//! (pinned for Fig. 12's kernels and an LLC-overflowing store sweep).
+//!
+//! It stops being valid once the front end depends on timing. ROADMAP
+//! item 14's four interleaved cores with outstanding misses would order
+//! the agents' accesses by their latencies, so that change must prove
+//! this equivalence again or give up the lanes.
 
 use impact_core::error::Result;
 use impact_core::time::Cycles;
-use impact_memctrl::ControllerBackend;
-use impact_sim::{AgentId, Engine};
+use impact_memctrl::{ControllerBackend, MemoryController};
+use impact_sim::{AgentId, Engine, Lane};
 
 use crate::trace::{OpKind, Trace};
 
@@ -42,6 +64,29 @@ pub fn replay<B: ControllerBackend>(
     agent: AgentId,
     trace: &Trace,
 ) -> Result<ReplayReport> {
+    Ok(replay_lanes(sys, agent, trace, &mut [])?[0])
+}
+
+/// Replays `trace` as `agent` on `sys` once, with `lanes` as extra
+/// memory sides (see the module docs). Returns one report per
+/// controller: `sys`'s own first, then one per lane in order. Each equals
+/// what [`replay`] reports on an engine over that controller.
+///
+/// # Errors
+///
+/// [`impact_core::Error::InvalidConfig`], before any access, for a lane
+/// whose DRAM geometry differs from `sys`'s or that runs MPR (see
+/// [`Engine::lane`]); then as for [`replay`].
+pub fn replay_lanes<B: ControllerBackend>(
+    sys: &mut Engine<B>,
+    agent: AgentId,
+    trace: &Trace,
+    lanes: &mut [MemoryController],
+) -> Result<Vec<ReplayReport>> {
+    let mut lanes = lanes
+        .iter_mut()
+        .map(|ctrl| sys.lane(agent, ctrl))
+        .collect::<Result<Vec<Lane<'_>>>>()?;
     let geometry = sys.config().dram_geometry;
     let rotation_bytes = u64::from(geometry.total_banks()) * geometry.row_bytes;
     let rotations = trace.footprint().div_ceil(rotation_bytes).max(1);
@@ -52,24 +97,38 @@ pub fn replay<B: ControllerBackend>(
         rotations * rotation_bytes / impact_core::addr::PAGE_SIZE,
     );
 
-    let hits0 = sys.dram_totals();
-    let start = sys.now(agent);
+    // Each side's clock and DRAM totals: `sys`'s own, then each lane's.
+    let mark = |sys: &Engine<B>, lanes: &[Lane<'_>]| {
+        std::iter::once((sys.now(agent), sys.dram_totals()))
+            .chain(
+                lanes
+                    .iter()
+                    .map(|l| (l.now(), l.controller().dram_totals())),
+            )
+            .collect::<Vec<_>>()
+    };
+    let before = mark(sys, &lanes);
     for op in trace.ops() {
-        sys.advance(agent, Cycles(u64::from(op.gap)));
+        let gap = Cycles(u64::from(op.gap));
+        sys.advance(agent, gap);
+        for lane in &mut lanes {
+            lane.advance(gap);
+        }
         let va = base + u64::from(op.offset);
-        match op.kind {
-            OpKind::Load => sys.load(agent, va)?,
-            OpKind::Store => sys.store(agent, va)?,
-        };
+        sys.access_lanes(agent, va, op.kind == OpKind::Store, &mut lanes)?;
     }
-    let stats = sys.dram_totals();
-    Ok(ReplayReport {
-        cycles: sys.now(agent) - start,
-        ops: trace.len() as u64,
-        row_hits: stats.hits - hits0.hits,
-        row_misses: stats.misses - hits0.misses,
-        row_conflicts: stats.conflicts - hits0.conflicts,
-    })
+    let after = mark(sys, &lanes);
+    Ok(before
+        .into_iter()
+        .zip(after)
+        .map(|((start, s0), (end, s1))| ReplayReport {
+            cycles: end - start,
+            ops: trace.len() as u64,
+            row_hits: s1.hits - s0.hits,
+            row_misses: s1.misses - s0.misses,
+            row_conflicts: s1.conflicts - s0.conflicts,
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -78,7 +137,8 @@ mod tests {
     use crate::graph::Graph;
     use crate::kernels;
     use impact_core::config::SystemConfig;
-    use impact_memctrl::Defense;
+    use impact_core::Error;
+    use impact_memctrl::{Defense, MprPartition};
     use impact_sim::System;
 
     fn sys() -> System {
@@ -138,6 +198,28 @@ mod tests {
             r.row_misses + r.row_conflicts > dram_total / 8,
             "unexpectedly row-local: {r:?}"
         );
+    }
+
+    #[test]
+    fn lanes_refuse_mpr_and_a_foreign_geometry_before_any_access() {
+        let g = Graph::uniform_random(64, 256, 1);
+        let (_, trace) = kernels::bfs(&g, 0);
+        let cfg = SystemConfig::paper_table2_noiseless();
+        let mut mpr = MemoryController::from_config(&cfg);
+        mpr.set_defense(Defense::Mpr(MprPartition::new(16)));
+        let wide = MemoryController::from_config(&cfg.clone().with_total_banks(32));
+        for bad in [mpr, wide] {
+            let mut s = sys();
+            let a = s.spawn_agent();
+            let mut lanes = [MemoryController::from_config(&cfg), bad];
+            let err = replay_lanes(&mut s, a, &trace, &mut lanes).unwrap_err();
+            assert!(matches!(err, Error::InvalidConfig(_)), "{err}");
+            assert_eq!(s.now(a), Cycles::ZERO);
+            assert_eq!(s.dram_totals().total_accesses(), 0);
+            assert!(lanes
+                .iter()
+                .all(|l| l.dram().total_stats().total_accesses() == 0));
+        }
     }
 
     #[test]

@@ -10,21 +10,16 @@ use impact::attacks::PnmCovertChannel;
 use impact::core::config::SystemConfig;
 use impact::core::rng::SimRng;
 use impact::core::Error;
-use impact::memctrl::{ActConfig, Defense, MprPartition};
+use impact::memctrl::{ActConfig, Defense, MemoryController, MprPartition};
 use impact::sim::System;
 use impact::workloads::graph::Graph;
-use impact::workloads::{kernels, replay};
+use impact::workloads::{kernels, replay_lanes};
 
 fn main() -> Result<(), Error> {
     let clock = SystemConfig::paper_table2().clock;
     let message = SimRng::seed(99).bits(1024);
     let graph = Graph::rmat(256, 1024, 5);
     let (_, trace) = kernels::bfs(&graph, 0);
-
-    // Honest-workload baseline.
-    let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-    let agent = sys.spawn_agent();
-    let base = replay(&mut sys, agent, &trace)?;
 
     println!(
         "{:<18} {:>14} {:>14} {:>12}",
@@ -40,12 +35,23 @@ fn main() -> Result<(), Error> {
         ("ACT-Conservative", Defense::Act(ActConfig::conservative())),
     ];
 
-    for (name, defense) in defenses {
-        // Workload cost.
-        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-        sys.set_defense(defense.clone());
-        let agent = sys.spawn_agent();
-        let defended = replay(&mut sys, agent, &trace)?;
+    // Workload cost: one BFS replay, the system's own controller
+    // undefended (the baseline) and one controller per defense.
+    let cfg = SystemConfig::paper_table2_noiseless();
+    let mut lanes: Vec<MemoryController> = defenses
+        .iter()
+        .map(|(_, defense)| {
+            let mut ctrl = MemoryController::from_config(&cfg);
+            ctrl.set_defense(defense.clone());
+            ctrl
+        })
+        .collect();
+    let mut sys = System::new(cfg);
+    let agent = sys.spawn_agent();
+    let reports = replay_lanes(&mut sys, agent, &trace, &mut lanes)?;
+    let base = reports[0];
+
+    for ((name, defense), defended) in defenses.into_iter().zip(&reports[1..]) {
         let slowdown = defended.cycles.as_f64() / base.cycles.as_f64();
 
         // Attack effect.

@@ -4,10 +4,10 @@
 use impact::attacks::{PnmCovertChannel, PumCovertChannel};
 use impact::core::config::SystemConfig;
 use impact::core::rng::SimRng;
-use impact::memctrl::{ActConfig, Defense, MprPartition};
+use impact::memctrl::{ActConfig, Defense, MemoryController, MprPartition};
 use impact::sim::System;
 use impact::workloads::graph::Graph;
-use impact::workloads::{kernels, replay};
+use impact::workloads::{kernels, replay_lanes};
 
 fn run_pnm(defense: Defense, bits: usize) -> f64 {
     let mut sys = System::new(SystemConfig::paper_table2_noiseless());
@@ -81,16 +81,26 @@ fn act_variants_match_paper_behaviour() {
 fn workload_cost_ordering() {
     let g = Graph::rmat(128, 512, 9);
     let (_, trace) = kernels::bfs(&g, 0);
-    let cycles = |defense: Defense| {
-        let mut sys = System::new(SystemConfig::paper_table2_noiseless());
-        sys.set_defense(defense);
-        let a = sys.spawn_agent();
-        replay(&mut sys, a, &trace).unwrap().cycles.as_f64()
-    };
-    let none = cycles(Defense::None);
-    let ctd = cycles(Defense::Ctd);
-    let aggressive = cycles(Defense::Act(ActConfig::aggressive()));
-    let mild = cycles(Defense::Act(ActConfig::mild()));
+    // One replay: the system's own controller undefended, one lane per
+    // defense.
+    let cfg = SystemConfig::paper_table2_noiseless();
+    let defenses = [
+        Defense::Ctd,
+        Defense::Act(ActConfig::aggressive()),
+        Defense::Act(ActConfig::mild()),
+    ];
+    let mut lanes: Vec<MemoryController> = defenses
+        .into_iter()
+        .map(|defense| {
+            let mut ctrl = MemoryController::from_config(&cfg);
+            ctrl.set_defense(defense);
+            ctrl
+        })
+        .collect();
+    let mut sys = System::new(cfg);
+    let a = sys.spawn_agent();
+    let reports = replay_lanes(&mut sys, a, &trace, &mut lanes).unwrap();
+    let [none, ctd, aggressive, mild] = [0, 1, 2, 3].map(|i| reports[i].cycles.as_f64());
     assert!(ctd > none * 1.02, "CTD overhead {:.3}", ctd / none);
     // Aggressive pads for 4000 epochs after one conflict, mild for 2: on a
     // workload with few row conflicts the two can tie, but aggressive can

@@ -25,40 +25,28 @@ use impact::memctrl::{ActConfig, Defense, PeriodicBlock};
 use impact::sim::{BackendKind, System};
 use impact::workloads::CapturedTrace;
 use impact_bench::experiments::suite;
-use impact_bench::runner::ExperimentJob;
+use impact_bench::runner::run_and_print;
 use impact_bench::trace_tools::{
     merge_captures, record_capture, replay_file, slice_capture, CaptureKind, CaptureOutcome,
     TraceScenario,
 };
 
-/// FNV-1a of `fig_all --quick` stdout: every figure's text, each followed
-/// by the blank line `fig_all` prints after it.
+/// FNV-1a of `fig_all --quick` stdout, written by the loop `fig_all`
+/// runs: every figure's text, each followed by a blank line.
 #[test]
 fn quick_suite_text_is_pinned() {
-    let text: String = suite(true, BackendKind::Mono)
-        .iter()
-        .map(ExperimentJob::run)
-        .map(|fig| fig.render_text() + "\n")
-        .collect();
-    assert_eq!(
-        fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
-        0xfeaa_f24d_6159_5b5b
-    );
+    let mut text = Vec::new();
+    run_and_print(&suite(true, BackendKind::Mono), false, &mut text).unwrap();
+    assert_eq!(fnv1a_bytes(FNV_OFFSET, &text), 0xfeaa_f24d_6159_5b5b);
 }
 
 /// FNV-1a of full `fig_all` stdout (the same value as perfbench's suite
 /// digest).
 #[test]
 fn full_suite_text_is_pinned() {
-    let text: String = suite(false, BackendKind::Mono)
-        .iter()
-        .map(ExperimentJob::run)
-        .map(|fig| fig.render_text() + "\n")
-        .collect();
-    assert_eq!(
-        fnv1a_bytes(FNV_OFFSET, text.as_bytes()),
-        0x524d_13b2_dfb8_6c2a
-    );
+    let mut text = Vec::new();
+    run_and_print(&suite(false, BackendKind::Mono), false, &mut text).unwrap();
+    assert_eq!(fnv1a_bytes(FNV_OFFSET, &text), 0x524d_13b2_dfb8_6c2a);
 }
 
 /// Population digest of 200 synthetic sessions on two workers.
