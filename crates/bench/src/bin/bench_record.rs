@@ -48,9 +48,9 @@ fn main() -> ExitCode {
     let mut check_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |flag: &str| {
-            args.next()
-                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+        let mut value = |flag: &str| match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage_exit(&format!("{flag} needs a value")),
         };
         match arg.as_str() {
             "--quick" => quick = true,

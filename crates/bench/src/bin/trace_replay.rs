@@ -87,10 +87,9 @@ fn parse_args(raw: &[String]) -> Args {
     };
     let mut it = raw.iter();
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next()
-                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
-                .clone()
+        let mut value = |flag: &str| match it.next() {
+            Some(v) if !v.starts_with("--") => v.clone(),
+            _ => usage_exit(&format!("{flag} needs a value")),
         };
         match a.as_str() {
             "--quick" => args.quick = true,

@@ -7,8 +7,7 @@ use impact_attacks::PumCovertChannel;
 use impact_core::config::{NoiseConfig, SystemConfig};
 use impact_core::par;
 use impact_core::rng::SimRng;
-use impact_core::time::Cycles;
-use impact_dram::RowPolicy;
+use impact_dram::{ResolvedTiming, RowPolicy};
 use impact_sim::System;
 
 use crate::{Figure, Series};
@@ -91,6 +90,9 @@ pub fn ablations(quick: bool) -> Figure {
     let bits = if quick { 512 } else { 2048 };
     let message = SimRng::seed(0xAB1A).bits(bits);
     let batches = [2usize, 4, 8, 16];
+    // Table 2's 100 ns idle row timeout, in cycles of its 2.6 GHz clock.
+    let table2 = SystemConfig::paper_table2_noiseless();
+    let row_timeout = ResolvedTiming::resolve(&table2.dram_timing, table2.clock).row_timeout;
     // (series name, its (x, point) pairs), in legend order.
     let series: [(&str, Vec<(f64, Point)>); 5] = [
         // (a) Row policy: the eager idle timeout already breaks the channel.
@@ -98,7 +100,7 @@ pub fn ablations(quick: bool) -> Figure {
             "PnM goodput by row policy (Mb/s)",
             [
                 RowPolicy::open_page(),
-                RowPolicy::open_with_timeout(Cycles(260)),
+                RowPolicy::open_with_timeout(row_timeout),
                 RowPolicy::closed_page(),
             ]
             .into_iter()

@@ -87,6 +87,18 @@ impl Figure {
         self.series.iter().find(|s| s.name == name)
     }
 
+    /// The x axis both renderers print: every series' x values, each
+    /// once, in first-seen order.
+    fn xs(&self) -> Vec<f64> {
+        let mut xs: Vec<f64> = Vec::new();
+        for &(x, _) in self.series.iter().flat_map(|s| &s.points) {
+            if !xs.iter().any(|&a| (a - x).abs() < 1e-9) {
+                xs.push(x);
+            }
+        }
+        xs
+    }
+
     /// Renders an aligned text table: one row per x value, one column per
     /// series.
     #[must_use]
@@ -99,22 +111,12 @@ impl Figure {
             }
             return out;
         }
-        let xs: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|(x, _)| *x))
-            .fold(Vec::new(), |mut acc, x| {
-                if !acc.iter().any(|&a: &f64| (a - x).abs() < 1e-9) {
-                    acc.push(x);
-                }
-                acc
-            });
         let _ = write!(out, "{:>14}", self.x_label);
         for s in &self.series {
             let _ = write!(out, "  {:>22}", truncate(&s.name, 22));
         }
         out.push('\n');
-        for &x in &xs {
+        for x in self.xs() {
             let _ = write!(out, "{x:>14.2}");
             for s in &self.series {
                 match s.y_at(x) {
@@ -135,7 +137,8 @@ impl Figure {
         out
     }
 
-    /// Renders the figure as CSV (`x,series1,series2,...`).
+    /// Renders the figure as CSV (`x,series1,series2,...`): the text
+    /// table's rows, an empty field where a series has no point.
     #[must_use]
     pub fn render_csv(&self) -> String {
         let mut out = String::new();
@@ -144,12 +147,7 @@ impl Figure {
             let _ = write!(out, ",{}", s.name.replace(',', ";"));
         }
         out.push('\n');
-        let xs: Vec<f64> = self
-            .series
-            .first()
-            .map(|s| s.points.iter().map(|(x, _)| *x).collect())
-            .unwrap_or_default();
-        for x in xs {
+        for x in self.xs() {
             let _ = write!(out, "{x}");
             for s in &self.series {
                 match s.y_at(x) {
@@ -206,5 +204,20 @@ mod tests {
         let mut lines = c.lines();
         assert_eq!(lines.next(), Some("x,a,b"));
         assert_eq!(lines.next(), Some("1,2,5"));
+    }
+
+    #[test]
+    fn csv_rows_are_the_text_rows_for_disjoint_series() {
+        let f = Figure::new("figY", "Disjoint", "x", "y")
+            .with_series(Series::new("a", vec![(1.0, 2.0)]))
+            .with_series(Series::new("b", vec![(10.0, 3.0), (20.0, 4.0)]))
+            .with_series(Series::new("c", vec![(20.0, 5.0), (1.0, 6.0)]));
+        assert_eq!(
+            f.render_csv(),
+            "x,a,b,c\n1,2,,6\n10,,3,\n20,,4,5\n",
+            "every series' points, on the text table's x axis"
+        );
+        // Header, one row per x value and the y-axis line.
+        assert_eq!(f.render_text().lines().count(), 1 + 1 + 3 + 1);
     }
 }

@@ -67,6 +67,13 @@ fn malformed_arguments_exit_with_usage_not_a_panic() {
             "--workers must be at least 1",
         ),
         (fleet_run, &["--seed", "-1"], "bad --seed value"),
+        // A flag is never taken as the value of the flag before it.
+        (
+            fleet_run,
+            &["--population", "3", "--out", "--quick"],
+            "--out needs a value",
+        ),
+        (fleet_run, &["--trace", "--quick"], "--trace needs a value"),
         (trace_replay, &[], "missing subcommand"),
         (
             trace_replay,
@@ -76,11 +83,22 @@ fn malformed_arguments_exit_with_usage_not_a_panic() {
         (trace_replay, &["record"], "record needs --out FILE"),
         (
             trace_replay,
+            &["record", "--out", "--quick"],
+            "--out needs a value",
+        ),
+        (
+            trace_replay,
+            &["replay", "NO_SUCH_FILE", "--metrics", "--quick"],
+            "--metrics needs a value",
+        ),
+        (
+            trace_replay,
             &["merge", "OUT"],
             "merge takes an output file then at least two inputs",
         ),
         (bench_record, &["--label"], "--label needs a value"),
         (bench_record, &["--out"], "--out needs a value"),
+        (bench_record, &["--out", "--quick"], "--out needs a value"),
     ];
     for (bin, args, message) in cases {
         let (code, stderr) = assert_clean_failure(bin, args);

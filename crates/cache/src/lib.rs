@@ -34,5 +34,5 @@ pub mod prefetch;
 pub mod set_assoc;
 
 pub use hierarchy::{CacheHierarchy, HierarchyOutcome, HitLevel};
-pub use prefetch::{IpStridePrefetcher, PrefetchRequest, Prefetcher, StreamerPrefetcher};
+pub use prefetch::{IpStridePrefetcher, PrefetchRequest, StreamerPrefetcher};
 pub use set_assoc::{AccessResult, EvictedLine, SetAssocCache};

@@ -21,15 +21,6 @@ pub struct PrefetchRequest {
     pub addr: PhysAddr,
 }
 
-/// Common interface for prefetchers: observe a demand access (with its
-/// originating stream/instruction id) and optionally emit prefetches.
-pub trait Prefetcher: Send {
-    /// Observes a demand access from instruction/stream `ip` to `addr`
-    /// (`miss` = it missed the cache this prefetcher sits next to) and
-    /// returns prefetch requests to issue.
-    fn observe(&mut self, ip: u64, addr: PhysAddr, miss: bool) -> Vec<PrefetchRequest>;
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct StrideEntry {
     ip: u64,
@@ -45,13 +36,13 @@ struct StrideEntry {
 /// # Example
 ///
 /// ```
-/// use impact_cache::{IpStridePrefetcher, Prefetcher};
+/// use impact_cache::IpStridePrefetcher;
 /// use impact_core::addr::PhysAddr;
 ///
 /// let mut p = IpStridePrefetcher::new(16);
-/// assert!(p.observe(1, PhysAddr(0), true).is_empty());
-/// assert!(p.observe(1, PhysAddr(64), true).is_empty());   // stride learned
-/// let reqs = p.observe(1, PhysAddr(128), true);            // confident
+/// assert!(p.observe(1, PhysAddr(0)).is_empty());
+/// assert!(p.observe(1, PhysAddr(64)).is_empty()); // stride learned
+/// let reqs = p.observe(1, PhysAddr(128));          // confident
 /// assert_eq!(reqs[0].addr, PhysAddr(192));
 /// ```
 #[derive(Debug)]
@@ -89,10 +80,11 @@ impl IpStridePrefetcher {
             mask: self.mask,
         }
     }
-}
 
-impl Prefetcher for IpStridePrefetcher {
-    fn observe(&mut self, ip: u64, addr: PhysAddr, _miss: bool) -> Vec<PrefetchRequest> {
+    /// Observes a demand access, hit or miss, from instruction `ip` to
+    /// `addr` and returns the prefetch to issue, if the stride is
+    /// confident.
+    pub fn observe(&mut self, ip: u64, addr: PhysAddr) -> Vec<PrefetchRequest> {
         let e = &mut self.table.to_mut()[(ip & self.mask) as usize];
         let addr = addr.line_aligned().0;
         if !e.valid || e.ip != ip {
@@ -182,10 +174,11 @@ impl StreamerPrefetcher {
             degree: self.degree,
         }
     }
-}
 
-impl Prefetcher for StreamerPrefetcher {
-    fn observe(&mut self, _ip: u64, addr: PhysAddr, miss: bool) -> Vec<PrefetchRequest> {
+    /// Observes a demand access to `addr` (`miss` = it missed the cache
+    /// the streamer sits next to; only misses train it) and returns the
+    /// prefetches to issue.
+    pub fn observe(&mut self, addr: PhysAddr, miss: bool) -> Vec<PrefetchRequest> {
         if !miss {
             return Vec::new();
         }
@@ -236,9 +229,9 @@ mod tests {
     #[test]
     fn ip_stride_learns_and_prefetches() {
         let mut p = IpStridePrefetcher::new(8);
-        assert!(p.observe(7, PhysAddr(0), true).is_empty());
-        assert!(p.observe(7, PhysAddr(128), true).is_empty());
-        let r = p.observe(7, PhysAddr(256), true);
+        assert!(p.observe(7, PhysAddr(0)).is_empty());
+        assert!(p.observe(7, PhysAddr(128)).is_empty());
+        let r = p.observe(7, PhysAddr(256));
         assert_eq!(
             r,
             vec![PrefetchRequest {
@@ -250,29 +243,29 @@ mod tests {
     #[test]
     fn ip_stride_resets_on_new_ip() {
         let mut p = IpStridePrefetcher::new(1); // forced aliasing
-        p.observe(1, PhysAddr(0), true);
-        p.observe(1, PhysAddr(64), true);
+        p.observe(1, PhysAddr(0));
+        p.observe(1, PhysAddr(64));
         // Different ip aliases to the same slot and resets it.
-        assert!(p.observe(2, PhysAddr(0), true).is_empty());
-        assert!(p.observe(2, PhysAddr(64), true).is_empty());
+        assert!(p.observe(2, PhysAddr(0)).is_empty());
+        assert!(p.observe(2, PhysAddr(64)).is_empty());
     }
 
     #[test]
     fn ip_stride_irregular_pattern_quiet() {
         let mut p = IpStridePrefetcher::new(8);
-        p.observe(1, PhysAddr(0), true);
-        p.observe(1, PhysAddr(64), true);
+        p.observe(1, PhysAddr(0));
+        p.observe(1, PhysAddr(64));
         // Stride changes: confidence resets, no prefetch.
-        assert!(p.observe(1, PhysAddr(1024), true).is_empty());
+        assert!(p.observe(1, PhysAddr(1024)).is_empty());
     }
 
     #[test]
     fn streamer_triggers_on_directional_misses() {
         let mut p = StreamerPrefetcher::new(4, 2);
         let zone = 0x10_000;
-        assert!(p.observe(0, PhysAddr(zone), true).is_empty());
-        assert!(p.observe(0, PhysAddr(zone + 64), true).is_empty());
-        let r = p.observe(0, PhysAddr(zone + 128), true);
+        assert!(p.observe(PhysAddr(zone), true).is_empty());
+        assert!(p.observe(PhysAddr(zone + 64), true).is_empty());
+        let r = p.observe(PhysAddr(zone + 128), true);
         assert_eq!(r.len(), 2);
         assert_eq!(r[0].addr, PhysAddr(zone + 192));
         assert_eq!(r[1].addr, PhysAddr(zone + 256));
@@ -282,7 +275,7 @@ mod tests {
     fn streamer_ignores_hits() {
         let mut p = StreamerPrefetcher::new(4, 2);
         for i in 0..8u64 {
-            assert!(p.observe(0, PhysAddr(i * 64), false).is_empty());
+            assert!(p.observe(PhysAddr(i * 64), false).is_empty());
         }
     }
 
@@ -290,9 +283,9 @@ mod tests {
     fn streamer_backward_direction() {
         let mut p = StreamerPrefetcher::new(4, 1);
         let top = 0x20_000u64;
-        p.observe(0, PhysAddr(top + 512), true);
-        p.observe(0, PhysAddr(top + 448), true);
-        let r = p.observe(0, PhysAddr(top + 384), true);
+        p.observe(PhysAddr(top + 512), true);
+        p.observe(PhysAddr(top + 448), true);
+        let r = p.observe(PhysAddr(top + 384), true);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].addr, PhysAddr(top + 320));
     }

@@ -31,12 +31,6 @@ impl PhysAddr {
         PhysAddr(self.0 & !(LINE_SIZE - 1))
     }
 
-    /// Rounds the address down to its page base.
-    #[must_use]
-    pub fn page_aligned(self) -> PhysAddr {
-        PhysAddr(self.0 & !(PAGE_SIZE - 1))
-    }
-
     /// The physical frame number of this address.
     #[must_use]
     pub fn frame_number(self) -> u64 {
@@ -124,7 +118,6 @@ mod tests {
     fn phys_alignment() {
         let a = PhysAddr(0x1fff);
         assert_eq!(a.line_aligned(), PhysAddr(0x1fc0));
-        assert_eq!(a.page_aligned(), PhysAddr(0x1000));
         assert_eq!(a.frame_number(), 1);
         assert_eq!(a.page_offset(), 0xfff);
     }

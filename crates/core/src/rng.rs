@@ -118,14 +118,6 @@ impl SimRng {
     pub fn bits(&mut self, n: usize) -> Vec<bool> {
         (0..n).map(|_| self.flip()).collect()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +176,6 @@ mod tests {
         let ones = bits.iter().filter(|&&b| b).count();
         // Expect roughly balanced bits.
         assert!(ones > 1800 && ones < 2300, "ones = {ones}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed(6);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

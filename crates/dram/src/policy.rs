@@ -43,12 +43,6 @@ impl RowPolicy {
     pub fn closed_page() -> RowPolicy {
         RowPolicy::Closed
     }
-
-    /// True if this policy keeps rows open between accesses.
-    #[must_use]
-    pub fn keeps_rows_open(&self) -> bool {
-        matches!(self, RowPolicy::Open { .. })
-    }
 }
 
 impl Default for RowPolicy {
@@ -74,13 +68,6 @@ mod tests {
             }
         );
         assert_eq!(RowPolicy::closed_page(), RowPolicy::Closed);
-    }
-
-    #[test]
-    fn openness() {
-        assert!(RowPolicy::open_page().keeps_rows_open());
-        assert!(RowPolicy::open_with_timeout(Cycles(1)).keeps_rows_open());
-        assert!(!RowPolicy::closed_page().keeps_rows_open());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! across worker counts.
 
 use impact_core::hash::fnv1a_u64;
-use impact_obs::{bucket_index, bucket_lower_bound, BUCKETS};
+use impact_obs::{bucket_index, bucket_lower_bound, HistogramSnapshot, BUCKETS};
 
 /// A deterministic histogram over `u64` samples: bucket `i` counts
 /// samples of bit length `i` (bucket 0 counts zeros); samples of bit
@@ -61,23 +61,17 @@ impl PopHistogram {
             .collect()
     }
 
-    /// Canonical JSON object, byte-stable for identical contents and
-    /// rendered exactly like the obs histogram schema:
-    /// `{"count": N, "sum": N, "overflow": N, "buckets": [[lb, n], ...]}`.
+    /// Canonical JSON object, byte-stable for identical contents: the
+    /// obs histogram schema, written by [`HistogramSnapshot::to_json`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"count\": {}, \"sum\": {}, \"overflow\": {}, \"buckets\": [",
-            self.count, self.sum, self.overflow
-        );
-        for (j, (bound, n)) in self.occupied().into_iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("[{bound}, {n}]"));
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            overflow: self.overflow,
+            buckets: self.occupied(),
         }
-        out.push_str("]}");
-        out
+        .to_json()
     }
 
     /// Folds the histogram's full state into an FNV-1a accumulator.

@@ -13,23 +13,23 @@
 //!
 //! # Determinism contract
 //!
-//! The aggregate output ([`PopulationReport`], its canonical JSON and
-//! its FNV-1a digest) is bit-identical
+//! A session's id is its place in admission order, and each session is
+//! built when it is admitted. The aggregate output ([`PopulationReport`],
+//! its canonical JSON and its FNV-1a digest) is bit-identical
 //!
 //! * at any worker count (sessions are independent, and
-//!   [`ordered_map`] returns them in submission order),
-//! * across runs of the same seed (every random draw flows from
-//!   [`SimRng`] streams keyed by the fleet seed and session id), and
-//! * under any admission order ([`FleetService::run`] normalizes to
-//!   ascending session id before building or driving anything).
+//!   [`ordered_map`] returns them in submission order), and
+//! * across runs of the same seed and admissions (every random draw
+//!   flows from `SimRng` streams keyed by the fleet seed and session
+//!   id).
 //!
-//! Per-session setup is O(metadata): one warm parent per profile is
-//! built and calibrated, then every session forks it
-//! ([`impact_sim::Engine::fork`]). All fleet telemetry
-//! routes through `impact-obs` (`fleet.*` metrics) and is excluded from
-//! the determinism contract. Each epoch is one [`ordered_map`] call, the
-//! workspace's one parallel primitive; this crate spawns no threads of
-//! its own.
+//! Per-session setup is O(metadata): one synthetic parent is built and
+//! calibrated, and one pristine controller per trace admission, then
+//! every session forks one ([`impact_sim::Engine::fork`]). All fleet
+//! telemetry routes through `impact-obs` (`fleet.*` metrics) and is
+//! excluded from the determinism contract. Each epoch is one
+//! [`ordered_map`] call, the workspace's one parallel primitive; this
+//! crate spawns no threads of its own.
 //!
 //! ```
 //! use impact_fleet::{FleetConfig, FleetService};
@@ -44,7 +44,7 @@ mod histogram;
 mod session;
 
 pub use histogram::PopHistogram;
-pub use session::{DefensePick, SessionReport, SyntheticSpec, MAX_PROBE_BANKS};
+pub use session::{SessionReport, SyntheticSpec, MAX_PROBE_BANKS};
 
 use std::sync::Arc;
 
@@ -52,7 +52,6 @@ use impact_core::config::SystemConfig;
 use impact_core::error::Result;
 use impact_core::hash::{fnv1a_u64, FNV_OFFSET};
 use impact_core::par::ordered_map;
-use impact_core::rng::SimRng;
 use impact_memctrl::MemoryController;
 use impact_sim::System;
 use impact_workloads::CapturedTrace;
@@ -74,13 +73,12 @@ pub struct FleetConfig {
     pub min_steps: u32,
     /// Maximum symbols a synthetic session transmits (exclusive).
     pub max_steps: u32,
-    /// System configuration synthetic sessions run under.
-    pub base: SystemConfig,
 }
 
 impl FleetConfig {
-    /// Full-depth defaults: ambient-noise-free base system, 24–72
-    /// symbols per session.
+    /// Full-depth defaults: 24–72 symbols per synthetic session. Synthetic
+    /// sessions run on the noiseless Table 2 machine
+    /// (`SystemConfig::paper_table2_noiseless`).
     #[must_use]
     pub fn new(seed: u64) -> FleetConfig {
         FleetConfig {
@@ -89,7 +87,6 @@ impl FleetConfig {
             epoch_budget: 16,
             min_steps: 24,
             max_steps: 72,
-            base: SystemConfig::paper_table2_noiseless(),
         }
     }
 
@@ -118,7 +115,8 @@ impl FleetConfig {
 /// (ascending id within the epoch) followed by one `EpochComplete`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FleetEvent {
-    /// A session was built (parent forked) and entered the run queue.
+    /// [`FleetService::run`] starts an admitted session (built when it
+    /// was admitted); every one is announced before the first epoch.
     SessionStarted {
         /// Stable session id.
         id: u32,
@@ -143,35 +141,15 @@ pub enum FleetEvent {
     },
 }
 
-/// An admitted-but-not-yet-built session.
-enum Pending {
-    Synthetic {
-        id: u32,
-        spec: SyntheticSpec,
-    },
-    Trace {
-        id: u32,
-        trace: Arc<CapturedTrace>,
-        // Boxed: SystemConfig dwarfs the Synthetic variant otherwise.
-        sys: Box<SystemConfig>,
-        prefix: usize,
-    },
-}
-
-impl Pending {
-    fn id(&self) -> u32 {
-        match self {
-            Pending::Synthetic { id, .. } | Pending::Trace { id, .. } => *id,
-        }
-    }
-}
-
 /// The session service: admit a population, then [`FleetService::run`]
 /// it to completion. See the crate docs for the determinism contract.
 pub struct FleetService {
     cfg: FleetConfig,
-    pending: Vec<Pending>,
-    next_id: u32,
+    /// The calibrated synthetic parent, built on the first synthetic
+    /// admission.
+    synthetic_parent: Option<(System, Arc<WarmSlots>)>,
+    /// Built sessions; each one's id is its index.
+    sessions: Vec<Session>,
 }
 
 impl FleetService {
@@ -180,26 +158,24 @@ impl FleetService {
     pub fn new(cfg: FleetConfig) -> FleetService {
         FleetService {
             cfg,
-            pending: Vec::new(),
-            next_id: 0,
+            synthetic_parent: None,
+            sessions: Vec::new(),
         }
     }
 
-    fn take_id(&mut self) -> u32 {
-        let id = self.next_id;
-        self.next_id += 1;
-        id
-    }
-
-    /// Admits `n` synthetic attacker/victim sessions. Each spec is a
-    /// pure function of (fleet seed, session id), so admitting 1000 in
-    /// one call or over many calls yields the same population.
+    /// Admits `n` synthetic attacker/victim sessions, each a fork of the
+    /// calibrated synthetic parent with its spec's defense installed. Each
+    /// spec is a pure function of (fleet seed, session id), so admitting
+    /// 1000 in one call or over many calls yields the same population.
     pub fn admit_synthetic(&mut self, n: usize) {
         for _ in 0..n {
-            let id = self.take_id();
+            let (parent, warm) = self.synthetic_parent.get_or_insert_with(warm_parent);
+            let id = u32::try_from(self.sessions.len()).expect("session ids fit a u32");
             let spec =
                 SyntheticSpec::draw(self.cfg.seed, id, self.cfg.min_steps, self.cfg.max_steps);
-            self.pending.push(Pending::Synthetic { id, spec });
+            let session = SyntheticSession::new(parent, Arc::clone(warm), spec);
+            self.sessions
+                .push(Session::Synthetic(id, Box::new(session)));
         }
     }
 
@@ -207,11 +183,12 @@ impl FleetService {
     /// session `i` of the batch replays the first `(i+1)/n` of the
     /// event log under `sys` (the recording's resolved configuration —
     /// resolve the header label with `config_for_label` or equivalent).
+    /// Every session of the batch forks one pristine
+    /// `MemoryController::from_config(sys)`.
     ///
     /// The capture must pass [`CapturedTrace::verify`] first: its full
-    /// replay on a pristine `MemoryController::from_config(sys)` — the
-    /// state every session forks — reproduces the recorded footer, so no
-    /// session's prefix replay can fail later.
+    /// replay on such a pristine controller reproduces the recorded
+    /// footer, so no session's prefix replay can fail later.
     ///
     /// # Errors
     ///
@@ -225,85 +202,41 @@ impl FleetService {
         n: usize,
     ) -> Result<()> {
         trace.verify(sys)?;
+        let mut parent = MemoryController::from_config(sys);
         let events = trace.events.len();
         for i in 0..n {
-            let id = self.take_id();
-            let prefix = (events * (i + 1)) / n.max(1);
-            self.pending.push(Pending::Trace {
-                id,
-                trace: Arc::clone(trace),
-                sys: Box::new(sys.clone()),
-                prefix: prefix.max(1),
-            });
+            let id = u32::try_from(self.sessions.len()).expect("session ids fit a u32");
+            let prefix = ((events * (i + 1)) / n.max(1)).max(1);
+            let session = TraceSession::new(&mut parent, Arc::clone(trace), sys.clock, prefix);
+            self.sessions.push(Session::Trace(id, Box::new(session)));
         }
         Ok(())
-    }
-
-    /// Deterministically shuffles the admission queue — a test hook
-    /// proving [`FleetService::run`] is admission-order invariant.
-    pub fn permute_admission(&mut self, seed: u64) {
-        SimRng::seed(seed).shuffle(&mut self.pending);
     }
 
     /// Sessions admitted so far.
     #[must_use]
     pub fn admitted(&self) -> usize {
-        self.pending.len()
+        self.sessions.len()
     }
 
-    /// Builds every admitted session (warm-once, fork-per-session) and
-    /// drives the population to completion, streaming [`FleetEvent`]s.
+    /// Drives the admitted sessions to completion, streaming
+    /// [`FleetEvent`]s.
     ///
     /// # Panics
     ///
     /// Re-throws the first panicking session's payload.
-    pub fn run(mut self, on_event: &mut dyn FnMut(&FleetEvent)) -> PopulationReport {
+    pub fn run(self, on_event: &mut dyn FnMut(&FleetEvent)) -> PopulationReport {
         let obs = impact_obs::registry();
-        self.pending.sort_unstable_by_key(Pending::id);
-
-        // Warm parents are built lazily, one per profile: a single
-        // calibrated engine for every synthetic session, one pristine
-        // controller per (trace, config) batch.
-        let mut synth_parent: Option<(System, Arc<WarmSlots>)> = None;
-        let mut trace_parent: Option<(Arc<CapturedTrace>, u64, MemoryController)> = None;
-        let mut synthetic = 0u64;
-        let mut traced = 0u64;
-        let mut active: Vec<Session> = Vec::with_capacity(self.pending.len());
-        for pending in self.pending.drain(..) {
-            let id = pending.id();
-            let sess = match pending {
-                Pending::Synthetic { spec, .. } => {
-                    let (parent, warm) =
-                        synth_parent.get_or_insert_with(|| warm_parent(&self.cfg.base));
-                    synthetic += 1;
-                    Session::synthetic(id, SyntheticSession::new(parent, Arc::clone(warm), spec))
-                }
-                Pending::Trace {
-                    trace, sys, prefix, ..
-                } => {
-                    let fp = sys.fingerprint();
-                    let fresh = match &trace_parent {
-                        Some((t, pfp, _)) => !Arc::ptr_eq(t, &trace) || *pfp != fp,
-                        None => true,
-                    };
-                    if fresh {
-                        trace_parent =
-                            Some((Arc::clone(&trace), fp, MemoryController::from_config(&sys)));
-                    }
-                    let (_, _, parent) = trace_parent.as_mut().expect("just seeded");
-                    traced += 1;
-                    Session::trace(id, TraceSession::new(parent, trace, sys.clock, prefix))
-                }
-            };
+        for sess in &self.sessions {
             obs.fleet_sessions_started.incr();
             on_event(&FleetEvent::SessionStarted {
-                id,
+                id: sess.id(),
                 kind: sess.kind(),
             });
-            active.push(sess);
         }
 
         obs.fleet_workers.set(self.cfg.workers as u64);
+        let mut active = self.sessions;
         let mut epoch = 0u64;
         let mut finished: Vec<SessionReport> = Vec::new();
         while !active.is_empty() {
@@ -319,12 +252,13 @@ impl FleetService {
             active = Vec::with_capacity(advanced.len());
             for sess in advanced {
                 if sess.finished() {
+                    let report = sess.report();
                     obs.fleet_sessions_finished.incr();
                     on_event(&FleetEvent::SessionFinished {
-                        id: sess.id,
-                        steps: sess.units_done(),
+                        id: report.id,
+                        steps: report.steps,
                     });
-                    finished.push(sess.report());
+                    finished.push(report);
                 } else {
                     active.push(sess);
                 }
@@ -337,14 +271,7 @@ impl FleetService {
         }
         finished.sort_unstable_by_key(|r| r.id);
 
-        PopulationReport::aggregate(
-            self.cfg.seed,
-            self.cfg.epoch_budget,
-            synthetic,
-            traced,
-            epoch,
-            finished,
-        )
+        PopulationReport::aggregate(self.cfg.seed, self.cfg.epoch_budget, epoch, finished)
     }
 }
 
@@ -379,11 +306,11 @@ impl PopulationReport {
     fn aggregate(
         seed: u64,
         epoch_budget: u32,
-        synthetic: u64,
-        traced: u64,
         epochs: u64,
         reports: Vec<SessionReport>,
     ) -> PopulationReport {
+        let traced = reports.iter().filter(|r| r.kind == "trace").count() as u64;
+        let synthetic = reports.len() as u64 - traced;
         let mut capacity_kbps = PopHistogram::default();
         let mut error_rate_bp = PopHistogram::default();
         let mut slowdown_bp = PopHistogram::default();
@@ -453,6 +380,7 @@ mod tests {
     use super::*;
     use impact_core::addr::PhysAddr;
     use impact_core::engine::{MemRequest, MemoryBackend, ReqKind};
+    use impact_core::rng::SimRng;
     use impact_core::time::Cycles;
     use impact_core::trace::{TraceEvent, TraceHeader, TraceWriter, TracingBackend};
 
@@ -487,27 +415,24 @@ mod tests {
         Arc::new(CapturedTrace::read_from(&bytes[..]).unwrap())
     }
 
-    fn run_fleet(workers: usize, shuffle: Option<u64>) -> (PopulationReport, Vec<FleetEvent>) {
+    fn run_fleet(workers: usize) -> (PopulationReport, Vec<FleetEvent>) {
         let mut fleet = FleetService::new(quick_cfg(workers));
         fleet.admit_synthetic(10);
         let trace = tiny_trace();
         fleet
             .admit_trace(&trace, &SystemConfig::paper_table2_noiseless(), 4)
             .expect("tiny_trace replays");
-        if let Some(seed) = shuffle {
-            fleet.permute_admission(seed);
-        }
         let mut events = Vec::new();
         let report = fleet.run(&mut |ev| events.push(ev.clone()));
         (report, events)
     }
 
     #[test]
-    fn population_is_worker_and_admission_invariant() {
-        let (base, base_events) = run_fleet(1, None);
-        for (workers, shuffle) in [(2, None), (4, None), (4, Some(99))] {
-            let (other, other_events) = run_fleet(workers, shuffle);
-            assert_eq!(base, other, "workers={workers} shuffle={shuffle:?}");
+    fn population_is_worker_invariant() {
+        let (base, base_events) = run_fleet(1);
+        for workers in [2, 4] {
+            let (other, other_events) = run_fleet(workers);
+            assert_eq!(base, other, "workers={workers}");
             assert_eq!(base.to_json(), other.to_json());
             assert_eq!(base_events, other_events);
         }
@@ -515,7 +440,7 @@ mod tests {
 
     #[test]
     fn events_stream_in_stable_order() {
-        let (report, events) = run_fleet(3, Some(5));
+        let (report, events) = run_fleet(3);
         let started: Vec<u32> = events
             .iter()
             .filter_map(|ev| match ev {

@@ -5,13 +5,13 @@
 //! drawn from a configuration distribution (defense, probe-bank count,
 //! co-tenant noise, transmission length) that is a pure function of the
 //! fleet seed and the session id. **Trace** sessions replay a recorded
-//! [`CapturedTrace`] prefix through a fresh controller via the trace
+//! [`CapturedTrace`] prefix through a forked controller via the trace
 //! codec's event dispatcher.
 //!
-//! Both are built by forking a warmed parent (`Engine::fork` /
-//! `MemoryController::fork`), so per-session setup is O(metadata), and
-//! both step in fixed budgets so the scheduler can interleave thousands
-//! of them.
+//! Both are built at admission by forking a parent (`Engine::fork` of the
+//! calibrated synthetic parent, `MemoryController::fork` of a pristine
+//! controller), so per-session setup is O(metadata), and both step in
+//! fixed budgets so the scheduler can interleave thousands of them.
 //! A session's result depends only on (parent state, spec); it never
 //! observes which worker ran it or when.
 
@@ -28,72 +28,22 @@ use impact_sim::{AgentId, System};
 use impact_workloads::CapturedTrace;
 
 /// Banks the synthetic warm parent prepares; per-session probe sets use
-/// a prefix of them. Must not exceed the base config's total banks.
+/// a prefix of them.
 pub const MAX_PROBE_BANKS: usize = 16;
 
 /// Domain-separation salt for the spec-drawing RNG stream.
 const SPEC_SALT: u64 = 0x0F1E_E75E_5510;
 
-/// The defense a synthetic session installs after forking its engine.
-/// MPR is excluded: bank partitioning reshapes the address map per
-/// tenant, which is a population-level experiment of its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefensePick {
-    /// Baseline, no defense.
-    Baseline,
-    /// Closed-row policy.
-    Crp,
-    /// Constant-time DRAM.
-    Ctd,
-    /// Adaptive constant-time DRAM, mild preset.
-    ActMild,
-    /// Adaptive constant-time DRAM, aggressive preset.
-    ActAggressive,
-}
-
-impl DefensePick {
-    fn draw(rng: &mut SimRng) -> DefensePick {
-        match rng.below(100) {
-            0..=29 => DefensePick::Baseline,
-            30..=49 => DefensePick::Crp,
-            50..=69 => DefensePick::Ctd,
-            70..=84 => DefensePick::ActMild,
-            _ => DefensePick::ActAggressive,
-        }
-    }
-
-    /// The controller defense to install, if any.
-    #[must_use]
-    pub fn to_defense(self) -> Option<Defense> {
-        match self {
-            DefensePick::Baseline => None,
-            DefensePick::Crp => Some(Defense::Crp),
-            DefensePick::Ctd => Some(Defense::Ctd),
-            DefensePick::ActMild => Some(Defense::Act(ActConfig::mild())),
-            DefensePick::ActAggressive => Some(Defense::Act(ActConfig::aggressive())),
-        }
-    }
-
-    /// Short display name, matching the paper's figure legends.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DefensePick::Baseline => "None",
-            DefensePick::Crp => "CRP",
-            DefensePick::Ctd => "CTD",
-            DefensePick::ActMild => "ACT-Mild",
-            DefensePick::ActAggressive => "ACT-Aggressive",
-        }
-    }
-}
-
 /// Everything needed to build one synthetic session — a pure function of
 /// `(fleet_seed, id)`, so the population is identical however admission
-/// calls are batched or reordered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// calls are batched.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticSpec {
-    /// Defense installed on the session's forked engine.
-    pub defense: DefensePick,
+    /// Defense installed on the session's forked engine: None, CRP, CTD,
+    /// ACT-Mild or ACT-Aggressive. MPR is excluded: bank partitioning
+    /// reshapes the address map per tenant, which is a population-level
+    /// experiment of its own.
+    pub defense: Defense,
     /// Probe set size: the covert channel's symbol alphabet (a power of
     /// two ≤ [`MAX_PROBE_BANKS`]).
     pub probe_banks: usize,
@@ -112,7 +62,13 @@ impl SyntheticSpec {
     #[must_use]
     pub fn draw(fleet_seed: u64, id: u32, min_steps: u32, max_steps: u32) -> SyntheticSpec {
         let mut rng = SimRng::seed(fleet_seed ^ SPEC_SALT).derive(u64::from(id));
-        let defense = DefensePick::draw(&mut rng);
+        let defense = match rng.below(100) {
+            0..=29 => Defense::None,
+            30..=49 => Defense::Crp,
+            50..=69 => Defense::Ctd,
+            70..=84 => Defense::Act(ActConfig::mild()),
+            _ => Defense::Act(ActConfig::aggressive()),
+        };
         let probe_banks = [4, 8, 16][rng.below(3) as usize];
         let noise_bp = [0, 500, 2000, 5000][rng.below(4) as usize];
         let span = u64::from(max_steps.saturating_sub(min_steps).max(1));
@@ -149,23 +105,14 @@ pub(crate) struct WarmSlots {
     nominal_victim: Cycles,
 }
 
-/// Builds the synthetic warm parent: spawns the attacker, victim and
-/// co-tenant, allocates and TLB-warms one row per agent in each of the
-/// first [`MAX_PROBE_BANKS`] banks, primes the attacker's rows open, and
-/// calibrates the hit/conflict classification threshold. Fork the
-/// returned engine once per session.
-///
-/// # Panics
-///
-/// Panics if `cfg` has fewer than [`MAX_PROBE_BANKS`] banks or row
-/// allocation fails (the warm set is three rows per bank, far inside
-/// any configuration's capacity).
-pub(crate) fn warm_parent(cfg: &SystemConfig) -> (System, Arc<WarmSlots>) {
-    assert!(
-        cfg.dram_geometry.total_banks() as usize >= MAX_PROBE_BANKS,
-        "fleet base config must have at least {MAX_PROBE_BANKS} banks"
-    );
-    let mut eng = System::new(cfg.clone());
+/// Builds the synthetic warm parent on the noiseless Table 2 machine
+/// (`SystemConfig::paper_table2_noiseless`, 16 banks): spawns the
+/// attacker, victim and co-tenant, allocates and TLB-warms one row per
+/// agent in each of the first [`MAX_PROBE_BANKS`] banks, primes the
+/// attacker's rows open, and calibrates the hit/conflict classification
+/// threshold. Fork the returned engine once per session.
+pub(crate) fn warm_parent() -> (System, Arc<WarmSlots>) {
+    let mut eng = System::new(SystemConfig::paper_table2_noiseless());
     let attacker = eng.spawn_agent();
     let victim = eng.spawn_agent();
     let tenant = eng.spawn_agent();
@@ -174,7 +121,7 @@ pub(crate) fn warm_parent(cfg: &SystemConfig) -> (System, Arc<WarmSlots>) {
             .map(|bank| {
                 let va = eng
                     .alloc_row_in_bank(agent, bank)
-                    .expect("three rows per bank fit any config");
+                    .expect("three rows per bank fit the machine");
                 eng.warm_tlb(agent, va, 2);
                 va
             })
@@ -223,16 +170,20 @@ pub(crate) fn warm_parent(cfg: &SystemConfig) -> (System, Arc<WarmSlots>) {
     (eng, Arc::new(slots))
 }
 
-/// One synthetic prime+probe session over a forked engine.
+/// One synthetic prime+probe session over a forked engine. Of its spec
+/// it keeps the defense's name (the defense itself lives in the fork's
+/// controller) and what its steps read.
 pub(crate) struct SyntheticSession {
     eng: System,
     warm: Arc<WarmSlots>,
-    spec: SyntheticSpec,
+    defense: &'static str,
+    probe_banks: usize,
+    noise_bp: u64,
+    steps: u32,
     rng: SimRng,
     step: u32,
     hits: u64,
     errors: u64,
-    probes: u64,
     elapsed: Cycles,
     digest: u64,
 }
@@ -240,26 +191,24 @@ pub(crate) struct SyntheticSession {
 impl SyntheticSession {
     pub(crate) fn new(parent: &mut System, warm: Arc<WarmSlots>, spec: SyntheticSpec) -> Self {
         let mut eng = parent.fork();
-        if let Some(defense) = spec.defense.to_defense() {
-            eng.set_defense(defense);
+        let defense = spec.defense.name();
+        if spec.defense != Defense::None {
+            eng.set_defense(spec.defense);
         }
-        let rng = SimRng::seed(spec.seed);
         SyntheticSession {
             eng,
             warm,
-            spec,
-            rng,
+            defense,
+            probe_banks: spec.probe_banks,
+            noise_bp: spec.noise_bp,
+            steps: spec.steps,
+            rng: SimRng::seed(spec.seed),
             step: 0,
             hits: 0,
             errors: 0,
-            probes: 0,
             elapsed: Cycles(0),
             digest: DIGEST_INIT,
         }
-    }
-
-    fn finished(&self) -> bool {
-        self.step >= self.spec.steps
     }
 
     /// One transmission round: the victim opens its row in the secret
@@ -268,13 +217,13 @@ impl SyntheticSession {
     /// bank.
     fn step_once(&mut self) {
         let warm = &self.warm;
-        let secret = self.rng.below(self.spec.probe_banks as u64) as usize;
+        let secret = self.rng.below(self.probe_banks as u64) as usize;
         let v = self
             .eng
             .pim_op_direct(warm.victim, warm.victim_rows[secret])
             .expect("warmed victim access cannot fail");
         let mut step_cycles = v.latency;
-        if self.spec.noise_bp > 0 && self.rng.below(10_000) < self.spec.noise_bp {
+        if self.noise_bp > 0 && self.rng.below(10_000) < self.noise_bp {
             let bank = self.rng.below(MAX_PROBE_BANKS as u64) as usize;
             let n = self
                 .eng
@@ -283,13 +232,12 @@ impl SyntheticSession {
             step_cycles += n.latency;
         }
         let mut detected_mask = 0u64;
-        for bank in 0..self.spec.probe_banks {
+        for bank in 0..self.probe_banks {
             let p = self
                 .eng
                 .pim_op_direct(warm.attacker, warm.attacker_rows[bank])
                 .expect("warmed probe cannot fail");
             step_cycles += p.latency;
-            self.probes += 1;
             if p.latency > warm.threshold {
                 detected_mask |= 1 << bank;
             }
@@ -308,15 +256,15 @@ impl SyntheticSession {
     }
 
     fn report(&self, id: u32) -> SessionReport {
-        let steps = u64::from(self.spec.steps);
-        let symbol_bits = u64::from(self.spec.probe_banks.trailing_zeros());
+        let steps = u64::from(self.steps);
+        let symbol_bits = u64::from(self.probe_banks.trailing_zeros());
         let bits = self.hits * symbol_bits;
         let nominal_step =
-            self.warm.nominal_victim.0 + self.spec.probe_banks as u64 * self.warm.nominal_probe.0;
+            self.warm.nominal_victim.0 + self.probe_banks as u64 * self.warm.nominal_probe.0;
         SessionReport {
             id,
             kind: "synthetic",
-            defense: self.spec.defense.name(),
+            defense: self.defense,
             steps,
             hits: self.hits,
             errors: self.errors,
@@ -362,10 +310,6 @@ impl TraceSession {
             min_latency: Cycles(u64::MAX),
             digest: DIGEST_INIT,
         }
-    }
-
-    fn finished(&self) -> bool {
-        self.cursor >= self.prefix
     }
 
     fn advance(&mut self, budget: u32) {
@@ -423,79 +367,54 @@ fn kbps(clock: Clock, bits: u64, elapsed: Cycles) -> u64 {
     (clock.throughput_mbps(bits, elapsed) * 1000.0) as u64
 }
 
-enum Work {
-    // Both boxed: each carries a whole forked engine/controller, and
-    // sessions move by value into and out of every epoch's parallel map —
-    // keep the moved value pointer-sized.
-    Synthetic(Box<SyntheticSession>),
-    Trace(Box<TraceSession>),
-}
-
-/// One fleet session: a stable id plus its work, advanced in epoch-sized
-/// budgets by the scheduler.
-pub(crate) struct Session {
-    pub(crate) id: u32,
-    work: Work,
+/// One fleet session, built at admission: its id (its place in admission
+/// order) and its work, advanced in epoch-sized budgets by the scheduler.
+/// The work is boxed: it carries a whole forked engine or controller, and
+/// sessions move by value into and out of every epoch's parallel map.
+pub(crate) enum Session {
+    Synthetic(u32, Box<SyntheticSession>),
+    Trace(u32, Box<TraceSession>),
 }
 
 impl Session {
-    pub(crate) fn synthetic(id: u32, session: SyntheticSession) -> Session {
-        Session {
-            id,
-            work: Work::Synthetic(Box::new(session)),
-        }
-    }
-
-    pub(crate) fn trace(id: u32, session: TraceSession) -> Session {
-        Session {
-            id,
-            work: Work::Trace(Box::new(session)),
+    pub(crate) fn id(&self) -> u32 {
+        match self {
+            Session::Synthetic(id, _) | Session::Trace(id, _) => *id,
         }
     }
 
     /// The session-kind label streamed in fleet events.
     pub(crate) fn kind(&self) -> &'static str {
-        match &self.work {
-            Work::Synthetic(_) => "synthetic",
-            Work::Trace(_) => "trace",
+        match self {
+            Session::Synthetic(..) => "synthetic",
+            Session::Trace(..) => "trace",
         }
     }
 
     pub(crate) fn finished(&self) -> bool {
-        match &self.work {
-            Work::Synthetic(s) => s.finished(),
-            Work::Trace(t) => t.finished(),
+        match self {
+            Session::Synthetic(_, s) => s.step >= s.steps,
+            Session::Trace(_, t) => t.cursor >= t.prefix,
         }
     }
 
     /// Advances up to `budget` work units (transmission steps or trace
     /// events); stops early when the session finishes.
     pub(crate) fn advance(&mut self, budget: u32) {
-        match &mut self.work {
-            Work::Synthetic(s) => {
-                for _ in 0..budget {
-                    if s.finished() {
-                        break;
-                    }
+        match self {
+            Session::Synthetic(_, s) => {
+                for _ in 0..budget.min(s.steps - s.step) {
                     s.step_once();
                 }
             }
-            Work::Trace(t) => t.advance(budget),
-        }
-    }
-
-    /// Work units completed so far.
-    pub(crate) fn units_done(&self) -> u64 {
-        match &self.work {
-            Work::Synthetic(s) => u64::from(s.step),
-            Work::Trace(t) => t.cursor as u64,
+            Session::Trace(_, t) => t.advance(budget),
         }
     }
 
     pub(crate) fn report(&self) -> SessionReport {
-        match &self.work {
-            Work::Synthetic(s) => s.report(self.id),
-            Work::Trace(t) => t.report(self.id),
+        match self {
+            Session::Synthetic(id, s) => s.report(*id),
+            Session::Trace(id, t) => t.report(*id),
         }
     }
 }
@@ -503,8 +422,8 @@ impl Session {
 /// The deterministic result of one finished session.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionReport {
-    /// Stable session id (admission order is irrelevant; merge order is
-    /// always ascending id).
+    /// Session id: its place in admission order (reports merge in
+    /// ascending id).
     pub id: u32,
     /// `"synthetic"` or `"trace"`.
     pub kind: &'static str,

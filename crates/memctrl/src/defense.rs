@@ -64,17 +64,6 @@ impl MprPartition {
     pub fn owner(&self, bank: usize) -> Option<u32> {
         self.owners.get(bank).copied().flatten()
     }
-
-    /// Banks owned by `actor`.
-    #[must_use]
-    pub fn banks_of(&self, actor: u32) -> Vec<usize> {
-        self.owners
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| **o == Some(actor))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Configuration of the ACT defense (§7.4).
@@ -237,8 +226,8 @@ mod tests {
     fn mpr_round_robin() {
         let mut p = MprPartition::new(6);
         p.assign_round_robin(&[10, 20]);
-        assert_eq!(p.banks_of(10), vec![0, 2, 4]);
-        assert_eq!(p.banks_of(20), vec![1, 3, 5]);
+        let owners: Vec<Option<u32>> = (0..6).map(|bank| p.owner(bank)).collect();
+        assert_eq!(owners, [10, 20, 10, 20, 10, 20].map(Some));
     }
 
     #[test]

@@ -289,7 +289,8 @@ pub struct Registry {
     /// by `fig_all` around each `ExperimentJob::run` (span; empty unless
     /// [`enabled`]).
     pub experiment_wall_ns: Histogram,
-    /// `fleet.sessions.started` — sessions admitted by the fleet service.
+    /// `fleet.sessions.started` — sessions the fleet service's run
+    /// started (one per `SessionStarted` event).
     pub fleet_sessions_started: Counter,
     /// `fleet.sessions.finished` — sessions the fleet drove to completion.
     pub fleet_sessions_finished: Counter,
@@ -406,6 +407,27 @@ pub struct HistogramSnapshot {
     pub buckets: Vec<(u64, u64)>,
 }
 
+impl HistogramSnapshot {
+    /// Canonical JSON object, the one histogram schema of the metrics
+    /// export and the fleet report:
+    /// `{"count": N, "sum": N, "overflow": N, "buckets": [[lower, n], ...]}`.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let buckets: Vec<String> = self
+            .buckets
+            .iter()
+            .map(|(bound, n)| format!("[{bound}, {n}]"))
+            .collect();
+        format!(
+            "{{\"count\": {}, \"sum\": {}, \"overflow\": {}, \"buckets\": [{}]}}",
+            self.count,
+            self.sum,
+            self.overflow,
+            buckets.join(", ")
+        )
+    }
+}
+
 /// A frozen, name-sorted view of the registry. Produced by [`snapshot`];
 /// serialized with [`MetricsSnapshot::to_json`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -433,19 +455,7 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    \"");
-            out.push_str(name);
-            out.push_str(&format!(
-                "\": {{\"count\": {}, \"sum\": {}, \"overflow\": {}, \"buckets\": [",
-                h.count, h.sum, h.overflow
-            ));
-            for (j, (bound, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("[{bound}, {n}]"));
-            }
-            out.push_str("]}");
+            out.push_str(&format!("\n    \"{name}\": {}", h.to_json()));
         }
         if !self.histograms.is_empty() {
             out.push_str("\n  ");

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use impact_cache::{
-    CacheHierarchy, HierarchyOutcome, HitLevel, IpStridePrefetcher, Prefetcher, StreamerPrefetcher,
+    CacheHierarchy, HierarchyOutcome, HitLevel, IpStridePrefetcher, StreamerPrefetcher,
 };
 use impact_core::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use impact_core::config::SystemConfig;
@@ -991,8 +991,8 @@ impl<B: MemoryBackend> Engine<B> {
         lanes: &mut [Lane<'_>],
     ) -> Result<()> {
         let ip = va.page_number(); // stream id proxy
-        let mut reqs = self.ip_prefetcher.observe(ip, pa, missed);
-        reqs.extend(self.streamer.observe(ip, pa, missed));
+        let mut reqs = self.ip_prefetcher.observe(ip, pa);
+        reqs.extend(self.streamer.observe(pa, missed));
         for r in reqs {
             // Prefetches fill caches and touch DRAM rows (noise).
             let served = self

@@ -39,25 +39,14 @@ impl System {
     /// latency taken from the CACTI model (so LLC sweeps time correctly).
     #[must_use]
     pub fn new(cfg: SystemConfig) -> System {
-        System::with_params(cfg, SimParams::default())
-    }
-
-    /// Builds the system with explicit harness parameters.
-    #[must_use]
-    pub fn with_params(cfg: SystemConfig, params: SimParams) -> System {
         let mc = MemoryController::from_config(&cfg);
-        Engine::with_backend(cfg, params, mc)
+        Engine::with_backend(cfg, SimParams::default(), mc)
     }
 
     /// The memory controller (defense control, stats).
     #[must_use]
     pub fn memctrl(&self) -> &MemoryController {
         self.backend()
-    }
-
-    /// Mutable memory-controller access.
-    pub fn memctrl_mut(&mut self) -> &mut MemoryController {
-        self.backend_mut()
     }
 }
 

@@ -60,14 +60,6 @@ pub struct RequestMix {
     pub unmapped: u64,
 }
 
-impl RequestMix {
-    /// Total operations counted (requests + injects).
-    #[must_use]
-    pub fn total_ops(&self) -> u64 {
-        self.loads + self.stores + self.pims + self.rowclones + self.injects
-    }
-}
-
 impl CapturedTrace {
     /// Decodes a whole trace from a reader.
     ///
@@ -237,7 +229,6 @@ mod tests {
         assert_eq!(mix.injects, 1);
         assert_eq!(mix.batches, 1);
         assert_eq!(mix.max_batch, 8);
-        assert_eq!(mix.total_ops(), 25);
         assert_eq!(mix.per_bank.len(), 16);
         assert_eq!(mix.per_bank.iter().sum::<u64>(), 25);
         assert_eq!(mix.unmapped, 0);

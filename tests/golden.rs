@@ -1,10 +1,11 @@
 //! The behavioural spec as pinned constants: the quick and full
-//! `fig_all` text, a seeded fleet population, a quick Mix capture and the
-//! full mix/pnm/bfs captures, what the trace tools make of the quick
-//! capture (its figure, a slice, a merge and a fleet of trace sessions),
-//! and every field of the attacks' reports (each covert channel on six
-//! machines, fig11's side channel at four bank counts), each reduced to a
-//! digest or a value that must not move.
+//! `fig_all` text, the quick `fig_all --csv` output, a seeded fleet
+//! population, a quick Mix capture and the full mix/pnm/bfs captures,
+//! what the trace tools make of the quick capture (its figure, a slice, a
+//! merge and a fleet of trace sessions), and every field of the attacks'
+//! reports (each covert channel on six machines, fig11's side channel at
+//! four bank counts), each reduced to a digest or a value that must not
+//! move.
 //!
 //! The determinism and equivalence suites prove that backends, worker
 //! counts, forks and replays agree *with each other*; a change that moves
@@ -38,6 +39,16 @@ fn quick_suite_text_is_pinned() {
     let mut text = Vec::new();
     run_and_print(&suite(true, BackendKind::Mono), false, &mut text).unwrap();
     assert_eq!(fnv1a_bytes(FNV_OFFSET, &text), 0xfeaa_f24d_6159_5b5b);
+}
+
+/// FNV-1a of `fig_all --quick --csv` stdout: every figure's CSV after a
+/// `# id` line, each followed by a blank line. Each CSV has the rows of
+/// its figure's text table (the ablations' 14, not the first series' 3).
+#[test]
+fn quick_suite_csv_is_pinned() {
+    let mut csv = Vec::new();
+    run_and_print(&suite(true, BackendKind::Mono), true, &mut csv).unwrap();
+    assert_eq!(fnv1a_bytes(FNV_OFFSET, &csv), 0x06d7_12fd_8c79_5c89);
 }
 
 /// FNV-1a of full `fig_all` stdout (the same value as perfbench's suite

@@ -138,11 +138,11 @@ proptest! {
         let (pa2, _) = sys.translate(agent, va).unwrap();
         prop_assert_eq!(pa1, pa2, "translation must be stable");
         let r1 = sys
-            .memctrl_mut()
+            .backend_mut()
             .service(&MemRequest::load(pa1, Cycles(at), agent.0))
             .unwrap();
         let r2 = sys
-            .memctrl_mut()
+            .backend_mut()
             .service(&MemRequest::load(pa2, r1.completed_at, agent.0))
             .unwrap();
         prop_assert_eq!(r1.bank, bank, "mapped to the allocated bank");
