@@ -46,7 +46,8 @@ pub use pnm::PnmCovertChannel;
 pub use pum::PumCovertChannel;
 pub use side_channel::{SideChannelAttack, SideChannelInit, SideChannelReport};
 
-/// The serial reference the attacks' burst tests compare against.
+/// The serial reference the side channel's init-burst test compares
+/// against.
 #[cfg(test)]
 mod test_support {
     use impact_core::config::SystemConfig;
@@ -58,8 +59,8 @@ mod test_support {
     use impact_sim::{Engine, SimParams};
 
     /// A [`MemoryController`] that keeps the trait's conservative probe
-    /// hooks (`probe_burst_safe`, `bank_of`, `bank_ready_at`), so every
-    /// engine burst takes its serial per-probe remainder.
+    /// hooks (`probe_burst_safe`, `bank_of`, `bank_ready_at`), so the
+    /// engine's row-opening burst always takes its serial per-probe loop.
     pub(crate) struct SerialController(pub(crate) MemoryController);
 
     /// Builds the engine as `System::new` does, over a [`SerialController`].

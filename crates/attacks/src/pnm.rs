@@ -5,15 +5,16 @@
 //! [`crate::channel`]'s semaphore handshake:
 //!
 //! 1. Step 1, in `setup`: the receiver opens one of its rows in every
-//!    bank (repeated, unmeasured, when it rotates to a fresh row);
+//!    bank with an unmeasured, explicitly offloaded PEI (repeated when it
+//!    rotates to a fresh row);
 //! 2. Step 2, the channel's `send`: the sender encodes logic-1 as
 //!    interference, a PEI on its own row in the corresponding bank
 //!    (row-buffer conflict), and logic-0 as a NOP; the handshake then
 //!    fences and posts the semaphore;
-//! 3. Step 3, the channel's `receive`: the receiver probes each bank with
-//!    a PEI on its initialized row, timed with `rdtscp`, and decodes it
-//!    (above the threshold ⇒ conflict ⇒ 1, else hit ⇒ 0); then it fences
-//!    and rotates its exhausted rows.
+//! 3. Step 3, the channel's `receive`: the receiver probes each bank in
+//!    turn with a PEI on its initialized row between two `rdtscp` reads,
+//!    and decodes it (above the threshold ⇒ conflict ⇒ 1, else hit ⇒ 0);
+//!    then it fences and rotates its exhausted rows.
 //!
 //! Both parties defeat the PMU locality monitor by touching a fresh cache
 //! line of the row on every batch, rotating to a fresh row (with an
@@ -100,8 +101,9 @@ impl PnmCovertChannel {
             receiver_rows.push(RowCursor::fresh(sys, receiver, bank)?);
         }
         // Step 1: open the receiver's row in every bank (unmeasured).
-        let rows: Vec<VirtAddr> = receiver_rows.iter().map(|c| c.row).collect();
-        sys.pim_open_burst(receiver, &rows)?;
+        for cursor in &receiver_rows {
+            sys.pim_op_direct(receiver, cursor.row)?;
+        }
         Ok(PnmCovertChannel {
             sender,
             receiver,
@@ -179,24 +181,20 @@ impl BatchChannel for PnmCovertChannel {
         Ok(())
     }
 
-    /// Step 3: one timed PEI per bank on a fresh line of the receiver's
-    /// row, filtered for RowHammer-mitigation pauses when enabled and
-    /// decoded; then the fence and the row rotation.
+    /// Step 3: per bank, a PEI on a fresh line of the receiver's row timed
+    /// with `rdtscp`, filtered for RowHammer-mitigation pauses when enabled
+    /// and decoded; then the fence and the row rotation.
     fn receive<B: MemoryBackend>(
         &mut self,
         sys: &mut Engine<B>,
         batch: &[bool],
         decoder: &mut Decoder,
     ) -> Result<()> {
-        // Collecting the probe lines up front is invisible to the
-        // simulation (cursor state only).
-        let probe_vas: Vec<VirtAddr> = self.receiver_rows[..batch.len()]
-            .iter_mut()
-            .map(RowCursor::next_line)
-            .collect();
-        let samples = sys.pim_probe_burst(self.receiver, &probe_vas)?;
-        for (bank, (&bit, probe)) in batch.iter().zip(&samples).enumerate() {
-            let mut measured = probe.measured;
+        for (bank, &bit) in batch.iter().enumerate() {
+            let va = self.receiver_rows[bank].next_line();
+            let t0 = sys.rdtscp(self.receiver);
+            sys.pim_op(self.receiver, va)?;
+            let mut measured = sys.rdtscp(self.receiver) - t0;
             if let Some((trigger, subtract)) = self.rfm_filter {
                 if measured > trigger {
                     measured = measured.saturating_sub(subtract);
@@ -309,66 +307,6 @@ mod tests {
         assert!(r.is_err());
     }
 
-    /// The receiver's probe bursts are bit-identical to the engine's
-    /// serial per-probe remainder, which a controller that declines every
-    /// batched burst forces, in noiseless configs (batched path), noisy
-    /// configs (serial on both sides) and under defenses and periodic
-    /// blocking.
-    #[test]
-    fn batched_transmit_is_bit_identical() {
-        use crate::test_support::serial_system;
-        use impact_memctrl::{ActConfig, ControllerBackend, Defense, PeriodicBlock};
-
-        fn transmit<B: ControllerBackend>(
-            mut s: Engine<B>,
-            defense: Option<Defense>,
-            block: Option<PeriodicBlock>,
-            msg: &[bool],
-        ) -> (ChannelReport, Engine<B>) {
-            if let Some(d) = defense {
-                s.set_defense(d);
-            }
-            s.set_periodic_block(block);
-            let mut ch = PnmCovertChannel::setup(&mut s, 16).unwrap();
-            (ch.transmit(&mut s, msg).unwrap(), s)
-        }
-
-        let noiseless = SystemConfig::paper_table2_noiseless;
-        let cases = [
-            ("noiseless", noiseless(), None, None),
-            ("noisy", SystemConfig::paper_table2(), None, None),
-            ("ctd", noiseless(), Some(Defense::Ctd), None),
-            (
-                "act",
-                noiseless(),
-                Some(Defense::Act(ActConfig::aggressive())),
-                None,
-            ),
-            (
-                "rfm",
-                noiseless(),
-                None,
-                Some(PeriodicBlock::rfm_paper_default()),
-            ),
-        ];
-        let msg = SimRng::seed(29).bits(512);
-        for (name, cfg, defense, block) in cases {
-            let (br, bsys) = transmit(System::new(cfg.clone()), defense.clone(), block, &msg);
-            let (sr, ssys) = transmit(serial_system(cfg), defense, block, &msg);
-            assert_eq!(br, sr, "report diverged under {name}");
-            assert_eq!(
-                bsys.elapsed(),
-                ssys.elapsed(),
-                "clock diverged under {name}"
-            );
-            assert_eq!(
-                bsys.memctrl().stats(),
-                ssys.backend().0.stats(),
-                "backend stats diverged under {name}"
-            );
-        }
-    }
-
     /// Behind the tracing proxy the channel behaves exactly as on the
     /// monolithic controller.
     #[test]
@@ -384,17 +322,6 @@ mod tests {
             TracedSystem::recording(cfg(), Vec::new(), "paper_table2_noiseless", 31).unwrap();
         let mut tr_ch = PnmCovertChannel::setup(&mut tr_sys, 16).unwrap();
         assert_eq!(tr_ch.transmit(&mut tr_sys, &msg).unwrap(), mono);
-        // The hot loop really went through the batched path: the trace
-        // contains one batch event per transmitted chunk plus the
-        // initialization burst.
-        use impact_core::trace::{read_trace, TraceEvent};
-        let (_, bytes) = tr_sys.finish_trace().unwrap();
-        let (_, events, _) = read_trace(&bytes[..]).unwrap();
-        let batches = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Batch(_)))
-            .count();
-        assert!(batches > msg.len() / 16, "only {batches} batch events");
     }
 
     #[test]

@@ -52,9 +52,9 @@ fn bench_cache(c: &mut Criterion) {
     });
 }
 
-/// The end-to-end init sweep: `pim_open_burst` over one row per bank of
-/// a 4096-bank device, through the whole engine (translation, TLB, burst
-/// eligibility).
+/// The end-to-end init sweep over one row per bank of a 4096-bank device,
+/// as `SideChannelAttack::init` runs it: translate every row, then
+/// `pim_open_burst_translated` (burst eligibility, batched servicing).
 fn bench_side_channel_init(c: &mut Criterion) {
     let cfg = SystemConfig::paper_table2_noiseless().with_total_banks(4096);
     c.bench_function("attacks/side_channel_init_mono", |b| {
@@ -71,19 +71,27 @@ fn bench_side_channel_init(c: &mut Criterion) {
                     .collect();
                 (sys, a, vas)
             },
-            |(mut sys, a, vas)| sys.pim_open_burst(a, &vas).expect("burst").len(),
+            |(mut sys, a, vas)| {
+                let probes: Vec<_> = vas
+                    .iter()
+                    .map(|&va| sys.translate(a, va).expect("translate"))
+                    .collect();
+                sys.pim_open_burst_translated(a, &probes)
+                    .expect("burst")
+                    .len()
+            },
             BatchSize::SmallInput,
         );
     });
 }
 
-/// The IMPACT-PnM transmit hot loop: noiseless, so the receiver's probes
-/// go through one `service_batch` burst per 16-bit chunk.
+/// The IMPACT-PnM transmit hot loop on the noiseless machine: per 16-bit
+/// batch, the sender's PEIs and the receiver's 16 timed probes.
 fn bench_pnm_transmit(c: &mut Criterion) {
     use impact_attacks::PnmCovertChannel;
     use impact_core::rng::SimRng;
     let message = SimRng::seed(0xBE9C).bits(512);
-    c.bench_function("attacks/pnm_transmit_batched", |b| {
+    c.bench_function("attacks/pnm_transmit", |b| {
         b.iter_batched(
             || {
                 let mut sys = System::new(SystemConfig::paper_table2_noiseless());

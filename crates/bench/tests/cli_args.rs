@@ -200,24 +200,72 @@ fn fleet_run_accepts_a_huge_worker_count() {
     assert_eq!(run("1152921504606846976"), run("1"));
 }
 
-/// `fig_all` times each experiment it runs: `--metrics` holds one
-/// `sweep.experiment.wall_ns` sample per selected experiment.
-#[test]
-fn fig_all_times_each_experiment_it_runs() {
-    let metrics = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("cli_args_metrics_{}.json", std::process::id()));
+/// Runs `fig_all --quick --metrics FILE experiments` and returns the
+/// telemetry snapshot it wrote.
+fn quick_metrics(experiments: &[&str]) -> String {
+    let metrics = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!(
+        "cli_args_metrics_{}_{}.json",
+        std::process::id(),
+        experiments.join("_")
+    ));
     let path = metrics.to_str().expect("utf-8 temp path");
     let out = Command::new(env!("CARGO_BIN_EXE_fig_all"))
-        .args(["--quick", "--metrics", path, "table1", "table2"])
+        .args(["--quick", "--metrics", path])
+        .args(experiments)
         .output()
         .expect("run fig_all");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
     let json = std::fs::read_to_string(&metrics).expect("read the snapshot");
     std::fs::remove_file(&metrics).ok();
+    json
+}
+
+/// The number that follows `key` in `json`.
+fn number_after(json: &str, key: &str) -> u64 {
+    let at = json
+        .find(key)
+        .unwrap_or_else(|| panic!("no {key} in\n{json}"))
+        + key.len();
+    let digits: String = json[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("no number after {key} in\n{json}"))
+}
+
+/// `fig_all` times each experiment it runs: `--metrics` holds one
+/// `sweep.experiment.wall_ns` sample per selected experiment.
+#[test]
+fn fig_all_times_each_experiment_it_runs() {
+    let json = quick_metrics(&["table1", "table2"]);
     assert!(
         json.contains("\"sweep.experiment.wall_ns\": {\"count\": 2,"),
         "{json}"
+    );
+}
+
+/// Which work reaches `service_batch`, as `(calls, requests)`: only
+/// fig11's init sweeps, one 64-row burst chunk at a time over 1,024 +
+/// 2,048 + 4,096 + 8,192 banks. The covert channels' receivers probe one
+/// bank at a time, as Listing 1 does, so the other experiments that run
+/// them batch nothing.
+#[test]
+fn only_fig11_init_sweeps_reach_service_batch() {
+    let batched = |experiments: &[&str]| {
+        let json = quick_metrics(experiments);
+        let hist = &json[json.find("\"ctrl.batch.size\"").expect("batch histogram")..];
+        (
+            number_after(&json, "\"ctrl.segments.serial\": "),
+            number_after(hist, "\"sum\": "),
+        )
+    };
+    assert_eq!(batched(&["fig11"]), (240, 15_360));
+    assert_eq!(
+        batched(&["fig8", "fig10", "future_banks", "ablations", "fig12"]),
+        (0, 0)
     );
 }
 

@@ -377,13 +377,6 @@ impl SystemConfig {
         self
     }
 
-    /// Same system with a different LLC associativity (for the Fig. 3 sweep).
-    #[must_use]
-    pub fn with_llc_ways(mut self, ways: u32) -> SystemConfig {
-        self.l3.ways = ways;
-        self
-    }
-
     /// Same system with a different total DRAM bank count (Fig. 11 sweep).
     #[must_use]
     pub fn with_total_banks(mut self, banks: u32) -> SystemConfig {
@@ -577,21 +570,17 @@ mod tests {
     #[should_panic(expected = "no power-of-two set count")]
     fn twelve_way_two_mib_cache_has_no_set_count() {
         // 2 MiB / (12 x 64 B) is 2,730.67 sets.
-        let _ = SystemConfig::paper_table2()
-            .with_llc_size(2 << 20)
-            .with_llc_ways(12)
-            .l3
-            .sets();
+        let mut cfg = SystemConfig::paper_table2().with_llc_size(2 << 20);
+        cfg.l3.ways = 12;
+        let _ = cfg.l3.sets();
     }
 
     #[test]
     fn sweep_builders() {
         let cfg = SystemConfig::paper_table2()
             .with_llc_size(64 << 20)
-            .with_llc_ways(32)
             .with_total_banks(1024);
         assert_eq!(cfg.l3.size_bytes, 64 << 20);
-        assert_eq!(cfg.l3.ways, 32);
         assert_eq!(cfg.dram_geometry.total_banks(), 1024);
     }
 
@@ -602,10 +591,12 @@ mod tests {
             base.fingerprint(),
             SystemConfig::paper_table2().fingerprint()
         );
+        let mut wider_llc = SystemConfig::paper_table2();
+        wider_llc.l3.ways = 32;
         let variants = [
             SystemConfig::paper_table2_noiseless(),
             SystemConfig::paper_table2().with_llc_size(64 << 20),
-            SystemConfig::paper_table2().with_llc_ways(32),
+            wider_llc,
             SystemConfig::paper_table2().with_total_banks(1024),
         ];
         for v in &variants {

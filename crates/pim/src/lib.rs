@@ -7,7 +7,9 @@
 //!   locality monitor decides whether each PEI executes host-side (through
 //!   the cache hierarchy) or memory-side (directly at the bank). The
 //!   IMPACT-PnM attack deliberately defeats the monitor by touching a
-//!   different cache line on every operation.
+//!   different cache line on every operation, so each of its timed probes
+//!   is a monitored PEI that [`PeiEngine::decide`] sends memory-side
+//!   (Listing 1, Step 3).
 //! * **PuM — RowClone** ([`rowclone`]): bulk in-DRAM copy issued by
 //!   userspace with a source range, destination range and bank mask. The
 //!   memory controller alone checks the masked request and fans it out to

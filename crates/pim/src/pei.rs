@@ -11,9 +11,11 @@
 //!   caches; low-locality regions execute memory-side. The monitor is a
 //!   small direct-mapped table of per-line access counters.
 //!
-//! [`PeiEngine::decide`] is the PMU's decision. The system simulator
-//! times a host-side PEI through its own cache hierarchy;
-//! [`PeiEngine::execute_memory_side`] times a memory-side one.
+//! [`PeiEngine::decide`] is the PMU's decision; it reads and updates the
+//! line's counter in one step. The system simulator calls it for every
+//! monitored PEI and times a host-side PEI through its own cache
+//! hierarchy; [`PeiEngine::execute_memory_side`] times a memory-side one,
+//! including the explicitly offloaded PEIs that never consult the monitor.
 //!
 //! The monitor's table sits in a [`CowBox`], so an engine fork shares it
 //! until either side runs a PEI through the PMU. Forks that only issue
@@ -100,15 +102,6 @@ impl LocalityMonitor {
         }
     }
 
-    /// Reports what [`LocalityMonitor::observe`] would return for `line`
-    /// without updating any counter. Batched probe paths use this to
-    /// predict PMU decisions before committing to a burst.
-    #[must_use]
-    pub fn peek(&self, line: u64) -> bool {
-        let e = &self.entries[(line & self.mask) as usize];
-        e.valid && e.line == line && e.count >= self.threshold
-    }
-
     /// Observes an access to `line` and reports whether the PMU considers
     /// it high-locality *before* this access.
     pub fn observe(&mut self, line: u64) -> bool {
@@ -165,17 +158,6 @@ impl PeiEngine {
     /// PMU decision for a PEI targeting `addr` (also updates the monitor).
     pub fn decide(&mut self, addr: PhysAddr) -> ExecSite {
         if self.monitor.observe(addr.line_number()) {
-            ExecSite::Host
-        } else {
-            ExecSite::MemorySide
-        }
-    }
-
-    /// What [`PeiEngine::decide`] would answer for `addr`, without
-    /// updating the locality monitor.
-    #[must_use]
-    pub fn peek_site(&self, addr: PhysAddr) -> ExecSite {
-        if self.monitor.peek(addr.line_number()) {
             ExecSite::Host
         } else {
             ExecSite::MemorySide
@@ -279,19 +261,6 @@ mod tests {
             mc2.access(PhysAddr(0), Cycles(0), 0).unwrap().latency
         };
         assert_eq!(out.latency, bare + Cycles(3 + 12));
-    }
-
-    #[test]
-    fn peek_predicts_decide_without_mutation() {
-        let mut pei = setup().1;
-        let addr = PhysAddr(0x40);
-        assert_eq!(pei.peek_site(addr), ExecSite::MemorySide);
-        pei.decide(addr);
-        pei.decide(addr);
-        // Hot line: peek says Host and repeated peeks change nothing.
-        assert_eq!(pei.peek_site(addr), ExecSite::Host);
-        assert_eq!(pei.peek_site(addr), ExecSite::Host);
-        assert_eq!(pei.decide(addr), ExecSite::Host);
     }
 
     #[test]

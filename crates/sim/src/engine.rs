@@ -86,19 +86,6 @@ pub struct RowCloneInfo {
     pub per_bank: Vec<(usize, RowBufferKind, Cycles)>,
 }
 
-/// One timed PEI probe out of [`Engine::pim_probe_burst`]: what the
-/// probing agent's serialized timestamp pair measured, plus the
-/// ground-truth classification for test assertions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeSample {
-    /// `t1 - t0` of the emulated `rdtscp` pair around the probe.
-    pub measured: u64,
-    /// Row-buffer classification when the PEI executed memory-side.
-    pub kind: Option<RowBufferKind>,
-    /// Where the PMU executed the probe.
-    pub site: ExecSite,
-}
-
 /// A second memory side for the engine's front end: a controller that
 /// receives the requests the engine's own backend receives, each timed by
 /// this lane's own copy of the accessing agent's clock.
@@ -243,8 +230,8 @@ impl<B: MemoryBackend> core::fmt::Debug for Engine<B> {
     }
 }
 
-/// Probes per `service_batch` call on the burst fast path, so a burst
-/// over thousands of banks (fig11's init sweeps) holds a few KiB of
+/// Probes per `service_batch` call on the burst's batched branch, so a
+/// burst over thousands of banks (fig11's init sweeps) holds a few KiB of
 /// requests and responses at a time rather than 112 bytes per probe.
 const BURST_CHUNK: usize = 64;
 
@@ -643,46 +630,33 @@ impl<B: MemoryBackend> Engine<B> {
     }
 
     // ------------------------------------------------------------------
-    // Batched probe paths (attack hot loops)
+    // The row-opening burst (the side channel's init sweep)
     // ------------------------------------------------------------------
     //
-    // The attacks' inner loops reduce to bursts of PEI probes over
-    // distinct banks. The burst methods below service such a burst through
-    // the backend's amortized `service_batch` path while remaining
-    // BIT-IDENTICAL to the equivalent serial loop: same responses, same
-    // clock evolution, same TLB/monitor/backend state. The fast path only
-    // engages when that equivalence is provable —
+    // `pim_open_burst_translated` services a burst of explicitly offloaded
+    // PEIs through the backend's amortized `service_batch` path while
+    // remaining BIT-IDENTICAL to running the remainder of `pim_op_direct`
+    // per probe: same responses, same clock evolution, same TLB and
+    // backend state. The batched branch only engages when that
+    // equivalence is provable —
     //
     //   * the backend reports `probe_burst_safe()` (scalar servicing is
     //     arrival-time invariant and infallible for in-range addresses),
     //   * noise injection is disabled (its RNG draws interleave with
-    //     probes in the serial loop),
+    //     probes in the serial loop), and
     //   * every probe maps to a distinct bank that is idle at burst start
-    //     (so no request ever queues, in either formulation), and
-    //   * (monitored bursts) the PMU would send every probe memory-side.
+    //     (so no request ever queues, in either formulation).
     //
-    // Otherwise the methods fall back to the serial per-probe remainder,
-    // so callers can use them unconditionally. Translations are hoisted
-    // out of the per-probe loop in both paths; this is invisible because
-    // nothing between the probes of one burst touches the TLB or page
-    // table. (The only observable difference from a literal serial loop
-    // is on *error*: a burst whose k-th translation fails performs no
-    // probe at all, where the serial loop would have completed the first
-    // k-1.) Note the fast path leaves each probed bank's busy-until at
-    // (burst start + latency), earlier than the serial loop's chained
-    // completions; since the issuing agent's clock ends past every serial
-    // completion and banks are only re-touched at or after that clock
-    // (the attacks' semaphore discipline), the difference is
-    // unobservable.
+    // Otherwise the burst runs the serial per-probe loop. Note the batched
+    // branch leaves each probed bank's busy-until at (burst start +
+    // latency), earlier than the serial loop's chained completions; since
+    // the issuing agent's clock ends past every serial completion and
+    // banks are only re-touched at or after that clock (the attack's
+    // barrier after its init sweep), the difference is unobservable.
 
     /// True when a burst over the translated `probes` may take the
-    /// batched fast path for `agent` — see the invariants above.
-    fn burst_eligible(
-        &self,
-        agent: AgentId,
-        probes: &[(PhysAddr, Cycles)],
-        monitored: bool,
-    ) -> bool {
+    /// batched branch for `agent` — see the invariants above.
+    fn burst_eligible(&self, agent: AgentId, probes: &[(PhysAddr, Cycles)]) -> bool {
         let ncfg = self.noise.config();
         if ncfg.prefetcher_rate > 0.0 || ncfg.ptw_rate > 0.0 {
             return false;
@@ -719,9 +693,6 @@ impl<B: MemoryBackend> Engine<B> {
             if dup || self.backend.bank_ready_at(bank) > now {
                 return false;
             }
-            if monitored && self.pei.peek_site(pa) == ExecSite::Host {
-                return false;
-            }
         }
         true
     }
@@ -729,7 +700,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// One PEI after translation: the body of [`Engine::pim_op`]
     /// (`monitored`: the PMU locality monitor picks the site) and of
     /// [`Engine::pim_op_direct`] (not: always memory-side), and the serial
-    /// remainder of every burst.
+    /// loop of [`Engine::pim_open_burst_translated`].
     #[inline]
     fn pim_op_translated(
         &mut self,
@@ -772,147 +743,15 @@ impl<B: MemoryBackend> Engine<B> {
         })
     }
 
-    /// Burst body shared by every probe flavor: fast path
-    /// (`service_batch` in chunks of [`BURST_CHUNK`] probes) when provably
-    /// equivalent, serial remainder loop otherwise. `timed` charges the
-    /// serialized-timestamp pair around each probe, as the receiver
-    /// measurement loops do.
-    fn pim_burst_translated(
-        &mut self,
-        agent: AgentId,
-        probes: &[(PhysAddr, Cycles)],
-        monitored: bool,
-        timed: bool,
-    ) -> Result<Vec<PimInfo>> {
-        let timers = if timed {
-            self.params.timer_overhead * 2
-        } else {
-            Cycles::ZERO
-        };
-        if self.burst_eligible(agent, probes, monitored) {
-            if monitored {
-                for &(pa, _) in probes {
-                    // Eligibility peeked MemorySide for every distinct
-                    // line; intermediate observes cannot flip a distinct
-                    // line to high-locality, so the committed decisions
-                    // agree.
-                    let site = self.pei.decide(pa);
-                    debug_assert_eq!(site, ExecSite::MemorySide);
-                }
-            }
-            let overhead =
-                Cycles(self.cfg.pim.pei_overhead_cycles + self.cfg.pim.pcu_transport_cycles);
-            // Every chunk arrives at the burst start, so chunking serves
-            // the same requests in the same order as one batch would; it
-            // only keeps the request and response buffers small.
-            let at = self.now(agent);
-            let mut reqs = Vec::with_capacity(probes.len().min(BURST_CHUNK));
-            let mut infos = Vec::with_capacity(probes.len());
-            for chunk in probes.chunks(BURST_CHUNK) {
-                reqs.clear();
-                reqs.extend(
-                    chunk
-                        .iter()
-                        .map(|&(pa, _)| MemRequest::pim(pa, at, agent.0)),
-                );
-                let resps = self.backend.service_batch(&reqs)?;
-                infos.extend(chunk.iter().zip(resps).map(|(&(_, tlb_lat), m)| PimInfo {
-                    latency: tlb_lat + overhead + m.latency,
-                    site: ExecSite::MemorySide,
-                    kind: Some(m.kind),
-                }));
-            }
-            // The clock moves only once the whole burst has succeeded.
-            for info in &infos {
-                self.advance(agent, info.latency + timers);
-            }
-            Ok(infos)
-        } else {
-            let mut out = Vec::with_capacity(probes.len());
-            for &(pa, tlb_lat) in probes {
-                if timed {
-                    self.advance(agent, self.params.timer_overhead);
-                }
-                let info = self.pim_op_translated(agent, pa, tlb_lat, monitored)?;
-                if timed {
-                    self.advance(agent, self.params.timer_overhead);
-                }
-                out.push(info);
-            }
-            Ok(out)
-        }
-    }
-
-    /// Translates every probe VA in order, charging the TLB exactly as a
-    /// per-probe loop would.
-    fn translate_burst(
-        &mut self,
-        agent: AgentId,
-        vas: &[VirtAddr],
-    ) -> Result<Vec<(PhysAddr, Cycles)>> {
-        let mut probes = Vec::with_capacity(vas.len());
-        for &va in vas {
-            probes.push(self.translate(agent, va)?);
-        }
-        Ok(probes)
-    }
-
-    /// Issues a burst of *timed, monitored* PEI probes — the receiver hot
-    /// loop of the IMPACT-PnM covert channel (Listing 1, Step 3). For each
-    /// `va` this is bit-identical to
-    ///
-    /// ```text
-    /// t0 = rdtscp(); pim_op(va); t1 = rdtscp(); measured = t1 - t0;
-    /// ```
-    ///
-    /// but when the burst invariants hold (see the module comments) the
-    /// probes are serviced through amortized
+    /// Issues a burst of *untimed, explicitly offloaded* PEIs over probes
+    /// the caller has already translated with [`Engine::translate`] (each
+    /// entry is the physical address plus the TLB latency that translation
+    /// charged): the side channel's row-opening init sweep, which
+    /// interleaves translation with allocation to keep the serial TLB
+    /// access order. Bit-identical to the remainder of
+    /// [`Engine::pim_op_direct`] per probe; when the burst invariants hold
+    /// (see above) the probes reach the backend through
     /// [`MemoryBackend::service_batch`] calls of up to 64 probes each.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation and backend errors. A failed translation
-    /// aborts the burst before any probe is issued.
-    pub fn pim_probe_burst(
-        &mut self,
-        agent: AgentId,
-        vas: &[VirtAddr],
-    ) -> Result<Vec<ProbeSample>> {
-        let probes = self.translate_burst(agent, vas)?;
-        let timer = self.params.timer_overhead.0;
-        let infos = self.pim_burst_translated(agent, &probes, true, true)?;
-        Ok(infos
-            .into_iter()
-            .map(|i| ProbeSample {
-                measured: i.latency.0 + timer,
-                kind: i.kind,
-                site: i.site,
-            })
-            .collect())
-    }
-
-    /// Issues a burst of *untimed, explicitly offloaded* PEIs — the
-    /// row-opening initialization sweeps both attacks perform. For each
-    /// `va` this is bit-identical to calling [`Engine::pim_op_direct`],
-    /// with the same batched fast path as [`Engine::pim_probe_burst`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation and backend errors. A failed translation
-    /// aborts the burst before any probe is issued.
-    pub fn pim_open_burst(&mut self, agent: AgentId, vas: &[VirtAddr]) -> Result<Vec<PimInfo>> {
-        let probes = self.translate_burst(agent, vas)?;
-        self.pim_burst_translated(agent, &probes, false, false)
-    }
-
-    /// [`Engine::pim_open_burst`] over probes the caller has already
-    /// translated with [`Engine::translate`] (each entry is the physical
-    /// address plus the TLB latency that translation charged). Callers
-    /// that must interleave translation with allocation — e.g. the
-    /// side-channel attacker warming one row per bank — use this to keep
-    /// the serial TLB access order while still batching the DRAM probes.
-    /// Bit-identical to the remainder of [`Engine::pim_op_direct`] per
-    /// probe.
     ///
     /// # Errors
     ///
@@ -922,7 +761,38 @@ impl<B: MemoryBackend> Engine<B> {
         agent: AgentId,
         probes: &[(PhysAddr, Cycles)],
     ) -> Result<Vec<PimInfo>> {
-        self.pim_burst_translated(agent, probes, false, false)
+        if !self.burst_eligible(agent, probes) {
+            return probes
+                .iter()
+                .map(|&(pa, tlb_lat)| self.pim_op_translated(agent, pa, tlb_lat, false))
+                .collect();
+        }
+        let overhead = Cycles(self.cfg.pim.pei_overhead_cycles + self.cfg.pim.pcu_transport_cycles);
+        // Every chunk arrives at the burst start, so chunking serves the
+        // same requests in the same order as one batch would; it only keeps
+        // the request and response buffers small.
+        let at = self.now(agent);
+        let mut reqs = Vec::with_capacity(probes.len().min(BURST_CHUNK));
+        let mut infos = Vec::with_capacity(probes.len());
+        for chunk in probes.chunks(BURST_CHUNK) {
+            reqs.clear();
+            reqs.extend(
+                chunk
+                    .iter()
+                    .map(|&(pa, _)| MemRequest::pim(pa, at, agent.0)),
+            );
+            let resps = self.backend.service_batch(&reqs)?;
+            infos.extend(chunk.iter().zip(resps).map(|(&(_, tlb_lat), m)| PimInfo {
+                latency: tlb_lat + overhead + m.latency,
+                site: ExecSite::MemorySide,
+                kind: Some(m.kind),
+            }));
+        }
+        // The clock moves only once the whole burst has succeeded.
+        for info in &infos {
+            self.advance(agent, info.latency);
+        }
+        Ok(infos)
     }
 
     /// Executes a masked RowClone: copies row chunks from the range at
@@ -959,12 +829,7 @@ impl<B: MemoryBackend> Engine<B> {
     }
 
     #[cfg(test)]
-    pub(crate) fn burst_would_commit(
-        &self,
-        agent: AgentId,
-        vas: &[VirtAddr],
-        monitored: bool,
-    ) -> bool {
+    pub(crate) fn burst_would_commit(&self, agent: AgentId, vas: &[VirtAddr]) -> bool {
         let pt = &self.agents[agent.0 as usize].page_table;
         let Ok(probes) = vas
             .iter()
@@ -973,7 +838,7 @@ impl<B: MemoryBackend> Engine<B> {
         else {
             return false;
         };
-        self.burst_eligible(agent, &probes, monitored)
+        self.burst_eligible(agent, &probes)
     }
 
     /// Trains the prefetchers on one access and sends their requests to
@@ -1077,41 +942,44 @@ mod burst_tests {
         (sys, a, vas)
     }
 
-    /// The literal serial loop `pim_probe_burst` must match.
-    fn serial_probe_loop<B: impact_core::engine::MemoryBackend>(
+    /// Translates every probe line in order, as the side channel's init
+    /// sweep does before its burst.
+    fn translate_all<B: MemoryBackend>(
         sys: &mut Engine<B>,
         agent: AgentId,
         vas: &[VirtAddr],
-    ) -> Vec<ProbeSample> {
+    ) -> Vec<(PhysAddr, Cycles)> {
         vas.iter()
-            .map(|&va| {
-                let t0 = sys.rdtscp(agent);
-                let info = sys.pim_op(agent, va).unwrap();
-                let t1 = sys.rdtscp(agent);
-                ProbeSample {
-                    measured: t1 - t0,
-                    kind: info.kind,
-                    site: info.site,
-                }
-            })
+            .map(|&va| sys.translate(agent, va).unwrap())
             .collect()
     }
 
-    fn assert_probe_burst_matches_serial(configure: impl Fn(&mut System)) {
+    /// The serial loop `pim_open_burst_translated` must match.
+    fn pim_op_direct_loop<B: MemoryBackend>(
+        sys: &mut Engine<B>,
+        agent: AgentId,
+        vas: &[VirtAddr],
+    ) -> Vec<PimInfo> {
+        vas.iter()
+            .map(|&va| sys.pim_op_direct(agent, va).unwrap())
+            .collect()
+    }
+
+    fn assert_open_burst_matches_pim_op_direct(configure: impl Fn(&mut System)) {
         let make = || {
-            let mut s = System::new(SystemConfig::paper_table2());
+            let mut s = System::new(SystemConfig::paper_table2_noiseless());
             configure(&mut s);
             s
         };
         let (mut a_sys, a, vas) = probe_setup(make(), 8);
         let (mut b_sys, b, vas_b) = probe_setup(make(), 8);
         assert_eq!(vas, vas_b);
-        for _ in 0..3 {
-            // Successive bursts probe fresh lines, like the PnM receiver.
-            let off: Vec<VirtAddr> = vas.iter().map(|&v| v + 64).collect();
-            let burst = a_sys.pim_probe_burst(a, &off).unwrap();
-            let serial = serial_probe_loop(&mut b_sys, b, &off);
-            assert_eq!(burst, serial);
+        for round in 0..3 {
+            // Successive bursts open fresh lines of the same rows.
+            let off: Vec<VirtAddr> = vas.iter().map(|&v| v + round * 64).collect();
+            let probes = translate_all(&mut a_sys, a, &off);
+            let burst = a_sys.pim_open_burst_translated(a, &probes).unwrap();
+            assert_eq!(burst, pim_op_direct_loop(&mut b_sys, b, &off));
             assert_eq!(a_sys.now(a), b_sys.now(b), "clock diverged");
             assert_eq!(
                 a_sys.backend().backend_stats(),
@@ -1122,20 +990,19 @@ mod burst_tests {
     }
 
     #[test]
-    fn probe_burst_bit_identical_noiseless() {
-        assert_probe_burst_matches_serial(|s| {
-            *s = System::new(SystemConfig::paper_table2_noiseless());
+    fn open_burst_matches_pim_op_direct() {
+        // Noiseless and CTD take the batched branch; noise, ACT and
+        // periodic blocking force the serial loop. All must match
+        // `pim_op_direct` exactly.
+        assert_open_burst_matches_pim_op_direct(|_| {});
+        assert_open_burst_matches_pim_op_direct(|s| {
+            *s = System::new(SystemConfig::paper_table2());
         });
-    }
-
-    #[test]
-    fn probe_burst_bit_identical_under_noise_and_defenses() {
-        // Noise, ACT and periodic blocking force the serial fallback; CTD
-        // stays on the fast path. All must match the serial loop exactly.
-        assert_probe_burst_matches_serial(|_| {});
-        assert_probe_burst_matches_serial(|s| s.set_defense(Defense::Ctd));
-        assert_probe_burst_matches_serial(|s| s.set_defense(Defense::Act(ActConfig::aggressive())));
-        assert_probe_burst_matches_serial(|s| {
+        assert_open_burst_matches_pim_op_direct(|s| s.set_defense(Defense::Ctd));
+        assert_open_burst_matches_pim_op_direct(|s| {
+            s.set_defense(Defense::Act(ActConfig::aggressive()));
+        });
+        assert_open_burst_matches_pim_op_direct(|s| {
             s.set_periodic_block(Some(PeriodicBlock::rfm_paper_default()));
         });
     }
@@ -1143,28 +1010,28 @@ mod burst_tests {
     #[test]
     fn fast_path_engages_exactly_when_provable() {
         let (sys, a, vas) = probe_setup(System::new(SystemConfig::paper_table2_noiseless()), 8);
-        assert!(sys.burst_would_commit(a, &vas, true));
+        assert!(sys.burst_would_commit(a, &vas));
 
         // Duplicate banks: not provable.
         let mut dup = vas.clone();
         dup.push(vas[0]);
-        assert!(!sys.burst_would_commit(a, &dup, true));
+        assert!(!sys.burst_would_commit(a, &dup));
 
         // Noise on: not provable.
         let (nsys, na, nvas) = probe_setup(System::new(SystemConfig::paper_table2()), 8);
-        assert!(!nsys.burst_would_commit(na, &nvas, true));
+        assert!(!nsys.burst_would_commit(na, &nvas));
 
         // ACT (epoch-based padding): not provable.
         let (mut dsys, da, dvas) =
             probe_setup(System::new(SystemConfig::paper_table2_noiseless()), 8);
         dsys.set_defense(Defense::Act(ActConfig::mild()));
-        assert!(!dsys.burst_would_commit(da, &dvas, true));
+        assert!(!dsys.burst_would_commit(da, &dvas));
         // CTD pads to a constant: provable again.
         dsys.set_defense(Defense::Ctd);
-        assert!(dsys.burst_would_commit(da, &dvas, true));
+        assert!(dsys.burst_would_commit(da, &dvas));
 
         // Unmapped page: not provable.
-        assert!(!sys.burst_would_commit(a, &[VirtAddr(0xdead_b000)], true));
+        assert!(!sys.burst_would_commit(a, &[VirtAddr(0xdead_b000)]));
     }
 
     #[test]
@@ -1173,7 +1040,8 @@ mod burst_tests {
         let recording = TracedSystem::recording(cfg, Vec::new(), "paper_table2_noiseless", 0);
         let (mut sys, a, vas) = probe_setup(recording.unwrap(), 8);
         let before = sys.backend().summary().events;
-        sys.pim_probe_burst(a, &vas).unwrap();
+        let probes = translate_all(&mut sys, a, &vas);
+        sys.pim_open_burst_translated(a, &probes).unwrap();
         let (summary, bytes) = sys.finish_trace().unwrap();
         assert_eq!(summary.events, before + 1, "expected exactly one event");
         let (_, events, _) = read_trace(&bytes[..]).unwrap();
@@ -1181,68 +1049,16 @@ mod burst_tests {
     }
 
     #[test]
-    fn open_burst_matches_pim_op_direct() {
-        let make = || System::new(SystemConfig::paper_table2());
-        let (mut a_sys, a, vas) = probe_setup(make(), 8);
-        let (mut b_sys, b, _) = probe_setup(make(), 8);
-        let burst = a_sys.pim_open_burst(a, &vas).unwrap();
-        let serial: Vec<PimInfo> = vas
-            .iter()
-            .map(|&va| b_sys.pim_op_direct(b, va).unwrap())
-            .collect();
-        assert_eq!(burst, serial);
-        assert_eq!(a_sys.now(a), b_sys.now(b));
-
-        // And pretranslated probes match the pim_op_direct remainder.
-        let make2 = || System::new(SystemConfig::paper_table2_noiseless());
-        let (mut c_sys, c, cvas) = probe_setup(make2(), 8);
-        let (mut d_sys, d, dvas) = probe_setup(make2(), 8);
-        let probes: Vec<(PhysAddr, Cycles)> = cvas
-            .iter()
-            .map(|&va| c_sys.translate(c, va).unwrap())
-            .collect();
-        let burst = c_sys.pim_open_burst_translated(c, &probes).unwrap();
-        let serial: Vec<PimInfo> = dvas
-            .iter()
-            .map(|&va| d_sys.pim_op_direct(d, va).unwrap())
-            .collect();
-        assert_eq!(burst, serial);
-        assert_eq!(c_sys.now(c), d_sys.now(d));
-    }
-
-    #[test]
-    fn bursts_wider_than_one_chunk_match_the_serial_loops() {
-        // 1,024 banks: every burst below spans sixteen `service_batch`
-        // chunks.
+    fn bursts_wider_than_one_chunk_match_the_serial_loop() {
+        // 1,024 banks: the burst spans sixteen `service_batch` chunks.
         let make = || System::new(SystemConfig::paper_table2_noiseless().with_total_banks(1024));
         let (mut a_sys, a, vas) = probe_setup(make(), 1024);
         let (mut b_sys, b, _) = probe_setup(make(), 1024);
         assert!(vas.len() > BURST_CHUNK);
-
-        // The init sweep: untimed, pretranslated row openings.
-        assert!(a_sys.burst_would_commit(a, &vas, false));
-        let probes: Vec<(PhysAddr, Cycles)> = vas
-            .iter()
-            .map(|&va| a_sys.translate(a, va).unwrap())
-            .collect();
+        assert!(a_sys.burst_would_commit(a, &vas));
+        let probes = translate_all(&mut a_sys, a, &vas);
         let burst = a_sys.pim_open_burst_translated(a, &probes).unwrap();
-        let serial: Vec<PimInfo> = vas
-            .iter()
-            .map(|&va| b_sys.pim_op_direct(b, va).unwrap())
-            .collect();
-        assert_eq!(burst, serial);
-        assert_eq!(a_sys.now(a), b_sys.now(b), "clock diverged");
-        assert_eq!(
-            a_sys.backend().backend_stats(),
-            b_sys.backend().backend_stats()
-        );
-
-        // Then timed, monitored probes of a fresh line in every bank.
-        let off: Vec<VirtAddr> = vas.iter().map(|&v| v + 64).collect();
-        assert!(a_sys.burst_would_commit(a, &off, true));
-        let burst = a_sys.pim_probe_burst(a, &off).unwrap();
-        let serial = serial_probe_loop(&mut b_sys, b, &off);
-        assert_eq!(burst, serial);
+        assert_eq!(burst, pim_op_direct_loop(&mut b_sys, b, &vas));
         assert_eq!(a_sys.now(a), b_sys.now(b), "clock diverged");
         assert_eq!(
             a_sys.backend().backend_stats(),
@@ -1255,27 +1071,34 @@ mod burst_tests {
     fn bursts_work_on_every_backend() {
         let cfg = SystemConfig::paper_table2_noiseless;
         let (mut mono, a, vas) = probe_setup(System::new(cfg()), 8);
-        let expected = mono.pim_probe_burst(a, &vas).unwrap();
+        let probes = translate_all(&mut mono, a, &vas);
+        let expected = mono.pim_open_burst_translated(a, &probes).unwrap();
         let boxed = Engine::with_backend(
             cfg(),
             SimParams::default(),
             BackendKind::Mono.backend(&cfg()),
         );
         let (mut boxed, ba, bvas) = probe_setup(boxed, 8);
-        assert!(boxed.burst_would_commit(ba, &bvas, true));
-        assert_eq!(boxed.pim_probe_burst(ba, &bvas).unwrap(), expected);
+        assert!(boxed.burst_would_commit(ba, &bvas));
+        let probes = translate_all(&mut boxed, ba, &bvas);
+        assert_eq!(
+            boxed.pim_open_burst_translated(ba, &probes).unwrap(),
+            expected
+        );
         let recording =
             TracedSystem::recording(cfg(), std::io::sink(), "paper_table2_noiseless", 0);
         let (mut traced, ta, tvas) = probe_setup(recording.unwrap(), 8);
-        assert_eq!(traced.pim_probe_burst(ta, &tvas).unwrap(), expected);
+        let probes = translate_all(&mut traced, ta, &tvas);
+        assert_eq!(
+            traced.pim_open_burst_translated(ta, &probes).unwrap(),
+            expected
+        );
     }
 
     #[test]
     fn empty_burst_is_a_noop() {
         let (mut sys, a, _) = probe_setup(System::new(SystemConfig::paper_table2()), 2);
         let before = sys.now(a);
-        assert!(sys.pim_probe_burst(a, &[]).unwrap().is_empty());
-        assert!(sys.pim_open_burst(a, &[]).unwrap().is_empty());
         assert!(sys.pim_open_burst_translated(a, &[]).unwrap().is_empty());
         assert_eq!(sys.now(a), before);
     }

@@ -47,7 +47,7 @@ pub mod sync;
 pub mod system;
 pub mod tlb;
 
-pub use engine::{AgentId, Engine, Lane, LoadInfo, PimInfo, ProbeSample, RowCloneInfo, SimParams};
+pub use engine::{AgentId, Engine, Lane, LoadInfo, PimInfo, RowCloneInfo, SimParams};
 pub use memory::{FrameAllocator, PageTable};
 pub use noise::NoiseInjector;
 pub use sync::{CoBarrier, CoSemaphore};

@@ -38,7 +38,6 @@ const PT_LEAF_LEN: usize = 1 << PT_LEAF_BITS;
 #[derive(Debug)]
 pub struct PageTable {
     leaves: CowBox<Vec<Option<Box<[u64; PT_LEAF_LEN]>>>>,
-    mapped: usize,
     next_vpn: u64,
 }
 
@@ -54,7 +53,6 @@ impl PageTable {
     pub fn new() -> PageTable {
         PageTable {
             leaves: CowBox::new(Vec::new()),
-            mapped: 0,
             next_vpn: 0x100, // skip the null region
         }
     }
@@ -65,7 +63,6 @@ impl PageTable {
     pub fn fork(&mut self) -> PageTable {
         PageTable {
             leaves: self.leaves.fork(),
-            mapped: self.mapped,
             next_vpn: self.next_vpn,
         }
     }
@@ -79,9 +76,6 @@ impl PageTable {
             leaves.resize_with(hi + 1, || None);
         }
         let leaf = leaves[hi].get_or_insert_with(|| Box::new([0; PT_LEAF_LEN]));
-        if leaf[lo] == 0 {
-            self.mapped += 1;
-        }
         leaf[lo] = pfn + 1;
     }
 
@@ -109,12 +103,6 @@ impl PageTable {
         let base = self.next_vpn;
         self.next_vpn += pages;
         VirtAddr(base * PAGE_SIZE)
-    }
-
-    /// Number of mapped pages.
-    #[must_use]
-    pub fn mapped_pages(&self) -> usize {
-        self.mapped
     }
 }
 
@@ -218,20 +206,23 @@ mod tests {
     #[test]
     fn page_table_radix_edge_cases() {
         let mut pt = PageTable::new();
-        // Remapping a page replaces, not double-counts.
+        // Remapping a page replaces the old frame.
         pt.map_page(5, 42);
         pt.map_page(5, 43);
-        assert_eq!(pt.mapped_pages(), 1);
         assert_eq!(
             pt.translate(VirtAddr(5 * PAGE_SIZE)).unwrap(),
             PhysAddr(43 * PAGE_SIZE)
         );
-        // Physical frame 0 is a valid mapping target.
+        // Physical frame 0 is a valid mapping target, and a new leaf
+        // leaves the earlier mapping alone.
         pt.map_page(10_000, 0);
-        assert_eq!(pt.mapped_pages(), 2);
         assert_eq!(
             pt.translate(VirtAddr(10_000 * PAGE_SIZE)).unwrap(),
             PhysAddr(0)
+        );
+        assert_eq!(
+            pt.translate(VirtAddr(5 * PAGE_SIZE)).unwrap(),
+            PhysAddr(43 * PAGE_SIZE)
         );
         // Neighbors within the same leaf stay unmapped.
         assert!(pt.translate(VirtAddr(10_001 * PAGE_SIZE)).is_err());

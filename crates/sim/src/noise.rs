@@ -18,7 +18,6 @@ pub const NOISE_ACTOR: u32 = u32::MAX - 1;
 pub struct NoiseInjector {
     cfg: NoiseConfig,
     rng: SimRng,
-    events: u64,
 }
 
 impl NoiseInjector {
@@ -28,7 +27,6 @@ impl NoiseInjector {
         NoiseInjector {
             rng: SimRng::seed(cfg.seed),
             cfg,
-            events: 0,
         }
     }
 
@@ -62,17 +60,9 @@ impl NoiseInjector {
             if self.rng.chance(rate) {
                 let bank = self.rng.below(mem.num_banks() as u64) as usize;
                 let row = self.rng.below(mem.rows_per_bank());
-                self.events += 1;
                 activate(mem, bank, row);
             }
         }
-    }
-
-    /// Number of noise activations drawn so far (a draw injected into
-    /// several lanes counts once).
-    #[must_use]
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// The configured rates.
@@ -96,7 +86,6 @@ mod tests {
         for i in 0..1000 {
             n.perturb(&mut mc, Cycles(i));
         }
-        assert_eq!(n.events(), 0);
         assert_eq!(mc.dram().total_stats().total_accesses(), 0);
     }
 
@@ -113,8 +102,8 @@ mod tests {
         for i in 0..10_000 {
             n.perturb(&mut mc, Cycles(i));
         }
-        let e = n.events();
-        assert!((700..=1300).contains(&e), "events = {e}");
+        let e = mc.dram().total_stats().activations;
+        assert!((700..=1300).contains(&e), "activations = {e}");
     }
 
     #[test]
@@ -126,7 +115,7 @@ mod tests {
             for i in 0..5000 {
                 n.perturb(&mut mc, Cycles(i));
             }
-            (n.events(), mc.dram().total_stats().activations)
+            mc.dram().total_stats()
         };
         assert_eq!(run(), run());
     }
@@ -141,7 +130,6 @@ mod tests {
             seed: 2,
         });
         n.perturb(&mut mc, Cycles(0));
-        assert_eq!(n.events(), 1);
         assert_eq!(mc.dram().total_stats().activations, 1);
     }
 }
