@@ -464,7 +464,7 @@ mod tests {
         let (br, bsys) = run(System::new(cfg()));
         let (sr, ssys) = run(serial_system(cfg()));
         assert_eq!(digest(&br), digest(&sr));
-        assert_eq!(bsys.memctrl().stats(), ssys.backend().0.stats());
+        assert_eq!(bsys.backend().stats(), ssys.backend().0.stats());
         assert_eq!(bsys.dram_totals(), ssys.dram_totals());
     }
 

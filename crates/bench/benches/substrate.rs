@@ -23,7 +23,7 @@ fn bench_dram(c: &mut Criterion) {
         let mut now = Cycles(0);
         let mut row = 0u64;
         b.iter(|| {
-            let out = dram.access(0, row % 64, now);
+            let out = dram.access_as(0, row % 64, now, 0);
             now = out.completed_at;
             row += 1;
             out.latency
@@ -35,9 +35,8 @@ fn bench_dram(c: &mut Criterion) {
         let row_bytes = cfg.dram_geometry.row_bytes;
         let mut now = Cycles(0);
         b.iter(|| {
-            let out = mc
-                .rowclone(PhysAddr(0), PhysAddr(16 * row_bytes), 0xFFFF, now, 0)
-                .expect("rowclone");
+            let req = MemRequest::rowclone(PhysAddr(0), PhysAddr(16 * row_bytes), 0xFFFF, now, 0);
+            let out = mc.service(&req).expect("rowclone");
             now = out.completed_at;
             out.latency
         });

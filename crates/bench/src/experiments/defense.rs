@@ -189,7 +189,7 @@ mod tests {
         let agent = sys.spawn_agent();
         let reports = replay_lanes(&mut sys, agent, trace, &mut lanes).unwrap();
         assert_eq!(reports.len(), 1 + lanes.len());
-        let sides = std::iter::once(sys.memctrl()).chain(&lanes);
+        let sides = std::iter::once(sys.backend()).chain(&lanes);
         let defenses = std::iter::once(Defense::None).chain(lane_defenses());
         for ((defense, ctrl), report) in defenses.zip(sides).zip(reports) {
             let label = format!("{name} under {}", defense.name());
@@ -227,7 +227,8 @@ mod tests {
         let writebacks: u32 = trace
             .ops()
             .iter()
-            .map(|op| caches.store(PhysAddr(u64::from(op.offset))).writebacks)
+            .filter_map(|op| caches.store(PhysAddr(u64::from(op.offset))).dirty_victim)
+            .map(|(_, copies)| copies)
             .sum();
         assert!(writebacks > 1000, "the sweep wrote back {writebacks} lines");
         assert_lanes_match_fresh_replays(&cfg, "store sweep", &trace);

@@ -98,13 +98,15 @@ impl CaptureKind {
     }
 }
 
-/// Result of one [`record_capture`] run.
+/// Result of writing a trace: one [`record_capture`] run, or the
+/// standalone trace that [`slice_capture`] or [`merge_captures`] writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaptureOutcome {
     /// Config label written into the header (resolve with
     /// [`config_for_label`]).
     pub label: String,
-    /// The sealed footer.
+    /// The sealed footer (for a slice or a merge, recomputed by replaying
+    /// its events on a fresh controller).
     pub summary: TraceSummary,
     /// DRAM state digest of the recording backend after the run.
     pub state_digest: u64,
@@ -396,18 +398,6 @@ pub fn trace_stats<R: Read>(reader: R) -> Result<(TraceHeader, RequestMix, Trace
     Ok((captured.header, mix, captured.summary))
 }
 
-/// Outcome of [`slice_capture`] or [`merge_captures`]: the output trace's
-/// recomputed footer plus the recomputing controller's final DRAM state
-/// digest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SliceOutcome {
-    /// The slice's footer, recomputed by replaying the window on a fresh
-    /// controller.
-    pub summary: TraceSummary,
-    /// DRAM state digest after the slicing replay.
-    pub state_digest: u64,
-}
-
 /// Extracts the event window `[start, start + count)` of a capture into a
 /// standalone, footer-valid trace written to `sink` (`trace_replay
 /// slice`).
@@ -431,7 +421,7 @@ pub fn slice_capture<W: Write>(
     start: usize,
     count: usize,
     sink: W,
-) -> Result<SliceOutcome> {
+) -> Result<CaptureOutcome> {
     let total = captured.events.len();
     let end = start
         .checked_add(count)
@@ -469,7 +459,7 @@ pub fn slice_capture<W: Write>(
 /// unknown config label, or when the inputs disagree on label or
 /// fingerprint; [`Error::TraceConfigMismatch`] when label and fingerprint
 /// disagree; trace-write and backend service errors.
-pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<SliceOutcome> {
+pub fn merge_captures<W: Write>(inputs: &[CapturedTrace], sink: W) -> Result<CaptureOutcome> {
     let [first, rest @ ..] = inputs else {
         return Err(Error::TraceFormat("merge needs at least two traces".into()));
     };
@@ -506,12 +496,13 @@ fn rewrite<'a, W: Write>(
     header: &TraceHeader,
     events: impl IntoIterator<Item = &'a TraceEvent>,
     sink: W,
-) -> Result<SliceOutcome> {
+) -> Result<CaptureOutcome> {
     let writer = TraceWriter::new(sink, header)?;
     let mut proxy = TracingBackend::new(MemoryController::from_config(cfg), writer)?;
     replay_events(events, &mut proxy, |_| {})?;
     let (backend, summary, _) = proxy.finish()?;
-    Ok(SliceOutcome {
+    Ok(CaptureOutcome {
+        label: header.label.clone(),
         summary,
         state_digest: backend.dram_state_digest(),
     })

@@ -30,8 +30,10 @@ pub struct HierarchyOutcome {
     /// Accumulated lookup latency across the traversed levels. Does **not**
     /// include main-memory latency — that is the memory controller's job.
     pub latency: Cycles,
-    /// Number of dirty lines evicted to memory by fills on this access.
-    pub writebacks: u32,
+    /// The line this access's fill evicted from the LLC, with its count
+    /// of dirty copies (the LLC's and the L2's): each is one write-back of
+    /// that line to memory. `None` when no dirty line left the hierarchy.
+    pub dirty_victim: Option<(PhysAddr, u32)>,
 }
 
 /// The Table 2 cache hierarchy: 32 KiB L1D (LRU), 2 MiB L2 (SRRIP) and a
@@ -100,7 +102,7 @@ impl CacheHierarchy {
             return HierarchyOutcome {
                 level: HitLevel::L1,
                 latency,
-                writebacks: 0,
+                dirty_victim: None,
             };
         }
         latency += self.l2.latency();
@@ -108,23 +110,18 @@ impl CacheHierarchy {
             return HierarchyOutcome {
                 level: HitLevel::L2,
                 latency,
-                writebacks: 0,
+                dirty_victim: None,
             };
         }
         latency += self.l3.latency();
         let l3res = self.l3.access(addr, write);
-        let mut writebacks = 0;
+        let mut dirty_victim = None;
         if let Some(victim) = l3res.evicted {
             // Maintain inclusion: back-invalidate the victim everywhere.
-            if victim.dirty {
-                writebacks += 1;
-            }
-            if let Some(v) = self.l2.flush(victim.addr) {
-                if v.dirty {
-                    writebacks += 1;
-                }
-            }
+            let l2_dirty = self.l2.flush(victim.addr).is_some_and(|v| v.dirty);
             self.l1.flush(victim.addr);
+            let copies = u32::from(victim.dirty) + u32::from(l2_dirty);
+            dirty_victim = (copies > 0).then_some((victim.addr, copies));
         }
         let level = if l3res.hit {
             HitLevel::L3
@@ -134,7 +131,7 @@ impl CacheHierarchy {
         HierarchyOutcome {
             level,
             latency,
-            writebacks,
+            dirty_victim,
         }
     }
 

@@ -174,22 +174,10 @@ impl SetAssocCache {
         &self.cfg
     }
 
-    /// Number of sets.
-    #[must_use]
-    pub fn num_sets(&self) -> u64 {
-        self.sets
-    }
-
     /// Access latency of this level.
     #[must_use]
     pub fn latency(&self) -> Cycles {
         Cycles(self.cfg.latency_cycles)
-    }
-
-    /// Set index for an address.
-    #[must_use]
-    pub fn set_index(&self, addr: PhysAddr) -> u64 {
-        self.set_and_tag(addr).0
     }
 
     /// `(set, tag)` of an address: `line % sets` and `line / sets` of its
@@ -286,11 +274,10 @@ impl SetAssocCache {
         })
     }
 
-    /// Addresses currently resident in the set containing `addr`
-    /// (test/diagnostic aid).
-    #[must_use]
-    pub fn resident_in_set(&self, addr: PhysAddr) -> Vec<PhysAddr> {
-        let set = self.set_index(addr);
+    /// Addresses currently resident in the set containing `addr`.
+    #[cfg(test)]
+    fn resident_in_set(&self, addr: PhysAddr) -> Vec<PhysAddr> {
+        let set = self.set_and_tag(addr).0;
         self.set_slice(set)
             .iter()
             .filter(|l| is_valid(l))
@@ -354,7 +341,7 @@ mod tests {
     /// Returns `n` distinct line addresses all mapping to the same set as
     /// `base`.
     fn congruent(cache: &SetAssocCache, base: PhysAddr, n: usize) -> Vec<PhysAddr> {
-        let stride = cache.num_sets() * 64;
+        let stride = cache.config().sets() * 64;
         (1..=n as u64)
             .map(|i| PhysAddr(base.0 + i * stride))
             .collect()
@@ -433,9 +420,9 @@ mod tests {
     fn set_index_partitions_addresses() {
         let c = SetAssocCache::new(cfg(4, ReplacementKind::Lru));
         // 4 sets: consecutive lines land in consecutive sets.
-        assert_eq!(c.set_index(PhysAddr(0)), 0);
-        assert_eq!(c.set_index(PhysAddr(64)), 1);
-        assert_eq!(c.set_index(PhysAddr(64 * 4)), 0);
+        assert_eq!(c.set_and_tag(PhysAddr(0)), (0, 0));
+        assert_eq!(c.set_and_tag(PhysAddr(64)), (1, 0));
+        assert_eq!(c.set_and_tag(PhysAddr(64 * 4)), (0, 1));
     }
 
     #[test]
@@ -744,7 +731,7 @@ mod proptests {
         fn lru_eviction_is_deterministic(base in 0u64..256) {
             let mut c = small_cache();
             let base = PhysAddr(base * 64);
-            let stride = c.num_sets() * 64;
+            let stride = c.config().sets() * 64;
             c.access(base, false);
             for i in 1..=4u64 {
                 c.access(PhysAddr(base.0 + i * stride), false);

@@ -205,12 +205,13 @@ impl Clock {
     ///
     /// Rounding up models the fact that a command occupying a fractional
     /// cycle still blocks the whole cycle. Products within a few ULPs of
-    /// an integer are snapped to it first, so a duration produced by
-    /// [`Clock::nanos`] converts back to exactly the original cycle count
-    /// instead of picking up a spurious extra cycle from floating-point
-    /// round-off. The snap tolerance is relative (4 ULPs), so above
-    /// ~10¹⁵ cycles — days of simulated time, far beyond any single
-    /// command latency — it can absorb a genuine sub-cycle remainder.
+    /// an integer are snapped to it first, so a duration computed as
+    /// `cycles / freq_ghz` converts back to exactly the original cycle
+    /// count instead of picking up a spurious extra cycle from
+    /// floating-point round-off. The snap tolerance is relative (4 ULPs),
+    /// so above ~10¹⁵ cycles — days of simulated time, far beyond any
+    /// single command latency — it can absorb a genuine sub-cycle
+    /// remainder.
     #[must_use]
     pub fn cycles_ceil(&self, ns: Nanos) -> Cycles {
         let raw = ns.0 * self.freq_ghz;
@@ -224,12 +225,6 @@ impl Clock {
             raw.ceil()
         };
         Cycles(snapped as u64)
-    }
-
-    /// Converts a cycle count back to nanoseconds.
-    #[must_use]
-    pub fn nanos(&self, cycles: Cycles) -> Nanos {
-        Nanos(cycles.0 as f64 / self.freq_ghz)
     }
 
     /// Converts a cycle count to seconds.
@@ -297,18 +292,17 @@ mod tests {
     #[test]
     fn clock_roundtrip() {
         let clk = Clock::from_ghz(2.0);
-        let ns = clk.nanos(Cycles(100));
-        assert!((ns.0 - 50.0).abs() < 1e-9);
+        assert_eq!(clk.cycles_ceil(Nanos(50.0)), Cycles(100));
     }
 
     #[test]
     fn cycles_ceil_roundtrips_nanos() {
         // Without round-off snapping, ~8% of cycle counts at 2.6 GHz came
-        // back one cycle high through nanos() -> cycles_ceil().
+        // back one cycle high through cycles -> ns -> cycles_ceil().
         let clk = Clock::paper_default();
         for n in (1..100_000).chain([1_000_000, 123_456_789]) {
-            let c = Cycles(n);
-            assert_eq!(clk.cycles_ceil(clk.nanos(c)), c, "roundtrip of {n}");
+            let ns = Nanos(n as f64 / clk.freq_ghz());
+            assert_eq!(clk.cycles_ceil(ns), Cycles(n), "roundtrip of {n}");
         }
     }
 

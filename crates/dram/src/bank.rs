@@ -209,29 +209,10 @@ impl Bank {
                 self.stats.activations += 1;
             }
         }
-        let completed = start + latency;
-        self.busy_until = completed;
-        self.last_use = completed;
-        match policy {
-            RowPolicy::Closed => {
-                // Auto-precharge after the access; precharge overlaps with
-                // the requester's completion.
-                self.open_row = Bank::NO_ROW;
-                self.busy_until = completed + timing.t_rp;
-            }
-            RowPolicy::Open { .. } => {
-                self.open_row = row;
-            }
-        }
         if kind != RowBufferKind::Hit {
             self.last_activator = u64::from(actor);
         }
-        AccessOutcome {
-            kind,
-            latency,
-            issued_at: start,
-            completed_at: completed,
-        }
+        self.finish(kind, start, latency, row, timing, policy)
     }
 
     /// Serves a RowClone copy from `src_row` to `dst_row` requested at
@@ -300,19 +281,31 @@ impl Bank {
             RowBufferKind::Miss => self.stats.misses += 1,
             RowBufferKind::Conflict => self.stats.conflicts += 1,
         }
-        let completed = start + latency;
-        self.busy_until = completed;
-        self.last_use = completed;
-        match policy {
-            RowPolicy::Closed => {
-                self.open_row = Bank::NO_ROW;
-                self.busy_until = completed + timing.t_rp;
-            }
-            RowPolicy::Open { .. } => {
-                self.open_row = dst_row;
-            }
-        }
         self.last_activator = u64::from(actor);
+        self.finish(kind, start, latency, dst_row, timing, policy)
+    }
+
+    /// The last step of every operation, started at `start` and taking
+    /// `latency`: the bank is busy and last used until completion, and
+    /// `row` stays open unless the policy closes it. A closed-page
+    /// auto-precharge overlaps with the requester's completion but keeps
+    /// the bank busy for tRP more.
+    #[inline]
+    fn finish(
+        &mut self,
+        kind: RowBufferKind,
+        start: Cycles,
+        latency: Cycles,
+        row: u64,
+        timing: &ResolvedTiming,
+        policy: RowPolicy,
+    ) -> AccessOutcome {
+        let completed = start + latency;
+        self.last_use = completed;
+        (self.open_row, self.busy_until) = match policy {
+            RowPolicy::Closed => (Bank::NO_ROW, completed + timing.t_rp),
+            RowPolicy::Open { .. } => (row, completed),
+        };
         AccessOutcome {
             kind,
             latency,

@@ -28,7 +28,7 @@ use crate::timing::ResolvedTiming;
 ///
 /// let mut dram = DramDevice::from_config(&SystemConfig::paper_table2());
 /// assert_eq!(dram.num_banks(), 16);
-/// let out = dram.access(3, 42, Cycles(0));
+/// let out = dram.access_as(3, 42, Cycles(0), 0);
 /// assert!(out.latency > Cycles::ZERO);
 /// ```
 #[derive(Debug)]
@@ -38,9 +38,6 @@ pub struct DramDevice {
     policy: RowPolicy,
     banks: CowBox<Vec<Bank>>,
 }
-
-/// Actor id used when none is supplied.
-const ANON_ACTOR: u32 = u32::MAX;
 
 impl DramDevice {
     /// Creates a device with explicit geometry, timing and row policy.
@@ -137,11 +134,6 @@ impl DramDevice {
         self.banks[bank].fold_state(hash)
     }
 
-    /// Serves a read/write access (anonymous actor).
-    pub fn access(&mut self, bank: usize, row: u64, now: Cycles) -> AccessOutcome {
-        self.access_as(bank, row, now, ANON_ACTOR)
-    }
-
     /// Serves a read/write access attributed to `actor`.
     ///
     /// # Panics
@@ -205,8 +197,8 @@ mod tests {
     #[test]
     fn banks_are_independent() {
         let mut d = device();
-        let a = d.access(0, 1, Cycles(0));
-        let b = d.access(1, 2, Cycles(0));
+        let a = d.access_as(0, 1, Cycles(0), 0);
+        let b = d.access_as(1, 2, Cycles(0), 0);
         // Both start immediately: no cross-bank serialization.
         assert_eq!(a.issued_at, Cycles(0));
         assert_eq!(b.issued_at, Cycles(0));
@@ -215,9 +207,9 @@ mod tests {
     #[test]
     fn hit_conflict_delta_is_74() {
         let mut d = device();
-        let m = d.access(0, 10, Cycles(0));
-        let h = d.access(0, 10, m.completed_at);
-        let c = d.access(0, 11, h.completed_at);
+        let m = d.access_as(0, 10, Cycles(0), 0);
+        let h = d.access_as(0, 10, m.completed_at, 0);
+        let c = d.access_as(0, 11, h.completed_at, 0);
         assert_eq!(c.latency - h.latency, Cycles(74));
     }
 
@@ -235,9 +227,9 @@ mod tests {
     #[test]
     fn total_stats_aggregate() {
         let mut d = device();
-        d.access(0, 1, Cycles(0));
-        d.access(1, 1, Cycles(0));
-        d.access(0, 1, Cycles(1_000));
+        d.access_as(0, 1, Cycles(0), 0);
+        d.access_as(1, 1, Cycles(0), 0);
+        d.access_as(0, 1, Cycles(1_000), 0);
         let s = d.total_stats();
         assert_eq!(s.total_accesses(), 3);
         assert_eq!(s.hits, 1);
@@ -250,12 +242,12 @@ mod tests {
     fn cow_fork_isolates() {
         use impact_core::hash::FNV_OFFSET;
         let mut parent = device();
-        parent.access(0, 5, Cycles(0));
+        parent.access_as(0, 5, Cycles(0), 0);
         let parent_digest = parent.fold_bank_state(0, FNV_OFFSET);
 
         let mut child = parent.fork();
-        child.access(0, 9, Cycles(100));
-        child.access(1, 3, Cycles(100));
+        child.access_as(0, 9, Cycles(100), 0);
+        child.access_as(1, 3, Cycles(100), 0);
         assert_eq!(
             parent.fold_bank_state(0, FNV_OFFSET),
             parent_digest,
@@ -269,8 +261,8 @@ mod tests {
     fn policy_switch() {
         let mut d = device();
         d.set_policy(RowPolicy::closed_page());
-        let a = d.access(0, 1, Cycles(0));
-        let b = d.access(0, 1, a.completed_at + Cycles(100));
+        let a = d.access_as(0, 1, Cycles(0), 0);
+        let b = d.access_as(0, 1, a.completed_at + Cycles(100), 0);
         assert_eq!(b.kind, RowBufferKind::Miss);
     }
 

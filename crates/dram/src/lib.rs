@@ -33,11 +33,11 @@
 //!
 //! let cfg = SystemConfig::paper_table2();
 //! let mut dram = DramDevice::from_config(&cfg);
-//! let first = dram.access(0, 10, Cycles(0));
+//! let first = dram.access_as(0, 10, Cycles(0), 0);
 //! assert_eq!(first.kind, RowBufferKind::Miss);
-//! let hit = dram.access(0, 10, first.completed_at);
+//! let hit = dram.access_as(0, 10, first.completed_at, 0);
 //! assert_eq!(hit.kind, RowBufferKind::Hit);
-//! let conflict = dram.access(0, 11, hit.completed_at);
+//! let conflict = dram.access_as(0, 11, hit.completed_at, 0);
 //! assert_eq!(conflict.kind, RowBufferKind::Conflict);
 //! // The paper's measured delta (§3.1).
 //! assert_eq!(conflict.latency.0 - hit.latency.0, 74);

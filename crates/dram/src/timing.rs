@@ -16,7 +16,7 @@ use impact_core::time::{Clock, Cycles, Nanos};
 /// assert_eq!(t.t_rcd.0, 36);
 /// assert_eq!(t.t_rp.0, 36);
 /// // Conflict pays tRP + tRCD + command overhead = 74 extra cycles.
-/// assert_eq!(t.conflict_penalty().0, 74);
+/// assert_eq!((t.conflict_latency() - t.hit_latency()).0, 74);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResolvedTiming {
@@ -67,13 +67,6 @@ impl ResolvedTiming {
     #[must_use]
     pub fn conflict_latency(&self) -> Cycles {
         self.t_rp + self.t_rcd + self.hit_latency() + self.conflict_overhead
-    }
-
-    /// The conflict-vs-hit delta the attacks measure (74 cycles for the
-    /// paper's configuration).
-    #[must_use]
-    pub fn conflict_penalty(&self) -> Cycles {
-        self.conflict_latency() - self.hit_latency()
     }
 
     /// Worst-case access latency (used by the CTD/ACT defenses).
@@ -139,7 +132,8 @@ mod tests {
 
     #[test]
     fn conflict_penalty_is_74() {
-        assert_eq!(t().conflict_penalty(), Cycles(74));
+        let t = t();
+        assert_eq!(t.conflict_latency() - t.hit_latency(), Cycles(74));
     }
 
     #[test]

@@ -354,7 +354,9 @@ mod tests {
         assert_eq!(mc.dram().bank(3).stats().activations, 1);
         // A demand access to the injected row now hits.
         let addr = mc.mapping().compose(3, 9, 0);
-        let out = mc.access(addr, Cycles(1000), 0).unwrap();
+        let out = mc
+            .service(&MemRequest::load(addr, Cycles(1000), 0))
+            .unwrap();
         assert_eq!(out.kind, RowBufferKind::Hit);
     }
 }

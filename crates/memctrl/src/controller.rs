@@ -3,16 +3,12 @@
 use impact_core::addr::PhysAddr;
 use impact_core::config::SystemConfig;
 use impact_core::cow::CowBox;
-use impact_core::engine::{MemRequest, MemResponse, ReqKind};
+use impact_core::engine::{BackendStats, MemRequest, MemResponse, ReqKind};
 use impact_core::error::{Error, Result};
 use impact_core::time::{Clock, Cycles};
 use impact_dram::{DramDevice, RowBufferKind, RowInterleaved, RowPolicy};
 
 use crate::defense::{ActBankState, Defense};
-
-/// Controller statistics (the shared backend-stats vocabulary; every
-/// counter is maintained by this controller).
-pub use impact_core::engine::BackendStats as CtrlStats;
 
 /// Telemetry probe for the controller's copy-on-write tables: records a
 /// `ctrl.cow.unshares` event when the write the caller is about to make
@@ -50,50 +46,6 @@ impl PeriodicBlock {
     }
 }
 
-/// Result of one memory access through the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemAccess {
-    /// The accessed physical address.
-    pub addr: PhysAddr,
-    /// Flat bank index the access mapped to.
-    pub bank: usize,
-    /// Row within the bank.
-    pub row: u64,
-    /// Ground-truth row-buffer classification (before any defense masking).
-    pub kind: RowBufferKind,
-    /// Latency observed by the requester, including the controller front
-    /// end and any defense-imposed padding.
-    pub latency: Cycles,
-    /// Completion time.
-    pub completed_at: Cycles,
-}
-
-impl From<MemAccess> for MemResponse {
-    fn from(a: MemAccess) -> MemResponse {
-        MemResponse {
-            bank: a.bank,
-            row: a.row,
-            kind: a.kind,
-            latency: a.latency,
-            completed_at: a.completed_at,
-            per_bank: Vec::new(),
-        }
-    }
-}
-
-/// Result of a masked RowClone operation (one per-bank copy per mask bit).
-#[derive(Debug, Clone)]
-pub struct RowCloneOutcome {
-    /// Per-bank outcomes: (flat bank, classification, observed latency).
-    pub per_bank: Vec<(usize, RowBufferKind, Cycles)>,
-    /// Latency of the whole masked operation as observed by the issuing
-    /// thread: banks operate in parallel, so this is the slowest bank plus
-    /// the front-end overhead.
-    pub latency: Cycles,
-    /// Completion time of the whole operation.
-    pub completed_at: Cycles,
-}
-
 /// The memory controller: address mapping + DRAM device + defenses.
 ///
 /// The per-bank defense arrays (`act_state`, `block_epoch`) live in
@@ -111,7 +63,7 @@ pub struct MemoryController {
     act_state: CowBox<Vec<ActBankState>>,
     blocking: Option<PeriodicBlock>,
     block_epoch: CowBox<Vec<u64>>,
-    stats: CtrlStats,
+    stats: BackendStats,
 }
 
 impl core::fmt::Debug for MemoryController {
@@ -138,7 +90,7 @@ impl MemoryController {
             act_state: CowBox::new(Vec::new()),
             blocking: None,
             block_epoch: CowBox::new(Vec::new()),
-            stats: CtrlStats::default(),
+            stats: BackendStats::default(),
         }
     }
 
@@ -238,73 +190,42 @@ impl MemoryController {
 
     /// Controller statistics.
     #[must_use]
-    pub fn stats(&self) -> &CtrlStats {
+    pub fn stats(&self) -> &BackendStats {
         &self.stats
     }
 
-    /// Front-end overhead charged on every request.
-    #[must_use]
-    pub fn overhead(&self) -> Cycles {
-        self.overhead
-    }
-
-    /// Serves a demand access to `addr` at `now` on behalf of `actor`.
+    /// Serves one engine-level [`MemRequest`], the entry point the
+    /// simulator core routes every memory operation through, and answers
+    /// in a [`MemResponse`], the controller's one reply. A load, store or
+    /// PiM access is a demand access to `req.addr`. A RowClone copies, for
+    /// each set bit `i` of its mask, the row containing
+    /// `req.addr + i * row_bytes` onto the row containing
+    /// `dst + i * row_bytes`, all lanes in parallel (Listing 2); its reply
+    /// heads with the first set lane and lists every lane in `per_bank`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::PartitionViolation`] if MPR is active and the actor
-    /// does not own the target bank, and [`Error::AddressOutOfRange`] if the
-    /// address exceeds the device capacity.
-    pub fn access(&mut self, addr: PhysAddr, now: Cycles, actor: u32) -> Result<MemAccess> {
-        self.check_capacity(addr)?;
-        let (bank, row) = self.mapping.locate(addr);
-        self.check_partition(bank, actor)?;
-        self.stats.accesses += 1;
-
-        let block = self.take_block_delay(bank, now);
-        let out = self.dram.access_as(bank, row, now + block, actor);
-        let raw_latency = out.completed_at - now + self.overhead;
-        let latency = self.apply_latency_defense(bank, out.kind, raw_latency, now);
-        Ok(MemAccess {
-            addr,
-            bank,
-            row,
-            kind: out.kind,
-            latency,
-            completed_at: now + latency,
-        })
-    }
-
-    /// Serves one engine-level [`MemRequest`] (the entry point the
-    /// simulator core routes every memory operation through).
+    /// A demand access fails with [`Error::AddressOutOfRange`] past the
+    /// device capacity, and with [`Error::PartitionViolation`] when MPR is
+    /// active and the actor does not own the target bank.
     ///
-    /// # Errors
-    ///
-    /// As for [`MemoryController::access`] and
-    /// [`MemoryController::rowclone`].
+    /// This is the one place a RowClone is checked, whoever issues it (the
+    /// engine, a trace replay, a fleet session), and no bank is touched
+    /// unless every check passes. The checks run in this order:
+    /// - [`Error::InvalidRowClone`] if the mask is empty, if it sets a bit
+    ///   at or past the bank count, if either range base is not
+    ///   row-aligned, or if the two ranges share a base;
+    /// - then per lane, [`Error::AddressOutOfRange`] for a lane past the
+    ///   device capacity, [`Error::InvalidRowClone`] if its source and
+    ///   destination rows sit in different banks (FPM copies are
+    ///   intra-bank), and [`Error::PartitionViolation`] under MPR.
     pub fn service(&mut self, req: &MemRequest) -> Result<MemResponse> {
         match req.kind {
             ReqKind::Load | ReqKind::Store | ReqKind::Pim => {
-                Ok(self.access(req.addr, req.at, req.actor)?.into())
+                self.access::<false>(req.addr, req.at, req.actor)
             }
             ReqKind::RowClone { dst, mask } => {
-                let out = self.rowclone(req.addr, dst, mask, req.at, req.actor)?;
-                // The response headline reports the first *set* lane, so
-                // its source row lives `trailing_zeros` row-chunks past
-                // the range base; rowclone has validated that lane.
-                let first_lane = u64::from(mask.trailing_zeros());
-                let (_, row) = self
-                    .mapping
-                    .locate(req.addr + first_lane * self.dram.geometry().row_bytes);
-                let (bank, kind, _) = out.per_bank[0];
-                Ok(MemResponse {
-                    bank,
-                    row,
-                    kind,
-                    latency: out.latency,
-                    completed_at: out.completed_at,
-                    per_bank: out.per_bank,
-                })
+                self.rowclone(req.addr, dst, mask, req.at, req.actor)
             }
         }
     }
@@ -332,7 +253,7 @@ impl MemoryController {
         for req in reqs {
             let resp = match req.kind {
                 ReqKind::Load | ReqKind::Store | ReqKind::Pim if lean => {
-                    self.access_lean(req.addr, req.at, req.actor)?.into()
+                    self.access::<true>(req.addr, req.at, req.actor)?
                 }
                 _ => self.service(req)?,
             };
@@ -341,58 +262,58 @@ impl MemoryController {
         Ok(out)
     }
 
-    /// Demand access with the periodic-block and latency-defense checks
-    /// compiled out — only sound when the caller has established neither
-    /// can fire (see [`MemoryController::service_batch`]).
+    /// The demand path: serves an access to `addr` at `now` on behalf of
+    /// `actor`. `LEAN` compiles out the periodic-block and latency-defense
+    /// steps, which is sound only where neither can fire;
+    /// [`MemoryController::service_batch`] checks that once per batch.
     ///
-    /// It is not a copy to fold back into [`MemoryController::access`]:
-    /// trace replay leans on it. 31,936 of the full Mix capture's 47,100
-    /// responses come from its 3,992 eight-request `Batch` events, and
-    /// serving those through `service` instead cut replayed events per
-    /// second by 10–13% (perfbench `trace`, 2-vCPU host).
-    fn access_lean(&mut self, addr: PhysAddr, now: Cycles, actor: u32) -> Result<MemAccess> {
+    /// Trace replay leans on `access::<true>`: 31,936 of the full Mix
+    /// capture's 47,100 responses come from its 3,992 eight-request
+    /// `Batch` events, and serving those through `service` instead cut
+    /// replayed events per second by 10–13% (perfbench `trace`, 2-vCPU
+    /// host).
+    fn access<const LEAN: bool>(
+        &mut self,
+        addr: PhysAddr,
+        now: Cycles,
+        actor: u32,
+    ) -> Result<MemResponse> {
         self.check_capacity(addr)?;
         let (bank, row) = self.mapping.locate(addr);
         self.check_partition(bank, actor)?;
         self.stats.accesses += 1;
-        let out = self.dram.access_as(bank, row, now, actor);
-        let latency = out.completed_at - now + self.overhead;
-        Ok(MemAccess {
-            addr,
+        let block = if LEAN {
+            Cycles::ZERO
+        } else {
+            self.take_block_delay(bank, now)
+        };
+        let out = self.dram.access_as(bank, row, now + block, actor);
+        let raw = out.completed_at - now + self.overhead;
+        let latency = if LEAN {
+            raw
+        } else {
+            self.apply_latency_defense(bank, out.kind, raw, now)
+        };
+        Ok(MemResponse {
             bank,
             row,
             kind: out.kind,
             latency,
             completed_at: now + latency,
+            per_bank: Vec::new(),
         })
     }
 
-    /// Serves a masked RowClone request (Listing 2): for each set bit `i`
-    /// of `mask`, copies the row containing `src + i*row_bytes` onto the
-    /// row containing `dst + i*row_bytes`, all in parallel.
-    ///
-    /// This is the one place a RowClone is checked, whoever issues it (the
-    /// engine, a trace replay, a fleet session). No bank is touched unless
-    /// every check passes.
-    ///
-    /// # Errors
-    ///
-    /// Checked in this order:
-    /// - [`Error::InvalidRowClone`] if the mask is empty, if it sets a bit
-    ///   at or past the bank count, if either range base is not
-    ///   row-aligned, or if the two ranges share a base;
-    /// - then per lane, [`Error::AddressOutOfRange`] for a lane past the
-    ///   device capacity, [`Error::InvalidRowClone`] if its source and
-    ///   destination rows sit in different banks (FPM copies are
-    ///   intra-bank), and [`Error::PartitionViolation`] under MPR.
-    pub fn rowclone(
+    /// Checks and serves a masked RowClone (see
+    /// [`MemoryController::service`] for the checks and their order).
+    fn rowclone(
         &mut self,
         src: PhysAddr,
         dst: PhysAddr,
         mask: u64,
         now: Cycles,
         actor: u32,
-    ) -> Result<RowCloneOutcome> {
+    ) -> Result<MemResponse> {
         if mask == 0 {
             return Err(Error::InvalidRowClone("empty bank mask".into()));
         }
@@ -466,10 +387,16 @@ impl MemoryController {
             completed = completed.max(now + lat);
             per_bank.push((bank, out.kind, lat));
         }
-        Ok(RowCloneOutcome {
+        // The reply heads with the first set lane: its bank, its source
+        // row and its kind.
+        let (bank, row, _) = lanes[0];
+        Ok(MemResponse {
+            bank,
+            row,
+            kind: per_bank[0].1,
             latency: completed - now,
-            per_bank,
             completed_at: completed,
+            per_bank,
         })
     }
 
@@ -557,13 +484,17 @@ mod tests {
     fn access_hits_after_miss() {
         let mut mc = controller();
         let a = addr_in(&mc, 3, 10);
-        let first = mc.access(a, Cycles(0), 0).unwrap();
+        let first = mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
         assert_eq!(first.kind, RowBufferKind::Miss);
-        let second = mc.access(a, first.completed_at, 0).unwrap();
+        let second = mc
+            .service(&MemRequest::load(a, first.completed_at, 0))
+            .unwrap();
         assert_eq!(second.kind, RowBufferKind::Hit);
         // Observed delta includes no extra overhead difference.
         let b = addr_in(&mc, 3, 11);
-        let third = mc.access(b, second.completed_at, 0).unwrap();
+        let third = mc
+            .service(&MemRequest::load(b, second.completed_at, 0))
+            .unwrap();
         assert_eq!(third.kind, RowBufferKind::Conflict);
         assert_eq!(third.latency - second.latency, Cycles(74));
     }
@@ -572,7 +503,9 @@ mod tests {
     fn capacity_enforced() {
         let mut mc = controller();
         let cap = mc.dram().geometry().capacity_bytes();
-        let e = mc.access(PhysAddr(cap), Cycles(0), 0).unwrap_err();
+        let e = mc
+            .service(&MemRequest::load(PhysAddr(cap), Cycles(0), 0))
+            .unwrap_err();
         assert!(matches!(e, Error::AddressOutOfRange { .. }));
     }
 
@@ -583,8 +516,8 @@ mod tests {
         p.assign_round_robin(&[1, 2]);
         mc.set_defense(Defense::Mpr(p));
         let a0 = addr_in(&mc, 0, 5); // bank 0 owned by actor 1
-        assert!(mc.access(a0, Cycles(0), 1).is_ok());
-        let e = mc.access(a0, Cycles(0), 2).unwrap_err();
+        assert!(mc.service(&MemRequest::load(a0, Cycles(0), 1)).is_ok());
+        let e = mc.service(&MemRequest::load(a0, Cycles(0), 2)).unwrap_err();
         assert!(matches!(e, Error::PartitionViolation { bank: 0, .. }));
         assert_eq!(mc.stats().partition_rejects, 1);
     }
@@ -594,8 +527,10 @@ mod tests {
         let mut mc = controller();
         mc.set_defense(Defense::Crp);
         let a = addr_in(&mc, 0, 5);
-        let f = mc.access(a, Cycles(0), 0).unwrap();
-        let s = mc.access(a, f.completed_at + Cycles(100), 0).unwrap();
+        let f = mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
+        let s = mc
+            .service(&MemRequest::load(a, f.completed_at + Cycles(100), 0))
+            .unwrap();
         assert_eq!(f.kind, RowBufferKind::Miss);
         assert_eq!(s.kind, RowBufferKind::Miss);
     }
@@ -606,9 +541,9 @@ mod tests {
         mc.set_defense(Defense::Ctd);
         let a = addr_in(&mc, 0, 5);
         let b = addr_in(&mc, 0, 6);
-        let f = mc.access(a, Cycles(0), 0).unwrap();
-        let h = mc.access(a, f.completed_at, 0).unwrap();
-        let c = mc.access(b, h.completed_at, 0).unwrap();
+        let f = mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
+        let h = mc.service(&MemRequest::load(a, f.completed_at, 0)).unwrap();
+        let c = mc.service(&MemRequest::load(b, h.completed_at, 0)).unwrap();
         // Hit and conflict observe identical latency: channel closed.
         assert_eq!(h.latency, c.latency);
         assert_eq!(h.latency, mc.worst_case_latency());
@@ -622,14 +557,18 @@ mod tests {
         let b = addr_in(&mc, 0, 6);
         let epoch = ActConfig::mild().epoch_cycles(Clock::paper_default()).0;
         // Epoch 0: create a conflict.
-        mc.access(a, Cycles(0), 0).unwrap();
-        mc.access(b, Cycles(200), 0).unwrap(); // conflict
-                                               // Epoch 1: bank 0 must now be constant-time.
-        let h = mc.access(b, Cycles(epoch + 10), 0).unwrap();
+        mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
+        mc.service(&MemRequest::load(b, Cycles(200), 0)).unwrap();
+        // Epoch 1: bank 0 must now be constant-time.
+        let h = mc
+            .service(&MemRequest::load(b, Cycles(epoch + 10), 0))
+            .unwrap();
         assert_eq!(h.kind, RowBufferKind::Hit);
         assert_eq!(h.latency, mc.worst_case_latency());
         // Epoch 4 (past ct window, no further conflicts): back to normal.
-        let h2 = mc.access(b, Cycles(4 * epoch + 10), 0).unwrap();
+        let h2 = mc
+            .service(&MemRequest::load(b, Cycles(4 * epoch + 10), 0))
+            .unwrap();
         assert!(h2.latency < mc.worst_case_latency());
     }
 
@@ -638,8 +577,8 @@ mod tests {
         let mut mc = controller();
         mc.set_defense(Defense::Act(ActConfig::aggressive()));
         let a = addr_in(&mc, 1, 5);
-        let f = mc.access(a, Cycles(0), 0).unwrap();
-        let h = mc.access(a, f.completed_at, 0).unwrap();
+        let f = mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
+        let h = mc.service(&MemRequest::load(a, f.completed_at, 0)).unwrap();
         assert!(h.latency < mc.worst_case_latency());
         assert_eq!(mc.stats().padded, 0);
     }
@@ -734,13 +673,18 @@ mod tests {
         let src = PhysAddr(0);
         let dst = PhysAddr(64 * 16 * row_bytes);
         // Receiver initializes bank 0 (mask bit 0).
-        let init = mc.rowclone(src, dst, 0b1, Cycles(0), 1).unwrap();
+        let init = mc
+            .service(&MemRequest::rowclone(src, dst, 0b1, Cycles(0), 1))
+            .unwrap();
         // Sender clones other rows in bank 0.
         let s_src = PhysAddr(128 * 16 * row_bytes);
         let s_dst = PhysAddr(192 * 16 * row_bytes);
-        mc.rowclone(s_src, s_dst, 0b1, Cycles(10_000), 2).unwrap();
+        mc.service(&MemRequest::rowclone(s_src, s_dst, 0b1, Cycles(10_000), 2))
+            .unwrap();
         // Receiver probes: conflict -> slower than its init-hit path.
-        let probe = mc.rowclone(dst, src, 0b1, Cycles(20_000), 1).unwrap();
+        let probe = mc
+            .service(&MemRequest::rowclone(dst, src, 0b1, Cycles(20_000), 1))
+            .unwrap();
         assert_eq!(probe.per_bank[0].1, RowBufferKind::Conflict);
         assert!(probe.latency > init.latency);
     }
@@ -754,15 +698,15 @@ mod tests {
         }));
         let a = addr_in(&mc, 0, 1);
         // First access of epoch 1 pays the block.
-        let open = mc.access(a, Cycles(10_500), 0).unwrap();
-        let hit = mc.access(a, Cycles(11_600), 0).unwrap();
+        let open = mc.service(&MemRequest::load(a, Cycles(10_500), 0)).unwrap();
+        let hit = mc.service(&MemRequest::load(a, Cycles(11_600), 0)).unwrap();
         assert!(
             open.latency > hit.latency + Cycles(800),
             "block not charged"
         );
         assert_eq!(mc.stats().blocked, 1);
         // Next epoch pays again.
-        mc.access(a, Cycles(21_000), 0).unwrap();
+        mc.service(&MemRequest::load(a, Cycles(21_000), 0)).unwrap();
         assert_eq!(mc.stats().blocked, 2);
     }
 
@@ -772,8 +716,8 @@ mod tests {
         mc.set_periodic_block(Some(PeriodicBlock::rfm_paper_default()));
         let a = addr_in(&mc, 0, 1);
         let b = addr_in(&mc, 1, 1);
-        mc.access(a, Cycles(50_000), 0).unwrap();
-        mc.access(b, Cycles(50_000), 0).unwrap();
+        mc.service(&MemRequest::load(a, Cycles(50_000), 0)).unwrap();
+        mc.service(&MemRequest::load(b, Cycles(50_000), 0)).unwrap();
         assert_eq!(mc.stats().blocked, 2);
     }
 
@@ -797,8 +741,8 @@ mod tests {
     fn stats_count() {
         let mut mc = controller();
         let a = addr_in(&mc, 0, 1);
-        mc.access(a, Cycles(0), 0).unwrap();
-        mc.access(a, Cycles(1000), 0).unwrap();
+        mc.service(&MemRequest::load(a, Cycles(0), 0)).unwrap();
+        mc.service(&MemRequest::load(a, Cycles(1000), 0)).unwrap();
         assert_eq!(mc.stats().accesses, 2);
     }
 }
@@ -820,7 +764,7 @@ mod proptests {
             mc.set_defense(Defense::Ctd);
             let worst = mc.worst_case_latency();
             for (addr, at) in reqs {
-                let out = mc.access(PhysAddr(addr), Cycles(at), 0).unwrap();
+                let out = mc.service(&MemRequest::load(PhysAddr(addr), Cycles(at), 0)).unwrap();
                 // Queueing can exceed the floor; the defense never lets an
                 // access complete faster than worst case.
                 prop_assert!(out.latency >= worst);
@@ -840,8 +784,8 @@ mod proptests {
                 now += 1000;
                 let addr = mc.mapping().compose(bank, row, 0);
                 let owner = (bank % 2) as u32;
-                prop_assert!(mc.access(addr, Cycles(now), owner).is_ok());
-                prop_assert!(mc.access(addr, Cycles(now), owner ^ 1).is_err());
+                prop_assert!(mc.service(&MemRequest::load(addr, Cycles(now), owner)).is_ok());
+                prop_assert!(mc.service(&MemRequest::load(addr, Cycles(now), owner ^ 1)).is_err());
             }
         }
 
@@ -850,8 +794,9 @@ mod proptests {
         #[test]
         fn latency_floor(addr in 0u64..(1u64<<24), at in 0u64..1_000_000) {
             let mut mc = MemoryController::from_config(&SystemConfig::paper_table2());
-            let floor = mc.dram().timing().hit_latency() + mc.overhead();
-            let out = mc.access(PhysAddr(addr), Cycles(at), 0).unwrap();
+            let overhead = Cycles(SystemConfig::paper_table2().memctrl_overhead_cycles);
+            let floor = mc.dram().timing().hit_latency() + overhead;
+            let out = mc.service(&MemRequest::load(PhysAddr(addr), Cycles(at), 0)).unwrap();
             prop_assert!(out.latency >= floor);
         }
     }

@@ -17,12 +17,15 @@
 //! ```
 //! use impact_core::config::SystemConfig;
 //! use impact_core::addr::PhysAddr;
+//! use impact_core::engine::{MemRequest, RowBufferKind};
 //! use impact_core::time::Cycles;
 //! use impact_memctrl::MemoryController;
 //!
 //! let cfg = SystemConfig::paper_table2();
 //! let mut mc = MemoryController::from_config(&cfg);
-//! let out = mc.access(PhysAddr(0x1000), Cycles(0), 0)?;
+//! // Every request gets one reply, a `MemResponse`.
+//! let out = mc.service(&MemRequest::load(PhysAddr(0x1000), Cycles(0), 0))?;
+//! assert_eq!(out.kind, RowBufferKind::Miss);
 //! assert!(out.latency > Cycles::ZERO);
 //! # Ok::<(), impact_core::Error>(())
 //! ```
@@ -43,5 +46,5 @@ pub mod controller;
 pub mod defense;
 
 pub use backend::ControllerBackend;
-pub use controller::{CtrlStats, MemAccess, MemoryController, PeriodicBlock, RowCloneOutcome};
+pub use controller::{MemoryController, PeriodicBlock};
 pub use defense::{ActConfig, Defense, MprPartition};

@@ -33,13 +33,17 @@
 //! // where it opens the line's row.
 //! let addr = PhysAddr(0x1000);
 //! assert_eq!(pei.decide(addr), ExecSite::MemorySide);
+//! // The reply is the controller's `MemResponse`, its latency including
+//! // the PCU overhead.
 //! let out = pei.execute_memory_side(&mut mc, addr, Cycles(0), 0)?;
 //! assert_eq!(out.kind, RowBufferKind::Miss);
+//! assert_eq!(out.completed_at, out.latency);
+//! assert!(out.latency > pei.pcu_overhead());
 //! # Ok::<(), impact_core::Error>(())
 //! ```
 
 pub mod pei;
 pub mod rowclone;
 
-pub use pei::{ExecSite, PeiEngine, PeiOutcome};
+pub use pei::{ExecSite, PeiEngine};
 pub use rowclone::mask_from_bits;

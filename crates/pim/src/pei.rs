@@ -26,7 +26,7 @@
 use impact_core::addr::PhysAddr;
 use impact_core::config::PimConfig;
 use impact_core::cow::CowBox;
-use impact_core::engine::{MemRequest, MemoryBackend, RowBufferKind};
+use impact_core::engine::{MemRequest, MemResponse, MemoryBackend};
 use impact_core::error::Result;
 use impact_core::time::Cycles;
 
@@ -37,17 +37,6 @@ pub enum ExecSite {
     Host,
     /// Executed on the memory-side PCU next to the DRAM bank.
     MemorySide,
-}
-
-/// Result of executing one PEI memory-side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PeiOutcome {
-    /// Latency observed by the issuing thread.
-    pub latency: Cycles,
-    /// Row-buffer classification of the PEI's DRAM access.
-    pub kind: RowBufferKind,
-    /// Completion time.
-    pub completed_at: Cycles,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -164,28 +153,33 @@ impl PeiEngine {
         }
     }
 
-    /// Forces memory-side execution (used once the attacker has arranged
-    /// to bypass the monitor; also the path for explicitly offloaded
-    /// regions).
+    /// The cycles a memory-side PEI spends outside DRAM: the PEI
+    /// bookkeeping overhead plus the transport to the bank's PCU.
+    #[must_use]
+    pub fn pcu_overhead(&self) -> Cycles {
+        Cycles(self.cfg.pei_overhead_cycles + self.cfg.pcu_transport_cycles)
+    }
+
+    /// Executes a PEI memory-side (used once the attacker has arranged to
+    /// bypass the monitor; also the path for explicitly offloaded
+    /// regions): the PiM request reaches `mem` after
+    /// [`PeiEngine::pcu_overhead`], and the reply is `mem`'s own with that
+    /// overhead added to its latency.
     ///
     /// # Errors
     ///
     /// Propagates backend errors.
     pub fn execute_memory_side<B: MemoryBackend>(
-        &mut self,
+        &self,
         mem: &mut B,
         addr: PhysAddr,
         now: Cycles,
         actor: u32,
-    ) -> Result<PeiOutcome> {
-        let overhead = Cycles(self.cfg.pei_overhead_cycles + self.cfg.pcu_transport_cycles);
-        let access = mem.service(&MemRequest::pim(addr, now + overhead, actor))?;
-        let latency = overhead + access.latency;
-        Ok(PeiOutcome {
-            latency,
-            kind: access.kind,
-            completed_at: now + latency,
-        })
+    ) -> Result<MemResponse> {
+        let overhead = self.pcu_overhead();
+        let mut reply = mem.service(&MemRequest::pim(addr, now + overhead, actor))?;
+        reply.latency += overhead;
+        Ok(reply)
     }
 }
 
@@ -193,6 +187,7 @@ impl PeiEngine {
 mod tests {
     use super::*;
     use impact_core::config::SystemConfig;
+    use impact_core::engine::RowBufferKind;
     use impact_memctrl::MemoryController;
 
     fn setup() -> (MemoryController, PeiEngine) {
@@ -227,7 +222,7 @@ mod tests {
 
     #[test]
     fn memory_side_observes_row_buffer_state() {
-        let (mut mc, mut pei) = setup();
+        let (mut mc, pei) = setup();
         let row_bytes = mc.dram().geometry().row_bytes;
         // Two lines in the same row of bank 0 (row-interleaved: first
         // row_bytes bytes are bank 0 row 0).
@@ -251,16 +246,23 @@ mod tests {
 
     #[test]
     fn pei_overhead_charged() {
-        let (mut mc, mut pei) = setup();
+        let (mut mc, pei) = setup();
+        assert_eq!(pei.pcu_overhead(), Cycles(3 + 12));
         let out = pei
             .execute_memory_side(&mut mc, PhysAddr(0), Cycles(0), 0)
             .unwrap();
         let bare = {
             let cfg = SystemConfig::paper_table2();
             let mut mc2 = MemoryController::from_config(&cfg);
-            mc2.access(PhysAddr(0), Cycles(0), 0).unwrap().latency
+            mc2.service(&MemRequest::load(PhysAddr(0), Cycles(0), 0))
+                .unwrap()
         };
-        assert_eq!(out.latency, bare + Cycles(3 + 12));
+        assert_eq!(out.latency, bare.latency + Cycles(3 + 12));
+        assert_eq!(out.completed_at, bare.completed_at + Cycles(3 + 12));
+        assert_eq!(
+            (out.bank, out.row, out.kind),
+            (bare.bank, bare.row, bare.kind)
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `base + i * row_bytes`, which under the row-interleaved mapping places
 //! consecutive chunks in consecutive banks — the layout the IMPACT-PuM
 //! sender allocates. The memory controller
-//! (`impact_memctrl::MemoryController::rowclone`) validates the request
+//! (`impact_memctrl::MemoryController::service`) validates the request
 //! and fans it out into parallel per-bank Fast-Parallel-Mode copies (§4.2
 //! / Listing 2 of the paper); this module only builds masks.
 

@@ -158,13 +158,14 @@ impl MemorySide {
             latency += m.latency;
             kind = Some(m.kind);
         }
-        // Dirty victims written back to memory perturb bank state but are
-        // off the critical path. Each goes to `pa`, the line the demand
-        // just served, not to the victim's line: `HierarchyOutcome`
-        // carries only a count (ROADMAP item 11). So a write-back cannot
-        // be refused where the demand was served.
-        for _ in 0..self.hier.writebacks {
-            let _ = mem.service(&MemRequest::store(self.pa, start + latency, self.actor));
+        // A dirty victim's write-backs, one store of its line per dirty
+        // copy, perturb bank state but are off the critical path. Each
+        // carries the demand's actor, so a refusal (MPR, where the victim
+        // sits in a bank that actor does not own) drops it.
+        if let Some((line, copies)) = self.hier.dirty_victim {
+            for _ in 0..copies {
+                let _ = mem.service(&MemRequest::store(line, start + latency, self.actor));
+            }
         }
         *clock += latency;
         Ok((latency, kind))
@@ -215,7 +216,6 @@ pub struct Engine<B: MemoryBackend> {
     noise: NoiseInjector,
     ip_prefetcher: IpStridePrefetcher,
     streamer: StreamerPrefetcher,
-    prefetchers_enabled: bool,
     agents: Vec<Agent>,
     alloc: FrameAllocator,
 }
@@ -246,7 +246,6 @@ impl<B: MemoryBackend> Engine<B> {
             noise: NoiseInjector::new(cfg.noise),
             ip_prefetcher: IpStridePrefetcher::new(64),
             streamer: StreamerPrefetcher::new(16, 2),
-            prefetchers_enabled: cfg.noise.prefetcher_rate > 0.0 || cfg.noise.ptw_rate > 0.0,
             agents: Vec::new(),
             alloc: FrameAllocator::new(cfg.dram_geometry),
             cfg: Arc::new(cfg),
@@ -494,7 +493,7 @@ impl<B: MemoryBackend> Engine<B> {
             side.serve(&mut *lane.ctrl, &mut lane.clock)
                 .map_err(|_| out_of_step("a demand access"))?;
         }
-        if self.prefetchers_enabled {
+        if self.noise.is_on() {
             let missed = hier.level == HitLevel::Memory;
             self.run_prefetchers(va, pa, missed, now, tlb_lat, lanes)?;
         }
@@ -657,11 +656,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// True when a burst over the translated `probes` may take the
     /// batched branch for `agent` — see the invariants above.
     fn burst_eligible(&self, agent: AgentId, probes: &[(PhysAddr, Cycles)]) -> bool {
-        let ncfg = self.noise.config();
-        if ncfg.prefetcher_rate > 0.0 || ncfg.ptw_rate > 0.0 {
-            return false;
-        }
-        if !self.backend.probe_burst_safe() {
+        if self.noise.is_on() || !self.backend.probe_burst_safe() {
             return false;
         }
         let now = self.now(agent);
@@ -767,7 +762,7 @@ impl<B: MemoryBackend> Engine<B> {
                 .map(|&(pa, tlb_lat)| self.pim_op_translated(agent, pa, tlb_lat, false))
                 .collect();
         }
-        let overhead = Cycles(self.cfg.pim.pei_overhead_cycles + self.cfg.pim.pcu_transport_cycles);
+        let overhead = self.pei.pcu_overhead();
         // Every chunk arrives at the burst start, so chunking serves the
         // same requests in the same order as one batch would; it only keeps
         // the request and response buffers small.
@@ -800,7 +795,7 @@ impl<B: MemoryBackend> Engine<B> {
     /// Both ranges must come from [`Engine::alloc_bank_stripe`] so that
     /// they are physically contiguous. The request goes to the backend as
     /// is; the backend checks it (see
-    /// [`MemoryController::rowclone`](impact_memctrl::MemoryController::rowclone)).
+    /// [`MemoryController::service`](impact_memctrl::MemoryController::service)).
     ///
     /// # Errors
     ///
@@ -912,7 +907,6 @@ impl Engine<MemoryController> {
             noise: self.noise.clone(),
             ip_prefetcher: self.ip_prefetcher.fork(),
             streamer: self.streamer.fork(),
-            prefetchers_enabled: self.prefetchers_enabled,
             agents: self.agents.iter_mut().map(Agent::fork).collect(),
             alloc: self.alloc.clone(),
         }

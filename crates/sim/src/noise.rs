@@ -53,7 +53,7 @@ impl NoiseInjector {
         mem: &mut B,
         mut activate: impl FnMut(&mut B, usize, u64),
     ) {
-        if self.cfg.prefetcher_rate + self.cfg.ptw_rate <= 0.0 {
+        if !self.is_on() {
             return;
         }
         for rate in [self.cfg.prefetcher_rate, self.cfg.ptw_rate] {
@@ -65,10 +65,12 @@ impl NoiseInjector {
         }
     }
 
-    /// The configured rates.
+    /// True when either rate is positive: the one test of whether noise
+    /// is on. The engine trains its prefetchers only then, and refuses to
+    /// batch a burst, whose probes the draws would interleave with.
     #[must_use]
-    pub fn config(&self) -> &NoiseConfig {
-        &self.cfg
+    pub fn is_on(&self) -> bool {
+        self.cfg.prefetcher_rate > 0.0 || self.cfg.ptw_rate > 0.0
     }
 }
 

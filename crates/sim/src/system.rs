@@ -42,12 +42,6 @@ impl System {
         let mc = MemoryController::from_config(&cfg);
         Engine::with_backend(cfg, SimParams::default(), mc)
     }
-
-    /// The memory controller (defense control, stats).
-    #[must_use]
-    pub fn memctrl(&self) -> &MemoryController {
-        self.backend()
-    }
 }
 
 impl<W: Write> TracedSystem<W> {
@@ -139,7 +133,7 @@ mod tests {
     use super::*;
     use impact_cache::HitLevel;
     use impact_core::addr::VirtAddr;
-    use impact_core::engine::MemoryBackend;
+    use impact_core::engine::{MemRequest, MemoryBackend};
     use impact_core::time::Cycles;
     use impact_dram::RowBufferKind;
     use impact_pim::pei::ExecSite;
@@ -198,8 +192,8 @@ mod tests {
         let before = s.now(a);
         assert!(s.load_direct_batch(a, &[]).unwrap().is_empty());
         assert_eq!(s.now(a), before);
-        assert_eq!(s.memctrl().dram().total_stats().total_accesses(), 0);
-        assert_eq!(s.memctrl().dram().total_stats().activations, 0);
+        assert_eq!(s.backend().dram().total_stats().total_accesses(), 0);
+        assert_eq!(s.backend().dram().total_stats().activations, 0);
     }
 
     #[test]
@@ -389,6 +383,53 @@ mod tests {
             TracedSystem::recording(cfg, std::io::sink(), "paper_table2_noiseless", 0).unwrap();
         assert_eq!(exercise(&mut t), mono, "traced system diverged");
         assert!(t.backend().summary().events > 0);
+    }
+
+    /// A dirty line evicted from the LLC is written back to its own line,
+    /// not to the line whose fill evicted it. Fig. 12's small caches (a
+    /// 64 KiB, 16-way LLC: 64 sets), noiseless so that only the demand
+    /// traffic and the write-back reach the trace. Every row base is a
+    /// multiple of the 8 KiB row, so each lands in LLC (and L2) set 0:
+    /// a store dirties the first, and the sixteenth load after it evicts
+    /// it.
+    #[test]
+    fn dirty_victim_is_written_back_to_its_own_line() {
+        use impact_core::engine::ReqKind;
+        use impact_core::trace::{read_trace, TraceEvent};
+
+        let mut cfg = SystemConfig::paper_table2_noiseless();
+        cfg.l1d.size_bytes = 4 * 1024;
+        cfg.l2.size_bytes = 16 * 1024;
+        cfg.l3.size_bytes = 64 * 1024;
+        let mut sys = TracedSystem::recording(cfg, Vec::new(), "small_llc", 0).unwrap();
+        let a = sys.spawn_agent();
+        let rows: Vec<VirtAddr> = (0..17)
+            .map(|i| sys.alloc_row_in_bank(a, i % 16).unwrap())
+            .collect();
+        sys.store(a, rows[0]).unwrap();
+        for &row in &rows[1..] {
+            assert_eq!(sys.load(a, row).unwrap().level, HitLevel::Memory);
+        }
+        let (_, bytes) = sys.finish_trace().unwrap();
+        let (_, events, _) = read_trace(&bytes[..]).unwrap();
+        let requests: Vec<MemRequest> = events
+            .into_iter()
+            .map(|e| match e {
+                TraceEvent::Request(req) => req,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        // The dirtying store, 16 loads, then the write-back.
+        assert_eq!(requests.len(), 18);
+        let (dirtying, write_back) = (requests[0], requests[17]);
+        assert_eq!(dirtying.kind, ReqKind::Store);
+        assert_eq!(write_back.kind, ReqKind::Store);
+        assert_eq!(
+            write_back.addr, dirtying.addr,
+            "the write-back went to {:?}, the evicting load's line is {:?}",
+            write_back.addr, requests[16].addr
+        );
+        assert_ne!(write_back.addr, requests[16].addr);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl Graph {
     pub fn edge_offset(&self, v: usize) -> usize {
         self.offsets[v]
     }
-
-    /// Degree of `v`.
-    #[must_use]
-    pub fn degree(&self, v: usize) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +147,7 @@ mod tests {
     #[test]
     fn rmat_is_skewed() {
         let g = Graph::rmat(256, 2048, 3);
-        let max_deg = (0..256).map(|v| g.degree(v)).max().unwrap();
+        let max_deg = (0..256).map(|v| g.neighbors(v).len()).max().unwrap();
         let avg = g.num_edge_entries() / 256;
         assert!(
             max_deg > avg * 3,

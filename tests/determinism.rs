@@ -90,8 +90,8 @@ fn same_seed_systems_accumulate_identical_stats() {
             };
             latencies.push(latency);
         }
-        let ctrl = sys.memctrl().stats().clone();
-        let bank0 = *sys.memctrl().dram().bank(0).stats();
+        let ctrl = sys.backend().stats().clone();
+        let bank0 = *sys.backend().dram().bank(0).stats();
         (
             latencies,
             sys.elapsed(),
