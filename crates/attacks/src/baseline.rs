@@ -83,8 +83,8 @@ pub struct BaselineChannel {
 }
 
 impl BaselineChannel {
-    /// Sets up the channel in bank 0: allocates co-located rows, warms
-    /// TLBs, opens the receiver's row and calibrates the decode threshold.
+    /// Sets up the channel in bank 0: allocates co-located rows, opens
+    /// the receiver's row and calibrates the decode threshold.
     ///
     /// # Errors
     ///
@@ -97,8 +97,6 @@ impl BaselineChannel {
         let receiver = sys.spawn_agent();
         let sender_row = sys.alloc_row_in_bank(sender, 0)?;
         let receiver_row = sys.alloc_row_in_bank(receiver, 0)?;
-        sys.warm_tlb(sender, sender_row, 2);
-        sys.warm_tlb(receiver, receiver_row, 2);
         let mut ch = BaselineChannel {
             primitive,
             sender,

@@ -39,19 +39,16 @@ struct RowCursor {
 }
 
 impl RowCursor {
-    /// Allocates a fresh row for `agent` in `bank` and warms its pages.
+    /// Allocates a fresh row for `agent` in `bank`.
     fn fresh<B: MemoryBackend>(
         sys: &mut Engine<B>,
         agent: AgentId,
         bank: usize,
     ) -> Result<RowCursor> {
-        let row_bytes = sys.config().dram_geometry.row_bytes;
-        let row = sys.alloc_row_in_bank(agent, bank)?;
-        sys.warm_tlb(agent, row, (row_bytes / 4096).max(1));
         Ok(RowCursor {
-            row,
+            row: sys.alloc_row_in_bank(agent, bank)?,
             line: 0,
-            lines_per_row: row_bytes / LINE_SIZE,
+            lines_per_row: sys.config().dram_geometry.row_bytes / LINE_SIZE,
         })
     }
 
@@ -84,8 +81,8 @@ pub struct PnmCovertChannel {
 
 impl PnmCovertChannel {
     /// Sets up the channel over the first `banks` banks: spawns the two
-    /// agents, co-locates one row per side per bank (memory massaging),
-    /// warms TLBs and performs the receiver's Step 1 initialization.
+    /// agents, co-locates one row per side per bank (memory massaging)
+    /// and performs the receiver's Step 1 initialization.
     ///
     /// # Errors
     ///

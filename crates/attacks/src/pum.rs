@@ -60,21 +60,10 @@ impl PumCovertChannel {
         }
         let sender = sys.spawn_agent();
         let receiver = sys.spawn_agent();
-        let rotation_pages = u64::from(sys.config().dram_geometry.total_banks())
-            * sys.config().dram_geometry.row_bytes
-            / 4096;
         let sender_src = sys.alloc_bank_stripe(sender, 1)?;
         let sender_dst = sys.alloc_bank_stripe(sender, 1)?;
         let receiver_src = sys.alloc_bank_stripe(receiver, 1)?;
         let receiver_dst = sys.alloc_bank_stripe(receiver, 1)?;
-        for (agent, va) in [
-            (sender, sender_src),
-            (sender, sender_dst),
-            (receiver, receiver_src),
-            (receiver, receiver_dst),
-        ] {
-            sys.warm_tlb(agent, va, rotation_pages);
-        }
         // Step 1: init_DRAM_rows_with_RowClone(); the receiver's
         // destination rows are now open.
         let full_mask = mask_from_bits(&vec![true; banks]);

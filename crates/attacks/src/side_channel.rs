@@ -237,13 +237,13 @@ impl SideChannelAttack {
         let attacker = sys.spawn_agent();
         let mut attacker_rows: Vec<VirtAddr> = Vec::with_capacity(banks);
         // Open the attacker's row everywhere (initialization sweep). Each
-        // bank keeps the serial allocate/warm/translate order; only the
-        // DRAM row openings are deferred into one burst, which the engine
-        // services bit-identically to opening each row in turn.
+        // bank keeps the serial allocate/translate order (the allocation
+        // TLB-warms the row); only the DRAM row openings are deferred into
+        // one burst, which the engine services bit-identically to opening
+        // each row in turn.
         let mut probes: Vec<(PhysAddr, Cycles)> = Vec::with_capacity(banks);
         for bank in 0..banks {
             let row = sys.alloc_row_in_bank(attacker, bank)?;
-            sys.warm_tlb(attacker, row, 2);
             attacker_rows.push(row);
             probes.push(sys.translate(attacker, row)?);
         }
@@ -313,7 +313,6 @@ impl SideChannelAttack {
                         Some(r) => r,
                         None => {
                             let r = sys.alloc_row_in_bank(victim, vb)?;
-                            sys.warm_tlb(victim, r, 2);
                             victim_rows[vb] = Some(r);
                             r
                         }

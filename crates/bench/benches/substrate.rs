@@ -62,11 +62,7 @@ fn bench_side_channel_init(c: &mut Criterion) {
                 let mut sys = System::new(cfg.clone());
                 let a = sys.spawn_agent();
                 let vas: Vec<_> = (0..4096)
-                    .map(|bank| {
-                        let va = sys.alloc_row_in_bank(a, bank).expect("alloc");
-                        sys.warm_tlb(a, va, 2);
-                        va
-                    })
+                    .map(|bank| sys.alloc_row_in_bank(a, bank).expect("alloc"))
                     .collect();
                 (sys, a, vas)
             },

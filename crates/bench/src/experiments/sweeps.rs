@@ -36,8 +36,6 @@ pub fn delta() -> Figure {
     let agent = sys.spawn_agent();
     let row_a = sys.alloc_row_in_bank(agent, 0).expect("allocation");
     let row_b = sys.alloc_row_in_bank(agent, 0).expect("allocation");
-    sys.warm_tlb(agent, row_a, 2);
-    sys.warm_tlb(agent, row_b, 2);
 
     // Open row A, measure a hit, then measure the conflict on row B.
     sys.load_direct(agent, row_a).expect("open");

@@ -101,21 +101,18 @@ pub fn register_system(c: &mut Criterion) {
         let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let a = sys.spawn_agent();
         let row = sys.alloc_row_in_bank(a, 0).expect("alloc");
-        sys.warm_tlb(a, row, 2);
         b.iter(|| sys.pim_op_direct(a, row).expect("pim").latency);
     });
     c.bench_function("system/load_through_caches", |b| {
         let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let a = sys.spawn_agent();
         let row = sys.alloc_row_in_bank(a, 1).expect("alloc");
-        sys.warm_tlb(a, row, 2);
         b.iter(|| sys.load(a, row).expect("load").latency);
     });
     c.bench_function("system/load_direct_loop_64", |b| {
         let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let a = sys.spawn_agent();
         let row = sys.alloc_row_in_bank(a, 2).expect("alloc");
-        sys.warm_tlb(a, row, 2);
         let vas: Vec<_> = (0..64u64).map(|i| row + (i % 128) * 64).collect();
         b.iter(|| {
             vas.iter()
@@ -127,7 +124,6 @@ pub fn register_system(c: &mut Criterion) {
         let mut sys = System::new(SystemConfig::paper_table2_noiseless());
         let a = sys.spawn_agent();
         let row = sys.alloc_row_in_bank(a, 2).expect("alloc");
-        sys.warm_tlb(a, row, 2);
         let vas: Vec<_> = (0..64u64).map(|i| row + (i % 128) * 64).collect();
         b.iter(|| {
             sys.load_direct_batch(a, &vas)

@@ -6,12 +6,11 @@
 //! tracing proxy ([`TracedSystem`]), which streams it straight to disk;
 //! [`replay_file`] re-services the file on a fresh [`MemoryController`]
 //! and verifies the responses, [`BackendStats`] and DRAM state digest
-//! bit-for-bit against the recorded footer; [`verify_capture`] runs
-//! [`CapturedTrace::verify`], the same check on a loaded capture, before
-//! anything uses it; [`diff_readers`] pinpoints the first divergent event
-//! between two captures; and [`TraceScenario`] turns a captured file into
-//! a prefix-replay [`Figure`] that runs alongside the built-in experiment
-//! suite.
+//! bit-for-bit against the recorded footer; [`diff_readers`] pinpoints the
+//! first divergent event between two captures; and [`TraceScenario`]
+//! turns a loaded capture that passes [`CapturedTrace::verify`], the same
+//! check, into a prefix-replay [`Figure`] that runs alongside the
+//! built-in experiment suite.
 
 use std::io::{Read, Write};
 
@@ -163,14 +162,10 @@ fn run_mix(sys: &mut TracedSystem, quick: bool, seed: u64) -> Result<()> {
     let banks = sys.backend().num_banks();
     let mut rows = Vec::with_capacity(banks);
     for bank in 0..banks {
-        let va = sys.alloc_row_in_bank(agent, bank)?;
-        sys.warm_tlb(agent, va, 2);
-        rows.push(va);
+        rows.push(sys.alloc_row_in_bank(agent, bank)?);
     }
     let src = sys.alloc_bank_stripe(agent, 1)?;
     let dst = sys.alloc_bank_stripe(agent, 1)?;
-    sys.warm_tlb(agent, src, 2 * banks as u64);
-    sys.warm_tlb(agent, dst, 2 * banks as u64);
 
     let ops = if quick { 1_500 } else { 40_000 };
     for _ in 0..ops {
@@ -237,25 +232,6 @@ impl ReplayVerification {
         self.recorded
             .reproduced_by(self.responses, self.response_digest, &self.stats)
     }
-}
-
-/// Resolves a loaded capture's header to its [`SystemConfig`]
-/// ([`resolve_config`]) and runs [`CapturedTrace::verify`] on it, so
-/// nothing uses a capture whose events do not reproduce its footer.
-/// Returns the resolved configuration. `fig_all --trace` calls it through
-/// [`TraceScenario::new`]; `fleet_run --trace` reaches the same check
-/// through `FleetService::admit_trace`.
-///
-/// # Errors
-///
-/// [`Error::TraceFormat`] for an unknown config label or a capture whose
-/// events do not reproduce the footer; [`Error::TraceConfigMismatch`]
-/// when label and fingerprint disagree; the first error a recorded event
-/// raises when serviced.
-pub fn verify_capture(captured: &CapturedTrace) -> Result<SystemConfig> {
-    let cfg = resolve_config(&captured.header)?;
-    captured.verify(&cfg)?;
-    Ok(cfg)
 }
 
 /// Streams a trace file into a fresh [`MemoryController`], the one `kind`
@@ -520,15 +496,23 @@ pub struct TraceScenario {
 }
 
 impl TraceScenario {
-    /// Wraps a loaded capture for replay once [`verify_capture`] accepts
-    /// it, so [`TraceScenario::figure`] can replay any prefix without a
-    /// fallible path.
+    /// Resolves a loaded capture's header to its [`SystemConfig`]
+    /// ([`resolve_config`]) and runs [`CapturedTrace::verify`] on it, so
+    /// nothing replays a capture whose events do not reproduce its
+    /// footer; [`TraceScenario::figure`] can then replay any prefix
+    /// without a fallible path. `fig_all --trace` runs this check;
+    /// `fleet_run --trace` reaches the same one through
+    /// `FleetService::admit_trace`.
     ///
     /// # Errors
     ///
-    /// As for [`verify_capture`].
+    /// [`Error::TraceFormat`] for an unknown config label or a capture
+    /// whose events do not reproduce the footer;
+    /// [`Error::TraceConfigMismatch`] when label and fingerprint disagree;
+    /// the first error a recorded event raises when serviced.
     pub fn new(captured: CapturedTrace) -> Result<TraceScenario> {
-        let cfg = verify_capture(&captured)?;
+        let cfg = resolve_config(&captured.header)?;
+        captured.verify(&cfg)?;
         Ok(TraceScenario { captured, cfg })
     }
 
@@ -549,7 +533,7 @@ impl TraceScenario {
                     responses += 1;
                     total_latency += resp.latency.0;
                 })
-                .expect("full replay was validated by verify_capture");
+                .expect("TraceScenario::new verified the full replay");
                 replayed = cut;
                 let y = if responses == 0 {
                     0.0

@@ -107,10 +107,10 @@ pub(crate) struct WarmSlots {
 
 /// Builds the synthetic warm parent on the noiseless Table 2 machine
 /// (`SystemConfig::paper_table2_noiseless`, 16 banks): spawns the
-/// attacker, victim and co-tenant, allocates and TLB-warms one row per
-/// agent in each of the first [`MAX_PROBE_BANKS`] banks, primes the
-/// attacker's rows open, and calibrates the hit/conflict classification
-/// threshold. Fork the returned engine once per session.
+/// attacker, victim and co-tenant, allocates one row per agent in each of
+/// the first [`MAX_PROBE_BANKS`] banks, primes the attacker's rows open,
+/// and calibrates the hit/conflict classification threshold. Fork the
+/// returned engine once per session.
 pub(crate) fn warm_parent() -> (System, Arc<WarmSlots>) {
     let mut eng = System::new(SystemConfig::paper_table2_noiseless());
     let attacker = eng.spawn_agent();
@@ -119,11 +119,8 @@ pub(crate) fn warm_parent() -> (System, Arc<WarmSlots>) {
     let rows = |eng: &mut System, agent: AgentId| -> Vec<VirtAddr> {
         (0..MAX_PROBE_BANKS)
             .map(|bank| {
-                let va = eng
-                    .alloc_row_in_bank(agent, bank)
-                    .expect("three rows per bank fit the machine");
-                eng.warm_tlb(agent, va, 2);
-                va
+                eng.alloc_row_in_bank(agent, bank)
+                    .expect("three rows per bank fit the machine")
             })
             .collect()
     };

@@ -337,7 +337,8 @@ impl<B: MemoryBackend> Engine<B> {
     // ------------------------------------------------------------------
 
     /// Allocates one DRAM row in `bank` for `agent` and maps it, returning
-    /// the virtual base address of the row.
+    /// the virtual base address of the row. Its pages come pre-faulted and
+    /// TLB-warm (the warm-up the paper performs before attacks, §5.2.1).
     ///
     /// # Errors
     ///
@@ -345,14 +346,14 @@ impl<B: MemoryBackend> Engine<B> {
     /// exhausted.
     pub fn alloc_row_in_bank(&mut self, agent: AgentId, bank: usize) -> Result<VirtAddr> {
         let pa = self.alloc.alloc_row_in_bank(bank)?;
-        let pages = self.alloc.pages_per_row();
-        Ok(self.map_region(agent, pa, pages))
+        Ok(self.map_region(agent, pa, self.cfg.dram_geometry.row_bytes))
     }
 
     /// Allocates `rotations` physically contiguous bank rotations (each
     /// rotation = one row in every bank, ascending flat-bank order) and
     /// maps them, returning the virtual base. This is the allocation the
-    /// IMPACT-PuM sender/receiver use for RowClone ranges.
+    /// IMPACT-PuM sender/receiver use for RowClone ranges. Its pages come
+    /// pre-faulted and TLB-warm (§5.2.1).
     ///
     /// # Errors
     ///
@@ -362,15 +363,22 @@ impl<B: MemoryBackend> Engine<B> {
         let pa = self.alloc.alloc_bank_stripe(rotations)?;
         let banks = u64::from(self.cfg.dram_geometry.total_banks());
         let bytes = rotations * banks * self.cfg.dram_geometry.row_bytes;
-        let pages = bytes / PAGE_SIZE;
-        Ok(self.map_region(agent, pa, pages))
+        Ok(self.map_region(agent, pa, bytes))
     }
 
-    fn map_region(&mut self, agent: AgentId, pa: PhysAddr, pages: u64) -> VirtAddr {
-        let pt = &mut self.agents[agent.0 as usize].page_table;
-        let va = pt.reserve_vspace(pages);
+    /// Maps the `bytes` at `pa` into fresh virtual pages of `agent` and
+    /// warms each page in both TLB levels as it maps it, in page order.
+    /// The one place that counts a mapping's pages.
+    fn map_region(&mut self, agent: AgentId, pa: PhysAddr, bytes: u64) -> VirtAddr {
+        let pages = bytes.div_ceil(PAGE_SIZE);
+        let Agent {
+            page_table, tlb, ..
+        } = &mut self.agents[agent.0 as usize];
+        let va = page_table.reserve_vspace(pages);
         for p in 0..pages {
-            pt.map_page(va.page_number() + p, pa.frame_number() + p);
+            let vpn = va.page_number() + p;
+            page_table.map_page(vpn, pa.frame_number() + p);
+            tlb.warm(vpn);
         }
         va
     }
@@ -386,14 +394,6 @@ impl<B: MemoryBackend> Engine<B> {
         let pa = a.page_table.translate(va)?;
         let look = a.tlb.translate(va.page_number());
         Ok((pa, look.latency))
-    }
-
-    /// Pre-faults and warms the TLB for `pages` pages starting at `va`
-    /// (the warm-up the paper performs before attacks, §5.2.1).
-    pub fn warm_tlb(&mut self, agent: AgentId, va: VirtAddr, pages: u64) {
-        for p in 0..pages {
-            self.agents[agent.0 as usize].tlb.warm(va.page_number() + p);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -660,32 +660,15 @@ impl<B: MemoryBackend> Engine<B> {
             return false;
         }
         let now = self.now(agent);
-        let num_banks = self.backend.num_banks();
-        // Bank-distinctness scratch: a bitmask for ordinary geometries, a
-        // heap set only for very wide devices.
-        let mut mask = 0u128;
-        let mut wide = Vec::new();
-        if num_banks > 128 {
-            wide = vec![false; num_banks];
-        }
+        let mut seen = vec![false; self.backend.num_banks()];
         for &(pa, _) in probes {
             let Some(bank) = self.backend.bank_of(pa) else {
                 return false;
             };
-            if bank >= num_banks {
+            let Some(slot) = seen.get_mut(bank) else {
                 return false;
-            }
-            let dup = if num_banks <= 128 {
-                let bit = 1u128 << bank;
-                let d = mask & bit != 0;
-                mask |= bit;
-                d
-            } else {
-                let d = wide[bank];
-                wide[bank] = true;
-                d
             };
-            if dup || self.backend.bank_ready_at(bank) > now {
+            if std::mem::replace(slot, true) || self.backend.bank_ready_at(bank) > now {
                 return false;
             }
         }
@@ -930,7 +913,6 @@ mod burst_tests {
         let mut vas = Vec::new();
         for bank in 0..banks {
             let va = sys.alloc_row_in_bank(a, bank).unwrap();
-            sys.warm_tlb(a, va, 2);
             vas.push(va);
         }
         (sys, a, vas)

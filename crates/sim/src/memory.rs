@@ -132,12 +132,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Pages per DRAM row.
-    #[must_use]
-    pub fn pages_per_row(&self) -> u64 {
-        (self.geometry().row_bytes / PAGE_SIZE).max(1)
-    }
-
     /// Allocates one fresh row in `bank`, returning its physical base.
     ///
     /// # Errors
@@ -296,11 +290,5 @@ mod tests {
             fa.alloc_bank_stripe(1),
             Err(Error::MassagingFailed(_))
         ));
-    }
-
-    #[test]
-    fn pages_per_row_for_paper_geometry() {
-        let fa = FrameAllocator::new(geo());
-        assert_eq!(fa.pages_per_row(), 2); // 8 KiB rows, 4 KiB pages
     }
 }

@@ -132,7 +132,7 @@ impl BackendKind {
 mod tests {
     use super::*;
     use impact_cache::HitLevel;
-    use impact_core::addr::VirtAddr;
+    use impact_core::addr::{VirtAddr, PAGE_SIZE};
     use impact_core::engine::{MemRequest, MemoryBackend};
     use impact_core::time::Cycles;
     use impact_dram::RowBufferKind;
@@ -160,7 +160,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 2).unwrap();
-        s.warm_tlb(a, va, 2);
         let first = s.load_direct(a, va).unwrap();
         let second = s.load_direct(a, va + 64).unwrap();
         assert_eq!(first.kind, Some(RowBufferKind::Miss));
@@ -172,7 +171,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 4).unwrap();
-        s.warm_tlb(a, va, 2);
         let before = s.now(a);
         let infos = s.load_direct_batch(a, &[va, va + 64, va + 128]).unwrap();
         assert_eq!(infos.len(), 3);
@@ -201,7 +199,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 1).unwrap();
-        s.warm_tlb(a, va, 2);
         // Different cache line each op: stays memory-side.
         let o1 = s.pim_op(a, va).unwrap();
         let o2 = s.pim_op(a, va + 64).unwrap();
@@ -210,7 +207,6 @@ mod tests {
         assert_eq!(o2.kind, Some(RowBufferKind::Hit));
         // The conflict signal: another row in the same bank.
         let vb = s.alloc_row_in_bank(a, 1).unwrap();
-        s.warm_tlb(a, vb, 2);
         let o3 = s.pim_op(a, vb).unwrap();
         assert_eq!(o3.kind, Some(RowBufferKind::Conflict));
         assert_eq!(o3.latency - o2.latency, Cycles(74));
@@ -221,7 +217,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 1).unwrap();
-        s.warm_tlb(a, va, 2);
         s.pim_op(a, va).unwrap();
         s.pim_op(a, va).unwrap();
         let o = s.pim_op(a, va).unwrap();
@@ -243,10 +238,24 @@ mod tests {
         let a = s.spawn_agent();
         let src = s.alloc_bank_stripe(a, 1).unwrap();
         let dst = s.alloc_bank_stripe(a, 1).unwrap();
-        s.warm_tlb(a, src, 32);
-        s.warm_tlb(a, dst, 32);
         let out = s.rowclone(a, src, dst, 0xFFFF).unwrap();
         assert_eq!(out.per_bank.len(), 16);
+    }
+
+    /// The allocators hand out pages already TLB-warm (§5.2.1): every
+    /// page of a row and of a stripe translates at the L1 TLB's latency,
+    /// with no walk.
+    #[test]
+    fn allocations_map_tlb_warm_pages() {
+        let mut s = sys();
+        let a = s.spawn_agent();
+        let row = s.alloc_row_in_bank(a, 0).unwrap();
+        let stripe = s.alloc_bank_stripe(a, 1).unwrap();
+        assert_eq!(stripe, row + 2 * PAGE_SIZE, "an 8 KiB row maps two pages");
+        for va in [row, row + PAGE_SIZE, stripe, stripe + 31 * PAGE_SIZE] {
+            let (_, latency) = s.translate(a, va).unwrap();
+            assert_eq!(latency, Cycles(1), "{va:?} was not TLB-warm");
+        }
     }
 
     #[test]
@@ -277,7 +286,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 0).unwrap();
-        s.warm_tlb(a, va, 2);
         s.load_direct(a, va).unwrap(); // open the row
         let t0 = s.rdtscp(a);
         let info = s.load_direct(a, va + 64).unwrap();
@@ -312,8 +320,6 @@ mod tests {
         let b = s.spawn_agent();
         let va_a = s.alloc_row_in_bank(a, 5).unwrap();
         let va_b = s.alloc_row_in_bank(b, 5).unwrap();
-        s.warm_tlb(a, va_a, 2);
-        s.warm_tlb(b, va_b, 2);
         // A opens its row; re-access hits.
         s.pim_op(a, va_a).unwrap();
         let hit = s.pim_op(a, va_a + 64).unwrap();
@@ -334,7 +340,6 @@ mod tests {
         let mut s = sys();
         let a = s.spawn_agent();
         let va = s.alloc_row_in_bank(a, 0).unwrap();
-        s.warm_tlb(a, va, 2);
         s.set_defense(Defense::Ctd);
         let first = s.load_direct(a, va).unwrap();
         let second = s.load_direct(a, va + 64).unwrap();
@@ -361,13 +366,11 @@ mod tests {
         let mut out = Vec::new();
         for bank in 0..4 {
             let va = s.alloc_row_in_bank(a, bank).unwrap();
-            s.warm_tlb(a, va, 2);
             out.push(s.load_direct(a, va).unwrap().latency.0);
             out.push(s.pim_op(a, va + 64).unwrap().latency.0);
         }
         s.set_defense(Defense::Ctd);
         let vb = s.alloc_row_in_bank(a, 7).unwrap();
-        s.warm_tlb(a, vb, 2);
         out.push(s.load_direct(a, vb).unwrap().latency.0);
         out.push(s.now(a).0);
         out.push(s.backend().backend_stats().accesses);
@@ -442,7 +445,6 @@ mod tests {
         let a = sys.spawn_agent();
         for bank in 0..6 {
             let va = sys.alloc_row_in_bank(a, bank).unwrap();
-            sys.warm_tlb(a, va, 2);
             sys.load(a, va).unwrap();
             sys.pim_op(a, va + 64).unwrap();
             sys.load_direct_batch(a, &[va + 128, va + 192]).unwrap();

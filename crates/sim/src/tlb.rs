@@ -284,8 +284,10 @@ impl Tlb {
         }
     }
 
-    /// Pre-populates both levels with `vpn` (used by the warm-up phase the
-    /// paper performs before launching attacks, §5.2.1).
+    /// Pre-populates both levels with `vpn`: the warm-up the paper
+    /// performs before launching attacks (§5.2.1), which the engine's
+    /// allocators ([`crate::Engine::alloc_row_in_bank`] and
+    /// [`crate::Engine::alloc_bank_stripe`]) run on each page they map.
     pub fn warm(&mut self, vpn: u64) {
         insert(&mut self.l1, vpn);
         insert(&mut self.l2, vpn);

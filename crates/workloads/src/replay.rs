@@ -52,8 +52,9 @@ pub struct ReplayReport {
 
 /// Replays `trace` as `agent` on `sys`.
 ///
-/// The trace footprint is backed by bank-striped physical memory and the
-/// TLB is pre-warmed (the paper warms up before measuring, §5.2.1).
+/// The trace footprint is backed by bank-striped physical memory, whose
+/// pages the allocator maps TLB-warm (the paper warms up before
+/// measuring, §5.2.1).
 ///
 /// # Errors
 ///
@@ -91,11 +92,6 @@ pub fn replay_lanes<B: ControllerBackend>(
     let rotation_bytes = u64::from(geometry.total_banks()) * geometry.row_bytes;
     let rotations = trace.footprint().div_ceil(rotation_bytes).max(1);
     let base = sys.alloc_bank_stripe(agent, rotations)?;
-    sys.warm_tlb(
-        agent,
-        base,
-        rotations * rotation_bytes / impact_core::addr::PAGE_SIZE,
-    );
 
     // Each side's clock and DRAM totals: `sys`'s own, then each lane's.
     let mark = |sys: &Engine<B>, lanes: &[Lane<'_>]| {

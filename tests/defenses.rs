@@ -130,9 +130,6 @@ fn act_is_bank_local() {
     let hot_a = sys.alloc_row_in_bank(a, 0).unwrap();
     let hot_b = sys.alloc_row_in_bank(a, 0).unwrap();
     let quiet = sys.alloc_row_in_bank(a, 5).unwrap();
-    sys.warm_tlb(a, hot_a, 2);
-    sys.warm_tlb(a, hot_b, 2);
-    sys.warm_tlb(a, quiet, 2);
     // Hammer bank 0 with conflicts to trigger ACT there.
     for _ in 0..8 {
         sys.load_direct(a, hot_a).unwrap();

@@ -19,8 +19,6 @@ fn row_buffer_timing_channel_exists() {
     let a = sys.spawn_agent();
     let row_a = sys.alloc_row_in_bank(a, 0).unwrap();
     let row_b = sys.alloc_row_in_bank(a, 0).unwrap();
-    sys.warm_tlb(a, row_a, 2);
-    sys.warm_tlb(a, row_b, 2);
     sys.load_direct(a, row_a).unwrap();
     let hit = sys.load_direct(a, row_a + 64).unwrap();
     let conflict = sys.load_direct(a, row_b).unwrap();

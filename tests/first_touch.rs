@@ -37,11 +37,7 @@ fn warm_fleet_parent() -> (System, Vec<(AgentId, Vec<VirtAddr>)>) {
     for _ in 0..3 {
         let agent = eng.spawn_agent();
         let rows: Vec<VirtAddr> = (0..16)
-            .map(|bank| {
-                let va = eng.alloc_row_in_bank(agent, bank).expect("row fits");
-                eng.warm_tlb(agent, va, 2);
-                va
-            })
+            .map(|bank| eng.alloc_row_in_bank(agent, bank).expect("row fits"))
             .collect();
         agents.push((agent, rows));
     }
